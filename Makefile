@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench check scenarios verify serve-smoke load
+.PHONY: all build test vet race bench bench-run bench-test check scenarios verify serve-smoke load
 
 all: vet build test
 
@@ -18,6 +18,15 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# The repository benchmark (bench/README.md): four workloads, end to
+# end, built into .bench_build/ and run from the checkout root.
+bench-run:
+	bash bench/run.sh
+
+# The benchmark's own equivalence and smoke tests (~20 s).
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Scenario smoke: run every declarative fault scenario in
 # examples/scenarios/ and require each verdict to PASS.

@@ -55,7 +55,7 @@ type routeEntry struct {
 }
 
 // endpoint is one attached local flow: its transport receiver and its
-// path-stretch and latency histograms (batch-deferred: terminal
+// path-stretch and latency histograms (deferred cells: terminal
 // samples arrive in long runs of one value), kept together so the
 // per-delivery hot path does a single map lookup.
 type endpoint struct {
@@ -100,9 +100,10 @@ type Edge struct {
 
 	// Registry-backed counters (labelled edge=<node>). The two
 	// per-packet ones — encap on inject, decap on delivery — are
-	// batch-deferred; the exception-path counters stay atomic.
-	cEncapped     *simnet.DeferredCounter
-	cDelivered    *simnet.DeferredCounter
+	// deferred cells owned by this node's lane; the exception-path
+	// counters stay atomic.
+	cEncapped     simnet.DeferredCounter
+	cDelivered    simnet.DeferredCounter
 	cMisdelivered *telemetry.Counter
 	cReencoded    *telemetry.Counter
 	cUnclaimed    *telemetry.Counter
@@ -142,8 +143,8 @@ func New(net *simnet.Network, node *topology.Node, ctrl Reencoder, opts ...Optio
 		reencodeDelay:  DefaultReencodeDelay,
 		routes:         make(map[string]routeEntry),
 		local:          make(map[packet.FlowID]endpoint),
-		cEncapped:      net.DeferCounter(reg.Counter("kar_edge_encap_total", "edge", name)),
-		cDelivered:     net.DeferCounter(reg.Counter("kar_edge_decap_total", "edge", name)),
+		cEncapped:      net.DeferCounter(node, reg.Counter("kar_edge_encap_total", "edge", name)),
+		cDelivered:     net.DeferCounter(node, reg.Counter("kar_edge_decap_total", "edge", name)),
 		cMisdelivered:  reg.Counter("kar_edge_misdelivered_total", "edge", name),
 		cReencoded:     reg.Counter("kar_edge_reencode_total", "edge", name),
 		cUnclaimed:     reg.Counter("kar_edge_unclaimed_total", "edge", name),
@@ -185,9 +186,9 @@ func (e *Edge) Attach(flow packet.FlowID, r Receiver) {
 	reg.Help("kar_flow_latency_us", "Per-flow one-way delivery latency of decapsulated packets (µs).")
 	e.local[flow] = endpoint{
 		r: r,
-		stretch: e.net.DeferHistogram(reg.Histogram(
+		stretch: e.net.DeferHistogram(e.node, reg.Histogram(
 			"kar_flow_stretch_hops", telemetry.HopBuckets, "flow", flow.String())),
-		latency: e.net.DeferHistogram(reg.Histogram(
+		latency: e.net.DeferHistogram(e.node, reg.Histogram(
 			"kar_flow_latency_us", telemetry.LatencyBucketsUs, "flow", flow.String())),
 	}
 }

@@ -78,12 +78,13 @@ type Switch struct {
 	cPolicyDrops *telemetry.Counter
 	cDeflections [causeCount]*telemetry.Counter
 
-	// Deferred views of the two per-hop counters, used only on the
-	// batched fast path; the scalar path and every slow-path arm keep
-	// the atomic cells (they are rare enough not to matter, and the
-	// controller's workers may read them concurrently mid-step).
-	dReceived  *simnet.DeferredCounter
-	dForwarded *simnet.DeferredCounter
+	// Lane-owned deferred cells for the two per-hop counters, used only
+	// on the batched fast path; the scalar path (cut-link deliveries,
+	// peel-outs) and every slow-path arm keep the atomic cells — each is
+	// written by this node's lane alone, and the controller's workers
+	// may read them concurrently mid-step.
+	dReceived  simnet.DeferredCounter
+	dForwarded simnet.DeferredCounter
 
 	// Event-log dedup: deflections and policy drops are per-packet
 	// (millions per run), so the control-plane log records only the
@@ -143,8 +144,8 @@ func New(net *simnet.Network, node *topology.Node, policy deflect.Policy, seed i
 		s.cDeflections[idx] = reg.Counter("kar_switch_deflections_total",
 			"switch", node.Name(), "cause", cause)
 	}
-	s.dReceived = net.DeferCounter(s.cReceived)
-	s.dForwarded = net.DeferCounter(s.cForwarded)
+	s.dReceived = net.DeferCounter(node, s.cReceived)
+	s.dForwarded = net.DeferCounter(node, s.cForwarded)
 	switch policy.(type) {
 	case deflect.None, deflect.AnyValidPort:
 		s.fastKind = fastAny

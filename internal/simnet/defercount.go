@@ -1,123 +1,126 @@
 package simnet
 
-import "repro/internal/telemetry"
+import (
+	"repro/internal/telemetry"
+	"repro/internal/topology"
+)
 
-// DeferredCounter wraps a telemetry.Counter for the batched data
-// plane's per-hop hot path. In scalar mode every Inc passes straight
-// through; in batch mode increments accumulate in a plain field and
-// flush to the (atomic) backing counter at observation boundaries —
-// before any evtFunc dispatch, before drop hooks, and when Step or
-// RunUntil returns. Since every way to observe a counter (metric
+// DeferredCounter is a lane-owned accumulation cell in front of a
+// shared telemetry.Counter — the per-hop hot path's view of a registry
+// series. Increments land in a plain field and put the cell on its
+// lane's dirty list; the list is folded into the (atomic) backing
+// counter single-threaded at observation boundaries: before any
+// control-plane or serialized evtFunc dispatch, before drop hooks, and
+// when Step or RunUntil returns. Every way to observe a counter (metric
 // dumps, LineStats, phase stats, control-plane callbacks) runs at one
-// of those boundaries, observed values are identical in both modes;
-// what changes is six LOCK-prefixed adds per hop becoming six plain
-// adds plus one amortized flush.
+// of those boundaries, and adds commute, so observed values are the
+// same in every driver, data plane and shard count.
 //
-// Not safe for concurrent use — like the scheduler, a deferred
-// counter belongs to one world's event loop. Counters that other
+// A cell is bound at construction to the scheduler lane of the node
+// that increments it, and only that lane's goroutine (or the control
+// plane, between windows) may touch it: a parallel window therefore
+// writes no memory another lane writes. Several cells may front one
+// backing counter (one per lane or per pump); readers of the total sum
+// the backing value and every cell's Pending.
+//
+// Cells embed by value in their owner and must not be copied once
+// incremented (the dirty list holds their address). Counters that other
 // goroutines touch (the reactive controller's worker pool) must keep
 // using the atomic telemetry.Counter directly.
 type DeferredCounter struct {
 	c       *telemetry.Counter
 	pending int64
-	n       *Network
+	lane    *Scheduler
 }
 
-// DeferCounter wraps c for batched-hot-path increments on this
-// network. Multiple wrappers may share one backing counter (the
-// scalar and peel-out paths keep incrementing it directly; sums
-// interleave freely).
-func (n *Network) DeferCounter(c *telemetry.Counter) *DeferredCounter {
-	return &DeferredCounter{c: c, n: n}
+// DeferCounter returns a cell fronting c, owned by the lane of the node
+// whose handler, timers or outgoing links will increment it.
+func (n *Network) DeferCounter(owner *topology.Node, c *telemetry.Counter) DeferredCounter {
+	return DeferredCounter{c: c, lane: n.laneOf(owner)}
 }
 
 // Inc adds 1.
 func (d *DeferredCounter) Inc() { d.Add(1) }
 
-// Add accumulates v, deferring the atomic update in batch mode.
-// Inside a parallel shard window increments pass straight through to
-// the atomic backing counter instead: lanes run concurrently there, so
-// the single-goroutine deferral contract does not hold, and atomic
-// adds commute — total counts (all any observer can see, since
-// observation points sit at window barriers) are unchanged.
+// Add accumulates v for the next fold.
 func (d *DeferredCounter) Add(v int64) {
-	if !d.n.batch || d.n.inWindow {
-		d.c.Add(v)
-		return
-	}
 	if d.pending == 0 {
-		d.n.dirty = append(d.n.dirty, d)
+		d.lane.dirty = append(d.lane.dirty, d)
 	}
 	d.pending += v
 }
 
-// Value returns the logical count including any unflushed pending
-// increments.
+// Pending returns the increments not yet folded into the backing
+// counter.
+func (d *DeferredCounter) Pending() int64 { return d.pending }
+
+// Value returns the backing count plus this cell's pending increments
+// — the logical count when this is the counter's only cell.
 func (d *DeferredCounter) Value() int64 { return d.c.Value() + d.pending }
 
-// DeferredHistogram wraps a telemetry.Histogram the same way
-// DeferredCounter wraps a counter: in batch mode samples accumulate
-// in local (unlocked) buckets plus a local count and sum, and fold
-// into the backing histogram via Merge at flush boundaries. Values
-// must be integral for the local float sum to stay byte-identical to
+// DeferredHistogram fronts a telemetry.Histogram the way
+// DeferredCounter fronts a counter: samples accumulate in lane-owned
+// (unlocked) buckets plus a local count and sum, and fold into the
+// backing histogram via Merge at the same boundaries. Values must be
+// integral for the local float sum to stay byte-identical to
 // per-sample Observe calls (see Merge); the data plane observes only
-// whole hops and whole microseconds. Same flush boundaries and
-// single-goroutine contract as DeferredCounter.
+// whole hops and whole microseconds.
 type DeferredHistogram struct {
 	h      *telemetry.Histogram
 	counts []int64
 	n      int64
 	sum    float64
-	w      *Network
+	lane   *Scheduler
 }
 
-// DeferHistogram wraps h for batched-hot-path observations on this
-// network.
-func (n *Network) DeferHistogram(h *telemetry.Histogram) *DeferredHistogram {
-	return &DeferredHistogram{h: h, counts: make([]int64, h.NumBuckets()), w: n}
+// DeferHistogram returns a cell fronting h, owned by the lane of the
+// node whose handler will observe into it.
+func (n *Network) DeferHistogram(owner *topology.Node, h *telemetry.Histogram) *DeferredHistogram {
+	return &DeferredHistogram{h: h, counts: make([]int64, h.NumBuckets()), lane: n.laneOf(owner)}
 }
 
-// Observe records one sample, deferring the locked histogram update
-// in batch mode. Parallel shard windows pass through to the mutexed
-// histogram (same reasoning as DeferredCounter.Add: bucket counts and
-// integral sums commute, so barrier-time observations are identical).
+// Observe records one sample for the next fold.
 func (d *DeferredHistogram) Observe(v float64) {
-	if !d.w.batch || d.w.inWindow {
-		d.h.Observe(v)
-		return
-	}
 	if d.n == 0 {
-		d.w.dirtyH = append(d.w.dirtyH, d)
+		d.lane.dirtyH = append(d.lane.dirtyH, d)
 	}
 	d.n++
 	d.sum += v
 	d.counts[d.h.BucketFor(v)]++
 }
 
-// flushCounters drains every dirty deferred counter and histogram
-// into its backing telemetry cell. Called at observation boundaries;
-// cheap when nothing is pending. The empty-case early return is
-// load-bearing under sharding: inside parallel windows the dirty lists
-// are always empty (Add/Observe pass through), and returning before
-// any slice-header write keeps concurrent no-op flushes from lane
-// evtFunc dispatches race-free.
-func (n *Network) flushCounters() {
-	if len(n.dirty) == 0 && len(n.dirtyH) == 0 {
-		return
-	}
-	for i, d := range n.dirty {
+// foldCells drains this lane's dirty cells into their backing
+// telemetry series.
+func (s *Scheduler) foldCells() {
+	for i, d := range s.dirty {
 		d.c.Add(d.pending)
 		d.pending = 0
-		n.dirty[i] = nil
+		s.dirty[i] = nil
 	}
-	n.dirty = n.dirty[:0]
-	for i, d := range n.dirtyH {
+	s.dirty = s.dirty[:0]
+	for i, d := range s.dirtyH {
 		d.h.Merge(d.counts, d.n, d.sum)
 		for j := range d.counts {
 			d.counts[j] = 0
 		}
 		d.n, d.sum = 0, 0
-		n.dirtyH[i] = nil
+		s.dirtyH[i] = nil
 	}
-	n.dirtyH = n.dirtyH[:0]
+	s.dirtyH = s.dirtyH[:0]
+}
+
+// flushCounters folds every lane's dirty cells. Called at observation
+// boundaries; cheap when nothing is pending. Inside a parallel window
+// it must return before touching any list: lane goroutines reach it
+// through their evtFunc dispatches and through Drop while the other
+// lanes are appending to theirs. Nothing can observe a counter there —
+// observers run on the control plane, between windows — so the fold
+// simply waits for the next boundary.
+func (n *Network) flushCounters() {
+	if n.inWindow {
+		return
+	}
+	for _, lane := range n.lanes {
+		lane.foldCells()
+	}
 }

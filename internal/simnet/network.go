@@ -110,10 +110,13 @@ type TraceSink interface {
 // to keep the send path off the registry's mutex, and the receiving
 // endpoint is resolved once at construction so per-packet delivery
 // events carry no closures.
+//
+// The fields are grouped by who writes them. The first cache line is
+// fixed at construction: on a cut direction the receiving lane reads
+// it (finishTransit) while the sending lane is busy writing the rest,
+// so the two groups must not share a line (layout_test.go pins the
+// offsets).
 type dirState struct {
-	busyUntil time.Duration
-	queued    int
-
 	// Receiving endpoint of this direction, fixed by the topology.
 	dst     *topology.Node
 	dstPort int
@@ -131,11 +134,19 @@ type dirState struct {
 	ent     uint32
 	noBatch bool
 
-	// Registry-backed counters.
-	sentPackets   *DeferredCounter
-	sentBytes     *DeferredCounter
+	// Exception-path counters (atomic registry cells).
 	queueDrops    *telemetry.Counter
 	inFlightDrops *telemetry.Counter
+	_             [8]byte // end of the construction-time cache line
+
+	// Everything below is written per packet, by the sending lane only.
+	busyUntil time.Duration
+	queued    int
+
+	// Per-packet counters: cells owned by the sending lane, embedded so
+	// a hop writes only lines this direction already owns.
+	sentPackets DeferredCounter
+	sentBytes   DeferredCounter
 
 	// train is this direction's batched transmission state (batch mode
 	// only; see train.go).
@@ -163,16 +174,16 @@ type Impairment struct {
 // holds remain. epoch stamps actual state transitions so delayed
 // detection events can recognise that the world moved on under them.
 type Line struct {
+	// First cache line: what every hop reads. Nothing in the header is
+	// written while a parallel window is open (link state changes are
+	// control events), so lanes on both sides of a cut link share it
+	// read-only.
 	net        *Network
-	link       *topology.Link
 	downRefs   int  // outstanding down-holds; up ⇔ downRefs == 0
 	manualHold bool // FailLink/RepairLink's dedicated (idempotent) hold
 	seenUp     bool // the adjacent switches' *detected* view of the link
-	epoch      uint64
-	lastDownAt time.Duration // most recent failure instant (for in-flight kills)
 	everDown   bool
-	dirs       [2]dirState // 0: A→B, 1: B→A
-	gaugeUp    *telemetry.Gauge
+	lastDownAt time.Duration // most recent failure instant (for in-flight kills)
 
 	// Link attributes cached off the topology (hot-path reads).
 	delay    time.Duration
@@ -183,6 +194,13 @@ type Line struct {
 	imp        *Impairment
 	cGrayDrops *telemetry.Counter
 	cCorrupted *telemetry.Counter
+
+	link    *topology.Link
+	epoch   uint64
+	gaugeUp *telemetry.Gauge
+	_       [24]byte // dirs start on a cache line of their own
+
+	dirs [2]dirState // 0: A→B, 1: B→A
 }
 
 // Up reports actual link health (no outstanding down-holds).
@@ -224,15 +242,11 @@ type Network struct {
 	metrics *telemetry.Registry
 	events  *telemetry.EventLog
 
-	// Cached hot-path counter handles. dDelivered/dSends are the
-	// batch-deferred views of cDelivered/cSends (see defercount.go);
-	// dirty lists deferred counters with unflushed increments.
+	// Cached counter handles. The two per-hop totals are incremented
+	// through one deferred cell per lane (Scheduler.delivered/sends, see
+	// defercount.go) and only read through these.
 	cDelivered *telemetry.Counter
 	cSends     *telemetry.Counter
-	dDelivered *DeferredCounter
-	dSends     *DeferredCounter
-	dirty      []*DeferredCounter
-	dirtyH     []*DeferredHistogram
 	cDrops     [dropReasonCount + 1]*telemetry.Counter
 
 	// batch selects the packet-train data plane (default on; see
@@ -248,7 +262,8 @@ type Network struct {
 	// installed gray impairment (impairments force serialized
 	// execution: their RNG draw order is defined by the global event
 	// order). inWindow is true exactly while shard goroutines run a
-	// parallel window — the deferred-telemetry pass-through flag.
+	// parallel window: cross-lane deliveries go through outboxes and
+	// telemetry folds wait for the barrier.
 	lanes     []*Scheduler
 	nodeLane  []int
 	lookahead time.Duration
@@ -350,26 +365,16 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	n.sched = &Scheduler{ents: ents}
 	n.nodeLane = topology.PartitionRegions(topo, shards)
 	n.lanes = make([]*Scheduler, shards)
-	// Pre-size the event heaps and train lanes from the topology:
-	// enough for a few events per link plus control-plane headroom, so
-	// world start-up never re-grows them (visible as startup allocs in
-	// the Fig5 benchmarks).
-	perLane := 4*len(links)/shards + 64
 	if shards == 1 {
 		// Single shard: the data lane IS the control scheduler — the
 		// exact pre-shard world, bit for bit.
 		n.lanes[0] = n.sched
-		n.sched.Reserve(perLane)
 	} else {
-		n.sched.Reserve(2*len(links) + 64)
+		// The control lane of a sharded world only ever holds control
+		// events.
+		n.sched.Reserve(64)
 		for i := range n.lanes {
 			n.lanes[i] = &Scheduler{ents: ents}
-			n.lanes[i].Reserve(perLane)
-		}
-	}
-	if n.batch {
-		for _, lane := range n.lanes {
-			lane.trains = make([]*train, 0, 2*len(links)/shards+8)
 		}
 	}
 	n.events = telemetry.NewEventLog(cfg.eventCap, n.sched.Now)
@@ -381,13 +386,20 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	n.metrics.Help("kar_net_sends_total", "Packets submitted to links.")
 	n.cDelivered = n.metrics.Counter("kar_net_delivered_total")
 	n.cSends = n.metrics.Counter("kar_net_sends_total")
-	n.dDelivered = n.DeferCounter(n.cDelivered)
-	n.dSends = n.DeferCounter(n.cSends)
-	if n.batch {
-		n.sched.flush = n.flushCounters
-		for _, lane := range n.lanes {
-			lane.flush = n.flushCounters
+	flush := n.flushCounters
+	n.sched.flush = flush
+	// Pre-size each lane's event heap and train lane from the topology:
+	// enough for a few events per link plus headroom, so world start-up
+	// never re-grows them (visible as startup allocs in the Fig5
+	// benchmarks).
+	for _, lane := range n.lanes {
+		lane.Reserve(4*len(links)/shards + 64)
+		if n.batch {
+			lane.trains = make([]trainEnt, 0, 2*len(links)/shards+8)
 		}
+		lane.flush = flush
+		lane.delivered = DeferredCounter{c: n.cDelivered, lane: lane}
+		lane.sends = DeferredCounter{c: n.cSends, lane: lane}
 	}
 	for r := DropReason(1); r < dropReasonCount; r++ {
 		n.cDrops[r] = n.metrics.Counter("kar_net_drops_total", "reason", r.String())
@@ -407,11 +419,11 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 			line.dirs[d] = dirState{
 				dst:           dst,
 				dstPort:       l.PortOf(dst),
-				lane:          n.lanes[n.nodeLane[src.Index()]],
-				dstLane:       n.lanes[n.nodeLane[dst.Index()]],
+				lane:          n.laneOf(src),
+				dstLane:       n.laneOf(dst),
 				ent:           uint32(1 + len(nodes) + 2*li + d),
-				sentPackets:   n.DeferCounter(n.metrics.Counter("kar_link_sent_packets_total", "link", l.Name(), "dir", dir)),
-				sentBytes:     n.DeferCounter(n.metrics.Counter("kar_link_sent_bytes_total", "link", l.Name(), "dir", dir)),
+				sentPackets:   n.DeferCounter(src, n.metrics.Counter("kar_link_sent_packets_total", "link", l.Name(), "dir", dir)),
+				sentBytes:     n.DeferCounter(src, n.metrics.Counter("kar_link_sent_bytes_total", "link", l.Name(), "dir", dir)),
 				queueDrops:    n.metrics.Counter("kar_link_queue_drops_total", "link", l.Name(), "dir", dir),
 				inFlightDrops: n.metrics.Counter("kar_link_inflight_drops_total", "link", l.Name(), "dir", dir),
 			}
@@ -427,7 +439,7 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 			}
 			if n.batch && !ds.noBatch {
 				tr := &ds.train
-				tr.line, tr.dir, tr.hpos = line, uint8(d), -1
+				tr.line, tr.dir = line, uint8(d)
 				tr.members = make([]trainMember, 0, 16)
 			}
 		}
@@ -492,10 +504,9 @@ func (n *Network) Trace() TraceSink { return n.trace }
 // hook has observed them (hooks must copy, never retain).
 func (n *Network) Drop(pkt *packet.Packet, reason DropReason, where string) {
 	// Drop hooks may read metrics; surface any deferred increments
-	// first so both data planes observe identical values.
-	if len(n.dirty) > 0 || len(n.dirtyH) > 0 {
-		n.flushCounters()
-	}
+	// first so every driver and data plane observes identical values
+	// (a no-op inside a parallel window, where no hook is attached).
+	n.flushCounters()
 	n.countDrop(reason)
 	if n.dropHook != nil {
 		n.dropHook(Drop{Packet: pkt, Reason: reason, Where: where, At: n.sched.now})
@@ -539,7 +550,7 @@ func (n *Network) LinkUp(l *topology.Link) bool { return n.lines[l].Up() }
 // handler. Losses are recorded, never returned — the data plane has
 // nobody to report to.
 func (n *Network) Send(node *topology.Node, i int, pkt *packet.Packet) {
-	n.cSends.Inc()
+	n.laneOf(node).sends.Inc()
 	l, ok := node.PortLink(i)
 	if !ok {
 		n.Drop(pkt, DropNoPort, fmt.Sprintf("%s:%d", node.Name(), i))
@@ -584,7 +595,7 @@ func (l *Line) SeenUp() bool { return l.seenUp }
 // direction) — the batched switch pipeline's exit path. It performs
 // exactly Send's checks and bookkeeping minus the topology lookups.
 func (n *Network) SendOnLine(line *Line, dir uint8, pkt *packet.Packet) {
-	n.dSends.Inc()
+	line.dirs[dir].lane.sends.Inc()
 	if line.downRefs > 0 && !line.seenUp {
 		n.Drop(pkt, DropLinkDown, line.link.Name())
 		return
@@ -754,7 +765,7 @@ func (n *Network) Deliver(pkt *packet.Packet, dst *topology.Node, inPort int) {
 		return
 	}
 	pkt.Hops++
-	n.cDelivered.Inc()
+	n.laneOf(dst).delivered.Inc()
 	if n.deliverHook != nil {
 		n.deliverHook(pkt, dst, inPort)
 	}
@@ -933,8 +944,15 @@ func (n *Network) LineStats(l *topology.Link) LineStats {
 	return s
 }
 
-// Delivered returns the total packets handed to handlers.
-func (n *Network) Delivered() int64 { return n.dDelivered.Value() }
+// Delivered returns the total packets handed to handlers, including
+// every lane's not yet folded share.
+func (n *Network) Delivered() int64 {
+	v := n.cDelivered.Value()
+	for _, lane := range n.lanes {
+		v += lane.delivered.Pending()
+	}
+	return v
+}
 
 // Dropped returns the total packets lost anywhere: the sum of the
 // per-reason drop counters (there is no separate total to fall out of

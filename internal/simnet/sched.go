@@ -97,14 +97,14 @@ type Scheduler struct {
 	curKey uint64
 
 	// trains is the second priority lane of the batched data plane: a
-	// small 4-ary heap of active packet trains, each keyed by the
-	// cached head-member (at, key). The main loop always dispatches
-	// the global (at, key) minimum across both lanes, so batch replays
-	// scalar event order exactly — but advancing a train is one
-	// shallow sift in a heap of O(active links) instead of a push/pop
-	// pair in the main event heap. trainMembers counts undelivered
-	// members across all trains (Pending accounting).
-	trains       []*train
+	// small 4-ary heap of active packet trains, each entry carrying its
+	// train's head-member (at, key) by value. The main loop always
+	// dispatches the global (at, key) minimum across both lanes, so
+	// batch replays scalar event order exactly — but advancing a train
+	// is one shallow sift in a heap of O(active links) instead of a
+	// push/pop pair in the main event heap. trainMembers counts
+	// undelivered members across all trains (Pending accounting).
+	trains       []trainEnt
 	trainMembers int
 
 	// outbox buffers cross-lane deliveries produced inside a parallel
@@ -122,11 +122,26 @@ type Scheduler struct {
 	// time (clamped to "now"); nil until a Network attaches one.
 	cPast *telemetry.Counter
 
-	// flush surfaces the batch data plane's deferred counters at
-	// observation boundaries: before any evtFunc callback runs and
-	// whenever Step/RunUntil returns control to the caller. Nil in
-	// scalar mode.
+	// flush surfaces the world's deferred telemetry at observation
+	// boundaries: before any evtFunc callback runs and whenever
+	// Step/RunUntil returns control to the caller. Nil for a standalone
+	// scheduler.
 	flush func()
+
+	// Lane-owned deferred telemetry (see defercount.go): the cells with
+	// unfolded increments, and this lane's share of the network-wide
+	// delivered/sends totals. Written only by the goroutine driving the
+	// lane.
+	dirty     []*DeferredCounter
+	dirtyH    []*DeferredHistogram
+	delivered DeferredCounter
+	sends     DeferredCounter
+
+	// A world's lanes are same-sized heap objects, which the allocator
+	// places back to back, and each is written by its own goroutine; the
+	// pad keeps one lane's tail off the cache line holding the next
+	// lane's clock.
+	_ [64]byte
 }
 
 // outMsg is one buffered cross-lane delivery.
@@ -278,20 +293,19 @@ func (s *Scheduler) trainFirst() bool {
 	if len(s.events) == 0 {
 		return true
 	}
-	tr := s.trains[0]
+	tr := &s.trains[0]
 	e := &s.events[0]
-	if tr.keyAt != e.at {
-		return tr.keyAt < e.at
+	if tr.at != e.at {
+		return tr.at < e.at
 	}
-	return tr.keyOrd < e.key
+	return tr.key < e.key
 }
 
 // peekKey returns the (at, key) of the earliest pending item across
 // both lanes, or ok=false when the lane is empty.
 func (s *Scheduler) peekKey() (time.Duration, uint64, bool) {
 	if s.trainFirst() {
-		tr := s.trains[0]
-		return tr.keyAt, tr.keyOrd, true
+		return s.trains[0].at, s.trains[0].key, true
 	}
 	if len(s.events) == 0 {
 		return 0, 0, false

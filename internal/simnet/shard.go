@@ -37,10 +37,12 @@ import (
 //     times and run single-threaded between windows, so failures,
 //     repairs, detections and experiment phases interleave with the
 //     data plane in one global order.
-//   - Telemetry folds are commutative (atomic counter adds, bucketed
-//     histogram merges of integral sums), and data-plane event-log
-//     records are canonically sorted on export, so concurrent windows
-//     produce the same observable bytes as the serialized order.
+//   - Per-hop telemetry accumulates in lane-owned cells and is folded
+//     into the shared registry single-threaded, between windows; the
+//     folds are commutative (counter adds, bucketed histogram merges
+//     of integral sums), and data-plane event-log records are
+//     canonically sorted on export, so concurrent windows produce the
+//     same observable bytes as the serialized order.
 //
 // Observers that demand the total global order — the flight recorder,
 // drop/deliver hooks, the event-log tap — and gray impairments (whose
@@ -123,10 +125,6 @@ func (n *Network) runSerial(t time.Duration) {
 // event, t]] and meet at a barrier, where cross-lane deliveries
 // buffered in the window are merged into their destination heaps.
 func (n *Network) runWindows(t time.Duration) {
-	// Surface any deferred increments now: during windows the deferred
-	// cells pass through to their atomic backers, and the dirty lists
-	// must stay empty so concurrent flushes are no-ops.
-	n.flushCounters()
 	var wg sync.WaitGroup
 	for {
 		ctlAt, _, ctlOK := n.sched.peekKey()
@@ -196,7 +194,12 @@ func (n *Network) finishRun(t time.Duration) {
 // are equivalent, in a sharded one only the Clock keeps timer keys
 // shard-invariant and timer callbacks on the owning shard.
 func (n *Network) ClockOf(node *topology.Node) Clock {
-	return Clock{s: n.lanes[n.nodeLane[node.Index()]], ent: uint32(1 + node.Index())}
+	return Clock{s: n.laneOf(node), ent: uint32(1 + node.Index())}
+}
+
+// laneOf returns the scheduler lane of the shard owning node.
+func (n *Network) laneOf(node *topology.Node) *Scheduler {
+	return n.lanes[n.nodeLane[node.Index()]]
 }
 
 // Pending returns the number of scheduled items across the control

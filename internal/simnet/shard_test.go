@@ -27,11 +27,13 @@ import (
 // leaves on the other. Supports traffic in both directions, so
 // cross-shard outboxes are exercised both ways.
 type lineRelay struct {
-	n    *Network
-	node *topology.Node
+	n       *Network
+	node    *topology.Node
+	handled int64
 }
 
 func (r *lineRelay) HandlePacket(pkt *packet.Packet, inPort int) {
+	r.handled++
 	out := 0
 	if inPort == 0 {
 		out = 1
@@ -57,6 +59,7 @@ type shardChain struct {
 	e0, e1 *topology.Node
 	cut    *topology.Link // C2—C3: the lone cut link at shards=2
 	s0, s1 *laneSink
+	relays []*lineRelay
 }
 
 func newShardChain(t *testing.T, shards int, scalar bool) *shardChain {
@@ -107,7 +110,9 @@ func newShardChain(t *testing.T, shards int, scalar bool) *shardChain {
 	w.e1, _ = g.Node("E1")
 	for _, name := range []string{"C1", "C2", "C3", "C4"} {
 		c, _ := g.Node(name)
-		n.Bind(c, &lineRelay{n: n, node: c})
+		r := &lineRelay{n: n, node: c}
+		w.relays = append(w.relays, r)
+		n.Bind(c, r)
 	}
 	w.s0 = &laneSink{clk: n.ClockOf(w.e0)}
 	w.s1 = &laneSink{clk: n.ClockOf(w.e1)}
@@ -265,6 +270,72 @@ func TestShardSerialMatchesParallel(t *testing.T) {
 	// it must count at least the end-to-end deliveries.
 	if delivered < len(serial.seq0)+len(serial.seq1) {
 		t.Errorf("deliver hook saw %d packets, sinks saw %d", delivered, len(serial.seq0)+len(serial.seq1))
+	}
+}
+
+// TestShardMidRunReads: telemetry read from the control plane — inside
+// an At callback between parallel windows, and at a RunUntil boundary
+// while packets are still in flight — is exact in every driver. The
+// per-hop counters sit in lane-owned cells until folded; a read must
+// see every lane's share, whichever driver ran the hops.
+func TestShardMidRunReads(t *testing.T) {
+	type reading struct {
+		delivered, sends int64
+		cut              LineStats
+	}
+	run := func(shards int, scalar bool) []reading {
+		w := newShardChain(t, shards, scalar)
+		var got []reading
+		var injected int64
+		read := func() {
+			r := reading{
+				delivered: w.n.Delivered(),
+				sends:     w.n.Metrics().SumCounter("kar_net_sends_total"),
+				cut:       w.n.LineStats(w.cut),
+			}
+			// Ground truth from the handlers themselves (every relay
+			// hand-off is one delivery and one send).
+			relayed := int64(0)
+			for _, rl := range w.relays {
+				relayed += rl.handled
+			}
+			if want := relayed + int64(len(w.s0.seqs)+len(w.s1.seqs)); r.delivered != want {
+				t.Errorf("shards=%d scalar=%v reading %d: Delivered() = %d, handlers saw %d", shards, scalar, len(got), r.delivered, want)
+			}
+			if want := injected + relayed; r.sends != want {
+				t.Errorf("shards=%d scalar=%v reading %d: kar_net_sends_total = %d, want %d", shards, scalar, len(got), r.sends, want)
+			}
+			got = append(got, r)
+		}
+		burst := func(node *topology.Node, at time.Duration, firstSeq uint64, k int) {
+			w.burst(node, at, firstSeq, k)
+			w.n.Scheduler().At(at, func() { injected += int64(k) })
+		}
+		burst(w.e0, 0, 100, 8)
+		burst(w.e1, 700*time.Microsecond, 300, 5)
+		burst(w.e0, 1500*time.Microsecond, 400, 6)
+		for _, at := range []time.Duration{900 * time.Microsecond, 1700 * time.Microsecond, 2600 * time.Microsecond} {
+			w.n.Scheduler().At(at, read)
+		}
+		w.n.RunUntil(2 * time.Millisecond)
+		read() // phase boundary: the 1.5 ms burst is mid-line
+		w.n.RunUntil(10 * time.Millisecond)
+		read()
+		return got
+	}
+	ref := run(1, false)
+	if len(ref) != 5 || ref[0].delivered == 0 || ref[0].cut.SentPackets == 0 {
+		t.Fatalf("reference readings do not exercise the line: %+v", ref)
+	}
+	if ref[3].delivered <= ref[1].delivered || ref[4].delivered <= ref[3].delivered {
+		t.Fatalf("reference readings are not mid-run: %+v", ref)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		for _, scalar := range []bool{false, true} {
+			if got := run(shards, scalar); !reflect.DeepEqual(ref, got) {
+				t.Errorf("shards=%d scalar=%v: readings diverge\n want %+v\n  got %+v", shards, scalar, ref, got)
+			}
+		}
 	}
 }
 

@@ -74,18 +74,12 @@ type trainMember struct {
 
 // train is one link direction's pending transmissions. members[head:]
 // are undelivered; members[deqHead:] still hold their queue slot;
-// members[:resLen] have residues. The scheduler's train lane holds a
-// pointer while hpos ≥ 0.
+// members[:resLen] have residues. The owning lane's train heap holds
+// an entry for it while active.
 type train struct {
-	line *Line
-	dir  uint8
-	hpos int32 // index in Scheduler.trains; -1 when inactive
-
-	// keyAt/keyOrd mirror members[head]'s (at, key) while the train is
-	// active, so heap comparisons touch only the train struct instead
-	// of chasing the members slice.
-	keyAt  time.Duration
-	keyOrd uint64
+	line   *Line
+	dir    uint8
+	active bool
 
 	head    int // next member to deliver
 	deqHead int // next queue slot to release (lazy, ≤ delivery order)
@@ -164,95 +158,113 @@ func (tr *train) extendResidues() {
 
 // --- Scheduler train lane -------------------------------------------------
 
-// trainBefore is the lane's heap order: the trains' next members'
-// (at, key), via the cached copies.
-func trainBefore(a, b *train) bool {
-	if a.keyAt != b.keyAt {
-		return a.keyAt < b.keyAt
-	}
-	return a.keyOrd < b.keyOrd
+// trainEnt is one slot of a lane's train heap: the train's next
+// member's (at, key) stored by value beside the pointer, so a sift
+// compares contiguous heap memory and never dereferences the (widely
+// scattered) train structs. Only the root is ever advanced or removed,
+// so trains need no back-pointer into the heap — the active flag says
+// whether one has an entry.
+type trainEnt struct {
+	at  time.Duration
+	key uint64
+	tr  *train
 }
 
-// trainPush activates a train (first member just appended).
-func (s *Scheduler) trainPush(tr *train) {
-	m := &tr.members[tr.head]
-	tr.keyAt, tr.keyOrd = m.at, m.key
-	s.trains = append(s.trains, tr)
-	i := len(s.trains) - 1
-	tr.hpos = int32(i)
+// before is the lane's heap order: the trains' next members' (at, key).
+func (e *trainEnt) before(o *trainEnt) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.key < o.key
+}
+
+// trainActivate gives an idle train, whose first member was just
+// appended, its heap entry. (An active train's heap key is its head
+// member, which an append never changes.)
+func (s *Scheduler) trainActivate(tr *train) {
+	tr.active = true
+	head := &tr.members[tr.head]
+	e := trainEnt{at: head.at, key: head.key, tr: tr}
+	q := append(s.trains, e)
+	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !trainBefore(s.trains[i], s.trains[p]) {
+		if !e.before(&q[p]) {
 			break
 		}
-		s.trains[i], s.trains[p] = s.trains[p], s.trains[i]
-		s.trains[i].hpos, s.trains[p].hpos = int32(i), int32(p)
+		q[i] = q[p]
 		i = p
 	}
+	q[i] = e
+	s.trains = q
 }
 
-// trainSiftDown restores heap order after the root's key increased
-// (its head member advanced).
-func (s *Scheduler) trainSiftDown() {
+// trainSiftRoot places e at the root and sifts it down — the root's
+// key increased (its head member advanced), or the root left and the
+// last entry takes its place.
+func (s *Scheduler) trainSiftRoot(e trainEnt) {
 	q := s.trains
 	i := 0
 	for {
-		min := i
 		c := 4*i + 1
+		if c >= len(q) {
+			break
+		}
 		end := c + 4
 		if end > len(q) {
 			end = len(q)
 		}
-		for ; c < end; c++ {
-			if trainBefore(q[c], q[min]) {
-				min = c
+		min := c
+		for j := c + 1; j < end; j++ {
+			if q[j].before(&q[min]) {
+				min = j
 			}
 		}
-		if min == i {
+		if !q[min].before(&e) {
 			break
 		}
-		q[i], q[min] = q[min], q[i]
-		q[i].hpos, q[min].hpos = int32(i), int32(min)
+		q[i] = q[min]
 		i = min
 	}
+	q[i] = e
 }
 
-// trainPopTop deactivates the root train (no members left).
-func (s *Scheduler) trainPopTop() {
-	q := s.trains
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q[0].hpos = 0
-	q[last] = nil
-	s.trains = q[:last]
-	top.hpos = -1
-	if last > 0 {
-		s.trainSiftDown()
-	}
-}
-
-// stepTrain delivers the root train's next member: advance the clock
-// and curKey to the member's key, fix the lane, then hand the packet
-// to the line — mirroring pop-then-dispatch so handlers may freely
-// enqueue more traffic (including onto this train).
-func (s *Scheduler) stepTrain() {
-	tr := s.trains[0]
-	if tr.resLen <= tr.head {
-		tr.extendResidues()
-	}
-	m := tr.members[tr.head]
+// trainNext moves the root train's head member into *m, then re-keys
+// the root to the following member or, when none is left, deactivates
+// the train.
+func (s *Scheduler) trainNext(m *trainMember) *train {
+	tr := s.trains[0].tr
+	*m = tr.members[tr.head]
 	tr.members[tr.head].pkt = nil // no stale pin until reset/compact
 	tr.head++
 	s.trainMembers--
-	if tr.head == len(tr.members) {
-		s.trainPopTop()
-		tr.reset()
-	} else {
+	if tr.head < len(tr.members) {
 		next := &tr.members[tr.head]
-		tr.keyAt, tr.keyOrd = next.at, next.key
-		s.trainSiftDown()
+		s.trainSiftRoot(trainEnt{at: next.at, key: next.key, tr: tr})
+		return tr
 	}
+	last := len(s.trains) - 1
+	e := s.trains[last]
+	s.trains[last] = trainEnt{}
+	s.trains = s.trains[:last]
+	if last > 0 {
+		s.trainSiftRoot(e)
+	}
+	tr.active = false
+	tr.reset()
+	return tr
+}
+
+// stepTrain delivers the root train's next member: fix the lane, advance
+// the clock and curKey to the member's key, then hand the packet to the
+// line — mirroring pop-then-dispatch so handlers may freely enqueue
+// more traffic (including onto this train).
+func (s *Scheduler) stepTrain() {
+	if tr := s.trains[0].tr; tr.resLen <= tr.head {
+		tr.extendResidues()
+	}
+	var m trainMember
+	tr := s.trainNext(&m)
 	s.now = m.at
 	s.curKey = m.key
 	tr.line.deliverMember(tr, &m)
@@ -298,8 +310,7 @@ func (tr *train) compact() {
 
 // enqueueBatch is the batch-mode tail of Send/enqueue: stamp the
 // member's keys at the exact points scalar mode posts its two events,
-// append, and activate the train if idle. An active train's heap key
-// is its head member, which an append never changes.
+// append, and activate the train if idle.
 func (n *Network) enqueueBatch(line *Line, dir int, pkt *packet.Packet, done, txStart time.Duration) {
 	ds := &line.dirs[dir]
 	tr := &ds.train
@@ -309,8 +320,8 @@ func (n *Network) enqueueBatch(line *Line, dir int, pkt *packet.Packet, done, tx
 		at: done + line.delay, key: key, deqKey: deqKey, txStart: txStart, pkt: pkt,
 	})
 	ds.lane.trainMembers++
-	if tr.hpos < 0 {
-		ds.lane.trainPush(tr)
+	if !tr.active {
+		ds.lane.trainActivate(tr)
 	}
 }
 
@@ -351,7 +362,7 @@ func (l *Line) deliverMember(tr *train, m *trainMember) {
 	}
 	n := l.net
 	pkt.Hops++
-	n.dDelivered.Inc()
+	ds.dstLane.delivered.Inc()
 	if n.deliverHook != nil {
 		n.deliverHook(pkt, ds.dst, ds.dstPort)
 	}

@@ -105,7 +105,10 @@ func (c SetConfig) defaults() SetConfig {
 // per-pair pumps run on their source edge's shard clock, so draws and
 // emissions are deterministic for any shard count; per-destination
 // receivers keep lane-local aggregates that Stats merges in sorted
-// name order.
+// name order. The set's registry series are shared, so the per-packet
+// ones are incremented through lane-owned deferred cells — one sent
+// cell per pump, one received/hops/latency set per receiver — and the
+// set itself holds only the backing counters, for Stats.
 type FlowSet struct {
 	cfg     SetConfig
 	pumps   []*pairPump
@@ -114,11 +117,9 @@ type FlowSet struct {
 	recv    []uint32 // packets delivered, indexed by global flow ID
 	stopped bool
 
-	cSent     *simnet.DeferredCounter
-	cReceived *simnet.DeferredCounter
+	cSent     *telemetry.Counter
+	cReceived *telemetry.Counter
 	cNoRoute  *telemetry.Counter
-	hLatency  *simnet.DeferredHistogram
-	hHops     *simnet.DeferredHistogram
 }
 
 // pairPump emits one pair's aggregate arrival process. It never
@@ -135,6 +136,7 @@ type pairPump struct {
 	nFlows    int
 	meanGapNs float64
 	tickFn    func()
+	cSent     simnet.DeferredCounter
 }
 
 // setReceiver terminates every set flow addressed to one destination
@@ -147,6 +149,10 @@ type setReceiver struct {
 	minHops    int
 	maxHops    int
 	lastArrive time.Duration
+
+	cReceived simnet.DeferredCounter
+	hLatency  *simnet.DeferredHistogram
+	hHops     *simnet.DeferredHistogram
 }
 
 // NewFlowSet declares cfg.Flows logical flows over the given pairs
@@ -172,12 +178,12 @@ func NewFlowSet(net *simnet.Network, pairs []Pair, cfg SetConfig) (*FlowSet, err
 		rcvs:      make(map[string]*setReceiver),
 		sent:      make([]uint32, cfg.Flows),
 		recv:      make([]uint32, cfg.Flows),
-		cSent:     net.DeferCounter(reg.Counter("kar_flowset_sent_total", "set", cfg.Name)),
-		cReceived: net.DeferCounter(reg.Counter("kar_flowset_received_total", "set", cfg.Name)),
+		cSent:     reg.Counter("kar_flowset_sent_total", "set", cfg.Name),
+		cReceived: reg.Counter("kar_flowset_received_total", "set", cfg.Name),
 		cNoRoute:  reg.Counter("kar_flowset_noroute_total", "set", cfg.Name),
-		hLatency:  net.DeferHistogram(reg.Histogram("kar_flowset_latency_us", telemetry.LatencyBucketsUs, "set", cfg.Name)),
-		hHops:     net.DeferHistogram(reg.Histogram("kar_flowset_hops", telemetry.HopBuckets, "set", cfg.Name)),
 	}
+	hLatency := reg.Histogram("kar_flowset_latency_us", telemetry.LatencyBucketsUs, "set", cfg.Name)
+	hHops := reg.Histogram("kar_flowset_hops", telemetry.HopBuckets, "set", cfg.Name)
 
 	perPair := cfg.Flows / len(pairs)
 	extra := cfg.Flows % len(pairs)
@@ -196,6 +202,7 @@ func NewFlowSet(net *simnet.Network, pairs []Pair, cfg SetConfig) (*FlowSet, err
 			rng:      rand.New(rand.NewSource(cfg.Seed + int64(i)*9973)),
 			flowBase: base,
 			nFlows:   n,
+			cSent:    net.DeferCounter(p.Src.Node(), fs.cSent),
 		}
 		pump.tickFn = pump.tick
 		// Aggregate pair rate: nFlows * Rate packets/s for Poisson;
@@ -211,7 +218,13 @@ func NewFlowSet(net *simnet.Network, pairs []Pair, cfg SetConfig) (*FlowSet, err
 
 		dst := p.Dst.Node().Name()
 		if _, ok := fs.rcvs[dst]; !ok {
-			r := &setReceiver{set: fs, clock: net.ClockOf(p.Dst.Node())}
+			r := &setReceiver{
+				set:       fs,
+				clock:     net.ClockOf(p.Dst.Node()),
+				cReceived: net.DeferCounter(p.Dst.Node(), fs.cReceived),
+				hLatency:  net.DeferHistogram(p.Dst.Node(), hLatency),
+				hHops:     net.DeferHistogram(p.Dst.Node(), hHops),
+			}
 			fs.rcvs[dst] = r
 			p.Dst.AttachDefault(edge.ReceiverFunc(r.onData))
 		}
@@ -259,7 +272,7 @@ func (p *pairPump) tick() {
 		pkt.Size = fs.cfg.Size
 		pkt.SentAt = p.clock.Now()
 		fs.sent[flow]++
-		fs.cSent.Inc()
+		p.cSent.Inc()
 		if err := p.src.Inject(pkt); err != nil {
 			fs.cNoRoute.Inc()
 			pkt.Release()
@@ -288,12 +301,12 @@ func (r *setReceiver) onData(pkt *packet.Packet) {
 	if now := r.clock.Now(); now > r.lastArrive {
 		r.lastArrive = now
 	}
-	fs.cReceived.Inc()
-	fs.hHops.Observe(float64(pkt.Hops))
+	r.cReceived.Inc()
+	r.hHops.Observe(float64(pkt.Hops))
 	if pkt.SentAt > 0 {
 		// Whole microseconds keep histogram sums integral and dumps
 		// byte-identical across shard and worker counts.
-		fs.hLatency.Observe(float64((r.clock.Now() - pkt.SentAt) / time.Microsecond))
+		r.hLatency.Observe(float64((r.clock.Now() - pkt.SentAt) / time.Microsecond))
 	}
 }
 
@@ -337,6 +350,13 @@ func (fs *FlowSet) Stats() SetStats {
 		Sent:     fs.cSent.Value(),
 		Received: fs.cReceived.Value(),
 		NoRoute:  fs.cNoRoute.Value(),
+	}
+	// Not yet folded shares of the per-lane cells.
+	for _, p := range fs.pumps {
+		st.Sent += p.cSent.Pending()
+	}
+	for _, r := range fs.rcvs {
+		st.Received += r.cReceived.Pending()
 	}
 	for _, n := range fs.sent {
 		if n > 0 {

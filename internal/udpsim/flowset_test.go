@@ -2,6 +2,7 @@ package udpsim_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,19 +119,35 @@ func TestFlowSetOnOffDelivery(t *testing.T) {
 // TestFlowSetDeterminism: the same config produces byte-identical
 // metric dumps on rebuilds, across the scalar/batched data planes, and
 // across shard counts — the property the check.sh gate enforces on the
-// full scale experiment.
+// full scale experiment. The dump carries the series whose hot-path
+// cells are split per lane, per pump and per receiver, so this is also
+// the telemetry-identity matrix for the lane-owned folds.
 func TestFlowSetDeterminism(t *testing.T) {
 	cfg := udpsim.SetConfig{
 		Name: "t", Flows: 2_000, Rate: 50, Seed: 9, Until: 300 * time.Millisecond,
 	}
 	stA, dumpA := runSet(t, cfg)
+	for _, series := range []string{
+		"kar_flowset_hops_bucket{", "kar_flowset_latency_us_sum{",
+		"kar_flowset_sent_total{", "kar_flowset_received_total{",
+		"kar_link_sent_packets_total{", "kar_link_sent_bytes_total{",
+		"kar_net_delivered_total{", "kar_net_sends_total{",
+	} {
+		if !strings.Contains(dumpA, "\n"+series) {
+			t.Errorf("reference dump lacks series %s", series)
+		}
+	}
 	variants := map[string][]experiment.WorldOption{
 		"rebuild": nil,
 		"scalar":  {experiment.WithScalarDataPlane()},
 		"shards2": {experiment.WithShards(2)},
 		"shards3": {experiment.WithShards(3)},
+		"shards4": {experiment.WithShards(4)},
 		"shards2-scalar": {
 			experiment.WithShards(2), experiment.WithScalarDataPlane(),
+		},
+		"shards4-scalar": {
+			experiment.WithShards(4), experiment.WithScalarDataPlane(),
 		},
 	}
 	for name, opts := range variants {
@@ -155,5 +172,55 @@ func TestFlowSetConfigErrors(t *testing.T) {
 	}
 	if _, err := udpsim.ParseArrival("bursty"); err == nil {
 		t.Error("ParseArrival: want error for unknown name")
+	}
+}
+
+// TestFlowSetWindowDropsRaceFree forces tail drops inside parallel
+// shard windows: an overloaded fat-tree at shards=2 fills queues on
+// both lanes, so Network.Drop — and the flush hook of every timer
+// dispatch — runs on shard goroutines while the other lane appends to
+// its own dirty lists. Under -race (check.sh) this is the regression
+// gate for the mid-window flush guard; everywhere it checks that drops
+// and the per-lane deferred cells add up to the 1-shard run's numbers.
+func TestFlowSetWindowDropsRaceFree(t *testing.T) {
+	run := func(shards int) (udpsim.SetStats, int64) {
+		g, err := topology.FromSpec("fattree:4")
+		if err != nil {
+			t.Fatalf("FromSpec: %v", err)
+		}
+		policy, _ := deflect.ByName("nip")
+		w := experiment.NewWorld(g, policy, 11, experiment.WithShards(shards))
+		hosts := g.EdgeNodes()
+		var pairs []udpsim.Pair
+		for i, a := range hosts {
+			b := hosts[(i+len(hosts)/2)%len(hosts)]
+			if _, err := w.InstallRoute(a.Name(), b.Name(), nil); err != nil {
+				t.Fatalf("InstallRoute %s->%s: %v", a.Name(), b.Name(), err)
+			}
+			pairs = append(pairs, udpsim.Pair{Src: w.Edges[a.Name()], Dst: w.Edges[b.Name()]})
+		}
+		fs, err := udpsim.NewFlowSet(w.Net, pairs, udpsim.SetConfig{
+			Name: "t", Flows: 200_000, Rate: 5, Seed: 3, Until: 50 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatalf("NewFlowSet: %v", err)
+		}
+		fs.Start()
+		w.Run(300 * time.Millisecond)
+		if shards > 1 && w.Net.Lookahead() <= 0 {
+			t.Fatal("sharded world has no cut links: no window ran in parallel")
+		}
+		st := fs.Stats()
+		if dropped := w.Net.Dropped(); st.Sent != st.Received+dropped {
+			t.Errorf("shards=%d: sent %d != received %d + dropped %d", shards, st.Sent, st.Received, dropped)
+		}
+		return st, w.Net.Metrics().Counter("kar_net_drops_total", "reason", "queue-full").Value()
+	}
+	ref, refFull := run(1)
+	if refFull == 0 {
+		t.Fatal("no queue-full drops: the load does not overflow any queue")
+	}
+	if st, full := run(2); st != ref || full != refFull {
+		t.Errorf("shards=2 diverges from shards=1:\n  1: %+v queue-full %d\n  2: %+v queue-full %d", ref, refFull, st, full)
 	}
 }

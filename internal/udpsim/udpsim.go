@@ -53,8 +53,8 @@ type Sender struct {
 
 	sent    int
 	stopped bool
-	cSent   *simnet.DeferredCounter // per-packet, batch-deferred
-	tickFn  func()                  // cached method value: rescheduling allocates nothing
+	cSent   simnet.DeferredCounter // per-packet, deferred on the source edge's lane
+	tickFn  func()                 // cached method value: rescheduling allocates nothing
 }
 
 // Stats for the receiver side.
@@ -99,8 +99,9 @@ type Receiver struct {
 
 	// Registry-backed counters and the one-way latency histogram.
 	// The per-packet received counter and latency histogram are
-	// batch-deferred; the exception counters stay atomic.
-	cReceived  *simnet.DeferredCounter
+	// deferred cells on the destination edge's lane; the exception
+	// counters stay atomic.
+	cReceived  simnet.DeferredCounter
 	cReordered *telemetry.Counter
 	cDups      *telemetry.Counter
 	hLatency   *simnet.DeferredHistogram
@@ -114,15 +115,15 @@ func NewFlow(net *simnet.Network, srcEdge, dstEdge *edge.Edge, flow packet.FlowI
 	f := flow.String()
 	s := &Sender{
 		clock: net.ClockOf(srcEdge.Node()), edge: srcEdge, flow: flow, cfg: cfg,
-		cSent: net.DeferCounter(reg.Counter("kar_udp_sent_total", "flow", f)),
+		cSent: net.DeferCounter(srcEdge.Node(), reg.Counter("kar_udp_sent_total", "flow", f)),
 	}
 	s.tickFn = s.tick
 	r := &Receiver{
 		clock:      net.ClockOf(dstEdge.Node()),
-		cReceived:  net.DeferCounter(reg.Counter("kar_udp_received_total", "flow", f)),
+		cReceived:  net.DeferCounter(dstEdge.Node(), reg.Counter("kar_udp_received_total", "flow", f)),
 		cReordered: reg.Counter("kar_udp_reordered_total", "flow", f),
 		cDups:      reg.Counter("kar_udp_dup_total", "flow", f),
-		hLatency:   net.DeferHistogram(reg.Histogram("kar_udp_latency_us", telemetry.LatencyBucketsUs, "flow", f)),
+		hLatency:   net.DeferHistogram(dstEdge.Node(), reg.Histogram("kar_udp_latency_us", telemetry.LatencyBucketsUs, "flow", f)),
 	}
 	dstEdge.Attach(flow, edge.ReceiverFunc(r.onData))
 	return s, r

@@ -25,6 +25,12 @@ echo "==> go test -race ./internal/trace/... ./internal/telemetry/..."
 # telemetry registry are the pieces every other gate below depends on.
 go test -race ./internal/trace/... ./internal/telemetry/...
 
+echo "==> go test -race -run 'Shard|Window|FlowSet|Train' ./internal/simnet/ ./internal/udpsim/"
+# Fast-fail the sharded driver next: lane-owned telemetry cells, the
+# mid-window flush guard and the train lane are where a data race would
+# be, and these tests take seconds where the full pass takes two hours.
+go test -race -run 'Shard|Window|FlowSet|Train' ./internal/simnet/ ./internal/udpsim/
+
 echo "==> go test -race ./..."
 # The experiment package replays whole figure sweeps; under the race
 # detector (~10x slowdown) that outgrows go test's default 10-minute
