@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-run bench-test check scenarios verify serve-smoke load
+.PHONY: all build test vet race bench bench-run bench-test bench-compare check scenarios verify serve-smoke load
 
 all: vet build test
 
@@ -27,6 +27,11 @@ bench-run:
 # The benchmark's own equivalence and smoke tests (~20 s).
 bench-test:
 	cd bench && $(GO) test ./...
+
+# Compare two result sets written by `bash bench/run.sh -runs N -json
+# <file>` under BENCHMARK.json's bounds: make bench-compare A=a.json B=b.json
+bench-compare:
+	bash bench/run.sh compare $(A) $(B)
 
 # Scenario smoke: run every declarative fault scenario in
 # examples/scenarios/ and require each verdict to PASS.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/deflect"
 	"repro/internal/fault"
 	"repro/internal/topology"
 )
@@ -92,5 +93,25 @@ func TestFailLinkBetweenPermanent(t *testing.T) {
 	w.Run(time.Second)
 	if w.Net.LinkUp(l) {
 		t.Error("link up after a permanent FailLinkBetween")
+	}
+}
+
+// Allocation budget of the world a daemon job builds: NewWorld over
+// Net15 (15 switches, 23 links, 3 edges). The parent commit allocated
+// 4 136 times here — nine telemetry series per link and eight per
+// switch, each a label set, a key and a boxed cell, plus a seeded
+// generator per switch; this measures 418. The ceiling is a seventh of
+// the parent's count.
+func TestNewWorldAllocationBudget(t *testing.T) {
+	g, err := topology.Net15()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		NewWorld(g, deflect.NotInputPort{}, 7)
+	})
+	t.Logf("%.0f allocations", allocs)
+	if allocs > 600 {
+		t.Errorf("NewWorld(Net15) allocated %.0f times, budget 600", allocs)
 	}
 }

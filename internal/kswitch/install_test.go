@@ -1,0 +1,112 @@
+package kswitch
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/deflect"
+	"repro/internal/simnet"
+	"repro/internal/topology"
+)
+
+// The lazy source must hand a switch the stream rand.NewSource(seed)
+// would have, whatever mix of draws the policy makes.
+func TestLazySourceMatchesNewSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7919, -3, 1 << 40} {
+		lazy := rand.New(&lazySource{seed: seed})
+		ref := rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			var got, want any
+			switch i % 5 {
+			case 0:
+				got, want = lazy.Intn(i+1), ref.Intn(i+1)
+			case 1:
+				got, want = lazy.Int63(), ref.Int63()
+			case 2:
+				got, want = lazy.Uint64(), ref.Uint64()
+			case 3:
+				got, want = lazy.Float64(), ref.Float64()
+			case 4:
+				got, want = lazy.Perm(i%7+1), ref.Perm(i%7+1)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d draw %d: %v, want %v", seed, i, got, want)
+			}
+		}
+	}
+}
+
+// A switch that never draws never seeds a generator.
+func TestLazySourceUnseededUntilDrawn(t *testing.T) {
+	w := newWorld(t, deflect.NotInputPort{}, false)
+	w.inject(20)
+	w.run(time.Second)
+	if len(w.received) != 20 {
+		t.Fatalf("healthy world delivered %d of 20", len(w.received))
+	}
+	for name, s := range w.switches {
+		if s.rngSrc.src != nil {
+			t.Errorf("%s seeded its generator on a healthy path", name)
+		}
+	}
+	sw := w.switches["SW4"]
+	sw.rng.Intn(3)
+	if sw.rngSrc.src == nil {
+		t.Error("a draw did not seed the generator")
+	}
+}
+
+// New registers a block of one per family, and switches built one at
+// a time dump exactly like switches built by InstallAll.
+func TestNewMatchesInstallAll(t *testing.T) {
+	dump := func(build func(*simnet.Network)) string {
+		g, err := topology.Fig1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := simnet.New(g, simnet.WithMetricLabels("policy", "nip"))
+		build(net)
+		var b bytes.Buffer
+		if err := net.Metrics().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	all := dump(func(net *simnet.Network) { InstallAll(net, deflect.NotInputPort{}, 1) })
+	single := dump(func(net *simnet.Network) {
+		for i, n := range net.Topology().CoreNodes() {
+			New(net, n, deflect.NotInputPort{}, 1+int64(i)*seedStride)
+		}
+	})
+	if all != single {
+		t.Errorf("dumps differ:\nInstallAll:\n%s\nNew:\n%s", all, single)
+	}
+	if n := strings.Count(all, "\nkar_switch_deflections_total{"); n != 4*causeCount {
+		t.Errorf("%d deflection series for 4 switches, want %d", n, 4*causeCount)
+	}
+}
+
+// Allocation budget of the switch-and-link layer of a large world:
+// simnet.New + InstallAll over fattree:28 (980 switches, 11 368 links,
+// 2 shards). The parent commit allocated 1 084 472 times here — nine
+// label sets, keys and boxed series per link, eight per switch, a
+// seeded generator per switch; this measures 29 759 (a Line and two
+// train buffers per link). The ceiling is 1/24 of the parent's count.
+func TestFatTreeConstructionAllocationBudget(t *testing.T) {
+	g, err := topology.FromSpec("fattree:28")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		net := simnet.New(g, simnet.WithShards(2))
+		InstallAll(net, deflect.NotInputPort{}, 7)
+	})
+	t.Logf("%.0f allocations", allocs)
+	if allocs > 45000 {
+		t.Errorf("simnet.New + InstallAll over fattree:28 allocated %.0f times, budget 45000", allocs)
+	}
+}

@@ -64,7 +64,8 @@ type Switch struct {
 	net    *simnet.Network
 	node   *topology.Node
 	policy deflect.Policy
-	rng    *rand.Rand
+	rng    *rand.Rand // draws from rngSrc
+	rngSrc lazySource
 	red    rns.Reducer // precomputed constants for node.ID()
 	// clock is the node's lane-local virtual time: event-log records
 	// from the forwarding path must carry it, because the global
@@ -89,6 +90,7 @@ type Switch struct {
 	// Event-log dedup: deflections and policy drops are per-packet
 	// (millions per run), so the control-plane log records only the
 	// first occurrence per cause / per flow; counters keep the volume.
+	// loggedDrop is made on the first policy drop.
 	loggedDeflect [causeCount]bool
 	loggedDrop    map[string]bool
 
@@ -124,46 +126,95 @@ var (
 // New builds a switch for node using the given deflection policy and
 // a dedicated, seeded RNG. It binds itself to the network.
 func New(net *simnet.Network, node *topology.Node, policy deflect.Policy, seed int64) *Switch {
+	return &install(net, []*topology.Node{node}, policy, seed)[0]
+}
+
+// seedStride spaces the per-switch RNG seeds InstallAll derives from
+// its base seed.
+const seedStride = 7919
+
+// install builds one switch per node — switch i seeded baseSeed +
+// i·seedStride — and binds each to the network. The eight series of a
+// switch are registered as blocks over all the nodes at once (see
+// telemetry.Registry): construction takes the registry mutex a fixed
+// number of times and builds no label set.
+func install(net *simnet.Network, nodes []*topology.Node, policy deflect.Policy, baseSeed int64) []Switch {
 	reg := net.Metrics()
 	reg.Help("kar_switch_deflections_total", "Packets deflected off their encoded path, by cause.")
 	reg.Help("kar_switch_forwards_total", "Packets forwarded (encoded or deflected).")
-	s := &Switch{
-		net:          net,
-		node:         node,
-		policy:       policy,
-		rng:          rand.New(rand.NewSource(seed)),
-		red:          rns.NewReducer(node.ID()),
-		clock:        net.ClockOf(node),
-		cReceived:    reg.Counter("kar_switch_received_total", "switch", node.Name()),
-		cForwarded:   reg.Counter("kar_switch_forwards_total", "switch", node.Name()),
-		cTTLDrops:    reg.Counter("kar_switch_ttl_expired_total", "switch", node.Name()),
-		cPolicyDrops: reg.Counter("kar_switch_policy_drops_total", "switch", node.Name()),
-		loggedDrop:   make(map[string]bool),
-	}
-	for idx, cause := range causeNames {
-		s.cDeflections[idx] = reg.Counter("kar_switch_deflections_total",
-			"switch", node.Name(), "cause", cause)
-	}
-	s.dReceived = net.DeferCounter(node, s.cReceived)
-	s.dForwarded = net.DeferCounter(node, s.cForwarded)
+	byName := func(i int) []string { return []string{"switch", nodes[i].Name()} }
+	received := reg.CounterVec("kar_switch_received_total", len(nodes), byName)
+	forwarded := reg.CounterVec("kar_switch_forwards_total", len(nodes), byName)
+	ttlDrops := reg.CounterVec("kar_switch_ttl_expired_total", len(nodes), byName)
+	policyDrops := reg.CounterVec("kar_switch_policy_drops_total", len(nodes), byName)
+	deflections := reg.CounterVec("kar_switch_deflections_total", len(nodes)*causeCount, func(i int) []string {
+		return []string{"switch", nodes[i/causeCount].Name(), "cause", causeNames[i%causeCount]}
+	})
+	fastKind := uint8(fastOff)
 	switch policy.(type) {
 	case deflect.None, deflect.AnyValidPort:
-		s.fastKind = fastAny
+		fastKind = fastAny
 	case deflect.HotPotato:
-		s.fastKind = fastHP
+		fastKind = fastHP
 	case deflect.NotInputPort, deflect.DTree:
 		// dtree shares NIP's on-path predicate (encoded port up and not
 		// the input port); its fallback arm is deterministic, so the
 		// batch peel-out costs nothing in RNG alignment either way.
-		s.fastKind = fastNIP
+		fastKind = fastNIP
 	}
-	s.portLines = make([]*simnet.Line, node.PortSpan())
-	s.portDirs = make([]uint8, node.PortSpan())
-	for i := range s.portLines {
-		s.portLines[i], s.portDirs[i] = net.LineAt(node, i)
+	sws := make([]Switch, len(nodes))
+	for i, node := range nodes {
+		s := &sws[i]
+		*s = Switch{
+			net:          net,
+			node:         node,
+			policy:       policy,
+			rngSrc:       lazySource{seed: baseSeed + int64(i)*seedStride},
+			red:          rns.NewReducer(node.ID()),
+			clock:        net.ClockOf(node),
+			cReceived:    &received[i],
+			cForwarded:   &forwarded[i],
+			cTTLDrops:    &ttlDrops[i],
+			cPolicyDrops: &policyDrops[i],
+			fastKind:     fastKind,
+		}
+		s.rng = rand.New(&s.rngSrc)
+		for c := range s.cDeflections {
+			s.cDeflections[c] = &deflections[i*causeCount+c]
+		}
+		s.dReceived = net.DeferCounter(node, s.cReceived)
+		s.dForwarded = net.DeferCounter(node, s.cForwarded)
+		s.portLines = make([]*simnet.Line, node.PortSpan())
+		s.portDirs = make([]uint8, node.PortSpan())
+		for p := range s.portLines {
+			s.portLines[p], s.portDirs[p] = net.LineAt(node, p)
+		}
+		net.Bind(node, s)
 	}
-	net.Bind(node, s)
-	return s
+	return sws
+}
+
+// lazySource is the switch's RNG source: math/rand's generator seeded
+// with seed, built on the first draw. Seeding fills a 607-word state
+// (4.9 KB), and a switch draws only when it deflects under a
+// randomising policy — most switches of most worlds never do. The
+// stream, once drawn from, is rand.NewSource(seed)'s own.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64   { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64 { return l.source().Uint64() }
+func (l *lazySource) Seed(seed int64) {
+	l.seed, l.src = seed, nil
 }
 
 // view adapts the switch for deflection policies.
@@ -266,6 +317,9 @@ func (s *Switch) decide(pkt *packet.Packet, inPort int) {
 	if d.Drop {
 		s.cPolicyDrops.Inc()
 		if flow := pkt.Flow.String(); !s.loggedDrop[flow] {
+			if s.loggedDrop == nil {
+				s.loggedDrop = make(map[string]bool)
+			}
 			s.loggedDrop[flow] = true
 			s.net.Events().RecordAt(s.clock.Now(), telemetry.EventPolicyDrop, s.node.Name(), flow)
 		}
@@ -350,9 +404,11 @@ func (s *Switch) Node() *topology.Node { return s.node }
 // topology, all using the same policy, with per-switch seeds derived
 // from baseSeed. It returns them keyed by node name.
 func InstallAll(net *simnet.Network, policy deflect.Policy, baseSeed int64) map[string]*Switch {
-	out := make(map[string]*Switch)
-	for i, n := range net.Topology().CoreNodes() {
-		out[n.Name()] = New(net, n, policy, baseSeed+int64(i)*7919)
+	cores := net.Topology().CoreNodes()
+	sws := install(net, cores, policy, baseSeed)
+	out := make(map[string]*Switch, len(cores))
+	for i, n := range cores {
+		out[n.Name()] = &sws[i]
 	}
 	return out
 }

@@ -11,12 +11,14 @@
 // a per-link blast-radius ranking of the failures that actually hurt.
 //
 // Cases fan out across a bounded worker pool with deterministic
-// sharding: jobs are enumerated in a fixed (route, policy, failure)
-// order, workers pull indices from an atomic counter, results land by
-// index, and all aggregation happens in a sequential merge pass — so
-// the report and every kar_verify_* counter are byte-identical at any
-// worker count (the same discipline as the controller's reroute
-// pool).
+// sharding: cases are indexed in a fixed (route, policy, failure)
+// order, workers pull whole failure sets from an atomic counter —
+// reachability in the surviving graph is a property of the failure set
+// alone, so it is computed once per set, not once per case — results
+// land by case index, and all aggregation happens in a sequential
+// merge pass — so the report and every kar_verify_* counter are
+// byte-identical at any worker count (the same discipline as the
+// controller's reroute pool).
 package resilience
 
 import (
@@ -211,9 +213,22 @@ func (r *Report) MinSurviveFraction() (float64, *RouteScore) {
 	return min, &r.Scores[idx]
 }
 
+// failSet is the links of one failure set. Sets hold one or two links,
+// so membership is a scan.
+type failSet []*topology.Link
+
+func (f failSet) has(l *topology.Link) bool {
+	for _, x := range f {
+		if x == l {
+			return true
+		}
+	}
+	return false
+}
+
 // failure is one enumerated failure set.
 type failure struct {
-	links []*topology.Link
+	links failSet
 	name  string
 	pair  bool
 }
@@ -281,71 +296,62 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 
 	failures, pairsDrawn := enumerateFailures(g, cfg.Pairs, cfg.PairSeed)
 
-	// Flatten (route, policy, failure) into an indexed job list; the
-	// index is the only thing workers share.
-	type job struct{ r, p, f int }
-	jobs := make([]job, 0, len(routes)*len(policies)*len(failures))
-	for r := range routes {
-		for p := range policies {
-			for f := range failures {
-				jobs = append(jobs, job{r, p, f})
-			}
-		}
-	}
-	results := make([]caseResult, len(jobs))
+	// A case's index is its place in (route, policy, failure) order —
+	// the merge order — whichever worker computes it.
+	nP, nF := len(policies), len(failures)
+	total := len(routes) * nP * nF
+	results := make([]caseResult, total)
 
-	compute := func(i int) {
-		j := jobs[i]
-		rt, pol, fl := routes[j.r], policies[j.p], failures[j.f]
-		failed := make(map[*topology.Link]bool, len(fl.links))
-		for _, l := range fl.links {
-			failed[l] = true
+	// Route endpoints as node indices into the component labelling; an
+	// endpoint the graph does not have (-1) is connected to nothing.
+	ends := make([][2]int, len(routes))
+	for r, rt := range routes {
+		ends[r] = [2]int{-1, -1}
+		if n, ok := g.Node(rt.Src); ok {
+			ends[r][0] = n.Index()
 		}
-		if !connected(g, rt.Src, rt.Dst, failed) {
-			results[i] = caseResult{outcome: Disconnected}
-			return
+		if n, ok := g.Node(rt.Dst); ok {
+			ends[r][1] = n.Index()
 		}
-		if failed[ingress[j.r]] {
-			// The ingress edge's programmed port feeds a dead link: the
-			// packet never reaches the first core, under any policy.
-			results[i] = caseResult{outcome: Lost}
-			return
-		}
-		var res analysis.Result
-		var caseErr error
-		switch pol {
-		case "none", "dtree":
-			// Deterministic policies score by direct walk — exact, and
-			// far cheaper than expanding and solving the chain.
-			res, caseErr = walkDeterministic(ctrl, pol, rt.Src, rt.Dst, failed)
-		default:
-			var a *analysis.Analyzer
-			a, caseErr = analysis.New(ctrl, pol, fl.links)
-			if caseErr == nil {
-				res, caseErr = a.Analyze(rt.Src, rt.Dst)
-			}
-		}
-		if caseErr != nil {
-			results[i] = caseResult{err: fmt.Errorf("resilience: %s->%s policy=%s failure=%s: %w",
-				rt.Src, rt.Dst, pol, fl.name, caseErr)}
-			return
-		}
-		cr := caseResult{pDeliver: res.PDeliver, stretch: res.Stretch()}
-		switch {
-		case res.PDeliver >= 1-surviveEps:
-			cr.outcome = Survived
-		case res.PDeliver <= surviveEps:
-			cr.outcome = Lost
-		default:
-			cr.outcome = Degraded
-		}
-		results[i] = cr
 	}
+	links, nodes := g.Links(), len(g.Nodes())
 
 	var done atomic.Int64
 	progress := func() {
 		if cfg.Progress != nil {
-			cfg.Progress(int(done.Add(1)), len(jobs))
+			cfg.Progress(int(done.Add(1)), total)
+		}
+	}
+
+	// analyze computes every (route, policy) case of failure f. comp and
+	// analyzers are the calling worker's scratch: the surviving graph's
+	// component labels and the per-policy chain analyzers, both a
+	// function of the failure set alone.
+	analyze := func(f int, comp []int32, analyzers []*analysis.Analyzer) {
+		fl := failures[f]
+		labelComponents(links, fl.links, comp)
+		clear(analyzers)
+		for r, rt := range routes {
+			src, dst := ends[r][0], ends[r][1]
+			connected := src >= 0 && dst >= 0 && comp[src] == comp[dst]
+			for p, pol := range policies {
+				if ctx.Err() != nil {
+					return
+				}
+				cr := &results[(r*nP+p)*nF+f]
+				switch {
+				case !connected:
+					cr.outcome = Disconnected
+				case fl.links.has(ingress[r]):
+					// The ingress edge's programmed port feeds a dead link:
+					// the packet never reaches the first core, under any
+					// policy.
+					cr.outcome = Lost
+				default:
+					*cr = analyzeCase(ctrl, rt, pol, fl, &analyzers[p])
+				}
+				progress()
+			}
 		}
 	}
 
@@ -353,32 +359,30 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > nF {
+		workers = nF
+	}
+	var next atomic.Int64
+	work := func() {
+		comp := make([]int32, nodes)
+		analyzers := make([]*analysis.Analyzer, nP)
+		for ctx.Err() == nil {
+			f := int(next.Add(1)) - 1
+			if f >= nF {
+				return
+			}
+			analyze(f, comp, analyzers)
+		}
 	}
 	if workers <= 1 {
-		for i := range jobs {
-			if ctx.Err() != nil {
-				break
-			}
-			compute(i)
-			progress()
-		}
+		work()
 	} else {
-		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					compute(i)
-					progress()
-				}
+				work()
 			}()
 		}
 		wg.Wait()
@@ -404,30 +408,42 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 			}
 		}
 	}
+	// Counter handles resolve on a (family, policy)'s first increment:
+	// one label set per handle instead of two per case, and a family
+	// nothing incremented stays out of the dump.
+	handles := make([][famCount]*telemetry.Counter, nP)
+	inc := func(fam, p int) {
+		c := handles[p][fam]
+		if c == nil {
+			c = reg.Counter(verifyFamilies[fam], "policy", policies[p])
+			handles[p][fam] = c
+		}
+		c.Inc()
+	}
 	impact := make(map[int]*LinkImpact) // failure index (singles) -> impact
 	var errs []error
-	for i, j := range jobs {
-		res := results[i]
+	for i, res := range results {
 		if res.err != nil {
 			errs = append(errs, res.err)
 			continue
 		}
-		pol, fl := policies[j.p], failures[j.f]
-		sc := &scores[j.r*len(policies)+j.p]
-		reg.Counter("kar_verify_cases_total", "policy", pol).Inc()
+		r, p, f := i/(nP*nF), i/nF%nP, i%nF
+		fl := failures[f]
+		sc := &scores[r*nP+p]
+		inc(famCases, p)
 		switch res.outcome {
 		case Disconnected:
-			reg.Counter("kar_verify_disconnected_total", "policy", pol).Inc()
+			inc(famDisconnected, p)
 			if !fl.pair {
 				sc.Disconnected++
 			}
 			continue
 		case Survived:
-			reg.Counter("kar_verify_survived_total", "policy", pol).Inc()
+			inc(famSurvived, p)
 		case Degraded:
-			reg.Counter("kar_verify_degraded_total", "policy", pol).Inc()
+			inc(famDegraded, p)
 		case Lost:
-			reg.Counter("kar_verify_lost_total", "policy", pol).Inc()
+			inc(famLost, p)
 		}
 		if fl.pair {
 			sc.PairCases++
@@ -454,10 +470,10 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 			sc.WorstStretchFailure = fl.name
 		}
 		if res.outcome != Survived {
-			im := impact[j.f]
+			im := impact[f]
 			if im == nil {
 				im = &LinkImpact{Link: fl.name, MinPDeliver: 1}
-				impact[j.f] = im
+				impact[f] = im
 			}
 			im.Affected++
 			if res.pDeliver < im.MinPDeliver {
@@ -512,13 +528,31 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 		Protection: cfg.ProtectionLabel,
 		Policies:   policies,
 		Routes:     len(routes),
-		Links:      len(g.Links()),
+		Links:      len(links),
 		PairsDrawn: pairsDrawn,
-		Cases:      len(jobs),
+		Cases:      total,
 		Scores:     scores,
 		Impacts:    impacts,
 		Totals:     totals,
 	}, nil
+}
+
+// The per-policy kar_verify_* counter families, indexed fam*.
+const (
+	famCases = iota
+	famSurvived
+	famDegraded
+	famLost
+	famDisconnected
+	famCount
+)
+
+var verifyFamilies = [famCount]string{
+	famCases:        "kar_verify_cases_total",
+	famSurvived:     "kar_verify_survived_total",
+	famDegraded:     "kar_verify_degraded_total",
+	famLost:         "kar_verify_lost_total",
+	famDisconnected: "kar_verify_disconnected_total",
 }
 
 func bindHelp(reg *telemetry.Registry) {
@@ -603,7 +637,7 @@ func enumerateFailures(g *topology.Graph, pairs int, pairSeed int64) ([]failure,
 	links := g.Links()
 	out := make([]failure, 0, len(links)+pairs)
 	for _, l := range links {
-		out = append(out, failure{links: []*topology.Link{l}, name: l.Name()})
+		out = append(out, failure{links: failSet{l}, name: l.Name()})
 	}
 	if pairs <= 0 || len(links) < 2 {
 		return out, 0
@@ -629,7 +663,7 @@ func enumerateFailures(g *topology.Graph, pairs int, pairSeed int64) ([]failure,
 		}
 		seen[[2]int{i, j}] = true
 		out = append(out, failure{
-			links: []*topology.Link{links[i], links[j]},
+			links: failSet{links[i], links[j]},
 			name:  links[i].Name() + "+" + links[j].Name(),
 			pair:  true,
 		})
@@ -678,38 +712,72 @@ func ParseRoutes(spec string) ([]RouteSpec, error) {
 	return routes, nil
 }
 
-// connected reports whether dst is reachable from src over non-failed
-// links.
-func connected(g *topology.Graph, src, dst string, failed map[*topology.Link]bool) bool {
-	s, ok := g.Node(src)
-	if !ok {
-		return false
+// labelComponents labels the connected components of the graph that
+// survives failed: afterwards comp[a.Index()] == comp[b.Index()]
+// exactly when a and b can still reach each other. comp has one entry
+// per node; the labelling is a union-find over the surviving links
+// with comp as the parent array, flattened at the end.
+func labelComponents(links []*topology.Link, failed failSet, comp []int32) {
+	for i := range comp {
+		comp[i] = int32(i)
 	}
-	d, ok := g.Node(dst)
-	if !ok {
-		return false
-	}
-	visited := map[*topology.Node]bool{s: true}
-	stack := []*topology.Node{s}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == d {
-			return true
+	for _, l := range links {
+		if failed.has(l) {
+			continue
 		}
-		for i := 0; i < n.Degree(); i++ {
-			l, ok := n.PortLink(i)
-			if !ok || failed[l] {
-				continue
-			}
-			o := l.Other(n)
-			if !visited[o] {
-				visited[o] = true
-				stack = append(stack, o)
-			}
+		a, b := findRoot(comp, int32(l.A().Index())), findRoot(comp, int32(l.B().Index()))
+		if a != b {
+			comp[a] = b
 		}
 	}
-	return false
+	for i := range comp {
+		comp[i] = findRoot(comp, int32(i))
+	}
+}
+
+// findRoot follows parent links to x's root, halving the path as it
+// goes.
+func findRoot(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
+}
+
+// analyzeCase computes the verdict of one connected case whose ingress
+// link survives. *a caches the failure set's chain analyzer for pol
+// across the routes of one failure.
+func analyzeCase(ctrl *controller.Controller, rt RouteSpec, pol string, fl failure, a **analysis.Analyzer) caseResult {
+	var res analysis.Result
+	var err error
+	switch pol {
+	case "none", "dtree":
+		// Deterministic policies score by direct walk — exact, and far
+		// cheaper than expanding and solving the chain.
+		res, err = walkDeterministic(ctrl, pol, rt.Src, rt.Dst, fl.links)
+	default:
+		if *a == nil {
+			*a, err = analysis.New(ctrl, pol, fl.links)
+		}
+		if err == nil {
+			res, err = (*a).Analyze(rt.Src, rt.Dst)
+		}
+	}
+	if err != nil {
+		return caseResult{err: fmt.Errorf("resilience: %s->%s policy=%s failure=%s: %w",
+			rt.Src, rt.Dst, pol, fl.name, err)}
+	}
+	cr := caseResult{pDeliver: res.PDeliver, stretch: res.Stretch()}
+	switch {
+	case res.PDeliver >= 1-surviveEps:
+		cr.outcome = Survived
+	case res.PDeliver <= surviveEps:
+		cr.outcome = Lost
+	default:
+		cr.outcome = Degraded
+	}
+	return cr
 }
 
 // walkView adapts one topology node plus a failure set to
@@ -717,19 +785,19 @@ func connected(g *topology.Graph, src, dst string, failed map[*topology.Link]boo
 // policy code the data plane does.
 type walkView struct {
 	node   *topology.Node
-	failed map[*topology.Link]bool
+	failed failSet
 }
 
-func (v walkView) SwitchID() uint64 { return v.node.ID() }
-func (v walkView) Forward(r rns.RouteID) int {
+func (v *walkView) SwitchID() uint64 { return v.node.ID() }
+func (v *walkView) Forward(r rns.RouteID) int {
 	return core.Forward(r, v.node.ID())
 }
-func (v walkView) NumPorts() int { return v.node.PortSpan() }
-func (v walkView) PortUp(i int) bool {
+func (v *walkView) NumPorts() int { return v.node.PortSpan() }
+func (v *walkView) PortUp(i int) bool {
 	l, ok := v.node.PortLink(i)
-	return ok && !v.failed[l]
+	return ok && !v.failed.has(l)
 }
-func (v walkView) EdgePort(i int) bool {
+func (v *walkView) EdgePort(i int) bool {
 	l, ok := v.node.PortLink(i)
 	return ok && l.Other(v.node).Kind() == topology.KindEdge
 }
@@ -741,7 +809,7 @@ func (v walkView) EdgePort(i int) bool {
 // invalid port, re-encode at wrong edges with a TTL refresh, deliver
 // at dst. PDeliver is 0 or 1 by construction; a TTL death counts as a
 // loss, exactly like the simulator's ttl_expired drop.
-func walkDeterministic(ctrl *controller.Controller, pol, src, dst string, failed map[*topology.Link]bool) (analysis.Result, error) {
+func walkDeterministic(ctrl *controller.Controller, pol, src, dst string, failed failSet) (analysis.Result, error) {
 	route, ok := ctrl.Route(src, dst)
 	if !ok {
 		return analysis.Result{}, fmt.Errorf("no installed route %s->%s", src, dst)
@@ -771,7 +839,8 @@ func walkDeterministic(ctrl *controller.Controller, pol, src, dst string, failed
 		inPort    int
 		deflected bool
 	}
-	seen := make(map[walkState]bool)
+	var seen map[walkState]bool       // made at the first misdelivery
+	view := &walkView{failed: failed} // one boxed view for the whole walk
 	for ttl := packet.DefaultTTL; ttl > 0; ttl-- {
 		if node.Kind() == topology.KindEdge {
 			if node.Name() == dst {
@@ -779,11 +848,14 @@ func walkDeterministic(ctrl *controller.Controller, pol, src, dst string, failed
 				res.ExpectedHops = float64(hops)
 				return res, nil
 			}
-			if s := (walkState{id: id.String(), node: node, inPort: inPort}); seen[s] {
+			s := walkState{id: id.String(), node: node, inPort: inPort}
+			if seen[s] {
 				return res, nil // deterministic re-encode livelock
-			} else {
-				seen[s] = true
 			}
+			if seen == nil {
+				seen = make(map[walkState]bool)
+			}
+			seen[s] = true
 			// Misdelivery: the controller re-encodes from this edge
 			// (cache pre-warmed; a miss means the pair is unreachable)
 			// and the packet leaves with a fresh TTL.
@@ -792,7 +864,7 @@ func walkDeterministic(ctrl *controller.Controller, pol, src, dst string, failed
 				return res, nil
 			}
 			l, ok := node.PortLink(port)
-			if !ok || failed[l] {
+			if !ok || failed.has(l) {
 				return res, nil
 			}
 			id = nid
@@ -804,13 +876,14 @@ func walkDeterministic(ctrl *controller.Controller, pol, src, dst string, failed
 			ttl = packet.DefaultTTL
 			continue
 		}
-		d := policy.Decide(walkView{node: node, failed: failed}, id, inPort, deflected, nil)
+		view.node = node
+		d := policy.Decide(view, id, inPort, deflected, nil)
 		if d.Drop {
 			return res, nil
 		}
 		deflected = deflected || d.Deflected
 		l, ok := node.PortLink(d.Port)
-		if !ok || failed[l] {
+		if !ok || failed.has(l) {
 			return res, nil
 		}
 		next := l.Other(node)

@@ -129,42 +129,55 @@ func TestNet15UnprotectedNoneHasLosses(t *testing.T) {
 }
 
 // The report and the kar_verify_* counters must be byte-identical at
-// any worker count.
+// any worker count: workers take whole failure sets, each case's result
+// still lands at its (route, policy, failure) index.
 func TestReportIdenticalAcrossWorkerCounts(t *testing.T) {
 	g, err := topology.Net15()
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) ([]byte, []byte) {
-		reg := telemetry.NewRegistry()
-		rep, err := Sweep(g, allPairRoutes(g), Config{
+	for name, cfg := range map[string]Config{
+		"partial": {
 			Protection:      topology.Net15PartialProtection,
 			ProtectionLabel: "partial",
 			Pairs:           8,
 			PairSeed:        7,
-			Workers:         workers,
-			Registry:        reg,
+		},
+		"auto-dtree": {
+			Policies:        []string{"nip", "dtree"},
+			AutoProtect:     true,
+			ProtectionLabel: "auto",
+			Pairs:           40,
+			PairSeed:        3,
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func(workers int) ([]byte, []byte) {
+				cfg := cfg
+				cfg.Workers, cfg.Registry = workers, telemetry.NewRegistry()
+				rep, err := Sweep(g, allPairRoutes(g), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				js, err := json.MarshalIndent(rep, "", "  ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var prom bytes.Buffer
+				if err := cfg.Registry.WritePrometheus(&prom); err != nil {
+					t.Fatal(err)
+				}
+				return js, prom.Bytes()
+			}
+			js1, prom1 := run(1)
+			js4, prom4 := run(4)
+			if !bytes.Equal(js1, js4) {
+				t.Errorf("JSON report differs between -workers 1 and 4:\n%s\n---\n%s", js1, js4)
+			}
+			if !bytes.Equal(prom1, prom4) {
+				t.Errorf("metrics differ between -workers 1 and 4:\n%s\n---\n%s", prom1, prom4)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		js, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var prom bytes.Buffer
-		if err := reg.WritePrometheus(&prom); err != nil {
-			t.Fatal(err)
-		}
-		return js, prom.Bytes()
-	}
-	js1, prom1 := run(1)
-	js4, prom4 := run(4)
-	if !bytes.Equal(js1, js4) {
-		t.Errorf("JSON report differs between -workers 1 and 4:\n%s\n---\n%s", js1, js4)
-	}
-	if !bytes.Equal(prom1, prom4) {
-		t.Errorf("metrics differ between -workers 1 and 4:\n%s\n---\n%s", prom1, prom4)
 	}
 }
 
@@ -186,7 +199,7 @@ func TestWalkNoneMatchesChain(t *testing.T) {
 			if !connected(g, rt.Src, rt.Dst, failed) || l == ingress[ri] {
 				continue
 			}
-			walk, err := walkDeterministic(ctrl, "none", rt.Src, rt.Dst, failed)
+			walk, err := walkDeterministic(ctrl, "none", rt.Src, rt.Dst, failSet{l})
 			if err != nil {
 				t.Fatalf("%s->%s fail=%s: walk: %v", rt.Src, rt.Dst, l.Name(), err)
 			}
@@ -276,7 +289,7 @@ func TestWalkDtreeMatchesChain(t *testing.T) {
 			if !connected(g, rt.Src, rt.Dst, failed) || l == ingress[ri] {
 				continue
 			}
-			walk, err := walkDeterministic(ctrl, "dtree", rt.Src, rt.Dst, failed)
+			walk, err := walkDeterministic(ctrl, "dtree", rt.Src, rt.Dst, failSet{l})
 			if err != nil {
 				t.Fatalf("%s->%s fail=%s: walk: %v", rt.Src, rt.Dst, l.Name(), err)
 			}

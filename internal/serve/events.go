@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"strconv"
 	"sync"
 
 	"repro/internal/scenario"
@@ -25,15 +26,19 @@ type eventBuf struct {
 	mu     sync.Mutex
 	events [][]byte
 	notify chan struct{}
+	// handed records that next gave the current notify channel to a
+	// streamer: only then can anyone be waiting on it, and only then
+	// does an append have to close it and make another.
+	handed bool
 	done   bool
 }
 
 func newEventBuf() *eventBuf { return &eventBuf{notify: make(chan struct{})} }
 
-// append marshals ev onto the stream and wakes every waiter. Appends
+// append encodes ev onto the stream and wakes every waiter. Appends
 // after finish are dropped.
-func (b *eventBuf) append(ev any) {
-	data, err := json.Marshal(ev)
+func (b *eventBuf) append(ev jobEvent) {
+	data, err := encodeEvent(ev)
 	if err != nil {
 		return
 	}
@@ -43,8 +48,46 @@ func (b *eventBuf) append(ev any) {
 		return
 	}
 	b.events = append(b.events, data)
-	close(b.notify)
-	b.notify = make(chan struct{})
+	if b.handed {
+		close(b.notify)
+		b.notify = make(chan struct{})
+		b.handed = false
+	}
+}
+
+// encodeEvent renders one stream line, byte for byte what json.Marshal
+// gives. Sweep progress — a verify job emits one per case, well over a
+// thousand — is appended field by field; every other kind is a handful
+// of events per job and takes the reflective encoder.
+func encodeEvent(ev jobEvent) ([]byte, error) {
+	sweep := scenario.ProgressEvent{Kind: "sweep", SweepDone: ev.SweepDone, SweepTotal: ev.SweepTotal}
+	if ev.ProgressEvent != sweep || ev.State != "" || !jsonPlain(ev.Job) {
+		return json.Marshal(ev)
+	}
+	var buf [96]byte // the line of a 7-character job ID is under 80 bytes
+	b := append(buf[:0], `{"job":"`...)
+	b = append(b, ev.Job...)
+	b = append(b, `","kind":"sweep","run":0`...)
+	if ev.SweepDone != 0 {
+		b = strconv.AppendInt(append(b, `,"sweep_done":`...), int64(ev.SweepDone), 10)
+	}
+	if ev.SweepTotal != 0 {
+		b = strconv.AppendInt(append(b, `,"sweep_total":`...), int64(ev.SweepTotal), 10)
+	}
+	b = append(b, '}')
+	return append(make([]byte, 0, len(b)), b...), nil // retained with the job: exact size
+}
+
+// jsonPlain reports whether encoding/json renders s between quotes as
+// it stands: printable ASCII with nothing it escapes.
+func jsonPlain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // finish ends the stream. The notify channel stays closed so late
@@ -67,5 +110,6 @@ func (b *eventBuf) next(from int) ([][]byte, <-chan struct{}, bool) {
 	if from > len(b.events) {
 		from = len(b.events)
 	}
+	b.handed = true
 	return b.events[from:], b.notify, b.done
 }

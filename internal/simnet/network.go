@@ -331,6 +331,10 @@ func WithShards(n int) Option {
 	return func(c *netConfig) { c.shards = n }
 }
 
+// dirNames are the "dir" label values of a link's two directions,
+// indexed like Line.dirs.
+var dirNames = [2]string{"fwd", "rev"}
+
 // New builds a Network over a validated topology. Every topology link
 // starts up.
 func New(topo *topology.Graph, opts ...Option) *Network {
@@ -404,28 +408,43 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	for r := DropReason(1); r < dropReasonCount; r++ {
 		n.cDrops[r] = n.metrics.Counter("kar_net_drops_total", "reason", r.String())
 	}
+	// The nine per-link series are registered as blocks: one slab of
+	// cells per family, indexed by link (and direction), whose labels are
+	// built only if somebody reads the family by label — a job that runs
+	// and reports totals never pays for 9·links label sets and link-name
+	// concatenations.
+	linkLabels := func(i int) []string { return []string{"link", links[i].Name()} }
+	dirLabels := func(i int) []string {
+		return []string{"link", links[i/2].Name(), "dir", dirNames[i%2]}
+	}
+	gaugeUp := n.metrics.GaugeVec("kar_link_up", len(links), linkLabels)
+	sentPackets := n.metrics.CounterVec("kar_link_sent_packets_total", 2*len(links), dirLabels)
+	sentBytes := n.metrics.CounterVec("kar_link_sent_bytes_total", 2*len(links), dirLabels)
+	queueDrops := n.metrics.CounterVec("kar_link_queue_drops_total", 2*len(links), dirLabels)
+	inFlightDrops := n.metrics.CounterVec("kar_link_inflight_drops_total", 2*len(links), dirLabels)
 	for li, l := range links {
 		line := &Line{
 			net: n, link: l, seenUp: true,
 			delay: l.Delay(), rate: l.RateMbps(), queueCap: l.QueuePackets(),
-			gaugeUp: n.metrics.Gauge("kar_link_up", "link", l.Name()),
+			gaugeUp: &gaugeUp[li],
 		}
 		line.gaugeUp.Set(1)
-		for d, dir := range [2]string{"fwd", "rev"} {
+		for d := range line.dirs {
 			src, dst := l.A(), l.B()
 			if d == 1 {
 				src, dst = dst, src
 			}
+			cell := 2*li + d
 			line.dirs[d] = dirState{
 				dst:           dst,
 				dstPort:       l.PortOf(dst),
 				lane:          n.laneOf(src),
 				dstLane:       n.laneOf(dst),
-				ent:           uint32(1 + len(nodes) + 2*li + d),
-				sentPackets:   n.DeferCounter(src, n.metrics.Counter("kar_link_sent_packets_total", "link", l.Name(), "dir", dir)),
-				sentBytes:     n.DeferCounter(src, n.metrics.Counter("kar_link_sent_bytes_total", "link", l.Name(), "dir", dir)),
-				queueDrops:    n.metrics.Counter("kar_link_queue_drops_total", "link", l.Name(), "dir", dir),
-				inFlightDrops: n.metrics.Counter("kar_link_inflight_drops_total", "link", l.Name(), "dir", dir),
+				ent:           uint32(1 + len(nodes) + cell),
+				sentPackets:   n.DeferCounter(src, &sentPackets[cell]),
+				sentBytes:     n.DeferCounter(src, &sentBytes[cell]),
+				queueDrops:    &queueDrops[cell],
+				inFlightDrops: &inFlightDrops[cell],
 			}
 			ds := &line.dirs[d]
 			if ds.lane != ds.dstLane {

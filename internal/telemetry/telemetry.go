@@ -54,46 +54,46 @@ func (k kind) String() string {
 // Counter is a monotonically increasing integer metric. Safe for
 // concurrent use.
 type Counter struct {
-	v      int64
+	v      atomic.Int64
 	labels []Label
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { atomic.AddInt64(&c.v, 1) }
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (n must be non-negative; counters only go up).
 func (c *Counter) Add(n int64) {
 	if n < 0 {
 		panic("telemetry: counter decremented")
 	}
-	atomic.AddInt64(&c.v, n)
+	c.v.Add(n)
 }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return atomic.LoadInt64(&c.v) }
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous float metric. Safe for concurrent use.
 type Gauge struct {
-	bits   uint64
+	bits   atomic.Uint64
 	labels []Label
 }
 
 // Set replaces the value.
-func (g *Gauge) Set(v float64) { atomic.StoreUint64(&g.bits, math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adjusts the value by d.
 func (g *Gauge) Add(d float64) {
 	for {
-		old := atomic.LoadUint64(&g.bits)
+		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + d)
-		if atomic.CompareAndSwapUint64(&g.bits, old, next) {
+		if g.bits.CompareAndSwap(old, next) {
 			return
 		}
 	}
 }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(atomic.LoadUint64(&g.bits)) }
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket cumulative histogram ("le" semantics: a
 // sample lands in the first bucket whose upper bound is >= the value).
@@ -267,11 +267,36 @@ type family struct {
 	kind   kind
 	bounds []float64 // histograms only
 	series map[string]any
+	// pending holds the blocks registered through CounterVec/GaugeVec
+	// whose label sets have not been built yet. materialise moves their
+	// cells into series; nothing else reads it except the unfiltered
+	// SumCounter, which needs no labels.
+	pending []block
+}
+
+// block is one CounterVec/GaugeVec registration: a slab of cells and
+// the function that names cell i. Exactly one of counters and gauges
+// is set.
+type block struct {
+	labels   func(i int) []string
+	counters []Counter
+	gauges   []Gauge
 }
 
 // Registry holds metric families. Series registration is idempotent:
 // asking for the same (name, labels) twice returns the same handle.
 // Safe for concurrent use; hot paths should cache handles.
+//
+// There are two ways to register. Counter/Gauge/Histogram build one
+// series' label set and key on the spot — right for dynamic labels
+// (a drop reason, a flow) met while running. CounterVec/GaugeVec hand
+// back a contiguous slab of n cells and record only the block; the
+// label sets and keys of its cells are built, into the same series map
+// the singletons live in, on the first keyed read of the family:
+// any exposition, Snapshot or Merge; CounterValue; a filtered
+// SumCounter; or a later Counter/Gauge on that family. A world that is
+// built, run and read back through unfiltered SumCounter totals never
+// builds them at all.
 type Registry struct {
 	mu       sync.Mutex
 	base     []Label // applied to every series
@@ -285,7 +310,7 @@ type RegistryOption func(*Registry)
 // WithBaseLabels attaches constant labels (key/value pairs) to every
 // series the registry creates — e.g. the world's deflection policy.
 func WithBaseLabels(kv ...string) RegistryOption {
-	return func(r *Registry) { r.base = append(r.base, pairs(kv)...) }
+	return func(r *Registry) { r.base = pairs(r.base, kv) }
 }
 
 // NewRegistry builds an empty registry.
@@ -297,28 +322,39 @@ func NewRegistry(opts ...RegistryOption) *Registry {
 	return r
 }
 
-// pairs converts a flat k,v,k,v slice into labels.
-func pairs(kv []string) []Label {
+// pairs converts a flat k,v,k,v slice into labels, appended to dst.
+func pairs(dst []Label, kv []string) []Label {
 	if len(kv)%2 != 0 {
 		panic("telemetry: odd label key/value list")
 	}
-	out := make([]Label, 0, len(kv)/2)
 	for i := 0; i < len(kv); i += 2 {
-		out = append(out, Label{Key: kv[i], Value: kv[i+1]})
+		dst = append(dst, Label{Key: kv[i], Value: kv[i+1]})
 	}
-	return out
+	return dst
 }
 
-// labelSet merges base labels with call labels, sorted by key.
+// labelSet merges base labels with call labels, sorted by key. Label
+// sets are a handful of entries, so an insertion sort beats the
+// reflective sort.Slice (and is stable, as sort.Slice is at this size).
 func (r *Registry) labelSet(kv []string) []Label {
-	ls := append(append([]Label(nil), r.base...), pairs(kv)...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	ls := make([]Label, 0, len(r.base)+len(kv)/2)
+	ls = pairs(append(ls, r.base...), kv)
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
+	}
 	return ls
 }
 
 // seriesKey serialises a sorted label set.
 func seriesKey(ls []Label) string {
+	n := 0
+	for _, l := range ls {
+		n += len(l.Key) + len(l.Value) + 2
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for _, l := range ls {
 		b.WriteString(l.Key)
 		b.WriteByte('\x00')
@@ -341,6 +377,70 @@ func (r *Registry) getFamily(name string, k kind, bounds []float64) *family {
 	return f
 }
 
+// seriesAt is the one keyed insert every registration path goes
+// through: it returns the family's series for ls — a sorted label set
+// that already carries its base labels — creating it when absent.
+// A non-nil cell (a block cell being materialised, labelled ls by the
+// caller) takes the slot instead, and finding the slot taken is a
+// duplicate registration. The caller holds r.mu.
+func (f *family) seriesAt(ls []Label, cell any) any {
+	key := seriesKey(ls)
+	if s, ok := f.series[key]; ok {
+		if cell != nil {
+			panic(fmt.Sprintf("telemetry: metric %q registered twice with labels %v", f.name, ls))
+		}
+		return s
+	}
+	if cell == nil {
+		switch f.kind {
+		case kindCounter:
+			cell = &Counter{labels: ls}
+		case kindGauge:
+			cell = &Gauge{labels: ls}
+		case kindHistogram:
+			cell = &Histogram{
+				bounds: append([]float64(nil), f.bounds...),
+				counts: make([]int64, len(f.bounds)+1),
+				labels: ls,
+			}
+		}
+	}
+	f.series[key] = cell
+	return cell
+}
+
+// materialise builds the label set and key of every pending block
+// cell and files it in f.series, after which the family is
+// indistinguishable from one registered series by series. The caller
+// holds r.mu; lanes may be incrementing the cells meanwhile (they
+// touch only the value word).
+func (r *Registry) materialise(f *family) {
+	for _, b := range f.pending {
+		for i := range b.counters {
+			c := &b.counters[i]
+			c.labels = r.labelSet(b.labels(i))
+			f.seriesAt(c.labels, c)
+		}
+		for i := range b.gauges {
+			g := &b.gauges[i]
+			g.labels = r.labelSet(b.labels(i))
+			f.seriesAt(g.labels, g)
+		}
+	}
+	f.pending = nil
+}
+
+// lookup is the registration path of one series by name and label
+// set: the family (created if absent) is materialised first, so a
+// block cell registered under the same labels is found, not shadowed.
+func (r *Registry) lookup(name string, k kind, bounds []float64, ls []Label) any {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.getFamily(name, k, bounds)
+	r.materialise(f)
+	return f.seriesAt(ls, nil)
+}
+
 // Help sets the family's HELP text. The family need not exist yet:
 // the text is kept by name and emitted once the first series appears.
 func (r *Registry) Help(name, text string) {
@@ -352,67 +452,65 @@ func (r *Registry) Help(name, text string) {
 // Counter returns (creating if absent) the counter for name and the
 // given label key/value pairs.
 func (r *Registry) Counter(name string, kv ...string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, kindCounter, nil)
-	ls := r.labelSet(kv)
-	key := seriesKey(ls)
-	if c, ok := f.series[key]; ok {
-		return c.(*Counter)
-	}
-	c := &Counter{labels: ls}
-	f.series[key] = c
-	return c
+	return r.lookup(name, kindCounter, nil, r.labelSet(kv)).(*Counter)
 }
 
 // Gauge returns (creating if absent) the gauge for name and labels.
 func (r *Registry) Gauge(name string, kv ...string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, kindGauge, nil)
-	ls := r.labelSet(kv)
-	key := seriesKey(ls)
-	if g, ok := f.series[key]; ok {
-		return g.(*Gauge)
-	}
-	g := &Gauge{labels: ls}
-	f.series[key] = g
-	return g
+	return r.lookup(name, kindGauge, nil, r.labelSet(kv)).(*Gauge)
 }
 
 // Histogram returns (creating if absent) the histogram for name and
 // labels. bounds are sorted upper bucket bounds; nil takes HopBuckets.
 // The first registration of a family fixes its bucket layout.
 func (r *Registry) Histogram(name string, bounds []float64, kv ...string) *Histogram {
+	return r.histogramFor(name, bounds, r.labelSet(kv))
+}
+
+func (r *Registry) histogramFor(name string, bounds []float64, ls []Label) *Histogram {
 	if len(bounds) == 0 {
 		bounds = HopBuckets
 	}
+	return r.lookup(name, kindHistogram, bounds, ls).(*Histogram)
+}
+
+// CounterVec registers n counters of one family as a block and returns
+// them as one contiguous slab; labels(i) gives cell i's label
+// key/value pairs and is called only when the family is first read by
+// label (see Registry), so it may be arbitrarily expensive and must
+// stay valid — and keep returning the same labels — for the life of
+// the registry. Registering a (name, labels) pair twice, here or
+// through Counter, panics when the block is materialised.
+func (r *Registry) CounterVec(name string, n int, labels func(i int) []string) []Counter {
+	cells := make([]Counter, n)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.getFamily(name, kindHistogram, bounds)
-	ls := r.labelSet(kv)
-	key := seriesKey(ls)
-	if h, ok := f.series[key]; ok {
-		return h.(*Histogram)
-	}
-	h := &Histogram{
-		bounds: append([]float64(nil), f.bounds...),
-		counts: make([]int64, len(f.bounds)+1),
-		labels: ls,
-	}
-	f.series[key] = h
-	return h
+	f := r.getFamily(name, kindCounter, nil)
+	f.pending = append(f.pending, block{labels: labels, counters: cells})
+	return cells
+}
+
+// GaugeVec is CounterVec for gauges.
+func (r *Registry) GaugeVec(name string, n int, labels func(i int) []string) []Gauge {
+	cells := make([]Gauge, n)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.getFamily(name, kindGauge, nil)
+	f.pending = append(f.pending, block{labels: labels, gauges: cells})
+	return cells
 }
 
 // CounterValue reads a counter without creating it (0 when absent).
 func (r *Registry) CounterValue(name string, kv ...string) int64 {
+	ls := r.labelSet(kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok || f.kind != kindCounter {
 		return 0
 	}
-	if c, ok := f.series[seriesKey(r.labelSet(kv))]; ok {
+	r.materialise(f)
+	if c, ok := f.series[seriesKey(ls)]; ok {
 		return c.(*Counter).Value()
 	}
 	return 0
@@ -420,8 +518,10 @@ func (r *Registry) CounterValue(name string, kv ...string) int64 {
 
 // SumCounter sums a counter family across every series whose label set
 // contains all the given key/value pairs (no pairs = whole family).
+// The whole-family sum needs no labels and leaves pending blocks
+// unmaterialised.
 func (r *Registry) SumCounter(name string, kv ...string) int64 {
-	match := pairs(kv)
+	match := pairs(nil, kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -429,6 +529,14 @@ func (r *Registry) SumCounter(name string, kv ...string) int64 {
 		return 0
 	}
 	var sum int64
+	if len(match) > 0 {
+		r.materialise(f)
+	}
+	for _, b := range f.pending {
+		for i := range b.counters {
+			sum += b.counters[i].Value()
+		}
+	}
 	for _, s := range f.series {
 		c := s.(*Counter)
 		if labelsContain(c.labels, match) {
@@ -457,7 +565,9 @@ func labelsContain(ls, want []Label) bool {
 // Merge folds another registry's current state into r: counters,
 // gauges and histogram buckets add. Addition commutes, so merging
 // per-worker shard registries in any completion order yields the same
-// result.
+// result. Snapshot label sets are already sorted and carry o's base
+// labels, so they key r's series as they are — r's own base labels
+// must not be re-applied to series that bring theirs.
 func (r *Registry) Merge(o *Registry) {
 	if o == nil || o == r {
 		return
@@ -479,63 +589,14 @@ func (r *Registry) Merge(o *Registry) {
 		for _, s := range fs.series {
 			switch fs.kind {
 			case kindCounter:
-				r.counterForLabels(fs.name, s.labels).Add(s.value)
+				r.lookup(fs.name, kindCounter, nil, s.labels).(*Counter).Add(s.value)
 			case kindGauge:
-				r.gaugeForLabels(fs.name, s.labels).Add(s.fvalue)
+				r.lookup(fs.name, kindGauge, nil, s.labels).(*Gauge).Add(s.fvalue)
 			case kindHistogram:
-				r.histogramForLabels(fs.name, fs.bounds, s.labels).merge(s.value, s.fvalue, s.counts)
+				r.histogramFor(fs.name, fs.bounds, s.labels).merge(s.value, s.fvalue, s.counts)
 			}
 		}
 	}
-}
-
-// counterForLabels fetches a counter by pre-built (already sorted,
-// base-labels-included) label set — Merge must not re-apply r's base
-// labels to series that carry their own.
-func (r *Registry) counterForLabels(name string, ls []Label) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, kindCounter, nil)
-	key := seriesKey(ls)
-	if c, ok := f.series[key]; ok {
-		return c.(*Counter)
-	}
-	c := &Counter{labels: ls}
-	f.series[key] = c
-	return c
-}
-
-func (r *Registry) gaugeForLabels(name string, ls []Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, kindGauge, nil)
-	key := seriesKey(ls)
-	if g, ok := f.series[key]; ok {
-		return g.(*Gauge)
-	}
-	g := &Gauge{labels: ls}
-	f.series[key] = g
-	return g
-}
-
-func (r *Registry) histogramForLabels(name string, bounds []float64, ls []Label) *Histogram {
-	if len(bounds) == 0 {
-		bounds = HopBuckets
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, kindHistogram, bounds)
-	key := seriesKey(ls)
-	if h, ok := f.series[key]; ok {
-		return h.(*Histogram)
-	}
-	h := &Histogram{
-		bounds: append([]float64(nil), f.bounds...),
-		counts: make([]int64, len(f.bounds)+1),
-		labels: ls,
-	}
-	f.series[key] = h
-	return h
 }
 
 // seriesSnap is one frozen series used by Merge and the exposition.
@@ -567,6 +628,7 @@ func (r *Registry) snapshotFamilies() []familySnap {
 	out := make([]familySnap, 0, len(names))
 	for _, n := range names {
 		f := r.families[n]
+		r.materialise(f)
 		fs := familySnap{name: f.name, help: r.helps[n], kind: f.kind, bounds: f.bounds}
 		keys := make([]string, 0, len(f.series))
 		for k := range f.series {

@@ -306,6 +306,27 @@ grep -q '^kar_verify_cases_total{' "$tmp/v.prom" || {
 }
 echo "resilience verifier OK"
 
+echo "==> series counts (scale and verify dumps carry every registered series)"
+# Per-link and per-switch series are registered as blocks and get their
+# labels on the dump's first read; the verify counters resolve on first
+# increment. A block that failed to materialise, or a family resolved
+# eagerly, shows up as a wrong line count, not as a wrong number:
+# fattree:4 has 40 links (x2 directions) and 20 switches (x4 deflection
+# causes), and the full-protection avp,nip sweep increments cases,
+# survived and disconnected per policy plus the sweep total.
+for want in sh1:kar_link_up:40 sh1:kar_link_sent_packets_total:80 sh1:kar_link_sent_bytes_total:80 \
+    sh1:kar_link_queue_drops_total:80 sh1:kar_link_inflight_drops_total:80 \
+    sh1:kar_switch_received_total:20 sh1:kar_switch_forwards_total:20 sh1:kar_switch_ttl_expired_total:20 \
+    sh1:kar_switch_policy_drops_total:20 sh1:kar_switch_deflections_total:80 v:kar_verify_:7; do
+    dump=${want%%:*} rest=${want#*:}
+    got=$(grep -c "^${rest%:*}" "$tmp/$dump.prom" || true)
+    [ "$got" = "${rest#*:}" ] || {
+        echo "FAIL: $dump.prom carries $got ${rest%:*} series, want ${rest#*:}" >&2
+        exit 1
+    }
+done
+echo "series counts OK"
+
 echo "==> structured failover determinism (dtree, auto protection)"
 # dtree is fully deterministic: the verify sweep under per-destination
 # auto protection must (a) prove 100% single-failure delivery on every
