@@ -845,7 +845,7 @@ func BenchmarkFig5PacketsPerSecScalar(b *testing.B) { fig5PPS(b, true) }
 // world construction, route installs, the flow-set arrival process,
 // the drain window — and reports injected packets per wall second.
 // Results are byte-identical across shard counts (shard_test.go and
-// scripts/check.sh gate on it); these benchmarks measure only the
+// TestDeterminismMatrix gate on it); these benchmarks measure only the
 // wall-clock side of that equivalence.
 func benchScale(b *testing.B, shards, flows int, dur time.Duration) {
 	b.Helper()

@@ -46,25 +46,10 @@ func run(args []string) error {
 	}
 }
 
-func builtinTopology(name string) (*topology.Graph, error) {
-	switch name {
-	case "fig1":
-		return topology.Fig1()
-	case "net15":
-		return topology.Net15()
-	case "rnp28":
-		return topology.RNP28()
-	case "rnp28-fig8":
-		return topology.RNP28Fig8()
-	default:
-		return nil, fmt.Errorf("unknown topology %q (want fig1, net15, rnp28, rnp28-fig8)", name)
-	}
-}
-
 func runEncode(args []string) error {
 	fs := flag.NewFlagSet("karctl encode", flag.ContinueOnError)
 	var (
-		topoName = fs.String("topo", "fig1", "built-in topology: fig1, net15, rnp28, rnp28-fig8")
+		topoName = fs.String("topo", "fig1", "topology: fig1, net15, rnp28, rnp28-fig8 or a generator spec (fattree:4, ...)")
 		from     = fs.String("from", "", "ingress edge node")
 		to       = fs.String("to", "", "egress edge node")
 		pathFlag = fs.String("path", "", "explicit comma-separated path (overrides shortest path)")
@@ -74,7 +59,7 @@ func runEncode(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := builtinTopology(*topoName)
+	g, err := topology.ByName(*topoName)
 	if err != nil {
 		return err
 	}

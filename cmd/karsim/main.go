@@ -405,7 +405,7 @@ func runReaction(opts options) error {
 // (fattree:28 ≈ 1k switches), a million-flow population, and -shards
 // parallel regions under conservative lookahead. The metrics dump is
 // byte-identical for every -shards/-workers/-batch combination —
-// scripts/check.sh gates on it.
+// TestDeterminismMatrix gates on it.
 func runScale(opts options) error {
 	res, err := experiment.Scale(experiment.ScaleConfig{
 		Topo:      opts.topo,

@@ -31,7 +31,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("kartopo", flag.ContinueOnError)
 	var (
-		topoName = fs.String("topo", "net15", "built-in topology: fig1, net15, rnp28, rnp28-fig8")
+		topoName = fs.String("topo", "net15", "topology: fig1, net15, rnp28, rnp28-fig8 or a generator spec (fattree:4, ...)")
 		dot      = fs.Bool("dot", false, "emit Graphviz DOT instead of the text summary")
 		sizes    = fs.String("sizes", "", "SRC,DST: print route-ID size vs protection bit budget")
 	)
@@ -39,20 +39,7 @@ func run(args []string) error {
 		return err
 	}
 
-	var g *topology.Graph
-	var err error
-	switch *topoName {
-	case "fig1":
-		g, err = topology.Fig1()
-	case "net15":
-		g, err = topology.Net15()
-	case "rnp28":
-		g, err = topology.RNP28()
-	case "rnp28-fig8":
-		g, err = topology.RNP28Fig8()
-	default:
-		return fmt.Errorf("unknown topology %q", *topoName)
-	}
+	g, err := topology.ByName(*topoName)
 	if err != nil {
 		return err
 	}

@@ -1,0 +1,229 @@
+package kar
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/experiment"
+	"repro/internal/scenario"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
+)
+
+// The determinism matrix: every artefact the simulator writes is a
+// pure function of its inputs — worker count, shard count and data
+// plane are execution modes that must not reach a single output byte.
+// Each artefact below is produced in-process in a reference mode and in
+// every other listed mode and byte-compared, so the race detector sees
+// all of it and a new axis value is one more row. (The CLI framing of
+// the same buffers is checked by scripts/check.sh and serve_smoke.sh.)
+
+// mode is one execution mode: a cell of workers × shards × data plane.
+// A zero field means "the artefact's default".
+type mode struct {
+	workers, shards int
+	scalar          bool
+}
+
+func (m mode) String() string {
+	plane := "batch"
+	if m.scalar {
+		plane = "scalar"
+	}
+	return fmt.Sprintf("workers=%d/shards=%d/%s", m.workers, m.shards, plane)
+}
+
+// dtreeSpec is a packet-level run of the deterministic dtree policy
+// under per-destination auto protection, cut mid-run.
+const dtreeSpec = `{
+  "name": "check-dtree",
+  "topology": "net15",
+  "policy": "dtree",
+  "protection": "auto",
+  "seed": 17,
+  "duration": "40ms",
+  "drain": "10ms",
+  "flows": [
+    {"src": "AS1", "dst": "AS3", "interval": "1ms"},
+    {"src": "AS3", "dst": "AS1", "interval": "1ms"}
+  ],
+  "injections": [
+    {"kind": "link_cut", "link": ["SW7", "SW13"], "start": "10ms"}
+  ],
+  "expect": {"min_delivered": 1, "min_deflections": 1}
+}`
+
+// outputs collects an artefact's named buffers.
+type outputs map[string][]byte
+
+func (o outputs) metrics(t *testing.T, c *telemetry.Collector) {
+	t.Helper()
+	var prom, js bytes.Buffer
+	if err := c.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	o["prometheus"], o["json"] = prom.Bytes(), js.Bytes()
+}
+
+func (o outputs) traces(t *testing.T, c *trace.Collector) {
+	t.Helper()
+	var jsonl, perfetto bytes.Buffer
+	if err := c.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WritePerfetto(&perfetto); err != nil {
+		t.Fatal(err)
+	}
+	o["jsonl"], o["perfetto"] = jsonl.Bytes(), perfetto.Bytes()
+}
+
+// scale is `karsim -exp scale` on a 20-switch fat-tree with two failed
+// fabric links (the driver has no worker pool: shards and data plane
+// are its only modes). With a trace collector the flight recorder
+// vetoes parallel windows, so metrics and traces are separate artefacts.
+func scale(t *testing.T, m mode, metrics *telemetry.Collector, traces *trace.Collector) {
+	t.Helper()
+	_, err := experiment.Scale(experiment.ScaleConfig{
+		Topo: "fattree:4", Flows: 20000, Pairs: 16, Rate: 20, FailLinks: 2,
+		Duration: 500 * time.Millisecond, Seed: 3,
+		Shards: m.shards, Scalar: m.scalar, Metrics: metrics, Trace: traces,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runSpec runs a scenario spec in mode m.
+func runSpec(t *testing.T, spec *scenario.Spec, m mode, traces *trace.Collector) *scenario.Verdict {
+	t.Helper()
+	spec.Shards = m.shards
+	v, err := scenario.Run(spec, scenario.RunOptions{Workers: m.workers, Scalar: m.scalar, Trace: traces})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Pass {
+		t.Fatalf("scenario %s failed its expectations", spec.Name)
+	}
+	return v
+}
+
+func TestDeterminismMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second simulations")
+	}
+	for _, a := range []struct {
+		name    string
+		produce func(t *testing.T, m mode) outputs
+		modes   []mode   // modes[0] is the reference
+		want    []string // substrings some reference buffer must carry
+	}{
+		{
+			name: "fig4-metrics",
+			produce: func(t *testing.T, m mode) outputs {
+				c := telemetry.NewCollector()
+				_, err := experiment.Fig4(experiment.Fig4Config{
+					PreFailure: time.Second, FailureFor: time.Second, PostRepair: time.Second,
+					SampleEvery: 250 * time.Millisecond, Seed: 1,
+					Workers: m.workers, Scalar: m.scalar, Metrics: c,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := outputs{}
+				o.metrics(t, c)
+				return o
+			},
+			modes: []mode{{workers: 1}, {workers: 4}, {workers: 1, scalar: true}, {workers: 4, scalar: true}},
+			want:  []string{`kar_switch_deflections_total{cause=`, `kar_flow_stretch_hops_bucket{flow=`},
+		},
+		{
+			name: "flap-react-trace",
+			produce: func(t *testing.T, m mode) outputs {
+				spec, err := scenario.Load("examples/scenarios/flap-react-net15.json")
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := trace.NewCollector(trace.Config{Rate: 1})
+				runSpec(t, spec, m, c)
+				o := outputs{}
+				o.traces(t, c)
+				return o
+			},
+			modes: []mode{{workers: 1}, {workers: 4}, {workers: 1, scalar: true}, {workers: 4, shards: 2}},
+			want:  []string{`"kind":"hop"`, `"event":"reroute"`, `"name":"reaction:fail SW7-SW13"`},
+		},
+		{
+			name: "scale-metrics",
+			produce: func(t *testing.T, m mode) outputs {
+				c := telemetry.NewCollector()
+				scale(t, m, c, nil)
+				o := outputs{}
+				o.metrics(t, c)
+				return o
+			},
+			modes: []mode{{shards: 1}, {shards: 2}, {shards: 4}, {shards: 4, scalar: true}, {shards: 2, scalar: true}, {shards: 1, scalar: true}},
+			want:  []string{`kar_flowset_received_total{`},
+		},
+		{
+			name: "scale-trace",
+			produce: func(t *testing.T, m mode) outputs {
+				c := trace.NewCollector(trace.Config{Rate: 1})
+				scale(t, m, nil, c)
+				o := outputs{}
+				o.traces(t, c)
+				return o
+			},
+			modes: []mode{{shards: 1}, {shards: 4}, {shards: 2, scalar: true}},
+			want:  []string{`"kind":"hop"`},
+		},
+		{
+			name: "dtree-verdict",
+			produce: func(t *testing.T, m mode) outputs {
+				spec, err := scenario.Parse(strings.NewReader(dtreeSpec))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				enc := json.NewEncoder(&buf)
+				enc.SetIndent("", "  ")
+				if err := enc.Encode(runSpec(t, spec, m, nil)); err != nil {
+					t.Fatal(err)
+				}
+				return outputs{"verdict": buf.Bytes()}
+			},
+			modes: []mode{{workers: 1}, {workers: 4}, {workers: 4, scalar: true}, {workers: 1, shards: 2}},
+			want:  []string{`"pass": true`},
+		},
+	} {
+		t.Run(a.name, func(t *testing.T) {
+			ref := a.produce(t, a.modes[0])
+			for _, want := range a.want {
+				found := false
+				for _, buf := range ref {
+					found = found || bytes.Contains(buf, []byte(want))
+				}
+				if !found {
+					t.Errorf("no reference buffer carries %q: the artefact does not exercise what it gates", want)
+				}
+			}
+			for _, m := range a.modes[1:] {
+				got := a.produce(t, m)
+				for name, want := range ref {
+					if len(want) == 0 {
+						t.Errorf("reference %s buffer is empty", name)
+					}
+					if !bytes.Equal(want, got[name]) {
+						t.Errorf("%s: %s differs from %s (%d vs %d bytes)", m, name, a.modes[0], len(got[name]), len(want))
+					}
+				}
+			}
+		})
+	}
+}

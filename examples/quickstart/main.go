@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -67,9 +68,9 @@ func run() error {
 	}
 	fmt.Printf("installed: %s\n", route)
 
-	// Capture every hop of the flow, tcpdump style.
+	// Record every hop of every packet with the flight recorder.
 	flow := packet.FlowID{Src: "S", Dst: "D"}
-	capture := trace.New(w.Net, 64, trace.FlowFilter(flow))
+	rec := trace.NewRecorder(w.Net, trace.Config{Rate: 1})
 
 	delivered := 0
 	w.Edges["D"].Attach(flow, deliverFunc(func(p *packet.Packet) { delivered++ }))
@@ -82,12 +83,11 @@ func run() error {
 		}
 	}
 	w.Run(time.Second)
-	fmt.Print(capture)
+	printJourneys(trace.Journeys(rec.Records()))
 
 	fmt.Println("\nfailing link SW7-SW11 and sending 3 more:")
 	link, _ := g.LinkBetween("SW7", "SW11")
 	w.Net.FailLink(link)
-	capture = trace.New(w.Net, 64, trace.FlowFilter(flow))
 	for i := 3; i < 6; i++ {
 		p := &packet.Packet{Flow: flow, Kind: packet.KindData, Seq: uint64(i), Size: 1500}
 		if err := w.Edges["S"].Inject(p); err != nil {
@@ -95,7 +95,7 @@ func run() error {
 		}
 	}
 	w.Run(2 * time.Second)
-	fmt.Print(capture)
+	printJourneys(trace.Journeys(rec.Records())[3:])
 
 	fmt.Printf("\ndelivered %d/6 packets — the deflected ones went SW7→SW5→SW11, driven by the\n", delivered)
 	fmt.Println("extra residue in the same route ID: no controller involvement, no packet loss.")
@@ -103,6 +103,22 @@ func run() error {
 		return fmt.Errorf("expected 6 deliveries, got %d", delivered)
 	}
 	return nil
+}
+
+// printJourneys renders each packet's reconstructed path on one line,
+// marking the hops that left the encoded path.
+func printJourneys(js []trace.Journey) {
+	for _, j := range js {
+		var path strings.Builder
+		for _, h := range j.Hops {
+			path.WriteString(h.Where)
+			if h.Cause != "" {
+				fmt.Fprintf(&path, " [deflected: %s, encoded port %d]", h.Cause, h.Encoded)
+			}
+			path.WriteString(" → ")
+		}
+		fmt.Printf("%12v seq=%d  %s%s  (%s, %d hops)\n", j.End, j.Seq, path.String(), j.Where, j.Outcome, j.HopCount)
+	}
 }
 
 type deliverFunc func(*packet.Packet)

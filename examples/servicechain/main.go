@@ -7,7 +7,7 @@
 //
 // We run two flows across the RNP backbone: one on the shortest path
 // and one forced through a two-function chain (firewall at SW17, DPI
-// at SW61), then verify from a packet capture that every chained
+// at SW61), then verify from the flight recorder that every chained
 // packet visited the functions in order — and that driven-deflection
 // protection still composes with chaining when a link fails.
 //
@@ -56,14 +56,14 @@ func run() error {
 	fmt.Printf("header cost: %d bits (%d switches encoded)\n\n", route.BitLength(), route.SwitchCount())
 
 	flow := packet.FlowID{Src: "EDGE-N", Dst: "EDGE-SP"}
-	capture := trace.New(w.Net, 4096, trace.FlowFilter(flow))
+	rec := trace.NewRecorder(w.Net, trace.Config{Rate: 1})
 	send, recv := udpsim.NewFlow(w.Net, w.Edges["EDGE-N"], w.Edges["EDGE-SP"], flow, udpsim.Config{
 		Interval: time.Millisecond, Count: 200,
 	})
 	send.Start()
 	w.Run(5 * time.Second)
 
-	if err := verifyChainOrder(capture, 200); err != nil {
+	if err := verifyChainOrder(trace.Journeys(rec.Records()), 200); err != nil {
 		return err
 	}
 	st := recv.Stats(send)
@@ -94,45 +94,31 @@ func run() error {
 	return nil
 }
 
-// verifyChainOrder checks, per packet, that SW17 was visited before
-// SW61 and both before delivery.
-func verifyChainOrder(capture *trace.Capture, packets int) error {
-	type visit struct{ fw, dpi, done bool }
-	seen := make(map[uint64]*visit, packets)
-	for _, e := range capture.Events() {
-		if e.Kind != trace.EventDeliver {
-			continue
-		}
-		v, ok := seen[e.Seq]
-		if !ok {
-			v = &visit{}
-			seen[e.Seq] = v
-		}
-		switch e.Where {
-		case "SW17":
-			if v.dpi {
-				return fmt.Errorf("packet %d reached the firewall after the DPI", e.Seq)
-			}
-			v.fw = true
-		case "SW61":
-			if !v.fw {
-				return fmt.Errorf("packet %d reached the DPI before the firewall", e.Seq)
-			}
-			v.dpi = true
-		case "EDGE-SP":
-			if !v.fw || !v.dpi {
-				return fmt.Errorf("packet %d delivered without full chain traversal", e.Seq)
-			}
-			v.done = true
-		}
-	}
+// verifyChainOrder checks, per packet, that its journey's hop list
+// visits SW17 before SW61 and that it was delivered at the egress.
+func verifyChainOrder(journeys []trace.Journey, packets int) error {
 	completed := 0
-	for _, v := range seen {
-		if v.done {
-			completed++
+	for _, j := range journeys {
+		fw, dpi := -1, -1
+		for i, h := range j.Hops {
+			switch {
+			case h.Where == "SW17" && fw < 0:
+				fw = i
+			case h.Where == "SW61" && dpi < 0:
+				dpi = i
+			}
 		}
+		switch {
+		case fw >= 0 && dpi >= 0 && dpi < fw:
+			return fmt.Errorf("packet %d reached the DPI before the firewall", j.Seq)
+		case j.Outcome != "delivered" || j.Where != "EDGE-SP":
+			continue
+		case fw < 0 || dpi < 0:
+			return fmt.Errorf("packet %d delivered without full chain traversal", j.Seq)
+		}
+		completed++
 	}
-	fmt.Printf("chain order verified from capture: %d packets traversed firewall→dpi→egress\n", completed)
+	fmt.Printf("chain order verified from the flight recorder: %d packets traversed firewall→dpi→egress\n", completed)
 	if completed != packets {
 		return fmt.Errorf("only %d/%d packets completed the chain", completed, packets)
 	}

@@ -67,9 +67,7 @@ type Analyzer struct {
 // New builds an analyzer for the given policy name over the
 // controller's topology. Install routes on the controller first.
 func New(ctrl *controller.Controller, policy string, failed []*topology.Link) (*Analyzer, error) {
-	switch policy {
-	case "none", "hp", "avp", "nip", "dtree":
-	default:
+	if _, ok := deflect.ByName(policy); !ok {
 		return nil, fmt.Errorf("%q: %w", policy, ErrPolicyUnsupported)
 	}
 	fm := make(map[*topology.Link]bool, len(failed))

@@ -15,15 +15,16 @@
 package controller
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/rns"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -48,8 +49,7 @@ type routeEntry struct {
 // for concurrent use (each simulated world owns one controller), but
 // reroute recomputation internally fans out across a worker pool.
 type Controller struct {
-	g      *topology.Graph
-	weight topology.WeightFunc
+	g *topology.Graph
 
 	reactToFailures bool
 	workers         int
@@ -94,12 +94,6 @@ type Controller struct {
 
 // Option configures a Controller.
 type Option func(*Controller)
-
-// WithWeight sets the link weight used for path selection (hop count
-// when unset).
-func WithWeight(w topology.WeightFunc) Option {
-	return func(c *Controller) { c.weight = w }
-}
 
 // WithFailureReaction makes the controller react to failure
 // notifications by recomputing affected routes — the traditional
@@ -169,7 +163,6 @@ func (c *Controller) bindRegistry(reg *telemetry.Registry) {
 func New(g *topology.Graph, opts ...Option) *Controller {
 	c := &Controller{
 		g:       g,
-		weight:  topology.HopWeight,
 		failed:  make(map[*topology.Link]bool),
 		entries: make(map[pair]*routeEntry),
 		byLink:  make(map[*topology.Link]map[pair]struct{}),
@@ -181,10 +174,10 @@ func New(g *topology.Graph, opts ...Option) *Controller {
 		opt(c)
 	}
 	if c.autoProtect {
-		// Protection trees use the base weight, never the failure-priced
+		// Protection trees use the hop weight, never the failure-priced
 		// one: like the canned sets, planned protection is static state
 		// the data plane deflects over, not a reactive detour.
-		c.planner = core.NewPlanner(c.g, c.weight)
+		c.planner = core.NewPlanner(c.g, topology.HopWeight)
 	}
 	return c
 }
@@ -203,18 +196,18 @@ func (c *Controller) autoProtection(path topology.Path, explicit []core.Hop) ([]
 // Graph returns the controller's topology.
 func (c *Controller) Graph() *topology.Graph { return c.g }
 
-// pathWeight wraps the configured weight, pricing failed links out of
-// the market when failure reaction is enabled.
+// pathWeight is the hop weight, with failed links priced out of the
+// market when failure reaction is enabled.
 func (c *Controller) pathWeight() topology.WeightFunc {
 	if !c.reactToFailures || len(c.failed) == 0 {
-		return c.weight
+		return topology.HopWeight
 	}
 	const prohibitive = 1e12
 	return func(l *topology.Link) float64 {
 		if c.failed[l] {
 			return prohibitive
 		}
-		return c.weight(l)
+		return topology.HopWeight(l)
 	}
 }
 
@@ -529,7 +522,7 @@ func (c *Controller) reroute(affected []pair) error {
 	}
 	results := make([]result, len(affected))
 	weight := c.pathWeight()
-	compute := func(i int) {
+	compute := func(_, i int) {
 		k := affected[i]
 		e := c.entries[k]
 		path, err := topology.ShortestPath(c.g, k.src, k.dst, weight)
@@ -558,31 +551,7 @@ func (c *Controller) reroute(affected []pair) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(affected) {
-		workers = len(affected)
-	}
-	if workers <= 1 {
-		for i := range affected {
-			compute(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(affected) {
-						return
-					}
-					compute(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	par.ForEach(context.TODO(), len(affected), workers, compute)
 
 	var errs []error
 	for i, k := range affected {

@@ -1,15 +1,16 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/deflect"
 	"repro/internal/measure"
+	"repro/internal/par"
 	"repro/internal/tcpsim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -152,50 +153,41 @@ func Fig4(cfg Fig4Config) ([]Fig4Series, error) {
 	total := cfg.PreFailure + cfg.FailureFor + cfg.PostRepair
 	out := make([]Fig4Series, len(cfg.Policies))
 	errs := make([]error, len(cfg.Policies))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for i, policy := range cfg.Policies {
-		i, policy := i, policy
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := RunTCP(TCPRunConfig{
-				Graph:            topology.Net15,
-				Policy:           policy,
-				Metrics:          cfg.Metrics,
-				Trace:            cfg.Trace,
-				Scalar:           cfg.Scalar,
-				Seed:             cfg.Seed + int64(i),
-				Src:              "AS1",
-				Dst:              "AS3",
-				Protection:       topology.Net15FullProtection,
-				ReverseBitBudget: reverseBudget("full"),
-				Failures: []FailureSpec{{
-					A: "SW7", B: "SW13", From: cfg.PreFailure, Duration: cfg.FailureFor,
-				}},
-				Duration:    total,
-				SampleEvery: cfg.SampleEvery,
-				TCP:         net15TCP(),
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			warm := cfg.PreFailure / 10
-			out[i] = Fig4Series{
-				Policy:     policy,
-				Goodput:    res.Goodput,
-				PreMbps:    res.MeanMbps(warm, cfg.PreFailure),
-				DuringMbps: res.MeanMbps(cfg.PreFailure+cfg.SampleEvery, cfg.PreFailure+cfg.FailureFor),
-				PostMbps:   res.MeanMbps(cfg.PreFailure+cfg.FailureFor+2*cfg.SampleEvery, total),
-				Sender:     res.Sender,
-				Receiver:   res.Receiver,
-			}
-		}()
-	}
-	wg.Wait()
+	par.ForEach(context.TODO(), len(cfg.Policies), cfg.Workers, func(_, i int) {
+		policy := cfg.Policies[i]
+		res, err := RunTCP(TCPRunConfig{
+			Graph:            topology.Net15,
+			Policy:           policy,
+			Metrics:          cfg.Metrics,
+			Trace:            cfg.Trace,
+			Scalar:           cfg.Scalar,
+			Seed:             cfg.Seed + int64(i),
+			Src:              "AS1",
+			Dst:              "AS3",
+			Protection:       topology.Net15FullProtection,
+			ReverseBitBudget: reverseBudget("full"),
+			Failures: []FailureSpec{{
+				A: "SW7", B: "SW13", From: cfg.PreFailure, Duration: cfg.FailureFor,
+			}},
+			Duration:    total,
+			SampleEvery: cfg.SampleEvery,
+			TCP:         net15TCP(),
+		})
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		warm := cfg.PreFailure / 10
+		out[i] = Fig4Series{
+			Policy:     policy,
+			Goodput:    res.Goodput,
+			PreMbps:    res.MeanMbps(warm, cfg.PreFailure),
+			DuringMbps: res.MeanMbps(cfg.PreFailure+cfg.SampleEvery, cfg.PreFailure+cfg.FailureFor),
+			PostMbps:   res.MeanMbps(cfg.PreFailure+cfg.FailureFor+2*cfg.SampleEvery, total),
+			Sender:     res.Sender,
+			Receiver:   res.Receiver,
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -1,14 +1,15 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/edge"
 	"repro/internal/measure"
 	"repro/internal/packet"
+	"repro/internal/par"
 	"repro/internal/tcpsim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -66,7 +67,7 @@ type TCPRunConfig struct {
 	Trace *trace.Collector
 	// Scalar disables the batched data plane (karsim -batch=false).
 	// Results are byte-identical either way; this is the comparison
-	// baseline for the check.sh identity gate and the benchmarks.
+	// baseline for the determinism matrix and the benchmarks.
 	Scalar bool
 }
 
@@ -235,32 +236,18 @@ func RunTCPRepeats(cfg TCPRunConfig, spec RepeatSpec) ([]float64, error) {
 		spec.To = cfg.Duration
 	}
 
-	type job struct{ idx int }
 	results := make([]float64, spec.Runs)
 	errs := make([]error, spec.Runs)
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < spec.Workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				runCfg := cfg
-				runCfg.Seed = spec.BaseSeed + int64(j.idx)*1_000_003
-				res, err := RunTCP(runCfg)
-				if err != nil {
-					errs[j.idx] = err
-					continue
-				}
-				results[j.idx] = res.MeanMbps(spec.From, spec.To)
-			}
-		}()
-	}
-	for i := 0; i < spec.Runs; i++ {
-		jobs <- job{idx: i}
-	}
-	close(jobs)
-	wg.Wait()
+	par.ForEach(context.TODO(), spec.Runs, spec.Workers, func(_, i int) {
+		runCfg := cfg
+		runCfg.Seed = spec.BaseSeed + int64(i)*1_000_003
+		res, err := RunTCP(runCfg)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		results[i] = res.MeanMbps(spec.From, spec.To)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

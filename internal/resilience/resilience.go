@@ -29,7 +29,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/analysis"
@@ -37,6 +36,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/deflect"
 	"repro/internal/packet"
+	"repro/internal/par"
 	"repro/internal/rns"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -266,9 +266,7 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 		policies = []string{"none", "hp", "avp", "nip"}
 	}
 	for _, p := range policies {
-		switch p {
-		case "none", "hp", "avp", "nip", "dtree":
-		default:
+		if _, ok := deflect.ByName(p); !ok {
 			return nil, fmt.Errorf("resilience: %q: %w", p, analysis.ErrPolicyUnsupported)
 		}
 	}
@@ -359,34 +357,20 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > nF {
-		workers = nF
+	// Per-worker scratch, made on the worker's first failure set.
+	type scratch struct {
+		comp      []int32
+		analyzers []*analysis.Analyzer
 	}
-	var next atomic.Int64
-	work := func() {
-		comp := make([]int32, nodes)
-		analyzers := make([]*analysis.Analyzer, nP)
-		for ctx.Err() == nil {
-			f := int(next.Add(1)) - 1
-			if f >= nF {
-				return
-			}
-			analyze(f, comp, analyzers)
+	scr := make([]scratch, max(workers, 1))
+	par.ForEach(ctx, nF, workers, func(w, f int) {
+		s := &scr[w]
+		if s.comp == nil {
+			s.comp = make([]int32, nodes)
+			s.analyzers = make([]*analysis.Analyzer, nP)
 		}
-	}
-	if workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
-	}
+		analyze(f, s.comp, s.analyzers)
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

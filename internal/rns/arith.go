@@ -14,9 +14,6 @@ func GCD(a, b uint64) uint64 {
 	return a
 }
 
-// Coprime reports whether a and b share no common factor greater than 1.
-func Coprime(a, b uint64) bool { return GCD(a, b) == 1 }
-
 // CheckPairwiseCoprime validates that every pair in ids is coprime and
 // every id is at least 2. It returns a *CoprimeError (wrapping
 // ErrNotCoprime) naming the first offending pair, or an error wrapping

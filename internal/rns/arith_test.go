@@ -51,11 +51,11 @@ func TestGCDCommutativeAndDivides(t *testing.T) {
 }
 
 func TestCoprime(t *testing.T) {
-	if !Coprime(4, 27) {
-		t.Error("Coprime(4, 27) = false, want true")
+	if GCD(4, 27) != 1 {
+		t.Error("GCD(4, 27) != 1, want coprime")
 	}
-	if Coprime(10, 15) {
-		t.Error("Coprime(10, 15) = true, want false")
+	if GCD(10, 15) == 1 {
+		t.Error("GCD(10, 15) = 1, want a shared factor")
 	}
 }
 

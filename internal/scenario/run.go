@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/packet"
+	"repro/internal/par"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -180,37 +180,17 @@ func RunContext(ctx context.Context, spec *Spec, opts RunOptions) (*Verdict, err
 	if workers <= 0 {
 		workers = 4
 	}
-	if workers > runs {
-		workers = runs
-	}
 
 	results := make([]RunResult, runs)
 	errs := make([]error, runs)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					errs[i] = ctx.Err()
-					continue
-				}
-				res, err := runOne(ctx, spec, i, &opts)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i] = *res
-			}
-		}()
-	}
-	for i := 0; i < runs; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	par.ForEach(ctx, runs, workers, func(_, i int) {
+		res, err := runOne(ctx, spec, i, &opts)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		results[i] = *res
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -309,15 +289,6 @@ func runVerifySweep(ctx context.Context, spec *Spec, opts RunOptions) (*VerifyRe
 	}
 	res.Pass = len(res.Violations) == 0
 	return res, nil
-}
-
-// RunFile loads path and runs it.
-func RunFile(path string, opts RunOptions) (*Verdict, error) {
-	spec, err := Load(path)
-	if err != nil {
-		return nil, err
-	}
-	return Run(spec, opts)
 }
 
 func runOne(ctx context.Context, spec *Spec, idx int, opts *RunOptions) (*RunResult, error) {

@@ -12,9 +12,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
+	"repro/internal/deflect"
 	"repro/internal/fault"
 	"repro/internal/topology"
 )
@@ -245,9 +245,7 @@ func (s *Spec) Validate() error {
 	}
 	if v := s.Verify; v != nil {
 		for _, p := range v.Policies {
-			switch p {
-			case "none", "hp", "avp", "nip", "dtree":
-			default:
+			if _, ok := deflect.ByName(p); !ok {
 				return fmt.Errorf("scenario %s: verify: unknown policy %q", s.Name, p)
 			}
 		}
@@ -311,33 +309,9 @@ func (inj Injection) build(runSeed int64, idx int) (fault.Injector, error) {
 // instance instead of re-running the generator and its coprime-key
 // allocation per world.
 func BuildTopology(name string) (*topology.Graph, error) {
-	if topology.IsSpec(name) {
-		return topology.SharedGraphs.Get(name, func() (*topology.Graph, error) {
-			return topology.FromSpec(name)
-		})
-	}
-	b, ok := topologies[name]
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown topology %q (want one of %v or a generator spec)", name, TopologyNames())
-	}
-	return topology.SharedGraphs.Get(name, b)
-}
-
-var topologies = map[string]func() (*topology.Graph, error){
-	"net15":      topology.Net15,
-	"rnp28":      topology.RNP28,
-	"rnp28-fig8": topology.RNP28Fig8,
-	"fig1":       topology.Fig1,
-}
-
-// TopologyNames lists the known scenario topologies, sorted.
-func TopologyNames() []string {
-	out := make([]string, 0, len(topologies))
-	for n := range topologies {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return topology.SharedGraphs.Get(name, func() (*topology.Graph, error) {
+		return topology.ByName(name)
+	})
 }
 
 // ProtectionPairs resolves a canned protection level for a topology to

@@ -59,8 +59,6 @@ type ScenarioRequest struct {
 	Seed   *int64 `json:"seed,omitempty"`
 	Runs   int    `json:"runs,omitempty"`
 	Shards int    `json:"shards,omitempty"`
-	// Scalar disables the batched data plane (results are identical).
-	Scalar bool `json:"scalar,omitempty"`
 	// Collect retains the job's full simulation telemetry in the live
 	// /metrics exposition (default true). Load generators turn it off
 	// so hundreds of jobs do not accrete registries.
@@ -189,11 +187,9 @@ func buildScenarioJob(req *ScenarioRequest) (func(ctx context.Context, s *Server
 	}
 	collect := req.Collect == nil || *req.Collect
 	workers := req.Workers
-	scalar := req.Scalar
 	return func(ctx context.Context, s *Server, j *Job) ([]byte, error) {
 		opts := scenario.RunOptions{
 			Workers:        s.jobWorkers(workers),
-			Scalar:         scalar,
 			MetricPrefix:   "job=" + j.ID + "/",
 			ExtraRunLabels: []string{"job", j.ID},
 			Progress: func(ev scenario.ProgressEvent) {

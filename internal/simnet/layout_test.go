@@ -29,6 +29,11 @@ func TestLineLayoutSeparatesWriters(t *testing.T) {
 			t.Errorf("%s = %d, not a multiple of %d", c.name, c.off, line)
 		}
 	}
+	// A heap sift swaps whole events; one per cache line keeps a swap
+	// from touching three.
+	if sz := unsafe.Sizeof(event{}); sz != line {
+		t.Errorf("sizeof(event) = %d, want %d", sz, line)
+	}
 	if end := unsafe.Offsetof(l.imp) + unsafe.Sizeof(l.imp); end > line {
 		t.Errorf("Line's per-hop header fields end at %d, past the first cache line", end)
 	}

@@ -124,11 +124,12 @@ type dirState struct {
 	// Sharded execution (see shard.go). lane is the scheduler of the
 	// shard owning the *sending* node — the only lane that may post
 	// this direction's events; dstLane owns the receiving node. ent is
-	// this direction's tie-break entity; noBatch marks cut (cross-
-	// shard) directions, which stay on the scalar two-event path so a
-	// delivery is a self-contained message rather than shared train
-	// state. In a 1-shard world lane == dstLane == the network
-	// scheduler and noBatch is false everywhere.
+	// this direction's tie-break entity. noBatch marks directions whose
+	// deliveries travel as scalar heap events instead of train members:
+	// every direction of a WithScalarDataPlane world, and cut (cross-
+	// shard) directions always, so a delivery there is a self-contained
+	// message rather than shared train state. In a 1-shard world lane ==
+	// dstLane == the network scheduler.
 	lane    *Scheduler
 	dstLane *Scheduler
 	ent     uint32
@@ -141,15 +142,16 @@ type dirState struct {
 
 	// Everything below is written per packet, by the sending lane only.
 	busyUntil time.Duration
-	queued    int
 
 	// Per-packet counters: cells owned by the sending lane, embedded so
 	// a hop writes only lines this direction already owns.
 	sentPackets DeferredCounter
 	sentBytes   DeferredCounter
+	_           [8]byte // train starts on a cache line of its own
 
-	// train is this direction's batched transmission state (batch mode
-	// only; see train.go).
+	// train is this direction's queue record — one member per packet
+	// still holding a queue slot — and, on batched directions, its
+	// undelivered transmissions (see train.go).
 	train train
 }
 
@@ -219,13 +221,12 @@ type LineStats struct {
 // transport. Create with New, Bind a handler per node, then drive the
 // Scheduler.
 type Network struct {
-	sched       *Scheduler
-	topo        *topology.Graph
-	lines       map[*topology.Link]*Line
-	handlers    map[*topology.Node]Handler
-	dropHook    func(Drop)
-	deliverHook func(pkt *packet.Packet, at *topology.Node, inPort int)
-	trace       TraceSink
+	sched    *Scheduler
+	topo     *topology.Graph
+	lines    map[*topology.Link]*Line
+	handlers map[*topology.Node]Handler
+	dropHook func(Drop)
+	trace    TraceSink
 
 	// Detection-latency model: how long after an actual link-state
 	// transition the adjacent switches' local view (PortUp) follows.
@@ -249,21 +250,15 @@ type Network struct {
 	cSends     *telemetry.Counter
 	cDrops     [dropReasonCount + 1]*telemetry.Counter
 
-	// batch selects the packet-train data plane (default on; see
-	// train.go). Scalar mode keeps the original two-events-per-packet
-	// path so check.sh can byte-compare the two.
-	batch bool
-
 	// Sharded execution (see shard.go). lanes[i] is shard i's
-	// scheduler; with one shard, lanes[0] == sched (the legacy single-
-	// loop world). nodeLane maps node insertion index → owning lane
-	// index; lookahead is the conservative window bound (the minimum
-	// propagation delay over cut links); impaired counts lines with an
-	// installed gray impairment (impairments force serialized
-	// execution: their RNG draw order is defined by the global event
-	// order). inWindow is true exactly while shard goroutines run a
-	// parallel window: cross-lane deliveries go through outboxes and
-	// telemetry folds wait for the barrier.
+	// scheduler; with one shard, lanes[0] == sched. nodeLane maps node
+	// insertion index → owning lane index; lookahead is the conservative
+	// window bound (the minimum propagation delay over cut links);
+	// impaired counts lines with an installed gray impairment (their RNG
+	// draw order is defined by the global event order, so no window opens
+	// while one is installed). inWindow is true exactly while shard
+	// goroutines run a parallel window: cross-lane deliveries go through
+	// outboxes and telemetry folds wait for the barrier.
 	lanes     []*Scheduler
 	nodeLane  []int
 	lookahead time.Duration
@@ -310,11 +305,10 @@ func WithDetectionDelay(down, up time.Duration) Option {
 	}
 }
 
-// WithScalarDataPlane disables packet-train batching: every packet
-// costs its own queue-release and delivery events, as before the
-// batched data plane existed. Batched and scalar runs on the same seed
-// produce byte-identical metric dumps and trace exports (check.sh
-// gates on it); scalar mode exists as that oracle and as the perf
+// WithScalarDataPlane disables packet-train batching: every delivery is
+// its own heap event and takes the handler's plain HandlePacket. Batched
+// and scalar runs on the same seed produce byte-identical metric dumps
+// and trace exports; scalar mode exists as that oracle and as the perf
 // baseline.
 func WithScalarDataPlane() Option {
 	return func(c *netConfig) { c.scalar = true }
@@ -324,9 +318,9 @@ func WithScalarDataPlane() Option {
 // shard.go): topology.PartitionRegions assigns every node to a shard,
 // each shard advances on its own scheduler lane, and lanes synchronize
 // conservatively with a lookahead window derived from the minimum
-// cut-link propagation delay. n ≤ 1 (the default) is the legacy
-// single-loop world. Determinism is unaffected by construction: same
-// seed ⇒ byte-identical dumps for every shard count.
+// cut-link propagation delay. n ≤ 1 (the default) is one lane.
+// Determinism is unaffected by construction: same seed ⇒ byte-identical
+// dumps for every shard count.
 func WithShards(n int) Option {
 	return func(c *netConfig) { c.shards = n }
 }
@@ -358,7 +352,6 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 		metrics:    telemetry.NewRegistry(telemetry.WithBaseLabels(cfg.baseLabels...)),
 		detectDown: cfg.detectDown,
 		detectUp:   cfg.detectUp,
-		batch:      !cfg.scalar,
 	}
 	// Tie-break entity layout: 0 is the control plane, 1..len(nodes)
 	// the nodes (per-node timers), then two entities per link (one per
@@ -370,8 +363,7 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	n.nodeLane = topology.PartitionRegions(topo, shards)
 	n.lanes = make([]*Scheduler, shards)
 	if shards == 1 {
-		// Single shard: the data lane IS the control scheduler — the
-		// exact pre-shard world, bit for bit.
+		// Single shard: the data lane is the control scheduler.
 		n.lanes[0] = n.sched
 	} else {
 		// The control lane of a sharded world only ever holds control
@@ -398,7 +390,7 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	// benchmarks).
 	for _, lane := range n.lanes {
 		lane.Reserve(4*len(links)/shards + 64)
-		if n.batch {
+		if !cfg.scalar {
 			lane.trains = make([]trainEnt, 0, 2*len(links)/shards+8)
 		}
 		lane.flush = flush
@@ -447,6 +439,8 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 				inFlightDrops: &inFlightDrops[cell],
 			}
 			ds := &line.dirs[d]
+			ds.train.line, ds.train.dir = line, uint8(d)
+			ds.noBatch = cfg.scalar
 			if ds.lane != ds.dstLane {
 				// Cut direction: deliveries cross shards as scalar
 				// messages, and its propagation delay bounds the
@@ -456,28 +450,19 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 					n.lookahead = line.delay
 				}
 			}
-			if n.batch && !ds.noBatch {
-				tr := &ds.train
-				tr.line, tr.dir = line, uint8(d)
-				tr.members = make([]trainMember, 0, 16)
-			}
 		}
 		n.lines[l] = line
 	}
 	return n
 }
 
-// Shards returns the number of parallel regions this world runs as
-// (1 for the legacy single-loop world).
+// Shards returns the number of parallel regions this world runs as.
 func (n *Network) Shards() int { return len(n.lanes) }
 
 // Lookahead returns the conservative synchronization bound: the
 // minimum propagation delay over links that cross shard boundaries
 // (zero in a 1-shard world, where no link does).
 func (n *Network) Lookahead() time.Duration { return n.lookahead }
-
-// Batching reports whether the packet-train data plane is active.
-func (n *Network) Batching() bool { return n.batch }
 
 // Scheduler returns the network's virtual clock and event queue.
 func (n *Network) Scheduler() *Scheduler { return n.sched }
@@ -502,12 +487,6 @@ func (n *Network) Bind(node *topology.Node, h Handler) {
 // SetDropHook registers a callback invoked on every packet loss
 // (tracing, loss accounting). Pass nil to disable.
 func (n *Network) SetDropHook(fn func(Drop)) { n.dropHook = fn }
-
-// SetDeliverHook registers a callback invoked on every per-node packet
-// delivery (the tcpdump attachment point). Pass nil to disable.
-func (n *Network) SetDeliverHook(fn func(pkt *packet.Packet, at *topology.Node, inPort int)) {
-	n.deliverHook = fn
-}
 
 // SetTraceSink attaches (or, with nil, detaches) the causal flight
 // recorder. Exactly one sink can be attached per world.
@@ -569,25 +548,13 @@ func (n *Network) LinkUp(l *topology.Link) bool { return n.lines[l].Up() }
 // handler. Losses are recorded, never returned — the data plane has
 // nobody to report to.
 func (n *Network) Send(node *topology.Node, i int, pkt *packet.Packet) {
-	n.laneOf(node).sends.Inc()
-	l, ok := node.PortLink(i)
-	if !ok {
+	line, dir := n.LineAt(node, i)
+	if line == nil {
+		n.laneOf(node).sends.Inc()
 		n.Drop(pkt, DropNoPort, fmt.Sprintf("%s:%d", node.Name(), i))
 		return
 	}
-	line := n.lines[l]
-	if line.downRefs > 0 && !line.seenUp {
-		// The sending switch has detected the failure: local drop, as
-		// before. While the failure is still undetected the packet is
-		// accepted and black-holes in flight instead.
-		n.Drop(pkt, DropLinkDown, l.Name())
-		return
-	}
-	dir := 0
-	if l.B() == node {
-		dir = 1
-	}
-	n.enqueue(line, dir, pkt)
+	n.SendOnLine(line, dir, pkt)
 }
 
 // LineAt resolves a node's port to its live line and sending
@@ -611,25 +578,30 @@ func (n *Network) LineAt(node *topology.Node, i int) (*Line, uint8) {
 func (l *Line) SeenUp() bool { return l.seenUp }
 
 // SendOnLine is Send with the port already resolved to its (line,
-// direction) — the batched switch pipeline's exit path. It performs
-// exactly Send's checks and bookkeeping minus the topology lookups.
+// direction) — the batched switch pipeline's exit path, and the tail
+// of Send.
 func (n *Network) SendOnLine(line *Line, dir uint8, pkt *packet.Packet) {
 	line.dirs[dir].lane.sends.Inc()
 	if line.downRefs > 0 && !line.seenUp {
+		// The sending switch has detected the failure: local drop. While
+		// the failure is still undetected the packet is accepted and
+		// black-holes in flight instead.
 		n.Drop(pkt, DropLinkDown, line.link.Name())
 		return
 	}
 	n.enqueue(line, int(dir), pkt)
 }
 
-// enqueue queues pkt on one link direction: tail-drop check, FIFO
-// serialization, then either the scalar pair of scheduler events or a
-// train member append (batch mode). The two arms bump identical
-// counters in identical order and allocate identical tie-break keys
-// from the direction's entity, which is what keeps batched and scalar
-// runs byte-identical. Cut (cross-shard) directions always take the
-// scalar arm; their delivery event is routed to the receiving shard's
-// lane (buffered in the sender's outbox during parallel windows).
+// enqueue queues pkt on one link direction: the tail-drop check against
+// the direction's queue record, FIFO serialization, then a member
+// append. On a batched direction the member is also the delivery (the
+// lane's train heap dispatches it); on a noBatch direction it only
+// holds the queue slot, and the delivery is an evtDeliver heap event —
+// on a cut link routed to the receiving shard's lane (buffered in the
+// sender's outbox during parallel windows). Both arms bump identical
+// counters in identical order and allocate the same two tie-break keys
+// from the direction's entity (slot release, then delivery), which is
+// what keeps batched and scalar runs byte-identical.
 func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	ds := &line.dirs[dir]
 	lane := ds.lane
@@ -643,17 +615,17 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	if n.sched != lane && n.sched.now > now {
 		now, cur = n.sched.now, n.sched.curKey
 	}
-	batch := n.batch && !ds.noBatch
-	if batch {
-		tr := &ds.train
-		line.drainDeq(tr, now, cur)
-		tr.compact()
-		if tr.pendingQueue() >= line.queueCap {
-			ds.queueDrops.Inc()
-			n.Drop(pkt, DropQueueFull, line.link.Name())
-			return
+	tr := &ds.train
+	line.drainDeq(tr, now, cur)
+	if ds.noBatch {
+		// Nothing is delivered out of this ring: a released member is
+		// a dead one.
+		if tr.head = tr.deqHead; tr.head == len(tr.members) {
+			tr.reset()
 		}
-	} else if ds.queued >= line.queueCap {
+	}
+	tr.compact()
+	if tr.pendingQueue() >= line.queueCap {
 		ds.queueDrops.Inc()
 		n.Drop(pkt, DropQueueFull, line.link.Name())
 		return
@@ -672,15 +644,24 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 		n.trace.PacketTx(pkt, line.link.Name(), start-now, txTime)
 	}
 
-	if batch {
-		n.enqueueBatch(line, dir, pkt, done, start)
+	m := trainMember{at: done + line.delay, txStart: start}
+	m.deqKey = lane.allocKey(ds.ent)
+	m.key = lane.allocKey(ds.ent)
+	if tr.members == nil {
+		tr.members = make([]trainMember, 0, 16)
+	}
+	if !ds.noBatch {
+		m.pkt = pkt
+		tr.members = append(tr.members, m)
+		lane.trainMembers++
+		if !tr.active {
+			lane.trainActivate(tr)
+		}
 		return
 	}
-	ds.queued++
-	lane.post(done, ds.ent, event{kind: evtDequeue, ds: ds})
+	tr.members = append(tr.members, m)
 	ev := event{
-		at:   done + line.delay,
-		key:  lane.allocKey(ds.ent),
+		at: m.at, key: m.key,
 		kind: evtDeliver, dir: uint8(dir), line: line, pkt: pkt, txStart: start,
 	}
 	switch {
@@ -693,21 +674,22 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 		// window end, so the receiver cannot have passed it.
 		lane.outbox = append(lane.outbox, outMsg{dst: ds.dstLane, ev: ev})
 	default:
-		// Serialized execution (or between windows): push directly.
+		// Between windows: push directly.
 		ds.dstLane.push(ev)
 	}
 }
 
-// finishTransit completes one evtDeliver: the packet dies if the link
-// failed at any point after its transmission began, then runs the
-// line's gray-failure impairment (if any), and otherwise hands the
-// packet to the endpoint precomputed for this direction.
-func (l *Line) finishTransit(pkt *packet.Packet, dir int, txStart time.Duration) {
-	ds := &l.dirs[dir]
+// transit decides the fate of a packet completing its flight on one
+// direction of l: it dies if the link failed at any point after its
+// transmission began, and otherwise runs the line's gray-failure
+// impairment, if any. alive is false when the packet was dropped (and
+// released); intact is false when its route ID no longer is the one
+// that was sent.
+func (l *Line) transit(ds *dirState, pkt *packet.Packet, txStart time.Duration) (alive, intact bool) {
 	if l.downRefs > 0 || (l.everDown && l.lastDownAt >= txStart) {
 		ds.inFlightDrops.Inc()
 		l.net.Drop(pkt, DropInFlight, l.link.Name())
-		return
+		return false, false
 	}
 	if imp := l.imp; imp != nil {
 		r := imp.Rand.Float64()
@@ -715,14 +697,21 @@ func (l *Line) finishTransit(pkt *packet.Packet, dir int, txStart time.Duration)
 		case r < imp.DropProb:
 			l.cGrayDrops.Inc()
 			l.net.Drop(pkt, DropGray, l.link.Name())
-			return
+			return false, false
 		case r < imp.DropProb+imp.CorruptProb:
-			if !l.corrupt(pkt, imp.Rand) {
-				return // gray-dropped (and released) inside corrupt
-			}
+			return l.corrupt(pkt, imp.Rand), false
 		}
 	}
-	l.net.Deliver(pkt, ds.dst, ds.dstPort)
+	return true, true
+}
+
+// finishTransit completes one evtDeliver: transit, then the endpoint
+// precomputed for this direction.
+func (l *Line) finishTransit(pkt *packet.Packet, dir int, txStart time.Duration) {
+	ds := &l.dirs[dir]
+	if alive, _ := l.transit(ds, pkt, txStart); alive {
+		l.net.Deliver(pkt, ds.dst, ds.dstPort)
+	}
 }
 
 // corrupt flips one random bit of the packet's route ID — the
@@ -763,9 +752,9 @@ func (n *Network) SetImpairment(l *topology.Link, imp *Impairment) {
 		line.cGrayDrops = n.metrics.Counter("kar_fault_gray_drops_total", "link", l.Name())
 		line.cCorrupted = n.metrics.Counter("kar_fault_corrupted_total", "link", l.Name())
 	}
-	// Track how many lines are impaired: any impairment forces a
-	// sharded world onto the serialized driver, because gray RNG draws
-	// must happen in the global event order (see shard.go).
+	// Track how many lines are impaired: while any is, a sharded world
+	// opens no parallel window, because gray RNG draws must happen in
+	// the global event order (see shard.go).
 	switch {
 	case imp != nil && line.imp == nil:
 		n.impaired++
@@ -785,9 +774,6 @@ func (n *Network) Deliver(pkt *packet.Packet, dst *topology.Node, inPort int) {
 	}
 	pkt.Hops++
 	n.laneOf(dst).delivered.Inc()
-	if n.deliverHook != nil {
-		n.deliverHook(pkt, dst, inPort)
-	}
 	h.HandlePacket(pkt, inPort)
 }
 
@@ -933,8 +919,6 @@ func (n *Network) RepairLink(l *topology.Link) {
 	}
 	line.manualHold = false
 	n.releaseDown(line)
-	// Queued counters drain through their already-scheduled dequeue
-	// events; nothing to reset here.
 }
 
 // ScheduleFailure fails the link during [from, from+duration). Each

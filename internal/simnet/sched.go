@@ -14,13 +14,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Event kinds. The two per-packet events of the transport hot path
-// (queue-slot release and delivery) are encoded as typed fields on the
-// event struct rather than closures, so steady-state scheduling never
-// allocates; evtFunc remains for control-plane and user callbacks.
+// Event kinds. The per-packet event of the transport hot path
+// (delivery) is encoded as typed fields on the event struct rather than
+// a closure, so steady-state scheduling never allocates; evtFunc
+// remains for control-plane and user callbacks.
 const (
 	evtFunc    = iota // fn()
-	evtDequeue        // ds.queued--
 	evtDeliver        // in-flight check, then deliver pkt over line/dir
 )
 
@@ -41,10 +40,13 @@ type event struct {
 	dir  uint8 // evtDeliver: line direction index
 
 	fn      func()         // evtFunc
-	ds      *dirState      // evtDequeue
 	line    *Line          // evtDeliver
 	pkt     *packet.Packet // evtDeliver
 	txStart time.Duration  // evtDeliver: serialization start (in-flight kill check)
+
+	// Keeps an event at 64 bytes, one per cache line, so a heap sift's
+	// swaps never straddle lines (layout_test.go pins the size).
+	_ [8]byte
 }
 
 // before is the heap order: time, then composite key.
@@ -88,12 +90,11 @@ type Scheduler struct {
 	ents []uint64
 
 	// curKey is the key of the item currently (or most recently)
-	// dispatched. The batched data plane's lazy dequeue ring compares
-	// against it to decide whether an implicit queue-release with an
-	// equal timestamp would already have run in scalar mode (events at
-	// equal times run in key order). After RunUntil drains everything
-	// ≤ t it is set to idleKey: every release stamped so far has
-	// matured.
+	// dispatched. A link direction's queue record compares against it
+	// to decide whether a slot release with an equal timestamp has
+	// already happened (at equal times things happen in key order).
+	// After RunUntil drains everything ≤ t it is set to idleKey: every
+	// release stamped so far has matured.
 	curKey uint64
 
 	// trains is the second priority lane of the batched data plane: a
@@ -169,12 +170,12 @@ func (s *Scheduler) Reserve(n int) {
 	s.events = q
 }
 
-// allocKey stamps one tie-break key for the given entity. The batched
-// data plane allocates them at exactly the points the scalar plane
-// posts events (one per implicit queue release, one per train member),
+// allocKey stamps one tie-break key for the given entity. A link
+// direction takes two per packet — the queue-slot release, then the
+// delivery — whether the delivery is a train member or a heap event,
 // so tie-break order against every other event is identical in both
-// modes. Entity counters are single-writer: each entity posts only
-// from its own lane's goroutine.
+// data planes. Entity counters are single-writer: each entity posts
+// only from its own lane's goroutine.
 func (s *Scheduler) allocKey(ent uint32) uint64 {
 	if int(ent) >= len(s.ents) {
 		// Standalone scheduler (tests): grow a private counter array.
@@ -198,28 +199,21 @@ func (s *Scheduler) At(t time.Duration, fn func()) {
 	if s.denyPost {
 		panic("simnet: control-plane At/After from inside a parallel shard window; use Network.ClockOf for per-node timers")
 	}
-	s.postFn(t, ctlEntity, fn)
+	s.post(t, ctlEntity, fn)
 }
 
 // After schedules fn d from now.
 func (s *Scheduler) After(d time.Duration, fn func()) { s.At(s.now+d, fn) }
 
-// postFn clamps t, stamps ent's next key and pushes a callback event.
-func (s *Scheduler) postFn(t time.Duration, ent uint32, fn func()) {
-	s.post(t, ent, event{kind: evtFunc, fn: fn})
-}
-
-// post clamps t, stamps ent's next key and pushes e.
-func (s *Scheduler) post(t time.Duration, ent uint32, e event) {
+// post clamps t, stamps ent's next key and pushes a callback event.
+func (s *Scheduler) post(t time.Duration, ent uint32, fn func()) {
 	if t < s.now {
 		t = s.now
 		if s.cPast != nil {
 			s.cPast.Inc()
 		}
 	}
-	e.at = t
-	e.key = s.allocKey(ent)
-	s.push(e)
+	s.push(event{at: t, key: s.allocKey(ent), kind: evtFunc, fn: fn})
 }
 
 // push appends e and sifts it up the 4-ary heap.
@@ -277,8 +271,6 @@ func (s *Scheduler) dispatch(e *event) {
 			s.flush()
 		}
 		e.fn()
-	case evtDequeue:
-		e.ds.queued--
 	case evtDeliver:
 		e.line.finishTransit(e.pkt, int(e.dir), e.txStart)
 	}
@@ -314,7 +306,7 @@ func (s *Scheduler) peekKey() (time.Duration, uint64, bool) {
 }
 
 // stepOnce runs the earliest pending item without the observation-
-// boundary flush (RunUntil and the Network's sharded drivers call it
+// boundary flush (RunUntil and the Network's multi-lane driver call it
 // in a loop and flush at their own boundaries).
 func (s *Scheduler) stepOnce() {
 	if s.trainFirst() {
@@ -412,7 +404,7 @@ type Clock struct {
 func (c Clock) Now() time.Duration { return c.s.now }
 
 // At schedules fn at absolute virtual time t on the node's lane.
-func (c Clock) At(t time.Duration, fn func()) { c.s.postFn(t, c.ent, fn) }
+func (c Clock) At(t time.Duration, fn func()) { c.s.post(t, c.ent, fn) }
 
 // After schedules fn d from the node's current time.
 func (c Clock) After(d time.Duration, fn func()) { c.At(c.s.now+d, fn) }

@@ -45,105 +45,46 @@ import (
 //     same observable bytes as the serialized order.
 //
 // Observers that demand the total global order — the flight recorder,
-// drop/deliver hooks, the event-log tap — and gray impairments (whose
-// RNG draw order is defined by the global event order) force the
-// serialized driver: same lanes, same keys, one goroutine picking the
-// global (at, key) minimum. It produces the identical dispatch
+// the drop hook, the event-log tap — and gray impairments (whose RNG
+// draw order is defined by the global event order) veto windows: while
+// one is attached the driver steps the global (at, key) minimum on one
+// goroutine instead — same lanes, same keys, the identical dispatch
 // sequence, just without the parallelism.
 
 // RunUntil advances the whole world (all shard lanes plus the control
 // plane) to virtual time t. With one shard it is exactly
-// Scheduler.RunUntil; with several it picks the parallel window driver
-// when every observer tolerates it, else the serialized global merge.
-// The driver choice is invisible in every output byte.
+// Scheduler.RunUntil. With several, one loop looks at the global (at,
+// key) minimum across the control lane and every shard lane: a control
+// event, or any item while parallelOK vetoes, is stepped single-
+// threaded (at equal times control sorts first — entity 0); otherwise
+// all lanes concurrently run their items in [m, min(m+W, next control
+// event, t]] and meet at a barrier, where cross-lane deliveries
+// buffered in the window are merged into their destination heaps. The
+// choice is re-made at every step, so an observer or impairment a
+// control event attaches mid-run takes effect at once, and it is
+// invisible in every output byte.
 func (n *Network) RunUntil(t time.Duration) {
 	if len(n.lanes) == 1 {
 		n.sched.RunUntil(t)
 		return
 	}
-	if n.parallelOK() {
-		n.runWindows(t)
-	} else {
-		n.runSerial(t)
-	}
-}
-
-// parallelOK reports whether parallel windows may run: a positive
-// lookahead and no observer or impairment that needs the total global
-// event order.
-func (n *Network) parallelOK() bool {
-	return n.lookahead > 0 &&
-		n.trace == nil &&
-		n.dropHook == nil &&
-		n.deliverHook == nil &&
-		n.impaired == 0 &&
-		!n.events.HasTap()
-}
-
-// peekMin returns the lane with the globally earliest pending (at,
-// key), including the control lane; nil when everything is drained.
-func (n *Network) peekMin() (best *Scheduler, bAt time.Duration, bKey uint64) {
-	if at, key, ok := n.sched.peekKey(); ok {
-		best, bAt, bKey = n.sched, at, key
-	}
-	for _, lane := range n.lanes {
-		at, key, ok := lane.peekKey()
-		if !ok {
-			continue
-		}
-		if best == nil || at < bAt || (at == bAt && key < bKey) {
-			best, bAt, bKey = lane, at, key
-		}
-	}
-	return best, bAt, bKey
-}
-
-// runSerial advances a sharded world on one goroutine by always
-// dispatching the global (at, key) minimum across the control lane
-// and every shard lane — the reference order the parallel driver must
-// (and does) reproduce. The control scheduler's clock is kept at the
-// dispatch time throughout so global observers (trace stamps, drop
-// hooks, the event log's Record) read the right virtual time whichever
-// lane the event ran on.
-func (n *Network) runSerial(t time.Duration) {
-	for {
-		best, bAt, _ := n.peekMin()
-		if best == nil || bAt > t {
-			break
-		}
-		n.sched.now = bAt
-		best.stepOnce()
-	}
-	n.finishRun(t)
-}
-
-// runWindows advances a sharded world with parallel conservative
-// windows: control events run single-threaded whenever one is due at
-// or before the earliest data event (at equal times control sorts
-// first — entity 0 — matching the serialized order); otherwise all
-// lanes concurrently run their events in [m, min(m+W, next control
-// event, t]] and meet at a barrier, where cross-lane deliveries
-// buffered in the window are merged into their destination heaps.
-func (n *Network) runWindows(t time.Duration) {
 	var wg sync.WaitGroup
 	for {
-		ctlAt, _, ctlOK := n.sched.peekKey()
-		var dataMin time.Duration
-		dataAny := false
-		for _, lane := range n.lanes {
-			if at, _, ok := lane.peekKey(); ok && (!dataAny || at < dataMin) {
-				dataMin, dataAny = at, true
-			}
-		}
-		if ctlOK && ctlAt <= t && (!dataAny || ctlAt <= dataMin) {
-			n.sched.stepOnce()
-			continue
-		}
-		if !dataAny || dataMin > t {
+		best, at, _ := n.peekMin()
+		if best == nil || at > t {
 			break
 		}
-		end := dataMin + n.lookahead
-		if ctlOK && ctlAt < end {
+		if best == n.sched || !n.parallelOK() {
+			// The control clock follows every single-threaded step so
+			// global observers (trace stamps, drop hooks, the event
+			// log's Record) read the right virtual time whichever lane
+			// the item ran on.
+			n.sched.now = at
+			best.stepOnce()
+			continue
+		}
+		end := at + n.lookahead
+		if ctlAt, _, ok := n.sched.peekKey(); ok && ctlAt < end {
 			// Windows never span a control event: link state and
 			// experiment phases must interleave at their exact global
 			// position.
@@ -168,14 +109,9 @@ func (n *Network) runWindows(t time.Duration) {
 			lane.drainOutbox()
 		}
 	}
-	n.finishRun(t)
-}
-
-// finishRun advances every lane's clock to t and marks all of them
-// idle (every queue release stamped ≤ t has matured), then surfaces
-// deferred telemetry — the multi-lane mirror of Scheduler.RunUntil's
-// epilogue.
-func (n *Network) finishRun(t time.Duration) {
+	// Every lane's clock moves to t and reads idle (every queue release
+	// stamped ≤ t has matured), and deferred telemetry surfaces — the
+	// multi-lane mirror of Scheduler.RunUntil's epilogue.
 	n.sched.now = t
 	n.sched.curKey = idleKey
 	for _, lane := range n.lanes {
@@ -185,6 +121,35 @@ func (n *Network) finishRun(t time.Duration) {
 		lane.curKey = idleKey
 	}
 	n.flushCounters()
+}
+
+// parallelOK reports whether a parallel window may open: a positive
+// lookahead and no observer or impairment that needs the total global
+// event order.
+func (n *Network) parallelOK() bool {
+	return n.lookahead > 0 &&
+		n.trace == nil &&
+		n.dropHook == nil &&
+		n.impaired == 0 &&
+		!n.events.HasTap()
+}
+
+// peekMin returns the lane with the globally earliest pending (at,
+// key), including the control lane; nil when everything is drained.
+func (n *Network) peekMin() (best *Scheduler, bAt time.Duration, bKey uint64) {
+	if at, key, ok := n.sched.peekKey(); ok {
+		best, bAt, bKey = n.sched, at, key
+	}
+	for _, lane := range n.lanes {
+		at, key, ok := lane.peekKey()
+		if !ok {
+			continue
+		}
+		if best == nil || at < bAt || (at == bAt && key < bKey) {
+			best, bAt, bKey = lane, at, key
+		}
+	}
+	return best, bAt, bKey
 }
 
 // ClockOf returns the scheduling handle for per-node timers: events

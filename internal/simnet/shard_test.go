@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -64,6 +65,13 @@ type shardChain struct {
 
 func newShardChain(t *testing.T, shards int, scalar bool) *shardChain {
 	t.Helper()
+	return newShardChainCutQueue(t, shards, scalar, 32)
+}
+
+// newShardChainCutQueue builds the chain with cutQueue transmission-
+// queue slots per direction of the C2—C3 link (32 on every other).
+func newShardChainCutQueue(t *testing.T, shards int, scalar bool, cutQueue int) *shardChain {
+	t.Helper()
 	g := topology.New("shardchain")
 	if _, err := g.AddEdge("E0"); err != nil {
 		t.Fatal(err)
@@ -89,10 +97,14 @@ func newShardChain(t *testing.T, shards int, scalar bool) *shardChain {
 	}
 	var cut *topology.Link
 	for _, h := range hops {
+		queue := 32
+		if h.a == "C2" {
+			queue = cutQueue
+		}
 		l, err := g.Connect(h.a, h.b,
 			topology.WithRateMbps(100),
 			topology.WithDelay(h.delay),
-			topology.WithQueuePackets(32))
+			topology.WithQueuePackets(queue))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,6 +183,12 @@ func driveChain(t *testing.T, shards int, scalar, fail bool) chainRun {
 	w.burst(w.e1, 2200*time.Microsecond, 500, 3)
 	w.burst(w.e0, 2500*time.Microsecond, 600, 4)
 	w.n.RunUntil(10 * time.Millisecond)
+	return w.result(t)
+}
+
+// result snapshots what a finished run delivered and its metric dump.
+func (w *shardChain) result(t *testing.T) chainRun {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := w.n.Metrics().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -234,17 +252,16 @@ func TestShardDeterminismCutFailure(t *testing.T) {
 	}
 }
 
-// TestShardSerialMatchesParallel pins that the serialized global-merge
-// driver (forced by any total-order observer, here a deliver hook) and
-// the parallel window driver produce identical runs.
+// TestShardSerialMatchesParallel pins that single-threaded global-
+// minimum stepping (forced by any total-order observer, here a drop
+// hook) and parallel windows produce identical runs.
 func TestShardSerialMatchesParallel(t *testing.T) {
 	parallel := driveChain(t, 4, false, false)
 
 	w := newShardChain(t, 4, false)
-	delivered := 0
-	w.n.SetDeliverHook(func(pkt *packet.Packet, at *topology.Node, inPort int) { delivered++ })
+	w.n.SetDropHook(func(d Drop) { t.Errorf("unexpected drop: %v at %s", d.Reason, d.Where) })
 	if w.n.parallelOK() {
-		t.Fatal("deliver hook should force the serialized driver")
+		t.Fatal("a drop hook should veto parallel windows")
 	}
 	w.burst(w.e0, 0, 100, 8)
 	w.burst(w.e1, 700*time.Microsecond, 300, 5)
@@ -259,18 +276,40 @@ func TestShardSerialMatchesParallel(t *testing.T) {
 	w.burst(w.e0, 2500*time.Microsecond, 600, 4)
 	w.n.RunUntil(10 * time.Millisecond)
 
-	serial := chainRun{seq0: w.s0.seqs, seq1: w.s1.seqs, at0: w.s0.ats, at1: w.s1.ats}
-	var buf bytes.Buffer
-	if err := w.n.Metrics().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	checkRunsEqual(t, "serial-vs-parallel", parallel, w.result(t))
+}
+
+// TestMidRunImpairmentSharded: a gray impairment that a control event
+// installs on the cut link in the middle of a RunUntil must stop
+// parallel windows from that instant on — its RNG draws are defined by
+// the global event order, and two lanes deliver over the link. The
+// sharded run must replay the 1-shard run element for element (and,
+// under -race, without both lane goroutines drawing from imp.Rand).
+func TestMidRunImpairmentSharded(t *testing.T) {
+	run := func(shards int) chainRun {
+		w := newShardChain(t, shards, false)
+		for i := 0; i < 20; i++ {
+			at := time.Duration(i) * 400 * time.Microsecond
+			w.burst(w.e0, at, uint64(1000+10*i), 6)
+			w.burst(w.e1, at+50*time.Microsecond, uint64(5000+10*i), 6)
+		}
+		w.n.Scheduler().At(2*time.Millisecond, func() {
+			w.n.SetImpairment(w.cut, &Impairment{
+				DropProb: 0.3, CorruptProb: 0.3, Rand: rand.New(rand.NewSource(11)),
+			})
+		})
+		w.n.RunUntil(20 * time.Millisecond)
+		if p := w.n.Pending(); p != 0 {
+			t.Errorf("shards=%d: %d items pending after a drained run", shards, p)
+		}
+		return w.result(t)
 	}
-	serial.dump = buf.String()
-	checkRunsEqual(t, "serial-vs-parallel", parallel, serial)
-	// The hook sees every per-node delivery, relay hops included, so
-	// it must count at least the end-to-end deliveries.
-	if delivered < len(serial.seq0)+len(serial.seq1) {
-		t.Errorf("deliver hook saw %d packets, sinks saw %d", delivered, len(serial.seq0)+len(serial.seq1))
+	ref := run(1)
+	if sent := 2 * 20 * 6; len(ref.seq0)+len(ref.seq1) >= sent || len(ref.seq0) == 0 || len(ref.seq1) == 0 {
+		t.Fatalf("reference run delivered %d+%d of %d: the impairment must drop some packets in both directions, not all",
+			len(ref.seq0), len(ref.seq1), sent)
 	}
+	checkRunsEqual(t, "mid-run-impairment-shards2", ref, run(2))
 }
 
 // TestShardMidRunReads: telemetry read from the control plane — inside

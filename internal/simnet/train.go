@@ -7,38 +7,40 @@ import (
 	"repro/internal/rns"
 )
 
-// This file is the batched data plane: packet trains. In scalar mode
-// every packet on a link costs two heap events (queue-slot release and
-// delivery). In batch mode (the default) each link direction instead
-// keeps one train — an ordered slice of undelivered members — and the
-// scheduler holds a second, much smaller priority lane of active
-// trains keyed by their next member's (at, seq). The main loop always
-// dispatches the global (at, seq) minimum across both lanes, so a
-// batched run replays the scalar event order exactly; what changes is
-// the cost: advancing a train is one shallow sift among O(active
-// links) trains instead of a push/pop pair in a heap of O(in-flight
-// packets) events, queue releases become a lazily drained ring with no
-// events at all, and a switch-bound train resolves its members' output
-// ports with one amortized rns.ReduceBatch instead of a per-packet
-// policy call.
+// This file is the batched data plane: packet trains. Every link
+// direction keeps one train — an ordered slice with one member per
+// packet it has accepted. The members from deqHead on still hold a
+// transmission-queue slot: that ring is the direction's queue record in
+// both data planes, released lazily (no event) by the next enqueue. On
+// a batched direction the members from head on are also the undelivered
+// transmissions, and the scheduler holds a second, much smaller
+// priority lane of active trains keyed by their next member's (at,
+// key). The main loop always dispatches the global (at, key) minimum
+// across both lanes, so a batched run replays the scalar event order
+// exactly; what changes is the cost: advancing a train is one shallow
+// sift among O(active links) trains instead of a push/pop pair in a
+// heap of O(in-flight packets) events, and a switch-bound train
+// resolves its members' output ports with one amortized
+// rns.ReduceBatch instead of a per-packet policy call. On a noBatch
+// direction (the scalar plane, and cut links always) the delivery is an
+// evtDeliver heap event and the member is only the queue slot.
 //
 // Exactness is by construction, not by luck:
 //
-//   - Sequence parity: enqueueBatch allocates one seq for the implicit
-//     queue release and one for the member at exactly the points the
-//     scalar path posts its evtDequeue/evtDeliver, so every other
-//     event's tie-break key is identical in both modes.
+//   - Key parity: enqueue allocates one key for the queue release and
+//     one for the delivery, in that order, whichever way the delivery
+//     travels, so every other event's tie-break key is identical in
+//     both planes.
 //   - Queue occupancy: the only reader of a direction's queue depth is
 //     the tail-drop check in enqueue. The ring drains entries whose
-//     (release time, seq) precedes the scheduler's current (now,
-//     curSeq) — precisely the releases scalar mode would already have
-//     popped.
+//     (release time, key) precedes the dispatcher's current (now,
+//     curKey) — precisely the releases that have happened.
 //   - Fault semantics: link failures, repairs, detections and gray
 //     windows are scheduler events; because the loop interleaves lanes
-//     in global order, they split trains for free. Each member re-runs
-//     the scalar in-flight kill check at its own delivery instant, and
-//     members delivered while an impairment is installed peel onto the
-//     scalar transit path so RNG draws happen in the scalar order.
+//     in global order, they split trains for free. Every delivery, train
+//     member or heap event, runs Line.transit at its own delivery
+//     instant: the in-flight kill check, then the gray impairment's RNG
+//     draws in the global order.
 //   - Peel-outs: sampled packets take the full scalar switch pipeline
 //     (flight-recorder hooks), corrupted packets invalidate only their
 //     own precomputed residue, and non-batch handlers (edges) receive
@@ -58,10 +60,10 @@ type BatchHandler interface {
 	HandleBatchPacket(pkt *packet.Packet, inPort int, residue uint16)
 }
 
-// trainMember is one queued transmission: the packet, its delivery key
-// (at, key), the key of its implicit queue release (deqKey; its time
-// is at minus the link delay), the serialization start for the
-// in-flight kill check, and the precomputed port residue.
+// trainMember is one queued transmission: its delivery key (at, key),
+// the key of its queue release (deqKey; its time is at minus the link
+// delay) and, on a batched direction, the packet, the serialization
+// start for the in-flight kill check, and the precomputed port residue.
 type trainMember struct {
 	at      time.Duration
 	key     uint64
@@ -72,10 +74,11 @@ type trainMember struct {
 	resOK   bool
 }
 
-// train is one link direction's pending transmissions. members[head:]
-// are undelivered; members[deqHead:] still hold their queue slot;
-// members[:resLen] have residues. The owning lane's train heap holds
-// an entry for it while active.
+// train is one link direction's queue record and pending
+// transmissions. members[deqHead:] still hold their queue slot; on a
+// batched direction members[head:] are undelivered, members[:resLen]
+// have residues, and the owning lane's train heap holds an entry for it
+// while active.
 type train struct {
 	line   *Line
 	dir    uint8
@@ -272,9 +275,8 @@ func (s *Scheduler) stepTrain() {
 
 // --- Line-side train operations -------------------------------------------
 
-// drainDeq releases queue slots whose implicit dequeue — (release
-// time, key) — precedes the owning lane's current dispatch position,
-// exactly the evtDequeue events scalar mode would already have popped.
+// drainDeq releases queue slots whose release — (time, key) — precedes
+// the current dispatch position.
 func (l *Line) drainDeq(tr *train, now time.Duration, cur uint64) {
 	for tr.deqHead < len(tr.members) {
 		m := &tr.members[tr.deqHead]
@@ -308,50 +310,22 @@ func (tr *train) compact() {
 	tr.head = 0
 }
 
-// enqueueBatch is the batch-mode tail of Send/enqueue: stamp the
-// member's keys at the exact points scalar mode posts its two events,
-// append, and activate the train if idle.
-func (n *Network) enqueueBatch(line *Line, dir int, pkt *packet.Packet, done, txStart time.Duration) {
-	ds := &line.dirs[dir]
-	tr := &ds.train
-	deqKey := ds.lane.allocKey(ds.ent)
-	key := ds.lane.allocKey(ds.ent)
-	tr.members = append(tr.members, trainMember{
-		at: done + line.delay, key: key, deqKey: deqKey, txStart: txStart, pkt: pkt,
-	})
-	ds.lane.trainMembers++
-	if !tr.active {
-		ds.lane.trainActivate(tr)
-	}
-}
-
-// deliverMember completes one member's transit: the scalar in-flight
-// kill check at the member's own delivery instant, the gray-impairment
-// peel-out (scalar RNG draw order), then delivery to the cached
-// endpoint — the batched fast lane when the handler takes residues,
-// the plain handler call otherwise.
+// deliverMember completes one member's transit, then delivers to the
+// cached endpoint — the batched fast lane when the handler takes
+// residues, the plain handler call otherwise. The healthy-line test is
+// inline: only a line that is or ever was down, or carries a gray
+// impairment, pays for the transit call (and draws its RNG in the
+// scalar order).
 func (l *Line) deliverMember(tr *train, m *trainMember) {
 	ds := &l.dirs[tr.dir]
 	pkt := m.pkt
-	if l.downRefs > 0 || (l.everDown && l.lastDownAt >= m.txStart) {
-		ds.inFlightDrops.Inc()
-		l.net.Drop(pkt, DropInFlight, l.link.Name())
-		return
-	}
 	resOK := m.resOK
-	if imp := l.imp; imp != nil {
-		r := imp.Rand.Float64()
-		switch {
-		case r < imp.DropProb:
-			l.cGrayDrops.Inc()
-			l.net.Drop(pkt, DropGray, l.link.Name())
+	if l.downRefs != 0 || l.everDown || l.imp != nil {
+		alive, intact := l.transit(ds, pkt, m.txStart)
+		if !alive {
 			return
-		case r < imp.DropProb+imp.CorruptProb:
-			if !l.corrupt(pkt, imp.Rand) {
-				return // gray-dropped (and released) inside corrupt
-			}
-			resOK = false // route ID changed under the residue
 		}
+		resOK = resOK && intact // a corrupted route ID invalidates its residue
 	}
 	if tr.h == nil {
 		tr.resolveEndpoint()
@@ -360,12 +334,8 @@ func (l *Line) deliverMember(tr *train, m *trainMember) {
 			return
 		}
 	}
-	n := l.net
 	pkt.Hops++
 	ds.dstLane.delivered.Inc()
-	if n.deliverHook != nil {
-		n.deliverHook(pkt, ds.dst, ds.dstPort)
-	}
 	if tr.bh != nil && resOK {
 		tr.bh.HandleBatchPacket(pkt, ds.dstPort, m.res)
 		return

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -62,9 +63,6 @@ func newChainWorld(t *testing.T, scalar bool) *chainWorld {
 		opts = append(opts, WithScalarDataPlane())
 	}
 	n := New(g, opts...)
-	if n.Batching() == scalar {
-		t.Fatalf("Batching() = %v with scalar=%v", n.Batching(), scalar)
-	}
 	a, _ := g.Node("A")
 	b, _ := g.Node("B")
 	c, _ := g.Node("C")
@@ -333,7 +331,68 @@ func TestBatchQueueDrainExactness(t *testing.T) {
 			if qDrops != 1 {
 				t.Errorf("queue drops = %d, want 1 (the at-boundary send)", qDrops)
 			}
+			if p := n.Pending(); p != 0 {
+				t.Errorf("%d items pending after a drained run", p)
+			}
 		})
+	}
+	t.Run("cut-link", testCutLinkQueueDrain)
+}
+
+// testCutLinkQueueDrain saturates the four-slot C2—C3 link of the
+// six-node chain from both sides — bursts handed straight to its two
+// senders, among them one at exactly a release instant (48 µs per
+// packet) and one a nanosecond after, plus end-to-end traffic crossing
+// it — and requires the same tail drops and arrival instants whether
+// the link is a cut link (shards=2, where its deliveries are heap
+// events in both planes and its queue record is the only thing the two
+// lanes' sends consult) or not, batched or scalar.
+func testCutLinkQueueDrain(t *testing.T) {
+	run := func(shards int, scalar bool) (chainRun, int64) {
+		w := newShardChainCutQueue(t, shards, scalar, 4)
+		c2, c3 := w.relays[1].node, w.relays[2].node
+		seq := uint64(0)
+		burst := func(at time.Duration, k int) {
+			first := seq
+			seq += uint64(2 * k)
+			w.n.Scheduler().At(at, func() {
+				for i := 0; i < k; i++ {
+					w.n.Send(c2, 1, &packet.Packet{Size: 600, TTL: 16, Seq: first + uint64(i)})
+					w.n.Send(c3, 0, &packet.Packet{Size: 600, TTL: 16, Seq: first + uint64(k+i)})
+				}
+			})
+		}
+		burst(0, 12)
+		burst(96*time.Microsecond, 3)
+		burst(96*time.Microsecond+time.Nanosecond, 3)
+		w.burst(w.e0, 100*time.Microsecond, 100, 20)
+		w.burst(w.e1, 100*time.Microsecond, 200, 20)
+		burst(900*time.Microsecond, 12)
+		w.n.RunUntil(20 * time.Millisecond)
+		if p := w.n.Pending(); p != 0 {
+			t.Errorf("shards=%d scalar=%v: %d items pending after a drained run", shards, scalar, p)
+		}
+		return w.result(t), w.n.LineStats(w.cut).QueueDrops
+	}
+	ref, drops := run(1, true)
+	// By hand, per direction: the first burst fills 4 slots and drops 8;
+	// at 96 µs one slot has been released (the second release is due at
+	// this very instant, after the control event), so 1 of 3 is taken;
+	// a nanosecond later exactly one more is free.
+	if drops < 2*(8+2+2) {
+		t.Fatalf("cut link tail-dropped %d packets, want at least %d", drops, 2*(8+2+2))
+	}
+	if len(ref.seq0) == 0 || len(ref.seq1) == 0 {
+		t.Fatalf("reference run delivered nothing (E0 %d, E1 %d)", len(ref.seq0), len(ref.seq1))
+	}
+	for _, shards := range []int{1, 2} {
+		for _, scalar := range []bool{false, true} {
+			got, gotDrops := run(shards, scalar)
+			if gotDrops != drops {
+				t.Errorf("shards=%d scalar=%v: %d queue drops on the cut link, want %d", shards, scalar, gotDrops, drops)
+			}
+			checkRunsEqual(t, fmt.Sprintf("shards=%d scalar=%v", shards, scalar), ref, got)
+		}
 	}
 }
 

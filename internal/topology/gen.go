@@ -409,6 +409,33 @@ func FromSpec(spec string) (*Graph, error) {
 	}
 }
 
+// canned maps the names of the hand-built topologies to their builders.
+var canned = map[string]func() (*Graph, error){
+	"fig1":       Fig1,
+	"net15":      Net15,
+	"rnp28":      RNP28,
+	"rnp28-fig8": RNP28Fig8,
+}
+
+// ByName builds the topology a name stands for: a canned topology
+// (fig1, net15, rnp28, rnp28-fig8) or a FromSpec generator spec. It is
+// the one name→graph resolution of the repository.
+func ByName(name string) (*Graph, error) {
+	if IsSpec(name) {
+		return FromSpec(name)
+	}
+	build, ok := canned[name]
+	if !ok {
+		names := make([]string, 0, len(canned))
+		for n := range canned {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		return nil, fmt.Errorf("topology: unknown topology %q (want one of %v or a generator spec)", name, names)
+	}
+	return build()
+}
+
 // IsSpec reports whether name looks like a FromSpec generator spec
 // rather than a canned topology name.
 func IsSpec(name string) bool {

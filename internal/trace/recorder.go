@@ -1,3 +1,8 @@
+// Package trace is the simulation's causal flight recorder: a Recorder
+// attached to a network keeps per-packet journey records and the
+// control-plane events of the same virtual timeline in a bounded ring,
+// Journeys and Reactions reconstruct paths and reaction chains from a
+// record stream, and the exporters write it as JSONL or Perfetto.
 package trace
 
 import (

@@ -1,14 +1,12 @@
 package trace_test
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/deflect"
 	"repro/internal/experiment"
 	"repro/internal/packet"
-	"repro/internal/simnet"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/udpsim"
@@ -28,120 +26,74 @@ func buildWorld(t *testing.T) *experiment.World {
 	return w
 }
 
+// TestCaptureRecordsPathHops: the recorder captures one packet's path
+// switch by switch — the hop list a reader of Journeys relies on.
 func TestCaptureRecordsPathHops(t *testing.T) {
 	w := buildWorld(t)
-	cap := trace.New(w.Net, 0, nil)
+	rec := trace.NewRecorder(w.Net, trace.Config{Rate: 1})
 	flow := packet.FlowID{Src: "S", Dst: "D"}
 	send, _ := udpsim.NewFlow(w.Net, w.Edges["S"], w.Edges["D"], flow, udpsim.Config{Count: 1})
 	send.Start()
 	w.Run(time.Second)
 
-	events := cap.Events()
-	// One packet, 4 hops: deliveries at SW4, SW7, SW11, D.
-	if len(events) != 4 {
-		t.Fatalf("captured %d events, want 4:\n%s", len(events), cap)
+	js := trace.Journeys(rec.Records())
+	if len(js) != 1 {
+		t.Fatalf("reconstructed %d journeys, want 1", len(js))
 	}
-	wantWhere := []string{"SW4", "SW7", "SW11", "D"}
-	for i, e := range events {
-		if e.Kind != trace.EventDeliver || e.Where != wantWhere[i] {
-			t.Errorf("event %d = %s at %s, want deliver at %s", i, e.Kind, e.Where, wantWhere[i])
+	j := js[0]
+	// One packet, 4 links: injected at S, forwarded by SW4, SW7, SW11,
+	// delivered at D.
+	wantWhere := []string{"S", "SW4", "SW7", "SW11"}
+	if len(j.Hops) != len(wantWhere) {
+		t.Fatalf("journey has %d hops, want %d: %+v", len(j.Hops), len(wantWhere), j.Hops)
+	}
+	for i, h := range j.Hops {
+		if h.Where != wantWhere[i] {
+			t.Errorf("hop %d at %s, want %s", i, h.Where, wantWhere[i])
 		}
-		if e.Hops != i+1 {
-			t.Errorf("event %d hops = %d, want %d", i, e.Hops, i+1)
+		if i > 0 && h.At <= j.Hops[i-1].At {
+			t.Errorf("hop %d at %v, not after hop %d at %v", i, h.At, i-1, j.Hops[i-1].At)
 		}
 	}
-	if cap.Total() != 4 || cap.Displaced() != 0 {
-		t.Errorf("total/displaced = %d/%d, want 4/0", cap.Total(), cap.Displaced())
+	if j.Outcome != "delivered" || j.Where != "D" || j.HopCount != 4 {
+		t.Errorf("journey ends %s at %s after %d hops, want delivered at D after 4", j.Outcome, j.Where, j.HopCount)
+	}
+	if rec.Evicted() != 0 {
+		t.Errorf("evicted = %d, want 0", rec.Evicted())
 	}
 }
 
-func TestCaptureRecordsDropsAndDeflections(t *testing.T) {
-	w := buildWorld(t)
-	cap := trace.New(w.Net, 0, nil)
-	if err := w.FailLinkBetween("SW7", "SW11", 0, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	flow := packet.FlowID{Src: "S", Dst: "D"}
-	send, _ := udpsim.NewFlow(w.Net, w.Edges["S"], w.Edges["D"], flow, udpsim.Config{Count: 1})
-	send.Start()
-	w.Run(time.Second)
-
-	var sawDeflected bool
-	for _, e := range cap.Events() {
-		if e.Deflected && e.Where == "SW5" {
-			sawDeflected = true
-		}
-	}
-	if !sawDeflected {
-		t.Errorf("no deflected delivery at SW5 captured:\n%s", cap)
-	}
-	out := cap.String()
-	if !strings.Contains(out, "[deflected]") {
-		t.Errorf("rendered capture missing deflected flag:\n%s", out)
-	}
-}
-
-func TestCaptureFilters(t *testing.T) {
-	w := buildWorld(t)
-	cap := trace.New(w.Net, 0, trace.And(
-		trace.FlowFilter(packet.FlowID{Src: "S", Dst: "D"}),
-		trace.NodeFilter("SW7"),
-	))
-	flow := packet.FlowID{Src: "S", Dst: "D"}
-	send, _ := udpsim.NewFlow(w.Net, w.Edges["S"], w.Edges["D"], flow, udpsim.Config{Count: 5, Interval: time.Millisecond})
-	send.Start()
-	w.Run(time.Second)
-	events := cap.Events()
-	if len(events) != 5 {
-		t.Fatalf("captured %d events, want 5 (one per packet at SW7)", len(events))
-	}
-	for _, e := range events {
-		if e.Where != "SW7" {
-			t.Errorf("event at %s leaked through the node filter", e.Where)
-		}
-	}
-}
-
+// TestCaptureRingBuffer: under live traffic the recorder's ring keeps
+// the most recent records, in order, and counts the rest as evicted.
 func TestCaptureRingBuffer(t *testing.T) {
 	w := buildWorld(t)
-	cap := trace.New(w.Net, 8, nil)
+	rec := trace.NewRecorder(w.Net, trace.Config{Rate: 1, Max: 8})
 	flow := packet.FlowID{Src: "S", Dst: "D"}
 	send, _ := udpsim.NewFlow(w.Net, w.Edges["S"], w.Edges["D"], flow, udpsim.Config{Count: 10, Interval: time.Millisecond})
 	send.Start()
 	w.Run(time.Second)
 
-	events := cap.Events()
-	if len(events) != 8 {
-		t.Fatalf("ring holds %d events, want 8", len(events))
+	recs := rec.Records()
+	if len(recs) != 8 {
+		t.Fatalf("ring holds %d records, want 8", len(recs))
 	}
-	if cap.Total() != 40 { // 10 packets × 4 hops
-		t.Errorf("total = %d, want 40", cap.Total())
+	// 10 packets × (1 inject + 3 hops + 4 tx + 1 decap).
+	if rec.Total() != 90 {
+		t.Errorf("total = %d, want 90", rec.Total())
 	}
-	if cap.Displaced() != 32 {
-		t.Errorf("displaced = %d, want 32", cap.Displaced())
+	if rec.Evicted() != 82 {
+		t.Errorf("evicted = %d, want 82", rec.Evicted())
 	}
-	// The ring keeps the most recent events, in order.
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			t.Fatal("ring events out of order")
+	if got := w.Net.Metrics().CounterValue("kar_trace_span_evicted_total"); got != rec.Evicted() {
+		t.Errorf("kar_trace_span_evicted_total = %d, Evicted() = %d", got, rec.Evicted())
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i].At < recs[i-1].At {
+			t.Fatal("ring records out of order")
 		}
 	}
-	last := events[len(events)-1]
-	if last.Where != "D" || last.Seq != 9 {
-		t.Errorf("last event = %+v, want final delivery of seq 9 at D", last)
-	}
-}
-
-func TestDropEventRendering(t *testing.T) {
-	e := trace.Event{
-		At: time.Millisecond, Kind: trace.EventDrop, Where: "SW7",
-		Reason: simnet.DropTTL, Flow: packet.FlowID{Src: "S", Dst: "D"},
-		PktKind: packet.KindData, Seq: 3, Hops: 64,
-	}
-	s := e.String()
-	for _, want := range []string{"DROP(ttl)", "SW7", "seq=3"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("rendered drop %q missing %q", s, want)
-		}
+	last := recs[len(recs)-1]
+	if last.Kind != trace.RecDecap || last.Where != "D" || last.Seq != 9 {
+		t.Errorf("last record = %+v, want the decap of seq 9 at D", last)
 	}
 }

@@ -118,7 +118,7 @@ func TestFlowSetOnOffDelivery(t *testing.T) {
 
 // TestFlowSetDeterminism: the same config produces byte-identical
 // metric dumps on rebuilds, across the scalar/batched data planes, and
-// across shard counts — the property the check.sh gate enforces on the
+// across shard counts — the property TestDeterminismMatrix enforces on the
 // full scale experiment. The dump carries the series whose hot-path
 // cells are split per lane, per pump and per receiver, so this is also
 // the telemetry-identity matrix for the lane-owned folds.

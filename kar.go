@@ -27,7 +27,7 @@
 //   - controller— routing, protection, re-encoding
 //   - tcpsim    — TCP Reno/NewReno endpoints (the paper's iperf)
 //   - udpsim    — CBR flows and delivery/stretch metrics
-//   - trace     — packet capture (the paper's tcpdump)
+//   - trace     — causal flight recorder (the role of the paper's tcpdump)
 //   - analysis  — closed-form Markov analysis of deflection walks
 //   - tablefwd  — stateful fast-failover baseline (Table 2)
 //   - measure   — statistics, confidence intervals, tables

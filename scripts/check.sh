@@ -193,85 +193,10 @@ for want in 'reaction chains' 'detection' 'first delivery' 'Journeys by flow'; d
 done
 echo "trace determinism OK ($(wc -l < "$tmp/t1.jsonl") records, byte-identical across repeats and worker counts)"
 
-echo "==> batch data plane identity (fig4, -batch vs -batch=false, -workers 1 vs 4)"
-# The batched data plane's contract (DESIGN.md §9): packet trains,
-# word-parallel reduction and deferred telemetry are pure mechanics —
-# the same seed must produce byte-identical metric dumps and trace
-# exports with -batch on or off, at any worker count. The batched
-# trace export is compared against t1 above (default -batch).
-"$tmp/karsim" -exp fig4 -seed 1 -workers 1 -batch=false -metrics "$tmp/sc1.prom" > /dev/null
-"$tmp/karsim" -exp fig4 -seed 1 -workers 4 -batch=false -metrics "$tmp/sc4.prom" > /dev/null
-cmp -s "$tmp/w1.prom" "$tmp/sc1.prom" || {
-    echo "FAIL: batched and scalar metrics dumps differ (-workers 1)" >&2
-    exit 1
-}
-cmp -s "$tmp/w3.prom" "$tmp/sc4.prom" || {
-    echo "FAIL: batched and scalar metrics dumps differ across worker counts" >&2
-    exit 1
-}
-"$tmp/karsim" -scenario examples/scenarios/flap-react-net15.json -workers 1 -batch=false -trace-export "$tmp/tsc" > /dev/null
-cmp -s "$tmp/t1.jsonl" "$tmp/tsc.jsonl" || {
-    echo "FAIL: batched and scalar trace exports differ" >&2
-    exit 1
-}
-cmp -s "$tmp/t1.trace.json" "$tmp/tsc.trace.json" || {
-    echo "FAIL: batched and scalar Perfetto exports differ" >&2
-    exit 1
-}
-echo "batch data plane identity OK"
-
-echo "==> shard determinism (scale experiment, -shards 1/2/4, -workers 1/4, -batch on/off)"
-# The sharded engine's contract (DESIGN.md): the same seed produces
-# byte-identical metric dumps and trace exports for every shard count,
-# both data planes, any worker count. The metrics-only runs exercise
-# the parallel window driver (no total-order observer attached); the
-# -trace-export runs force and check the serialized global-merge
-# driver against the same reference.
-scale_args="-exp scale -topo fattree:4 -flows 20000 -pairs 16 -rate 20 -duration 500ms -fail-links 2 -seed 3"
-"$tmp/karsim" $scale_args -shards 1 -metrics "$tmp/sh1.prom" > /dev/null
-"$tmp/karsim" $scale_args -shards 2 -metrics "$tmp/sh2.prom" > /dev/null
-"$tmp/karsim" $scale_args -shards 4 -metrics "$tmp/sh4.prom" > /dev/null
-"$tmp/karsim" $scale_args -shards 4 -workers 4 -metrics "$tmp/sh4w.prom" > /dev/null
-"$tmp/karsim" $scale_args -shards 4 -batch=false -metrics "$tmp/sh4s.prom" > /dev/null
-"$tmp/karsim" $scale_args -shards 2 -batch=false -workers 4 -metrics "$tmp/sh2sw.prom" > /dev/null
-for v in sh2 sh4 sh4w sh4s sh2sw; do
-    cmp -s "$tmp/sh1.prom" "$tmp/$v.prom" || {
-        echo "FAIL: $v metrics dump differs from the 1-shard reference" >&2
-        exit 1
-    }
-    cmp -s "$tmp/sh1.prom.json" "$tmp/$v.prom.json" || {
-        echo "FAIL: $v JSON dump differs from the 1-shard reference" >&2
-        exit 1
-    }
-done
-grep -q '^kar_flowset_received_total{' "$tmp/sh1.prom" || {
-    echo "FAIL: scale dump carries no flow-set delivery counters" >&2
-    exit 1
-}
-"$tmp/karsim" $scale_args -shards 1 -trace-export "$tmp/st1" > /dev/null
-"$tmp/karsim" $scale_args -shards 4 -trace-export "$tmp/st4" > /dev/null
-grep -q '"kind":"hop"' "$tmp/st1.jsonl" || {
-    echo "FAIL: scale trace export carries no hop records" >&2
-    exit 1
-}
-cmp -s "$tmp/st1.jsonl" "$tmp/st4.jsonl" || {
-    echo "FAIL: scale trace exports differ across shard counts" >&2
-    exit 1
-}
-cmp -s "$tmp/st1.trace.json" "$tmp/st4.trace.json" || {
-    echo "FAIL: scale Perfetto exports differ across shard counts" >&2
-    exit 1
-}
-echo "shard determinism OK"
-
-echo "==> go test -race ./internal/simnet/... (sharded engine focused)"
-go test -race -run 'Shard|Window|ClockOf|Determinism' ./internal/simnet/ ./internal/udpsim/
-
-echo "==> go test -race (batch data plane focused)"
-# The batched hot path (trains, deferred counters/histograms, burst
-# forwarding) runs single-goroutine per world by contract; this line
-# proves worker-pool parallelism over batched worlds stays race-free.
-go test -race -run 'Batch|Train|ReduceBatch' ./internal/rns/ ./internal/simnet/ ./internal/kswitch/ ./internal/udpsim/
+# Batch/scalar identity and shard- and worker-count invariance of every
+# metric dump, trace export and scenario verdict are rows of
+# TestDeterminismMatrix (determinism_test.go), which the race pass
+# above has already run in-process.
 
 echo "==> resilience verifier (karsim -verify net15, -workers 1 vs 4)"
 # The exhaustive failure sweep must (a) prove 100% single-failure
@@ -314,6 +239,8 @@ echo "==> series counts (scale and verify dumps carry every registered series)"
 # fattree:4 has 40 links (x2 directions) and 20 switches (x4 deflection
 # causes), and the full-protection avp,nip sweep increments cases,
 # survived and disconnected per policy plus the sweep total.
+"$tmp/karsim" -exp scale -topo fattree:4 -flows 20000 -pairs 16 -rate 20 -duration 500ms -fail-links 2 -seed 3 \
+    -metrics "$tmp/sh1.prom" > /dev/null
 for want in sh1:kar_link_up:40 sh1:kar_link_sent_packets_total:80 sh1:kar_link_sent_bytes_total:80 \
     sh1:kar_link_queue_drops_total:80 sh1:kar_link_inflight_drops_total:80 \
     sh1:kar_switch_received_total:20 sh1:kar_switch_forwards_total:20 sh1:kar_switch_ttl_expired_total:20 \
@@ -331,9 +258,8 @@ echo "==> structured failover determinism (dtree, auto protection)"
 # dtree is fully deterministic: the verify sweep under per-destination
 # auto protection must (a) prove 100% single-failure delivery on every
 # route INCLUDING the AS1-bound reverse direction the canned full set
-# left exposed, (b) emit byte-identical reports at any worker count,
-# and (c) stay byte-identical through the packet-level scenario engine
-# with batching on and off.
+# left exposed and (b) emit byte-identical reports at any worker count.
+# (The packet-level dtree scenario is a row of the determinism matrix.)
 dtree_args="-verify net15 -verify-protection auto -verify-policies nip,dtree -verify-pairs 64"
 "$tmp/karsim" $dtree_args -verify-min 1.0 -workers 1 -verify-json "$tmp/d1.json" > "$tmp/d1.out"
 "$tmp/karsim" $dtree_args -verify-min 1.0 -workers 4 -verify-json "$tmp/d4.json" > "$tmp/d4.out"
@@ -345,48 +271,7 @@ cmp -s "$tmp/d1.json" "$tmp/d4.json" || {
     echo "FAIL: dtree verify JSON reports differ across worker counts" >&2
     exit 1
 }
-cat > "$tmp/dtree.json" <<'EOF'
-{
-  "name": "check-dtree",
-  "topology": "net15",
-  "policy": "dtree",
-  "protection": "auto",
-  "seed": 17,
-  "duration": "40ms",
-  "drain": "10ms",
-  "flows": [
-    {"src": "AS1", "dst": "AS3", "interval": "1ms"},
-    {"src": "AS3", "dst": "AS1", "interval": "1ms"}
-  ],
-  "injections": [
-    {"kind": "link_cut", "link": ["SW7", "SW13"], "start": "10ms"}
-  ],
-  "expect": {"min_delivered": 1, "min_deflections": 1}
-}
-EOF
-"$tmp/karsim" -scenario "$tmp/dtree.json" -workers 1 -verdict-json "$tmp/dv1.json" > /dev/null
-"$tmp/karsim" -scenario "$tmp/dtree.json" -workers 4 -verdict-json "$tmp/dv4.json" > /dev/null
-"$tmp/karsim" -scenario "$tmp/dtree.json" -workers 4 -batch=false -verdict-json "$tmp/dvs.json" > /dev/null
-cmp -s "$tmp/dv1.json" "$tmp/dv4.json" || {
-    echo "FAIL: dtree scenario verdicts differ across worker counts" >&2
-    exit 1
-}
-cmp -s "$tmp/dv1.json" "$tmp/dvs.json" || {
-    echo "FAIL: dtree scenario verdict differs between batched and scalar data planes" >&2
-    exit 1
-}
 echo "structured failover determinism OK"
-
-echo "==> go test -race (deflection + resilience focused)"
-# The deterministic dtree walk and the sweep's worker pool share the
-# planner's memoized destination trees; this focused line keeps that
-# sharing race-clean.
-go test -race ./internal/deflect/ ./internal/resilience/
-
-echo "==> go test -race ./internal/serve/ (service plane focused)"
-# The daemon multiplexes jobs, SSE streamers and drain over shared
-# state; this focused line keeps the full lifecycle race-clean.
-go test -race ./internal/serve/
 
 echo "==> serve daemon smoke (byte identity vs batch CLI, drain)"
 go build -o "$tmp/karload" ./cmd/karload
