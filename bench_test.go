@@ -575,7 +575,7 @@ func BenchmarkFig5ProtectionSweep(b *testing.B) {
 func BenchmarkFig7RNPFailureSweep(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.Fig7(experiment.Fig7Config{
+		rows, err := experiment.Fig7(experiment.RepeatConfig{
 			Runs: 1, RunDuration: 4 * time.Second, WarmUp: time.Second,
 			Seed: int64(i), Workers: 4,
 		})
@@ -597,7 +597,7 @@ func BenchmarkFig7RNPFailureSweep(b *testing.B) {
 func BenchmarkFig8RedundantPath(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.Fig8(experiment.Fig8Config{
+		res, err := experiment.Fig8(experiment.RepeatConfig{
 			Runs: 1, RunDuration: 4 * time.Second, WarmUp: time.Second,
 			Seed: int64(i), Workers: 2,
 		})
@@ -794,7 +794,7 @@ func BenchmarkReduceBatch(b *testing.B) {
 // so the wall-clock cost is the data plane itself — per-hop forwarding
 // plus the scheduler — and the pkts/s metric is total hop deliveries
 // over wall time. The batch/scalar ratio of this metric is the
-// headline speedup scripts/bench.sh records.
+// headline speedup DESIGN.md §9 quotes.
 func fig5PPS(b *testing.B, scalar bool) {
 	policy, ok := PolicyByName("nip")
 	if !ok {
@@ -833,7 +833,7 @@ func fig5PPS(b *testing.B, scalar bool) {
 func BenchmarkFig5PacketsPerSec(b *testing.B) { fig5PPS(b, false) }
 
 // BenchmarkFig5PacketsPerSecScalar is the event-per-packet baseline
-// (karsim -batch=false), kept unoptimized on purpose: the ratio
+// (the scalar test oracle), kept unoptimized on purpose: the ratio
 // measures exactly what train coalescing and ReduceBatch buy.
 func BenchmarkFig5PacketsPerSecScalar(b *testing.B) { fig5PPS(b, true) }
 

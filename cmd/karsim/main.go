@@ -1,28 +1,32 @@
 // Command karsim runs the KAR reproduction experiments — one per
 // table and figure of the paper's evaluation — at full fidelity and
-// prints the resulting tables (optionally CSV).
+// prints the resulting tables (optionally CSV). It has four modes:
 //
-// Usage:
+//	karsim -exp <name>            one experiment of the table in exp.go
+//	karsim -exp all               every experiment that table marks for it
+//	karsim -scenario file.json    a declarative fault scenario
+//	karsim -verify net15          the exhaustive failure-sweep verifier
+//	karsim serve                  the scenario/verify daemon
 //
-//	karsim -exp table1                 # encoding sizes (Table 1)
-//	karsim -exp fig4                   # failure timeline, 30s/30s/30s
+// Examples:
+//
 //	karsim -exp fig5 -runs 30          # protection sweep, 95% CIs
-//	karsim -exp fig7                   # RNP backbone sweep
-//	karsim -exp fig8                   # redundant-path worst case
-//	karsim -exp table2                 # stateless-vs-stateful contrast
-//	karsim -exp coverage               # closed-form walk analysis
 //	karsim -exp all -runs 10 -duration 6s
 //	karsim -exp fig4 -metrics out.prom # + telemetry dump and report
+//	karsim -scenario f.json -seed 99 -runs 3   # the file, overridden
 //
 // Runs are deterministic for a given -seed; with -metrics, two runs
-// with the same seed produce byte-identical dumps.
+// with the same seed produce byte-identical dumps. Worker and shard
+// counts never reach an output byte, and the data plane is always the
+// batched one (the scalar plane is the test suite's oracle, not a
+// mode).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/experiment"
@@ -32,20 +36,25 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "karsim:", err)
 		os.Exit(1)
 	}
 }
 
 type options struct {
+	// out receives everything the run prints.
+	out io.Writer
+	// set names the flags given on the command line: -scenario applies
+	// -seed, -runs and -shards as overrides only when the user set them.
+	set map[string]bool
+
 	exp      string
 	scenario string
 	runs     int
 	duration time.Duration
 	seed     int64
 	workers  int
-	batch    bool
 	csv      bool
 	metrics  string
 	pprof    string
@@ -80,25 +89,24 @@ type options struct {
 	tracer *trace.Collector
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	// Subcommands come before the flag grammar: `karsim serve` turns
 	// the batch simulator into the long-running scenario/verify daemon.
 	if len(args) > 0 && args[0] == "serve" {
 		return runServe(args[1:])
 	}
 	fs := flag.NewFlagSet("karsim", flag.ContinueOnError)
-	opts := options{}
-	fs.StringVar(&opts.exp, "exp", "all", "experiment: table1, fig4, fig5, fig7, fig8, table2, coverage, ablation, reaction, scale, all")
-	fs.StringVar(&opts.scenario, "scenario", "", "run a declarative fault scenario file (JSON, see examples/scenarios/) instead of -exp")
+	opts := options{out: stdout, set: map[string]bool{}}
+	fs.StringVar(&opts.exp, "exp", "all", "experiment: "+experimentNames())
+	fs.StringVar(&opts.scenario, "scenario", "", "run a declarative fault scenario file (JSON, see examples/scenarios/) instead of -exp; -seed, -runs and -shards, when given, override the file's values as the serve daemon's request fields do")
 	fs.IntVar(&opts.runs, "runs", 30, "repetitions for fig5/fig7/fig8 (the paper used 30)")
 	fs.DurationVar(&opts.duration, "duration", 6*time.Second, "virtual duration per fig5/fig7/fig8 run (paper: 5s + ramp)")
 	fs.Int64Var(&opts.seed, "seed", 1, "base random seed")
 	fs.IntVar(&opts.workers, "workers", 0, "parallel simulation workers (0 = one per CPU)")
-	fs.BoolVar(&opts.batch, "batch", true, "batched data plane (packet trains + word-parallel reduction); -batch=false runs the scalar event-per-packet path, results are byte-identical")
 	fs.BoolVar(&opts.csv, "csv", false, "emit CSV instead of aligned tables")
 	fs.StringVar(&opts.metrics, "metrics", "", "write a Prometheus-text metrics dump to this path (plus <path>.json with events) and print a MetricsReport")
 	fs.StringVar(&opts.pprof, "pprof", "", "write runtime profiles to <prefix>.{cpu,heap,mutex,block}.pprof")
-	fs.IntVar(&opts.shards, "shards", 1, "parallel region shards for -exp scale (results are byte-identical for every value)")
+	fs.IntVar(&opts.shards, "shards", 1, "parallel region shards for -exp scale and -scenario (results are byte-identical for every value)")
 	fs.StringVar(&opts.topo, "topo", "", "generated topology spec for -exp scale: fattree:<k>, clos:<leaves>:<spines>, isp:<cores>:<m>:<hosts>:<seed>, rand:<cores>:<extra>:<edges>:<seed>")
 	fs.IntVar(&opts.flows, "flows", 0, "logical flow population for -exp scale (default 100000)")
 	fs.IntVar(&opts.pairs, "pairs", 0, "distinct src/dst host pairs for -exp scale (default 64)")
@@ -108,17 +116,18 @@ func run(args []string) error {
 	fs.StringVar(&opts.traceExport, "trace-export", "", "write flight-recorder traces to <prefix>.jsonl (structured) and <prefix>.trace.json (Perfetto/chrome://tracing)")
 	fs.Float64Var(&opts.traceSample, "trace-sample", 1, "per-flow sampling probability for -trace-export (deterministic flow hash, not an RNG)")
 	fs.IntVar(&opts.traceMax, "trace-max", 0, "retained flight-recorder records per run (0 = default 65536)")
-	fs.StringVar(&opts.verify, "verify", "", "run the exhaustive failure-sweep resilience verifier on this topology (net15, rnp28, rnp28-fig8, fig1, or rand:<cores>:<extra-links>:<edges>:<seed>) instead of -exp")
+	fs.StringVar(&opts.verify, "verify", "", "run the exhaustive failure-sweep resilience verifier on this topology (net15, rnp28, rnp28-fig8, fig1, or a generator spec as for -topo) instead of -exp")
 	fs.StringVar(&opts.verifyProtection, "verify-protection", "none", "protection level for -verify: none, partial, full or auto (per-destination planned trees)")
 	fs.StringVar(&opts.verifyPolicies, "verify-policies", "none,hp,avp,nip", "comma-separated deflection policies for -verify (none, hp, avp, nip, dtree)")
 	fs.StringVar(&opts.verifyRoutes, "verify-routes", "", "comma-separated src:dst routes for -verify (default: every ordered edge pair)")
 	fs.Float64Var(&opts.verifyMin, "verify-min", -1, "fail (exit non-zero) if any route's single-failure survive fraction drops below this")
 	fs.IntVar(&opts.verifyPairs, "verify-pairs", 0, "additionally sample this many two-link failure pairs (seeded by -seed)")
 	fs.StringVar(&opts.verifyJSON, "verify-json", "", "write the -verify report as JSON to this path")
-	fs.StringVar(&opts.verdictJSON, "verdict-json", "", "write the -scenario verdict as JSON to this path (byte-identical to the serve daemon's result for the same spec and seed)")
+	fs.StringVar(&opts.verdictJSON, "verdict-json", "", "write the -scenario verdict as JSON to this path (byte-identical to the serve daemon's result for the same spec, seed and overrides)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	fs.Visit(func(f *flag.Flag) { opts.set[f.Name] = true })
 	if opts.metrics != "" {
 		opts.collector = telemetry.NewCollector()
 	}
@@ -135,304 +144,83 @@ func run(args []string) error {
 	// profiles always written.
 	defer prof.Stop()
 
-	if opts.verify != "" {
-		rep, err := runVerify(opts)
-		if err != nil {
-			return err
-		}
-		if err := writeOutputs(opts); err != nil {
-			return err
-		}
-		if opts.verifyMin >= 0 {
-			if min, worst := rep.MinSurviveFraction(); min < opts.verifyMin {
-				return fmt.Errorf("verify %s: route %s->%s policy=%s survives %.4f of single failures, below -verify-min %.4f",
-					rep.Topology, worst.Src, worst.Dst, worst.Policy, min, opts.verifyMin)
-			}
-		}
-		return nil
+	// Each mode returns its verdict as an error, checked only after the
+	// telemetry the run did produce is on disk.
+	var verdict error
+	switch {
+	case opts.verify != "":
+		verdict, err = runVerify(&opts)
+	case opts.scenario != "":
+		verdict, err = runScenario(&opts)
+	default:
+		err = runExperiments(&opts)
 	}
-
-	if opts.scenario != "" {
-		v, err := runScenario(opts)
-		if err != nil {
-			return err
-		}
-		if err := writeOutputs(opts); err != nil {
-			return err
-		}
-		if !v.Pass {
-			return fmt.Errorf("scenario %s: FAIL", v.Scenario)
-		}
-		return nil
+	if err == nil {
+		err = writeOutputs(&opts)
 	}
-
-	experiments := map[string]func(options) error{
-		"table1":   runTable1,
-		"fig4":     runFig4,
-		"fig5":     runFig5,
-		"fig7":     runFig7,
-		"fig8":     runFig8,
-		"table2":   runTable2,
-		"coverage": runCoverage,
-		"ablation": runAblation,
-		"reaction": runReaction,
-		// scale is deliberately not in `order`: it is sized by its own
-		// flags, not meant to ride along with -exp all.
-		"scale": runScale,
+	if err == nil {
+		err = verdict
 	}
-	order := []string{"table1", "fig4", "fig5", "fig7", "fig8", "table2", "coverage", "ablation", "reaction"}
-
-	if opts.exp == "all" {
-		for _, name := range order {
-			fmt.Printf("==> %s\n", name)
-			if err := experiments[name](opts); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			fmt.Println()
-		}
-		return writeOutputs(opts)
-	}
-	fn, ok := experiments[opts.exp]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (want one of %s, scale, all)", opts.exp, strings.Join(order, ", "))
-	}
-	if err := fn(opts); err != nil {
-		return err
-	}
-	return writeOutputs(opts)
+	return err
 }
 
-// writeOutputs flushes every requested end-of-run artefact: the
-// -metrics dump and the -trace-export files.
-func writeOutputs(opts options) error {
-	if err := writeMetrics(opts); err != nil {
-		return err
-	}
-	return writeTrace(opts)
-}
-
-// writeTrace writes the collected flight-recorder traces as
+// writeOutputs flushes every requested end-of-run artefact: with
+// -metrics the MetricsReport table, the Prometheus-text dump and the
+// JSON snapshot (metrics + per-run event streams); with -trace-export
 // <prefix>.jsonl (structured, kartrace's input) and <prefix>.trace.json
-// (Chrome trace-event JSON, loadable in Perfetto) when -trace-export
-// was given. Run labels, record order and field order are all
-// deterministic, so same-seed exports are byte-identical at any
-// -workers setting.
-func writeTrace(opts options) error {
-	if opts.tracer == nil {
-		return nil
-	}
-	jl, err := os.Create(opts.traceExport + ".jsonl")
-	if err != nil {
-		return err
-	}
-	defer jl.Close()
-	if err := opts.tracer.WriteJSONL(jl); err != nil {
-		return err
-	}
-	pf, err := os.Create(opts.traceExport + ".trace.json")
-	if err != nil {
-		return err
-	}
-	defer pf.Close()
-	return opts.tracer.WritePerfetto(pf)
-}
-
-// writeMetrics renders the MetricsReport table and writes the
-// Prometheus-text dump plus the JSON snapshot (metrics + per-run event
-// streams) when -metrics was given.
-func writeMetrics(opts options) error {
-	if opts.collector == nil {
-		return nil
-	}
-	fmt.Println()
-	emit(opts, experiment.MetricsReport(opts.collector))
-
-	prom, err := os.Create(opts.metrics)
-	if err != nil {
-		return err
-	}
-	defer prom.Close()
-	if err := opts.collector.WritePrometheus(prom); err != nil {
-		return err
-	}
-
-	js, err := os.Create(opts.metrics + ".json")
-	if err != nil {
-		return err
-	}
-	defer js.Close()
-	return opts.collector.WriteJSON(js)
-}
-
-func emit(opts options, tbl *measure.Table) {
-	if opts.csv {
-		fmt.Print(tbl.CSV())
-		return
-	}
-	fmt.Print(tbl.String())
-}
-
-func runTable1(opts options) error {
-	tbl, err := experiment.Table1()
-	if err != nil {
-		return err
-	}
-	emit(opts, tbl)
-	return nil
-}
-
-func runFig4(opts options) error {
-	series, err := experiment.Fig4(experiment.Fig4Config{
-		Seed:    opts.seed,
-		Workers: opts.workers,
-		Metrics: opts.collector,
-		Trace:   opts.tracer,
-		Scalar:  !opts.batch,
-	})
-	if err != nil {
-		return err
-	}
-	emit(opts, experiment.Fig4Table(series))
-	// Also print the timelines the figure plots.
-	for _, s := range series {
-		fmt.Printf("\n# timeline %s (t[s] -> Mb/s)\n", s.Policy)
-		for _, p := range s.Goodput.Points {
-			fmt.Printf("%6.1f %8.2f\n", p.T.Seconds(), p.V)
+// (Chrome trace-event JSON, loadable in Perfetto). Run labels, record
+// order and field order are all deterministic, so same-seed files are
+// byte-identical at any -workers setting.
+func writeOutputs(o *options) error {
+	if o.collector != nil {
+		fmt.Fprintln(o.out)
+		o.print(experiment.MetricsReport(o.collector))
+		if err := writeFile(o.metrics, o.collector.WritePrometheus); err != nil {
+			return err
+		}
+		if err := writeFile(o.metrics+".json", o.collector.WriteJSON); err != nil {
+			return err
 		}
 	}
+	if o.tracer != nil {
+		if err := writeFile(o.traceExport+".jsonl", o.tracer.WriteJSONL); err != nil {
+			return err
+		}
+		return writeFile(o.traceExport+".trace.json", o.tracer.WritePerfetto)
+	}
 	return nil
 }
 
-func runFig5(opts options) error {
-	rows, err := experiment.Fig5(experiment.Fig5Config{
-		Runs:        opts.runs,
-		RunDuration: opts.duration,
-		Seed:        opts.seed,
-		Workers:     opts.workers,
-		Metrics:     opts.collector,
-		Trace:       opts.tracer,
-		Scalar:      !opts.batch,
-	})
+// writeFile creates path and hands it to write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	emit(opts, experiment.Fig5Table(rows))
-	return nil
+	defer f.Close()
+	return write(f)
 }
 
-func runFig7(opts options) error {
-	rows, err := experiment.Fig7(experiment.Fig7Config{
-		Runs:        opts.runs,
-		RunDuration: opts.duration,
-		Seed:        opts.seed,
-		Workers:     opts.workers,
-		Metrics:     opts.collector,
-		Trace:       opts.tracer,
-		Scalar:      !opts.batch,
-	})
-	if err != nil {
-		return err
+// writeDocument writes v to path as a result document, if a path was
+// given.
+func writeDocument(path string, v any) error {
+	if path == "" {
+		return nil
 	}
-	emit(opts, experiment.Fig7Table(rows))
-	return nil
+	return writeFile(path, func(w io.Writer) error { return measure.WriteDocument(w, v) })
 }
 
-func runFig8(opts options) error {
-	res, err := experiment.Fig8(experiment.Fig8Config{
-		Runs:        opts.runs,
-		RunDuration: opts.duration,
-		Seed:        opts.seed,
-		Workers:     opts.workers,
-		Metrics:     opts.collector,
-		Trace:       opts.tracer,
-		Scalar:      !opts.batch,
-	})
-	if err != nil {
-		return err
+// print writes tables separated by blank lines, as aligned text or,
+// under -csv, as CSV.
+func (o *options) print(tables ...*measure.Table) {
+	for i, t := range tables {
+		if i > 0 {
+			fmt.Fprintln(o.out)
+		}
+		if o.csv {
+			io.WriteString(o.out, t.CSV())
+		} else {
+			io.WriteString(o.out, t.String())
+		}
 	}
-	emit(opts, experiment.Fig8Table(res))
-	return nil
-}
-
-func runTable2(opts options) error {
-	emit(opts, experiment.Table2Qualitative())
-	fmt.Println()
-	row, err := experiment.Table2Quantitative()
-	if err != nil {
-		return err
-	}
-	emit(opts, experiment.Table2QuantTable(row))
-	return nil
-}
-
-func runAblation(opts options) error {
-	reno, err := experiment.RenoAblation(opts.seed)
-	if err != nil {
-		return err
-	}
-	emit(opts, experiment.RenoAblationTable(reno))
-	fmt.Println()
-	reaction, err := experiment.ReactionComparison(250*time.Millisecond, opts.seed)
-	if err != nil {
-		return err
-	}
-	emit(opts, experiment.ReactionTable(reaction))
-	return nil
-}
-
-// runReaction is the control-plane experiment: deflection vs a
-// reactive controller doing incremental rerouting. With -metrics, the
-// dump carries the kar_ctrl_reroutes_{recomputed,skipped}_total
-// counters and must be byte-identical across -workers settings —
-// scripts/check.sh gates on exactly that.
-func runReaction(opts options) error {
-	rows, err := experiment.Reaction(experiment.ReactionConfig{
-		ControlDelay: 250 * time.Millisecond,
-		Seed:         opts.seed,
-		Workers:      opts.workers,
-		Metrics:      opts.collector,
-		Trace:        opts.tracer,
-		Scalar:       !opts.batch,
-	})
-	if err != nil {
-		return err
-	}
-	emit(opts, experiment.ReactionTable(rows))
-	return nil
-}
-
-// runScale is the datacenter-scale workload: a generated fabric
-// (fattree:28 ≈ 1k switches), a million-flow population, and -shards
-// parallel regions under conservative lookahead. The metrics dump is
-// byte-identical for every -shards/-workers/-batch combination —
-// TestDeterminismMatrix gates on it.
-func runScale(opts options) error {
-	res, err := experiment.Scale(experiment.ScaleConfig{
-		Topo:      opts.topo,
-		Shards:    opts.shards,
-		Flows:     opts.flows,
-		Pairs:     opts.pairs,
-		Rate:      opts.rate,
-		Arrival:   opts.arrival,
-		FailLinks: opts.failLinks,
-		Duration:  opts.duration,
-		Seed:      opts.seed,
-		Scalar:    !opts.batch,
-		Metrics:   opts.collector,
-		Trace:     opts.tracer,
-	})
-	if err != nil {
-		return err
-	}
-	emit(opts, experiment.ScaleTable(res))
-	return nil
-}
-
-func runCoverage(opts options) error {
-	rows, err := experiment.Coverage(nil)
-	if err != nil {
-		return err
-	}
-	emit(opts, experiment.CoverageTable(rows))
-	return nil
 }

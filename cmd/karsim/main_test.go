@@ -1,0 +1,154 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/scenario"
+	"repro/internal/serve"
+)
+
+// TestExpAllGolden: `-exp all` prints what it printed before the run
+// path was collapsed — testdata/exp_all.golden is the parent commit's
+// output — so the experiment table, the sweep engine and the pool
+// contract hold every figure and every blank line.
+func TestExpAllGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every experiment, ~6 s")
+	}
+	want, err := os.ReadFile("testdata/exp_all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run(strings.Fields("-exp all -runs 2 -duration 2s -seed 7"), &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs from testdata/exp_all.golden:\n got %q\nwant %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, testdata/exp_all.golden %d", len(gl), len(wl))
+	}
+}
+
+// TestUnknownExperiment: the error names every experiment of the table.
+func TestUnknownExperiment(t *testing.T) {
+	err := run([]string{"-exp", "fig6"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "table1, fig4, fig5, fig7, fig8, table2, coverage, ablation, reaction, scale, all") {
+		t.Fatalf("unknown experiment: %v", err)
+	}
+}
+
+// TestNegativeRunsRunsOneSeed: a negative -runs is one seed per cell,
+// as it was before the sweeps shared an engine — not a panic.
+func TestNegativeRunsRunsOneSeed(t *testing.T) {
+	var neg, one bytes.Buffer
+	if err := run(strings.Fields("-exp fig8 -runs -1 -duration 1s -seed 7"), &neg); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(strings.Fields("-exp fig8 -runs 1 -duration 1s -seed 7"), &one); err != nil {
+		t.Fatal(err)
+	}
+	if neg.Len() == 0 || !bytes.Equal(neg.Bytes(), one.Bytes()) {
+		t.Errorf("-runs -1 printed\n%s-runs 1 printed\n%s", &neg, &one)
+	}
+}
+
+// TestScenarioFlagOverrides: -seed and -runs given with -scenario
+// override the file as the daemon's request fields do — same rule, same
+// verdict document — and flags left alone leave the file alone.
+func TestScenarioFlagOverrides(t *testing.T) {
+	const file = "../../examples/scenarios/multi-failure-net15.json"
+	verdictOf := func(flags string) ([]byte, *scenario.Verdict) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "verdict.json")
+		if err := run(strings.Fields("-scenario "+file+" -verdict-json "+path+" "+flags), io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v scenario.Verdict
+		if err := json.Unmarshal(doc, &v); err != nil {
+			t.Fatal(err)
+		}
+		return doc, &v
+	}
+	seeds := func(v *scenario.Verdict) string {
+		var s []int64
+		for _, r := range v.Runs {
+			s = append(s, r.Seed)
+		}
+		return fmt.Sprint(s)
+	}
+
+	if _, v := verdictOf(""); seeds(v) != "[7 1000010]" {
+		t.Errorf("no overrides: runs seeded %s, want the file's [7 1000010]", seeds(v))
+	}
+	cli, v := verdictOf("-seed 99 -runs 3")
+	if seeds(v) != "[99 1000102 2000105]" {
+		t.Errorf("-seed 99 -runs 3: runs seeded %s, want [99 1000102 2000105]", seeds(v))
+	}
+
+	spec, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+	resp, err := http.Post(ts.URL+"/v1/scenarios?wait=1", "application/json",
+		strings.NewReader(`{"spec": `+string(spec)+`, "seed": 99, "runs": 3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st serve.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || st.State != serve.StateDone {
+		t.Fatalf("daemon job: %+v, %v", st, err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cli, daemon) {
+		t.Errorf("verdict documents differ: CLI %d bytes, daemon %d bytes", len(cli), len(daemon))
+	}
+}
+
+// TestHostileScenarioFiles: the two flows that took the daemon down are
+// an error from the CLI too — no panic, no hang.
+func TestHostileScenarioFiles(t *testing.T) {
+	for _, flow := range []string{`"size": -5`, `"interval": "-1ms"`} {
+		path := filepath.Join(t.TempDir(), "hostile.json")
+		spec := `{"name": "hostile", "topology": "net15", "policy": "nip", "duration": "20ms",
+			"flows": [{"src": "AS1", "dst": "AS3", ` + flow + `}]}`
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-scenario", path}, io.Discard); err == nil || !strings.Contains(err.Error(), "must not be negative") {
+			t.Errorf("flow with %s: %v", flow, err)
+		}
+	}
+}

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/measure"
 	"repro/internal/scenario"
@@ -11,70 +9,65 @@ import (
 
 // runScenario executes a declarative fault scenario file and prints
 // its verdict: one row per seeded run with traffic totals, fault
-// counters and any expectation violations. The caller turns a failing
-// verdict into a non-zero exit after telemetry is written.
-func runScenario(opts options) (*scenario.Verdict, error) {
-	spec, err := scenario.Load(opts.scenario)
+// counters and any expectation violations. -seed, -runs and -shards,
+// when the user gave them, override the file's values by the rule the
+// serve daemon applies to its request fields (scenario.Spec.Override),
+// so the verdict document is the daemon's for the same overrides. A
+// failing verdict comes back as the first result, for the caller to
+// return after telemetry is written.
+func runScenario(o *options) (verdict, err error) {
+	spec, err := scenario.Load(o.scenario)
 	if err != nil {
 		return nil, err
 	}
-	v, err := scenario.Run(spec, scenario.RunOptions{
-		Workers: opts.workers,
-		Metrics: opts.collector,
-		Trace:   opts.tracer,
-		Scalar:  !opts.batch,
-	})
+	var seed *int64
+	if o.set["seed"] {
+		seed = &o.seed
+	}
+	given := func(name string, v int) int {
+		if o.set[name] {
+			return v
+		}
+		return 0
+	}
+	spec.Override(seed, given("runs", o.runs), given("shards", o.shards))
+	v, err := scenario.Run(spec, scenario.RunOptions{Workers: o.workers, Metrics: o.collector, Trace: o.tracer})
 	if err != nil {
 		return nil, err
 	}
 
-	fmt.Printf("scenario %s (%s/%s", v.Scenario, v.Topology, v.Policy)
+	fmt.Fprintf(o.out, "scenario %s (%s/%s", v.Scenario, v.Topology, v.Policy)
 	if spec.Description != "" {
-		fmt.Printf(": %s", spec.Description)
+		fmt.Fprintf(o.out, ": %s", spec.Description)
 	}
-	fmt.Println(")")
-	emit(opts, verdictTable(v))
+	fmt.Fprintln(o.out, ")")
+	o.print(verdictTable(v))
 
 	if vr := v.Verify; vr != nil {
-		fmt.Printf("\nresilience sweep (protection=%s, %d routes x %d links, %d cases)\n",
+		fmt.Fprintf(o.out, "\nresilience sweep (protection=%s, %d routes x %d links, %d cases)\n",
 			vr.Report.Protection, vr.Report.Routes, vr.Report.Links, vr.Report.Cases)
-		emit(opts, scoreTable(vr.Report))
+		o.print(scoreTable(vr.Report))
 		for _, viol := range vr.Violations {
-			fmt.Println("violation:", viol)
+			fmt.Fprintln(o.out, "violation:", viol)
 		}
 	}
 
 	for _, r := range v.Runs {
 		if len(r.Phases) > 0 {
-			fmt.Printf("\n# run %d phases\n", r.Run)
-			emit(opts, phaseTable(&r))
+			fmt.Fprintf(o.out, "\n# run %d phases\n", r.Run)
+			o.print(phaseTable(&r))
 		}
 		for _, viol := range r.Violations {
-			fmt.Printf("run %d violation: %s\n", r.Run, viol)
+			fmt.Fprintf(o.out, "run %d violation: %s\n", r.Run, viol)
 		}
 	}
 	if v.Pass {
-		fmt.Println("\nverdict: PASS")
+		fmt.Fprintln(o.out, "\nverdict: PASS")
 	} else {
-		fmt.Println("\nverdict: FAIL")
+		fmt.Fprintln(o.out, "\nverdict: FAIL")
+		verdict = fmt.Errorf("scenario %s: FAIL", v.Scenario)
 	}
-
-	// The encoder settings here define the batch half of the
-	// daemon/CLI byte-identity contract (internal/serve uses the
-	// same); scripts/serve_smoke.sh compares the two documents.
-	if opts.verdictJSON != "" {
-		f, err := os.Create(opts.verdictJSON)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
+	return verdict, writeDocument(o.verdictJSON, v)
 }
 
 func verdictTable(v *scenario.Verdict) *measure.Table {

@@ -1,121 +1,56 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"repro/internal/measure"
 	"repro/internal/resilience"
-	"repro/internal/scenario"
 	"repro/internal/telemetry"
-	"repro/internal/topology"
 )
 
 // runVerify drives the exhaustive failure-sweep resilience verifier:
 // enumerate every single-link failure (plus optional seeded two-link
 // samples) on the chosen topology and score every (route, policy)
-// against it. The caller turns a -verify-min violation into a
-// non-zero exit after telemetry is written.
-func runVerify(opts options) (*resilience.Report, error) {
-	g, err := buildVerifyTopology(opts.verify)
+// against it. resilience.Plan resolves the -verify flag family exactly
+// as the serve daemon resolves a /v1/verify body. A -verify-min
+// violation comes back as the first result, for the caller to return
+// after telemetry is written.
+func runVerify(o *options) (verdict, err error) {
+	policies := strings.FieldsFunc(o.verifyPolicies, func(r rune) bool { return r == ',' || r == ' ' })
+	g, routes, cfg, err := resilience.Plan(o.verify, o.verifyRoutes, policies, o.verifyProtection)
 	if err != nil {
 		return nil, err
 	}
-	routes, err := parseVerifyRoutes(g, opts.verifyRoutes)
+	cfg.Pairs, cfg.PairSeed = o.verifyPairs, o.seed
+	cfg.Workers, cfg.Registry = o.workers, telemetry.NewRegistry()
+	rep, err := resilience.Sweep(g, routes, cfg)
 	if err != nil {
 		return nil, err
 	}
-	protection, err := verifyProtectionPairs(opts.verify, opts.verifyProtection)
-	if err != nil {
-		return nil, err
-	}
-	var policies []string
-	for _, p := range strings.Split(opts.verifyPolicies, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			policies = append(policies, p)
-		}
-	}
+	o.collector.Add("verify/"+rep.Topology, cfg.Registry, nil)
 
-	reg := telemetry.NewRegistry()
-	rep, err := resilience.Sweep(g, routes, resilience.Config{
-		Policies:        policies,
-		Protection:      protection,
-		AutoProtect:     scenario.AutoProtection(opts.verifyProtection),
-		ProtectionLabel: opts.verifyProtection,
-		Pairs:           opts.verifyPairs,
-		PairSeed:        opts.seed,
-		Workers:         opts.workers,
-		Registry:        reg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if opts.collector != nil {
-		opts.collector.Add("verify/"+rep.Topology, reg, nil)
-	}
-
-	fmt.Printf("verify %s (protection=%s, %d routes x %d links", rep.Topology, rep.Protection, rep.Routes, rep.Links)
+	fmt.Fprintf(o.out, "verify %s (protection=%s, %d routes x %d links", rep.Topology, rep.Protection, rep.Routes, rep.Links)
 	if rep.PairsDrawn > 0 {
-		fmt.Printf(" + %d pair samples", rep.PairsDrawn)
+		fmt.Fprintf(o.out, " + %d pair samples", rep.PairsDrawn)
 	}
-	fmt.Printf(", %d cases)\n", rep.Cases)
-	emit(opts, scoreTable(rep))
+	fmt.Fprintf(o.out, ", %d cases)\n", rep.Cases)
+	sections := []*measure.Table{scoreTable(rep)}
 	if len(rep.Totals) > 0 {
-		fmt.Println()
-		emit(opts, totalsTable(rep))
+		sections = append(sections, totalsTable(rep))
 	}
 	if len(rep.Impacts) > 0 {
-		fmt.Println()
-		emit(opts, impactTable(rep))
+		sections = append(sections, impactTable(rep))
 	}
+	o.print(sections...)
 
-	if opts.verifyJSON != "" {
-		f, err := os.Create(opts.verifyJSON)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return nil, err
+	if o.verifyMin >= 0 {
+		if min, worst := rep.MinSurviveFraction(); min < o.verifyMin {
+			verdict = fmt.Errorf("verify %s: route %s->%s policy=%s survives %.4f of single failures, below -verify-min %.4f",
+				rep.Topology, worst.Src, worst.Dst, worst.Policy, min, o.verifyMin)
 		}
 	}
-	return rep, nil
-}
-
-// buildVerifyTopology accepts the scenario topology names plus every
-// topology.FromSpec generator spec ("rand:...", "fattree:<k>",
-// "clos:<leaves>:<spines>", "isp:<cores>:<m>:<hosts>:<seed>") —
-// scenario.BuildTopology resolves both through the shared graph cache.
-func buildVerifyTopology(name string) (*topology.Graph, error) {
-	return scenario.BuildTopology(name)
-}
-
-// verifyProtectionPairs resolves a protection level against the canned
-// per-topology sets. "auto" works on any topology (the controller
-// plans per-destination trees, no static pair list); generated
-// topologies support only "none" and "auto".
-func verifyProtectionPairs(topo, level string) ([][2]string, error) {
-	if level == "" || level == "none" || scenario.AutoProtection(level) {
-		return nil, nil
-	}
-	if topology.IsSpec(topo) {
-		return nil, fmt.Errorf("verify: generated topologies have no canned %q protection set (use \"auto\")", level)
-	}
-	return scenario.ProtectionPairs(topo, level)
-}
-
-// parseVerifyRoutes parses "src:dst[,src:dst...]"; empty means every
-// ordered edge pair. Both grammars live in internal/resilience, shared
-// with the serve daemon's /v1/verify endpoint.
-func parseVerifyRoutes(g *topology.Graph, spec string) ([]resilience.RouteSpec, error) {
-	if spec == "" {
-		return resilience.AllPairRoutes(g)
-	}
-	return resilience.ParseRoutes(spec)
+	return verdict, writeDocument(o.verifyJSON, rep)
 }
 
 func scoreTable(rep *resilience.Report) *measure.Table {

@@ -2,13 +2,13 @@ package kar
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/measure"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -20,7 +20,8 @@ import (
 // Each artefact below is produced in-process in a reference mode and in
 // every other listed mode and byte-compared, so the race detector sees
 // all of it and a new axis value is one more row. (The CLI framing of
-// the same buffers is checked by scripts/check.sh and serve_smoke.sh.)
+// the same buffers is checked by cmd/karsim's tests, scripts/check.sh
+// and serve_smoke.sh.)
 
 // mode is one execution mode: a cell of workers × shards × data plane.
 // A zero field means "the artefact's default".
@@ -101,10 +102,10 @@ func scale(t *testing.T, m mode, metrics *telemetry.Collector, traces *trace.Col
 }
 
 // runSpec runs a scenario spec in mode m.
-func runSpec(t *testing.T, spec *scenario.Spec, m mode, traces *trace.Collector) *scenario.Verdict {
+func runSpec(t *testing.T, spec *scenario.Spec, m mode, metrics *telemetry.Collector, traces *trace.Collector) *scenario.Verdict {
 	t.Helper()
 	spec.Shards = m.shards
-	v, err := scenario.Run(spec, scenario.RunOptions{Workers: m.workers, Scalar: m.scalar, Trace: traces})
+	v, err := scenario.Run(spec, scenario.RunOptions{Workers: m.workers, Scalar: m.scalar, Metrics: metrics, Trace: traces})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +145,47 @@ func TestDeterminismMatrix(t *testing.T) {
 			want:  []string{`kar_switch_deflections_total{cause=`, `kar_flow_stretch_hops_bucket{flow=`},
 		},
 		{
+			// The reactive controller fans reroute recomputes across a
+			// worker pool but installs in deterministic order, and the dump
+			// must carry the incremental-reroute counters.
+			name: "reaction-metrics",
+			produce: func(t *testing.T, m mode) outputs {
+				c := telemetry.NewCollector()
+				_, err := experiment.Reaction(experiment.ReactionConfig{
+					ControlDelay: 250 * time.Millisecond, Seed: 1, Workers: m.workers, Metrics: c,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := outputs{}
+				o.metrics(t, c)
+				return o
+			},
+			modes: []mode{{workers: 1}, {workers: 4}},
+			want: []string{`kar_ctrl_reroutes_recomputed_total{`, `kar_ctrl_reroutes_skipped_total{`,
+				`kar_ctrl_reroute_failures_total{`},
+		},
+		{
+			// The scenario engine's contract: the same file and seed give
+			// the same dumps across repeats (the reference mode twice),
+			// worker counts, shard counts and data planes, with the flap
+			// under the kar_fault_* family and the scenario base label.
+			name: "flap-net15-metrics",
+			produce: func(t *testing.T, m mode) outputs {
+				spec, err := scenario.Load("examples/scenarios/flap-net15.json")
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := telemetry.NewCollector()
+				runSpec(t, spec, m, c, nil)
+				o := outputs{}
+				o.metrics(t, c)
+				return o
+			},
+			modes: []mode{{workers: 1}, {workers: 1}, {workers: 4}, {workers: 4, scalar: true}, {workers: 1, shards: 2}},
+			want:  []string{`kar_fault_injections_total{`, `kar_net_drops_total{`, `scenario="flap-net15"`},
+		},
+		{
 			name: "flap-react-trace",
 			produce: func(t *testing.T, m mode) outputs {
 				spec, err := scenario.Load("examples/scenarios/flap-react-net15.json")
@@ -151,13 +193,17 @@ func TestDeterminismMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				c := trace.NewCollector(trace.Config{Rate: 1})
-				runSpec(t, spec, m, c)
+				runSpec(t, spec, m, nil, c)
 				o := outputs{}
 				o.traces(t, c)
 				return o
 			},
 			modes: []mode{{workers: 1}, {workers: 4}, {workers: 1, scalar: true}, {workers: 4, shards: 2}},
-			want:  []string{`"kind":"hop"`, `"event":"reroute"`, `"name":"reaction:fail SW7-SW13"`},
+			// Both planes of the recorder: every packet record kind and
+			// the control-plane events of one reaction chain.
+			want: []string{`"kind":"inject"`, `"kind":"hop"`, `"kind":"decap"`, `"kind":"ctrl"`,
+				`"event":"link_fail"`, `"event":"reroute"`, `"event":"ingress_install"`,
+				`"name":"reaction:fail SW7-SW13"`},
 		},
 		{
 			name: "scale-metrics",
@@ -191,9 +237,7 @@ func TestDeterminismMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				var buf bytes.Buffer
-				enc := json.NewEncoder(&buf)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(runSpec(t, spec, m, nil)); err != nil {
+				if err := measure.WriteDocument(&buf, runSpec(t, spec, m, nil, nil)); err != nil {
 					t.Fatal(err)
 				}
 				return outputs{"verdict": buf.Bytes()}

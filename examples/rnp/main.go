@@ -48,7 +48,7 @@ func run(args []string) error {
 	fmt.Printf("partial protection (Fig. 6): %v\n\n", topology.RNP28PartialProtection)
 
 	// Measured throughput (the paper's Fig. 7).
-	rows, err := experiment.Fig7(experiment.Fig7Config{
+	rows, err := experiment.Fig7(experiment.RepeatConfig{
 		Runs: *runs, RunDuration: *dur, Seed: *seed,
 	})
 	if err != nil {

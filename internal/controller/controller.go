@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -522,36 +521,28 @@ func (c *Controller) reroute(affected []pair) error {
 	}
 	results := make([]result, len(affected))
 	weight := c.pathWeight()
-	compute := func(_, i int) {
-		k := affected[i]
-		e := c.entries[k]
+	compute := func(k pair) result {
 		path, err := topology.ShortestPath(c.g, k.src, k.dst, weight)
 		if err != nil {
-			results[i] = result{err: err, unreachable: true}
-			return
+			return result{err: err, unreachable: true}
 		}
-		hops := filterHops(e.protection, path)
+		hops := filterHops(c.entries[k].protection, path)
 		if c.autoProtect {
 			// The new path has a new on-route set; re-plan from the cached
 			// destination tree instead of filtering the old plan.
 			if hops, err = c.autoProtection(path, nil); err != nil {
-				results[i] = result{err: err}
-				return
+				return result{err: err}
 			}
 		}
 		route, err := c.enc.EncodeRoute(path, hops)
-		if err != nil {
-			results[i] = result{err: err}
-			return
-		}
-		results[i] = result{route: route}
+		return result{route: route, err: err}
 	}
-
-	workers := c.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	par.ForEach(context.TODO(), len(affected), workers, compute)
+	// A failed recompute is that pair's result, not the pool's error:
+	// the install pass below decides per pair.
+	par.ForEach(context.TODO(), len(affected), c.workers, func(_, i int) error {
+		results[i] = compute(affected[i])
+		return nil
+	})
 
 	var errs []error
 	for i, k := range affected {

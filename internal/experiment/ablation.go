@@ -49,31 +49,26 @@ func RenoAblation(seed int64) ([]RenoAblationRow, error) {
 			return c
 		}()},
 	}
-	rows := make([]RenoAblationRow, 0, len(variants))
-	for _, v := range variants {
-		res, err := RunTCP(TCPRunConfig{
-			Graph:            topology.RNP28,
-			Policy:           "nip",
-			Seed:             seed,
-			Src:              "EDGE-N",
-			Dst:              "EDGE-SP",
-			Protection:       topology.RNP28PartialProtection,
-			ReverseBitBudget: 41,
-			Failures:         []FailureSpec{{A: "SW13", B: "SW41", From: 0, Duration: 12 * time.Second}},
-			Duration:         12 * time.Second,
-			TCP:              v.cfg,
-			Transport:        v.transport,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, RenoAblationRow{
+	cells := make([]sweepCell, len(variants))
+	for i, v := range variants {
+		cells[i] = sweepCell{run: rnpRun(), fail: [2]string{"SW13", "SW41"}}
+		cells[i].run.TCP, cells[i].run.Transport = v.cfg, v.transport
+	}
+	// One 12 s run per variant, all on the same seed, measured after a
+	// 2 s ramp.
+	res, err := runSweep(RepeatConfig{Runs: 1, RunDuration: 12 * time.Second, WarmUp: 2 * time.Second, Seed: seed}, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]RenoAblationRow, len(variants))
+	for i, v := range variants {
+		rows[i] = RenoAblationRow{
 			Transport:  v.name,
-			DuringMbps: res.MeanMbps(2*time.Second, 12*time.Second),
-			FastRetx:   res.Sender.FastRetransmits,
-			Undos:      res.Sender.Undos,
-			Timeouts:   res.Sender.Timeouts,
-		})
+			DuringMbps: res[i].Goodput.Mean,
+			FastRetx:   res[i].Sender.FastRetransmits,
+			Undos:      res[i].Sender.Undos,
+			Timeouts:   res[i].Sender.Timeouts,
+		}
 	}
 	return rows, nil
 }
@@ -120,27 +115,18 @@ type ReactionConfig struct {
 	// Trace, when non-nil, collects each strategy world's
 	// flight-recorder trace under the same label.
 	Trace *trace.Collector
-	// Scalar disables the batched data plane (results are identical).
-	Scalar bool
 }
 
-// ReactionComparison contrasts KAR's data-plane reaction with the
-// "traditional approach" the paper's introduction describes: no
-// deflection, the switch reports the failure, and the controller
-// recomputes routes after a control-plane delay — every in-flight and
-// subsequently sent packet is lost until the new route ID is
-// installed. CBR probes (1 ms spacing) over Net15 with SW7-SW13
-// failing at t=100 ms.
-func ReactionComparison(controlDelay time.Duration, seed int64) ([]ReactionRow, error) {
-	return Reaction(ReactionConfig{ControlDelay: controlDelay, Seed: seed})
-}
-
-// Reaction is ReactionComparison with explicit configuration (worker
-// pool, telemetry collection). The reactive world carries a route for
-// every ordered edge pair — the probes only use AS1→AS3, but the
-// controller's incremental reroute then has a realistic table to skip
-// over, which is what the recomputed-vs-skipped counters in the
-// -metrics dump are about.
+// Reaction contrasts KAR's data-plane reaction with the "traditional
+// approach" the paper's introduction describes: no deflection, the
+// switch reports the failure, and the controller recomputes routes
+// after a control-plane delay — every in-flight and subsequently sent
+// packet is lost until the new route ID is installed. CBR probes (1 ms
+// spacing) over Net15 with SW7-SW13 failing at t=100 ms. The reactive
+// world carries a route for every ordered edge pair — the probes only
+// use AS1→AS3, but the controller's incremental reroute then has a
+// realistic table to skip over, which is what the
+// recomputed-vs-skipped counters in the -metrics dump are about.
 func Reaction(cfg ReactionConfig) ([]ReactionRow, error) {
 	const (
 		probes   = 2000
@@ -167,9 +153,6 @@ func Reaction(cfg ReactionConfig) ([]ReactionRow, error) {
 		var opts []WorldOption
 		if s.reactive {
 			opts = append(opts, WithFailureReaction(), WithControlWorkers(cfg.Workers))
-		}
-		if cfg.Scalar {
-			opts = append(opts, WithScalarDataPlane())
 		}
 		w := NewWorld(g, mustPolicy(s.policy), cfg.Seed, opts...)
 		recorder := cfg.Trace.Attach(w.Net)

@@ -38,9 +38,9 @@ func TestRenoAblation(t *testing.T) {
 // loses everything after the failure.
 func TestReactionComparison(t *testing.T) {
 	const delay = 250 * time.Millisecond
-	rows, err := ReactionComparison(delay, 5)
+	rows, err := Reaction(ReactionConfig{ControlDelay: delay, Seed: 5})
 	if err != nil {
-		t.Fatalf("ReactionComparison: %v", err)
+		t.Fatalf("Reaction: %v", err)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))

@@ -30,7 +30,7 @@ func Coverage(policies []string) ([]CoverageRow, error) {
 
 	// 15-node network: route AS1→AS3, three on-route failures.
 	for _, prot := range []string{"unprotected", "partial", "full"} {
-		pairs, err := protectionPairs(prot)
+		pairs, err := net15Protection(prot)
 		if err != nil {
 			return nil, err
 		}

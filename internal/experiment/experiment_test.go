@@ -137,7 +137,7 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation")
 	}
-	rows, err := Fig7(Fig7Config{Runs: 6, RunDuration: 8 * time.Second, WarmUp: 2 * time.Second, Seed: 42, Workers: 12})
+	rows, err := Fig7(RepeatConfig{Runs: 6, RunDuration: 8 * time.Second, WarmUp: 2 * time.Second, Seed: 42, Workers: 12})
 	if err != nil {
 		t.Fatalf("Fig7: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation")
 	}
-	res, err := Fig8(Fig8Config{Runs: 6, RunDuration: 8 * time.Second, WarmUp: 2 * time.Second, Seed: 42, Workers: 12})
+	res, err := Fig8(RepeatConfig{Runs: 6, RunDuration: 8 * time.Second, WarmUp: 2 * time.Second, Seed: 42, Workers: 12})
 	if err != nil {
 		t.Fatalf("Fig8: %v", err)
 	}

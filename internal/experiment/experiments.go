@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/analysis"
@@ -28,18 +27,14 @@ const (
 func net15TCP() tcpsim.Config { return tcpsim.Config{MaxCwnd: net15MaxCwnd} }
 func rnpTCP() tcpsim.Config   { return tcpsim.Config{MaxCwnd: rnpMaxCwnd} }
 
-// protectionPairs returns the Net15 protection set for a named level.
-func protectionPairs(level string) ([][2]string, error) {
-	switch level {
-	case "unprotected":
-		return nil, nil
-	case "partial":
-		return topology.Net15PartialProtection, nil
-	case "full":
-		return topology.Net15FullProtection, nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown protection level %q", level)
+// net15Protection resolves a protection level to Net15's canned pair
+// set (topology.Protection decides); the figures have no "auto" arm.
+func net15Protection(level string) ([][2]string, error) {
+	pairs, auto, err := topology.Protection("net15", level)
+	if err == nil && auto {
+		err = fmt.Errorf("experiment: protection level %q has no canned pair set", level)
 	}
+	return pairs, err
 }
 
 // reverseBudget mirrors the forward protection level onto the ACK
@@ -74,7 +69,7 @@ func Table1() (*measure.Table, error) {
 		Headers: []string{"Protection mechanism", "Bit length", "Switches in route ID"},
 	}
 	for _, level := range []string{"unprotected", "partial", "full"} {
-		pairs, err := protectionPairs(level)
+		pairs, err := net15Protection(level)
 		if err != nil {
 			return nil, err
 		}
@@ -128,9 +123,6 @@ func (c Fig4Config) defaults() Fig4Config {
 	if len(c.Policies) == 0 {
 		c.Policies = []string{"none", "hp", "avp", "nip"}
 	}
-	if c.Workers == 0 {
-		c.Workers = 4
-	}
 	return c
 }
 
@@ -152,8 +144,7 @@ func Fig4(cfg Fig4Config) ([]Fig4Series, error) {
 	cfg = cfg.defaults()
 	total := cfg.PreFailure + cfg.FailureFor + cfg.PostRepair
 	out := make([]Fig4Series, len(cfg.Policies))
-	errs := make([]error, len(cfg.Policies))
-	par.ForEach(context.TODO(), len(cfg.Policies), cfg.Workers, func(_, i int) {
+	err := par.ForEach(context.TODO(), len(cfg.Policies), cfg.Workers, func(_, i int) error {
 		policy := cfg.Policies[i]
 		res, err := RunTCP(TCPRunConfig{
 			Graph:            topology.Net15,
@@ -174,8 +165,7 @@ func Fig4(cfg Fig4Config) ([]Fig4Series, error) {
 			TCP:         net15TCP(),
 		})
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		warm := cfg.PreFailure / 10
 		out[i] = Fig4Series{
@@ -187,13 +177,9 @@ func Fig4(cfg Fig4Config) ([]Fig4Series, error) {
 			Sender:     res.Sender,
 			Receiver:   res.Receiver,
 		}
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return out, err
 }
 
 // Fig4Table renders phase means per policy.
@@ -212,52 +198,103 @@ func Fig4Table(series []Fig4Series) *measure.Table {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 5 — protection × deflection × failure location sweep.
+// The repeated-run TCP sweeps: Fig. 5, Fig. 7, Fig. 8, the transport
+// ablation.
 
-// Fig5Config scales the sweep; zero values take the paper's 30 runs
-// of 5 s each.
-type Fig5Config struct {
+// RepeatConfig scales a sweep of repeated TCP runs; zero values take
+// the paper's 30 runs of 5 s each after a 1 s ramp.
+type RepeatConfig struct {
 	Runs        int
 	RunDuration time.Duration
 	WarmUp      time.Duration // excluded from each run's mean
 	Seed        int64
-	Workers     int
-	Policies    []string
-	Protections []string
-	Failures    [][2]string
+	// Workers bounds the runs of a cell in flight (0: one per CPU). It
+	// only affects wall clock: each run is an isolated world keyed by
+	// its seed.
+	Workers int
 	// Metrics optionally collects every run's telemetry.
 	Metrics *telemetry.Collector
 	// Trace optionally collects every run's flight-recorder trace.
 	Trace *trace.Collector
-	// Scalar disables the batched data plane (results are identical).
-	Scalar bool
 }
 
-func (c Fig5Config) defaults() Fig5Config {
+func (c RepeatConfig) defaults() RepeatConfig {
 	if c.Runs == 0 {
 		c.Runs = 30
 	}
+	c.Runs = max(c.Runs, 1) // a negative count runs one seed
 	if c.RunDuration == 0 {
 		c.RunDuration = 6 * time.Second
 	}
 	if c.WarmUp == 0 {
 		c.WarmUp = time.Second
 	}
-	if c.Workers == 0 {
-		// Worker count only affects wall clock, never results: each run
-		// is an isolated world keyed by its (deterministic) seed.
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if len(c.Policies) == 0 {
-		c.Policies = []string{"avp", "nip"}
-	}
-	if len(c.Protections) == 0 {
-		c.Protections = []string{"unprotected", "partial", "full"}
-	}
-	if len(c.Failures) == 0 {
-		c.Failures = [][2]string{{"SW10", "SW7"}, {"SW7", "SW13"}, {"SW13", "SW29"}}
-	}
 	return c
+}
+
+// sweepCell is one row of a sweep: a run template, the link that is
+// down for the whole run (zero: none), and the row's offset from the
+// sweep's seed. The sweep supplies seed, duration and collectors.
+type sweepCell struct {
+	run        TCPRunConfig
+	fail       [2]string
+	seedOffset int64
+}
+
+// cellResult summarises a cell: mean goodput over [WarmUp,
+// RunDuration) across its runs, and the first run's sender counters.
+type cellResult struct {
+	Goodput measure.Summary
+	Sender  tcpsim.SenderStats
+}
+
+// runSweep is the one sweep engine: cells in sequence, the pool over a
+// cell's Runs seeds (cell seed + run·1 000 003). cfg has had defaults
+// applied.
+func runSweep(cfg RepeatConfig, cells []sweepCell) ([]cellResult, error) {
+	out := make([]cellResult, len(cells))
+	for c, cell := range cells {
+		run := cell.run
+		run.Duration, run.Metrics, run.Trace = cfg.RunDuration, cfg.Metrics, cfg.Trace
+		if f := cell.fail; f != ([2]string{}) {
+			run.Failures = []FailureSpec{{A: f[0], B: f[1], Duration: cfg.RunDuration}}
+		}
+		means := make([]float64, cfg.Runs)
+		err := par.ForEach(context.TODO(), cfg.Runs, cfg.Workers, func(_, i int) error {
+			run := run
+			run.Seed = cfg.Seed + cell.seedOffset + int64(i)*1_000_003
+			res, err := RunTCP(run)
+			if err != nil {
+				return err
+			}
+			means[i] = res.MeanMbps(cfg.WarmUp, cfg.RunDuration)
+			if i == 0 {
+				out[c].Sender = res.Sender
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		out[c].Goodput = measure.Summarize(means)
+	}
+	return out, nil
+}
+
+// Fig5Config scales the Fig. 5 sweep: RepeatConfig's fields plus the
+// three sweep axes (default: AVP/NIP × the three protection levels ×
+// the three on-route failures).
+type Fig5Config struct {
+	Runs        int
+	RunDuration time.Duration
+	WarmUp      time.Duration
+	Seed        int64
+	Workers     int
+	Policies    []string
+	Protections []string
+	Failures    [][2]string
+	Metrics     *telemetry.Collector
+	Trace       *trace.Collector
 }
 
 // Fig5Row is one bar of the paper's Fig. 5.
@@ -273,49 +310,45 @@ type Fig5Row struct {
 // protection level and deflection technique (AVP/NIP), the failed
 // link down for the whole run.
 func Fig5(cfg Fig5Config) ([]Fig5Row, error) {
-	cfg = cfg.defaults()
+	if len(cfg.Policies) == 0 {
+		cfg.Policies = []string{"avp", "nip"}
+	}
+	if len(cfg.Protections) == 0 {
+		cfg.Protections = []string{"unprotected", "partial", "full"}
+	}
+	if len(cfg.Failures) == 0 {
+		cfg.Failures = [][2]string{{"SW10", "SW7"}, {"SW7", "SW13"}, {"SW13", "SW29"}}
+	}
 	var rows []Fig5Row
+	var cells []sweepCell
 	for _, fail := range cfg.Failures {
 		for _, prot := range cfg.Protections {
-			pairs, err := protectionPairs(prot)
+			pairs, err := net15Protection(prot)
 			if err != nil {
 				return nil, err
 			}
 			for _, policy := range cfg.Policies {
-				runCfg := TCPRunConfig{
-					Graph:            topology.Net15,
-					Policy:           policy,
-					Metrics:          cfg.Metrics,
-					Trace:            cfg.Trace,
-					Scalar:           cfg.Scalar,
-					Src:              "AS1",
-					Dst:              "AS3",
-					Protection:       pairs,
-					ReverseBitBudget: reverseBudget(prot),
-					Failures: []FailureSpec{{
-						A: fail[0], B: fail[1], From: 0, Duration: cfg.RunDuration,
-					}},
-					Duration: cfg.RunDuration,
-					TCP:      net15TCP(),
-				}
-				means, err := RunTCPRepeats(runCfg, RepeatSpec{
-					Runs:     cfg.Runs,
-					BaseSeed: cfg.Seed + int64(len(rows))*7_777_777,
-					Workers:  cfg.Workers,
-					From:     cfg.WarmUp,
-					To:       cfg.RunDuration,
+				cells = append(cells, sweepCell{
+					run: TCPRunConfig{
+						Graph: topology.Net15, Policy: policy, Src: "AS1", Dst: "AS3",
+						Protection: pairs, ReverseBitBudget: reverseBudget(prot), TCP: net15TCP(),
+					},
+					fail:       fail,
+					seedOffset: int64(len(rows)) * 7_777_777,
 				})
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, Fig5Row{
-					Failure:    fail[0] + "-" + fail[1],
-					Protection: prot,
-					Policy:     policy,
-					Goodput:    measure.Summarize(means),
-				})
+				rows = append(rows, Fig5Row{Failure: fail[0] + "-" + fail[1], Protection: prot, Policy: policy})
 			}
 		}
+	}
+	res, err := runSweep(RepeatConfig{
+		Runs: cfg.Runs, RunDuration: cfg.RunDuration, WarmUp: cfg.WarmUp, Seed: cfg.Seed,
+		Workers: cfg.Workers, Metrics: cfg.Metrics, Trace: cfg.Trace,
+	}.defaults(), cells)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		rows[i].Goodput = res[i].Goodput
 	}
 	return rows, nil
 }
@@ -336,39 +369,6 @@ func Fig5Table(rows []Fig5Row) *measure.Table {
 // ---------------------------------------------------------------------------
 // Fig. 7 — RNP national topology failure sweep.
 
-// Fig7Config scales the RNP sweep.
-type Fig7Config struct {
-	Runs        int
-	RunDuration time.Duration
-	WarmUp      time.Duration
-	Seed        int64
-	Workers     int
-	// Metrics optionally collects every run's telemetry.
-	Metrics *telemetry.Collector
-	// Trace optionally collects every run's flight-recorder trace.
-	Trace *trace.Collector
-	// Scalar disables the batched data plane (results are identical).
-	Scalar bool
-}
-
-func (c Fig7Config) defaults() Fig7Config {
-	if c.Runs == 0 {
-		c.Runs = 30
-	}
-	if c.RunDuration == 0 {
-		c.RunDuration = 6 * time.Second
-	}
-	if c.WarmUp == 0 {
-		c.WarmUp = time.Second
-	}
-	if c.Workers == 0 {
-		// As in Fig5Config: parallelism is wall-clock only, results are
-		// seed-determined per run.
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	return c
-}
-
 // Fig7Row is one bar of the paper's Fig. 7.
 type Fig7Row struct {
 	Scenario string // "no failure" or the failed link
@@ -377,55 +377,38 @@ type Fig7Row struct {
 	DropPct float64
 }
 
-// Fig7 regenerates the paper's Fig. 7: the Boa Vista (SW7) → São
-// Paulo (SW73) route on the 28-node RNP backbone with the Fig. 6
-// partial-protection segments and NIP deflection, measured with no
-// failure and with each of three failure locations.
-func Fig7(cfg Fig7Config) ([]Fig7Row, error) {
-	cfg = cfg.defaults()
-	scenarios := []struct {
-		name string
-		fail [][2]string
-	}{
-		{name: "no failure"},
-		{name: "SW7-SW13", fail: [][2]string{{"SW7", "SW13"}}},
-		{name: "SW13-SW41", fail: [][2]string{{"SW13", "SW41"}}},
-		{name: "SW41-SW73", fail: [][2]string{{"SW41", "SW73"}}},
+// rnpRun is the measured flow of Fig. 7 and the transport ablation:
+// Boa Vista (SW7) → São Paulo (SW73) on the 28-node RNP backbone with
+// the Fig. 6 partial-protection segments and NIP deflection.
+func rnpRun() TCPRunConfig {
+	return TCPRunConfig{
+		Graph: topology.RNP28, Policy: "nip", Src: "EDGE-N", Dst: "EDGE-SP",
+		Protection:       topology.RNP28PartialProtection,
+		ReverseBitBudget: 41, // the partial set's own footprint, mirrored
+		TCP:              rnpTCP(),
 	}
-	rows := make([]Fig7Row, 0, len(scenarios))
-	for i, sc := range scenarios {
-		runCfg := TCPRunConfig{
-			Graph:            topology.RNP28,
-			Policy:           "nip",
-			Metrics:          cfg.Metrics,
-			Trace:            cfg.Trace,
-			Scalar:           cfg.Scalar,
-			Src:              "EDGE-N",
-			Dst:              "EDGE-SP",
-			Protection:       topology.RNP28PartialProtection,
-			ReverseBitBudget: 41, // the partial set's own footprint, mirrored
-			Duration:         cfg.RunDuration,
-			TCP:              rnpTCP(),
+}
+
+// Fig7 regenerates the paper's Fig. 7: the rnpRun flow measured with
+// no failure and with each of three failure locations.
+func Fig7(cfg RepeatConfig) ([]Fig7Row, error) {
+	fails := [][2]string{{}, {"SW7", "SW13"}, {"SW13", "SW41"}, {"SW41", "SW73"}}
+	rows := make([]Fig7Row, len(fails))
+	cells := make([]sweepCell, len(fails))
+	for i, f := range fails {
+		rows[i].Scenario = "no failure"
+		if i > 0 {
+			rows[i].Scenario = f[0] + "-" + f[1]
 		}
-		for _, f := range sc.fail {
-			runCfg.Failures = append(runCfg.Failures, FailureSpec{
-				A: f[0], B: f[1], From: 0, Duration: cfg.RunDuration,
-			})
-		}
-		means, err := RunTCPRepeats(runCfg, RepeatSpec{
-			Runs:     cfg.Runs,
-			BaseSeed: cfg.Seed + int64(i)*13_131_313,
-			Workers:  cfg.Workers,
-			From:     cfg.WarmUp,
-			To:       cfg.RunDuration,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig7Row{Scenario: sc.name, Goodput: measure.Summarize(means)})
+		cells[i] = sweepCell{run: rnpRun(), fail: f, seedOffset: int64(i) * 13_131_313}
 	}
-	base := rows[0].Goodput.Mean
+	res, err := runSweep(cfg.defaults(), cells)
+	if err != nil {
+		return nil, err
+	}
+	base := res[0].Goodput.Mean
 	for i := range rows {
+		rows[i].Goodput = res[i].Goodput
 		if base > 0 {
 			rows[i].DropPct = (base - rows[i].Goodput.Mean) / base * 100
 		}
@@ -450,37 +433,6 @@ func Fig7Table(rows []Fig7Row) *measure.Table {
 // ---------------------------------------------------------------------------
 // Fig. 8 — redundant-path worst case.
 
-// Fig8Config scales the redundant-path experiment.
-type Fig8Config struct {
-	Runs        int
-	RunDuration time.Duration
-	WarmUp      time.Duration
-	Seed        int64
-	Workers     int
-	// Metrics optionally collects every run's telemetry.
-	Metrics *telemetry.Collector
-	// Trace optionally collects every run's flight-recorder trace.
-	Trace *trace.Collector
-	// Scalar disables the batched data plane (results are identical).
-	Scalar bool
-}
-
-func (c Fig8Config) defaults() Fig8Config {
-	if c.Runs == 0 {
-		c.Runs = 30
-	}
-	if c.RunDuration == 0 {
-		c.RunDuration = 6 * time.Second
-	}
-	if c.WarmUp == 0 {
-		c.WarmUp = time.Second
-	}
-	if c.Workers == 0 {
-		c.Workers = 8
-	}
-	return c
-}
-
 // Fig8Result reports the measured throughput ratio plus the exact
 // analytic expectation for the retry loop of §3.2.
 type Fig8Result struct {
@@ -498,68 +450,27 @@ type Fig8Result struct {
 // unusable as a default path (single-residue constraint), protection
 // SW71→SW17→SW41 returning deflected packets to SW73, and link
 // SW73–SW107 failing.
-func Fig8(cfg Fig8Config) (*Fig8Result, error) {
-	cfg = cfg.defaults()
+func Fig8(cfg RepeatConfig) (*Fig8Result, error) {
 	base := TCPRunConfig{
-		Graph:            topology.RNP28Fig8,
-		Policy:           "nip",
-		Metrics:          cfg.Metrics,
-		Trace:            cfg.Trace,
-		Scalar:           cfg.Scalar,
-		Src:              "EDGE-N",
-		Dst:              "EDGE-SUL",
-		Path:             topology.RNP28Fig8Route,
-		Protection:       topology.RNP28Fig8Protection,
-		ReverseBitBudget: 0,
-		Duration:         cfg.RunDuration,
-		TCP:              rnpTCP(),
+		Graph: topology.RNP28Fig8, Policy: "nip", Src: "EDGE-N", Dst: "EDGE-SUL",
+		Path: topology.RNP28Fig8Route, Protection: topology.RNP28Fig8Protection, TCP: rnpTCP(),
 	}
-	spec := RepeatSpec{
-		Runs: cfg.Runs, BaseSeed: cfg.Seed, Workers: cfg.Workers,
-		From: cfg.WarmUp, To: cfg.RunDuration,
-	}
-	nominal, err := RunTCPRepeats(base, spec)
+	cells, err := runSweep(cfg.defaults(), []sweepCell{
+		{run: base},
+		{run: base, fail: [2]string{"SW73", "SW107"}, seedOffset: 55_555},
+	})
 	if err != nil {
 		return nil, err
 	}
-	failCfg := base
-	failCfg.Failures = []FailureSpec{{A: "SW73", B: "SW107", From: 0, Duration: cfg.RunDuration}}
-	spec.BaseSeed = cfg.Seed + 55_555
-	failed, err := RunTCPRepeats(failCfg, spec)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Fig8Result{
-		NoFailure:   measure.Summarize(nominal),
-		WithFailure: measure.Summarize(failed),
-	}
+	res := &Fig8Result{NoFailure: cells[0].Goodput, WithFailure: cells[1].Goodput}
 	if res.NoFailure.Mean > 0 {
 		res.RatioPct = res.WithFailure.Mean / res.NoFailure.Mean * 100
 	}
 
 	// Closed-form expectation for the same scenario.
-	g, err := topology.RNP28Fig8()
-	if err != nil {
-		return nil, err
-	}
-	w := NewWorld(g, mustPolicy("nip"), cfg.Seed)
-	if _, err := w.InstallRouteOnPath(topology.RNP28Fig8Route, topology.RNP28Fig8Protection); err != nil {
-		return nil, err
-	}
-	l, ok := g.LinkBetween("SW73", "SW107")
-	if !ok {
-		return nil, fmt.Errorf("experiment: fig8 link missing")
-	}
-	an, err := analysis.New(w.Ctrl, "nip", []*topology.Link{l})
-	if err != nil {
-		return nil, err
-	}
-	res.Analytic, err = an.Analyze("EDGE-N", "EDGE-SUL")
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	res.Analytic, err = analyzeOne(topology.RNP28Fig8, "EDGE-N", "EDGE-SUL",
+		topology.RNP28Fig8Route, topology.RNP28Fig8Protection, "nip", [2]string{"SW73", "SW107"})
+	return res, err
 }
 
 // Fig8Table renders the scenario.

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"repro/internal/edge"
 	"repro/internal/measure"
 	"repro/internal/packet"
-	"repro/internal/par"
 	"repro/internal/tcpsim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -65,9 +63,8 @@ type TCPRunConfig struct {
 	// commits its records under the same run label as Metrics — the
 	// karsim -trace-export collection point.
 	Trace *trace.Collector
-	// Scalar disables the batched data plane (karsim -batch=false).
-	// Results are byte-identical either way; this is the comparison
-	// baseline for the determinism matrix and the benchmarks.
+	// Scalar runs the scalar data plane, the test oracle: results are
+	// byte-identical either way, which TestDeterminismMatrix holds.
 	Scalar bool
 }
 
@@ -112,11 +109,7 @@ func RunTCP(cfg TCPRunConfig) (*TCPRunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var worldOpts []WorldOption
-	if cfg.Scalar {
-		worldOpts = append(worldOpts, WithScalarDataPlane())
-	}
-	w := NewWorld(g, policy, cfg.Seed, worldOpts...)
+	w := NewWorld(g, policy, cfg.Seed, scalarOption(cfg.Scalar))
 	// Attach the flight recorder before any route install, so the
 	// initial ingress programming lands on the control-plane timeline.
 	recorder := cfg.Trace.Attach(w.Net)
@@ -211,47 +204,4 @@ func (w *World) installReverse(src, dst string, budgetBits int) error {
 		return err
 	}
 	return w.programIngress(src, dst, route)
-}
-
-// RepeatSpec configures repeated runs (the paper's 30×5s iperf
-// batteries).
-type RepeatSpec struct {
-	Runs     int
-	BaseSeed int64
-	Workers  int
-	// Window over which each run's mean goodput is taken.
-	From, To time.Duration
-}
-
-// RunTCPRepeats executes cfg Runs times with varying seeds, in
-// parallel, and returns each run's mean goodput over [From, To).
-func RunTCPRepeats(cfg TCPRunConfig, spec RepeatSpec) ([]float64, error) {
-	if spec.Runs <= 0 {
-		spec.Runs = 1
-	}
-	if spec.Workers <= 0 {
-		spec.Workers = 4
-	}
-	if spec.To == 0 {
-		spec.To = cfg.Duration
-	}
-
-	results := make([]float64, spec.Runs)
-	errs := make([]error, spec.Runs)
-	par.ForEach(context.TODO(), spec.Runs, spec.Workers, func(_, i int) {
-		runCfg := cfg
-		runCfg.Seed = spec.BaseSeed + int64(i)*1_000_003
-		res, err := RunTCP(runCfg)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		results[i] = res.MeanMbps(spec.From, spec.To)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

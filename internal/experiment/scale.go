@@ -48,7 +48,7 @@ type ScaleConfig struct {
 	// Seed drives pair selection, per-pair arrival RNGs and switch
 	// RNGs.
 	Seed int64
-	// Scalar disables the batched data plane (karsim -batch=false).
+	// Scalar runs the scalar data plane, the test oracle.
 	Scalar bool
 	// Metrics and Trace are the karsim collection points; labels are
 	// derived from the workload alone — never from Shards or worker

@@ -6,7 +6,9 @@
 package measure
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strings"
@@ -243,4 +245,15 @@ func Quantile(xs []float64, q float64) float64 {
 		return sorted[lo]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+}
+
+// WriteDocument writes v as a result document: JSON, two-space indent,
+// trailing newline. It is the one encoder of scenario verdicts and
+// verify reports, so the bytes `karsim -verdict-json`/`-verify-json`
+// write and the bytes the serve daemon returns for the same spec and
+// seed are identical by construction.
+func WriteDocument(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }

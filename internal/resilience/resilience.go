@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -353,23 +352,20 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 		}
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// Per-worker scratch, made on the worker's first failure set.
 	type scratch struct {
 		comp      []int32
 		analyzers []*analysis.Analyzer
 	}
-	scr := make([]scratch, max(workers, 1))
-	par.ForEach(ctx, nF, workers, func(w, f int) {
+	scr := make([]scratch, par.Workers(cfg.Workers, nF))
+	par.ForEach(ctx, nF, cfg.Workers, func(w, f int) error {
 		s := &scr[w]
 		if s.comp == nil {
 			s.comp = make([]int32, nodes)
 			s.analyzers = make([]*analysis.Analyzer, nP)
 		}
 		analyze(f, s.comp, s.analyzers)
+		return nil
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -619,17 +615,15 @@ func buildController(g *topology.Graph, routes []RouteSpec, protection [][2]stri
 // samples from a rand seeded with pairSeed.
 func enumerateFailures(g *topology.Graph, pairs int, pairSeed int64) ([]failure, int) {
 	links := g.Links()
-	out := make([]failure, 0, len(links)+pairs)
+	// No more distinct pairs exist than C(links, 2); clamping before the
+	// allocation keeps a hostile pairs count from sizing it.
+	want := max(0, min(pairs, len(links)*(len(links)-1)/2))
+	out := make([]failure, 0, len(links)+want)
 	for _, l := range links {
 		out = append(out, failure{links: failSet{l}, name: l.Name()})
 	}
-	if pairs <= 0 || len(links) < 2 {
+	if want == 0 {
 		return out, 0
-	}
-	max := len(links) * (len(links) - 1) / 2
-	want := pairs
-	if want > max {
-		want = max
 	}
 	rng := rand.New(rand.NewSource(pairSeed))
 	seen := make(map[[2]int]bool, want)
@@ -654,6 +648,57 @@ func enumerateFailures(g *topology.Graph, pairs int, pairSeed int64) ([]failure,
 		drawn++
 	}
 	return out, drawn
+}
+
+// Plan assembles a verify run from the nouns a user hands over — the
+// one such assembly, shared by `karsim -verify` and the serve daemon's
+// /v1/verify: a topology name (resolved through the shared graph
+// cache), a "src:dst[,src:dst...]" route list (empty: every ordered
+// edge pair), policy names (empty: the sweep's default four) and a
+// protection level. It returns the graph, the routes, and a Config
+// with Policies and the protection fields set; the caller adds pairs,
+// seed, workers and sinks.
+func Plan(topo, routes string, policies []string, level string) (*topology.Graph, []RouteSpec, Config, error) {
+	fail := func(err error) (*topology.Graph, []RouteSpec, Config, error) { return nil, nil, Config{}, err }
+	g, err := topology.Shared(topo)
+	if err != nil {
+		return fail(err)
+	}
+	var rs []RouteSpec
+	if strings.TrimSpace(routes) == "" {
+		rs, err = AllPairRoutes(g)
+	} else {
+		rs, err = ParseRoutes(routes)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	for _, p := range policies {
+		if _, ok := deflect.ByName(p); !ok {
+			return fail(fmt.Errorf("resilience: unknown policy %q (want none, hp, avp, nip or dtree)", p))
+		}
+	}
+	cfg, err := Protect(topo, level)
+	if err != nil {
+		return fail(err)
+	}
+	cfg.Policies = policies
+	return g, rs, cfg, nil
+}
+
+// Protect returns the protection half of a Config — pair set, auto
+// flag and report label — for a protection level on a named topology
+// (topology.Protection decides). The label of the empty level is
+// "none".
+func Protect(topo, level string) (Config, error) {
+	pairs, auto, err := topology.Protection(topo, level)
+	if err != nil {
+		return Config{}, err
+	}
+	if level == "" {
+		level = "none"
+	}
+	return Config{Protection: pairs, AutoProtect: auto, ProtectionLabel: level}, nil
 }
 
 // AllPairRoutes returns a RouteSpec for every ordered edge pair of g —

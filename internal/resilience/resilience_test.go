@@ -380,6 +380,59 @@ func TestPairSamplingDeterministicAndCapped(t *testing.T) {
 	}
 }
 
+// A pair count far beyond C(n,2) sizes nothing: it is clamped before
+// the failure list is allocated (a request asking for 10^12 pairs used
+// to die in make).
+func TestHostilePairCountClamped(t *testing.T) {
+	g, err := topology.Net15()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(g.Links())
+	failures, drawn := enumerateFailures(g, 1<<40, 1)
+	if want := n * (n - 1) / 2; drawn != want || len(failures) != n+want {
+		t.Errorf("drew %d pairs in %d failures, want %d in %d", drawn, len(failures), want, n+want)
+	}
+	if _, drawn := enumerateFailures(g, -7, 1); drawn != 0 {
+		t.Errorf("negative pair count drew %d pairs", drawn)
+	}
+}
+
+// Plan is the one verify assembly: it resolves every noun and rejects
+// what no sweep could run.
+func TestPlan(t *testing.T) {
+	g, routes, cfg, err := Plan("net15", "", []string{"nip", "dtree"}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all, _ := AllPairRoutes(g); len(routes) != len(all) || g.Name() != "net15" {
+		t.Errorf("empty route list resolved to %d routes on %s", len(routes), g.Name())
+	}
+	if cfg.ProtectionLabel != "none" || cfg.AutoProtect || cfg.Protection != nil || len(cfg.Policies) != 2 {
+		t.Errorf("empty level resolved to %+v", cfg)
+	}
+	if _, routes, cfg, err = Plan("net15", "AS1:AS3, AS3:AS1", nil, "full"); err != nil || len(routes) != 2 ||
+		cfg.ProtectionLabel != "full" || len(cfg.Protection) != len(topology.Net15FullProtection) {
+		t.Errorf("full on two routes: %d routes, %+v, %v", len(routes), cfg, err)
+	}
+	if _, _, cfg, err = Plan("fattree:4", "", nil, "auto"); err != nil || !cfg.AutoProtect || cfg.ProtectionLabel != "auto" {
+		t.Errorf("auto on a generated topology: %+v, %v", cfg, err)
+	}
+	for what, args := range map[string][4]string{
+		"unknown topology":  {"mesh99", "", "nip", ""},
+		"bad route syntax":  {"net15", "x", "nip", ""},
+		"unknown policy":    {"net15", "", "dtreee", ""},
+		"unknown level":     {"net15", "", "nip", "total"},
+		"generated+canned":  {"fattree:4", "", "nip", "full"},
+		"no set for rnp28":  {"rnp28", "", "nip", "full"},
+		"one-edge topology": {"rand:3:0:1:1", "", "nip", ""},
+	} {
+		if _, _, _, err := Plan(args[0], args[1], []string{args[2]}, args[3]); err == nil {
+			t.Errorf("%s: accepted", what)
+		}
+	}
+}
+
 // Duplicate routes and unknown policies are rejected up front.
 func TestSweepInputValidation(t *testing.T) {
 	g, err := topology.Net15()

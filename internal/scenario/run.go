@@ -25,7 +25,7 @@ const DefaultDrain = 100 * time.Millisecond
 // RunOptions tunes scenario execution, not results: worker count and
 // telemetry collection never change a run's outcome.
 type RunOptions struct {
-	// Workers bounds parallel runs (default 4, clamped to the run
+	// Workers bounds parallel runs (0: one per CPU; clamped to the run
 	// count).
 	Workers int
 	// Metrics, when set, receives every run's registry and event log
@@ -176,28 +176,20 @@ func RunContext(ctx context.Context, spec *Spec, opts RunOptions) (*Verdict, err
 	if runs <= 0 {
 		runs = 1
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 4
-	}
 
 	results := make([]RunResult, runs)
-	errs := make([]error, runs)
-	par.ForEach(ctx, runs, workers, func(_, i int) {
+	err := par.ForEach(ctx, runs, opts.Workers, func(_, i int) error {
 		res, err := runOne(ctx, spec, i, &opts)
-		if err != nil {
-			errs[i] = err
-			return
+		if err == nil {
+			results[i] = *res
 		}
-		results[i] = *res
+		return err
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	v := &Verdict{Scenario: spec.Name, Topology: spec.Topology, Policy: spec.Policy, Runs: results, Pass: true}
@@ -229,17 +221,13 @@ func runVerifySweep(ctx context.Context, spec *Spec, opts RunOptions) (*VerifyRe
 	if err != nil {
 		return nil, err
 	}
-	protection, err := ProtectionPairs(spec.Topology, spec.Protection)
+	cfg, err := resilience.Protect(spec.Topology, spec.Protection)
 	if err != nil {
 		return nil, err
 	}
-	label := spec.Protection
-	if label == "" {
-		label = "none"
-	}
-	policies := spec.Verify.Policies
-	if len(policies) == 0 {
-		policies = []string{spec.Policy}
+	cfg.Policies = spec.Verify.Policies
+	if len(cfg.Policies) == 0 {
+		cfg.Policies = []string{spec.Policy}
 	}
 	seen := make(map[[2]string]bool, len(spec.Flows))
 	routes := make([]resilience.RouteSpec, 0, len(spec.Flows))
@@ -253,19 +241,12 @@ func runVerifySweep(ctx context.Context, spec *Spec, opts RunOptions) (*VerifyRe
 	}
 
 	reg := telemetry.NewRegistry()
-	rep, err := resilience.SweepContext(ctx, g, routes, resilience.Config{
-		Policies:        policies,
-		Protection:      protection,
-		AutoProtect:     AutoProtection(spec.Protection),
-		ProtectionLabel: label,
-		Pairs:           spec.Verify.Pairs,
-		PairSeed:        spec.Seed,
-		Workers:         opts.Workers,
-		Registry:        reg,
-		Progress: func(done, total int) {
-			opts.emit(ProgressEvent{Kind: "sweep", SweepDone: done, SweepTotal: total})
-		},
-	})
+	cfg.Pairs, cfg.PairSeed = spec.Verify.Pairs, spec.Seed
+	cfg.Workers, cfg.Registry = opts.Workers, reg
+	cfg.Progress = func(done, total int) {
+		opts.emit(ProgressEvent{Kind: "sweep", SweepDone: done, SweepTotal: total})
+	}
+	rep, err := resilience.SweepContext(ctx, g, routes, cfg)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -302,7 +283,7 @@ func runOne(ctx context.Context, spec *Spec, idx int, opts *RunOptions) (*RunRes
 	if err != nil {
 		return nil, err
 	}
-	protection, err := ProtectionPairs(spec.Topology, spec.Protection)
+	protection, auto, err := topology.Protection(spec.Topology, spec.Protection)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +305,7 @@ func runOne(ctx context.Context, spec *Spec, idx int, opts *RunOptions) (*RunRes
 	if scalar {
 		worldOpts = append(worldOpts, experiment.WithScalarDataPlane())
 	}
-	if AutoProtection(spec.Protection) {
+	if auto {
 		worldOpts = append(worldOpts, experiment.WithAutoProtection())
 	}
 	if spec.Shards > 1 {

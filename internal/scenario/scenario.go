@@ -221,7 +221,7 @@ func (s *Spec) Validate() error {
 	if s.Policy == "" {
 		return fmt.Errorf("scenario %s: missing policy", s.Name)
 	}
-	if _, err := ProtectionPairs(s.Topology, s.Protection); err != nil {
+	if _, _, err := topology.Protection(s.Topology, s.Protection); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	if s.Duration <= 0 {
@@ -236,6 +236,12 @@ func (s *Spec) Validate() error {
 	for i, f := range s.Flows {
 		if f.Src == "" || f.Dst == "" {
 			return fmt.Errorf("scenario %s: flow %d: src and dst required", s.Name, i)
+		}
+		// Zero means the default; a negative interval re-arms the sender
+		// at one virtual instant for ever and a negative size folds a
+		// negative byte count into a counter.
+		if f.Interval < 0 || f.Size < 0 {
+			return fmt.Errorf("scenario %s: flow %d: interval and size must not be negative", s.Name, i)
 		}
 	}
 	for i, inj := range s.Injections {
@@ -302,45 +308,22 @@ func (inj Injection) build(runSeed int64, idx int) (fault.Injector, error) {
 	}
 }
 
-// BuildTopology resolves a scenario topology name to a graph, shared
-// through topology.SharedGraphs: graphs are immutable after
-// construction (all runtime link/queue state lives in simnet), so
-// every run and every concurrent job on the same topology reuses one
-// instance instead of re-running the generator and its coprime-key
-// allocation per world.
-func BuildTopology(name string) (*topology.Graph, error) {
-	return topology.SharedGraphs.Get(name, func() (*topology.Graph, error) {
-		return topology.ByName(name)
-	})
-}
+// BuildTopology resolves a scenario topology name through the shared
+// graph cache (topology.Shared).
+func BuildTopology(name string) (*topology.Graph, error) { return topology.Shared(name) }
 
-// ProtectionPairs resolves a canned protection level for a topology to
-// its driven-deflection (switch, neighbour) hop pairs. The "auto"
-// level has no static pair list — the controller plans a
-// destination-rooted tree per installed route (see AutoProtection) —
-// so it resolves to nil like "none"; callers distinguish the two with
-// AutoProtection.
-func ProtectionPairs(topo, level string) ([][2]string, error) {
-	switch level {
-	case "", "none", "auto":
-		return nil, nil
-	case "partial":
-		switch topo {
-		case "net15":
-			return topology.Net15PartialProtection, nil
-		case "rnp28", "rnp28-fig8":
-			return topology.RNP28PartialProtection, nil
-		}
-	case "full":
-		if topo == "net15" {
-			return topology.Net15FullProtection, nil
-		}
-	default:
-		return nil, fmt.Errorf("unknown protection level %q (want none, partial, full or auto)", level)
+// Override applies execution overrides to the spec — the one rule the
+// serve daemon's request fields and `karsim -scenario`'s flags share:
+// a non-nil seed and positive runs and shards replace the file's
+// values, anything else leaves them alone.
+func (s *Spec) Override(seed *int64, runs, shards int) {
+	if seed != nil {
+		s.Seed = *seed
 	}
-	return nil, fmt.Errorf("no %q protection set for topology %q", level, topo)
+	if runs > 0 {
+		s.Runs = runs
+	}
+	if shards > 0 {
+		s.Shards = shards
+	}
 }
-
-// AutoProtection reports whether level asks the controller to plan
-// per-destination protection trees instead of installing a canned set.
-func AutoProtection(level string) bool { return level == "auto" }

@@ -56,6 +56,10 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"bad topology":     `{"name":"x","topology":"mesh99","policy":"nip","duration":"1s","flows":[{"src":"AS1","dst":"AS3"}]}`,
 		"bad protection":   `{"name":"x","topology":"fig1","policy":"nip","protection":"partial","duration":"1s","flows":[{"src":"A","dst":"B"}]}`,
 		"no flows":         `{"name":"x","topology":"net15","policy":"nip","duration":"1s"}`,
+		"negative size":    `{"name":"x","topology":"net15","policy":"nip","duration":"1s","flows":[{"src":"AS1","dst":"AS3","size":-5}]}`,
+		"negative gap":     `{"name":"x","topology":"net15","policy":"nip","duration":"1s","flows":[{"src":"AS1","dst":"AS3","interval":"-1ms"}]}`,
+		"unknown level":    `{"name":"x","topology":"net15","policy":"nip","protection":"total","duration":"1s","flows":[{"src":"AS1","dst":"AS3"}]}`,
+		"generated+canned": `{"name":"x","topology":"fattree:4","policy":"nip","protection":"full","duration":"1s","flows":[{"src":"h0","dst":"h1"}]}`,
 		"bad injection":    `{"name":"x","topology":"net15","policy":"nip","duration":"1s","flows":[{"src":"AS1","dst":"AS3"}],"injections":[{"kind":"meteor","start":"1ms"}]}`,
 		"unsorted phases":  `{"name":"x","topology":"net15","policy":"nip","duration":"1s","flows":[{"src":"AS1","dst":"AS3"}],"phases":[{"name":"a","until":"500ms"},{"name":"b","until":"200ms"}]}`,
 		"phase past end":   `{"name":"x","topology":"net15","policy":"nip","duration":"1s","flows":[{"src":"AS1","dst":"AS3"}],"phases":[{"name":"a","until":"20s"}]}`,

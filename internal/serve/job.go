@@ -5,15 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/deflect"
+	"repro/internal/measure"
 	"repro/internal/resilience"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
-	"repro/internal/topology"
 )
 
 // JobKind tags what a job executes.
@@ -154,17 +152,13 @@ func (j *Job) emitState(st JobState) {
 	j.events.append(jobEvent{Job: j.ID, State: st, ProgressEvent: scenario.ProgressEvent{Kind: "state"}})
 }
 
-// encodeResult renders a verdict or report exactly as the batch CLI's
-// -verdict-json / -verify-json flags do (two-space indent, trailing
-// newline), so daemon results byte-compare against CLI references.
+// encodeResult renders a verdict or report as the batch CLI's
+// -verdict-json / -verify-json flags do (measure.WriteDocument), so
+// daemon results byte-compare against CLI references.
 func encodeResult(v any) ([]byte, error) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	err := measure.WriteDocument(&buf, v)
+	return buf.Bytes(), err
 }
 
 // buildScenarioJob validates the request and returns the job executor.
@@ -176,15 +170,7 @@ func buildScenarioJob(req *ScenarioRequest) (func(ctx context.Context, s *Server
 	if err != nil {
 		return nil, err
 	}
-	if req.Seed != nil {
-		spec.Seed = *req.Seed
-	}
-	if req.Runs > 0 {
-		spec.Runs = req.Runs
-	}
-	if req.Shards > 0 {
-		spec.Shards = req.Shards
-	}
+	spec.Override(req.Seed, req.Runs, req.Shards)
 	collect := req.Collect == nil || *req.Collect
 	workers := req.Workers
 	return func(ctx context.Context, s *Server, j *Job) ([]byte, error) {
@@ -208,70 +194,35 @@ func buildScenarioJob(req *ScenarioRequest) (func(ctx context.Context, s *Server
 }
 
 // buildVerifyJob validates the request and returns the job executor.
+// Everything resilience.Plan rejects — unknown topology, policy or
+// protection level, a canned level on a generated topology — is
+// rejected here, at admission (HTTP 400), not at job runtime where the
+// client would have to poll a failed job to see the typo.
 func buildVerifyJob(req *VerifyRequest) (func(ctx context.Context, s *Server, j *Job) ([]byte, error), error) {
 	if req.Topology == "" {
 		return nil, fmt.Errorf("serve: verify request has no topology")
 	}
-	g, err := scenario.BuildTopology(req.Topology)
+	g, routes, cfg, err := resilience.Plan(req.Topology, req.Routes, req.Policies, req.Protection)
 	if err != nil {
 		return nil, err
 	}
-	var routes []resilience.RouteSpec
-	if strings.TrimSpace(req.Routes) == "" {
-		routes, err = resilience.AllPairRoutes(g)
-	} else {
-		routes, err = resilience.ParseRoutes(req.Routes)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Reject unknown policies at admission (HTTP 400), not at job
-	// runtime where the client would have to poll a failed job to see
-	// the typo.
-	for _, p := range req.Policies {
-		if _, ok := deflect.ByName(p); !ok {
-			return nil, fmt.Errorf("serve: unknown policy %q (want none, hp, avp, nip or dtree)", p)
-		}
-	}
-	var protection [][2]string
-	if req.Protection != "" && req.Protection != "none" && !scenario.AutoProtection(req.Protection) {
-		if topology.IsSpec(req.Topology) {
-			return nil, fmt.Errorf("serve: generated topologies have no canned %q protection set (use \"auto\")", req.Protection)
-		}
-		protection, err = scenario.ProtectionPairs(req.Topology, req.Protection)
-		if err != nil {
-			return nil, err
-		}
-	}
+	cfg.Pairs, cfg.PairSeed = req.Pairs, req.Seed
 	collect := req.Collect == nil || *req.Collect
-	cfg := *req
-	// The report names its protection set; "none" matches the CLI's
-	// -verify-protection default so reports byte-compare.
-	if cfg.Protection == "" {
-		cfg.Protection = "none"
-	}
+	workers := req.Workers
 	return func(ctx context.Context, s *Server, j *Job) ([]byte, error) {
-		reg := telemetry.NewRegistry()
-		rep, err := resilience.SweepContext(ctx, g, routes, resilience.Config{
-			Policies:        cfg.Policies,
-			Protection:      protection,
-			AutoProtect:     scenario.AutoProtection(cfg.Protection),
-			ProtectionLabel: cfg.Protection,
-			Pairs:           cfg.Pairs,
-			PairSeed:        cfg.Seed,
-			Workers:         s.jobWorkers(cfg.Workers),
-			Registry:        reg,
-			Progress: func(done, total int) {
-				j.events.append(jobEvent{Job: j.ID, ProgressEvent: scenario.ProgressEvent{
-					Kind: "sweep", SweepDone: done, SweepTotal: total,
-				}})
-			},
-		})
+		cfg := cfg
+		cfg.Workers, cfg.Registry = s.jobWorkers(workers), telemetry.NewRegistry()
+		cfg.Progress = func(done, total int) {
+			j.events.append(jobEvent{Job: j.ID, ProgressEvent: scenario.ProgressEvent{
+				Kind: "sweep", SweepDone: done, SweepTotal: total,
+			}})
+		}
+		rep, err := resilience.SweepContext(ctx, g, routes, cfg)
 		if err != nil {
 			return nil, err
 		}
 		if collect {
-			s.coll.Add("job="+j.ID+"/verify/"+rep.Topology, reg, nil)
+			s.coll.Add("job="+j.ID+"/verify/"+rep.Topology, cfg.Registry, nil)
 		}
 		return encodeResult(rep)
 	}, nil

@@ -19,10 +19,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/measure"
 	"repro/internal/telemetry"
 )
 
@@ -293,9 +296,23 @@ func (s *Server) runJob(j *Job) {
 		exec = func(ctx context.Context) ([]byte, error) { return s.execHook(ctx, j) }
 	}
 	start := time.Now()
-	result, err := exec(ctx)
+	result, err := recovered(ctx, exec)
 	s.metrics.latency.Observe(time.Since(start).Seconds())
 	s.finishJob(j, result, err)
+}
+
+// recovered runs a job's executor and turns a panic into the job's
+// error: a request that trips a bug costs that job (state failed, the
+// panic value in its status, the stack on the daemon's stderr), never
+// the daemon.
+func recovered(ctx context.Context, exec func(context.Context) ([]byte, error)) (result []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			fmt.Fprintf(os.Stderr, "serve: job panicked: %v\n%s", p, debug.Stack())
+			result, err = nil, fmt.Errorf("serve: job panicked: %v", p)
+		}
+	}()
+	return exec(ctx)
 }
 
 // finishJob moves a job to its terminal state, publishes the final
@@ -340,9 +357,7 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	measure.WriteDocument(w, v)
 }
 
 // submit runs the shared admission path and replies: 202 + status

@@ -672,6 +672,56 @@ func TestBadRequestsRejected(t *testing.T) {
 	}
 }
 
+// A panicking executor costs its job, not the daemon: the job ends
+// failed with the panic text, and the next job on the same worker runs.
+func TestPanickingJobFailsAndDaemonSurvives(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 1})
+	s.execHook = func(ctx context.Context, j *Job) ([]byte, error) {
+		if j.ID == "j000000" {
+			panic("counter decremented")
+		}
+		return []byte("{}\n"), nil
+	}
+	var states []JobStatus
+	for i := 0; i < 2; i++ {
+		resp, data := postJSON(t, ts.URL+"/v1/scenarios", scenarioBody(t, ""))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: %d: %s", i, resp.StatusCode, data)
+		}
+		var st JobStatus
+		json.Unmarshal(data, &st)
+		states = append(states, waitTerminal(t, ts.URL, st.ID))
+	}
+	if states[0].State != StateFailed || states[0].Error != "serve: job panicked: counter decremented" {
+		t.Errorf("panicking job: state %s, error %q; want failed with the panic value and no stack", states[0].State, states[0].Error)
+	}
+	if states[1].State != StateDone {
+		t.Errorf("job after the panic: %s (%s)", states[1].State, states[1].Error)
+	}
+}
+
+// Scenario bodies that used to take the daemon down — a negative flow
+// size panicked a counter fold on the executor goroutine, a negative
+// interval re-armed the sender at one virtual instant for ever, out of
+// reach of DELETE and the drain deadline — are refused at admission,
+// and the daemon stays ready.
+func TestHostileScenarioBodiesRejected(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	for _, flow := range []string{
+		`{"src": "AS1", "dst": "AS3", "size": -5}`,
+		`{"src": "AS1", "dst": "AS3", "interval": "-1ms"}`,
+	} {
+		body := `{"spec": {"name": "hostile", "topology": "net15", "policy": "nip", "duration": "20ms", "flows": [` + flow + `]}}`
+		resp, data := postJSON(t, ts.URL+"/v1/scenarios", strings.NewReader(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("flow %s: %d: %s", flow, resp.StatusCode, data)
+		}
+		if resp, _ := getBody(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("daemon not ready after flow %s: %d", flow, resp.StatusCode)
+		}
+	}
+}
+
 // settleGoroutines polls until the goroutine count is back near base.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()

@@ -436,6 +436,51 @@ func ByName(name string) (*Graph, error) {
 	return build()
 }
 
+// Shared is ByName through SharedGraphs: graphs are immutable after
+// construction (all runtime link and queue state lives in simnet), so
+// every run and every concurrent job on one topology reuses one
+// instance instead of re-running the generator and its coprime-key
+// allocation per world.
+func Shared(name string) (*Graph, error) {
+	return SharedGraphs.Get(name, func() (*Graph, error) { return ByName(name) })
+}
+
+// cannedProtection holds the paper's hand-listed driven-deflection
+// sets, keyed by (topology name, level).
+var cannedProtection = map[[2]string][][2]string{
+	{"net15", "partial"}:      Net15PartialProtection,
+	{"net15", "full"}:         Net15FullProtection,
+	{"rnp28", "partial"}:      RNP28PartialProtection,
+	{"rnp28-fig8", "partial"}: RNP28PartialProtection,
+}
+
+// Protection resolves a protection level on a named topology to the
+// (switch, neighbour) hop pairs installed with each route — the one
+// level→pairs resolution of the repository. "", "none" and
+// "unprotected" install nothing; "partial" and "full" are the canned
+// sets above, which generated topologies do not have; "auto" has no
+// static pair list on any topology: auto reports that the controller
+// is to plan a destination-rooted protection tree per route.
+func Protection(topo, level string) (pairs [][2]string, auto bool, err error) {
+	switch level {
+	case "", "none", "unprotected":
+		return nil, false, nil
+	case "auto":
+		return nil, true, nil
+	case "partial", "full":
+	default:
+		return nil, false, fmt.Errorf("topology: unknown protection level %q (want none, partial, full or auto)", level)
+	}
+	if IsSpec(topo) {
+		return nil, false, fmt.Errorf("topology: generated topologies have no canned %q protection set (use \"auto\")", level)
+	}
+	pairs, ok := cannedProtection[[2]string{topo, level}]
+	if !ok {
+		return nil, false, fmt.Errorf("topology: no %q protection set for topology %q", level, topo)
+	}
+	return pairs, false, nil
+}
+
 // IsSpec reports whether name looks like a FromSpec generator spec
 // rather than a canned topology name.
 func IsSpec(name string) bool {

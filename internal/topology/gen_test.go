@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -154,6 +155,43 @@ func TestFromSpecErrors(t *testing.T) {
 		if got := IsSpec(spec); got != want {
 			t.Errorf("IsSpec(%q) = %v, want %v", spec, got, want)
 		}
+	}
+}
+
+// TestProtectionResolver: every (topology, level) a user can name
+// resolves to the canned set, to auto, to nothing, or to an error.
+func TestProtectionResolver(t *testing.T) {
+	for _, c := range []struct {
+		topo, level string
+		pairs       [][2]string
+		auto, fail  bool
+	}{
+		{topo: "net15", level: ""},
+		{topo: "net15", level: "none"},
+		{topo: "net15", level: "unprotected"},
+		{topo: "net15", level: "partial", pairs: Net15PartialProtection},
+		{topo: "net15", level: "full", pairs: Net15FullProtection},
+		{topo: "rnp28", level: "partial", pairs: RNP28PartialProtection},
+		{topo: "rnp28-fig8", level: "partial", pairs: RNP28PartialProtection},
+		{topo: "net15", level: "auto", auto: true},
+		{topo: "fattree:4", level: "auto", auto: true},
+		{topo: "fattree:4", level: "none"},
+		{topo: "rnp28", level: "full", fail: true},
+		{topo: "fig1", level: "partial", fail: true},
+		{topo: "fattree:4", level: "partial", fail: true},
+		{topo: "net15", level: "total", fail: true},
+	} {
+		pairs, auto, err := Protection(c.topo, c.level)
+		if (err != nil) != c.fail || auto != c.auto || len(pairs) != len(c.pairs) {
+			t.Errorf("Protection(%q, %q) = %d pairs, auto=%v, err=%v; want %d pairs, auto=%v, error=%v",
+				c.topo, c.level, len(pairs), auto, err, len(c.pairs), c.auto, c.fail)
+		}
+		if len(pairs) > 0 && &pairs[0] != &c.pairs[0] {
+			t.Errorf("Protection(%q, %q) resolved to the wrong set", c.topo, c.level)
+		}
+	}
+	if _, _, err := Protection("fattree:4", "full"); err == nil || !strings.Contains(err.Error(), "generated topologies") {
+		t.Errorf("canned level on a generated topology: %v", err)
 	}
 }
 

@@ -30,9 +30,11 @@ type Config struct {
 	Burst int
 }
 
-// Defaults fills unset fields.
+// Defaults fills unset fields. A negative interval takes the default
+// too: the sender would otherwise re-arm at one virtual instant for
+// ever and the run never reach its end.
 func (c Config) Defaults() Config {
-	if c.Interval == 0 {
+	if c.Interval <= 0 {
 		c.Interval = time.Millisecond
 	}
 	if c.Size == 0 {

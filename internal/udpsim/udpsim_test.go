@@ -133,6 +133,21 @@ func TestCBRStopAndCountlessConfig(t *testing.T) {
 	}
 }
 
+// A negative interval must not re-arm the sender at one virtual instant
+// for ever: it takes the default spacing and the run reaches its end.
+func TestCBRNegativeIntervalTerminates(t *testing.T) {
+	w := fig1World(t, "none", false)
+	flow := packet.FlowID{Src: "S", Dst: "D"}
+	send, recv := udpsim.NewFlow(w.Net, w.Edges["S"], w.Edges["D"], flow, udpsim.Config{
+		Interval: -time.Millisecond, Count: 50,
+	})
+	send.Start()
+	w.Run(time.Second)
+	if st := recv.Stats(send); st.Sent != 50 || st.LastArrive < 49*time.Millisecond {
+		t.Errorf("sent %d, last arrival %v; want 50 packets at the default 1 ms spacing", st.Sent, st.LastArrive)
+	}
+}
+
 func TestCBRDuplicateDetection(t *testing.T) {
 	// AVP bounce-backs can deliver duplicates only if the network
 	// duplicates packets — it never does; this asserts the counter
