@@ -33,15 +33,48 @@ func TestExpAllGolden(t *testing.T) {
 	if err := run(strings.Fields("-exp all -runs 2 -duration 2s -seed 7"), &got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-		for i := range min(len(gl), len(wl)) {
-			if gl[i] != wl[i] {
-				t.Fatalf("line %d differs from testdata/exp_all.golden:\n got %q\nwant %q", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("output has %d lines, testdata/exp_all.golden %d", len(gl), len(wl))
+	diffGolden(t, "testdata/exp_all.golden", got.String(), string(want))
+}
+
+// TestVerifyGolden: `-verify` prints, and writes as -verify-json, what
+// it did before the sweep remembered verdicts and the analyzer kept
+// scratch — testdata/verify_net15.golden is the parent commit's table
+// followed by its JSON report — at one worker and at four.
+func TestVerifyGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/verify_net15.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, workers := range []string{"1", "4"} {
+		doc := filepath.Join(t.TempDir(), "verify.json")
+		var got bytes.Buffer
+		if err := run(strings.Fields("-verify net15 -verify-protection auto -verify-policies hp,avp,nip,dtree"+
+			" -verify-pairs 100 -workers "+workers+" -verify-json "+doc), &got); err != nil {
+			t.Fatal(err)
+		}
+		report, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Write(report)
+		diffGolden(t, "testdata/verify_net15.golden (-workers "+workers+")", got.String(), string(want))
+	}
+}
+
+// diffGolden fails the test at the first line where got departs from the
+// golden file's text.
+func diffGolden(t *testing.T, name, got, want string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range min(len(gl), len(wl)) {
+		if gl[i] != wl[i] {
+			t.Fatalf("line %d differs from %s:\n got %q\nwant %q", i+1, name, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("output has %d lines, %s %d", len(gl), name, len(wl))
 }
 
 // TestUnknownExperiment: the error names every experiment of the table.

@@ -55,13 +55,28 @@ func (r Result) Stretch() float64 {
 	return r.ExpectedHops / float64(r.BaselineHops)
 }
 
+// LinkSet is a set of links of one graph: a bitset over
+// topology.Link.Index().
+type LinkSet []uint64
+
+// NewLinkSet returns an empty set over g's links.
+func NewLinkSet(g *topology.Graph) LinkSet { return make(LinkSet, (g.NumLinks()+63)/64) }
+
+// Add puts l in the set.
+func (s LinkSet) Add(l *topology.Link) { s[l.Index()>>6] |= 1 << (l.Index() & 63) }
+
+// Has reports whether l is in the set.
+func (s LinkSet) Has(l *topology.Link) bool { return s[l.Index()>>6]&(1<<(l.Index()&63)) != 0 }
+
 // Analyzer owns the topology, a controller (for routes and
-// re-encoding) and a failure set.
+// re-encoding), a failure set and the scratch its chains are built in;
+// it is not safe for concurrent use.
 type Analyzer struct {
 	g      *topology.Graph
 	ctrl   *controller.Controller
-	failed map[*topology.Link]bool
 	policy string
+	failed LinkSet
+	c      chain
 }
 
 // New builds an analyzer for the given policy name over the
@@ -70,36 +85,94 @@ func New(ctrl *controller.Controller, policy string, failed []*topology.Link) (*
 	if _, ok := deflect.ByName(policy); !ok {
 		return nil, fmt.Errorf("%q: %w", policy, ErrPolicyUnsupported)
 	}
-	fm := make(map[*topology.Link]bool, len(failed))
-	for _, l := range failed {
-		fm[l] = true
+	a := &Analyzer{g: ctrl.Graph(), ctrl: ctrl, policy: policy}
+	a.failed = NewLinkSet(a.g)
+	a.SetFailed(failed)
+	c := &a.c
+	c.a, c.view.c, c.consulted = a, c, NewLinkSet(a.g)
+	nodes := a.g.Nodes()
+	for _, n := range nodes {
+		c.span = max(c.span, n.PortSpan())
 	}
-	return &Analyzer{g: ctrl.Graph(), ctrl: ctrl, failed: fm, policy: policy}, nil
+	c.slots = len(nodes) * c.span * 2
+	return a, nil
 }
+
+// SetFailed replaces the failure set, so one analyzer and its scratch
+// serve a whole sweep.
+func (a *Analyzer) SetFailed(failed []*topology.Link) {
+	clear(a.failed)
+	for _, l := range failed {
+		a.failed.Add(l)
+	}
+}
+
+// Consulted returns the links whose state the last Analyze or
+// DeliverWithin looked at. The result is a pure function of the route,
+// the policy and the state of exactly these links: any failure set that
+// agrees with the analyzer's on them has the same Result. The set is
+// overwritten by the next call.
+func (a *Analyzer) Consulted() LinkSet { return a.c.consulted }
 
 // state identifies one Markov state.
 type state struct {
-	routeID   string // decimal route ID (routes are few; string keys are simple and exact)
+	route     int32 // index into chain.routes
+	inPort    int32
 	node      *topology.Node
-	inPort    int
 	deflected bool
 }
 
-// chain is the expanded transition system.
+// chain is the expanded transition system. It is the analyzer's
+// scratch: every slice is reused by the next expansion.
 type chain struct {
-	a       *Analyzer
-	dst     string
+	a   *Analyzer
+	dst string
+	// routes interns the route IDs in effect (the installed one, then
+	// one per wrong edge reached); index[r] maps a state under routes[r]
+	// to its number + 1, addressed by (node, in-port, deflected).
+	routes []rns.RouteID
+	index  [][]int32
+	span   int // the graph's largest port span, the in-port stride of index
+	slots  int // entries per index table: nodes × span × 2
+
 	states  []state
-	index   map[state]int
-	trans   [][]edgeProb // per state: successor distribution
-	deliver []bool       // absorbing: delivered
-	dropped []bool       // absorbing: dropped
-	routes  map[string]rns.RouteID
+	off     []int32    // successors of state i: edges[off[i]:off[i+1]]
+	edges   []edgeProb // successor distributions, in state order
+	deliver []bool     // absorbing: delivered
+	dropped []bool     // absorbing: dropped
+
+	consulted LinkSet
+	view      chainView
+	cands     []int
+
+	// Linear-system scratch: rows are headers into mat, so a pivot swap
+	// moves two headers.
+	mat        []float64
+	rows       [][]float64
+	orig       []int32 // orig[i]: the state whose equation sits in row i
+	b, rhs     []float64
+	pDel, hops []float64
+	reach      []bool
 }
 
 type edgeProb struct {
 	to int
 	p  float64
+}
+
+// succ returns state i's successor distribution.
+func (c *chain) succ(i int) []edgeProb { return c.edges[c.off[i]:c.off[i+1]] }
+
+// reset empties the chain for the next expansion, clearing only the
+// index entries the last one set.
+func (c *chain) reset() {
+	clear(c.consulted)
+	for _, s := range c.states {
+		c.index[s.route][c.slot(s)] = 0
+	}
+	c.routes = c.routes[:0]
+	c.states, c.off, c.edges = c.states[:0], c.off[:0], c.edges[:0]
+	c.deliver, c.dropped = c.deliver[:0], c.dropped[:0]
 }
 
 // buildChain expands the full reachable state space for the installed
@@ -110,24 +183,17 @@ func (a *Analyzer) buildChain(src, dst string) (*chain, int, *core.Route, error)
 	if !ok {
 		return nil, 0, nil, fmt.Errorf("analysis: no installed route %s->%s", src, dst)
 	}
-	c := &chain{
-		a:      a,
-		dst:    dst,
-		index:  make(map[state]int),
-		routes: make(map[string]rns.RouteID),
-	}
+	c := &a.c
+	c.reset()
+	c.dst = dst
 	// Seed: the packet leaves the ingress edge toward the first core.
 	first := route.Path.Nodes[1]
 	inPort, ok := first.PortToward(route.Path.Nodes[0].Name())
 	if !ok {
 		return nil, 0, nil, fmt.Errorf("analysis: %s has no port toward %s", first, route.Path.Nodes[0])
 	}
-	start := c.intern(state{routeID: route.ID.String(), node: first, inPort: inPort, deflected: false})
-	c.routes[route.ID.String()] = route.ID
-
-	if err := c.expand(); err != nil {
-		return nil, 0, nil, err
-	}
+	start := c.intern(state{route: c.internRoute(route.ID), node: first, inPort: int32(inPort)})
+	c.expand()
 	return c, start, route, nil
 }
 
@@ -139,22 +205,18 @@ func (a *Analyzer) Analyze(src, dst string) (Result, error) {
 		return Result{}, err
 	}
 	c.markTrapped()
-	pDel, err := c.solveProbability()
-	if err != nil {
+	if err := c.solve(); err != nil {
 		return Result{}, err
 	}
-	hops, err := c.solveHops(pDel)
-	if err != nil {
-		return Result{}, err
-	}
+	pDel := c.pDel[start]
 	res := Result{
-		PDeliver:     pDel[start],
-		PDrop:        1 - pDel[start],
+		PDeliver:     pDel,
+		PDrop:        1 - pDel,
 		BaselineHops: route.Path.Hops(),
 	}
-	if pDel[start] > 0 {
+	if pDel > 0 {
 		// +1: the initial edge→first-switch traversal.
-		res.ExpectedHops = hops[start]/pDel[start] + 1
+		res.ExpectedHops = c.hops[start]/pDel + 1
 	}
 	return res, nil
 }
@@ -218,7 +280,7 @@ func (a *Analyzer) DeliverWithin(src, dst string, ttl int) (float64, error) {
 				}
 				var sum float64
 				if t > 1 {
-					for _, e := range c.trans[i] {
+					for _, e := range c.succ(i) {
 						sum += e.p * val(e.to, prev)
 					}
 				}
@@ -234,7 +296,7 @@ func (a *Analyzer) DeliverWithin(src, dst string, ttl int) (float64, error) {
 				continue
 			}
 			var v float64
-			for _, e := range c.trans[i] {
+			for _, e := range c.succ(i) {
 				v += e.p * val(e.to, prev)
 			}
 			if d := v - fixed[i]; d > delta {
@@ -249,20 +311,46 @@ func (a *Analyzer) DeliverWithin(src, dst string, ttl int) (float64, error) {
 	return val(start, prev), nil
 }
 
-func (c *chain) intern(s state) int {
-	if i, ok := c.index[s]; ok {
-		return i
+// slot is s's place in its route's index table.
+func (c *chain) slot(s state) int {
+	i := (s.node.Index()*c.span + int(s.inPort)) * 2
+	if s.deflected {
+		i++
 	}
-	i := len(c.states)
-	c.index[s] = i
-	c.states = append(c.states, s)
-	c.trans = append(c.trans, nil)
-	c.deliver = append(c.deliver, false)
-	c.dropped = append(c.dropped, false)
 	return i
 }
 
-func (c *chain) linkUp(l *topology.Link) bool { return l != nil && !c.a.failed[l] }
+func (c *chain) intern(s state) int {
+	at := &c.index[s.route][c.slot(s)]
+	if *at == 0 {
+		c.states = append(c.states, s)
+		c.deliver = append(c.deliver, false)
+		c.dropped = append(c.dropped, false)
+		*at = int32(len(c.states))
+	}
+	return int(*at) - 1
+}
+
+// internRoute numbers id among the chain's route IDs, by value.
+func (c *chain) internRoute(id rns.RouteID) int32 {
+	for r := range c.routes {
+		if c.routes[r].Equal(id) {
+			return int32(r)
+		}
+	}
+	c.routes = append(c.routes, id)
+	if len(c.index) < len(c.routes) {
+		c.index = append(c.index, make([]int32, c.slots))
+	}
+	return int32(len(c.routes) - 1)
+}
+
+// linkUp is the one place a chain reads link state, and so the one
+// place that fills the consulted set.
+func (c *chain) linkUp(l *topology.Link) bool {
+	c.consulted.Add(l)
+	return !c.a.failed.Has(l)
+}
 
 // chainView adapts one chain node to deflect.SwitchView so the dtree
 // expansion runs the exact policy code the simulated switch does.
@@ -271,11 +359,11 @@ type chainView struct {
 	node *topology.Node
 }
 
-func (v chainView) SwitchID() uint64          { return v.node.ID() }
-func (v chainView) Forward(r rns.RouteID) int { return core.Forward(r, v.node.ID()) }
-func (v chainView) NumPorts() int             { return v.node.PortSpan() }
-func (v chainView) PortUp(i int) bool         { return v.c.portUp(v.node, i) }
-func (v chainView) EdgePort(i int) bool {
+func (v *chainView) SwitchID() uint64          { return v.node.ID() }
+func (v *chainView) Forward(r rns.RouteID) int { return core.Forward(r, v.node.ID()) }
+func (v *chainView) NumPorts() int             { return v.node.PortSpan() }
+func (v *chainView) PortUp(i int) bool         { return v.c.portUp(v.node, i) }
+func (v *chainView) EdgePort(i int) bool {
 	l, ok := v.node.PortLink(i)
 	return ok && l.Other(v.node).Kind() == topology.KindEdge
 }
@@ -286,26 +374,22 @@ func (c *chain) portUp(n *topology.Node, i int) bool {
 }
 
 // expand performs a work-list expansion of the reachable state space.
-func (c *chain) expand() error {
+func (c *chain) expand() {
 	for i := 0; i < len(c.states); i++ {
-		s := c.states[i]
-		if s.node.Kind() == topology.KindEdge {
-			if err := c.expandEdge(i, s); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := c.expandCore(i, s); err != nil {
-			return err
+		c.off = append(c.off, int32(len(c.edges)))
+		if s := c.states[i]; s.node.Kind() == topology.KindEdge {
+			c.expandEdge(i, s)
+		} else {
+			c.expandCore(i, s)
 		}
 	}
-	return nil
+	c.off = append(c.off, int32(len(c.edges)))
 }
 
-func (c *chain) expandEdge(i int, s state) error {
+func (c *chain) expandEdge(i int, s state) {
 	if s.node.Name() == c.dst {
 		c.deliver[i] = true
-		return nil
+		return
 	}
 	// Misdelivery: the controller re-encodes from this edge. The walk
 	// continues under the new route ID, leaving through the returned
@@ -313,103 +397,92 @@ func (c *chain) expandEdge(i int, s state) error {
 	id, outPort, err := c.a.ctrl.ReencodeRoute(s.node.Name(), c.dst)
 	if err != nil {
 		c.dropped[i] = true
-		return nil
+		return
 	}
-	c.routes[id.String()] = id
 	l, ok := s.node.PortLink(outPort)
 	if !ok || !c.linkUp(l) {
 		c.dropped[i] = true
-		return nil
+		return
 	}
-	next := l.Other(s.node)
-	np := l.PortOf(next)
-	to := c.intern(state{routeID: id.String(), node: next, inPort: np, deflected: false})
-	c.trans[i] = []edgeProb{{to: to, p: 1}}
-	return nil
+	s.route = c.internRoute(id)
+	c.step(s, outPort, false, 1)
 }
 
-func (c *chain) expandCore(i int, s state) error {
-	id := c.routes[s.routeID]
+// step appends the transition of the state being expanded (s) through
+// outPort, taken with probability p.
+func (c *chain) step(s state, outPort int, deflected bool, p float64) {
+	l, _ := s.node.PortLink(outPort)
+	next := l.Other(s.node)
+	// The deflected flag is irrelevant at edges (re-encode resets it).
+	defl := (s.deflected || deflected) && next.Kind() != topology.KindEdge
+	to := c.intern(state{route: s.route, node: next, inPort: int32(l.PortOf(next)), deflected: defl})
+	c.edges = append(c.edges, edgeProb{to: to, p: p})
+}
+
+func (c *chain) expandCore(i int, s state) {
+	id := c.routes[s.route]
 	port := core.Forward(id, s.node.ID())
-	span := s.node.PortSpan()
-
-	step := func(outPort int, deflected bool, p float64) edgeProb {
-		l, _ := s.node.PortLink(outPort)
-		next := l.Other(s.node)
-		np := l.PortOf(next)
-		defl := s.deflected || deflected
-		if next.Kind() == topology.KindEdge {
-			// Deflected flag is irrelevant at edges (re-encode resets it).
-			defl = false
-		}
-		return edgeProb{to: c.intern(state{routeID: s.routeID, node: next, inPort: np, deflected: defl}), p: p}
-	}
-
-	candidates := func(excludeIn bool) []int {
-		var out []int
-		for p := 0; p < span; p++ {
-			if excludeIn && p == s.inPort {
-				continue
-			}
-			if c.portUp(s.node, p) {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-
 	switch c.a.policy {
 	case "none":
 		if c.portUp(s.node, port) {
-			c.trans[i] = []edgeProb{step(port, false, 1)}
+			c.step(s, port, false, 1)
 		} else {
 			c.dropped[i] = true
 		}
 	case "avp":
 		if c.portUp(s.node, port) {
-			c.trans[i] = []edgeProb{step(port, false, 1)}
-			return nil
+			c.step(s, port, false, 1)
+			return
 		}
-		c.uniform(i, s, candidates(false), step)
+		c.uniform(i, s, false)
 	case "nip":
-		if c.portUp(s.node, port) && port != s.inPort {
-			c.trans[i] = []edgeProb{step(port, false, 1)}
-			return nil
+		if c.portUp(s.node, port) && port != int(s.inPort) {
+			c.step(s, port, false, 1)
+			return
 		}
-		c.uniform(i, s, candidates(true), step)
+		c.uniform(i, s, true)
 	case "hp":
 		if !s.deflected && c.portUp(s.node, port) {
-			c.trans[i] = []edgeProb{step(port, false, 1)}
-			return nil
+			c.step(s, port, false, 1)
+			return
 		}
-		c.uniform(i, s, candidates(false), step)
+		c.uniform(i, s, false)
 	case "dtree":
 		// Deterministic structured failover: delegate to the very
 		// same deflect.DTree decision procedure the data plane runs
 		// (no RNG is consumed), so the chain cannot drift from the
 		// switch implementation. Exactly one successor per state —
 		// the chain collapses to a walk, and PDeliver is 0 or 1.
-		d := deflect.DTree{}.Decide(chainView{c: c, node: s.node}, id, s.inPort, s.deflected, nil)
+		c.view.node = s.node
+		d := deflect.DTree{}.Decide(&c.view, id, int(s.inPort), s.deflected, nil)
 		if d.Drop {
 			c.dropped[i] = true
-			return nil
+			return
 		}
-		c.trans[i] = []edgeProb{step(d.Port, d.Deflected, 1)}
+		c.step(s, d.Port, d.Deflected, 1)
 	}
-	return nil
 }
 
-func (c *chain) uniform(i int, s state, cands []int, step func(int, bool, float64) edgeProb) {
-	if len(cands) == 0 {
+// uniform deflects s to every healthy port (but the in-port under
+// excludeIn) with equal probability; with none, s drops.
+func (c *chain) uniform(i int, s state, excludeIn bool) {
+	c.cands = c.cands[:0]
+	for p := 0; p < s.node.PortSpan(); p++ {
+		if excludeIn && p == int(s.inPort) {
+			continue
+		}
+		if c.portUp(s.node, p) {
+			c.cands = append(c.cands, p)
+		}
+	}
+	if len(c.cands) == 0 {
 		c.dropped[i] = true
 		return
 	}
-	p := 1 / float64(len(cands))
-	out := make([]edgeProb, 0, len(cands))
-	for _, cp := range cands {
-		out = append(out, step(cp, true, p))
+	p := 1 / float64(len(c.cands))
+	for _, cp := range c.cands {
+		c.step(s, cp, true, p)
 	}
-	c.trans[i] = out
 }
 
 // markTrapped flags states from which no absorbing state is reachable
@@ -419,89 +492,101 @@ func (c *chain) uniform(i int, s state, cands []int, step func(int, bool, float6
 // system non-singular.
 func (c *chain) markTrapped() {
 	n := len(c.states)
-	// Reverse reachability from absorbing states.
-	rev := make([][]int, n)
-	for i, ts := range c.trans {
-		for _, e := range ts {
-			rev[e.to] = append(rev[e.to], i)
-		}
+	c.reach = grow(c.reach, n)
+	for i := range c.reach {
+		c.reach[i] = c.deliver[i] || c.dropped[i]
 	}
-	reach := make([]bool, n)
-	var stack []int
-	for i := 0; i < n; i++ {
-		if c.deliver[i] || c.dropped[i] {
-			reach[i] = true
-			stack = append(stack, i)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range rev[v] {
-			if !reach[u] {
-				reach[u] = true
-				stack = append(stack, u)
+	// Reverse reachability from the absorbing states, as a fixpoint over
+	// the forward lists. Successors mostly carry higher numbers than
+	// their state (work-list order), so a descending pass settles all
+	// but the back edges.
+	for changed := true; changed; {
+		changed = false
+		for i := n - 1; i >= 0; i-- {
+			if c.reach[i] {
+				continue
+			}
+			for _, e := range c.succ(i) {
+				if c.reach[e.to] {
+					c.reach[i], changed = true, true
+					break
+				}
 			}
 		}
 	}
 	for i := 0; i < n; i++ {
-		if !reach[i] {
+		if !c.reach[i] {
 			c.dropped[i] = true
-			c.trans[i] = nil
 		}
 	}
 }
 
-// solveProbability solves D(s) = Σ T(s,t) D(t) with D=1 on delivery
-// states and D=0 on drop states.
-func (c *chain) solveProbability() ([]float64, error) {
-	m, b := c.buildSystem(func(i int) float64 {
-		if c.deliver[i] {
-			return 1
-		}
-		return 0
-	}, nil)
-	return solve(m, b)
+// grow returns s with length n, reallocating only when it must. The
+// contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
-// solveHops solves H(s) = Σ T(s,t)·(D(t) + H(t)) — the expected number
-// of traversals accumulated on delivering trajectories. E[hops |
-// delivered] = H(start)/D(start).
-func (c *chain) solveHops(pDel []float64) ([]float64, error) {
-	m, b := c.buildSystem(func(i int) float64 { return 0 }, func(i, j int, p float64) float64 {
-		return p * pDel[j]
-	})
-	return solve(m, b)
-}
-
-// buildSystem assembles (I - T)x = b where absorbing states pin x to
-// the boundary value and extra adds per-transition constants to b.
-func (c *chain) buildSystem(boundary func(int) float64, extra func(i, j int, p float64) float64) ([][]float64, []float64) {
+// solve computes, for every state, pDel — D(s) = Σ T(s,t) D(t) with
+// D = 1 on delivery states and D = 0 on drop states — and hops —
+// H(s) = Σ T(s,t)·(D(t) + H(t)), the expected number of traversals
+// accumulated on delivering trajectories; E[hops | delivered] =
+// H(start)/D(start). Both are (I - T)x = b with absorbing states
+// pinning x to a boundary value, so the matrix is eliminated once and
+// the second right-hand side replays the recorded row operations.
+func (c *chain) solve() error {
 	n := len(c.states)
-	m := make([][]float64, n)
-	b := make([]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-		m[i][i] = 1
-		if c.deliver[i] || c.dropped[i] {
-			b[i] = boundary(i)
+	c.mat = grow(c.mat, n*n)
+	clear(c.mat)
+	c.rows, c.orig = grow(c.rows, n), grow(c.orig, n)
+	c.b, c.rhs = grow(c.b, n), grow(c.rhs, n)
+	c.pDel, c.hops = grow(c.pDel, n), grow(c.hops, n)
+	for i := range c.rows {
+		row := c.mat[i*n : (i+1)*n]
+		c.rows[i], c.orig[i] = row, int32(i)
+		row[i] = 1
+		c.b[i] = 0
+		switch {
+		case c.deliver[i]:
+			c.b[i] = 1
+		case !c.dropped[i]:
+			for _, e := range c.succ(i) {
+				row[e.to] -= e.p
+			}
+		}
+	}
+	if err := eliminate(c.rows, c.b, c.orig); err != nil {
+		return err
+	}
+	backSubstitute(c.rows, c.b, c.pDel)
+
+	for i := range c.rhs {
+		o := int(c.orig[i])
+		c.rhs[i] = 0
+		if c.deliver[o] || c.dropped[o] {
 			continue
 		}
-		for _, e := range c.trans[i] {
-			m[i][e.to] -= e.p
-			if extra != nil {
-				b[i] += extra(i, e.to, e.p)
-			}
+		for _, e := range c.succ(o) {
+			c.rhs[i] += e.p * c.pDel[e.to]
 		}
 	}
-	return m, b
+	forward(c.rows, c.rhs)
+	backSubstitute(c.rows, c.rhs, c.hops)
+	return nil
 }
 
-// solve performs Gaussian elimination with partial pivoting.
-func solve(m [][]float64, b []float64) ([]float64, error) {
+// eliminate reduces m to upper-triangular form by Gaussian elimination
+// with partial pivoting, applying every row operation to b and every
+// row swap to orig. The multiplier of each operation is left in the
+// position it eliminated — the lower triangle, which nothing reads
+// afterwards — so forward can repeat the operations on another
+// right-hand side.
+func eliminate(m [][]float64, b []float64, orig []int32) error {
 	n := len(m)
 	for col := 0; col < n; col++ {
-		// Pivot.
 		pivot := col
 		for r := col + 1; r < n; r++ {
 			if abs(m[r][col]) > abs(m[pivot][col]) {
@@ -509,24 +594,43 @@ func solve(m [][]float64, b []float64) ([]float64, error) {
 			}
 		}
 		if abs(m[pivot][col]) < 1e-12 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		m[col], m[pivot] = m[pivot], m[col]
 		b[col], b[pivot] = b[pivot], b[col]
-		// Eliminate below.
+		orig[col], orig[pivot] = orig[pivot], orig[col]
+		top := m[col]
 		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
+			row := m[r]
+			f := row[col] / top[col]
+			row[col] = f
 			if f == 0 {
 				continue
 			}
-			for k := col; k < n; k++ {
-				m[r][k] -= f * m[col][k]
+			for k := col + 1; k < n; k++ {
+				row[k] -= f * top[k]
 			}
 			b[r] -= f * b[col]
 		}
 	}
-	// Back substitution.
-	x := make([]float64, n)
+	return nil
+}
+
+// forward applies eliminate's row operations to b, a right-hand side
+// already in the eliminated system's row order.
+func forward(m [][]float64, b []float64) {
+	for col := range m {
+		for r := col + 1; r < len(m); r++ {
+			if f := m[r][col]; f != 0 {
+				b[r] -= f * b[col]
+			}
+		}
+	}
+}
+
+// backSubstitute solves the upper-triangular system m·x = b.
+func backSubstitute(m [][]float64, b, x []float64) {
+	n := len(m)
 	for i := n - 1; i >= 0; i-- {
 		sum := b[i]
 		for k := i + 1; k < n; k++ {
@@ -534,7 +638,6 @@ func solve(m [][]float64, b []float64) ([]float64, error) {
 		}
 		x[i] = sum / m[i][i]
 	}
-	return x, nil
 }
 
 func abs(x float64) float64 {

@@ -41,17 +41,14 @@ func TestSweepContextCancelStopsPromptly(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	// Cancel mid-sweep, from the first progress callback: every worker
-	// must stop at its next case boundary and the pool must drain.
+	// Cancel mid-sweep, from the first progress callback (the first
+	// failure set of 73 to complete): every worker must stop at its next
+	// route boundary and the pool must drain.
 	cfg := Config{
 		Policies: []string{"none", "hp", "avp", "nip"},
 		Pairs:    50,
 		Workers:  4,
-		Progress: func(done, total int) {
-			if done == 1 {
-				cancel()
-			}
-		},
+		Progress: func(done, total int) { cancel() },
 	}
 	rep, err := SweepContext(ctx, g, routes, cfg)
 	if rep != nil {
@@ -94,14 +91,18 @@ func TestSweepProgressReachesTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	routes := []RouteSpec{{Src: "AS1", Dst: "AS3"}, {Src: "AS1", Dst: "AS2"}}
-	var last int
+	var calls, last int
 	rep, err := Sweep(g, routes, Config{
 		Policies: []string{"none", "nip"},
+		Pairs:    10,
 		Workers:  1, // single worker keeps the callback sequential
 		Progress: func(done, total int) {
-			if done > total {
-				t.Errorf("progress overflow: %d/%d", done, total)
+			// One call per completed failure set, each worth every
+			// (route, policy) case of it.
+			if done <= last || done > total || done%(2*2) != 0 {
+				t.Errorf("progress %d/%d after %d", done, total, last)
 			}
+			calls++
 			last = done
 		},
 	})
@@ -110,5 +111,8 @@ func TestSweepProgressReachesTotal(t *testing.T) {
 	}
 	if last != rep.Cases {
 		t.Fatalf("progress reached %d, want %d cases", last, rep.Cases)
+	}
+	if want := rep.Links + rep.PairsDrawn; calls != want {
+		t.Fatalf("%d progress callbacks for %d failure sets", calls, want)
 	}
 }

@@ -2,11 +2,108 @@ package resilience
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/controller"
 	"repro/internal/topology"
 )
+
+// freshWalk is walkDeterministic on a view of its own: the memo-free
+// per-case walk.
+func freshWalk(ctrl *controller.Controller, pol, src, dst string, failed failSet) (analysis.Result, error) {
+	return walkDeterministic(ctrl, pol, src, dst,
+		&walkView{failed: failed, consulted: analysis.NewLinkSet(ctrl.Graph())})
+}
+
+// freshCase is the verdict of one case computed the way the sweep did
+// before it remembered anything: reachability by search, the ingress
+// check, then an analyzer or a walk made for this case alone.
+func freshCase(t *testing.T, g *topology.Graph, ct *caseTable, r, p, f int) caseResult {
+	t.Helper()
+	rt, pol, fl := ct.routes[r], ct.policies[p], ct.failures[f]
+	failed := map[*topology.Link]bool{}
+	for _, l := range fl.links {
+		failed[l] = true
+	}
+	switch {
+	case !connected(g, rt.Src, rt.Dst, failed):
+		return caseResult{outcome: Disconnected}
+	case failed[ct.ingress[r]]:
+		return caseResult{outcome: Lost}
+	}
+	var res analysis.Result
+	var err error
+	if pol == "none" || pol == "dtree" {
+		res, err = freshWalk(ct.ctrl, pol, rt.Src, rt.Dst, fl.links)
+	} else {
+		var a *analysis.Analyzer
+		if a, err = analysis.New(ct.ctrl, pol, fl.links); err == nil {
+			res, err = a.Analyze(rt.Src, rt.Dst)
+		}
+	}
+	if err != nil {
+		t.Fatalf("%s->%s policy=%s failure=%s: %v", rt.Src, rt.Dst, pol, fl.name, err)
+	}
+	return classify(res)
+}
+
+// TestSweepMatchesFreshComputation: every case of a sweep — answered
+// from the no-failure verdict, from a worker's memo, or computed — has
+// the outcome, delivery probability and stretch, to the last bit, of a
+// computation that shares nothing with any other case; at one worker
+// and at four, under every protection level the topology has.
+func TestSweepMatchesFreshComputation(t *testing.T) {
+	for _, row := range []struct {
+		topo   string
+		levels []string
+		routes int // 0: every ordered edge pair
+	}{
+		{"net15", []string{"none", "partial", "full", "auto"}, 0},
+		{"rnp28", []string{"none", "partial", "auto"}, 0},
+		{"fig1", []string{"none", "auto"}, 0},
+		// Unprotected random deflection over a fat tree makes chains of
+		// hundreds of states: a few routes of it, many under auto.
+		{"fattree:4", []string{"none"}, 4},
+		{"fattree:4", []string{"auto"}, 48},
+	} {
+		for _, level := range row.levels {
+			t.Run(row.topo+"/"+level, func(t *testing.T) {
+				g, routes, cfg, err := Plan(row.topo, "", []string{"none", "hp", "avp", "nip", "dtree"}, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if row.routes > 0 {
+					routes = routes[:row.routes]
+				}
+				cfg.Pairs, cfg.PairSeed = 200, 11
+				var hits, cases int
+				for _, workers := range []int{1, 4} {
+					cfg.Workers = workers
+					ct, err := analyzeCases(context.Background(), g, routes, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					nP, nF := len(ct.policies), len(ct.failures)
+					for i, got := range ct.results {
+						r, p, f := i/(nP*nF), i/nF%nP, i%nF
+						want := freshCase(t, g, ct, r, p, f)
+						if got.err != nil || got.outcome != want.outcome ||
+							math.Float64bits(got.pDeliver) != math.Float64bits(want.pDeliver) ||
+							math.Float64bits(got.stretch) != math.Float64bits(want.stretch) {
+							t.Fatalf("workers=%d %s->%s policy=%s failure=%s:\n got %+v\nwant %+v", workers,
+								ct.routes[r].Src, ct.routes[r].Dst, ct.policies[p], ct.failures[f].name, got, want)
+						}
+					}
+					hits, cases = ct.hits, len(ct.results)
+				}
+				t.Logf("%d cases, %d answered by a recorded verdict (workers=4)", cases, hits)
+			})
+		}
+	}
+}
 
 // connected reports whether dst is reachable from src over non-failed
 // links: the per-case search the sweep used before it labelled
@@ -88,32 +185,115 @@ func TestComponentLabelsMatchSearch(t *testing.T) {
 	}
 }
 
-// Allocation budget of a sweep: Net15, every ordered edge pair, the two
-// deterministic policies, auto protection, 100 sampled pairs — 1 476
-// cases. The parent commit allocated 32 998 times here (a failed-set
-// map, a visited map and a search stack per case, a boxed switch view
-// per hop); this measures 2 181, most of it building the controller.
-// The ceiling leaves room for two allocations per case, which no
-// per-case map fits under.
+// Allocation budget of a sweep: Net15, every ordered edge pair, auto
+// protection, 100 sampled pairs — 1 476 cases — for the two
+// deterministic policies and for the shape the daemon's benchmark
+// serves. Building the controller is ~2 000 of either figure. The
+// first row allocated 32 998 times when every case made a failed-set
+// map, a visited map and a search stack; the second 31 688 times when
+// every chain was expanded into fresh maps and slices and solved in two
+// fresh dense systems. The ceilings leave room for a few allocations
+// per computed case, which no per-case map or matrix fits under.
 func TestSweepAllocationBudget(t *testing.T) {
 	g, err := topology.Net15()
 	if err != nil {
 		t.Fatal(err)
 	}
 	routes := allPairRoutes(g)
-	var cases int
-	allocs := testing.AllocsPerRun(5, func() {
-		rep, err := SweepContext(context.Background(), g, routes, Config{
-			Policies: []string{"none", "dtree"}, AutoProtect: true,
-			Pairs: 100, PairSeed: 7, Workers: 1,
+	for _, row := range []struct {
+		policies []string
+		budget   float64
+	}{
+		{[]string{"none", "dtree"}, 3000},
+		{[]string{"nip", "dtree"}, 8000},
+	} {
+		var cases int
+		allocs := testing.AllocsPerRun(5, func() {
+			rep, err := SweepContext(context.Background(), g, routes, Config{
+				Policies: row.policies, AutoProtect: true,
+				Pairs: 100, PairSeed: 7, Workers: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = rep.Cases
 		})
-		if err != nil {
-			t.Fatal(err)
+		t.Logf("%v: %.0f allocations for %d cases", row.policies, allocs, cases)
+		if allocs > row.budget {
+			t.Errorf("%v: sweep of %d cases allocated %.0f times, budget %.0f", row.policies, cases, allocs, row.budget)
 		}
-		cases = rep.Cases
-	})
-	t.Logf("%.0f allocations for %d cases", allocs, cases)
-	if allocs > 3000 {
-		t.Errorf("sweep of %d cases allocated %.0f times, budget 3000", cases, allocs)
 	}
+}
+
+// TestMemoRecomputesInsideCandidateScan is the adversarial row of the
+// memo: a pair whose first link is on the route's path and whose second
+// lies off the path but on the node the first one makes deflect. NIP
+// scans every port of a deflecting node, so the second link was
+// consulted when the single failure was scored: the single's verdict
+// must not answer the pair, and — on at least some such pairs — it
+// would have been the wrong answer.
+func TestMemoRecomputesInsideCandidateScan(t *testing.T) {
+	g, err := topology.Net15()
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := allPairRoutes(g)
+	ctrl, _, err := buildController(g, routes, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newScratch(ctrl, []string{"nip"}, make([]memoEntry, len(routes)), len(g.Nodes()))
+	record := func(rt RouteSpec, fl failure) memoEntry {
+		s.setFailed(fl.links)
+		res, consulted := s.compute(rt, 0, fl)
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		return memoEntry{consulted: append(analysis.LinkSet(nil), consulted...), fail: fl.links, res: res}
+	}
+	var pairs, wrong int
+	for r, rt := range routes {
+		base := record(rt, failure{})
+		route, _ := ctrl.Route(rt.Src, rt.Dst)
+		nodes := route.Path.Nodes
+		for k := 1; k+2 < len(nodes); k++ {
+			u := nodes[k] // deflects when its link to nodes[k+1] fails
+			l1, _ := g.LinkBetween(u.Name(), nodes[k+1].Name())
+			single := record(rt, failure{links: failSet{l1}, name: l1.Name()})
+			for _, l2 := range u.Links() {
+				if o := l2.Other(u); o == nodes[k-1] || o == nodes[k+1] {
+					continue // on the path
+				}
+				pair := failure{links: failSet{l1, l2}, name: l1.Name() + "+" + l2.Name(), pair: true}
+				if base.answers(pair.links) || single.answers(pair.links) {
+					t.Fatalf("%s->%s: a recorded verdict answers %s, whose second link %s the deflecting node scans",
+						rt.Src, rt.Dst, pair.name, l2.Name())
+				}
+				s.base[r], s.memo[r] = base, []memoEntry{single}
+				s.setFailed(pair.links)
+				got := s.verdict(r, rt, 0, pair)
+				a, err := analysis.New(ctrl, "nip", pair.links)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := a.Analyze(rt.Src, rt.Dst)
+				if err != nil || got.err != nil {
+					t.Fatal(err, got.err)
+				}
+				if math.Float64bits(got.pDeliver) != math.Float64bits(want.PDeliver) ||
+					math.Float64bits(got.stretch) != math.Float64bits(want.Stretch()) {
+					t.Fatalf("%s->%s %s: got p=%v stretch=%v, fresh p=%v stretch=%v",
+						rt.Src, rt.Dst, pair.name, got.pDeliver, got.stretch, want.PDeliver, want.Stretch())
+				}
+				pairs++
+				if got != single.res {
+					wrong++
+				}
+			}
+		}
+	}
+	if pairs == 0 || wrong == 0 {
+		t.Fatalf("%d adversarial pairs, the single-failure verdict wrong on %d: the row tests nothing", pairs, wrong)
+	}
+	t.Logf("%d adversarial pairs; the single-failure verdict would have been wrong on %d", pairs, wrong)
 }

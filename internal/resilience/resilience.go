@@ -5,7 +5,8 @@
 // failure (plus optional seeded samples of two-link failure pairs)
 // and computes, for each (route, policy, failure) case, the exact
 // delivery verdict — via the internal/analysis Markov-chain machinery
-// for the probabilistic policies and a deterministic walk for "none".
+// for the probabilistic policies and a deterministic walk for "none"
+// and "dtree".
 // The sweep produces per-route resilience scores (fraction of
 // failures survived, worst-case delivery probability and stretch) and
 // a per-link blast-radius ranking of the failures that actually hurt.
@@ -19,6 +20,16 @@
 // merge pass — so the report and every kar_verify_* counter are
 // byte-identical at any worker count (the same discipline as the
 // controller's reroute pool).
+//
+// A verdict is computed once per distinct question. Static failover
+// decides from local link state, so a chain expansion or a walk is a
+// pure function of the route, the policy and the state of the links it
+// consulted; each computed verdict is recorded with that set
+// (memoEntry), and a failure set that agrees with a recorded one on it
+// takes the recorded verdict. The no-failure verdict alone answers
+// every failure set that misses the route's consulted links. A hit
+// returns what a recomputation would, so which worker remembered what
+// never shows in a report.
 package resilience
 
 import (
@@ -26,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -98,11 +110,12 @@ type Config struct {
 	Workers int
 	// Registry receives the kar_verify_* counters (nil: private).
 	Registry *telemetry.Registry
-	// Progress, when set, is called after every analyzed case with the
-	// running completion count and the total. Calls come from worker
-	// goroutines concurrently and in no deterministic order — it is a
-	// liveness channel (the serve daemon streams it), never an input to
-	// the report, which stays byte-identical with or without it.
+	// Progress, when set, is called once per completed failure set —
+	// the sweep's unit of work — with the running count of cases done
+	// (advanced by routes × policies each time) and the total. Calls come
+	// from worker goroutines concurrently and in no deterministic order
+	// — it is a liveness channel (the serve daemon streams it), never an
+	// input to the report, which stays byte-identical with or without it.
 	Progress func(done, total int)
 }
 
@@ -249,7 +262,7 @@ func Sweep(g *topology.Graph, routes []RouteSpec, cfg Config) (*Report, error) {
 }
 
 // SweepContext is Sweep under a cancellation context: when ctx is
-// cancelled, every worker stops at its next case boundary, the pool
+// cancelled, every worker stops at its next route boundary, the pool
 // drains, and ctx.Err() is returned with no partial report — a
 // cancelled sweep leaves no goroutines behind. A nil ctx means
 // context.Background().
@@ -257,119 +270,12 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(routes) == 0 {
-		return nil, errors.New("resilience: no routes to verify")
-	}
-	policies := cfg.Policies
-	if len(policies) == 0 {
-		policies = []string{"none", "hp", "avp", "nip"}
-	}
-	for _, p := range policies {
-		if _, ok := deflect.ByName(p); !ok {
-			return nil, fmt.Errorf("resilience: %q: %w", p, analysis.ErrPolicyUnsupported)
-		}
-	}
-	if cfg.AutoProtect && len(cfg.Protection) > 0 {
-		return nil, errors.New("resilience: AutoProtect and an explicit Protection set are mutually exclusive")
-	}
-
-	routes = append([]RouteSpec(nil), routes...)
-	sort.Slice(routes, func(i, j int) bool {
-		if routes[i].Src != routes[j].Src {
-			return routes[i].Src < routes[j].Src
-		}
-		return routes[i].Dst < routes[j].Dst
-	})
-	for i := 1; i < len(routes); i++ {
-		if routes[i].Src == routes[i-1].Src && routes[i].Dst == routes[i-1].Dst {
-			return nil, fmt.Errorf("resilience: duplicate route %s->%s", routes[i].Src, routes[i].Dst)
-		}
-	}
-
-	ctrl, ingress, err := buildController(g, routes, cfg.Protection, cfg.AutoProtect)
+	ct, err := analyzeCases(ctx, g, routes, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	failures, pairsDrawn := enumerateFailures(g, cfg.Pairs, cfg.PairSeed)
-
-	// A case's index is its place in (route, policy, failure) order —
-	// the merge order — whichever worker computes it.
+	routes, policies, failures := ct.routes, ct.policies, ct.failures
 	nP, nF := len(policies), len(failures)
-	total := len(routes) * nP * nF
-	results := make([]caseResult, total)
-
-	// Route endpoints as node indices into the component labelling; an
-	// endpoint the graph does not have (-1) is connected to nothing.
-	ends := make([][2]int, len(routes))
-	for r, rt := range routes {
-		ends[r] = [2]int{-1, -1}
-		if n, ok := g.Node(rt.Src); ok {
-			ends[r][0] = n.Index()
-		}
-		if n, ok := g.Node(rt.Dst); ok {
-			ends[r][1] = n.Index()
-		}
-	}
-	links, nodes := g.Links(), len(g.Nodes())
-
-	var done atomic.Int64
-	progress := func() {
-		if cfg.Progress != nil {
-			cfg.Progress(int(done.Add(1)), total)
-		}
-	}
-
-	// analyze computes every (route, policy) case of failure f. comp and
-	// analyzers are the calling worker's scratch: the surviving graph's
-	// component labels and the per-policy chain analyzers, both a
-	// function of the failure set alone.
-	analyze := func(f int, comp []int32, analyzers []*analysis.Analyzer) {
-		fl := failures[f]
-		labelComponents(links, fl.links, comp)
-		clear(analyzers)
-		for r, rt := range routes {
-			src, dst := ends[r][0], ends[r][1]
-			connected := src >= 0 && dst >= 0 && comp[src] == comp[dst]
-			for p, pol := range policies {
-				if ctx.Err() != nil {
-					return
-				}
-				cr := &results[(r*nP+p)*nF+f]
-				switch {
-				case !connected:
-					cr.outcome = Disconnected
-				case fl.links.has(ingress[r]):
-					// The ingress edge's programmed port feeds a dead link:
-					// the packet never reaches the first core, under any
-					// policy.
-					cr.outcome = Lost
-				default:
-					*cr = analyzeCase(ctrl, rt, pol, fl, &analyzers[p])
-				}
-				progress()
-			}
-		}
-	}
-
-	// Per-worker scratch, made on the worker's first failure set.
-	type scratch struct {
-		comp      []int32
-		analyzers []*analysis.Analyzer
-	}
-	scr := make([]scratch, par.Workers(cfg.Workers, nF))
-	par.ForEach(ctx, nF, cfg.Workers, func(w, f int) error {
-		s := &scr[w]
-		if s.comp == nil {
-			s.comp = make([]int32, nodes)
-			s.analyzers = make([]*analysis.Analyzer, nP)
-		}
-		analyze(f, s.comp, s.analyzers)
-		return nil
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 
 	// Sequential merge: scores, impacts and telemetry in job order.
 	reg := cfg.Registry
@@ -402,7 +308,7 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	}
 	impact := make(map[int]*LinkImpact) // failure index (singles) -> impact
 	var errs []error
-	for i, res := range results {
+	for i, res := range ct.results {
 		if res.err != nil {
 			errs = append(errs, res.err)
 			continue
@@ -508,13 +414,162 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 		Protection: cfg.ProtectionLabel,
 		Policies:   policies,
 		Routes:     len(routes),
-		Links:      len(links),
-		PairsDrawn: pairsDrawn,
-		Cases:      total,
+		Links:      g.NumLinks(),
+		PairsDrawn: ct.pairsDrawn,
+		Cases:      len(ct.results),
 		Scores:     scores,
 		Impacts:    impacts,
 		Totals:     totals,
 	}, nil
+}
+
+// caseTable is a sweep before aggregation: what was enumerated and
+// every case's verdict, with the controller the verdicts were computed
+// against.
+type caseTable struct {
+	routes     []RouteSpec // sorted by (src, dst)
+	policies   []string
+	failures   []failure
+	pairsDrawn int
+	results    []caseResult // case (r, p, f) at (r*len(policies)+p)*len(failures)+f
+	ctrl       *controller.Controller
+	ingress    []*topology.Link // per route
+	hits       int              // cases a recorded verdict answered
+}
+
+// analyzeCases validates a sweep's inputs, enumerates its cases and
+// computes every verdict on the worker pool.
+func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cfg Config) (*caseTable, error) {
+	if len(routes) == 0 {
+		return nil, errors.New("resilience: no routes to verify")
+	}
+	policies := cfg.Policies
+	if len(policies) == 0 {
+		policies = []string{"none", "hp", "avp", "nip"}
+	}
+	for _, p := range policies {
+		if _, ok := deflect.ByName(p); !ok {
+			return nil, fmt.Errorf("resilience: %q: %w", p, analysis.ErrPolicyUnsupported)
+		}
+	}
+	if cfg.AutoProtect && len(cfg.Protection) > 0 {
+		return nil, errors.New("resilience: AutoProtect and an explicit Protection set are mutually exclusive")
+	}
+
+	routes = append([]RouteSpec(nil), routes...)
+	sort.Slice(routes, func(i, j int) bool {
+		if routes[i].Src != routes[j].Src {
+			return routes[i].Src < routes[j].Src
+		}
+		return routes[i].Dst < routes[j].Dst
+	})
+	for i := 1; i < len(routes); i++ {
+		if routes[i].Src == routes[i-1].Src && routes[i].Dst == routes[i-1].Dst {
+			return nil, fmt.Errorf("resilience: duplicate route %s->%s", routes[i].Src, routes[i].Dst)
+		}
+	}
+
+	ctrl, ingress, err := buildController(g, routes, cfg.Protection, cfg.AutoProtect)
+	if err != nil {
+		return nil, err
+	}
+
+	failures, pairsDrawn := enumerateFailures(g, cfg.Pairs, cfg.PairSeed)
+
+	// A case's index is its place in (route, policy, failure) order —
+	// the merge order — whichever worker computes it.
+	nP, nF := len(policies), len(failures)
+	total := len(routes) * nP * nF
+	results := make([]caseResult, total)
+
+	// Route endpoints as node indices into the component labelling; an
+	// endpoint the graph does not have (-1) is connected to nothing.
+	ends := make([][2]int, len(routes))
+	for r, rt := range routes {
+		ends[r] = [2]int{-1, -1}
+		if n, ok := g.Node(rt.Src); ok {
+			ends[r][0] = n.Index()
+		}
+		if n, ok := g.Node(rt.Dst); ok {
+			ends[r][1] = n.Index()
+		}
+	}
+	links, nodes := g.Links(), len(g.Nodes())
+
+	// The no-failure verdict of every (route, policy), computed before
+	// the fan-out (on worker 0's scratch) and read by every worker: it
+	// answers each failure set that misses the links it consulted, most
+	// of them.
+	base := make([]memoEntry, len(routes)*nP)
+
+	// Per-worker scratch, made on the worker's first failure set.
+	scr := make([]*scratch, par.Workers(cfg.Workers, nF))
+	worker := func(w int) *scratch {
+		if scr[w] == nil {
+			scr[w] = newScratch(ctrl, policies, base, nodes)
+		}
+		return scr[w]
+	}
+	for r, rt := range routes {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		for p := range policies {
+			if res, consulted := worker(0).compute(rt, p, failure{}); res.err == nil {
+				base[r*nP+p] = memoEntry{consulted: slices.Clone(consulted), res: res}
+			}
+		}
+	}
+
+	// analyze computes every (route, policy) case of failure f on s's
+	// scratch, and reports the failure set done.
+	var done atomic.Int64
+	analyze := func(f int, s *scratch) {
+		fl := failures[f]
+		labelComponents(links, fl.links, s.comp)
+		s.setFailed(fl.links)
+		for r, rt := range routes {
+			if ctx.Err() != nil {
+				return
+			}
+			src, dst := ends[r][0], ends[r][1]
+			connected := src >= 0 && dst >= 0 && s.comp[src] == s.comp[dst]
+			for p := range policies {
+				cr := &results[(r*nP+p)*nF+f]
+				switch {
+				case !connected:
+					cr.outcome = Disconnected
+				case fl.links.has(ingress[r]):
+					// The ingress edge's programmed port feeds a dead link:
+					// the packet never reaches the first core, under any
+					// policy.
+					cr.outcome = Lost
+				default:
+					*cr = s.verdict(r*nP+p, rt, p, fl)
+				}
+			}
+		}
+		if cfg.Progress != nil {
+			cfg.Progress(int(done.Add(int64(len(routes)*nP))), total)
+		}
+	}
+	par.ForEach(ctx, nF, cfg.Workers, func(w, f int) error {
+		analyze(f, worker(w))
+		return nil
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	ct := &caseTable{
+		routes: routes, policies: policies, failures: failures, pairsDrawn: pairsDrawn,
+		results: results, ctrl: ctrl, ingress: ingress,
+	}
+	for _, s := range scr {
+		if s != nil {
+			ct.hits += s.hits
+		}
+	}
+	return ct, nil
 }
 
 // The per-policy kar_verify_* counter families, indexed fam*.
@@ -774,29 +829,131 @@ func findRoot(parent []int32, x int32) int32 {
 	return x
 }
 
-// analyzeCase computes the verdict of one connected case whose ingress
-// link survives. *a caches the failure set's chain analyzer for pol
-// across the routes of one failure.
-func analyzeCase(ctrl *controller.Controller, rt RouteSpec, pol string, fl failure, a **analysis.Analyzer) caseResult {
+// memoEntry is one computed verdict with what it depends on. A chain
+// expansion or a deterministic walk is a pure function of the route,
+// the policy and the answers to the link-state queries it makes, so the
+// verdict computed under failure set fail holds under every failure set
+// that agrees with fail on the consulted links.
+type memoEntry struct {
+	consulted analysis.LinkSet // nil: no verdict recorded
+	fail      failSet
+	res       caseResult
+}
+
+// answers reports whether e's verdict is f's too: f and e.fail have the
+// same members among the consulted links.
+func (e *memoEntry) answers(f failSet) bool {
+	if e.consulted == nil {
+		return false
+	}
+	for _, l := range f {
+		if e.consulted.Has(l) && !e.fail.has(l) {
+			return false
+		}
+	}
+	for _, l := range e.fail {
+		if e.consulted.Has(l) && !f.has(l) {
+			return false
+		}
+	}
+	return true
+}
+
+// scratch is one worker's working state: the surviving graph's
+// component labels, a chain analyzer per probabilistic policy, the
+// deterministic walk's view and consulted set, and the recorded
+// verdicts per (route, policy) — the sweep's no-failure ones, shared
+// and read-only once workers run, and the ones this worker computed.
+type scratch struct {
+	ctrl      *controller.Controller
+	policies  []string
+	comp      []int32
+	analyzers []*analysis.Analyzer // nil for the policies scored by walking
+	view      walkView
+	base      []memoEntry
+	memo      [][]memoEntry
+	hits      int // cases a recorded verdict answered
+}
+
+func newScratch(ctrl *controller.Controller, policies []string, base []memoEntry, nodes int) *scratch {
+	s := &scratch{
+		ctrl: ctrl, policies: policies,
+		comp:      make([]int32, nodes),
+		analyzers: make([]*analysis.Analyzer, len(policies)),
+		base:      base,
+		memo:      make([][]memoEntry, len(base)),
+	}
+	s.view.consulted = analysis.NewLinkSet(ctrl.Graph())
+	for p, pol := range policies {
+		if pol != "none" && pol != "dtree" {
+			// Policies were validated on entry: New cannot fail.
+			s.analyzers[p], _ = analysis.New(ctrl, pol, nil)
+		}
+	}
+	return s
+}
+
+// setFailed points the scratch at the failure set the next compute
+// calls run under.
+func (s *scratch) setFailed(failed failSet) {
+	s.view.failed = failed
+	for _, a := range s.analyzers {
+		if a != nil {
+			a.SetFailed(failed)
+		}
+	}
+}
+
+// verdict returns the verdict of one connected case whose ingress link
+// survives — route rt under policy p, key its (route, policy) index: a
+// recorded one that answers fl — the no-failure one first, then this
+// worker's own — or a fresh computation, recorded for the failure sets
+// to come. Which of the two it is cannot show in the result, so reports
+// do not depend on how failure sets fall to workers.
+func (s *scratch) verdict(key int, rt RouteSpec, p int, fl failure) caseResult {
+	if base := &s.base[key]; base.answers(fl.links) {
+		s.hits++
+		return base.res
+	}
+	for i := range s.memo[key] {
+		if e := &s.memo[key][i]; e.answers(fl.links) {
+			s.hits++
+			return e.res
+		}
+	}
+	res, consulted := s.compute(rt, p, fl)
+	if res.err == nil {
+		s.memo[key] = append(s.memo[key], memoEntry{consulted: slices.Clone(consulted), fail: fl.links, res: res})
+	}
+	return res
+}
+
+// compute scores one case under the failure set of the last setFailed
+// (fl, which names it in errors), returning the verdict and the links
+// whose state it depended on; the set is scratch, overwritten by the
+// next call.
+func (s *scratch) compute(rt RouteSpec, p int, fl failure) (caseResult, analysis.LinkSet) {
 	var res analysis.Result
 	var err error
-	switch pol {
-	case "none", "dtree":
+	var consulted analysis.LinkSet
+	if a := s.analyzers[p]; a != nil {
+		res, err = a.Analyze(rt.Src, rt.Dst)
+		consulted = a.Consulted()
+	} else {
 		// Deterministic policies score by direct walk — exact, and far
 		// cheaper than expanding and solving the chain.
-		res, err = walkDeterministic(ctrl, pol, rt.Src, rt.Dst, fl.links)
-	default:
-		if *a == nil {
-			*a, err = analysis.New(ctrl, pol, fl.links)
-		}
-		if err == nil {
-			res, err = (*a).Analyze(rt.Src, rt.Dst)
-		}
+		res, err = walkDeterministic(s.ctrl, s.policies[p], rt.Src, rt.Dst, &s.view)
+		consulted = s.view.consulted
 	}
 	if err != nil {
 		return caseResult{err: fmt.Errorf("resilience: %s->%s policy=%s failure=%s: %w",
-			rt.Src, rt.Dst, pol, fl.name, err)}
+			rt.Src, rt.Dst, s.policies[p], fl.name, err)}, nil
 	}
+	return classify(res), consulted
+}
+
+// classify turns a walk analysis into a case verdict.
+func classify(res analysis.Result) caseResult {
 	cr := caseResult{pDeliver: res.PDeliver, stretch: res.Stretch()}
 	switch {
 	case res.PDeliver >= 1-surviveEps:
@@ -813,8 +970,15 @@ func analyzeCase(ctrl *controller.Controller, rt RouteSpec, pol string, fl failu
 // deflect.SwitchView, so the deterministic walk runs the very same
 // policy code the data plane does.
 type walkView struct {
-	node   *topology.Node
-	failed failSet
+	node      *topology.Node
+	failed    failSet
+	consulted analysis.LinkSet // every link whose state the walk read
+}
+
+// linkUp is the one place a walk reads link state.
+func (v *walkView) linkUp(l *topology.Link) bool {
+	v.consulted.Add(l)
+	return !v.failed.has(l)
 }
 
 func (v *walkView) SwitchID() uint64 { return v.node.ID() }
@@ -824,7 +988,7 @@ func (v *walkView) Forward(r rns.RouteID) int {
 func (v *walkView) NumPorts() int { return v.node.PortSpan() }
 func (v *walkView) PortUp(i int) bool {
 	l, ok := v.node.PortLink(i)
-	return ok && !v.failed.has(l)
+	return ok && v.linkUp(l)
 }
 func (v *walkView) EdgePort(i int) bool {
 	l, ok := v.node.PortLink(i)
@@ -837,8 +1001,10 @@ func (v *walkView) EdgePort(i int) bool {
 // deflect.DTree.Decide — no RNG is ever consumed), drop on a dead or
 // invalid port, re-encode at wrong edges with a TTL refresh, deliver
 // at dst. PDeliver is 0 or 1 by construction; a TTL death counts as a
-// loss, exactly like the simulator's ttl_expired drop.
-func walkDeterministic(ctrl *controller.Controller, pol, src, dst string, failed failSet) (analysis.Result, error) {
+// loss, exactly like the simulator's ttl_expired drop. The walk runs
+// under view.failed and leaves the links it consulted in view.consulted.
+func walkDeterministic(ctrl *controller.Controller, pol, src, dst string, view *walkView) (analysis.Result, error) {
+	clear(view.consulted)
 	route, ok := ctrl.Route(src, dst)
 	if !ok {
 		return analysis.Result{}, fmt.Errorf("no installed route %s->%s", src, dst)
@@ -868,8 +1034,7 @@ func walkDeterministic(ctrl *controller.Controller, pol, src, dst string, failed
 		inPort    int
 		deflected bool
 	}
-	var seen map[walkState]bool       // made at the first misdelivery
-	view := &walkView{failed: failed} // one boxed view for the whole walk
+	var seen map[walkState]bool // made at the first misdelivery
 	for ttl := packet.DefaultTTL; ttl > 0; ttl-- {
 		if node.Kind() == topology.KindEdge {
 			if node.Name() == dst {
@@ -893,7 +1058,7 @@ func walkDeterministic(ctrl *controller.Controller, pol, src, dst string, failed
 				return res, nil
 			}
 			l, ok := node.PortLink(port)
-			if !ok || failed.has(l) {
+			if !ok || !view.linkUp(l) {
 				return res, nil
 			}
 			id = nid
@@ -912,7 +1077,7 @@ func walkDeterministic(ctrl *controller.Controller, pol, src, dst string, failed
 		}
 		deflected = deflected || d.Deflected
 		l, ok := node.PortLink(d.Port)
-		if !ok || failed.has(l) {
+		if !ok || !view.linkUp(l) {
 			return res, nil
 		}
 		next := l.Other(node)

@@ -199,7 +199,7 @@ func TestWalkNoneMatchesChain(t *testing.T) {
 			if !connected(g, rt.Src, rt.Dst, failed) || l == ingress[ri] {
 				continue
 			}
-			walk, err := walkDeterministic(ctrl, "none", rt.Src, rt.Dst, failSet{l})
+			walk, err := freshWalk(ctrl, "none", rt.Src, rt.Dst, failSet{l})
 			if err != nil {
 				t.Fatalf("%s->%s fail=%s: walk: %v", rt.Src, rt.Dst, l.Name(), err)
 			}
@@ -289,7 +289,7 @@ func TestWalkDtreeMatchesChain(t *testing.T) {
 			if !connected(g, rt.Src, rt.Dst, failed) || l == ingress[ri] {
 				continue
 			}
-			walk, err := walkDeterministic(ctrl, "dtree", rt.Src, rt.Dst, failSet{l})
+			walk, err := freshWalk(ctrl, "dtree", rt.Src, rt.Dst, failSet{l})
 			if err != nil {
 				t.Fatalf("%s->%s fail=%s: walk: %v", rt.Src, rt.Dst, l.Name(), err)
 			}

@@ -71,7 +71,8 @@ type ProgressEvent struct {
 	// run's virtual timeline (kind "inject").
 	Injection string `json:"injection,omitempty"`
 	// SweepDone/SweepTotal report resilience-sweep case completion
-	// (kind "sweep").
+	// (kind "sweep"): one event per completed failure set, SweepDone
+	// advancing by that set's routes × policies cases.
 	SweepDone  int `json:"sweep_done,omitempty"`
 	SweepTotal int `json:"sweep_total,omitempty"`
 }

@@ -56,9 +56,10 @@ func (b *eventBuf) append(ev jobEvent) {
 }
 
 // encodeEvent renders one stream line, byte for byte what json.Marshal
-// gives. Sweep progress — a verify job emits one per case, well over a
-// thousand — is appended field by field; every other kind is a handful
-// of events per job and takes the reflective encoder.
+// gives. Sweep progress — a verify job emits one per failure set, over
+// a hundred on Net15, and they are most of what it streams — is appended
+// field by field; every other kind is a handful of events per job and
+// takes the reflective encoder.
 func encodeEvent(ev jobEvent) ([]byte, error) {
 	sweep := scenario.ProgressEvent{Kind: "sweep", SweepDone: ev.SweepDone, SweepTotal: ev.SweepTotal}
 	if ev.ProgressEvent != sweep || ev.State != "" || !jsonPlain(ev.Job) {

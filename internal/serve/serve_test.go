@@ -257,6 +257,68 @@ func TestVerifyDtreeAutoRoundTrip(t *testing.T) {
 	}
 }
 
+// A verify job's event stream is one "sweep" line per failure set — not
+// per case, which held O(routes × policies × failure sets) lines with
+// the job — each counting the cases done so far, the largest equal to
+// the total; the only other lines are the job's state transitions. With
+// one sweep worker the counts arrive strictly increasing (several
+// workers report concurrently, so only the values are pinned there).
+func TestVerifyStreamOneSweepLinePerFailureSet(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	g, err := topology.Net15()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 30
+	failureSets := len(g.Links()) + pairs
+	for _, workers := range []int{1, 4} {
+		body := fmt.Sprintf(`{"topology": "net15", "policies": ["nip", "dtree"], "protection": "auto", "pairs": %d, "seed": 9, "workers": %d}`, pairs, workers)
+		resp, data := postJSON(t, ts.URL+"/v1/verify", bytes.NewReader([]byte(body)))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d: %s", resp.StatusCode, data)
+		}
+		var st JobStatus
+		json.Unmarshal(data, &st)
+		if fin := waitTerminal(t, ts.URL, st.ID); fin.State != StateDone {
+			t.Fatalf("verify job %s (%s)", fin.State, fin.Error)
+		}
+
+		_, nd := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/events?format=ndjson")
+		seen := map[int]bool{}
+		var last, most, total int
+		sc := bufio.NewScanner(bytes.NewReader(nd))
+		for sc.Scan() {
+			var ev struct {
+				Kind       string `json:"kind"`
+				State      string `json:"state"`
+				SweepDone  int    `json:"sweep_done"`
+				SweepTotal int    `json:"sweep_total"`
+			}
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				t.Fatalf("ndjson line %q: %v", sc.Text(), err)
+			}
+			switch ev.Kind {
+			case "state":
+				if ev.State == "" {
+					t.Errorf("state line without a state: %s", sc.Text())
+				}
+			case "sweep":
+				if seen[ev.SweepDone] || workers == 1 && ev.SweepDone <= last {
+					t.Errorf("workers=%d: sweep_done %d after %d", workers, ev.SweepDone, last)
+				}
+				seen[ev.SweepDone] = true
+				last, most, total = ev.SweepDone, max(most, ev.SweepDone), ev.SweepTotal
+			default:
+				t.Errorf("unexpected line in a verify stream: %s", sc.Text())
+			}
+		}
+		if len(seen) != failureSets || most != total || total == 0 {
+			t.Fatalf("workers=%d: %d sweep lines reaching %d of %d, want %d lines (one per failure set) reaching the total",
+				workers, len(seen), most, total, failureSets)
+		}
+	}
+}
+
 // A dtree scenario (auto protection) must run to done through the
 // daemon and lose at most the single packet already in flight on the
 // link when the cut lands — every packet that reaches a switch after

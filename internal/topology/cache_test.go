@@ -100,3 +100,57 @@ func TestGraphCacheConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// A link's index is its place in Links(), and its name is built once:
+// the second call allocates nothing.
+func TestLinkIndexAndCachedName(t *testing.T) {
+	g, err := Net15()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumLinks() != len(g.Links()) {
+		t.Fatalf("NumLinks %d, %d links", g.NumLinks(), len(g.Links()))
+	}
+	for i, l := range g.Links() {
+		if l.Index() != i {
+			t.Fatalf("link %s at position %d has index %d", l.A().Name()+"-"+l.B().Name(), i, l.Index())
+		}
+		if want := l.A().Name() + "-" + l.B().Name(); l.Name() != want {
+			t.Fatalf("link name %q, want %q", l.Name(), want)
+		}
+	}
+	l := g.Links()[3]
+	if allocs := testing.AllocsPerRun(100, func() { _ = l.Name() }); allocs != 0 {
+		t.Fatalf("Name on a named link allocates %.0f times", allocs)
+	}
+}
+
+// Graphs from Shared are read by many jobs at once: naming the links of
+// a graph nobody has named yet from several goroutines is race-free (run
+// under -race) and every caller sees the same string.
+func TestLinkNameConcurrent(t *testing.T) {
+	g, err := FromSpec("fattree:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := g.Links()
+	names := make([][]string, 8)
+	var wg sync.WaitGroup
+	for w := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, l := range links {
+				names[w] = append(names[w], l.Name())
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range names {
+		for i, l := range links {
+			if want := l.A().Name() + "-" + l.B().Name(); names[w][i] != want {
+				t.Fatalf("goroutine %d named link %d %q, want %q", w, i, names[w][i], want)
+			}
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/rns"
@@ -135,10 +136,20 @@ func (n *Node) String() string { return n.name }
 type Link struct {
 	a, b         *Node
 	aPort, bPort int
+	idx          int // insertion index, for sets of links kept as bitsets
 	rateMbps     float64
 	delay        time.Duration
 	queuePkts    int
+
+	// name is rendered on the first Name call, not at Connect: a
+	// 980-switch fat tree has 11 368 links and most runs name a handful.
+	nameOnce sync.Once
+	name     string
 }
+
+// Index returns the link's stable insertion index within its graph:
+// g.Links()[l.Index()] == l.
+func (l *Link) Index() int { return l.idx }
 
 // A and B return the endpoints in construction order.
 func (l *Link) A() *Node { return l.a }
@@ -180,9 +191,13 @@ func (l *Link) Delay() time.Duration { return l.delay }
 // QueuePackets returns the per-direction queue capacity in packets.
 func (l *Link) QueuePackets() int { return l.queuePkts }
 
-// Name renders the canonical "A-B" name used by the paper (e.g.
-// "SW7-SW13").
-func (l *Link) Name() string { return l.a.name + "-" + l.b.name }
+// Name returns the canonical "A-B" name used by the paper (e.g.
+// "SW7-SW13"). The string is built once, on the first call; graphs from
+// Shared are named by many jobs at once, hence the Once.
+func (l *Link) Name() string {
+	l.nameOnce.Do(func() { l.name = l.a.name + "-" + l.b.name })
+	return l.name
+}
 
 func (l *Link) String() string { return l.Name() }
 
@@ -313,6 +328,7 @@ func (g *Graph) Connect(a, b string, opts ...LinkOption) (*Link, error) {
 	l := &Link{
 		a: na, b: nb,
 		aPort: cfg.aPort, bPort: cfg.bPort,
+		idx:       len(g.links),
 		rateMbps:  cfg.rateMbps,
 		delay:     cfg.delay,
 		queuePkts: cfg.queuePkts,
@@ -382,6 +398,9 @@ func (g *Graph) EdgeNodes() []*Node {
 
 // Links returns all links in insertion order (a copy).
 func (g *Graph) Links() []*Link { return append([]*Link(nil), g.links...) }
+
+// NumLinks returns the number of links: the bound of Link.Index.
+func (g *Graph) NumLinks() int { return len(g.links) }
 
 // LinkBetween finds the link joining two named nodes, in either
 // orientation.
