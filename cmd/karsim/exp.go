@@ -86,11 +86,11 @@ var experiments = []struct {
 		return nil
 	}},
 	{"ablation", true, func(o *options) error {
-		reno, err := experiment.RenoAblation(o.seed)
+		reno, err := experiment.RenoAblation(o.seed, o.workers)
 		if err != nil {
 			return err
 		}
-		reaction, err := experiment.Reaction(experiment.ReactionConfig{ControlDelay: controlDelay, Seed: o.seed})
+		reaction, err := experiment.Reaction(experiment.ReactionConfig{ControlDelay: controlDelay, Seed: o.seed, Workers: o.workers})
 		if err != nil {
 			return err
 		}

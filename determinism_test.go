@@ -115,6 +115,28 @@ func runSpec(t *testing.T, spec *scenario.Spec, m mode, metrics *telemetry.Colle
 	return v
 }
 
+// sweepTrace bounds each run's recorder ring: the sweeps below trace
+// dozens of TCP runs, and the ring's oldest-first eviction is as
+// deterministic as the records.
+var sweepTrace = trace.Config{Rate: 1, Max: 512}
+
+// sweepOutputs collects a TCP sweep's rows (printed at full precision)
+// and whichever collectors it filled.
+func sweepOutputs(t *testing.T, rows any, err error, metrics *telemetry.Collector, traces *trace.Collector) outputs {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := outputs{"rows": fmt.Appendf(nil, "%+v", rows)}
+	if metrics != nil {
+		o.metrics(t, metrics)
+	}
+	if traces != nil {
+		o.traces(t, traces)
+	}
+	return o
+}
+
 func TestDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulations")
@@ -228,6 +250,48 @@ func TestDeterminismMatrix(t *testing.T) {
 			},
 			modes: []mode{{shards: 1}, {shards: 4}, {shards: 2, scalar: true}},
 			want:  []string{`"kind":"hop"`},
+		},
+		{
+			// The sweep engine pools over (cell × run): which runs overlap
+			// depends on the worker count, and no row, series or trace
+			// record may. 2 failures × 2 protections × 2 policies × 3 runs.
+			name: "fig5-sweep",
+			produce: func(t *testing.T, m mode) outputs {
+				mc, tc := telemetry.NewCollector(), trace.NewCollector(sweepTrace)
+				rows, err := experiment.Fig5(experiment.Fig5Config{
+					Runs: 3, RunDuration: time.Second, WarmUp: 250 * time.Millisecond, Seed: 5, Workers: m.workers,
+					Failures:    [][2]string{{"SW10", "SW7"}, {"SW13", "SW29"}},
+					Protections: []string{"unprotected", "partial"},
+					Metrics:     mc, Trace: tc,
+				})
+				return sweepOutputs(t, rows, err, mc, tc)
+			},
+			modes: []mode{{workers: 1}, {workers: 2}, {workers: 5}},
+			want:  []string{`kar_edge_reencode_total{`, `"kind":"reencode"`},
+		},
+		{
+			name: "fig7-sweep",
+			produce: func(t *testing.T, m mode) outputs {
+				mc, tc := telemetry.NewCollector(), trace.NewCollector(sweepTrace)
+				rows, err := experiment.Fig7(experiment.RepeatConfig{
+					Runs: 3, RunDuration: time.Second, WarmUp: 250 * time.Millisecond, Seed: 5, Workers: m.workers,
+					Metrics: mc, Trace: tc,
+				})
+				return sweepOutputs(t, rows, err, mc, tc)
+			},
+			modes: []mode{{workers: 1}, {workers: 2}, {workers: 5}},
+			want:  []string{`SW13-SW41`, `kar_switch_deflections_total{cause=`},
+		},
+		{
+			// One run per variant, all on one seed: the sweep whose cells
+			// only overlap because the pool is flat. It takes no collectors.
+			name: "reno-ablation",
+			produce: func(t *testing.T, m mode) outputs {
+				rows, err := experiment.RenoAblation(5, m.workers)
+				return sweepOutputs(t, rows, err, nil, nil)
+			},
+			modes: []mode{{workers: 1}, {workers: 2}, {workers: 5}},
+			want:  []string{`strict Reno`},
 		},
 		{
 			name: "dtree-verdict",

@@ -113,6 +113,16 @@ type Edge struct {
 	// the control-plane log records only the first per flow; the
 	// kar_edge_reencode_total counter keeps the volume.
 	loggedReencode map[packet.FlowID]bool
+
+	// Misdeliveries awaiting re-encode. reencodeDelay is fixed at
+	// construction and every timer is posted to this edge's own entity,
+	// so they fire in arrival order: pending[pendHead:] queues the
+	// packets and each timer is the one method value reencodeFn, which
+	// takes the oldest. ctrlAt is ctrl when it implements the upgrade.
+	pending    []*packet.Packet
+	pendHead   int
+	reencodeFn func()
+	ctrlAt     ReencoderAt
 }
 
 var _ simnet.Handler = (*Edge)(nil)
@@ -151,6 +161,8 @@ func New(net *simnet.Network, node *topology.Node, ctrl Reencoder, opts ...Optio
 		cNoRoute:       reg.Counter("kar_edge_noroute_total", "edge", name),
 		loggedReencode: make(map[packet.FlowID]bool),
 	}
+	e.ctrlAt, _ = ctrl.(ReencoderAt)
+	e.reencodeFn = e.reencodeNext
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -279,38 +291,52 @@ func (e *Edge) HandlePacket(pkt *packet.Packet, inPort int) {
 		e.net.Drop(pkt, simnet.DropNoViablePort, e.node.Name())
 		return
 	}
-	e.clock.After(e.reencodeDelay, func() {
-		var (
-			id      rns.RouteID
-			outPort int
-			err     error
-		)
-		if ra, ok := e.ctrl.(ReencoderAt); ok {
-			id, outPort, err = ra.ReencodeRouteAt(e.clock.Now(), e.node.Name(), pkt.Flow.Dst)
-		} else {
-			id, outPort, err = e.ctrl.ReencodeRoute(e.node.Name(), pkt.Flow.Dst)
+	e.pending = append(e.pending, pkt)
+	e.clock.After(e.reencodeDelay, e.reencodeFn)
+}
+
+// reencodeNext returns the oldest pending misdelivery to the network
+// under a fresh route ID from the controller.
+func (e *Edge) reencodeNext() {
+	pkt := e.pending[e.pendHead]
+	e.pendHead++
+	if 2*e.pendHead >= len(e.pending) {
+		// Mostly (or wholly) drained: slide the live tail down, so the
+		// slice stays within twice the backlog and pins no sent packet.
+		n := copy(e.pending, e.pending[e.pendHead:])
+		clear(e.pending[n:])
+		e.pending, e.pendHead = e.pending[:n], 0
+	}
+	var (
+		id      rns.RouteID
+		outPort int
+		err     error
+	)
+	if e.ctrlAt != nil {
+		id, outPort, err = e.ctrlAt.ReencodeRouteAt(e.clock.Now(), e.node.Name(), pkt.Flow.Dst)
+	} else {
+		id, outPort, err = e.ctrl.ReencodeRoute(e.node.Name(), pkt.Flow.Dst)
+	}
+	if err != nil {
+		e.net.Drop(pkt, simnet.DropNoViablePort, e.node.Name())
+		return
+	}
+	pkt.RouteID = id
+	pkt.TTL = packet.DefaultTTL
+	pkt.Deflected = false // back on an encoded path
+	e.cReencoded.Inc()
+	if !e.loggedReencode[pkt.Flow] {
+		e.loggedReencode[pkt.Flow] = true
+		// Explicit timestamp: this callback may run on a shard lane
+		// whose clock is ahead of the event log's control clock.
+		e.net.Events().RecordAt(e.clock.Now(), telemetry.EventReencode, e.node.Name(), pkt.Flow.String())
+	}
+	if pkt.Sampled {
+		if t := e.net.Trace(); t != nil {
+			t.PacketReencode(pkt, e.node.Name(), outPort)
 		}
-		if err != nil {
-			e.net.Drop(pkt, simnet.DropNoViablePort, e.node.Name())
-			return
-		}
-		pkt.RouteID = id
-		pkt.TTL = packet.DefaultTTL
-		pkt.Deflected = false // back on an encoded path
-		e.cReencoded.Inc()
-		if !e.loggedReencode[pkt.Flow] {
-			e.loggedReencode[pkt.Flow] = true
-			// Explicit timestamp: this callback may run on a shard lane
-			// whose clock is ahead of the event log's control clock.
-			e.net.Events().RecordAt(e.clock.Now(), telemetry.EventReencode, e.node.Name(), pkt.Flow.String())
-		}
-		if pkt.Sampled {
-			if t := e.net.Trace(); t != nil {
-				t.PacketReencode(pkt, e.node.Name(), outPort)
-			}
-		}
-		e.net.Send(e.node, outPort, pkt)
-	})
+	}
+	e.net.Send(e.node, outPort, pkt)
 }
 
 // Stats is a snapshot of edge counters.

@@ -2,6 +2,7 @@ package edge
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -206,5 +207,118 @@ func TestEdgeUnclaimedFlow(t *testing.T) {
 	net.Scheduler().RunUntil(time.Second)
 	if st := e2.Stats(); st.Unclaimed != 1 {
 		t.Errorf("Unclaimed = %d, want 1", st.Unclaimed)
+	}
+}
+
+// TestEdgeReencodesInArrivalOrder: misdeliveries wait out the
+// control-plane delay in the edge's FIFO, drained by one timer callback
+// per packet. Interleaved packets of two flows — some arriving at the
+// same instant — must come back re-encoded in arrival order, each
+// exactly once, and the drained FIFO must pin none of them.
+func TestEdgeReencodesInArrivalOrder(t *testing.T) {
+	net, g := threeNode(t)
+	e1n, _ := g.Node("E1")
+	e2n, _ := g.Node("E2")
+	re := &fixedReencoder{id: rns.RouteIDFromUint64(8), port: 0}
+	e1 := New(net, e1n, re, WithReencodeDelay(3*time.Millisecond))
+	e2 := New(net, e2n, nil)
+
+	type arrival struct {
+		flow packet.FlowID
+		seq  uint64
+	}
+	flows := []packet.FlowID{{Src: "X", Dst: "E2"}, {Src: "Y", Dst: "E2"}}
+	var got []arrival
+	for _, f := range flows {
+		e2.Attach(f, ReceiverFunc(func(p *packet.Packet) { got = append(got, arrival{p.Flow, p.Seq}) }))
+	}
+	const n = 40
+	var want []arrival
+	for i := 0; i < n; i++ {
+		a := arrival{flows[i/3%2], uint64(i)}
+		want = append(want, a)
+		// First half: pairs sharing an instant, 1 ms apart, so the FIFO
+		// backs up behind the 3 ms delay. Second half: 5 ms apart, so it
+		// runs empty between packets.
+		at := time.Duration(i/2) * time.Millisecond
+		if i >= n/2 {
+			at = time.Duration(100+5*i) * time.Millisecond
+		}
+		net.Scheduler().At(at, func() {
+			net.Deliver(&packet.Packet{Flow: a.flow, Seq: a.seq, Size: 100, TTL: 5, Deflected: true}, e1n, 0)
+		})
+	}
+	net.Scheduler().RunUntil(time.Second)
+
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("re-encoded packets delivered as\n%v\nwant arrival order\n%v", got, want)
+	}
+	if st := e1.Stats(); st.Misdelivered != n || st.Reencoded != n || re.calls != n {
+		t.Errorf("E1 stats = %+v, controller calls = %d, want %d misdelivered, re-encoded and asked", st, re.calls, n)
+	}
+	if len(e1.pending) != 0 || e1.pendHead != 0 {
+		t.Errorf("FIFO not empty after the run: len %d head %d", len(e1.pending), e1.pendHead)
+	}
+	for i, p := range e1.pending[:cap(e1.pending)] {
+		if p != nil {
+			t.Errorf("drained FIFO still pins a packet in slot %d", i)
+		}
+	}
+}
+
+// TestEdgeReencodeErrorReleases: when the controller has no route the
+// queued packet is dropped as no-viable-port and handed back to the
+// pool, and the FIFO moves on to the next one.
+func TestEdgeReencodeErrorReleases(t *testing.T) {
+	net, g := threeNode(t)
+	e1n, _ := g.Node("E1")
+	re := &fixedReencoder{err: errors.New("no path")}
+	e1 := New(net, e1n, re)
+	var reasons []simnet.DropReason
+	net.SetDropHook(func(d simnet.Drop) { reasons = append(reasons, d.Reason) })
+	flow := packet.FlowID{Src: "X", Dst: "E2"}
+	pkts := []*packet.Packet{packet.Get(), packet.Get()}
+	for _, p := range pkts {
+		p.Flow, p.Size, p.TTL = flow, 100, 5
+		net.Deliver(p, e1n, 0)
+	}
+	net.Scheduler().RunUntil(time.Second)
+	if len(reasons) != 2 || reasons[0] != simnet.DropNoViablePort || reasons[1] != simnet.DropNoViablePort {
+		t.Fatalf("drop reasons = %v, want two no-viable-port", reasons)
+	}
+	for i, p := range pkts {
+		if p.Flow != (packet.FlowID{}) { // Release zeroes a pool-owned packet
+			t.Errorf("packet %d was not released to the pool", i)
+		}
+	}
+	if st := e1.Stats(); st.Misdelivered != 2 || st.Reencoded != 0 || len(e1.pending) != 0 {
+		t.Errorf("E1 stats = %+v, %d pending, want 2 misdelivered, none re-encoded or pending", st, len(e1.pending))
+	}
+}
+
+// TestEdgeReencodeAllocatesNothing: the misdelivery path posts a method
+// value bound at construction, not a closure per packet.
+func TestEdgeReencodeAllocatesNothing(t *testing.T) {
+	net, g := threeNode(t)
+	e1n, _ := g.Node("E1")
+	e2n, _ := g.Node("E2")
+	re := &fixedReencoder{id: rns.RouteIDFromUint64(8), port: 0}
+	e1 := New(net, e1n, re)
+	e2 := New(net, e2n, nil)
+	flow := packet.FlowID{Src: "X", Dst: "E2"}
+	e2.Attach(flow, ReceiverFunc(func(*packet.Packet) {}))
+	pkt := &packet.Packet{Flow: flow, Size: 100}
+	sched := net.Scheduler()
+	misdeliver := func() {
+		pkt.TTL, pkt.Hops = 5, 0
+		net.Deliver(pkt, e1n, 0)
+		sched.RunUntil(sched.Now() + 20*time.Millisecond)
+	}
+	misdeliver() // first re-encode of the flow: event-log record, queue records
+	if allocs := testing.AllocsPerRun(100, misdeliver); allocs != 0 {
+		t.Errorf("a re-encode allocates %.1f objects in steady state, want 0", allocs)
+	}
+	if st := e1.Stats(); st.Reencoded != 102 {
+		t.Errorf("Reencoded = %d, want 102", st.Reencoded)
 	}
 }

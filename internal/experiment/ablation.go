@@ -32,8 +32,9 @@ type RenoAblationRow struct {
 // ran — adaptive dup-ACK threshold and DSACK undo — retain most
 // throughput. Scenario: the RNP backbone's SW13-SW41 failure (the
 // paper's worst Fig. 7 case: 5-way deflection and long wanders), NIP,
-// partial protection.
-func RenoAblation(seed int64) ([]RenoAblationRow, error) {
+// partial protection. workers bounds the variants in flight (0: one
+// per CPU).
+func RenoAblation(seed int64, workers int) ([]RenoAblationRow, error) {
 	variants := []struct {
 		name      string
 		transport string
@@ -56,7 +57,9 @@ func RenoAblation(seed int64) ([]RenoAblationRow, error) {
 	}
 	// One 12 s run per variant, all on the same seed, measured after a
 	// 2 s ramp.
-	res, err := runSweep(RepeatConfig{Runs: 1, RunDuration: 12 * time.Second, WarmUp: 2 * time.Second, Seed: seed}, cells)
+	res, err := runSweep(RepeatConfig{
+		Runs: 1, RunDuration: 12 * time.Second, WarmUp: 2 * time.Second, Seed: seed, Workers: workers,
+	}, cells)
 	if err != nil {
 		return nil, err
 	}

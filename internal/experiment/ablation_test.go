@@ -11,7 +11,7 @@ func TestRenoAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation")
 	}
-	rows, err := RenoAblation(5)
+	rows, err := RenoAblation(5, 0)
 	if err != nil {
 		t.Fatalf("RenoAblation: %v", err)
 	}

@@ -208,9 +208,9 @@ type RepeatConfig struct {
 	RunDuration time.Duration
 	WarmUp      time.Duration // excluded from each run's mean
 	Seed        int64
-	// Workers bounds the runs of a cell in flight (0: one per CPU). It
-	// only affects wall clock: each run is an isolated world keyed by
-	// its seed.
+	// Workers bounds the runs in flight across the whole sweep (0: one
+	// per CPU). It only affects wall clock: each run is an isolated
+	// world keyed by its seed.
 	Workers int
 	// Metrics optionally collects every run's telemetry.
 	Metrics *telemetry.Collector
@@ -248,35 +248,43 @@ type cellResult struct {
 	Sender  tcpsim.SenderStats
 }
 
-// runSweep is the one sweep engine: cells in sequence, the pool over a
-// cell's Runs seeds (cell seed + run·1 000 003). cfg has had defaults
+// runSweep is the one sweep engine: one pool over every (cell, run)
+// pair — index k is run k%Runs of cell k/Runs, seeded cell seed +
+// run·1 000 003 — so a one-run sweep of many cells still fills Workers,
+// and no result depends on which pairs overlap. cfg has had defaults
 // applied.
 func runSweep(cfg RepeatConfig, cells []sweepCell) ([]cellResult, error) {
 	out := make([]cellResult, len(cells))
+	runs := make([]TCPRunConfig, len(cells))
 	for c, cell := range cells {
 		run := cell.run
 		run.Duration, run.Metrics, run.Trace = cfg.RunDuration, cfg.Metrics, cfg.Trace
+		run.Seed = cfg.Seed + cell.seedOffset
 		if f := cell.fail; f != ([2]string{}) {
 			run.Failures = []FailureSpec{{A: f[0], B: f[1], Duration: cfg.RunDuration}}
 		}
-		means := make([]float64, cfg.Runs)
-		err := par.ForEach(context.TODO(), cfg.Runs, cfg.Workers, func(_, i int) error {
-			run := run
-			run.Seed = cfg.Seed + cell.seedOffset + int64(i)*1_000_003
-			res, err := RunTCP(run)
-			if err != nil {
-				return err
-			}
-			means[i] = res.MeanMbps(cfg.WarmUp, cfg.RunDuration)
-			if i == 0 {
-				out[c].Sender = res.Sender
-			}
-			return nil
-		})
+		runs[c] = run
+	}
+	means := make([]float64, len(cells)*cfg.Runs)
+	err := par.ForEach(context.TODO(), len(means), cfg.Workers, func(_, k int) error {
+		c, i := k/cfg.Runs, k%cfg.Runs
+		run := runs[c]
+		run.Seed += int64(i) * 1_000_003
+		res, err := RunTCP(run)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[c].Goodput = measure.Summarize(means)
+		means[k] = res.MeanMbps(cfg.WarmUp, cfg.RunDuration)
+		if i == 0 {
+			out[c].Sender = res.Sender
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for c := range out {
+		out[c].Goodput = measure.Summarize(means[c*cfg.Runs : (c+1)*cfg.Runs])
 	}
 	return out, nil
 }

@@ -234,10 +234,8 @@ func (v view) Forward(r rns.RouteID) int {
 	}
 	return core.ForwardReduced(v.s.red, r)
 }
-func (v view) NumPorts() int { return v.s.node.PortSpan() }
-func (v view) PortUp(i int) bool {
-	return v.s.net.PortUp(v.s.node, i)
-}
+func (v view) NumPorts() int     { return v.s.node.PortSpan() }
+func (v view) PortUp(i int) bool { return v.s.portUp(i) }
 func (v view) EdgePort(i int) bool {
 	l, ok := v.s.node.PortLink(i)
 	return ok && l.Other(v.s.node).Kind() == topology.KindEdge
@@ -346,7 +344,27 @@ func (s *Switch) decide(pkt *packet.Packet, inPort int) {
 		}
 	}
 	s.cForwarded.Inc()
-	s.net.Send(s.node, d.Port, pkt)
+	if l := s.lineAt(d.Port); l != nil {
+		s.net.SendOnLine(l, s.portDirs[d.Port], pkt)
+		return
+	}
+	s.net.Send(s.node, d.Port, pkt) // no link: Send's DropNoPort
+}
+
+// lineAt is the cached Network.LineAt(s.node, i): nil for an
+// out-of-range or unattached port.
+func (s *Switch) lineAt(i int) *simnet.Line {
+	if uint(i) >= uint(len(s.portLines)) {
+		return nil
+	}
+	return s.portLines[i]
+}
+
+// portUp is Network.PortUp(s.node, i) over the per-port line cache:
+// the detected state of the port's link, false when there is none.
+func (s *Switch) portUp(i int) bool {
+	l := s.lineAt(i)
+	return l != nil && l.SeenUp()
 }
 
 // deflectCause classifies why the encoded modulo port was not used:
@@ -365,7 +383,7 @@ func (s *Switch) deflectCause(pkt *packet.Packet, inPort int) (int, int) {
 	switch {
 	case port < 0 || port >= s.node.PortSpan():
 		return causeIdxInvalidPort, port
-	case !s.net.PortUp(s.node, port):
+	case !s.portUp(port):
 		return causeIdxPortDown, port
 	case port == inPort:
 		return causeIdxInputPort, port

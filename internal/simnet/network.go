@@ -223,8 +223,8 @@ type LineStats struct {
 type Network struct {
 	sched    *Scheduler
 	topo     *topology.Graph
-	lines    map[*topology.Link]*Line
-	handlers map[*topology.Node]Handler
+	lines    []*Line   // by topology.Link.Index()
+	handlers []Handler // by topology.Node.Index(); nil = unbound
 	dropHook func(Drop)
 	trace    TraceSink
 
@@ -347,8 +347,8 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	}
 	n := &Network{
 		topo:       topo,
-		lines:      make(map[*topology.Link]*Line, len(links)),
-		handlers:   make(map[*topology.Node]Handler, len(nodes)),
+		lines:      make([]*Line, len(links)),
+		handlers:   make([]Handler, len(nodes)),
 		metrics:    telemetry.NewRegistry(telemetry.WithBaseLabels(cfg.baseLabels...)),
 		detectDown: cfg.detectDown,
 		detectUp:   cfg.detectUp,
@@ -451,7 +451,7 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 				}
 			}
 		}
-		n.lines[l] = line
+		n.lines[li] = line
 	}
 	return n
 }
@@ -481,7 +481,7 @@ func (n *Network) Events() *telemetry.EventLog { return n.events }
 // Bind attaches the handler for a node. All nodes that can receive
 // packets must be bound before traffic starts.
 func (n *Network) Bind(node *topology.Node, h Handler) {
-	n.handlers[node] = h
+	n.handlers[node.Index()] = h
 }
 
 // SetDropHook registers a callback invoked on every packet loss
@@ -536,12 +536,12 @@ func (n *Network) PortUp(node *topology.Node, i int) bool {
 	if !ok {
 		return false
 	}
-	return n.lines[l].seenUp
+	return n.lines[l.Index()].seenUp
 }
 
 // LinkUp reports the physical state of a link (no outstanding
 // down-holds), regardless of what the switches have detected.
-func (n *Network) LinkUp(l *topology.Link) bool { return n.lines[l].Up() }
+func (n *Network) LinkUp(l *topology.Link) bool { return n.lines[l.Index()].Up() }
 
 // Send transmits pkt out of node's port i: FIFO queueing, fixed-rate
 // serialization, propagation delay, then delivery to the neighbour's
@@ -565,7 +565,7 @@ func (n *Network) LineAt(node *topology.Node, i int) (*Line, uint8) {
 	if !ok {
 		return nil, 0
 	}
-	line := n.lines[l]
+	line := n.lines[l.Index()]
 	var dir uint8
 	if l.B() == node {
 		dir = 1
@@ -574,7 +574,7 @@ func (n *Network) LineAt(node *topology.Node, i int) (*Line, uint8) {
 }
 
 // SeenUp reports the adjacent switches' detected view of the line —
-// the value PortUp resolves to after its two map lookups.
+// the value PortUp resolves to, for callers that cache LineAt's result.
 func (l *Line) SeenUp() bool { return l.seenUp }
 
 // SendOnLine is Send with the port already resolved to its (line,
@@ -745,7 +745,7 @@ func (l *Line) corrupt(pkt *packet.Packet, rng *rand.Rand) bool {
 // on first installation so un-impaired worlds keep their exact metric
 // surface.
 func (n *Network) SetImpairment(l *topology.Link, imp *Impairment) {
-	line := n.lines[l]
+	line := n.lines[l.Index()]
 	if imp != nil && line.cGrayDrops == nil {
 		n.metrics.Help("kar_fault_gray_drops_total", "Packets silently discarded by a gray-failure impairment, by link.")
 		n.metrics.Help("kar_fault_corrupted_total", "Packets whose route ID a gray-failure impairment bit-flipped, by link.")
@@ -767,8 +767,8 @@ func (n *Network) SetImpairment(l *topology.Link, imp *Impairment) {
 // Deliver hands a packet to a node's handler immediately (used by
 // Send, and by edges looping a packet back into themselves).
 func (n *Network) Deliver(pkt *packet.Packet, dst *topology.Node, inPort int) {
-	h, ok := n.handlers[dst]
-	if !ok {
+	h := n.handlers[dst.Index()]
+	if h == nil {
 		n.Drop(pkt, DropNoPort, dst.Name())
 		return
 	}
@@ -804,19 +804,19 @@ func (n *Network) SetLinkDetectionHook(fn func(l *topology.Link, up bool)) {
 // LinkSeenUp reports the adjacent switches' *detected* view of a link
 // — what PortUp consults — which lags the physical state under a
 // detection-latency model. Detection hooks may call it re-entrantly.
-func (n *Network) LinkSeenUp(l *topology.Link) bool { return n.lines[l].seenUp }
+func (n *Network) LinkSeenUp(l *topology.Link) bool { return n.lines[l.Index()].seenUp }
 
 // AcquireLinkDown takes one down-hold on a link. The link goes
 // physically down on the first hold and stays down until every hold is
 // released, so overlapping failure windows compose instead of the
 // earlier window's repair re-raising a link a later window still
 // claims.
-func (n *Network) AcquireLinkDown(l *topology.Link) { n.acquireDown(n.lines[l]) }
+func (n *Network) AcquireLinkDown(l *topology.Link) { n.acquireDown(n.lines[l.Index()]) }
 
 // ReleaseLinkDown releases one down-hold; the link comes back up when
 // the last hold is gone. Releasing with no holds outstanding is a
 // no-op.
-func (n *Network) ReleaseLinkDown(l *topology.Link) { n.releaseDown(n.lines[l]) }
+func (n *Network) ReleaseLinkDown(l *topology.Link) { n.releaseDown(n.lines[l.Index()]) }
 
 func (n *Network) acquireDown(line *Line) {
 	line.downRefs++
@@ -902,7 +902,7 @@ func (n *Network) setDetected(line *Line, up bool) {
 // twice needs only one RepairLink, and it composes with holds taken by
 // scheduled windows or fault injectors.
 func (n *Network) FailLink(l *topology.Link) {
-	line := n.lines[l]
+	line := n.lines[l.Index()]
 	if line.manualHold {
 		return
 	}
@@ -913,7 +913,7 @@ func (n *Network) FailLink(l *topology.Link) {
 // RepairLink releases FailLink's hold; the link comes back up unless
 // other holds (overlapping failure windows, injectors) remain.
 func (n *Network) RepairLink(l *topology.Link) {
-	line := n.lines[l]
+	line := n.lines[l.Index()]
 	if !line.manualHold {
 		return
 	}
@@ -936,7 +936,7 @@ func (n *Network) ScheduleFailure(l *topology.Link, from, duration time.Duration
 
 // LineStats returns a link's counters, read back from the registry.
 func (n *Network) LineStats(l *topology.Link) LineStats {
-	line := n.lines[l]
+	line := n.lines[l.Index()]
 	var s LineStats
 	for d := range line.dirs {
 		s.SentPackets += line.dirs[d].sentPackets.Value()

@@ -285,6 +285,26 @@ func TestUnboundNodeDrops(t *testing.T) {
 	}
 }
 
+// TestBindNilUnbinds: handlers live in a slice over Node.Index() whose
+// nil entries mean "unbound", so binding nil takes a node back to the
+// no-port drop — over the wire (the train's endpoint lookup) and on a
+// direct Deliver — instead of calling a nil handler.
+func TestBindNilUnbinds(t *testing.T) {
+	n, a, b, sk := twoNodeNet(t)
+	n.Bind(b, nil)
+	var drops []Drop
+	n.SetDropHook(func(d Drop) { drops = append(drops, d) })
+	n.Send(a, 0, &packet.Packet{Size: 100, TTL: 64})
+	n.Scheduler().RunUntil(time.Second)
+	n.Deliver(&packet.Packet{Size: 100, TTL: 64}, b, 0)
+	if len(drops) != 2 || drops[0].Reason != DropNoPort || drops[1].Reason != DropNoPort {
+		t.Errorf("drops = %+v, want two no-port drops", drops)
+	}
+	if len(sk.pkts) != 0 || n.Delivered() != 0 {
+		t.Errorf("%d packets reached the unbound handler, Delivered = %d", len(sk.pkts), n.Delivered())
+	}
+}
+
 func TestTransmissionTime(t *testing.T) {
 	tests := []struct {
 		bytes int

@@ -117,8 +117,8 @@ func (tr *train) reset() {
 // no-port drop), matching scalar mode for late-bound handlers.
 func (tr *train) resolveEndpoint() {
 	ds := &tr.line.dirs[tr.dir]
-	h, ok := tr.line.net.handlers[ds.dst]
-	if !ok {
+	h := tr.line.net.handlers[ds.dst.Index()]
+	if h == nil {
 		return
 	}
 	tr.h = h

@@ -27,11 +27,16 @@ echo "==> go test -race ./internal/trace/... ./internal/telemetry/..."
 # telemetry registry are the pieces every other gate below depends on.
 go test -race ./internal/trace/... ./internal/telemetry/...
 
-echo "==> go test -race -run 'Shard|Window|FlowSet|Train' ./internal/simnet/ ./internal/udpsim/"
+echo "==> go test -race: sharded driver, failover path"
 # Fast-fail the sharded driver next: lane-owned telemetry cells, the
 # mid-window flush guard and the train lane are where a data race would
 # be, and these tests take seconds where the full pass takes ~20 minutes.
-go test -race -run 'Shard|Window|FlowSet|Train' ./internal/simnet/ ./internal/udpsim/
+# With them the failover path: the link and handler tables, the switch
+# slow path, the edge's re-encode queue, and the sweep pool, whose
+# workers run different cells' worlds side by side.
+go test -race -run 'Shard|Window|FlowSet|Train' ./internal/udpsim/
+go test -race ./internal/simnet ./internal/kswitch ./internal/edge
+go test -race -run 'RunSweep|DeterminismMatrix/(fig5-sweep|fig7-sweep|reno-ablation)' ./internal/experiment .
 
 echo "==> go test -race ./..."
 # The experiment package replays whole figure sweeps; under the race
@@ -74,7 +79,7 @@ echo "metrics smoke test OK ($(wc -l < "$tmp/a.prom") lines, byte-identical acro
 echo "==> flight recorder through the CLIs (flap-react-net15, -trace-export, kartrace)"
 # Byte identity of metric dumps, trace exports and verdicts across
 # repeats, worker counts, shard counts and data planes is
-# TestDeterminismMatrix (determinism_test.go: fig4, reaction,
+# TestDeterminismMatrix (determinism_test.go: fig4, reaction, sweeps,
 # flap-net15, flap-react, scale, dtree rows), which the race pass above
 # has run in-process. What is left for the shell is the file framing:
 # both export files are written, carry both planes (packet records and
