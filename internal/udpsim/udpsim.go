@@ -68,7 +68,8 @@ type Stats struct {
 	MinHops    int
 	MaxHops    int
 	TotalHops  int64
-	Latency    []time.Duration // one-way latencies, arrival order
+	LatencyMin time.Duration // one-way latency extremes; the distribution
+	LatencyMax time.Duration // is the kar_udp_latency_us histogram
 	LastArrive time.Duration
 }
 
@@ -181,14 +182,20 @@ func (r *Receiver) onData(pkt *packet.Packet) {
 	r.seen[word] |= bit
 	r.cReceived.Inc()
 	st.TotalHops += int64(pkt.Hops)
-	if r.cReceived.Value() == 1 || pkt.Hops < st.MinHops {
+	first := r.cReceived.Value() == 1
+	if first || pkt.Hops < st.MinHops {
 		st.MinHops = pkt.Hops
 	}
 	if pkt.Hops > st.MaxHops {
 		st.MaxHops = pkt.Hops
 	}
 	lat := r.clock.Now() - pkt.SentAt
-	st.Latency = append(st.Latency, lat)
+	if first || lat < st.LatencyMin {
+		st.LatencyMin = lat
+	}
+	if lat > st.LatencyMax {
+		st.LatencyMax = lat
+	}
 	// Whole microseconds keep the histogram sum integral, preserving
 	// byte-determinism of merged dumps.
 	r.hLatency.Observe(float64(lat / time.Microsecond))

@@ -7,6 +7,7 @@ import (
 	"repro/internal/deflect"
 	"repro/internal/experiment"
 	"repro/internal/packet"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/udpsim"
 )
@@ -55,13 +56,12 @@ func TestCBRHealthyDelivery(t *testing.T) {
 		t.Errorf("reordered = %d on a fixed path, want 0", st.Reordered)
 	}
 	// One-way latency: 4 links × 1 ms + serialization.
-	if len(st.Latency) != 500 {
-		t.Fatalf("latency samples = %d, want 500", len(st.Latency))
+	h := w.Net.Metrics().Histogram("kar_udp_latency_us", telemetry.LatencyBucketsUs, "flow", flow.String())
+	if h.Count() != 500 {
+		t.Fatalf("latency observations = %d, want 500", h.Count())
 	}
-	for _, l := range st.Latency {
-		if l < 4*time.Millisecond || l > 6*time.Millisecond {
-			t.Fatalf("latency %v outside [4ms, 6ms]", l)
-		}
+	if st.LatencyMin < 4*time.Millisecond || st.LatencyMax > 6*time.Millisecond {
+		t.Fatalf("latency [%v, %v] outside [4ms, 6ms]", st.LatencyMin, st.LatencyMax)
 	}
 }
 
