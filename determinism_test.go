@@ -85,14 +85,15 @@ func (o outputs) traces(t *testing.T, c *trace.Collector) {
 	o["jsonl"], o["perfetto"] = jsonl.Bytes(), perfetto.Bytes()
 }
 
-// scale is `karsim -exp scale` on a 20-switch fat-tree with two failed
-// fabric links (the driver has no worker pool: shards and data plane
-// are its only modes). With a trace collector the flight recorder
-// vetoes parallel windows, so metrics and traces are separate artefacts.
-func scale(t *testing.T, m mode, metrics *telemetry.Collector, traces *trace.Collector) {
+// scale is `karsim -exp scale` on a fat-tree (fattree:4 has 20
+// switches, fattree:8 has 80) with two failed fabric links (the driver
+// has no worker pool: shards and data plane are its only modes). With a
+// trace collector the flight recorder vetoes parallel windows, so
+// metrics and traces are separate artefacts.
+func scale(t *testing.T, m mode, topo string, flows int, metrics *telemetry.Collector, traces *trace.Collector) {
 	t.Helper()
 	_, err := experiment.Scale(experiment.ScaleConfig{
-		Topo: "fattree:4", Flows: 20000, Pairs: 16, Rate: 20, FailLinks: 2,
+		Topo: topo, Flows: flows, Pairs: 16, Rate: 20, FailLinks: 2,
 		Duration: 500 * time.Millisecond, Seed: 3,
 		Shards: m.shards, Scalar: m.scalar, Metrics: metrics, Trace: traces,
 	})
@@ -231,7 +232,7 @@ func TestDeterminismMatrix(t *testing.T) {
 			name: "scale-metrics",
 			produce: func(t *testing.T, m mode) outputs {
 				c := telemetry.NewCollector()
-				scale(t, m, c, nil)
+				scale(t, m, "fattree:4", 20000, c, nil)
 				o := outputs{}
 				o.metrics(t, c)
 				return o
@@ -243,12 +244,27 @@ func TestDeterminismMatrix(t *testing.T) {
 			name: "scale-trace",
 			produce: func(t *testing.T, m mode) outputs {
 				c := trace.NewCollector(trace.Config{Rate: 1})
-				scale(t, m, nil, c)
+				scale(t, m, "fattree:4", 20000, nil, c)
 				o := outputs{}
 				o.traces(t, c)
 				return o
 			},
 			modes: []mode{{shards: 1}, {shards: 4}, {shards: 2, scalar: true}},
+			want:  []string{`"kind":"hop"`},
+		},
+		{
+			// A deeper fabric under the serial driver: with the recorder
+			// attached every step peeks every lane's queue, each holding
+			// thousands of entries behind its front heap.
+			name: "scale8-trace",
+			produce: func(t *testing.T, m mode) outputs {
+				c := trace.NewCollector(trace.Config{Rate: 0.05})
+				scale(t, m, "fattree:8", 50000, nil, c)
+				o := outputs{}
+				o.traces(t, c)
+				return o
+			},
+			modes: []mode{{shards: 1}, {shards: 2}},
 			want:  []string{`"kind":"hop"`},
 		},
 		{

@@ -10,8 +10,8 @@ import (
 // series. Increments land in a plain field and put the cell on its
 // lane's dirty list; the list is folded into the (atomic) backing
 // counter single-threaded at observation boundaries: before any
-// control-plane or serialized evtFunc dispatch, before drop hooks, and
-// when Step or RunUntil returns. Every way to observe a counter (metric
+// control-plane callback, before drop hooks, and when Step or RunUntil
+// returns. Every way to observe a counter (metric
 // dumps, LineStats, phase stats, control-plane callbacks) runs at one
 // of those boundaries, and adds commute, so observed values are the
 // same in every driver, data plane and shard count.
@@ -112,8 +112,7 @@ func (s *Scheduler) foldCells() {
 // flushCounters folds every lane's dirty cells. Called at observation
 // boundaries; cheap when nothing is pending. Inside a parallel window
 // it must return before touching any list: lane goroutines reach it
-// through their evtFunc dispatches and through Drop while the other
-// lanes are appending to theirs. Nothing can observe a counter there —
+// through Drop while the other lanes are appending to theirs. Nothing can observe a counter there —
 // observers run on the control plane, between windows — so the fold
 // simply waits for the next boundary.
 func (n *Network) flushCounters() {

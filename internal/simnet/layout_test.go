@@ -29,10 +29,10 @@ func TestLineLayoutSeparatesWriters(t *testing.T) {
 			t.Errorf("%s = %d, not a multiple of %d", c.name, c.off, line)
 		}
 	}
-	// A heap sift swaps whole events; one per cache line keeps a swap
-	// from touching three.
-	if sz := unsafe.Sizeof(event{}); sz != line {
-		t.Errorf("sizeof(event) = %d, want %d", sz, line)
+	// Queue entries move by value between the ring's node slab and the
+	// heaps: two to a cache line, never straddling one.
+	if sz := unsafe.Sizeof(entry{}); sz != line/2 {
+		t.Errorf("sizeof(entry) = %d, want %d", sz, line/2)
 	}
 	if end := unsafe.Offsetof(l.imp) + unsafe.Sizeof(l.imp); end > line {
 		t.Errorf("Line's per-hop header fields end at %d, past the first cache line", end)

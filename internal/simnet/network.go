@@ -125,7 +125,7 @@ type dirState struct {
 	// shard owning the *sending* node — the only lane that may post
 	// this direction's events; dstLane owns the receiving node. ent is
 	// this direction's tie-break entity. noBatch marks directions whose
-	// deliveries travel as scalar heap events instead of train members:
+	// deliveries travel as per-packet queue entries, not train members:
 	// every direction of a WithScalarDataPlane world, and cut (cross-
 	// shard) directions always, so a delivery there is a self-contained
 	// message rather than shared train state. In a 1-shard world lane ==
@@ -306,7 +306,7 @@ func WithDetectionDelay(down, up time.Duration) Option {
 }
 
 // WithScalarDataPlane disables packet-train batching: every delivery is
-// its own heap event and takes the handler's plain HandlePacket. Batched
+// its own queue entry and takes the handler's plain HandlePacket. Batched
 // and scalar runs on the same seed produce byte-identical metric dumps
 // and trace exports; scalar mode exists as that oracle and as the perf
 // baseline.
@@ -384,15 +384,11 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	n.cSends = n.metrics.Counter("kar_net_sends_total")
 	flush := n.flushCounters
 	n.sched.flush = flush
-	// Pre-size each lane's event heap and train lane from the topology:
-	// enough for a few events per link plus headroom, so world start-up
-	// never re-grows them (visible as startup allocs in the Fig5
-	// benchmarks).
+	// Pre-size each lane's front heap from the topology: enough for a
+	// few events per link plus headroom, so world start-up never
+	// re-grows it (visible as startup allocs in the Fig5 benchmarks).
 	for _, lane := range n.lanes {
 		lane.Reserve(4*len(links)/shards + 64)
-		if !cfg.scalar {
-			lane.trains = make([]trainEnt, 0, 2*len(links)/shards+8)
-		}
 		lane.flush = flush
 		lane.delivered = DeferredCounter{c: n.cDelivered, lane: lane}
 		lane.sends = DeferredCounter{c: n.cSends, lane: lane}
@@ -595,8 +591,8 @@ func (n *Network) SendOnLine(line *Line, dir uint8, pkt *packet.Packet) {
 // enqueue queues pkt on one link direction: the tail-drop check against
 // the direction's queue record, FIFO serialization, then a member
 // append. On a batched direction the member is also the delivery (the
-// lane's train heap dispatches it); on a noBatch direction it only
-// holds the queue slot, and the delivery is an evtDeliver heap event —
+// train's queue entry dispatches it); on a noBatch direction it only
+// holds the queue slot, and the delivery is a queue entry of its own —
 // on a cut link routed to the receiving shard's lane (buffered in the
 // sender's outbox during parallel windows). Both arms bump identical
 // counters in identical order and allocate the same two tie-break keys
@@ -653,29 +649,23 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	if !ds.noBatch {
 		m.pkt = pkt
 		tr.members = append(tr.members, m)
-		lane.trainMembers++
-		if !tr.active {
-			lane.trainActivate(tr)
-		}
+		lane.trainGrew(tr)
 		return
 	}
 	tr.members = append(tr.members, m)
-	ev := event{
-		at: m.at, key: m.key,
-		kind: evtDeliver, dir: uint8(dir), line: line, pkt: pkt, txStart: start,
-	}
+	d := delivery{line: line, pkt: pkt, txStart: start, dir: uint8(dir)}
 	switch {
 	case ds.dstLane == lane:
-		lane.push(ev)
+		lane.deliverAt(m.at, m.key, d)
 	case n.inWindow:
-		// Parallel window: lanes may not touch each other's heaps.
+		// Parallel window: lanes may not touch each other's queues.
 		// Buffer in the sender's outbox; the barrier drains it. The
-		// lookahead bound guarantees ev.at lands at or after the
+		// lookahead bound guarantees m.at lands at or after the
 		// window end, so the receiver cannot have passed it.
-		lane.outbox = append(lane.outbox, outMsg{dst: ds.dstLane, ev: ev})
+		lane.outbox = append(lane.outbox, outMsg{dst: ds.dstLane, at: m.at, key: m.key, d: d})
 	default:
 		// Between windows: push directly.
-		ds.dstLane.push(ev)
+		ds.dstLane.deliverAt(m.at, m.key, d)
 	}
 }
 
@@ -705,7 +695,7 @@ func (l *Line) transit(ds *dirState, pkt *packet.Packet, txStart time.Duration) 
 	return true, true
 }
 
-// finishTransit completes one evtDeliver: transit, then the endpoint
+// finishTransit completes one delivery entry: transit, then the endpoint
 // precomputed for this direction.
 func (l *Line) finishTransit(pkt *packet.Packet, dir int, txStart time.Duration) {
 	ds := &l.dirs[dir]

@@ -8,25 +8,24 @@
 package simnet
 
 import (
+	"math/bits"
 	"time"
 
 	"repro/internal/packet"
 	"repro/internal/telemetry"
 )
 
-// Event kinds. The per-packet event of the transport hot path
-// (delivery) is encoded as typed fields on the event struct rather than
-// a closure, so steady-state scheduling never allocates; evtFunc
-// remains for control-plane and user callbacks.
-const (
-	evtFunc    = iota // fn()
-	evtDeliver        // in-flight check, then deliver pkt over line/dir
-)
+// pending is what a queue entry dispatches: an At/After callback, the
+// head of an active packet train (train.go) or one noBatch delivery.
+// run is called with the entry at the queue's root and the clock and
+// curKey already at the entry's (at, key); it removes or re-keys the
+// entry before it runs anything that may schedule. None of the three
+// boxes: funcs and pointers sit in the interface word itself.
+type pending interface{ run(s *Scheduler) }
 
-// event is one scheduled occurrence. Exactly one kind-dependent field
-// group is meaningful; the struct is stored by value in the heap slice
-// so scheduling moves no separate allocation.
-type event struct {
+// entry is one queue slot, stored by value wherever it waits: 32 bytes,
+// two to a cache line (layout_test.go pins the size).
+type entry struct {
 	at time.Duration
 	// key is the equal-time tie-break: entity<<entShift | per-entity
 	// count (see Scheduler.allocKey). Unlike a global FIFO sequence,
@@ -34,27 +33,65 @@ type event struct {
 	// how many that entity posted before — an order that is identical
 	// however the world is sharded, which is what makes N-shard runs
 	// replay the 1-shard dispatch order exactly.
-	key uint64
-
-	kind uint8
-	dir  uint8 // evtDeliver: line direction index
-
-	fn      func()         // evtFunc
-	line    *Line          // evtDeliver
-	pkt     *packet.Packet // evtDeliver
-	txStart time.Duration  // evtDeliver: serialization start (in-flight kill check)
-
-	// Keeps an event at 64 bytes, one per cache line, so a heap sift's
-	// swaps never straddle lines (layout_test.go pins the size).
-	_ [8]byte
+	key  uint64
+	what pending
 }
 
-// before is the heap order: time, then composite key.
-func (e *event) before(o *event) bool {
+// before is the queue order: time, then composite key.
+func (e *entry) before(o *entry) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
 	return e.key < o.key
+}
+
+// callback is a control-plane or user function scheduled by At/After.
+type callback func()
+
+func (fn callback) run(s *Scheduler) {
+	s.pop()
+	// Only control-plane callbacks may read a registry series (inside a
+	// parallel window node-clock callbacks already run unfolded).
+	if s.flush != nil && s.curKey>>entShift == ctlEntity {
+		s.flush()
+	}
+	fn()
+}
+
+// delivery is the per-packet event of a noBatch direction (the scalar
+// plane, and cut links always): the in-flight check, then pkt handed
+// over line/dir. Typed fields rather than a closure, and the record is
+// recycled through its lane's free list.
+type delivery struct {
+	line    *Line
+	pkt     *packet.Packet
+	txStart time.Duration // serialization start (in-flight kill check)
+	dir     uint8
+	free    *delivery
+}
+
+func (d *delivery) run(s *Scheduler) {
+	s.pop()
+	line, pkt, dir, txStart := d.line, d.pkt, int(d.dir), d.txStart
+	*d = delivery{free: s.freeDeliv} // no stale packet pin
+	s.freeDeliv = d
+	line.finishTransit(pkt, dir, txStart)
+}
+
+// deliverAt queues v for (at, key) on this lane.
+func (s *Scheduler) deliverAt(at time.Duration, key uint64, v delivery) {
+	if s.freeDeliv == nil {
+		// One allocation per 128 records, chained onto the free list.
+		slab := make([]delivery, 128)
+		for i := range slab[1:] {
+			slab[i+1].free = &slab[i]
+		}
+		s.freeDeliv = &slab[len(slab)-1]
+	}
+	d := s.freeDeliv
+	s.freeDeliv = d.free
+	*d = v
+	s.push(entry{at: at, key: key, what: d})
 }
 
 // entShift packs the posting entity into the key's high bits: entity
@@ -76,13 +113,56 @@ const ctlEntity = 0
 // concurrent use: one lane is driven by one goroutine at a time (the
 // Network coordinates multi-lane worlds).
 //
-// The queue is a 4-ary min-heap in a plain slice: no interface boxing
-// on push/pop, shallower sift paths than a binary heap, and the
-// backing array is reused across the run, so steady-state scheduling
-// performs zero allocations.
+// Everything pending — callbacks, deliveries, the heads of active
+// packet trains — waits in one queue whose cost does not grow with its
+// depth: a calendar keyed by bucket = at >> bucketShift.
+//
+//   - front, a 4-ary min-heap, holds every entry whose bucket is ≤ cur;
+//   - the ring holds the entries of the next ringSize-1 buckets, each
+//     bucket an unsorted list (insert is a list push; a bucket is
+//     heap-ordered only when the clock reaches it);
+//   - far, a second 4-ary heap, holds what lies past the ring's horizon
+//     (RTO timers, experiment phases).
+//
+// Invariant: every ring entry's bucket lies in (cur, cur+ringSize) and
+// every far entry's bucket is > cur ≥ every front entry's bucket. A
+// smaller bucket means a strictly smaller time, so while front is
+// non-empty its root is the exact global (at, key) minimum; when it is
+// empty, cur moves to the earliest non-empty bucket behind it and that
+// bucket's entries move in. The dispatch order is the one a single heap
+// would give, whatever the constants are.
+//
+// The constants fit the traffic every topology here produces (1 ms
+// links at 200 Mb/s: a delivery lands a link delay plus one 10–60 µs
+// serialization ahead of the clock; DESIGN.md §9). Off that traffic the
+// queue degrades to a plain heap, never below it: entries at one
+// instant all meet in front, a world of distant timers sits in far.
+// And small worlds do not pay for large ones: while the ring is empty
+// and front holds fewer than smallWorld entries, an insert inside the
+// horizon goes to front and cur follows it. All backing arrays are
+// reused across the run: steady-state scheduling allocates nothing.
 type Scheduler struct {
-	now    time.Duration
-	events []event
+	now time.Duration
+
+	front evHeap
+	far   evHeap
+	cur   int64 // bucket number: front covers every bucket ≤ cur
+
+	// The ring's entries live in the nodes slab, chained per bucket
+	// through link (1-based indexes, 0 ends a list; beside the slab, not
+	// in it, so walking a list never waits for an entry to load); freed
+	// nodes are reused last-in first-out, so the slab stays cache-warm.
+	// ringN counts the entries.
+	ringN int
+	free  int32
+	nodes []entry
+	link  []int32
+
+	freeDeliv *delivery
+
+	// trainExtra counts the undelivered train members behind their
+	// trains' queued heads (Pending accounting).
+	trainExtra int
 
 	// ents holds the per-entity key counters. Lanes of one world share
 	// a single backing array (each entity is owned by exactly one
@@ -96,17 +176,6 @@ type Scheduler struct {
 	// After RunUntil drains everything ≤ t it is set to idleKey: every
 	// release stamped so far has matured.
 	curKey uint64
-
-	// trains is the second priority lane of the batched data plane: a
-	// small 4-ary heap of active packet trains, each entry carrying its
-	// train's head-member (at, key) by value. The main loop always
-	// dispatches the global (at, key) minimum across both lanes, so
-	// batch replays scalar event order exactly — but advancing a train
-	// is one shallow sift in a heap of O(active links) instead of a
-	// push/pop pair in the main event heap. trainMembers counts
-	// undelivered members across all trains (Pending accounting).
-	trains       []trainEnt
-	trainMembers int
 
 	// outbox buffers cross-lane deliveries produced inside a parallel
 	// window; the Network drains it into the destination lanes at the
@@ -124,7 +193,7 @@ type Scheduler struct {
 	cPast *telemetry.Counter
 
 	// flush surfaces the world's deferred telemetry at observation
-	// boundaries: before any evtFunc callback runs and whenever
+	// boundaries: before a control-plane callback runs and whenever
 	// Step/RunUntil returns control to the caller. Nil for a standalone
 	// scheduler.
 	flush func()
@@ -138,6 +207,11 @@ type Scheduler struct {
 	delivered DeferredCounter
 	sends     DeferredCounter
 
+	// The ring's buckets: heads[b&ringMask] is bucket b's list, occ has
+	// one bit per non-empty slot. Arrays, so the zero Scheduler works.
+	heads [ringSize]int32
+	occ   [ringSize / 64]uint64
+
 	// A world's lanes are same-sized heap objects, which the allocator
 	// places back to back, and each is written by its own goroutine; the
 	// pad keeps one lane's tail off the cache line holding the next
@@ -148,7 +222,9 @@ type Scheduler struct {
 // outMsg is one buffered cross-lane delivery.
 type outMsg struct {
 	dst *Scheduler
-	ev  event
+	at  time.Duration
+	key uint64
+	d   delivery
 }
 
 // idleKey marks "no dispatch in progress": all keys allocated so far
@@ -158,16 +234,16 @@ const idleKey = ^uint64(0)
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Reserve pre-sizes the event heap (topology-derived: worlds size it
+// Reserve pre-sizes the front heap (topology-derived: worlds size it
 // from their link count so steady-state traffic never re-grows the
 // backing array mid-run).
 func (s *Scheduler) Reserve(n int) {
-	if cap(s.events) >= n {
+	if cap(s.front) >= n {
 		return
 	}
-	q := make([]event, len(s.events), n)
-	copy(q, s.events)
-	s.events = q
+	q := make(evHeap, len(s.front), n)
+	copy(q, s.front)
+	s.front = q
 }
 
 // allocKey stamps one tie-break key for the given entity. A link
@@ -213,119 +289,227 @@ func (s *Scheduler) post(t time.Duration, ent uint32, fn func()) {
 			s.cPast.Inc()
 		}
 	}
-	s.push(event{at: t, key: s.allocKey(ent), kind: evtFunc, fn: fn})
+	s.push(entry{at: t, key: s.allocKey(ent), what: callback(fn)})
 }
 
-// push appends e and sifts it up the 4-ary heap.
-func (s *Scheduler) push(e event) {
-	q := append(s.events, e)
+// The queue's three constants (see Scheduler).
+const (
+	bucketShift = 10   // a bucket spans 2^10 ns of virtual time
+	ringSize    = 2048 // buckets in the ring: a 2.1 ms horizon
+	ringMask    = ringSize - 1
+	smallWorld  = 64 // front entries below which cur follows an insert
+)
+
+func bucketOf(at time.Duration) int64 { return int64(at) >> bucketShift }
+
+// evHeap is a 4-ary min-heap of entries in a plain slice: shallower
+// sift paths than a binary heap, and entries travel in registers.
+type evHeap []entry
+
+func (h *evHeap) push(e entry) {
+	q := append(*h, e)
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !q[i].before(&q[p]) {
+		if !e.before(&q[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		q[i] = q[p]
 		i = p
 	}
-	s.events = q
+	q[i] = e
+	*h = q
 }
 
-// pop removes and returns the earliest event. The vacated tail slot is
-// zeroed so the heap never pins dead packets or closures.
-func (s *Scheduler) pop() event {
-	q := s.events
+// pop removes and returns the root. The vacated tail slot is zeroed so
+// the heap never pins dead closures or deliveries.
+func (h *evHeap) pop() entry {
+	q := *h
 	top := q[0]
 	last := len(q) - 1
-	q[0] = q[last]
-	q[last] = event{}
+	e := q[last]
+	q[last] = entry{}
 	q = q[:last]
-	s.events = q
+	if last > 0 {
+		q.siftRoot(e)
+	}
+	*h = q
+	return top
+}
+
+// siftRoot places e at the root and sifts it down: the root left and
+// the last entry takes its place, or the root's key increased.
+func (q evHeap) siftRoot(e entry) {
 	i := 0
 	for {
-		min := i
 		c := 4*i + 1
+		if c >= len(q) {
+			break
+		}
 		end := c + 4
 		if end > len(q) {
 			end = len(q)
 		}
-		for ; c < end; c++ {
-			if q[c].before(&q[min]) {
-				min = c
+		min := c
+		for j := c + 1; j < end; j++ {
+			if q[j].before(&q[min]) {
+				min = j
 			}
 		}
-		if min == i {
+		if !q[min].before(&e) {
 			break
 		}
-		q[i], q[min] = q[min], q[i]
+		q[i] = q[min]
 		i = min
 	}
-	return top
+	q[i] = e
 }
 
-// dispatch runs one event at the already-advanced clock.
-func (s *Scheduler) dispatch(e *event) {
-	switch e.kind {
-	case evtFunc:
-		if s.flush != nil {
-			s.flush()
+// push queues e: into front when its bucket is already covered (or the
+// world is small enough that cur may follow it), into its ring bucket
+// inside the horizon, into far past it.
+func (s *Scheduler) push(e entry) {
+	b := bucketOf(e.at)
+	switch {
+	case b <= s.cur || s.follow(b):
+		s.front.push(e)
+	case b-s.cur < ringSize:
+		i := s.free
+		if i != 0 {
+			s.free = s.link[i-1]
+		} else {
+			s.nodes, s.link = append(s.nodes, entry{}), append(s.link, 0)
+			i = int32(len(s.nodes))
 		}
-		e.fn()
-	case evtDeliver:
-		e.line.finishTransit(e.pkt, int(e.dir), e.txStart)
+		slot := b & ringMask
+		s.nodes[i-1], s.link[i-1] = e, s.heads[slot]
+		s.heads[slot] = i
+		s.occ[slot>>6] |= 1 << (slot & 63)
+		s.ringN++
+	default:
+		// Nothing pending is earlier than the clock, so after an idle
+		// stretch cur may catch up with it before e is judged far.
+		if c := bucketOf(s.now) - 1; c > s.cur {
+			s.cur = c
+			s.push(e)
+			return
+		}
+		s.far.push(e)
 	}
 }
 
-// trainFirst reports whether the earliest pending item is a train
-// member rather than a heap event (false when no trains are active).
-func (s *Scheduler) trainFirst() bool {
-	if len(s.trains) == 0 {
+// follow is the small-world rule: with an empty ring and a short front
+// heap, cur advances to bucket b (inside the horizon, short of far's
+// earliest) so that the entry may join front.
+func (s *Scheduler) follow(b int64) bool {
+	if s.ringN != 0 || len(s.front) >= smallWorld || b-s.cur >= ringSize ||
+		(len(s.far) > 0 && b >= bucketOf(s.far[0].at)) {
 		return false
 	}
-	if len(s.events) == 0 {
-		return true
-	}
-	tr := &s.trains[0]
-	e := &s.events[0]
-	if tr.at != e.at {
-		return tr.at < e.at
-	}
-	return tr.key < e.key
+	s.cur = b
+	return true
 }
 
-// peekKey returns the (at, key) of the earliest pending item across
-// both lanes, or ok=false when the lane is empty.
-func (s *Scheduler) peekKey() (time.Duration, uint64, bool) {
-	if s.trainFirst() {
-		return s.trains[0].at, s.trains[0].key, true
+// peek returns the earliest pending entry — the exact (at, key)
+// minimum — or nil when the lane is empty. It is idempotent, and moves
+// cur no further than the ring reaches: a distant timer is looked at
+// where it lies, in far, so that looking past the end of a run does not
+// drag cur (and all later traffic into front) out to that timer.
+func (s *Scheduler) peek() *entry {
+	if len(s.front) > 0 {
+		return &s.front[0]
 	}
-	if len(s.events) == 0 {
-		return 0, 0, false
-	}
-	return s.events[0].at, s.events[0].key, true
+	return s.peekBehind()
 }
 
-// stepOnce runs the earliest pending item without the observation-
-// boundary flush (RunUntil and the Network's multi-lane driver call it
-// in a loop and flush at their own boundaries).
-func (s *Scheduler) stepOnce() {
-	if s.trainFirst() {
-		s.stepTrain()
+// peekBehind is peek with an empty front heap: it moves cur to the
+// ring's earliest bucket and that bucket's entries into front, unless
+// far holds something earlier still.
+func (s *Scheduler) peekBehind() *entry {
+	if s.ringN == 0 {
+		if len(s.far) == 0 {
+			return nil
+		}
+		return &s.far[0]
+	}
+	// Next occupied slot at or after cur+1, circularly; the first word
+	// is masked below the start, and seen whole if the scan comes back
+	// round to it.
+	start := (s.cur + 1) & ringMask
+	w := start >> 6
+	word := s.occ[w] &^ (1<<(start&63) - 1)
+	for word == 0 {
+		w = (w + 1) & (ringSize/64 - 1)
+		word = s.occ[w]
+	}
+	slot := w<<6 | int64(bits.TrailingZeros64(word))
+	b := s.cur + 1 + (slot-start)&ringMask
+	if len(s.far) > 0 && bucketOf(s.far[0].at) < b {
+		return &s.far[0]
+	}
+	i := s.heads[slot]
+	s.heads[slot] = 0
+	s.occ[w] &^= 1 << (slot & 63)
+	for i != 0 {
+		next := s.link[i-1]
+		s.front.push(s.nodes[i-1])
+		s.nodes[i-1].what = nil // no stale closure or delivery pins
+		s.link[i-1] = s.free
+		s.free = i
+		s.ringN--
+		i = next
+	}
+	s.loadFar(b)
+	return &s.front[0]
+}
+
+// pop removes the queue's root: the entry being stepped.
+func (s *Scheduler) pop() { s.front.pop() }
+
+// loadFar moves cur to bucket b, no later than far's earliest, and
+// far's entries of that bucket into front.
+func (s *Scheduler) loadFar(b int64) {
+	s.cur = b
+	for len(s.far) > 0 && bucketOf(s.far[0].at) == b {
+		s.front.push(s.far.pop())
+	}
+}
+
+// rekey gives the root entry — a train head whose train advanced — its
+// next (at, key): in place when front still covers it, through push
+// otherwise.
+func (s *Scheduler) rekey(at time.Duration, key uint64) {
+	e := entry{at: at, key: key, what: s.front[0].what}
+	if b := bucketOf(at); b <= s.cur || s.follow(b) {
+		s.front.siftRoot(e)
 		return
 	}
-	e := s.pop()
-	s.now = e.at
-	s.curKey = e.key
-	s.dispatch(&e)
+	s.front.pop()
+	s.push(e)
 }
 
-// Step runs the earliest pending item — heap event or train member —
-// and reports false when none remain.
+// step runs e, the entry the last peek returned, without the
+// observation-boundary flush (RunUntil and the Network's multi-lane
+// driver call it in a loop and flush at their own boundaries).
+func (s *Scheduler) step(e *entry) {
+	if len(s.front) == 0 {
+		// e is far's root: the clock is moving to it, and cur with it.
+		s.loadFar(bucketOf(e.at))
+		e = &s.front[0]
+	}
+	s.now = e.at
+	s.curKey = e.key
+	e.what.run(s)
+}
+
+// Step runs the earliest pending item — event or train member — and
+// reports false when none remain.
 func (s *Scheduler) Step() bool {
-	if len(s.events) == 0 && len(s.trains) == 0 {
+	e := s.peek()
+	if e == nil {
 		return false
 	}
-	s.stepOnce()
+	s.step(e)
 	if s.flush != nil {
 		s.flush()
 	}
@@ -339,11 +523,11 @@ func (s *Scheduler) Step() bool {
 // lane only.
 func (s *Scheduler) RunUntil(t time.Duration) {
 	for {
-		at, _, ok := s.peekKey()
-		if !ok || at > t {
+		e := s.peek()
+		if e == nil || e.at > t {
 			break
 		}
-		s.stepOnce()
+		s.step(e)
 	}
 	if s.now < t {
 		s.now = t
@@ -362,29 +546,31 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 // clock, is the synchronization point.
 func (s *Scheduler) runWindow(endExcl, tMax time.Duration) {
 	for {
-		at, _, ok := s.peekKey()
-		if !ok || at >= endExcl || at > tMax {
+		e := s.peek()
+		if e == nil || e.at >= endExcl || e.at > tMax {
 			return
 		}
-		s.stepOnce()
+		s.step(e)
 	}
 }
 
 // drainOutbox pushes buffered cross-lane deliveries into their
-// destination heaps. Called single-threaded at window barriers; heap
+// destination queues. Called single-threaded at window barriers; queue
 // order by (at, key) makes the drain order irrelevant.
 func (s *Scheduler) drainOutbox() {
 	for i := range s.outbox {
 		m := &s.outbox[i]
-		m.dst.push(m.ev)
+		m.dst.deliverAt(m.at, m.key, m.d)
 		s.outbox[i] = outMsg{} // no stale packet pins
 	}
 	s.outbox = s.outbox[:0]
 }
 
-// Pending returns the number of scheduled items — heap events plus
+// Pending returns the number of scheduled items — queued events plus
 // undelivered train members (for tests and leak-detection assertions).
-func (s *Scheduler) Pending() int { return len(s.events) + s.trainMembers }
+func (s *Scheduler) Pending() int {
+	return len(s.front) + s.ringN + len(s.far) + s.trainExtra
+}
 
 // Clock is a per-node scheduling handle: Now/At/After bound to the
 // lane that owns one node, stamping events with that node's entity.

@@ -27,6 +27,31 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSchedulerDeepSteadyStateZeroAlloc: the same cycle with 3 000
+// entries pending a link delay ahead — through the ring's node slab
+// and free list rather than the front heap — allocates nothing once the
+// slab has grown.
+func TestSchedulerDeepSteadyStateZeroAlloc(t *testing.T) {
+	var s Scheduler
+	fn := func() {}
+	cycle := func() {
+		s.After(time.Millisecond, fn)
+		s.Step()
+	}
+	for i := 0; i < 3000; i++ {
+		s.After(time.Duration(i)*333*time.Nanosecond, fn)
+	}
+	for i := 0; i < 10000; i++ {
+		cycle()
+	}
+	if len(s.nodes) == 0 || s.Pending() != 3000 {
+		t.Fatalf("ring slab holds %d nodes with %d pending; want the cycle to run through the ring at depth 3000", len(s.nodes), s.Pending())
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("steady-state After+Step at depth 3000 allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 // TestSchedulerHeapOrder: a 4-ary heap with FIFO tiebreak must drain
 // in (time, scheduling order), regardless of insertion order.
 func TestSchedulerHeapOrder(t *testing.T) {

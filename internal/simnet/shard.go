@@ -30,7 +30,7 @@ import (
 //     not of lane interleaving.
 //   - Each lane dispatches its own events in (at, key) order in every
 //     mode. Cross-lane arrivals carry at ≥ window end, so they are
-//     merged into the receiver's heap before the receiver can reach
+//     merged into the receiver's queue before the receiver can reach
 //     them; within a window each lane sees exactly the event set the
 //     serialized run would have given it.
 //   - Control events (entity 0) sort below all data keys at equal
@@ -59,7 +59,7 @@ import (
 // threaded (at equal times control sorts first — entity 0); otherwise
 // all lanes concurrently run their items in [m, min(m+W, next control
 // event, t]] and meet at a barrier, where cross-lane deliveries
-// buffered in the window are merged into their destination heaps. The
+// buffered in the window are merged into their destination queues. The
 // choice is re-made at every step, so an observer or impairment a
 // control event attaches mid-run takes effect at once, and it is
 // invisible in every output byte.
@@ -80,15 +80,15 @@ func (n *Network) RunUntil(t time.Duration) {
 			// log's Record) read the right virtual time whichever lane
 			// the item ran on.
 			n.sched.now = at
-			best.stepOnce()
+			best.step(best.peek())
 			continue
 		}
 		end := at + n.lookahead
-		if ctlAt, _, ok := n.sched.peekKey(); ok && ctlAt < end {
+		if ctl := n.sched.peek(); ctl != nil && ctl.at < end {
 			// Windows never span a control event: link state and
 			// experiment phases must interleave at their exact global
 			// position.
-			end = ctlAt
+			end = ctl.at
 		}
 		if end > t {
 			end = t + 1 // t itself is inside the run
@@ -137,16 +137,16 @@ func (n *Network) parallelOK() bool {
 // peekMin returns the lane with the globally earliest pending (at,
 // key), including the control lane; nil when everything is drained.
 func (n *Network) peekMin() (best *Scheduler, bAt time.Duration, bKey uint64) {
-	if at, key, ok := n.sched.peekKey(); ok {
-		best, bAt, bKey = n.sched, at, key
+	if e := n.sched.peek(); e != nil {
+		best, bAt, bKey = n.sched, e.at, e.key
 	}
 	for _, lane := range n.lanes {
-		at, key, ok := lane.peekKey()
-		if !ok {
+		e := lane.peek()
+		if e == nil {
 			continue
 		}
-		if best == nil || at < bAt || (at == bAt && key < bKey) {
-			best, bAt, bKey = lane, at, key
+		if best == nil || e.at < bAt || (e.at == bAt && e.key < bKey) {
+			best, bAt, bKey = lane, e.at, e.key
 		}
 	}
 	return best, bAt, bKey

@@ -13,17 +13,16 @@ import (
 // transmission-queue slot: that ring is the direction's queue record in
 // both data planes, released lazily (no event) by the next enqueue. On
 // a batched direction the members from head on are also the undelivered
-// transmissions, and the scheduler holds a second, much smaller
-// priority lane of active trains keyed by their next member's (at,
-// key). The main loop always dispatches the global (at, key) minimum
-// across both lanes, so a batched run replays the scalar event order
-// exactly; what changes is the cost: advancing a train is one shallow
-// sift among O(active links) trains instead of a push/pop pair in a
-// heap of O(in-flight packets) events, and a switch-bound train
-// resolves its members' output ports with one amortized
+// transmissions, and an active train has one entry in its lane's queue
+// (sched.go), keyed by its next member's (at, key). The queue always
+// yields the global (at, key) minimum, so a batched run replays the
+// scalar event order exactly; what changes is the cost: the queue holds
+// O(active links) train heads instead of O(in-flight packets) events,
+// a busy train advances by re-keying its entry, and a switch-bound
+// train resolves its members' output ports with one amortized
 // rns.ReduceBatch instead of a per-packet policy call. On a noBatch
 // direction (the scalar plane, and cut links always) the delivery is an
-// evtDeliver heap event and the member is only the queue slot.
+// delivery entry of its own and the member is only the queue slot.
 //
 // Exactness is by construction, not by luck:
 //
@@ -36,9 +35,9 @@ import (
 //     (release time, key) precedes the dispatcher's current (now,
 //     curKey) — precisely the releases that have happened.
 //   - Fault semantics: link failures, repairs, detections and gray
-//     windows are scheduler events; because the loop interleaves lanes
-//     in global order, they split trains for free. Every delivery, train
-//     member or heap event, runs Line.transit at its own delivery
+//     windows are scheduler events; because train heads and events share
+//     one queue, they split trains for free. Every delivery, train
+//     member or event, runs Line.transit at its own delivery
 //     instant: the in-flight kill check, then the gray impairment's RNG
 //     draws in the global order.
 //   - Peel-outs: sampled packets take the full scalar switch pipeline
@@ -77,8 +76,8 @@ type trainMember struct {
 // train is one link direction's queue record and pending
 // transmissions. members[deqHead:] still hold their queue slot; on a
 // batched direction members[head:] are undelivered, members[:resLen]
-// have residues, and the owning lane's train heap holds an entry for it
-// while active.
+// have residues, and the owning lane's queue holds an entry for it while
+// active.
 type train struct {
 	line   *Line
 	dir    uint8
@@ -159,117 +158,51 @@ func (tr *train) extendResidues() {
 	tr.resLen = n
 }
 
-// --- Scheduler train lane -------------------------------------------------
+// --- Scheduler side -------------------------------------------------------
 
-// trainEnt is one slot of a lane's train heap: the train's next
-// member's (at, key) stored by value beside the pointer, so a sift
-// compares contiguous heap memory and never dereferences the (widely
-// scattered) train structs. Only the root is ever advanced or removed,
-// so trains need no back-pointer into the heap — the active flag says
-// whether one has an entry.
-type trainEnt struct {
-	at  time.Duration
-	key uint64
-	tr  *train
-}
-
-// before is the lane's heap order: the trains' next members' (at, key).
-func (e *trainEnt) before(o *trainEnt) bool {
-	if e.at != o.at {
-		return e.at < o.at
+// trainGrew accounts for a member just appended to tr: an idle train
+// gets its queue entry; an active one's is keyed by its head member,
+// which an append never changes.
+func (s *Scheduler) trainGrew(tr *train) {
+	if tr.active {
+		s.trainExtra++
+		return
 	}
-	return e.key < o.key
-}
-
-// trainActivate gives an idle train, whose first member was just
-// appended, its heap entry. (An active train's heap key is its head
-// member, which an append never changes.)
-func (s *Scheduler) trainActivate(tr *train) {
 	tr.active = true
 	head := &tr.members[tr.head]
-	e := trainEnt{at: head.at, key: head.key, tr: tr}
-	q := append(s.trains, e)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !e.before(&q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = e
-	s.trains = q
+	s.push(entry{at: head.at, key: head.key, what: tr})
 }
 
-// trainSiftRoot places e at the root and sifts it down — the root's
-// key increased (its head member advanced), or the root left and the
-// last entry takes its place.
-func (s *Scheduler) trainSiftRoot(e trainEnt) {
-	q := s.trains
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= len(q) {
-			break
-		}
-		end := c + 4
-		if end > len(q) {
-			end = len(q)
-		}
-		min := c
-		for j := c + 1; j < end; j++ {
-			if q[j].before(&q[min]) {
-				min = j
-			}
-		}
-		if !q[min].before(&e) {
-			break
-		}
-		q[i] = q[min]
-		i = min
-	}
-	q[i] = e
-}
-
-// trainNext moves the root train's head member into *m, then re-keys
-// the root to the following member or, when none is left, deactivates
-// the train.
-func (s *Scheduler) trainNext(m *trainMember) *train {
-	tr := s.trains[0].tr
+// trainNext moves tr's head member into *m, then re-keys tr's queue
+// entry — the queue's root — to the following member or, when none is
+// left, removes it and deactivates the train. Only the root is ever
+// advanced or removed, so trains need no back-pointer into the queue:
+// the active flag says whether one has an entry.
+func (s *Scheduler) trainNext(tr *train, m *trainMember) {
 	*m = tr.members[tr.head]
 	tr.members[tr.head].pkt = nil // no stale pin until reset/compact
 	tr.head++
-	s.trainMembers--
 	if tr.head < len(tr.members) {
 		next := &tr.members[tr.head]
-		s.trainSiftRoot(trainEnt{at: next.at, key: next.key, tr: tr})
-		return tr
+		s.trainExtra--
+		s.rekey(next.at, next.key)
+		return
 	}
-	last := len(s.trains) - 1
-	e := s.trains[last]
-	s.trains[last] = trainEnt{}
-	s.trains = s.trains[:last]
-	if last > 0 {
-		s.trainSiftRoot(e)
-	}
+	s.pop()
 	tr.active = false
 	tr.reset()
-	return tr
 }
 
-// stepTrain delivers the root train's next member: fix the lane, advance
-// the clock and curKey to the member's key, then hand the packet to the
-// line — mirroring pop-then-dispatch so handlers may freely enqueue
-// more traffic (including onto this train).
-func (s *Scheduler) stepTrain() {
-	if tr := s.trains[0].tr; tr.resLen <= tr.head {
+// run delivers the next member of tr, whose entry is the queue's root
+// (the clock and curKey are already the member's): fix the queue, then
+// hand the packet to the line — mirroring pop-then-dispatch so handlers
+// may freely enqueue more traffic (including onto this train).
+func (tr *train) run(s *Scheduler) {
+	if tr.resLen <= tr.head {
 		tr.extendResidues()
 	}
 	var m trainMember
-	tr := s.trainNext(&m)
-	s.now = m.at
-	s.curKey = m.key
+	s.trainNext(tr, &m)
 	tr.line.deliverMember(tr, &m)
 }
 
@@ -291,7 +224,7 @@ func (l *Line) drainDeq(tr *train, now time.Duration, cur uint64) {
 
 // compact reclaims the delivered prefix once it dominates the slice,
 // so a continuously busy train does not grow without bound. Member
-// order is preserved and head re-bases to 0, so the train's heap key
+// order is preserved and head re-bases to 0, so the train's queue key
 // (members[head]) is unchanged.
 func (tr *train) compact() {
 	if tr.head < 256 || tr.head*2 < len(tr.members) {

@@ -3,7 +3,6 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -396,73 +395,33 @@ func testCutLinkQueueDrain(t *testing.T) {
 	}
 }
 
-// TestTrainLaneHeapOrder drives a bare scheduler's train lane with
-// random appends (activating idle trains, extending active ones) and
-// root advances (re-keying the root, or retiring an exhausted train)
-// against a sorted reference: members must come out in (at, key) order
-// and Pending must count exactly the undelivered ones. Heap slots hold
-// keys by value and trains carry no back-pointer, so this is the check
-// that only-the-root-moves is really all the lane needs.
+// TestTrainLaneHeapOrder drives a bare scheduler's queue with train
+// heads only: random appends (activating idle trains, extending active
+// ones) and root advances (re-keying the root, or retiring an exhausted
+// train) against a sorted reference: members must come out in (at, key)
+// order and Pending must count exactly the undelivered ones. Entries
+// hold keys by value and trains carry no back-pointer, so this is the
+// check that only-the-root-moves is really all a train needs.
 func TestTrainLaneHeapOrder(t *testing.T) {
-	type ref struct {
-		at  time.Duration
-		key uint64
-	}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var s Scheduler
-		trains := make([]train, 1+rng.Intn(40))
-		lastAt := make([]time.Duration, len(trains)) // per-train FIFO: keys only grow
-		var want []ref
-		var now time.Duration
-		nextKey := uint64(0)
+		m := newQueueModel(t, 1+rng.Intn(40)) // queue_test.go
 		for op := 0; op < 4000; op++ {
-			if len(want) == 0 || rng.Intn(5) < 2 {
-				i := rng.Intn(len(trains))
-				at := now + time.Duration(rng.Intn(50))
-				if at < lastAt[i] {
-					at = lastAt[i]
-				}
-				lastAt[i] = at
-				nextKey++
-				tr := &trains[i] // enqueueBatch's tail
-				tr.members = append(tr.members, trainMember{at: at, key: nextKey})
-				s.trainMembers++
-				if !tr.active {
-					s.trainActivate(tr)
-				}
-				want = append(want, ref{at, nextKey})
+			if len(m.want) == 0 || rng.Intn(5) < 2 {
+				m.extend(rng.Intn(len(m.trs)), m.now+time.Duration(rng.Intn(50)))
 			} else {
-				sort.Slice(want, func(a, b int) bool {
-					if want[a].at != want[b].at {
-						return want[a].at < want[b].at
-					}
-					return want[a].key < want[b].key
-				})
-				at, key, ok := s.peekKey()
-				var m trainMember
-				s.trainNext(&m)
-				if !ok || at != m.at || key != m.key {
-					t.Fatalf("seed %d op %d: peekKey (%v,%d,%v) disagrees with dispatched (%v,%d)", seed, op, at, key, ok, m.at, m.key)
-				}
-				if (ref{m.at, m.key}) != want[0] {
-					t.Fatalf("seed %d op %d: dispatched (%v,%d), reference minimum %+v", seed, op, m.at, m.key, want[0])
-				}
-				want = want[1:]
-				now = m.at
+				m.pop()
 			}
-			if s.Pending() != len(want) {
-				t.Fatalf("seed %d op %d: Pending() = %d, reference holds %d", seed, op, s.Pending(), len(want))
-			}
+			m.check()
 		}
 		active := 0
-		for i := range trains {
-			if trains[i].active {
+		for i := range m.trs {
+			if m.trs[i].active {
 				active++
 			}
 		}
-		if active != len(s.trains) {
-			t.Fatalf("seed %d: %d trains flagged active, heap holds %d", seed, active, len(s.trains))
+		if queued := m.s.Pending() - m.s.trainExtra; active != queued {
+			t.Fatalf("seed %d: %d active train flags, queue holds %d heads", seed, active, queued)
 		}
 	}
 }

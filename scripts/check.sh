@@ -11,6 +11,12 @@ cd "$(dirname "$0")/.."
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> fuzz the scheduler queue against a sorted reference (10 s)"
+# The committed corpus (internal/simnet/testdata/fuzz) runs with every
+# go test; this explores from it: random programs of post / train append
+# / re-key / pop over the calendar's bucket and horizon edges.
+go test -run '^$' -fuzz FuzzSchedulerOrder -fuzztime 10s ./internal/simnet
+
 echo "==> gofmt -l"
 unformatted="$(gofmt -l .)"
 if [ -n "$unformatted" ]; then
@@ -29,8 +35,9 @@ go test -race ./internal/trace/... ./internal/telemetry/...
 
 echo "==> go test -race: sharded driver, failover path"
 # Fast-fail the sharded driver next: lane-owned telemetry cells, the
-# mid-window flush guard and the train lane are where a data race would
-# be, and these tests take seconds where the full pass takes ~20 minutes.
+# mid-window flush guard, the queue's barrier push and the trains are
+# where a data race would be, and these tests take seconds where the
+# full pass takes ~20 minutes.
 # With them the failover path: the link and handler tables, the switch
 # slow path, the edge's re-encode queue, and the sweep pool, whose
 # workers run different cells' worlds side by side.
