@@ -13,6 +13,11 @@
 // destination edge and policy drops. The linear systems are solved by
 // Gaussian elimination — state spaces stay small (≈ nodes × ports ×
 // 2 per active route).
+//
+// A policy whose shape has no random fallback (deflect.Shape.Random)
+// makes the chain a single trajectory: Analyze follows it — calling the
+// policy's own Decide at every core — instead of expanding and solving
+// a chain whose every state has one successor.
 package analysis
 
 import (
@@ -74,27 +79,31 @@ func (s LinkSet) Has(l *topology.Link) bool { return s[l.Index()>>6]&(1<<(l.Inde
 type Analyzer struct {
 	g      *topology.Graph
 	ctrl   *controller.Controller
-	policy string
+	policy deflect.Policy
+	shape  deflect.Shape
 	failed LinkSet
-	c      chain
+	// consulted is every link whose state the last computation read.
+	consulted LinkSet
+	view      nodeView
+	c         chain
 }
 
 // New builds an analyzer for the given policy name over the
 // controller's topology. Install routes on the controller first.
 func New(ctrl *controller.Controller, policy string, failed []*topology.Link) (*Analyzer, error) {
-	if _, ok := deflect.ByName(policy); !ok {
+	pol, ok := deflect.ByName(policy)
+	if !ok {
 		return nil, fmt.Errorf("%q: %w", policy, ErrPolicyUnsupported)
 	}
-	a := &Analyzer{g: ctrl.Graph(), ctrl: ctrl, policy: policy}
-	a.failed = NewLinkSet(a.g)
+	a := &Analyzer{g: ctrl.Graph(), ctrl: ctrl, policy: pol, shape: pol.Shape()}
+	a.failed, a.consulted = NewLinkSet(a.g), NewLinkSet(a.g)
 	a.SetFailed(failed)
-	c := &a.c
-	c.a, c.view.c, c.consulted = a, c, NewLinkSet(a.g)
+	a.view.a, a.c.a = a, a
 	nodes := a.g.Nodes()
 	for _, n := range nodes {
-		c.span = max(c.span, n.PortSpan())
+		a.c.span = max(a.c.span, n.PortSpan())
 	}
-	c.slots = len(nodes) * c.span * 2
+	a.c.slots = len(nodes) * a.c.span * 2
 	return a, nil
 }
 
@@ -112,7 +121,49 @@ func (a *Analyzer) SetFailed(failed []*topology.Link) {
 // the policy and the state of exactly these links: any failure set that
 // agrees with the analyzer's on them has the same Result. The set is
 // overwritten by the next call.
-func (a *Analyzer) Consulted() LinkSet { return a.c.consulted }
+func (a *Analyzer) Consulted() LinkSet { return a.consulted }
+
+// linkUp is the one place an analysis reads link state, and so the one
+// place that fills the consulted set.
+func (a *Analyzer) linkUp(l *topology.Link) bool {
+	a.consulted.Add(l)
+	return !a.failed.Has(l)
+}
+
+// nodeView is one node under the analyzer's failure set as a
+// deflect.SwitchView, so the analysis runs the very policy code the
+// simulated switch does.
+type nodeView struct {
+	a    *Analyzer
+	node *topology.Node
+}
+
+func (v *nodeView) SwitchID() uint64          { return v.node.ID() }
+func (v *nodeView) Forward(r rns.RouteID) int { return core.Forward(r, v.node.ID()) }
+func (v *nodeView) NumPorts() int             { return v.node.PortSpan() }
+func (v *nodeView) PortUp(i int) bool {
+	l, ok := v.node.PortLink(i)
+	return ok && v.a.linkUp(l)
+}
+func (v *nodeView) EdgePort(i int) bool {
+	l, ok := v.node.PortLink(i)
+	return ok && l.Other(v.node).Kind() == topology.KindEdge
+}
+
+// ingress returns the installed route src→dst and the port it enters
+// its first core switch on.
+func (a *Analyzer) ingress(src, dst string) (*core.Route, int, error) {
+	route, ok := a.ctrl.Route(src, dst)
+	if !ok {
+		return nil, 0, fmt.Errorf("analysis: no installed route %s->%s", src, dst)
+	}
+	first := route.Path.Nodes[1]
+	inPort, ok := first.PortToward(route.Path.Nodes[0].Name())
+	if !ok {
+		return nil, 0, fmt.Errorf("analysis: %s has no port toward %s", first, route.Path.Nodes[0])
+	}
+	return route, inPort, nil
+}
 
 // state identifies one Markov state.
 type state struct {
@@ -141,9 +192,7 @@ type chain struct {
 	deliver []bool     // absorbing: delivered
 	dropped []bool     // absorbing: dropped
 
-	consulted LinkSet
-	view      chainView
-	cands     []int
+	cands []int
 
 	// Linear-system scratch: rows are headers into mat, so a pivot swap
 	// moves two headers.
@@ -166,7 +215,7 @@ func (c *chain) succ(i int) []edgeProb { return c.edges[c.off[i]:c.off[i+1]] }
 // reset empties the chain for the next expansion, clearing only the
 // index entries the last one set.
 func (c *chain) reset() {
-	clear(c.consulted)
+	clear(c.a.consulted)
 	for _, s := range c.states {
 		c.index[s.route][c.slot(s)] = 0
 	}
@@ -179,20 +228,15 @@ func (c *chain) reset() {
 // route src→dst, returning the chain and the start state (the packet's
 // arrival at the first core switch).
 func (a *Analyzer) buildChain(src, dst string) (*chain, int, *core.Route, error) {
-	route, ok := a.ctrl.Route(src, dst)
-	if !ok {
-		return nil, 0, nil, fmt.Errorf("analysis: no installed route %s->%s", src, dst)
+	route, inPort, err := a.ingress(src, dst)
+	if err != nil {
+		return nil, 0, nil, err
 	}
 	c := &a.c
 	c.reset()
 	c.dst = dst
 	// Seed: the packet leaves the ingress edge toward the first core.
-	first := route.Path.Nodes[1]
-	inPort, ok := first.PortToward(route.Path.Nodes[0].Name())
-	if !ok {
-		return nil, 0, nil, fmt.Errorf("analysis: %s has no port toward %s", first, route.Path.Nodes[0])
-	}
-	start := c.intern(state{route: c.internRoute(route.ID), node: first, inPort: int32(inPort)})
+	start := c.intern(state{route: c.internRoute(route.ID), node: route.Path.Nodes[1], inPort: int32(inPort)})
 	c.expand()
 	return c, start, route, nil
 }
@@ -200,6 +244,15 @@ func (a *Analyzer) buildChain(src, dst string) (*chain, int, *core.Route, error)
 // Analyze computes the walk properties for the installed route
 // src→dst under the analyzer's failure set.
 func (a *Analyzer) Analyze(src, dst string) (Result, error) {
+	if !a.shape.Random() {
+		// Exact, and far cheaper than expanding and solving the chain.
+		return a.walk(src, dst)
+	}
+	return a.solveChain(src, dst)
+}
+
+// solveChain is Analyze by absorption, for any policy.
+func (a *Analyzer) solveChain(src, dst string) (Result, error) {
 	c, start, route, err := a.buildChain(src, dst)
 	if err != nil {
 		return Result{}, err
@@ -345,34 +398,6 @@ func (c *chain) internRoute(id rns.RouteID) int32 {
 	return int32(len(c.routes) - 1)
 }
 
-// linkUp is the one place a chain reads link state, and so the one
-// place that fills the consulted set.
-func (c *chain) linkUp(l *topology.Link) bool {
-	c.consulted.Add(l)
-	return !c.a.failed.Has(l)
-}
-
-// chainView adapts one chain node to deflect.SwitchView so the dtree
-// expansion runs the exact policy code the simulated switch does.
-type chainView struct {
-	c    *chain
-	node *topology.Node
-}
-
-func (v *chainView) SwitchID() uint64          { return v.node.ID() }
-func (v *chainView) Forward(r rns.RouteID) int { return core.Forward(r, v.node.ID()) }
-func (v *chainView) NumPorts() int             { return v.node.PortSpan() }
-func (v *chainView) PortUp(i int) bool         { return v.c.portUp(v.node, i) }
-func (v *chainView) EdgePort(i int) bool {
-	l, ok := v.node.PortLink(i)
-	return ok && l.Other(v.node).Kind() == topology.KindEdge
-}
-
-func (c *chain) portUp(n *topology.Node, i int) bool {
-	l, ok := n.PortLink(i)
-	return ok && c.linkUp(l)
-}
-
 // expand performs a work-list expansion of the reachable state space.
 func (c *chain) expand() {
 	for i := 0; i < len(c.states); i++ {
@@ -400,7 +425,7 @@ func (c *chain) expandEdge(i int, s state) {
 		return
 	}
 	l, ok := s.node.PortLink(outPort)
-	if !ok || !c.linkUp(l) {
+	if !ok || !c.a.linkUp(l) {
 		c.dropped[i] = true
 		return
 	}
@@ -419,59 +444,36 @@ func (c *chain) step(s state, outPort int, deflected bool, p float64) {
 	c.edges = append(c.edges, edgeProb{to: to, p: p})
 }
 
+// expandCore expands a core state from the policy's shape: one step on
+// an accepted encoded port; otherwise the uniform fallback's candidates
+// or — for a shape that never draws — the policy's own decision, run on
+// the analyzer's view so the chain cannot drift from the switch.
 func (c *chain) expandCore(i int, s state) {
-	id := c.routes[s.route]
-	port := core.Forward(id, s.node.ID())
-	switch c.a.policy {
-	case "none":
-		if c.portUp(s.node, port) {
-			c.step(s, port, false, 1)
-		} else {
-			c.dropped[i] = true
-		}
-	case "avp":
-		if c.portUp(s.node, port) {
-			c.step(s, port, false, 1)
-			return
-		}
-		c.uniform(i, s, false)
-	case "nip":
-		if c.portUp(s.node, port) && port != int(s.inPort) {
-			c.step(s, port, false, 1)
-			return
-		}
-		c.uniform(i, s, true)
-	case "hp":
-		if !s.deflected && c.portUp(s.node, port) {
-			c.step(s, port, false, 1)
-			return
-		}
-		c.uniform(i, s, false)
-	case "dtree":
-		// Deterministic structured failover: delegate to the very
-		// same deflect.DTree decision procedure the data plane runs
-		// (no RNG is consumed), so the chain cannot drift from the
-		// switch implementation. Exactly one successor per state —
-		// the chain collapses to a walk, and PDeliver is 0 or 1.
-		c.view.node = s.node
-		d := deflect.DTree{}.Decide(&c.view, id, int(s.inPort), s.deflected, nil)
+	a, id := c.a, c.routes[s.route]
+	a.view.node = s.node
+	if !a.shape.Random() {
+		// Exactly one successor per state: PDeliver is 0 or 1.
+		d := a.policy.Decide(&a.view, id, int(s.inPort), s.deflected, nil)
 		if d.Drop {
 			c.dropped[i] = true
 			return
 		}
 		c.step(s, d.Port, d.Deflected, 1)
+		return
 	}
-}
-
-// uniform deflects s to every healthy port (but the in-port under
-// excludeIn) with equal probability; with none, s drops.
-func (c *chain) uniform(i int, s state, excludeIn bool) {
+	if port, ok := a.shape.OnPath(&a.view, id, int(s.inPort), s.deflected); ok {
+		c.step(s, port, false, 1)
+		return
+	}
+	// Every healthy port (but the in-port, for a fallback that excludes
+	// it) with equal probability; with none, s drops.
+	excludeIn := a.shape.Otherwise == deflect.FallbackUniformNotInput
 	c.cands = c.cands[:0]
 	for p := 0; p < s.node.PortSpan(); p++ {
 		if excludeIn && p == int(s.inPort) {
 			continue
 		}
-		if c.portUp(s.node, p) {
+		if a.view.PortUp(p) {
 			c.cands = append(c.cands, p)
 		}
 	}

@@ -72,9 +72,6 @@ func (a *Allocator) Next(min uint64) (uint64, error) {
 	}
 }
 
-// Used returns a copy of all allocated IDs in allocation order.
-func (a *Allocator) Used() []uint64 { return append([]uint64(nil), a.used...) }
-
 func (a *Allocator) coprimeWithUsed(v uint64) bool {
 	ok := true
 	primeFactors(v, func(p uint64) {

@@ -16,7 +16,7 @@ func TestAllocatorNextSmallestFirst(t *testing.T) {
 			t.Fatalf("Next: %v", err)
 		}
 		if got != w {
-			t.Fatalf("Next = %d, want %d (used %v)", got, w, a.Used())
+			t.Fatalf("Next = %d, want %d", got, w)
 		}
 	}
 }

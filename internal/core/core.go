@@ -89,22 +89,6 @@ func (r *Route) BitLength() int { return r.System.BitLength() }
 // second column of the paper's Table 1).
 func (r *Route) SwitchCount() int { return len(r.Primary) + len(r.Protection) }
 
-// Covers reports whether the named switch carries a residue in this
-// route ID (it is on the primary path or a protection hop).
-func (r *Route) Covers(name string) bool {
-	for _, h := range r.Primary {
-		if h.Switch.Name() == name {
-			return true
-		}
-	}
-	for _, h := range r.Protection {
-		if h.Switch.Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
 // NextFrom returns the neighbour this route drives packets to from the
 // named switch, if the switch is encoded.
 func (r *Route) NextFrom(name string) (*topology.Node, bool) {

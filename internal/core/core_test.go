@@ -68,9 +68,6 @@ func TestFig1ProtectedRoute(t *testing.T) {
 	if v, _ := r.ID.Uint64(); v != 660 {
 		t.Errorf("route ID = %v, want 660", r.ID)
 	}
-	if !r.Covers("SW5") {
-		t.Error("route does not cover SW5")
-	}
 	if next, ok := r.NextFrom("SW5"); !ok || next.Name() != "SW11" {
 		t.Errorf("NextFrom(SW5) = %v, want SW11", next)
 	}

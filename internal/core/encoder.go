@@ -28,9 +28,3 @@ func NewEncoder() *Encoder {
 func (e *Encoder) EncodeRoute(path topology.Path, protection []Hop) (*Route, error) {
 	return encodeRoute(path, protection, e.cache.System)
 }
-
-// CacheStats reports (hits, misses) of the underlying basis cache —
-// observability for tests and benchmarks.
-func (e *Encoder) CacheStats() (hits, misses int64) {
-	return e.cache.Hits(), e.cache.Misses()
-}

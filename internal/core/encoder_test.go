@@ -58,7 +58,7 @@ func TestEncoderMatchesEncodeRoute(t *testing.T) {
 	if !revCached.ID.Equal(revFresh.ID) {
 		t.Errorf("reverse cached ID %v != fresh ID %v", revCached.ID, revFresh.ID)
 	}
-	hits, misses := enc.CacheStats()
+	hits, misses := enc.cache.Hits(), enc.cache.Misses()
 	if misses != 1 {
 		t.Errorf("basis-cache misses = %d, want 1 (one distinct switch set)", misses)
 	}

@@ -76,9 +76,92 @@ type Decision struct {
 // function (nothing to exclude).
 type Policy interface {
 	// Name returns the short name used in experiment output
-	// ("none", "hp", "avp", "nip").
+	// ("none", "hp", "avp", "nip", "dtree").
 	Name() string
+	// Shape declares the decision's two halves. The zero Shape declares
+	// nothing: every packet of such a policy runs Decide.
+	Shape() Shape
 	Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision
+}
+
+// Shape is a policy as the paper states one (§2.1, Algorithm 1): take
+// the encoded port when it is healthy and Accept admits it, otherwise
+// do Otherwise. It is the only statement of that knowledge — Decide is
+// built from it, the switch's batched fast path forwards on Accepts
+// alone, and the analytic model expands a state from Otherwise — so a
+// policy's Decide must return {Port: encoded port} without drawing from
+// the RNG exactly when the encoded port is up and Accepts holds.
+type Shape struct {
+	Accept    Accept
+	Otherwise Fallback
+}
+
+// Accept says which healthy encoded ports a policy forwards on.
+type Accept uint8
+
+const (
+	_                 Accept = iota
+	AcceptAlways             // none, avp
+	AcceptUndeflected        // hp: until the packet's first deflection
+	AcceptNotInput           // nip, dtree: any port but the input port
+)
+
+// Fallback says what a policy does with a packet whose encoded port it
+// did not take.
+type Fallback uint8
+
+const (
+	_                       Fallback = iota
+	FallbackDrop                     // none
+	FallbackUniform                  // hp, avp: uniform over healthy ports
+	FallbackUniformNotInput          // nip: uniform, the input port excluded
+	FallbackDeterministic            // dtree: the policy's own scan, no RNG
+)
+
+// Accepts reports whether the policy forwards on the encoded port, given
+// that it is healthy.
+func (s Shape) Accepts(port, inPort int, wasDeflected bool) bool {
+	return s.Accept == AcceptNotInput && port != inPort ||
+		s.Accept == AcceptAlways ||
+		s.Accept == AcceptUndeflected && !wasDeflected
+}
+
+// Random reports whether the fallback draws from the RNG. A policy
+// whose fallback does not is a pure function of the link state it reads:
+// its Decide may be called with a nil rng, and a packet's trajectory
+// under it is a walk, not a distribution.
+func (s Shape) Random() bool {
+	return s.Otherwise == FallbackUniform || s.Otherwise == FallbackUniformNotInput
+}
+
+// OnPath computes the encoded port and reports whether the policy
+// forwards on it. A hot-potato packet already walking reads nothing of
+// the view.
+func (s Shape) OnPath(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool) (int, bool) {
+	if s.Accept == AcceptUndeflected && wasDeflected {
+		return 0, false
+	}
+	port := view.Forward(routeID)
+	return port, view.PortUp(port) && s.Accepts(port, inPort, wasDeflected)
+}
+
+// decide is Decide for the shapes with no fallback of their own.
+func (s Shape) decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+	if port, ok := s.OnPath(view, routeID, inPort, wasDeflected); ok {
+		return Decision{Port: port}
+	}
+	exclude := -1
+	switch s.Otherwise {
+	case FallbackDrop:
+		return Decision{Drop: true}
+	case FallbackUniformNotInput:
+		exclude = inPort
+	}
+	port, ok := randomPort(view, rng, exclude)
+	if !ok {
+		return Decision{Drop: true}
+	}
+	return Decision{Port: port, Deflected: true}
 }
 
 // Compile-time interface compliance.
@@ -92,20 +175,12 @@ var (
 
 // ByName returns the policy with the given short name.
 func ByName(name string) (Policy, bool) {
-	switch name {
-	case "none":
-		return None{}, true
-	case "hp":
-		return HotPotato{}, true
-	case "avp":
-		return AnyValidPort{}, true
-	case "nip":
-		return NotInputPort{}, true
-	case "dtree":
-		return DTree{}, true
-	default:
-		return nil, false
+	for _, p := range All() {
+		if p.Name() == name {
+			return p, true
+		}
 	}
+	return nil, false
 }
 
 // All returns the five policies in presentation order.
@@ -117,58 +192,31 @@ func All() []Policy {
 // to a down or invalid port are dropped.
 type None struct{}
 
-// Name implements Policy.
 func (None) Name() string { return "none" }
-
-// Decide implements Policy.
-func (None) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
-	port := view.Forward(routeID)
-	if !view.PortUp(port) {
-		return Decision{Drop: true}
-	}
-	return Decision{Port: port}
+func (None) Shape() Shape { return Shape{AcceptAlways, FallbackDrop} }
+func (p None) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+	return p.Shape().decide(view, routeID, inPort, wasDeflected, rng)
 }
 
 // HotPotato implements the HP technique: the first deflection switches
-// the packet into a permanent uniform random walk.
+// the packet into a permanent uniform random walk, the input port
+// included.
 type HotPotato struct{}
 
-// Name implements Policy.
 func (HotPotato) Name() string { return "hp" }
-
-// Decide implements Policy.
-func (HotPotato) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
-	if !wasDeflected {
-		if port := view.Forward(routeID); view.PortUp(port) {
-			return Decision{Port: port}
-		}
-	}
-	// Complete random path: uniform over healthy ports, the input
-	// port included.
-	port, ok := randomPort(view, rng, -1)
-	if !ok {
-		return Decision{Drop: true}
-	}
-	return Decision{Port: port, Deflected: true}
+func (HotPotato) Shape() Shape { return Shape{AcceptUndeflected, FallbackUniform} }
+func (p HotPotato) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+	return p.Shape().decide(view, routeID, inPort, wasDeflected, rng)
 }
 
 // AnyValidPort implements AVP: modulo first, random healthy port (the
 // input port allowed) when the modulo result is invalid or down.
 type AnyValidPort struct{}
 
-// Name implements Policy.
 func (AnyValidPort) Name() string { return "avp" }
-
-// Decide implements Policy.
-func (AnyValidPort) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
-	if port := view.Forward(routeID); view.PortUp(port) {
-		return Decision{Port: port}
-	}
-	port, ok := randomPort(view, rng, -1)
-	if !ok {
-		return Decision{Drop: true}
-	}
-	return Decision{Port: port, Deflected: true}
+func (AnyValidPort) Shape() Shape { return Shape{AcceptAlways, FallbackUniform} }
+func (p AnyValidPort) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+	return p.Shape().decide(view, routeID, inPort, wasDeflected, rng)
 }
 
 // NotInputPort implements NIP (Algorithm 1): like AVP but the input
@@ -176,19 +224,10 @@ func (AnyValidPort) Decide(view SwitchView, routeID rns.RouteID, inPort int, was
 // random draw — avoiding two-node routing loops.
 type NotInputPort struct{}
 
-// Name implements Policy.
 func (NotInputPort) Name() string { return "nip" }
-
-// Decide implements Policy.
-func (NotInputPort) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
-	if port := view.Forward(routeID); view.PortUp(port) && port != inPort {
-		return Decision{Port: port}
-	}
-	port, ok := randomPort(view, rng, inPort)
-	if !ok {
-		return Decision{Drop: true}
-	}
-	return Decision{Port: port, Deflected: true}
+func (NotInputPort) Shape() Shape { return Shape{AcceptNotInput, FallbackUniformNotInput} }
+func (p NotInputPort) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+	return p.Shape().decide(view, routeID, inPort, wasDeflected, rng)
 }
 
 // DTree implements deterministic structured failover over
@@ -199,8 +238,7 @@ func (NotInputPort) Decide(view SwitchView, routeID rns.RouteID, inPort int, was
 // the destination-rooted shortest-path tree. The decision is:
 //
 //  1. The encoded port, when healthy and not the input port, is taken
-//     (identical on-path predicate to NIP, so the batched fast path
-//     applies unchanged).
+//     (NIP's Accept).
 //  2. Otherwise the fallback is a circular port scan anchored just
 //     past the input port, skipping down ports, the input port, and —
 //     on a first pass — edge-facing ports, so fallback traffic stays
@@ -224,14 +262,14 @@ func (NotInputPort) Decide(view SwitchView, routeID rns.RouteID, inPort int, was
 // deterministic walk, and delivery is always 0 or 1.
 type DTree struct{}
 
-// Name implements Policy.
 func (DTree) Name() string { return "dtree" }
+func (DTree) Shape() Shape { return Shape{AcceptNotInput, FallbackDeterministic} }
 
 // Decide implements Policy. rng is never touched and may be nil.
-func (DTree) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+func (p DTree) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
 	port := view.Forward(routeID)
 	span := view.NumPorts()
-	if port < span && view.PortUp(port) && port != inPort {
+	if port < span && view.PortUp(port) && p.Shape().Accepts(port, inPort, wasDeflected) {
 		return Decision{Port: port}
 	}
 	if span > 0 {

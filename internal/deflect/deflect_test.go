@@ -340,3 +340,179 @@ func TestDrivenDeflectionAtSW5(t *testing.T) {
 		t.Error("HP at SW5 always chose the driven port; its walk must stay random")
 	}
 }
+
+// The five Decide bodies as they stood when each policy was written out
+// on its own, kept verbatim as the reference TestShapeMatchesReference
+// holds the shape-driven Decide against.
+
+func refNone(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+	port := view.Forward(routeID)
+	if !view.PortUp(port) {
+		return Decision{Drop: true}
+	}
+	return Decision{Port: port}
+}
+
+func refHotPotato(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+	if !wasDeflected {
+		if port := view.Forward(routeID); view.PortUp(port) {
+			return Decision{Port: port}
+		}
+	}
+	// Complete random path: uniform over healthy ports, the input
+	// port included.
+	port, ok := refRandomPort(view, rng, -1)
+	if !ok {
+		return Decision{Drop: true}
+	}
+	return Decision{Port: port, Deflected: true}
+}
+
+func refAnyValidPort(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+	if port := view.Forward(routeID); view.PortUp(port) {
+		return Decision{Port: port}
+	}
+	port, ok := refRandomPort(view, rng, -1)
+	if !ok {
+		return Decision{Drop: true}
+	}
+	return Decision{Port: port, Deflected: true}
+}
+
+func refNotInputPort(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+	if port := view.Forward(routeID); view.PortUp(port) && port != inPort {
+		return Decision{Port: port}
+	}
+	port, ok := refRandomPort(view, rng, inPort)
+	if !ok {
+		return Decision{Drop: true}
+	}
+	return Decision{Port: port, Deflected: true}
+}
+
+func refDTree(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+	port := view.Forward(routeID)
+	span := view.NumPorts()
+	if port < span && view.PortUp(port) && port != inPort {
+		return Decision{Port: port}
+	}
+	if span > 0 {
+		anchor := port % span
+		if inPort >= 0 && inPort < span {
+			anchor = inPort
+		}
+		dir := 1
+		if wasDeflected && port != inPort && view.SwitchID()%2 == 1 {
+			dir = -1
+		}
+		for pass := 0; pass < 2; pass++ {
+			for i := 1; i <= span; i++ {
+				cand := (anchor + dir*i) % span
+				if cand < 0 {
+					cand += span
+				}
+				if cand == inPort || !view.PortUp(cand) {
+					continue
+				}
+				if pass == 0 && view.EdgePort(cand) {
+					continue
+				}
+				return Decision{Port: cand, Deflected: true}
+			}
+		}
+	}
+	if inPort >= 0 && inPort < span && view.PortUp(inPort) {
+		return Decision{Port: inPort, Deflected: true}
+	}
+	return Decision{Drop: true}
+}
+
+func refRandomPort(view SwitchView, rng *rand.Rand, exclude int) (int, bool) {
+	chosen, seen := -1, 0
+	for i := 0; i < view.NumPorts(); i++ {
+		if i == exclude || !view.PortUp(i) {
+			continue
+		}
+		seen++
+		if rng.Intn(seen) == 0 {
+			chosen = i
+		}
+	}
+	return chosen, chosen >= 0
+}
+
+// countingSource counts the draws made from a seeded source.
+type countingSource struct {
+	rand.Source64
+	draws int
+}
+
+func (c *countingSource) Int63() int64   { c.draws++; return c.Source64.Int63() }
+func (c *countingSource) Uint64() uint64 { c.draws++; return c.Source64.Uint64() }
+
+// TestShapeMatchesReference: for every built-in policy, over every view
+// of up to four ports × health mask × edge mask × input port × deflected
+// flag × residue, on an odd and an even switch ID, the shape-driven
+// Decide returns the reference's decision and leaves an RNG seeded alike
+// in the same state after the same number of draws; and the shape's
+// Accepts is exactly "the reference forwards on a healthy encoded port".
+func TestShapeMatchesReference(t *testing.T) {
+	refs := map[string]func(SwitchView, rns.RouteID, int, bool, *rand.Rand) Decision{
+		"none": refNone, "hp": refHotPotato, "avp": refAnyValidPort, "nip": refNotInputPort, "dtree": refDTree,
+	}
+	for _, p := range All() {
+		ref := refs[p.Name()]
+		if ref == nil {
+			t.Fatalf("%s: no reference", p.Name())
+		}
+		if p.Shape() == (Shape{}) {
+			t.Fatalf("%s declares no shape", p.Name())
+		}
+		gotSrc := &countingSource{Source64: rand.NewSource(99).(rand.Source64)}
+		wantSrc := &countingSource{Source64: rand.NewSource(99).(rand.Source64)}
+		gotRNG, wantRNG := rand.New(gotSrc), rand.New(wantSrc)
+		var cases, drew int
+		for n := 0; n <= 4; n++ {
+			for mask := 0; mask < 1<<(2*n); mask++ {
+				view := fakeView{ports: make([]bool, n), edges: make([]bool, n)}
+				for i := 0; i < n; i++ {
+					view.ports[i] = mask>>i&1 == 1
+					view.edges[i] = mask>>(n+i)&1 == 1
+				}
+				for _, view.id = range []uint64{7, 8} {
+					for inPort := -1; inPort < 4; inPort++ {
+						for _, deflected := range []bool{false, true} {
+							for residue := 0; residue < 6; residue++ {
+								before := wantSrc.draws
+								got := p.Decide(view, rid(uint64(residue)), inPort, deflected, gotRNG)
+								want := ref(view, rid(uint64(residue)), inPort, deflected, wantRNG)
+								if got != want || gotSrc.draws != wantSrc.draws {
+									t.Fatalf("%s ports=%v edges=%v id=%d in=%d deflected=%v residue=%d: %+v after %d draws, reference %+v after %d",
+										p.Name(), view.ports, view.edges, view.id, inPort, deflected, residue, got, gotSrc.draws, want, wantSrc.draws)
+								}
+								onPath := !want.Drop && !want.Deflected
+								if onPath && (want.Port != residue || wantSrc.draws != before) {
+									t.Fatalf("%s: reference forwards on-path to %d after %d draws, residue %d", p.Name(), want.Port, wantSrc.draws-before, residue)
+								}
+								if accepts := view.PortUp(residue) && p.Shape().Accepts(residue, inPort, deflected); accepts != onPath {
+									t.Fatalf("%s ports=%v in=%d deflected=%v residue=%d: shape accepts=%v, reference on-path=%v",
+										p.Name(), view.ports, inPort, deflected, residue, accepts, onPath)
+								}
+								cases++
+								if wantSrc.draws != before {
+									drew++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if p.Shape().Random() != (drew > 0) {
+			t.Errorf("%s: shape says Random=%v, the reference drew in %d of %d cases", p.Name(), p.Shape().Random(), drew, cases)
+		}
+		if gotRNG.Int63() != wantRNG.Int63() {
+			t.Errorf("%s: RNG streams diverged", p.Name())
+		}
+	}
+}

@@ -10,12 +10,19 @@ import (
 	"repro/internal/simnet"
 )
 
+// unshaped is a policy that decides as its inner one does but declares
+// no shape: the batched path may forward none of its packets itself.
+type unshaped struct{ deflect.Policy }
+
+func (unshaped) Shape() deflect.Shape { return deflect.Shape{} }
+
 // TestBatchMatchesScalarSwitchPipeline replays a Fig. 1 NIP run with a
 // mid-stream failure — so packets traverse both the batched fast path
 // (on-path forwards over cached lines) and the peel-out slow path
 // (deflections through Decide) — in batch and scalar mode, and
 // requires identical deliveries, per-switch stats and a byte-identical
-// metrics dump.
+// metrics dump; then the same under NIP with its shape hidden, where
+// every batched packet takes the slow path.
 func TestBatchMatchesScalarSwitchPipeline(t *testing.T) {
 	type result struct {
 		seqs  []uint64
@@ -23,8 +30,7 @@ func TestBatchMatchesScalarSwitchPipeline(t *testing.T) {
 		stats map[string]Stats
 		dump  string
 	}
-	run := func(opts ...simnet.Option) result {
-		policy, _ := deflect.ByName("nip")
+	run := func(policy deflect.Policy, opts ...simnet.Option) result {
 		w := newWorldOpts(t, policy, true, opts...)
 		link, ok := w.net.Topology().LinkBetween("SW7", "SW11")
 		if !ok {
@@ -51,8 +57,11 @@ func TestBatchMatchesScalarSwitchPipeline(t *testing.T) {
 		return res
 	}
 
-	batch := run()
-	scalar := run(simnet.WithScalarDataPlane())
+	batch := run(deflect.NotInputPort{})
+	scalar := run(deflect.NotInputPort{}, simnet.WithScalarDataPlane())
+	if slow := run(unshaped{deflect.NotInputPort{}}); !reflect.DeepEqual(slow, scalar) {
+		t.Errorf("a policy without a shape: batched run differs from the scalar one:\nbatch:  %+v\nscalar: %+v", slow.stats, scalar.stats)
+	}
 
 	if !reflect.DeepEqual(batch.seqs, scalar.seqs) {
 		t.Errorf("delivered seqs differ: batch %v vs scalar %v", batch.seqs, scalar.seqs)

@@ -94,27 +94,13 @@ type Switch struct {
 	loggedDeflect [causeCount]bool
 	loggedDrop    map[string]bool
 
-	// Batched fast path (see HandleBatchPacket): the on-path predicate
-	// of the four built-in policies over per-port cached lines, so an
-	// on-path forward under batch delivery touches no map, no interface
-	// call and no RNG. fastKind is fastOff for unknown policies.
-	fastKind  uint8
+	// Batched fast path (see HandleBatchPacket): the policy's shape over
+	// per-port cached lines, so an on-path forward under batch delivery
+	// touches no map, no interface call and no RNG.
+	shape     deflect.Shape
 	portLines []*simnet.Line
 	portDirs  []uint8
 }
-
-// Fast-path kinds: which extra condition, beyond "the encoded port's
-// link is up", the policy requires for an on-path forward. These
-// mirror the leading non-random branch of each Decide — the branch
-// that consumes no RNG — so taking the fast path exactly when the
-// predicate holds leaves the switch's RNG stream identical to a
-// scalar run.
-const (
-	fastOff = iota // unknown policy: always run Decide
-	fastAny        // none, avp: encoded port up
-	fastHP         // hp: encoded port up and never deflected
-	fastNIP        // nip, dtree: encoded port up and not the input port
-)
 
 // Compile-time interface compliance.
 var (
@@ -150,18 +136,6 @@ func install(net *simnet.Network, nodes []*topology.Node, policy deflect.Policy,
 	deflections := reg.CounterVec("kar_switch_deflections_total", len(nodes)*causeCount, func(i int) []string {
 		return []string{"switch", nodes[i/causeCount].Name(), "cause", causeNames[i%causeCount]}
 	})
-	fastKind := uint8(fastOff)
-	switch policy.(type) {
-	case deflect.None, deflect.AnyValidPort:
-		fastKind = fastAny
-	case deflect.HotPotato:
-		fastKind = fastHP
-	case deflect.NotInputPort, deflect.DTree:
-		// dtree shares NIP's on-path predicate (encoded port up and not
-		// the input port); its fallback arm is deterministic, so the
-		// batch peel-out costs nothing in RNG alignment either way.
-		fastKind = fastNIP
-	}
 	sws := make([]Switch, len(nodes))
 	for i, node := range nodes {
 		s := &sws[i]
@@ -176,7 +150,7 @@ func install(net *simnet.Network, nodes []*topology.Node, policy deflect.Policy,
 			cForwarded:   &forwarded[i],
 			cTTLDrops:    &ttlDrops[i],
 			cPolicyDrops: &policyDrops[i],
-			fastKind:     fastKind,
+			shape:        policy.Shape(),
 		}
 		s.rng = rand.New(&s.rngSrc)
 		for c := range s.cDeflections {
@@ -267,7 +241,7 @@ func (s *Switch) BatchReducer() (rns.Reducer, bool) {
 // cannot prove equivalent peel out: sampled packets re-enter the full
 // scalar pipeline (flight-recorder hooks; the on-path Decide consumes
 // no RNG, so the peel costs nothing in determinism), and any packet
-// failing the policy's on-path predicate falls through to the scalar
+// the policy's shape does not accept falls through to the scalar
 // decision path — deflection-cause counters, event-log dedup and
 // policy RNG draws happen exactly as they would have.
 func (s *Switch) HandleBatchPacket(pkt *packet.Packet, inPort int, residue uint16) {
@@ -282,26 +256,16 @@ func (s *Switch) HandleBatchPacket(pkt *packet.Packet, inPort int, residue uint1
 		s.net.Drop(pkt, simnet.DropTTL, s.node.Name())
 		return
 	}
-	if s.fastKind != fastOff {
-		port := int(residue)
-		if port < len(s.portLines) {
-			if l := s.portLines[port]; l != nil && l.SeenUp() {
-				ok := true
-				switch s.fastKind {
-				case fastHP:
-					ok = !pkt.Deflected
-				case fastNIP:
-					ok = port != inPort
-				}
-				if ok {
-					// On-path forward: the scalar path's Decide would
-					// have returned {Port: port} without touching the
-					// RNG; counters match its non-deflected arm.
-					s.dForwarded.Inc()
-					s.net.SendOnLine(l, s.portDirs[port], pkt)
-					return
-				}
-			}
+	port := int(residue)
+	if port < len(s.portLines) {
+		// The shape's contract: with the encoded port up and accepted,
+		// Decide returns {Port: port} without touching the RNG, so the
+		// switch's RNG stream stays a scalar run's; counters match
+		// decide's non-deflected arm.
+		if l := s.portLines[port]; l != nil && l.SeenUp() && s.shape.Accepts(port, inPort, pkt.Deflected) {
+			s.dForwarded.Inc()
+			s.net.SendOnLine(l, s.portDirs[port], pkt)
+			return
 		}
 	}
 	s.decide(pkt, inPort)

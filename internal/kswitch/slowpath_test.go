@@ -119,7 +119,8 @@ func TestDeflectedForwardAllocatesNothing(t *testing.T) {
 // portPolicy always decides on one fixed port, attached or not.
 type portPolicy int
 
-func (portPolicy) Name() string { return "fixed-port" }
+func (portPolicy) Name() string         { return "fixed-port" }
+func (portPolicy) Shape() deflect.Shape { return deflect.Shape{} }
 func (p portPolicy) Decide(deflect.SwitchView, rns.RouteID, int, bool, *rand.Rand) deflect.Decision {
 	return deflect.Decision{Port: int(p)}
 }

@@ -45,14 +45,9 @@ var (
 // headerFixed is the fixed part of the header preceding the route ID.
 const headerFixed = 3
 
-// WireSize returns the encoded size in bytes.
-func (h *Header) WireSize() int {
-	return headerFixed + h.RouteID.ByteLen()
-}
-
 // Marshal appends the wire encoding to dst and returns the result.
-// With a pooled buffer (packet.GetBuffer) of sufficient capacity it
-// performs no allocations for route IDs below 2^64.
+// Into a dst of sufficient capacity it performs no allocations for
+// route IDs below 2^64.
 func (h *Header) Marshal(dst []byte) ([]byte, error) {
 	if h.Version > 0xf || h.Flags > 0xf {
 		return nil, fmt.Errorf("version %d flags %#x: %w", h.Version, h.Flags, ErrFieldOverflow)

@@ -26,8 +26,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Marshal: %v", err)
 			}
-			if len(buf) != tt.h.WireSize() {
-				t.Errorf("encoded %d bytes, WireSize says %d", len(buf), tt.h.WireSize())
+			if want := headerFixed + tt.h.RouteID.ByteLen(); len(buf) != want {
+				t.Errorf("encoded %d bytes, want %d", len(buf), want)
 			}
 			var got Header
 			n, err := got.Unmarshal(buf)
@@ -107,5 +107,22 @@ func TestFlowIDReverse(t *testing.T) {
 	}
 	if f.String() != "AS1->AS3" {
 		t.Errorf("String = %q", f.String())
+	}
+}
+
+// TestMarshalReusedBufferZeroAlloc: a header marshal into a buffer that
+// already has its capacity allocates nothing.
+func TestMarshalReusedBufferZeroAlloc(t *testing.T) {
+	h := Header{Version: 1, TTL: 64, RouteID: rns.RouteIDFromUint64(4402485597509)}
+	buf := make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		out, err := h.Marshal(buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = out
+	})
+	if allocs != 0 {
+		t.Errorf("Marshal into a reused buffer allocates %.1f objects/op, want 0", allocs)
 	}
 }

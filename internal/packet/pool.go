@@ -2,10 +2,9 @@ package packet
 
 import "sync"
 
-// Packet and buffer pooling. Per-packet allocation dominates the
-// simulator's heap churn: every transport segment and ACK used to be a
-// fresh Packet plus a fresh marshal buffer, all dying within a few
-// virtual microseconds. The pools below recycle both.
+// Packet pooling. Per-packet allocation dominates the simulator's heap
+// churn: every transport segment and ACK used to be a fresh Packet,
+// dying within a few virtual microseconds. The pool below recycles them.
 //
 // Ownership rule: a packet obtained from Get is owned by whoever holds
 // it last — the terminal sink (transport receiver on delivery, or
@@ -36,24 +35,3 @@ func (p *Packet) Release() {
 	*p = Packet{SACKBlocks: sack}
 	pktPool.Put(p)
 }
-
-// Buffer is a reusable header-marshal buffer. GetBuffer/Put move a
-// single pointer through the pool, so a marshal round-trip performs
-// zero allocations once the backing array has grown to the working
-// header size.
-type Buffer struct {
-	B []byte
-}
-
-var bufPool = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 64)} }}
-
-// GetBuffer returns an empty marshal buffer from the pool.
-func GetBuffer() *Buffer {
-	b := bufPool.Get().(*Buffer)
-	b.B = b.B[:0]
-	return b
-}
-
-// Put returns the buffer (and whatever its slice has grown to) to the
-// pool. The caller must not touch b.B afterwards.
-func (b *Buffer) Put() { bufPool.Put(b) }

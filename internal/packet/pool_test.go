@@ -1,10 +1,6 @@
 package packet
 
-import (
-	"testing"
-
-	"repro/internal/rns"
-)
+import "testing"
 
 func TestPoolRoundTrip(t *testing.T) {
 	p := Get()
@@ -61,34 +57,4 @@ func TestDoubleReleaseIsNoop(t *testing.T) {
 	p := Get()
 	p.Release()
 	p.Release() // second release must not re-pool (or panic)
-}
-
-// TestMarshalPooledBufferZeroAlloc: a header marshal through the
-// buffer pool allocates nothing once the buffer has its capacity.
-func TestMarshalPooledBufferZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops values under the race detector")
-	}
-	h := Header{Version: 1, TTL: 64, RouteID: rns.RouteIDFromUint64(4402485597509)}
-	// Warm the pool so the backing array exists.
-	warm := GetBuffer()
-	out, err := h.Marshal(warm.B)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm.B = out
-	warm.Put()
-
-	allocs := testing.AllocsPerRun(100, func() {
-		buf := GetBuffer()
-		out, err := h.Marshal(buf.B)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.B = out
-		buf.Put()
-	})
-	if allocs != 0 {
-		t.Errorf("pooled Marshal allocates %.1f objects/op, want 0", allocs)
-	}
 }

@@ -7,20 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/controller"
 	"repro/internal/topology"
 )
 
-// freshWalk is walkDeterministic on a view of its own: the memo-free
-// per-case walk.
-func freshWalk(ctrl *controller.Controller, pol, src, dst string, failed failSet) (analysis.Result, error) {
-	return walkDeterministic(ctrl, pol, src, dst,
-		&walkView{failed: failed, consulted: analysis.NewLinkSet(ctrl.Graph())})
-}
-
 // freshCase is the verdict of one case computed the way the sweep did
 // before it remembered anything: reachability by search, the ingress
-// check, then an analyzer or a walk made for this case alone.
+// check, then an analyzer made for this case alone.
 func freshCase(t *testing.T, g *topology.Graph, ct *caseTable, r, p, f int) caseResult {
 	t.Helper()
 	rt, pol, fl := ct.routes[r], ct.policies[p], ct.failures[f]
@@ -35,14 +27,9 @@ func freshCase(t *testing.T, g *topology.Graph, ct *caseTable, r, p, f int) case
 		return caseResult{outcome: Lost}
 	}
 	var res analysis.Result
-	var err error
-	if pol == "none" || pol == "dtree" {
-		res, err = freshWalk(ct.ctrl, pol, rt.Src, rt.Dst, fl.links)
-	} else {
-		var a *analysis.Analyzer
-		if a, err = analysis.New(ct.ctrl, pol, fl.links); err == nil {
-			res, err = a.Analyze(rt.Src, rt.Dst)
-		}
+	a, err := analysis.New(ct.ctrl, pol, fl.links)
+	if err == nil {
+		res, err = a.Analyze(rt.Src, rt.Dst)
 	}
 	if err != nil {
 		t.Fatalf("%s->%s policy=%s failure=%s: %v", rt.Src, rt.Dst, pol, fl.name, err)

@@ -4,9 +4,8 @@
 // controller-installed route set it enumerates every single-link
 // failure (plus optional seeded samples of two-link failure pairs)
 // and computes, for each (route, policy, failure) case, the exact
-// delivery verdict — via the internal/analysis Markov-chain machinery
-// for the probabilistic policies and a deterministic walk for "none"
-// and "dtree".
+// delivery verdict from internal/analysis (a Markov chain for the
+// policies that deflect at random, a walk for the ones that never draw).
 // The sweep produces per-route resilience scores (fraction of
 // failures survived, worst-case delivery probability and stretch) and
 // a per-link blast-radius ranking of the failures that actually hurt.
@@ -46,9 +45,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/deflect"
-	"repro/internal/packet"
 	"repro/internal/par"
-	"repro/internal/rns"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -194,17 +191,6 @@ func (r *Report) Total(policy string) (*PolicyTotal, bool) {
 	for i := range r.Totals {
 		if r.Totals[i].Policy == policy {
 			return &r.Totals[i], true
-		}
-	}
-	return nil, false
-}
-
-// Score returns the score row for (src, dst, policy), if present.
-func (r *Report) Score(src, dst, policy string) (*RouteScore, bool) {
-	for i := range r.Scores {
-		s := &r.Scores[i]
-		if s.Src == src && s.Dst == dst && s.Policy == policy {
-			return s, true
 		}
 	}
 	return nil, false
@@ -730,7 +716,7 @@ func Plan(topo, routes string, policies []string, level string) (*topology.Graph
 	}
 	for _, p := range policies {
 		if _, ok := deflect.ByName(p); !ok {
-			return fail(fmt.Errorf("resilience: unknown policy %q (want none, hp, avp, nip or dtree)", p))
+			return fail(fmt.Errorf("resilience: unknown policy %q", p))
 		}
 	}
 	cfg, err := Protect(topo, level)
@@ -860,16 +846,13 @@ func (e *memoEntry) answers(f failSet) bool {
 }
 
 // scratch is one worker's working state: the surviving graph's
-// component labels, a chain analyzer per probabilistic policy, the
-// deterministic walk's view and consulted set, and the recorded
-// verdicts per (route, policy) — the sweep's no-failure ones, shared
-// and read-only once workers run, and the ones this worker computed.
+// component labels, an analyzer per policy, and the recorded verdicts
+// per (route, policy) — the sweep's no-failure ones, shared and
+// read-only once workers run, and the ones this worker computed.
 type scratch struct {
-	ctrl      *controller.Controller
 	policies  []string
 	comp      []int32
-	analyzers []*analysis.Analyzer // nil for the policies scored by walking
-	view      walkView
+	analyzers []*analysis.Analyzer
 	base      []memoEntry
 	memo      [][]memoEntry
 	hits      int // cases a recorded verdict answered
@@ -877,18 +860,15 @@ type scratch struct {
 
 func newScratch(ctrl *controller.Controller, policies []string, base []memoEntry, nodes int) *scratch {
 	s := &scratch{
-		ctrl: ctrl, policies: policies,
+		policies:  policies,
 		comp:      make([]int32, nodes),
 		analyzers: make([]*analysis.Analyzer, len(policies)),
 		base:      base,
 		memo:      make([][]memoEntry, len(base)),
 	}
-	s.view.consulted = analysis.NewLinkSet(ctrl.Graph())
 	for p, pol := range policies {
-		if pol != "none" && pol != "dtree" {
-			// Policies were validated on entry: New cannot fail.
-			s.analyzers[p], _ = analysis.New(ctrl, pol, nil)
-		}
+		// Policies were validated on entry: New cannot fail.
+		s.analyzers[p], _ = analysis.New(ctrl, pol, nil)
 	}
 	return s
 }
@@ -896,11 +876,8 @@ func newScratch(ctrl *controller.Controller, policies []string, base []memoEntry
 // setFailed points the scratch at the failure set the next compute
 // calls run under.
 func (s *scratch) setFailed(failed failSet) {
-	s.view.failed = failed
 	for _, a := range s.analyzers {
-		if a != nil {
-			a.SetFailed(failed)
-		}
+		a.SetFailed(failed)
 	}
 }
 
@@ -933,23 +910,12 @@ func (s *scratch) verdict(key int, rt RouteSpec, p int, fl failure) caseResult {
 // whose state it depended on; the set is scratch, overwritten by the
 // next call.
 func (s *scratch) compute(rt RouteSpec, p int, fl failure) (caseResult, analysis.LinkSet) {
-	var res analysis.Result
-	var err error
-	var consulted analysis.LinkSet
-	if a := s.analyzers[p]; a != nil {
-		res, err = a.Analyze(rt.Src, rt.Dst)
-		consulted = a.Consulted()
-	} else {
-		// Deterministic policies score by direct walk — exact, and far
-		// cheaper than expanding and solving the chain.
-		res, err = walkDeterministic(s.ctrl, s.policies[p], rt.Src, rt.Dst, &s.view)
-		consulted = s.view.consulted
-	}
+	res, err := s.analyzers[p].Analyze(rt.Src, rt.Dst)
 	if err != nil {
 		return caseResult{err: fmt.Errorf("resilience: %s->%s policy=%s failure=%s: %w",
 			rt.Src, rt.Dst, s.policies[p], fl.name, err)}, nil
 	}
-	return classify(res), consulted
+	return classify(res), s.analyzers[p].Consulted()
 }
 
 // classify turns a walk analysis into a case verdict.
@@ -964,126 +930,4 @@ func classify(res analysis.Result) caseResult {
 		cr.outcome = Degraded
 	}
 	return cr
-}
-
-// walkView adapts one topology node plus a failure set to
-// deflect.SwitchView, so the deterministic walk runs the very same
-// policy code the data plane does.
-type walkView struct {
-	node      *topology.Node
-	failed    failSet
-	consulted analysis.LinkSet // every link whose state the walk read
-}
-
-// linkUp is the one place a walk reads link state.
-func (v *walkView) linkUp(l *topology.Link) bool {
-	v.consulted.Add(l)
-	return !v.failed.has(l)
-}
-
-func (v *walkView) SwitchID() uint64 { return v.node.ID() }
-func (v *walkView) Forward(r rns.RouteID) int {
-	return core.Forward(r, v.node.ID())
-}
-func (v *walkView) NumPorts() int { return v.node.PortSpan() }
-func (v *walkView) PortUp(i int) bool {
-	l, ok := v.node.PortLink(i)
-	return ok && v.linkUp(l)
-}
-func (v *walkView) EdgePort(i int) bool {
-	l, ok := v.node.PortLink(i)
-	return ok && l.Other(v.node).Kind() == topology.KindEdge
-}
-
-// walkDeterministic follows the installed route under a deterministic
-// policy ("none" or "dtree"): decide at every core exactly as the data
-// plane's switch would (the dtree walk literally calls
-// deflect.DTree.Decide — no RNG is ever consumed), drop on a dead or
-// invalid port, re-encode at wrong edges with a TTL refresh, deliver
-// at dst. PDeliver is 0 or 1 by construction; a TTL death counts as a
-// loss, exactly like the simulator's ttl_expired drop. The walk runs
-// under view.failed and leaves the links it consulted in view.consulted.
-func walkDeterministic(ctrl *controller.Controller, pol, src, dst string, view *walkView) (analysis.Result, error) {
-	clear(view.consulted)
-	route, ok := ctrl.Route(src, dst)
-	if !ok {
-		return analysis.Result{}, fmt.Errorf("no installed route %s->%s", src, dst)
-	}
-	policy, ok := deflect.ByName(pol)
-	if !ok {
-		return analysis.Result{}, fmt.Errorf("%q: %w", pol, analysis.ErrPolicyUnsupported)
-	}
-	res := analysis.Result{BaselineHops: route.Path.Hops(), PDrop: 1}
-	id := route.ID
-	node := route.Path.Nodes[1]
-	ingress, ok := node.PortToward(route.Path.Nodes[0].Name())
-	if !ok {
-		return analysis.Result{}, fmt.Errorf("%s has no port toward %s", node, route.Path.Nodes[0])
-	}
-	inPort := ingress
-	deflected := false
-	hops := 1 // the ingress edge→first-node traversal
-	// Cycle guard: the walk is deterministic, so revisiting a full
-	// (route ID, node, inPort, deflected) state proves an infinite
-	// loop. Within one encoding the TTL already bounds it; the guard
-	// additionally bounds livelock across wrong-edge re-encodes, which
-	// refresh the TTL.
-	type walkState struct {
-		id        string
-		node      *topology.Node
-		inPort    int
-		deflected bool
-	}
-	var seen map[walkState]bool // made at the first misdelivery
-	for ttl := packet.DefaultTTL; ttl > 0; ttl-- {
-		if node.Kind() == topology.KindEdge {
-			if node.Name() == dst {
-				res.PDeliver, res.PDrop = 1, 0
-				res.ExpectedHops = float64(hops)
-				return res, nil
-			}
-			s := walkState{id: id.String(), node: node, inPort: inPort}
-			if seen[s] {
-				return res, nil // deterministic re-encode livelock
-			}
-			if seen == nil {
-				seen = make(map[walkState]bool)
-			}
-			seen[s] = true
-			// Misdelivery: the controller re-encodes from this edge
-			// (cache pre-warmed; a miss means the pair is unreachable)
-			// and the packet leaves with a fresh TTL.
-			nid, port, err := ctrl.ReencodeRoute(node.Name(), dst)
-			if err != nil {
-				return res, nil
-			}
-			l, ok := node.PortLink(port)
-			if !ok || !view.linkUp(l) {
-				return res, nil
-			}
-			id = nid
-			next := l.Other(node)
-			inPort = l.PortOf(next)
-			node = next
-			deflected = false
-			hops++
-			ttl = packet.DefaultTTL
-			continue
-		}
-		view.node = node
-		d := policy.Decide(view, id, inPort, deflected, nil)
-		if d.Drop {
-			return res, nil
-		}
-		deflected = deflected || d.Deflected
-		l, ok := node.PortLink(d.Port)
-		if !ok || !view.linkUp(l) {
-			return res, nil
-		}
-		next := l.Other(node)
-		inPort = l.PortOf(next)
-		node = next
-		hops++
-	}
-	return res, nil // TTL exhausted: a deterministic loop
 }

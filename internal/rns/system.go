@@ -86,9 +86,6 @@ func NewSystem(moduli []uint64) (*System, error) {
 // Len returns the number of moduli in the basis.
 func (s *System) Len() int { return len(s.moduli) }
 
-// Moduli returns a copy of the basis.
-func (s *System) Moduli() []uint64 { return append([]uint64(nil), s.moduli...) }
-
 // M returns the dynamic range ∏ sᵢ (Eq. 1). Route IDs lie in [0, M).
 func (s *System) M() RouteID {
 	if s.small {

@@ -1,8 +1,6 @@
 package tcpsim
 
 import (
-	"time"
-
 	"repro/internal/edge"
 	"repro/internal/packet"
 	"repro/internal/simnet"
@@ -20,46 +18,12 @@ import (
 // when at least dupThresh segments above it have been SACKed.
 // Spurious marks are undone via the receiver's DSACK signal.
 type SACKSender struct {
-	sched simnet.Clock
-	edge  *edge.Edge
-	flow  packet.FlowID
-	cfg   Config
-
-	started bool
-	stopped bool
-
-	nextSeq uint64 // one past the highest segment ever sent
-	highAck uint64 // cumulative ACK
+	senderCore
 
 	// Scoreboard over [highAck, nextSeq): segment states.
 	sacked map[uint64]bool // SACKed by the receiver
 	lost   map[uint64]bool // marked lost, awaiting retransmission
 	retans map[uint64]bool // retransmitted since last mark
-
-	cwnd      float64
-	ssthresh  float64
-	dupThresh int
-	inRecov   bool
-	recovEnd  uint64 // recovery ends when highAck passes this
-
-	undoArmed    bool
-	undoCwnd     float64
-	undoSsthresh float64
-
-	srtt, rttvar, rto time.Duration
-	hasSRTT           bool
-	rttSeq            uint64
-	rttSentAt         time.Duration
-	rttPending        bool
-
-	// RTO timer: single outstanding scheduler event, movable deadline
-	// (see Sender.armTimer).
-	timerDeadline time.Duration
-	timerPending  bool
-	timerStopped  bool
-	timerFn       func()
-
-	m senderCounters
 }
 
 // NewSACKFlow wires a SACK sender at srcEdge and the standard
@@ -68,30 +32,13 @@ type SACKSender struct {
 func NewSACKFlow(net *simnet.Network, srcEdge, dstEdge *edge.Edge, flow packet.FlowID, cfg Config) (*SACKSender, *Receiver) {
 	cfg = cfg.Defaults()
 	s := &SACKSender{
-		sched:     net.ClockOf(srcEdge.Node()),
-		edge:      srcEdge,
-		flow:      flow,
-		cfg:       cfg,
-		sacked:    make(map[uint64]bool),
-		lost:      make(map[uint64]bool),
-		retans:    make(map[uint64]bool),
-		cwnd:      cfg.InitialCwnd,
-		ssthresh:  cfg.MaxCwnd,
-		dupThresh: cfg.DupAckThreshold,
-		rto:       time.Second,
-		m:         newSenderCounters(net.Metrics(), flow),
+		senderCore: newSenderCore(net, srcEdge, flow, cfg),
+		sacked:     make(map[uint64]bool),
+		lost:       make(map[uint64]bool),
+		retans:     make(map[uint64]bool),
 	}
 	s.timerFn = s.timerFire
-	r := &Receiver{
-		sched:     net.ClockOf(dstEdge.Node()),
-		edge:      dstEdge,
-		flow:      flow,
-		cfg:       cfg,
-		buf:       make(map[uint64]bool),
-		sackBlock: true,
-		m:         newReceiverCounters(net.Metrics(), flow),
-	}
-	dstEdge.Attach(flow, edge.ReceiverFunc(r.onData))
+	r := newReceiver(net, dstEdge, flow, cfg, true)
 	srcEdge.Attach(flow.Reverse(), edge.ReceiverFunc(s.onAck))
 	return s, r
 }
@@ -104,22 +51,6 @@ func (s *SACKSender) Start() {
 	s.started = true
 	s.trySend()
 	s.armTimer()
-}
-
-// Stop ceases new data transmission.
-func (s *SACKSender) Stop() { s.stopped = true }
-
-// Stats reads the counters back from the registry and snapshots the
-// live congestion state.
-func (s *SACKSender) Stats() SenderStats {
-	var st SenderStats
-	s.m.fill(&st)
-	st.Cwnd = s.cwnd
-	st.Ssthresh = s.ssthresh
-	st.SRTT = s.srtt
-	st.RTO = s.rto
-	st.DupThresh = s.dupThresh
-	return st
 }
 
 // pipe estimates outstanding data per RFC 6675: segments sent, not
@@ -140,13 +71,6 @@ func (s *SACKSender) pipe() float64 {
 		out = 0
 	}
 	return out
-}
-
-func (s *SACKSender) window() float64 {
-	if s.cwnd > s.cfg.MaxCwnd {
-		return s.cfg.MaxCwnd
-	}
-	return s.cwnd
 }
 
 // trySend first retransmits marked-lost holes, then sends new data,
@@ -186,46 +110,12 @@ func (s *SACKSender) nextLost() (uint64, bool) {
 	return best, found
 }
 
-func (s *SACKSender) sendSegment(seq uint64, retrans bool) {
-	pkt := packet.Get()
-	pkt.Flow = s.flow
-	pkt.Kind = packet.KindData
-	pkt.Seq = seq
-	pkt.Size = s.cfg.MSS + s.cfg.HeaderBytes
-	pkt.SentAt = s.sched.Now()
-	pkt.Retrans = retrans
-	s.m.segments.Inc()
-	if retrans {
-		s.m.retransmits.Inc()
-		if s.rttPending && seq == s.rttSeq {
-			s.rttPending = false // Karn
-		}
-	} else if !s.rttPending {
-		s.rttSeq = seq
-		s.rttSentAt = s.sched.Now()
-		s.rttPending = true
-	}
-	if err := s.edge.Inject(pkt); err != nil {
-		pkt.Release()
-	}
-}
-
 // onAck processes a cumulative ACK with SACK blocks. The ACK
 // terminates here, so the sender recycles it.
 func (s *SACKSender) onAck(pkt *packet.Packet) {
 	defer pkt.Release()
-	if t := pkt.ReorderExtent + 1; t > s.dupThresh {
-		s.dupThresh = t
-		if s.dupThresh > s.cfg.MaxDupAckThreshold {
-			s.dupThresh = s.cfg.MaxDupAckThreshold
-		}
-	}
-	if pkt.DSACK && s.undoArmed && !s.cfg.DisableUndo {
-		s.m.undos.Inc()
-		s.cwnd = s.undoCwnd
-		s.ssthresh = s.undoSsthresh
-		s.inRecov = false
-		s.undoArmed = false
+	s.raiseDupThresh(pkt.ReorderExtent + 1)
+	if s.undo(pkt) {
 		// Clear stale loss marks: they were reordering.
 		for seq := range s.lost {
 			delete(s.lost, seq)
@@ -258,34 +148,21 @@ func (s *SACKSender) onAck(pkt *packet.Packet) {
 	}
 	s.markLost()
 
-	if s.inRecov {
-		if s.highAck > s.recovEnd {
-			s.inRecov = false
+	if s.inRecovery {
+		if s.highAck > s.recoverSeq {
+			s.inRecovery = false
 			s.cwnd = s.ssthresh
 		}
 	} else if _, haveLoss := s.nextLost(); haveLoss {
 		// Enter recovery once per loss event.
 		s.m.fastRetrans.Inc()
-		s.undoArmed = true
-		s.undoCwnd = s.cwnd
-		s.undoSsthresh = s.ssthresh
-		half := s.pipe() / 2
-		if half < 2 {
-			half = 2
-		}
-		s.ssthresh = half
-		s.cwnd = half
-		s.inRecov = true
-		s.recovEnd = s.nextSeq
+		s.armUndo()
+		s.ssthresh = halved(s.pipe())
+		s.cwnd = s.ssthresh
+		s.inRecovery = true
+		s.recoverSeq = s.nextSeq
 	} else if newly > 0 {
-		if s.cwnd < s.ssthresh {
-			s.cwnd += newly
-			if s.cwnd > s.ssthresh {
-				s.cwnd = s.ssthresh
-			}
-		} else {
-			s.cwnd += newly / s.cwnd
-		}
+		s.grow(newly)
 	}
 	s.trySend()
 }
@@ -312,59 +189,12 @@ func (s *SACKSender) markLost() {
 	}
 }
 
-func (s *SACKSender) sampleRTT(ack uint64) {
-	if !s.rttPending || ack <= s.rttSeq {
-		return
-	}
-	sample := s.sched.Now() - s.rttSentAt
-	s.rttPending = false
-	if !s.hasSRTT {
-		s.srtt = sample
-		s.rttvar = sample / 2
-		s.hasSRTT = true
-	} else {
-		diff := s.srtt - sample
-		if diff < 0 {
-			diff = -diff
-		}
-		s.rttvar = (3*s.rttvar + diff) / 4
-		s.srtt = (7*s.srtt + sample) / 8
-	}
-	rto := s.srtt + 4*s.rttvar
-	if rto < s.cfg.MinRTO {
-		rto = s.cfg.MinRTO
-	}
-	if rto > s.cfg.MaxRTO {
-		rto = s.cfg.MaxRTO
-	}
-	s.rto = rto
-}
+func (s *SACKSender) armTimer() { s.rearm(s.nextSeq == s.highAck) }
 
-func (s *SACKSender) armTimer() {
-	if s.nextSeq == s.highAck && s.stopped {
-		s.timerStopped = true
-		return
-	}
-	s.timerStopped = false
-	s.timerDeadline = s.sched.Now() + s.rto
-	if !s.timerPending {
-		s.timerPending = true
-		s.sched.At(s.timerDeadline, s.timerFn)
-	}
-}
-
-// timerFire dispatches the outstanding RTO event (see Sender.timerFire).
 func (s *SACKSender) timerFire() {
-	s.timerPending = false
-	if s.timerStopped {
-		return
+	if s.expired() {
+		s.onTimeout()
 	}
-	if s.sched.Now() < s.timerDeadline {
-		s.timerPending = true
-		s.sched.At(s.timerDeadline, s.timerFn)
-		return
-	}
-	s.onTimeout()
 }
 
 func (s *SACKSender) onTimeout() {
@@ -373,20 +203,7 @@ func (s *SACKSender) onTimeout() {
 		s.armTimer()
 		return
 	}
-	s.m.timeouts.Inc()
-	s.undoArmed = false
-	half := s.pipe() / 2
-	if half < 2 {
-		half = 2
-	}
-	s.ssthresh = half
-	s.cwnd = 1
-	s.inRecov = false
-	s.rttPending = false
-	s.rto *= 2
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
-	}
+	s.backoff(s.pipe())
 	// RFC 6675 on RTO: clear retransmission marks and consider every
 	// unSACKed outstanding segment lost — nothing unacknowledged is
 	// presumed in flight any more. SACKed data is never resent.

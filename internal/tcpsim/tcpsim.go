@@ -154,10 +154,12 @@ func newReceiverCounters(reg *telemetry.Registry, flow packet.FlowID) receiverCo
 	}
 }
 
-// Sender is the TCP sender endpoint, attached at the ingress edge. It
-// models an iperf-style unlimited data source. Drive the simulation
-// scheduler after Start.
-type Sender struct {
+// senderCore is what the two loss-recovery strategies share: the flow's
+// wiring, the congestion window with its undo state, the RFC 6298
+// estimator, the RTO timer and the counters. A strategy embeds it and
+// adds its scoreboard, trySend, onAck and the recovery half of
+// onTimeout; every call between the two is static.
+type senderCore struct {
 	sched simnet.Clock
 	edge  *edge.Edge
 	flow  packet.FlowID
@@ -167,20 +169,15 @@ type Sender struct {
 	stopped bool
 
 	// Sequence state, in segment units.
-	nextSeq    uint64 // one past the highest segment ever sent
-	sendCursor uint64 // next segment to transmit; < nextSeq after an
-	// RTO rollback, when the lost window is retransmitted go-back-N
-	// style as the window reopens
+	nextSeq uint64 // one past the highest segment ever sent
 	highAck uint64 // highest cumulative ACK (= receiver's next expected)
 
 	// Congestion control.
-	cwnd        float64
-	ssthresh    float64
-	dupAcks     int
-	dupThresh   int // adaptive fast-retransmit threshold (reordering detection)
-	lastReorder int // latest reordering extent echoed by the receiver
-	inRecovery  bool
-	recoverSeq  uint64 // recovery ends when cumulative ACK passes this
+	cwnd       float64
+	ssthresh   float64
+	dupThresh  int // adaptive fast-retransmit threshold (reordering detection)
+	inRecovery bool
+	recoverSeq uint64 // recovery ends when cumulative ACK passes this
 
 	// DSACK undo state: a fast retransmit saves the pre-reduction
 	// window; if the receiver then reports a duplicate (our
@@ -203,9 +200,212 @@ type Sender struct {
 	timerDeadline time.Duration
 	timerPending  bool
 	timerStopped  bool
-	timerFn       func() // cached method value
+	timerFn       func() // the strategy's timerFire, cached method value
 
 	m senderCounters
+}
+
+func newSenderCore(net *simnet.Network, srcEdge *edge.Edge, flow packet.FlowID, cfg Config) senderCore {
+	return senderCore{
+		sched: net.ClockOf(srcEdge.Node()),
+		edge:  srcEdge,
+		flow:  flow,
+		cfg:   cfg,
+		cwnd:  cfg.InitialCwnd,
+		// Initially ssthresh is "infinite": slow start until loss.
+		ssthresh:  cfg.MaxCwnd,
+		dupThresh: cfg.DupAckThreshold,
+		rto:       time.Second, // RFC 6298 initial RTO
+		m:         newSenderCounters(net.Metrics(), flow),
+	}
+}
+
+// Stop ceases new data transmission (retransmissions of outstanding
+// data continue until acknowledged).
+func (s *senderCore) Stop() { s.stopped = true }
+
+// Stats reads the counters back from the registry and snapshots the
+// live congestion state.
+func (s *senderCore) Stats() SenderStats {
+	var st SenderStats
+	s.m.fill(&st)
+	st.Cwnd = s.cwnd
+	st.Ssthresh = s.ssthresh
+	st.SRTT = s.srtt
+	st.RTO = s.rto
+	st.DupThresh = s.dupThresh
+	return st
+}
+
+// window returns the effective send window in segments.
+func (s *senderCore) window() float64 {
+	if s.cwnd > s.cfg.MaxCwnd {
+		return s.cfg.MaxCwnd
+	}
+	return s.cwnd
+}
+
+func (s *senderCore) sendSegment(seq uint64, retrans bool) {
+	pkt := packet.Get()
+	pkt.Flow = s.flow
+	pkt.Kind = packet.KindData
+	pkt.Seq = seq
+	pkt.Size = s.cfg.MSS + s.cfg.HeaderBytes
+	pkt.SentAt = s.sched.Now()
+	pkt.Retrans = retrans
+	s.m.segments.Inc()
+	if retrans {
+		s.m.retransmits.Inc()
+		if s.rttPending && seq == s.rttSeq {
+			s.rttPending = false // Karn: retransmitted segment cannot be timed
+		}
+	} else if !s.rttPending {
+		s.rttSeq = seq
+		s.rttSentAt = s.sched.Now()
+		s.rttPending = true
+	}
+	// Injection failures (no route) surface through edge stats; the
+	// segment is then recovered like any other loss.
+	if err := s.edge.Inject(pkt); err != nil {
+		pkt.Release()
+	}
+}
+
+// raiseDupThresh adapts the fast-retransmit threshold to reordering of
+// extent t-1, so reordering stops masquerading as loss (Linux
+// tcp_reordering adaptation, capped alike).
+func (s *senderCore) raiseDupThresh(t int) {
+	if t > s.dupThresh {
+		s.dupThresh = min(t, s.cfg.MaxDupAckThreshold)
+	}
+}
+
+// armUndo remembers the window a loss event is about to reduce.
+func (s *senderCore) armUndo() {
+	s.undoArmed = true
+	s.undoCwnd = s.cwnd
+	s.undoSsthresh = s.ssthresh
+}
+
+// undo restores the pre-reduction window when pkt reports that the
+// retransmission was spurious (the receiver already had the segment),
+// and says whether it did.
+func (s *senderCore) undo(pkt *packet.Packet) bool {
+	if !pkt.DSACK || !s.undoArmed || s.cfg.DisableUndo {
+		return false
+	}
+	s.m.undos.Inc()
+	s.cwnd = s.undoCwnd
+	s.ssthresh = s.undoSsthresh
+	s.inRecovery = false
+	s.undoArmed = false
+	return true
+}
+
+// grow opens the window for acked newly acknowledged segments outside
+// recovery: slow start below ssthresh, congestion avoidance above.
+func (s *senderCore) grow(acked float64) {
+	if s.cwnd < s.ssthresh {
+		s.cwnd += acked
+		if s.cwnd > s.ssthresh {
+			s.cwnd = s.ssthresh
+		}
+	} else {
+		s.cwnd += acked / s.cwnd
+	}
+}
+
+// sampleRTT applies RFC 6298 smoothing when the timed segment is
+// covered by this ACK.
+func (s *senderCore) sampleRTT(ack uint64) {
+	if !s.rttPending || ack <= s.rttSeq {
+		return
+	}
+	sample := s.sched.Now() - s.rttSentAt
+	s.rttPending = false
+	if !s.hasSRTT {
+		s.srtt = sample
+		s.rttvar = sample / 2
+		s.hasSRTT = true
+	} else {
+		diff := s.srtt - sample
+		if diff < 0 {
+			diff = -diff
+		}
+		s.rttvar = (3*s.rttvar + diff) / 4
+		s.srtt = (7*s.srtt + sample) / 8
+	}
+	rto := s.srtt + 4*s.rttvar
+	if rto < s.cfg.MinRTO {
+		rto = s.cfg.MinRTO
+	}
+	if rto > s.cfg.MaxRTO {
+		rto = s.cfg.MaxRTO
+	}
+	s.rto = rto
+}
+
+// rearm (re)sets the RTO deadline; idle says nothing is outstanding.
+// One scheduler event stays outstanding at a time; firing before the
+// live deadline re-arms.
+func (s *senderCore) rearm(idle bool) {
+	if idle && s.stopped {
+		s.timerStopped = true
+		return
+	}
+	s.timerStopped = false
+	s.timerDeadline = s.sched.Now() + s.rto
+	if !s.timerPending {
+		s.timerPending = true
+		s.sched.At(s.timerDeadline, s.timerFn)
+	}
+}
+
+// expired dispatches the outstanding RTO event: stopped timers no-op,
+// deadlines pushed into the future re-arm, elapsed ones report true.
+func (s *senderCore) expired() bool {
+	s.timerPending = false
+	if s.timerStopped {
+		return false
+	}
+	if s.sched.Now() < s.timerDeadline {
+		s.timerPending = true
+		s.sched.At(s.timerDeadline, s.timerFn)
+		return false
+	}
+	return true
+}
+
+// backoff is the window half of an RTO with data outstanding: collapse
+// to one segment above half the outstanding data and double the timeout.
+func (s *senderCore) backoff(outstanding float64) {
+	s.m.timeouts.Inc()
+	s.undoArmed = false // RTO reductions are not undone here
+	s.ssthresh = halved(outstanding)
+	s.cwnd = 1
+	s.inRecovery = false
+	s.rttPending = false // Karn
+	s.rto *= 2
+	if s.rto > s.cfg.MaxRTO {
+		s.rto = s.cfg.MaxRTO
+	}
+}
+
+// halved is the ssthresh a loss event leaves: half the outstanding
+// data, at least two segments.
+func halved(outstanding float64) float64 { return max(outstanding/2, 2) }
+
+// Sender is the NewReno TCP sender endpoint, attached at the ingress
+// edge. It models an iperf-style unlimited data source. Drive the
+// simulation scheduler after Start.
+type Sender struct {
+	senderCore
+
+	sendCursor uint64 // next segment to transmit; < nextSeq after an
+	// RTO rollback, when the lost window is retransmitted go-back-N
+	// style as the window reopens
+	dupAcks     int
+	lastReorder int // latest reordering extent echoed by the receiver
 }
 
 // ReceiverStats snapshots receiver-side counters.
@@ -244,34 +444,31 @@ type Receiver struct {
 	maxGap int // worst observed reordering distance (segments)
 }
 
+// newReceiver wires the receiver of flow at dstEdge; sack makes its
+// ACKs carry selective-acknowledgement ranges.
+func newReceiver(net *simnet.Network, dstEdge *edge.Edge, flow packet.FlowID, cfg Config, sack bool) *Receiver {
+	r := &Receiver{
+		sched:     net.ClockOf(dstEdge.Node()),
+		edge:      dstEdge,
+		flow:      flow,
+		cfg:       cfg,
+		buf:       make(map[uint64]bool),
+		sackBlock: sack,
+		m:         newReceiverCounters(net.Metrics(), flow),
+	}
+	dstEdge.Attach(flow, edge.ReceiverFunc(r.onData))
+	return r
+}
+
 // NewFlow wires a sender at srcEdge and a receiver at dstEdge for the
 // given flow ID. Routes in both directions must already be installed
 // on the edges. The sender consumes ACKs arriving for the reverse
 // flow; the receiver consumes data for the forward flow.
 func NewFlow(net *simnet.Network, srcEdge, dstEdge *edge.Edge, flow packet.FlowID, cfg Config) (*Sender, *Receiver) {
 	cfg = cfg.Defaults()
-	s := &Sender{
-		sched: net.ClockOf(srcEdge.Node()),
-		edge:  srcEdge,
-		flow:  flow,
-		cfg:   cfg,
-		cwnd:  cfg.InitialCwnd,
-		// Initially ssthresh is "infinite": slow start until loss.
-		ssthresh:  cfg.MaxCwnd,
-		dupThresh: cfg.DupAckThreshold,
-		rto:       time.Second, // RFC 6298 initial RTO
-		m:         newSenderCounters(net.Metrics(), flow),
-	}
+	s := &Sender{senderCore: newSenderCore(net, srcEdge, flow, cfg)}
 	s.timerFn = s.timerFire
-	r := &Receiver{
-		sched: net.ClockOf(dstEdge.Node()),
-		edge:  dstEdge,
-		flow:  flow,
-		cfg:   cfg,
-		buf:   make(map[uint64]bool),
-		m:     newReceiverCounters(net.Metrics(), flow),
-	}
-	dstEdge.Attach(flow, edge.ReceiverFunc(r.onData))
+	r := newReceiver(net, dstEdge, flow, cfg, false)
 	srcEdge.Attach(flow.Reverse(), edge.ReceiverFunc(s.onAck))
 	return s, r
 }
@@ -286,34 +483,9 @@ func (s *Sender) Start() {
 	s.armTimer()
 }
 
-// Stop ceases new data transmission (retransmissions of outstanding
-// data continue until acknowledged).
-func (s *Sender) Stop() { s.stopped = true }
-
-// Stats reads the counters back from the registry and snapshots the
-// live congestion state.
-func (s *Sender) Stats() SenderStats {
-	var st SenderStats
-	s.m.fill(&st)
-	st.Cwnd = s.cwnd
-	st.Ssthresh = s.ssthresh
-	st.SRTT = s.srtt
-	st.RTO = s.rto
-	st.DupThresh = s.dupThresh
-	return st
-}
-
 // flight returns outstanding segments: sent since the last rollback
 // and not yet acknowledged.
 func (s *Sender) flight() uint64 { return s.sendCursor - s.highAck }
-
-// window returns the effective send window in segments.
-func (s *Sender) window() float64 {
-	if s.cwnd > s.cfg.MaxCwnd {
-		return s.cfg.MaxCwnd
-	}
-	return s.cwnd
-}
 
 // trySend transmits segments at the cursor while the window allows:
 // retransmissions of a rolled-back window first, then new data.
@@ -331,56 +503,17 @@ func (s *Sender) trySend() {
 	}
 }
 
-func (s *Sender) sendSegment(seq uint64, retrans bool) {
-	pkt := packet.Get()
-	pkt.Flow = s.flow
-	pkt.Kind = packet.KindData
-	pkt.Seq = seq
-	pkt.Size = s.cfg.MSS + s.cfg.HeaderBytes
-	pkt.SentAt = s.sched.Now()
-	pkt.Retrans = retrans
-	s.m.segments.Inc()
-	if retrans {
-		s.m.retransmits.Inc()
-		if s.rttPending && seq == s.rttSeq {
-			s.rttPending = false // Karn: retransmitted segment cannot be timed
-		}
-	} else if !s.rttPending {
-		s.rttSeq = seq
-		s.rttSentAt = s.sched.Now()
-		s.rttPending = true
-	}
-	// Injection failures (no route) surface through edge stats; the
-	// segment is then recovered like any other loss.
-	if err := s.edge.Inject(pkt); err != nil {
-		pkt.Release()
-	}
-}
-
 // onAck processes an arriving cumulative ACK. pkt.Seq carries the
 // receiver's next expected segment. The ACK terminates here, so the
 // sender recycles it.
 func (s *Sender) onAck(pkt *packet.Packet) {
 	defer pkt.Release()
-	if pkt.DSACK && s.undoArmed && !s.cfg.DisableUndo {
-		// Our fast retransmit was spurious: the receiver already had
-		// the segment. Restore the pre-reduction window.
-		s.m.undos.Inc()
-		s.cwnd = s.undoCwnd
-		s.ssthresh = s.undoSsthresh
-		s.inRecovery = false
+	if s.undo(pkt) {
 		s.dupAcks = 0
-		s.undoArmed = false
 	}
 	s.lastReorder = pkt.ReorderExtent
-	if t := pkt.ReorderExtent + 1; t > s.dupThresh {
-		// The receiver observed reordering wider than our threshold;
-		// adapt so reordering stops masquerading as loss.
-		s.dupThresh = t
-		if s.dupThresh > s.cfg.MaxDupAckThreshold {
-			s.dupThresh = s.cfg.MaxDupAckThreshold
-		}
-	}
+	// The receiver observed reordering wider than our threshold: adapt.
+	s.raiseDupThresh(pkt.ReorderExtent + 1)
 	ack := pkt.Seq
 	switch {
 	case ack > s.highAck:
@@ -422,24 +555,11 @@ func (s *Sender) onNewAck(ack uint64) {
 		if s.dupAcks > 0 {
 			// The hole filled itself without a retransmission: those
 			// duplicate ACKs were reordering, not loss. Raise the
-			// fast-retransmit threshold past the observed extent
-			// (Linux tcp_reordering adaptation).
-			if t := s.dupAcks + 1; t > s.dupThresh {
-				s.dupThresh = t
-				if s.dupThresh > s.cfg.MaxDupAckThreshold {
-					s.dupThresh = s.cfg.MaxDupAckThreshold
-				}
-			}
+			// fast-retransmit threshold past the observed extent.
+			s.raiseDupThresh(s.dupAcks + 1)
 		}
 		s.dupAcks = 0
-		if s.cwnd < s.ssthresh {
-			s.cwnd += acked // slow start
-			if s.cwnd > s.ssthresh {
-				s.cwnd = s.ssthresh
-			}
-		} else {
-			s.cwnd += acked / s.cwnd // congestion avoidance
-		}
+		s.grow(acked)
 	}
 	s.armTimer()
 	s.trySend()
@@ -463,11 +583,9 @@ func (s *Sender) onDupAck() {
 		}
 		// Fast retransmit + enter fast recovery, remembering the
 		// pre-reduction window for a potential DSACK undo.
-		s.undoArmed = true
-		s.undoCwnd = s.cwnd
-		s.undoSsthresh = s.ssthresh
+		s.armUndo()
 		s.m.fastRetrans.Inc()
-		s.ssthresh = s.halfFlight()
+		s.ssthresh = halved(float64(s.flight()))
 		s.cwnd = s.ssthresh + float64(s.dupThresh)
 		s.inRecovery = true
 		s.recoverSeq = s.nextSeq
@@ -476,72 +594,12 @@ func (s *Sender) onDupAck() {
 	}
 }
 
-func (s *Sender) halfFlight() float64 {
-	h := float64(s.flight()) / 2
-	if h < 2 {
-		h = 2
-	}
-	return h
-}
+func (s *Sender) armTimer() { s.rearm(s.flight() == 0) }
 
-// sampleRTT applies RFC 6298 smoothing when the timed segment is
-// covered by this ACK.
-func (s *Sender) sampleRTT(ack uint64) {
-	if !s.rttPending || ack <= s.rttSeq {
-		return
-	}
-	sample := s.sched.Now() - s.rttSentAt
-	s.rttPending = false
-	if !s.hasSRTT {
-		s.srtt = sample
-		s.rttvar = sample / 2
-		s.hasSRTT = true
-	} else {
-		diff := s.srtt - sample
-		if diff < 0 {
-			diff = -diff
-		}
-		s.rttvar = (3*s.rttvar + diff) / 4
-		s.srtt = (7*s.srtt + sample) / 8
-	}
-	rto := s.srtt + 4*s.rttvar
-	if rto < s.cfg.MinRTO {
-		rto = s.cfg.MinRTO
-	}
-	if rto > s.cfg.MaxRTO {
-		rto = s.cfg.MaxRTO
-	}
-	s.rto = rto
-}
-
-// armTimer (re)sets the RTO deadline. One scheduler event stays
-// outstanding at a time; firing before the live deadline re-arms.
-func (s *Sender) armTimer() {
-	if s.flight() == 0 && s.stopped {
-		s.timerStopped = true
-		return
-	}
-	s.timerStopped = false
-	s.timerDeadline = s.sched.Now() + s.rto
-	if !s.timerPending {
-		s.timerPending = true
-		s.sched.At(s.timerDeadline, s.timerFn)
-	}
-}
-
-// timerFire dispatches the outstanding RTO event: stopped timers
-// no-op, deadlines pushed into the future re-arm, elapsed ones fire.
 func (s *Sender) timerFire() {
-	s.timerPending = false
-	if s.timerStopped {
-		return
+	if s.expired() {
+		s.onTimeout()
 	}
-	if s.sched.Now() < s.timerDeadline {
-		s.timerPending = true
-		s.sched.At(s.timerDeadline, s.timerFn)
-		return
-	}
-	s.onTimeout()
 }
 
 func (s *Sender) onTimeout() {
@@ -551,17 +609,8 @@ func (s *Sender) onTimeout() {
 		s.armTimer()
 		return
 	}
-	s.m.timeouts.Inc()
-	s.undoArmed = false // RTO reductions are not undone here
-	s.ssthresh = s.halfFlight()
-	s.cwnd = 1
-	s.inRecovery = false
+	s.backoff(float64(s.flight()))
 	s.dupAcks = 0
-	s.rttPending = false // Karn
-	s.rto *= 2
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
-	}
 	// Go-back-N: roll the cursor back; the lost window is resent as
 	// the window reopens.
 	s.sendCursor = s.highAck

@@ -249,3 +249,60 @@ func TestGeneratedLinkDelaysPositive(t *testing.T) {
 		}
 	}
 }
+
+func TestGenerateValidAndDeterministic(t *testing.T) {
+	for _, cfg := range []GenConfig{
+		{Cores: 2, ExtraLinks: 0, Edges: 2, Seed: 1},
+		{Cores: 10, ExtraLinks: 5, Edges: 2, Seed: 2},
+		{Cores: 28, ExtraLinks: 12, Edges: 3, Seed: 3},
+		{Cores: 50, ExtraLinks: 40, Edges: 4, Seed: 4},
+	} {
+		g, err := Generate(cfg)
+		if err != nil {
+			t.Fatalf("Generate(%+v): %v", cfg, err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("Generate(%+v) invalid: %v", cfg, err)
+		}
+		if got := len(g.CoreNodes()); got != cfg.Cores {
+			t.Errorf("cores = %d, want %d", got, cfg.Cores)
+		}
+		if got := len(g.EdgeNodes()); got != cfg.Edges {
+			t.Errorf("edges = %d, want %d", got, cfg.Edges)
+		}
+		// Determinism: same seed, same graph.
+		g2, err := Generate(cfg)
+		if err != nil {
+			t.Fatalf("Generate again: %v", err)
+		}
+		if g.Fingerprint() != g2.Fingerprint() {
+			t.Errorf("Generate(%+v) not deterministic", cfg)
+		}
+	}
+}
+
+func TestGenerateRejectsBadConfig(t *testing.T) {
+	if _, err := Generate(GenConfig{Cores: 1}); err == nil {
+		t.Error("accepted a single-core config")
+	}
+	if _, err := Generate(GenConfig{Cores: 4, Edges: 9}); err == nil {
+		t.Error("accepted more edges than cores")
+	}
+}
+
+// TestGeneratedTopologyRoutes: a generated graph supports end-to-end
+// routing and encoding out of the box.
+func TestGeneratedTopologyRoutes(t *testing.T) {
+	g, err := Generate(GenConfig{Cores: 20, ExtraLinks: 15, Edges: 2, Seed: 9})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	edges := g.EdgeNodes()
+	p, err := ShortestPath(g, edges[0].Name(), edges[1].Name(), nil)
+	if err != nil {
+		t.Fatalf("ShortestPath: %v", err)
+	}
+	if p.Hops() < 2 {
+		t.Errorf("path %s too short", p)
+	}
+}

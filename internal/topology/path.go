@@ -69,9 +69,6 @@ type WeightFunc func(*Link) float64
 // routing).
 func HopWeight(*Link) float64 { return 1 }
 
-// LatencyWeight scores links by propagation delay.
-func LatencyWeight(l *Link) float64 { return float64(l.Delay()) }
-
 // pathSearch is the reusable scratch state of one Dijkstra run: dist,
 // prev and done keyed by Node.Index(), a 4-ary min-heap of node
 // indexes, and an epoch stamp so arrays never need clearing between

@@ -308,7 +308,7 @@ func TestShortestPathWeighted(t *testing.T) {
 	if p.String() != "A-C" {
 		t.Errorf("hop path = %s, want A-C", p)
 	}
-	p, err = ShortestPath(g, "A", "C", LatencyWeight)
+	p, err = ShortestPath(g, "A", "C", func(l *Link) float64 { return float64(l.Delay()) })
 	if err != nil {
 		t.Fatalf("ShortestPath: %v", err)
 	}
