@@ -80,7 +80,9 @@ type Controller struct {
 	// over recurring (path ∪ protection) switch sets.
 	enc *core.Encoder
 
-	// Telemetry (a private registry when the world supplies none).
+	// Telemetry (a private registry and event log when the world
+	// supplies none). reg is only what New binds the counters on.
+	reg              *telemetry.Registry
 	events           *telemetry.EventLog
 	cComputes        *telemetry.Counter
 	cInstalls        *telemetry.Counter
@@ -135,7 +137,7 @@ func WithWorkers(n int) Option {
 func WithTelemetry(reg *telemetry.Registry, ev *telemetry.EventLog) Option {
 	return func(c *Controller) {
 		if reg != nil {
-			c.bindRegistry(reg)
+			c.reg = reg
 		}
 		if ev != nil {
 			c.events = ev
@@ -143,7 +145,7 @@ func WithTelemetry(reg *telemetry.Registry, ev *telemetry.EventLog) Option {
 	}
 }
 
-// bindRegistry (re)creates the counter handles on reg.
+// bindRegistry creates the counter handles on reg.
 func (c *Controller) bindRegistry(reg *telemetry.Registry) {
 	reg.Help("kar_ctrl_route_computes_total", "Shortest-path computations performed.")
 	reg.Help("kar_ctrl_reroutes_recomputed_total", "Routes recomputed by incremental failure/repair reaction.")
@@ -167,10 +169,15 @@ func New(g *topology.Graph, opts ...Option) *Controller {
 		byLink:  make(map[*topology.Link]map[pair]struct{}),
 		enc:     core.NewEncoder(),
 	}
-	c.bindRegistry(telemetry.NewRegistry())
-	c.events = telemetry.NewEventLog(0, nil)
 	for _, opt := range opts {
 		opt(c)
+	}
+	if c.reg == nil {
+		c.reg = telemetry.NewRegistry()
+	}
+	c.bindRegistry(c.reg)
+	if c.events == nil {
+		c.events = telemetry.NewEventLog(0, nil)
 	}
 	if c.autoProtect {
 		// Protection trees use the hop weight, never the failure-priced

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -180,5 +181,34 @@ func TestInstallRouteErrors(t *testing.T) {
 	c := New(net15(t))
 	if _, err := c.InstallRoute("AS1", "NOPE", nil); err == nil {
 		t.Error("InstallRoute accepted an unknown destination")
+	}
+}
+
+// WithTelemetry replaces the private registry and event log instead of
+// being bound on top of them: a controller given both builds neither
+// (New used to bind seven families on a throwaway registry, then again
+// on the world's), and its counters and events land on what it was
+// given.
+func TestWithTelemetryBindsOnce(t *testing.T) {
+	g := net15(t)
+	own := testing.AllocsPerRun(10, func() { New(g) })
+	given := testing.AllocsPerRun(10, func() {
+		New(g, WithTelemetry(telemetry.NewRegistry(), telemetry.NewEventLog(0, nil)))
+	})
+	// The option's closure and argument slice are the only extras.
+	if given > own+3 {
+		t.Errorf("New with a registry and an event log allocated %.0f times, %.0f without: the private pair is still built", given, own)
+	}
+
+	reg, log := telemetry.NewRegistry(), telemetry.NewEventLog(0, nil)
+	c := New(g, WithTelemetry(reg, log))
+	if _, err := c.InstallRoute("AS1", "AS3", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.CounterValue("kar_ctrl_route_installs_total"); got != 1 {
+		t.Errorf("kar_ctrl_route_installs_total on the given registry = %d, want 1", got)
+	}
+	if log.Len() == 0 {
+		t.Error("the install left no event on the given log")
 	}
 }

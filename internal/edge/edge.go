@@ -98,7 +98,8 @@ type Edge struct {
 	defaultEp  endpoint
 	hasDefault bool
 
-	// Registry-backed counters (labelled edge=<node>). The two
+	// Registry-backed counters (labelled edge=<node>; cells of the
+	// per-family blocks install registers). The two
 	// per-packet ones — encap on inject, decap on delivery — are
 	// deferred cells owned by this node's lane; the exception-path
 	// counters stay atomic.
@@ -142,32 +143,60 @@ const DefaultReencodeDelay = 2 * time.Millisecond
 // New builds an edge node and binds it to the network. ctrl may be
 // nil, in which case misdelivered packets are dropped.
 func New(net *simnet.Network, node *topology.Node, ctrl Reencoder, opts ...Option) *Edge {
+	return &install(net, []*topology.Node{node}, ctrl, opts)[0]
+}
+
+// InstallAll builds one edge per edge node of the network's topology,
+// all on the same controller, and returns them keyed by node name.
+func InstallAll(net *simnet.Network, ctrl Reencoder, opts ...Option) map[string]*Edge {
+	nodes := net.Topology().EdgeNodes()
+	es := install(net, nodes, ctrl, opts)
+	out := make(map[string]*Edge, len(nodes))
+	for i, n := range nodes {
+		out[n.Name()] = &es[i]
+	}
+	return out
+}
+
+// install builds one edge per node and binds each to the network. The
+// six series of an edge are registered as blocks over all the nodes at
+// once (see telemetry.Registry), and an edge's maps and timer callback
+// are made when first written: most edges of most worlds carry no
+// flow.
+func install(net *simnet.Network, nodes []*topology.Node, ctrl Reencoder, opts []Option) []Edge {
 	reg := net.Metrics()
 	reg.Help("kar_flow_stretch_hops", "Per-flow hop counts of decapsulated packets (path stretch).")
-	name := node.Name()
-	e := &Edge{
-		net:            net,
-		node:           node,
-		ctrl:           ctrl,
-		clock:          net.ClockOf(node),
-		reencodeDelay:  DefaultReencodeDelay,
-		routes:         make(map[string]routeEntry),
-		local:          make(map[packet.FlowID]endpoint),
-		cEncapped:      net.DeferCounter(node, reg.Counter("kar_edge_encap_total", "edge", name)),
-		cDelivered:     net.DeferCounter(node, reg.Counter("kar_edge_decap_total", "edge", name)),
-		cMisdelivered:  reg.Counter("kar_edge_misdelivered_total", "edge", name),
-		cReencoded:     reg.Counter("kar_edge_reencode_total", "edge", name),
-		cUnclaimed:     reg.Counter("kar_edge_unclaimed_total", "edge", name),
-		cNoRoute:       reg.Counter("kar_edge_noroute_total", "edge", name),
-		loggedReencode: make(map[packet.FlowID]bool),
+	byName := func(i int) []string { return []string{"edge", nodes[i].Name()} }
+	encapped := reg.CounterVec("kar_edge_encap_total", len(nodes), byName)
+	delivered := reg.CounterVec("kar_edge_decap_total", len(nodes), byName)
+	misdelivered := reg.CounterVec("kar_edge_misdelivered_total", len(nodes), byName)
+	reencoded := reg.CounterVec("kar_edge_reencode_total", len(nodes), byName)
+	unclaimed := reg.CounterVec("kar_edge_unclaimed_total", len(nodes), byName)
+	noRoute := reg.CounterVec("kar_edge_noroute_total", len(nodes), byName)
+	ctrlAt, _ := ctrl.(ReencoderAt)
+	es := make([]Edge, len(nodes))
+	for i, node := range nodes {
+		e := &es[i]
+		*e = Edge{
+			net:           net,
+			node:          node,
+			ctrl:          ctrl,
+			ctrlAt:        ctrlAt,
+			clock:         net.ClockOf(node),
+			reencodeDelay: DefaultReencodeDelay,
+			cEncapped:     net.DeferCounter(node, &encapped[i]),
+			cDelivered:    net.DeferCounter(node, &delivered[i]),
+			cMisdelivered: &misdelivered[i],
+			cReencoded:    &reencoded[i],
+			cUnclaimed:    &unclaimed[i],
+			cNoRoute:      &noRoute[i],
+		}
+		for _, opt := range opts {
+			opt(e)
+		}
+		net.Bind(node, e)
 	}
-	e.ctrlAt, _ = ctrl.(ReencoderAt)
-	e.reencodeFn = e.reencodeNext
-	for _, opt := range opts {
-		opt(e)
-	}
-	net.Bind(node, e)
-	return e
+	return es
 }
 
 // Node returns the bound topology node.
@@ -184,6 +213,9 @@ func (e *Edge) InstallRoute(dstEdge string, id rns.RouteID, outPort int) {
 // install lands in the control-plane event log: it is the last
 // reaction-chain milestone before post-repair traffic flows.
 func (e *Edge) InstallRouteWithBaseline(dstEdge string, id rns.RouteID, outPort int, baselineHops int) {
+	if e.routes == nil {
+		e.routes = make(map[string]routeEntry)
+	}
 	e.routes[dstEdge] = routeEntry{id: id, outPort: outPort, baseline: baselineHops}
 	e.lastDst = "" // invalidate the Inject lookup cache
 	e.net.Events().Record(telemetry.EventIngressInstall, e.node.Name(),
@@ -196,6 +228,9 @@ func (e *Edge) Attach(flow packet.FlowID, r Receiver) {
 	e.hasLastEp = false // invalidate the delivery lookup cache
 	reg := e.net.Metrics()
 	reg.Help("kar_flow_latency_us", "Per-flow one-way delivery latency of decapsulated packets (µs).")
+	if e.local == nil {
+		e.local = make(map[packet.FlowID]endpoint)
+	}
 	e.local[flow] = endpoint{
 		r: r,
 		stretch: e.net.DeferHistogram(e.node, reg.Histogram(
@@ -291,6 +326,9 @@ func (e *Edge) HandlePacket(pkt *packet.Packet, inPort int) {
 		e.net.Drop(pkt, simnet.DropNoViablePort, e.node.Name())
 		return
 	}
+	if e.reencodeFn == nil {
+		e.reencodeFn = e.reencodeNext
+	}
 	e.pending = append(e.pending, pkt)
 	e.clock.After(e.reencodeDelay, e.reencodeFn)
 }
@@ -326,6 +364,9 @@ func (e *Edge) reencodeNext() {
 	pkt.Deflected = false // back on an encoded path
 	e.cReencoded.Inc()
 	if !e.loggedReencode[pkt.Flow] {
+		if e.loggedReencode == nil {
+			e.loggedReencode = make(map[packet.FlowID]bool)
+		}
 		e.loggedReencode[pkt.Flow] = true
 		// Explicit timestamp: this callback may run on a shard lane
 		// whose clock is ahead of the event log's control clock.

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/measure"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/udpsim"
+	"repro/internal/xrand"
 )
 
 // ScaleConfig parameterises the datacenter-scale workload experiment:
@@ -151,7 +151,7 @@ func Scale(cfg ScaleConfig) (*ScaleResult, error) {
 	// Distinct ordered pairs, drawn by seed. The draw sequence — and
 	// with it every route install and flow assignment — depends only
 	// on (topology, seed).
-	rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + 17))
+	rng := xrand.New(cfg.Seed*1_000_003 + 17)
 	seen := make(map[[2]int]bool, cfg.Pairs)
 	var pairs []udpsim.Pair
 	for len(pairs) < cfg.Pairs {

@@ -71,10 +71,7 @@ func NewWorld(g *topology.Graph, policy deflect.Policy, seed int64, opts ...Worl
 	}
 	w.Ctrl = controller.New(g, ctrlOpts...)
 	w.Switches = kswitch.InstallAll(w.Net, policy, seed)
-	w.Edges = make(map[string]*edge.Edge, len(g.EdgeNodes()))
-	for _, n := range g.EdgeNodes() {
-		w.Edges[n.Name()] = edge.New(w.Net, n, w.Ctrl, edge.WithReencodeDelay(cfg.reencodeDelay))
-	}
+	w.Edges = edge.InstallAll(w.Net, w.Ctrl, edge.WithReencodeDelay(cfg.reencodeDelay))
 	return w
 }
 

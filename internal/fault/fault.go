@@ -11,12 +11,12 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
+	"repro/internal/xrand"
 )
 
 // Injector is one fault process that can be armed on a network. Kind
@@ -151,7 +151,7 @@ func (f *ExpFlap) Install(net *simnet.Network) error {
 	if f.Window <= 0 {
 		return fmt.Errorf("fault: exp_flap %s: window %v must be positive", f.Target(), f.Window)
 	}
-	rng := rand.New(rand.NewSource(f.Seed))
+	rng := xrand.New(f.Seed)
 	sched := net.Scheduler()
 	end := f.Start + f.Window
 	draw := func(mean time.Duration) time.Duration {
@@ -223,7 +223,7 @@ func (g *Gray) Install(net *simnet.Network) error {
 		net.SetImpairment(l, &simnet.Impairment{
 			DropProb:    g.DropProb,
 			CorruptProb: g.CorruptProb,
-			Rand:        rand.New(rand.NewSource(g.Seed)),
+			Rand:        xrand.New(g.Seed),
 		})
 	})
 	if g.Window > 0 {

@@ -9,38 +9,49 @@ import (
 	"time"
 
 	"repro/internal/deflect"
+	"repro/internal/packet"
 	"repro/internal/simnet"
 	"repro/internal/topology"
 )
 
-// The lazy source must hand a switch the stream rand.NewSource(seed)
-// would have, whatever mix of draws the policy makes.
+// Switch i's generator is rand.NewSource(base + i·seedStride)'s stream,
+// whatever mix of draws the policy makes.
 func TestLazySourceMatchesNewSource(t *testing.T) {
-	for _, seed := range []int64{0, 1, 7919, -3, 1 << 40} {
-		lazy := rand.New(&lazySource{seed: seed})
-		ref := rand.New(rand.NewSource(seed))
-		for i := 0; i < 2000; i++ {
-			var got, want any
-			switch i % 5 {
-			case 0:
-				got, want = lazy.Intn(i+1), ref.Intn(i+1)
-			case 1:
-				got, want = lazy.Int63(), ref.Int63()
-			case 2:
-				got, want = lazy.Uint64(), ref.Uint64()
-			case 3:
-				got, want = lazy.Float64(), ref.Float64()
-			case 4:
-				got, want = lazy.Perm(i%7+1), ref.Perm(i%7+1)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d draw %d: %v, want %v", seed, i, got, want)
+	g, err := topology.Fig1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []int64{0, 1, -3, 1 << 40} {
+		net := simnet.New(g)
+		sws := install(net, g.CoreNodes(), deflect.NotInputPort{}, base)
+		for k := range sws {
+			seed := base + int64(k)*seedStride
+			lazy := rand.New(&sws[k].rngSrc)
+			ref := rand.New(rand.NewSource(seed))
+			for i := 0; i < 2000; i++ {
+				var got, want any
+				switch i % 5 {
+				case 0:
+					got, want = lazy.Intn(i+1), ref.Intn(i+1)
+				case 1:
+					got, want = lazy.Int63(), ref.Int63()
+				case 2:
+					got, want = lazy.Uint64(), ref.Uint64()
+				case 3:
+					got, want = lazy.Float64(), ref.Float64()
+				case 4:
+					got, want = lazy.Perm(i%7+1), ref.Perm(i%7+1)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d draw %d: %v, want %v", seed, i, got, want)
+				}
 			}
 		}
 	}
 }
 
-// A switch that never draws never seeds a generator.
+// A switch that never leaves the batched fast path never builds a
+// generator; the first scalar decision does.
 func TestLazySourceUnseededUntilDrawn(t *testing.T) {
 	w := newWorld(t, deflect.NotInputPort{}, false)
 	w.inject(20)
@@ -49,14 +60,14 @@ func TestLazySourceUnseededUntilDrawn(t *testing.T) {
 		t.Fatalf("healthy world delivered %d of 20", len(w.received))
 	}
 	for name, s := range w.switches {
-		if s.rngSrc.src != nil {
-			t.Errorf("%s seeded its generator on a healthy path", name)
+		if s.rng != nil {
+			t.Errorf("%s built its generator on a healthy path", name)
 		}
 	}
 	sw := w.switches["SW4"]
-	sw.rng.Intn(3)
-	if sw.rngSrc.src == nil {
-		t.Error("a draw did not seed the generator")
+	sw.HandlePacket(&packet.Packet{Flow: packet.FlowID{Src: "S", Dst: "D"}, TTL: 8}, 0)
+	if sw.rng == nil {
+		t.Error("a scalar decision did not build the generator")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
+	"repro/internal/xrand"
 )
 
 // Deflection causes, as classified by deflectCause.
@@ -64,8 +65,8 @@ type Switch struct {
 	net    *simnet.Network
 	node   *topology.Node
 	policy deflect.Policy
-	rng    *rand.Rand // draws from rngSrc
-	rngSrc lazySource
+	rng    *rand.Rand // draws from rngSrc; made on the first decide
+	rngSrc xrand.Source
 	red    rns.Reducer // precomputed constants for node.ID()
 	// clock is the node's lane-local virtual time: event-log records
 	// from the forwarding path must carry it, because the global
@@ -137,13 +138,18 @@ func install(net *simnet.Network, nodes []*topology.Node, policy deflect.Policy,
 		return []string{"switch", nodes[i/causeCount].Name(), "cause", causeNames[i%causeCount]}
 	})
 	sws := make([]Switch, len(nodes))
+	// One slab of per-port line caches for all the switches.
+	ports := 0
+	for _, node := range nodes {
+		ports += node.PortSpan()
+	}
+	lines, dirs := make([]*simnet.Line, ports), make([]uint8, ports)
 	for i, node := range nodes {
 		s := &sws[i]
 		*s = Switch{
 			net:          net,
 			node:         node,
 			policy:       policy,
-			rngSrc:       lazySource{seed: baseSeed + int64(i)*seedStride},
 			red:          rns.NewReducer(node.ID()),
 			clock:        net.ClockOf(node),
 			cReceived:    &received[i],
@@ -152,43 +158,21 @@ func install(net *simnet.Network, nodes []*topology.Node, policy deflect.Policy,
 			cPolicyDrops: &policyDrops[i],
 			shape:        policy.Shape(),
 		}
-		s.rng = rand.New(&s.rngSrc)
+		s.rngSrc.Seed(baseSeed + int64(i)*seedStride)
 		for c := range s.cDeflections {
 			s.cDeflections[c] = &deflections[i*causeCount+c]
 		}
 		s.dReceived = net.DeferCounter(node, s.cReceived)
 		s.dForwarded = net.DeferCounter(node, s.cForwarded)
-		s.portLines = make([]*simnet.Line, node.PortSpan())
-		s.portDirs = make([]uint8, node.PortSpan())
+		span := node.PortSpan()
+		s.portLines, lines = lines[:span:span], lines[span:]
+		s.portDirs, dirs = dirs[:span:span], dirs[span:]
 		for p := range s.portLines {
 			s.portLines[p], s.portDirs[p] = net.LineAt(node, p)
 		}
 		net.Bind(node, s)
 	}
 	return sws
-}
-
-// lazySource is the switch's RNG source: math/rand's generator seeded
-// with seed, built on the first draw. Seeding fills a 607-word state
-// (4.9 KB), and a switch draws only when it deflects under a
-// randomising policy — most switches of most worlds never do. The
-// stream, once drawn from, is rand.NewSource(seed)'s own.
-type lazySource struct {
-	seed int64
-	src  rand.Source64
-}
-
-func (l *lazySource) source() rand.Source64 {
-	if l.src == nil {
-		l.src = rand.NewSource(l.seed).(rand.Source64)
-	}
-	return l.src
-}
-
-func (l *lazySource) Int63() int64   { return l.source().Int63() }
-func (l *lazySource) Uint64() uint64 { return l.source().Uint64() }
-func (l *lazySource) Seed(seed int64) {
-	l.seed, l.src = seed, nil
 }
 
 // view adapts the switch for deflection policies.
@@ -275,6 +259,9 @@ func (s *Switch) HandleBatchPacket(pkt *packet.Packet, inPort int, residue uint1
 // batched slow path: run Decide, account drops and deflections,
 // forward.
 func (s *Switch) decide(pkt *packet.Packet, inPort int) {
+	if s.rng == nil {
+		s.rng = rand.New(&s.rngSrc)
+	}
 	d := s.policy.Decide(view{s}, pkt.RouteID, inPort, pkt.Deflected, s.rng)
 	if d.Drop {
 		s.cPolicyDrops.Inc()

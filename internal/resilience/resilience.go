@@ -35,7 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -48,6 +47,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
+	"repro/internal/xrand"
 )
 
 // surviveEps separates "certain delivery" from "probably delivered":
@@ -666,7 +666,7 @@ func enumerateFailures(g *topology.Graph, pairs int, pairSeed int64) ([]failure,
 	if want == 0 {
 		return out, 0
 	}
-	rng := rand.New(rand.NewSource(pairSeed))
+	rng := xrand.New(pairSeed)
 	seen := make(map[[2]int]bool, want)
 	drawn := 0
 	for drawn < want {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -171,6 +172,14 @@ func buildScenarioJob(req *ScenarioRequest) (func(ctx context.Context, s *Server
 		return nil, err
 	}
 	spec.Override(req.Seed, req.Runs, req.Shards)
+	pairs := 0
+	if spec.Verify != nil {
+		pairs = spec.Verify.Pairs
+	}
+	if err := errors.Join(overLimit("runs", spec.Runs, maxRuns), overLimit("shards", spec.Shards, maxShards),
+		overLimit("verify pairs", pairs, maxPairs)); err != nil {
+		return nil, err
+	}
 	collect := req.Collect == nil || *req.Collect
 	workers := req.Workers
 	return func(ctx context.Context, s *Server, j *Job) ([]byte, error) {
@@ -201,6 +210,9 @@ func buildScenarioJob(req *ScenarioRequest) (func(ctx context.Context, s *Server
 func buildVerifyJob(req *VerifyRequest) (func(ctx context.Context, s *Server, j *Job) ([]byte, error), error) {
 	if req.Topology == "" {
 		return nil, fmt.Errorf("serve: verify request has no topology")
+	}
+	if err := overLimit("pairs", req.Pairs, maxPairs); err != nil {
+		return nil, err
 	}
 	g, routes, cfg, err := resilience.Plan(req.Topology, req.Routes, req.Policies, req.Protection)
 	if err != nil {

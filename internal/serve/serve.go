@@ -391,12 +391,47 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind JobKind, ru
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
-func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+// Admission limits: what one request may ask of the daemon. A request
+// past any of them is refused with a 400 naming the limit before
+// anything is sized from it — runs sizes the verdict's result slice,
+// shards the lane set, pairs the sweep's failure list. Constants, not
+// settings: they bound a single job, the queue bounds how many.
+const (
+	maxRuns         = 10_000
+	maxShards       = 256
+	maxPairs        = 100_000
+	maxRequestBytes = 1 << 20
+)
+
+// overLimit is the refusal for a request field past its limit.
+func overLimit(field string, v, limit int) error {
+	if v <= limit {
+		return nil
+	}
+	return fmt.Errorf("serve: %s %d exceeds the limit of %d", field, v, limit)
+}
+
+// decodeRequest reads a submission body — at most maxRequestBytes,
+// unknown fields refused — into req, replying 400 itself on failure.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string, req any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusBadRequest, "request body exceeds the limit of %d bytes", maxRequestBytes)
+	} else {
+		httpError(w, http.StatusBadRequest, "bad %s request: %v", what, err)
+	}
+	return false
+}
+
+func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 	var req ScenarioRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad scenario request: %v", err)
+	if !decodeRequest(w, r, "scenario", &req) {
 		return
 	}
 	run, err := buildScenarioJob(&req)
@@ -408,11 +443,8 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmitVerify(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req VerifyRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad verify request: %v", err)
+	if !decodeRequest(w, r, "verify", &req) {
 		return
 	}
 	run, err := buildVerifyJob(&req)

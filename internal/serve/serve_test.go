@@ -734,6 +734,56 @@ func TestBadRequestsRejected(t *testing.T) {
 	}
 }
 
+// A request past an admission limit is refused with a 400 that names
+// the limit, before anything is sized from it ("runs": 1e9 used to
+// reach make([]RunResult, runs)), and no job is admitted.
+func TestAdmissionLimits(t *testing.T) {
+	s, ts := startServer(t, Config{})
+	specWith := func(field string) string {
+		return `{"spec": ` + strings.Replace(tinySpec, `"runs": 2,`, field, 1) + `}`
+	}
+	cases := []struct {
+		name, path, body, want string
+	}{
+		{"runs override", "/v1/scenarios", `{"spec": ` + tinySpec + `, "runs": 1000000000}`,
+			fmt.Sprintf("runs 1000000000 exceeds the limit of %d", maxRuns)},
+		{"runs in the spec", "/v1/scenarios", specWith(`"runs": 10001,`),
+			fmt.Sprintf("runs 10001 exceeds the limit of %d", maxRuns)},
+		{"shards override", "/v1/scenarios", `{"spec": ` + tinySpec + `, "shards": 100000}`,
+			fmt.Sprintf("shards 100000 exceeds the limit of %d", maxShards)},
+		{"shards in the spec", "/v1/scenarios", specWith(`"runs": 2, "shards": 257,`),
+			fmt.Sprintf("shards 257 exceeds the limit of %d", maxShards)},
+		{"verify pairs in the spec", "/v1/scenarios", specWith(`"runs": 2, "verify": {"pairs": 100001},`),
+			fmt.Sprintf("verify pairs 100001 exceeds the limit of %d", maxPairs)},
+		{"verify pairs", "/v1/verify", `{"topology": "net15", "pairs": 2000000000}`,
+			fmt.Sprintf("pairs 2000000000 exceeds the limit of %d", maxPairs)},
+		{"scenario body", "/v1/scenarios", `{"spec": {"name": "` + strings.Repeat("x", maxRequestBytes) + `"}}`,
+			fmt.Sprintf("request body exceeds the limit of %d bytes", maxRequestBytes)},
+		{"verify body", "/v1/verify", `{"topology": "` + strings.Repeat("x", maxRequestBytes) + `"}`,
+			fmt.Sprintf("request body exceeds the limit of %d bytes", maxRequestBytes)},
+	}
+	for _, c := range cases {
+		resp, data := postJSON(t, ts.URL+c.path, strings.NewReader(c.body))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), c.want) {
+			t.Errorf("%s: %d %s; want 400 naming %q", c.name, resp.StatusCode, bytes.TrimSpace(data), c.want)
+		}
+	}
+	if n := s.Registry().SumCounter("kar_serve_jobs_total"); n != 0 {
+		t.Errorf("kar_serve_jobs_total = %d after refused requests, want 0", n)
+	}
+	// At the limits the same requests are admitted.
+	resp, data := postJSON(t, ts.URL+"/v1/verify", strings.NewReader(fmt.Sprintf(
+		`{"topology": "net15", "routes": "AS1:AS3", "policies": ["nip"], "pairs": %d}`, maxPairs)))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("pairs at the limit: %d: %s", resp.StatusCode, data)
+	}
+	var st JobStatus
+	json.Unmarshal(data, &st)
+	if fin := waitTerminal(t, ts.URL, st.ID); fin.State != StateDone {
+		t.Errorf("pairs at the limit: job %s (%s)", fin.State, fin.Error)
+	}
+}
+
 // A panicking executor costs its job, not the daemon: the job ends
 // failed with the panic text, and the next job on the same worker runs.
 func TestPanickingJobFailsAndDaemonSurvives(t *testing.T) {

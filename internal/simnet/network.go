@@ -393,8 +393,11 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 		lane.delivered = DeferredCounter{c: n.cDelivered, lane: lane}
 		lane.sends = DeferredCounter{c: n.cSends, lane: lane}
 	}
-	for r := DropReason(1); r < dropReasonCount; r++ {
-		n.cDrops[r] = n.metrics.Counter("kar_net_drops_total", "reason", r.String())
+	drops := n.metrics.CounterVec("kar_net_drops_total", int(dropReasonCount)-1, func(i int) []string {
+		return []string{"reason", DropReason(i + 1).String()}
+	})
+	for i := range drops {
+		n.cDrops[i+1] = &drops[i]
 	}
 	// The nine per-link series are registered as blocks: one slab of
 	// cells per family, indexed by link (and direction), whose labels are
@@ -410,8 +413,10 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	sentBytes := n.metrics.CounterVec("kar_link_sent_bytes_total", 2*len(links), dirLabels)
 	queueDrops := n.metrics.CounterVec("kar_link_queue_drops_total", 2*len(links), dirLabels)
 	inFlightDrops := n.metrics.CounterVec("kar_link_inflight_drops_total", 2*len(links), dirLabels)
+	lineSlab := make([]Line, len(links))
 	for li, l := range links {
-		line := &Line{
+		line := &lineSlab[li]
+		*line = Line{
 			net: n, link: l, seenUp: true,
 			delay: l.Delay(), rate: l.RateMbps(), queueCap: l.QueuePackets(),
 			gaugeUp: &gaugeUp[li],
@@ -644,7 +649,9 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	m.deqKey = lane.allocKey(ds.ent)
 	m.key = lane.allocKey(ds.ent)
 	if tr.members == nil {
-		tr.members = make([]trainMember, 0, 16)
+		// Most directions a short run touches carry a packet or two at a
+		// time; a busy one doubles its way up once and keeps the array.
+		tr.members = make([]trainMember, 0, 4)
 	}
 	if !ds.noBatch {
 		m.pkt = pkt

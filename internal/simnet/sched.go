@@ -208,8 +208,9 @@ type Scheduler struct {
 	sends     DeferredCounter
 
 	// The ring's buckets: heads[b&ringMask] is bucket b's list, occ has
-	// one bit per non-empty slot. Arrays, so the zero Scheduler works.
-	heads [ringSize]int32
+	// one bit per non-empty slot. heads (8 KB) is made by the first
+	// entry to spill out of front: a small world never has one.
+	heads []int32
 	occ   [ringSize / 64]uint64
 
 	// A world's lanes are same-sized heap objects, which the allocator
@@ -380,6 +381,9 @@ func (s *Scheduler) push(e entry) {
 		} else {
 			s.nodes, s.link = append(s.nodes, entry{}), append(s.link, 0)
 			i = int32(len(s.nodes))
+		}
+		if s.heads == nil {
+			s.heads = make([]int32, ringSize)
 		}
 		slot := b & ringMask
 		s.nodes[i-1], s.link[i-1] = e, s.heads[slot]

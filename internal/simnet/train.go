@@ -143,8 +143,9 @@ func (tr *train) extendResidues() {
 	}
 	need := n - tr.resLen
 	if cap(tr.ids) < need {
-		tr.ids = make([]rns.RouteID, need, need*2)
-		tr.out = make([]uint16, need, need*2)
+		c := max(2*need, 4) // members starts at 4 too
+		tr.ids = make([]rns.RouteID, need, c)
+		tr.out = make([]uint16, need, c)
 	}
 	ids, out := tr.ids[:need], tr.out[:need]
 	for i := 0; i < need; i++ {

@@ -266,13 +266,31 @@ type family struct {
 	name   string
 	kind   kind
 	bounds []float64 // histograms only
+	// series is the keyed view — label-set key → *Counter, *Gauge or
+	// *Histogram — made on the family's first keyed insert.
 	series map[string]any
-	// pending holds the blocks registered through CounterVec/GaugeVec
-	// whose label sets have not been built yet. materialise moves their
-	// cells into series; nothing else reads it except the unfiltered
-	// SumCounter, which needs no labels.
+	// lazy and pending hold what has been registered but not yet keyed:
+	// single series in registration order, then the blocks of
+	// CounterVec/GaugeVec. materialise moves both into series; nothing
+	// else reads them except the unfiltered SumCounter, which needs no
+	// labels. Every lazy series was registered before any pending block
+	// (see Registry.single).
+	lazy    []lazySeries
 	pending []block
 }
+
+// lazySeries is one Counter/Gauge/Histogram registration whose label
+// set and key have not been built: the caller's key/value pairs and
+// the cell handed back.
+type lazySeries struct {
+	kv   []string
+	cell any
+}
+
+// lazyMax bounds a family's lazy list, which every further
+// registration scans: past it the family is keyed and lookups go
+// through the map.
+const lazyMax = 8
 
 // block is one CounterVec/GaugeVec registration: a slab of cells and
 // the function that names cell i. Exactly one of counters and gauges
@@ -287,16 +305,15 @@ type block struct {
 // asking for the same (name, labels) twice returns the same handle.
 // Safe for concurrent use; hot paths should cache handles.
 //
-// There are two ways to register. Counter/Gauge/Histogram build one
-// series' label set and key on the spot — right for dynamic labels
-// (a drop reason, a flow) met while running. CounterVec/GaugeVec hand
-// back a contiguous slab of n cells and record only the block; the
-// label sets and keys of its cells are built, into the same series map
-// the singletons live in, on the first keyed read of the family:
-// any exposition, Snapshot or Merge; CounterValue; a filtered
-// SumCounter; or a later Counter/Gauge on that family. A world that is
-// built, run and read back through unfiltered SumCounter totals never
-// builds them at all.
+// Registration builds no label set. Counter/Gauge/Histogram return one
+// cell and note the caller's key/value pairs; CounterVec/GaugeVec hand
+// back a contiguous slab of n cells and record only the block. The
+// sorted label sets and keys are built, into one series map per
+// family, on the family's first keyed read: any exposition, Snapshot
+// or Merge; CounterValue; a filtered SumCounter; or a registration the
+// unkeyed family cannot answer (one on a family holding a block, or
+// its lazyMax+1-th single series). A world that is built, run and read
+// back through unfiltered SumCounter totals never builds them at all.
 type Registry struct {
 	mu       sync.Mutex
 	base     []Label // applied to every series
@@ -367,7 +384,7 @@ func seriesKey(ls []Label) string {
 func (r *Registry) getFamily(name string, k kind, bounds []float64) *family {
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, kind: k, bounds: bounds, series: make(map[string]any)}
+		f = &family{name: name, kind: k, bounds: bounds}
 		r.families[name] = f
 		return f
 	}
@@ -377,12 +394,25 @@ func (r *Registry) getFamily(name string, k kind, bounds []float64) *family {
 	return f
 }
 
+// newCell makes an unregistered series of the family's kind. A
+// histogram shares the family's bounds, which nothing writes.
+func (f *family) newCell(ls []Label) any {
+	switch f.kind {
+	case kindCounter:
+		return &Counter{labels: ls}
+	case kindGauge:
+		return &Gauge{labels: ls}
+	default:
+		return &Histogram{bounds: f.bounds, counts: make([]int64, len(f.bounds)+1), labels: ls}
+	}
+}
+
 // seriesAt is the one keyed insert every registration path goes
 // through: it returns the family's series for ls — a sorted label set
 // that already carries its base labels — creating it when absent.
-// A non-nil cell (a block cell being materialised, labelled ls by the
-// caller) takes the slot instead, and finding the slot taken is a
-// duplicate registration. The caller holds r.mu.
+// A non-nil cell (one being materialised, labelled ls by the caller)
+// takes the slot instead, and finding the slot taken is a duplicate
+// registration. The caller holds r.mu.
 func (f *family) seriesAt(ls []Label, cell any) any {
 	key := seriesKey(ls)
 	if s, ok := f.series[key]; ok {
@@ -392,29 +422,34 @@ func (f *family) seriesAt(ls []Label, cell any) any {
 		return s
 	}
 	if cell == nil {
-		switch f.kind {
-		case kindCounter:
-			cell = &Counter{labels: ls}
-		case kindGauge:
-			cell = &Gauge{labels: ls}
-		case kindHistogram:
-			cell = &Histogram{
-				bounds: append([]float64(nil), f.bounds...),
-				counts: make([]int64, len(f.bounds)+1),
-				labels: ls,
-			}
-		}
+		cell = f.newCell(ls)
+	}
+	if f.series == nil {
+		f.series = make(map[string]any)
 	}
 	f.series[key] = cell
 	return cell
 }
 
-// materialise builds the label set and key of every pending block
-// cell and files it in f.series, after which the family is
-// indistinguishable from one registered series by series. The caller
-// holds r.mu; lanes may be incrementing the cells meanwhile (they
-// touch only the value word).
+// materialise builds the label set and key of every lazy series and
+// pending block cell and files it in f.series, after which the family
+// is indistinguishable from one registered eagerly. The caller holds
+// r.mu; lanes may be incrementing the cells meanwhile (they touch only
+// the value words).
 func (r *Registry) materialise(f *family) {
+	for _, s := range f.lazy {
+		ls := r.labelSet(s.kv)
+		switch c := s.cell.(type) {
+		case *Counter:
+			c.labels = ls
+		case *Gauge:
+			c.labels = ls
+		case *Histogram:
+			c.labels = ls
+		}
+		f.seriesAt(ls, s.cell)
+	}
+	f.lazy = nil
 	for _, b := range f.pending {
 		for i := range b.counters {
 			c := &b.counters[i]
@@ -430,15 +465,64 @@ func (r *Registry) materialise(f *family) {
 	f.pending = nil
 }
 
-// lookup is the registration path of one series by name and label
-// set: the family (created if absent) is materialised first, so a
-// block cell registered under the same labels is found, not shadowed.
+// lookup is the keyed registration path of one series by name and
+// label set: the family (created if absent) is materialised first, so
+// a cell registered under the same labels is found, not shadowed.
 func (r *Registry) lookup(name string, k kind, bounds []float64, ls []Label) any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.getFamily(name, k, bounds)
 	r.materialise(f)
 	return f.seriesAt(ls, nil)
+}
+
+// single is the registration path of Counter, Gauge and Histogram:
+// get-or-create by the caller's key/value pairs. While the family is
+// unkeyed, holds no block and has room on its lazy list, the series is
+// found or filed there by comparing pairs — no label set, key or map
+// insert; otherwise the family is materialised and the lookup is keyed.
+func (r *Registry) single(name string, k kind, bounds []float64, kv []string) any {
+	if len(kv)%2 != 0 {
+		panic("telemetry: odd label key/value list")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.getFamily(name, k, bounds)
+	if len(f.series) == 0 && len(f.pending) == 0 {
+		for _, s := range f.lazy {
+			if samePairs(s.kv, kv) {
+				return s.cell
+			}
+		}
+		if len(f.lazy) < lazyMax {
+			cell := f.newCell(nil)
+			// kv is the caller's variadic slice: copied, it may stay on
+			// the caller's stack and be reused.
+			f.lazy = append(f.lazy, lazySeries{kv: append([]string(nil), kv...), cell: cell})
+			return cell
+		}
+	}
+	r.materialise(f)
+	return f.seriesAt(r.labelSet(kv), nil)
+}
+
+// samePairs reports whether two key/value lists name one label set:
+// the same pairs, in any order. (Equal lengths and every pair of a
+// present in b decide it, a label set repeating no pair.)
+func samePairs(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+next:
+	for i := 0; i < len(a); i += 2 {
+		for j := 0; j < len(b); j += 2 {
+			if a[i] == b[j] && a[i+1] == b[j+1] {
+				continue next
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // Help sets the family's HELP text. The family need not exist yet:
@@ -452,26 +536,23 @@ func (r *Registry) Help(name, text string) {
 // Counter returns (creating if absent) the counter for name and the
 // given label key/value pairs.
 func (r *Registry) Counter(name string, kv ...string) *Counter {
-	return r.lookup(name, kindCounter, nil, r.labelSet(kv)).(*Counter)
+	return r.single(name, kindCounter, nil, kv).(*Counter)
 }
 
 // Gauge returns (creating if absent) the gauge for name and labels.
 func (r *Registry) Gauge(name string, kv ...string) *Gauge {
-	return r.lookup(name, kindGauge, nil, r.labelSet(kv)).(*Gauge)
+	return r.single(name, kindGauge, nil, kv).(*Gauge)
 }
 
 // Histogram returns (creating if absent) the histogram for name and
-// labels. bounds are sorted upper bucket bounds; nil takes HopBuckets.
-// The first registration of a family fixes its bucket layout.
+// labels. bounds are sorted upper bucket bounds, which the caller must
+// not modify afterwards; nil takes HopBuckets. The first registration
+// of a family fixes its bucket layout.
 func (r *Registry) Histogram(name string, bounds []float64, kv ...string) *Histogram {
-	return r.histogramFor(name, bounds, r.labelSet(kv))
-}
-
-func (r *Registry) histogramFor(name string, bounds []float64, ls []Label) *Histogram {
 	if len(bounds) == 0 {
 		bounds = HopBuckets
 	}
-	return r.lookup(name, kindHistogram, bounds, ls).(*Histogram)
+	return r.single(name, kindHistogram, bounds, kv).(*Histogram)
 }
 
 // CounterVec registers n counters of one family as a block and returns
@@ -518,8 +599,7 @@ func (r *Registry) CounterValue(name string, kv ...string) int64 {
 
 // SumCounter sums a counter family across every series whose label set
 // contains all the given key/value pairs (no pairs = whole family).
-// The whole-family sum needs no labels and leaves pending blocks
-// unmaterialised.
+// The whole-family sum needs no labels and leaves the family unkeyed.
 func (r *Registry) SumCounter(name string, kv ...string) int64 {
 	match := pairs(nil, kv)
 	r.mu.Lock()
@@ -531,6 +611,9 @@ func (r *Registry) SumCounter(name string, kv ...string) int64 {
 	var sum int64
 	if len(match) > 0 {
 		r.materialise(f)
+	}
+	for _, s := range f.lazy {
+		sum += s.cell.(*Counter).Value()
 	}
 	for _, b := range f.pending {
 		for i := range b.counters {
@@ -593,7 +676,7 @@ func (r *Registry) Merge(o *Registry) {
 			case kindGauge:
 				r.lookup(fs.name, kindGauge, nil, s.labels).(*Gauge).Add(s.fvalue)
 			case kindHistogram:
-				r.histogramFor(fs.name, fs.bounds, s.labels).merge(s.value, s.fvalue, s.counts)
+				r.lookup(fs.name, kindHistogram, fs.bounds, s.labels).(*Histogram).merge(s.value, s.fvalue, s.counts)
 			}
 		}
 	}

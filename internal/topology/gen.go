@@ -3,12 +3,12 @@ package topology
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/coprime"
+	"repro/internal/xrand"
 )
 
 // GenConfig parameterises random topology generation.
@@ -36,7 +36,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	if cfg.Edges < 0 || cfg.Edges > cfg.Cores {
 		return nil, fmt.Errorf("topology: generate: edges %d out of range [0, %d]", cfg.Edges, cfg.Cores)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := xrand.New(cfg.Seed)
 
 	// Degree plan: spanning tree + chords + edge attachments.
 	type link struct{ a, b int }
@@ -284,7 +284,7 @@ func ISP(cores, m, hosts int, seed int64) (*Graph, error) {
 	if hosts < 0 || hosts > cores {
 		return nil, fmt.Errorf("topology: isp: hosts %d out of range [0, %d]", hosts, cores)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := xrand.New(seed)
 
 	type link struct{ a, b int }
 	var links []link

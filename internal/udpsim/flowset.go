@@ -10,6 +10,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
+	"repro/internal/xrand"
 )
 
 // Arrival selects the arrival process of a FlowSet.
@@ -101,7 +102,7 @@ func (c SetConfig) defaults() SetConfig {
 }
 
 // FlowSet drives a declared flow population over a network. Per-flow
-// state lives in two flat arrays (packets sent / received per flow);
+// state lives in two flat arrays (packets sent, a delivered flag);
 // per-pair pumps run on their source edge's shard clock, so draws and
 // emissions are deterministic for any shard count; per-destination
 // receivers keep lane-local aggregates that Stats merges in sorted
@@ -114,7 +115,7 @@ type FlowSet struct {
 	pumps   []*pairPump
 	rcvs    map[string]*setReceiver
 	sent    []uint32 // packets emitted, indexed by global flow ID
-	recv    []uint32 // packets delivered, indexed by global flow ID
+	recv    []bool   // a packet was delivered; one byte per flow, so lanes never share a written word
 	stopped bool
 
 	cSent     *telemetry.Counter
@@ -177,7 +178,7 @@ func NewFlowSet(net *simnet.Network, pairs []Pair, cfg SetConfig) (*FlowSet, err
 		cfg:       cfg,
 		rcvs:      make(map[string]*setReceiver),
 		sent:      make([]uint32, cfg.Flows),
-		recv:      make([]uint32, cfg.Flows),
+		recv:      make([]bool, cfg.Flows),
 		cSent:     reg.Counter("kar_flowset_sent_total", "set", cfg.Name),
 		cReceived: reg.Counter("kar_flowset_received_total", "set", cfg.Name),
 		cNoRoute:  reg.Counter("kar_flowset_noroute_total", "set", cfg.Name),
@@ -199,7 +200,7 @@ func NewFlowSet(net *simnet.Network, pairs []Pair, cfg SetConfig) (*FlowSet, err
 			srcName:  p.Src.Node().Name(),
 			dstName:  p.Dst.Node().Name(),
 			clock:    net.ClockOf(p.Src.Node()),
-			rng:      rand.New(rand.NewSource(cfg.Seed + int64(i)*9973)),
+			rng:      xrand.New(cfg.Seed + int64(i)*9973),
 			flowBase: base,
 			nFlows:   n,
 			cSent:    net.DeferCounter(p.Src.Node(), fs.cSent),
@@ -288,7 +289,7 @@ func (r *setReceiver) onData(pkt *packet.Packet) {
 	defer pkt.Release()
 	fs := r.set
 	if int(pkt.Flow.ID) < len(fs.recv) {
-		fs.recv[pkt.Flow.ID]++
+		fs.recv[pkt.Flow.ID] = true
 	}
 	r.received++
 	r.totalHops += int64(pkt.Hops)
@@ -363,8 +364,8 @@ func (fs *FlowSet) Stats() SetStats {
 			st.ActiveFlows++
 		}
 	}
-	for _, n := range fs.recv {
-		if n > 0 {
+	for _, got := range fs.recv {
+		if got {
 			st.DeliveredFlows++
 		}
 	}

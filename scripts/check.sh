@@ -21,11 +21,24 @@ if grep -nE '"(hp|avp|nip|dtree)"|deflect\.(None|HotPotato|AnyValidPort|NotInput
     exit 1
 fi
 
+echo "==> a generator is seeded in internal/xrand alone"
+# xrand.Source is math/rand's stream without the 607-word seeding pass;
+# a rand.NewSource in library code pays it again, per world.
+if grep -rn --include='*.go' 'rand\.NewSource(' . | grep -v '_test\.go:' | grep -v '^\./internal/xrand/' | grep -v '^\./bench/'; then
+    echo "FAIL: rand.NewSource outside internal/xrand (use xrand.New / xrand.Source)" >&2
+    exit 1
+fi
+
 echo "==> fuzz the scheduler queue against a sorted reference (10 s)"
 # The committed corpus (internal/simnet/testdata/fuzz) runs with every
 # go test; this explores from it: random programs of post / train append
 # / re-key / pop over the calendar's bucket and horizon edges.
 go test -run '^$' -fuzz FuzzSchedulerOrder -fuzztime 10s ./internal/simnet
+
+echo "==> fuzz xrand's stream against math/rand's (10 s)"
+# Arbitrary (seed, length) from the committed corpus, which pins the
+# stateless/materialised/steady transitions at draws 273 and 607.
+go test -run '^$' -fuzz FuzzStream -fuzztime 10s ./internal/xrand
 
 echo "==> gofmt -l"
 unformatted="$(gofmt -l .)"
