@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-run bench-test bench-compare check scenarios verify serve-smoke load
+.PHONY: all build test vet race bench bench-run bench-test bench-compare check scenarios verify serve-smoke
 
 all: vet build test
 
@@ -48,14 +48,11 @@ verify:
 
 # Serve-daemon smoke: start `karsim serve`, byte-compare its verdict
 # and verify documents against the batch CLI at workers 1 vs 4, check
-# /metrics and /healthz, and require a clean SIGTERM drain.
+# /metrics and /healthz, run a 40-job burst of concurrent clients, and
+# require a clean SIGTERM drain. The daemon's load test is the
+# benchmark's serve_mix workload (make bench-run).
 serve-smoke:
 	sh scripts/serve_smoke.sh
-
-# Serve-daemon load test: 200 concurrent scenario jobs through the
-# full submit/stream/result lifecycle, zero dropped results.
-load:
-	sh scripts/load.sh
 
 # Full quality gates: vet + gofmt + build + race tests + telemetry
 # smoke test (fig4 -metrics dump well-formed and byte-identical across

@@ -17,8 +17,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/edge"
 	"repro/internal/experiment"
 	"repro/internal/packet"
+	"repro/internal/simnet"
 	"repro/internal/topology"
 	"repro/internal/udpsim"
 )
@@ -226,7 +228,7 @@ func BenchmarkAblationReencodeDelay(b *testing.B) {
 					b.Fatal(err)
 				}
 				policy, _ := PolicyByName("nip")
-				w := experiment.NewWorld(g, policy, int64(i), experiment.WithReencodeDelay(delay))
+				w := experiment.NewWorld(g, policy, int64(i), edge.WithReencodeDelay(delay))
 				if _, err := w.InstallRoute("AS1", "AS3", topology.Net15PartialProtection); err != nil {
 					b.Fatal(err)
 				}
@@ -370,7 +372,7 @@ func BenchmarkWorldConstruction1kSwitch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if w := experiment.NewWorld(g, policy, 1, experiment.WithShards(4)); w == nil {
+		if w := experiment.NewWorld(g, policy, 1, simnet.WithShards(4)); w == nil {
 			b.Fatal("nil world")
 		}
 	}

@@ -1,12 +1,21 @@
 // Command karsim runs the KAR reproduction experiments — one per
 // table and figure of the paper's evaluation — at full fidelity and
-// prints the resulting tables (optionally CSV). It has four modes:
+// prints the resulting tables (optionally CSV). An argument list that
+// starts with a flag selects one of three batch modes:
 //
 //	karsim -exp <name>            one experiment of the table in exp.go
 //	karsim -exp all               every experiment that table marks for it
 //	karsim -scenario file.json    a declarative fault scenario
 //	karsim -verify net15          the exhaustive failure-sweep verifier
+//
+// Any other argument list names a verb of the table in verbs.go
+// (`karsim help` prints it): the daemon and the tools around the runs.
+//
 //	karsim serve                  the scenario/verify daemon
+//	karsim route encode|decode    the route-ID calculator
+//	karsim topo                   topology summary, DOT, encoding sizes
+//	karsim trace -in t.jsonl      analysis of a -trace-export file
+//	karsim client -probe|-post    a daemon's client, for scripts
 //
 // Examples:
 //
@@ -27,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/experiment"
@@ -90,10 +100,10 @@ type options struct {
 }
 
 func run(args []string, stdout io.Writer) error {
-	// Subcommands come before the flag grammar: `karsim serve` turns
-	// the batch simulator into the long-running scenario/verify daemon.
-	if len(args) > 0 && args[0] == "serve" {
-		return runServe(args[1:])
+	// Verbs come before the flag grammar: an argument list that does not
+	// start with a flag names a row of the verb table.
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		return runVerb(args[0], args[1:], stdout)
 	}
 	fs := flag.NewFlagSet("karsim", flag.ContinueOnError)
 	opts := options{out: stdout, set: map[string]bool{}}
@@ -167,7 +177,7 @@ func run(args []string, stdout io.Writer) error {
 // writeOutputs flushes every requested end-of-run artefact: with
 // -metrics the MetricsReport table, the Prometheus-text dump and the
 // JSON snapshot (metrics + per-run event streams); with -trace-export
-// <prefix>.jsonl (structured, kartrace's input) and <prefix>.trace.json
+// <prefix>.jsonl (structured, `karsim trace`'s input) and <prefix>.trace.json
 // (Chrome trace-event JSON, loadable in Perfetto). Run labels, record
 // order and field order are all deterministic, so same-seed files are
 // byte-identical at any -workers setting.
@@ -212,15 +222,4 @@ func writeDocument(path string, v any) error {
 
 // print writes tables separated by blank lines, as aligned text or,
 // under -csv, as CSV.
-func (o *options) print(tables ...*measure.Table) {
-	for i, t := range tables {
-		if i > 0 {
-			fmt.Fprintln(o.out)
-		}
-		if o.csv {
-			io.WriteString(o.out, t.CSV())
-		} else {
-			io.WriteString(o.out, t.String())
-		}
-	}
-}
+func (o *options) print(tables ...*measure.Table) { printTables(o.out, o.csv, tables...) }

@@ -170,18 +170,27 @@ func TestScenarioFlagOverrides(t *testing.T) {
 	}
 }
 
-// TestHostileScenarioFiles: the two flows that took the daemon down are
-// an error from the CLI too — no panic, no hang.
+// TestHostileScenarioFiles: the flows that took the daemon down, a
+// generated topology past topology.MaxSpecSwitches and flows past
+// scenario.MaxPackets are an error from the CLI too — no panic, no hang.
 func TestHostileScenarioFiles(t *testing.T) {
-	for _, flow := range []string{`"size": -5`, `"interval": "-1ms"`} {
+	for _, c := range []struct{ topology, flow, want string }{
+		{"net15", `"size": -5`, "must not be negative"},
+		{"net15", `"interval": "-1ms"`, "must not be negative"},
+		{"fattree:100000", `"interval": "1ms"`, "exceeds the limit of 4096"},
+		{"net15", `"interval": "1ns"`, "emit over 10000000 packets a run"},
+	} {
 		path := filepath.Join(t.TempDir(), "hostile.json")
-		spec := `{"name": "hostile", "topology": "net15", "policy": "nip", "duration": "20ms",
-			"flows": [{"src": "AS1", "dst": "AS3", ` + flow + `}]}`
+		spec := `{"name": "hostile", "topology": "` + c.topology + `", "policy": "nip", "duration": "20ms",
+			"flows": [{"src": "AS1", "dst": "AS3", ` + c.flow + `}]}`
 		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := run([]string{"-scenario", path}, io.Discard); err == nil || !strings.Contains(err.Error(), "must not be negative") {
-			t.Errorf("flow with %s: %v", flow, err)
+		if err := run([]string{"-scenario", path}, io.Discard); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s with flow %s: %v, want an error saying %q", c.topology, c.flow, err, c.want)
 		}
+	}
+	if err := run([]string{"-verify", "fattree:100000"}, io.Discard); err == nil || !strings.Contains(err.Error(), "exceeds the limit of 4096") {
+		t.Errorf("-verify fattree:100000: %v", err)
 	}
 }

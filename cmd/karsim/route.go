@@ -1,22 +1,11 @@
-// Command karctl is the KAR route-ID calculator: it encodes routes
-// (with optional protection) over the built-in topologies, decodes
-// route IDs against a switch-ID basis, and verifies the forwarding
-// walk hop by hop.
-//
-// Usage:
-//
-//	karctl encode -topo fig1 -from S -to D
-//	karctl encode -topo net15 -from AS1 -to AS3 -protect SW11:SW19,SW19:SW27,SW27:SW29
-//	karctl encode -topo net15 -from AS1 -to AS3 -budget 28   # auto-planned protection
-//	karctl decode -id 660 -switches 4,7,11,5
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/big"
-	"os"
 	"strconv"
 	"strings"
 
@@ -25,31 +14,32 @@ import (
 	"repro/internal/topology"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "karctl:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
+// runRoute is the route-ID calculator: it encodes routes (with optional
+// protection) over the built-in topologies, decodes route IDs against a
+// switch-ID basis, and prints the forwarding residue hop by hop.
+//
+//	karsim route encode -topo fig1 -from S -to D
+//	karsim route encode -topo net15 -from AS1 -to AS3 -protect SW11:SW19,SW19:SW27,SW27:SW29
+//	karsim route encode -topo net15 -from AS1 -to AS3 -budget 28   # auto-planned protection
+//	karsim route decode -id 660 -switches 4,7,11,5
+func runRoute(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
-		return errors.New("usage: karctl encode|decode [flags] (see -h)")
+		return errors.New("usage: karsim route encode|decode [flags] (see -h)")
 	}
 	switch args[0] {
 	case "encode":
-		return runEncode(args[1:])
+		return runEncode(args[1:], stdout)
 	case "decode":
-		return runDecode(args[1:])
+		return runDecode(args[1:], stdout)
 	default:
 		return fmt.Errorf("unknown subcommand %q (want encode or decode)", args[0])
 	}
 }
 
-func runEncode(args []string) error {
-	fs := flag.NewFlagSet("karctl encode", flag.ContinueOnError)
+func runEncode(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("karsim route encode", flag.ContinueOnError)
 	var (
-		topoName = fs.String("topo", "fig1", "topology: fig1, net15, rnp28, rnp28-fig8 or a generator spec (fattree:4, ...)")
+		topoName = fs.String("topo", "fig1", topoHelp)
 		from     = fs.String("from", "", "ingress edge node")
 		to       = fs.String("to", "", "egress edge node")
 		pathFlag = fs.String("path", "", "explicit comma-separated path (overrides shortest path)")
@@ -111,25 +101,25 @@ func runEncode(args []string) error {
 		return err
 	}
 
-	fmt.Printf("topology:   %s\n", g.Summary())
-	fmt.Printf("path:       %s\n", route.Path)
-	fmt.Printf("route ID:   %s\n", route.ID)
-	fmt.Printf("bit length: %d\n", route.BitLength())
-	fmt.Printf("switches:   %d (%d primary + %d protection)\n",
+	fmt.Fprintf(stdout, "topology:   %s\n", g.Summary())
+	fmt.Fprintf(stdout, "path:       %s\n", route.Path)
+	fmt.Fprintf(stdout, "route ID:   %s\n", route.ID)
+	fmt.Fprintf(stdout, "bit length: %d\n", route.BitLength())
+	fmt.Fprintf(stdout, "switches:   %d (%d primary + %d protection)\n",
 		route.SwitchCount(), len(route.Primary), len(route.Protection))
-	fmt.Println("residues:")
-	printHops(route.ID, route.Primary, "primary")
-	printHops(route.ID, route.Protection, "protect")
+	fmt.Fprintln(stdout, "residues:")
+	printHops(stdout, route.ID, route.Primary, "primary")
+	printHops(stdout, route.ID, route.Protection, "protect")
 	return nil
 }
 
-func printHops(id rns.RouteID, hops []core.Hop, label string) {
+func printHops(stdout io.Writer, id rns.RouteID, hops []core.Hop, label string) {
 	for _, h := range hops {
 		next := "?"
 		if nb, ok := h.Switch.Neighbor(h.Port); ok {
 			next = nb.Name()
 		}
-		fmt.Printf("  %-8s %-6s (ID %3d): %s mod %d = %d  -> port %d -> %s\n",
+		fmt.Fprintf(stdout, "  %-8s %-6s (ID %3d): %s mod %d = %d  -> port %d -> %s\n",
 			label, h.Switch.Name(), h.Switch.ID(), id, h.Switch.ID(),
 			core.Forward(id, h.Switch.ID()), h.Port, next)
 	}
@@ -147,8 +137,8 @@ func parsePairs(s string) ([][2]string, error) {
 	return out, nil
 }
 
-func runDecode(args []string) error {
-	fs := flag.NewFlagSet("karctl decode", flag.ContinueOnError)
+func runDecode(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("karsim route decode", flag.ContinueOnError)
 	var (
 		idFlag   = fs.String("id", "", "route ID (decimal)")
 		switches = fs.String("switches", "", "comma-separated switch IDs")
@@ -171,24 +161,19 @@ func runDecode(args []string) error {
 		if err != nil {
 			return fmt.Errorf("switch ID %q: %w", part, err)
 		}
+		if m == 0 {
+			return fmt.Errorf("switch ID %q: nothing reduces modulo zero", part)
+		}
 		moduli = append(moduli, m)
 	}
-	fmt.Printf("route ID %s (%d bits)\n", id, id.BitLen())
+	fmt.Fprintf(stdout, "route ID %s (%d bits)\n", id, id.BitLen())
 	if err := rns.CheckPairwiseCoprime(moduli); err != nil {
-		// Not a valid basis; decompose residue by residue anyway.
-		fmt.Printf("warning: %v\n", err)
-		for _, m := range moduli {
-			fmt.Printf("  %s mod %-4d = %d\n", id, m, id.Mod(m))
-		}
-		return nil
+		// Not a basis a route could be encoded over; each residue is
+		// still what that switch would compute.
+		fmt.Fprintf(stdout, "warning: %v\n", err)
 	}
-	sys, err := rns.NewSystem(moduli)
-	if err != nil {
-		return err
-	}
-	residues := sys.AppendResidues(make([]uint64, 0, len(moduli)), id)
-	for i, m := range moduli {
-		fmt.Printf("  %s mod %-4d = %d\n", id, m, residues[i])
+	for _, m := range moduli {
+		fmt.Fprintf(stdout, "  %s mod %-4d = %d\n", id, m, id.Mod(m))
 	}
 	return nil
 }

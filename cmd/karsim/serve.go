@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -21,7 +22,7 @@ const serveVersion = "karsim-serve/1"
 // runServe runs the long-running scenario/verify daemon until SIGINT
 // or SIGTERM, then drains: readiness drops, queued jobs cancel,
 // in-flight jobs get -drain to finish before being context-cancelled.
-func runServe(args []string) error {
+func runServe(args []string, _ io.Writer) error {
 	fs := flag.NewFlagSet("karsim serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8377", "listen address (use :0 for an ephemeral port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening (for scripts using -addr :0)")

@@ -1,19 +1,9 @@
-// Command kartopo inspects KAR topologies: summaries, adjacency with
-// port numbers, validation, Graphviz DOT output, and encoding-size
-// tables for arbitrary routes.
-//
-// Usage:
-//
-//	kartopo -topo net15                 # summary + adjacency
-//	kartopo -topo rnp28 -dot            # Graphviz DOT on stdout
-//	kartopo -topo net15 -sizes AS1,AS3  # encoding size vs protection budget
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
-	"sort"
+	"io"
 	"strings"
 
 	"repro/internal/core"
@@ -21,17 +11,16 @@ import (
 	"repro/internal/topology"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "kartopo:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("kartopo", flag.ContinueOnError)
+// runTopo inspects a topology: summary and adjacency with port numbers,
+// Graphviz DOT output, or an encoding-size table for one route.
+//
+//	karsim topo -topo net15                 # summary + adjacency
+//	karsim topo -topo rnp28 -dot            # Graphviz DOT on stdout
+//	karsim topo -topo net15 -sizes AS1,AS3  # encoding size vs protection budget
+func runTopo(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("karsim topo", flag.ContinueOnError)
 	var (
-		topoName = fs.String("topo", "net15", "topology: fig1, net15, rnp28, rnp28-fig8 or a generator spec (fattree:4, ...)")
+		topoName = fs.String("topo", "net15", topoHelp)
 		dot      = fs.Bool("dot", false, "emit Graphviz DOT instead of the text summary")
 		sizes    = fs.String("sizes", "", "SRC,DST: print route-ID size vs protection bit budget")
 	)
@@ -45,7 +34,7 @@ func run(args []string) error {
 	}
 
 	if *dot {
-		printDOT(g)
+		printDOT(stdout, g)
 		return nil
 	}
 	if *sizes != "" {
@@ -53,12 +42,12 @@ func run(args []string) error {
 		if len(parts) != 2 {
 			return fmt.Errorf("-sizes wants SRC,DST, got %q", *sizes)
 		}
-		return printSizes(g, strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1]))
+		return printSizes(stdout, g, strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1]))
 	}
 
-	fmt.Println(g.Summary())
-	fmt.Printf("switch IDs: %v\n", g.SwitchIDs())
-	fmt.Println("adjacency (node: port->neighbour):")
+	fmt.Fprintln(stdout, g.Summary())
+	fmt.Fprintf(stdout, "switch IDs: %v\n", g.SwitchIDs())
+	fmt.Fprintln(stdout, "adjacency (node: port->neighbour):")
 	for _, n := range g.Nodes() {
 		var ports []string
 		for i := 0; i < n.PortSpan(); i++ {
@@ -70,43 +59,41 @@ func run(args []string) error {
 		if n.Kind() == topology.KindEdge {
 			kind = "*"
 		}
-		fmt.Printf("  %s%-8s %s\n", kind, n.Name(), strings.Join(ports, "  "))
+		fmt.Fprintf(stdout, "  %s%-8s %s\n", kind, n.Name(), strings.Join(ports, "  "))
 	}
-	fmt.Println("links (rate Mb/s, delay, queue):")
+	fmt.Fprintln(stdout, "links (rate Mb/s, delay, queue):")
 	for _, l := range g.Links() {
-		fmt.Printf("  %-16s %6.0f  %8s  %4d\n", l.Name(), l.RateMbps(), l.Delay(), l.QueuePackets())
+		fmt.Fprintf(stdout, "  %-16s %6.0f  %8s  %4d\n", l.Name(), l.RateMbps(), l.Delay(), l.QueuePackets())
 	}
 	return nil
 }
 
-func printDOT(g *topology.Graph) {
-	fmt.Printf("graph %q {\n", g.Name())
-	fmt.Println("  node [shape=circle];")
+func printDOT(stdout io.Writer, g *topology.Graph) {
+	fmt.Fprintf(stdout, "graph %q {\n", g.Name())
+	fmt.Fprintln(stdout, "  node [shape=circle];")
 	for _, n := range g.Nodes() {
 		if n.Kind() == topology.KindEdge {
-			fmt.Printf("  %q [shape=box, style=filled, fillcolor=lightgrey];\n", n.Name())
+			fmt.Fprintf(stdout, "  %q [shape=box, style=filled, fillcolor=lightgrey];\n", n.Name())
 		} else {
-			fmt.Printf("  %q [label=\"%s\\n%d\"];\n", n.Name(), n.Name(), n.ID())
+			fmt.Fprintf(stdout, "  %q [label=\"%s\\n%d\"];\n", n.Name(), n.Name(), n.ID())
 		}
 	}
 	for _, l := range g.Links() {
-		fmt.Printf("  %q -- %q [label=\"%.0f\"];\n", l.A().Name(), l.B().Name(), l.RateMbps())
+		fmt.Fprintf(stdout, "  %q -- %q [label=\"%.0f\"];\n", l.A().Name(), l.B().Name(), l.RateMbps())
 	}
-	fmt.Println("}")
+	fmt.Fprintln(stdout, "}")
 }
 
-func printSizes(g *topology.Graph, src, dst string) error {
+func printSizes(stdout io.Writer, g *topology.Graph, src, dst string) error {
 	path, err := topology.ShortestPath(g, src, dst, nil)
 	if err != nil {
 		return err
 	}
-	budgets := []int{0, 16, 24, 32, 40, 48, 64, 96, 128}
-	sort.Ints(budgets)
 	tbl := &measure.Table{
 		Title:   fmt.Sprintf("Route-ID size vs protection budget for %s", path),
 		Headers: []string{"Budget (bits)", "Protection hops", "Bit length", "Header bytes"},
 	}
-	for _, budget := range budgets {
+	for _, budget := range []int{0, 16, 24, 32, 40, 48, 64, 96, 128} {
 		label := fmt.Sprint(budget)
 		if budget == 0 {
 			label = "unlimited"
@@ -123,6 +110,6 @@ func printSizes(g *topology.Graph, src, dst string) error {
 		tbl.AddRow(label, fmt.Sprint(len(hops)), fmt.Sprint(route.BitLength()),
 			fmt.Sprint((route.BitLength()+7)/8+3))
 	}
-	fmt.Print(tbl.String())
+	printTables(stdout, false, tbl)
 	return nil
 }

@@ -1,21 +1,9 @@
-// Command kartrace analyses flight-recorder exports produced by
-// karsim -trace-export: per-packet journeys (every hop with its
-// in-port, encoded residue, chosen out-port and deflection cause),
-// deflection-cause breakdowns, and the control-plane reaction-latency
-// table (failure → detection → reroute → install → first post-repair
-// delivery, with percentiles across reaction chains).
-//
-// Usage:
-//
-//	karsim -scenario flap.json -trace-export t   # produces t.jsonl
-//	kartrace -in t.jsonl                         # summary + reaction table
-//	kartrace -in t.jsonl -journeys 5             # also print 5 journeys per run
-//	kartrace -in t.jsonl -flow AS1:AS3           # restrict to one flow
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -25,35 +13,40 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "kartrace:", err)
-		os.Exit(1)
-	}
-}
-
-type options struct {
-	in       string
-	flow     string
-	journeys int
-	csv      bool
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("kartrace", flag.ContinueOnError)
-	opts := options{}
-	fs.StringVar(&opts.in, "in", "", "flight-recorder JSONL file (karsim -trace-export <prefix> writes <prefix>.jsonl)")
-	fs.StringVar(&opts.flow, "flow", "", "restrict to one flow, as src:dst (either direction)")
-	fs.IntVar(&opts.journeys, "journeys", 0, "print hop-by-hop detail for up to this many journeys per run")
-	fs.BoolVar(&opts.csv, "csv", false, "emit CSV instead of aligned tables")
+// runTrace analyses a flight-recorder export written by karsim
+// -trace-export: per-packet journeys (every hop with its in-port,
+// encoded residue, chosen out-port and deflection cause),
+// deflection-cause breakdowns, and the control-plane reaction-latency
+// table (failure → detection → reroute → install → first post-repair
+// delivery, with percentiles across reaction chains).
+//
+//	karsim -scenario flap.json -trace-export t   # produces t.jsonl
+//	karsim trace -in t.jsonl                     # summary + reaction table
+//	karsim trace -in t.jsonl -journeys 5         # also print 5 journeys per run
+//	karsim trace -in t.jsonl -flow AS1:AS3       # restrict to one flow
+func runTrace(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("karsim trace", flag.ContinueOnError)
+	var (
+		in     = fs.String("in", "", "flight-recorder JSONL file (karsim -trace-export <prefix> writes <prefix>.jsonl)")
+		flow   = fs.String("flow", "", "restrict to one flow, as src:dst (either direction)")
+		detail = fs.Int("journeys", 0, "print hop-by-hop detail for up to this many journeys per run")
+		csv    = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if opts.in == "" {
+	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
+	var src, dst string
+	if *flow != "" {
+		var ok bool
+		if src, dst, ok = strings.Cut(*flow, ":"); !ok {
+			return fmt.Errorf("-flow %q: want src:dst", *flow)
+		}
+	}
 
-	f, err := os.Open(opts.in)
+	f, err := os.Open(*in)
 	if err != nil {
 		return err
 	}
@@ -63,48 +56,42 @@ func run(args []string) error {
 		return err
 	}
 	if len(runs) == 0 {
-		return fmt.Errorf("%s: no records", opts.in)
+		return fmt.Errorf("%s: no records", *in)
 	}
 
 	for _, rt := range runs {
-		records := filterFlow(rt.Records, opts.flow)
+		records := rt.Records
+		if *flow != "" {
+			records = filterFlow(records, src, dst)
+		}
 		journeys := trace.Journeys(records)
 		reactions := trace.Reactions(rt.Records) // reaction chains are flow-independent
 
-		fmt.Printf("== run %s: %d records, %d journeys, %d reaction chains\n",
+		fmt.Fprintf(stdout, "== run %s: %d records, %d journeys, %d reaction chains\n",
 			rt.Run, len(records), len(journeys), len(reactions))
-		emit(opts, journeySummary(journeys))
+		tables := []*measure.Table{journeySummary(journeys)}
 		if tbl := causeTable(journeys); len(tbl.Rows) > 0 {
-			fmt.Println()
-			emit(opts, tbl)
+			tables = append(tables, tbl)
 		}
 		if len(reactions) > 0 {
-			fmt.Println()
-			emit(opts, reactionTable(reactions))
+			tables = append(tables, reactionTable(reactions))
 		}
+		printTables(stdout, *csv, tables...)
 		for i, j := range journeys {
-			if i >= opts.journeys {
+			if i >= *detail {
 				break
 			}
-			fmt.Println()
-			printJourney(j)
+			fmt.Fprintln(stdout)
+			printJourney(stdout, j)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	return nil
 }
 
-// filterFlow keeps records of one src:dst flow (either direction);
-// empty keeps everything. Control-plane records always pass.
-func filterFlow(recs []trace.Record, spec string) []trace.Record {
-	if spec == "" {
-		return recs
-	}
-	parts := strings.SplitN(spec, ":", 2)
-	if len(parts) != 2 {
-		return recs
-	}
-	a, b := parts[0], parts[1]
+// filterFlow keeps the records of the flow between a and b, in either
+// direction. Control-plane records always pass.
+func filterFlow(recs []trace.Record, a, b string) []trace.Record {
 	out := make([]trace.Record, 0, len(recs))
 	for _, r := range recs {
 		if r.Kind == trace.RecCtrl ||
@@ -120,13 +107,13 @@ func filterFlow(recs []trace.Record, spec string) []trace.Record {
 // stretch vs the encoded baseline, deflection counts.
 func journeySummary(js []trace.Journey) *measure.Table {
 	type agg struct {
-		flow                           string
-		total, delivered, dropped      int
-		hops, deflections              int
-		worstStretch                   float64
-		stretchSum                     float64
-		stretched                      int // journeys with a known baseline
-		minLatency, maxLatency, sumLat time.Duration
+		flow                      string
+		total, delivered, dropped int
+		deflections               int
+		worstStretch              float64
+		stretchSum                float64
+		stretched                 int // journeys with a known baseline
+		sumLat                    time.Duration
 	}
 	byFlow := make(map[string]*agg)
 	var order []string
@@ -134,7 +121,7 @@ func journeySummary(js []trace.Journey) *measure.Table {
 		key := fmt.Sprintf("%s->%s %s", j.Flow.Src, j.Flow.Dst, j.PktKind)
 		a := byFlow[key]
 		if a == nil {
-			a = &agg{flow: key, minLatency: -1}
+			a = &agg{flow: key}
 			byFlow[key] = a
 			order = append(order, key)
 		}
@@ -142,18 +129,10 @@ func journeySummary(js []trace.Journey) *measure.Table {
 		switch {
 		case j.Outcome == "delivered":
 			a.delivered++
-			lat := j.End - j.Start
-			if a.minLatency < 0 || lat < a.minLatency {
-				a.minLatency = lat
-			}
-			if lat > a.maxLatency {
-				a.maxLatency = lat
-			}
-			a.sumLat += lat
+			a.sumLat += j.End - j.Start
 		case j.Outcome != "in-flight":
 			a.dropped++
 		}
-		a.hops += j.HopCount
 		a.deflections += j.Deflections()
 		// Stretch only makes sense for completed journeys: a packet
 		// dropped mid-path has fewer hops than the baseline by dying,
@@ -277,12 +256,12 @@ func fmtDur(d time.Duration) string {
 }
 
 // printJourney dumps one journey hop by hop.
-func printJourney(j trace.Journey) {
+func printJourney(stdout io.Writer, j trace.Journey) {
 	stretch := ""
 	if s := j.Stretch(); s > 0 {
 		stretch = fmt.Sprintf(" stretch=%.2f (baseline %d)", s, j.Baseline)
 	}
-	fmt.Printf("journey %s->%s %s seq=%d: %s in %s, %d hops, %d deflections%s\n",
+	fmt.Fprintf(stdout, "journey %s->%s %s seq=%d: %s in %s, %d hops, %d deflections%s\n",
 		j.Flow.Src, j.Flow.Dst, j.PktKind, j.Seq,
 		j.Outcome, fmtDur(j.End-j.Start), j.HopCount, j.Deflections(), stretch)
 	for _, h := range j.Hops {
@@ -298,18 +277,10 @@ func printJourney(j trace.Journey) {
 		if h.InPort >= 0 {
 			in = fmt.Sprintf("in %d ", h.InPort)
 		}
-		fmt.Printf("  %10s  %-8s %sout %d%s%s\n",
+		fmt.Fprintf(stdout, "  %10s  %-8s %sout %d%s%s\n",
 			fmtDur(h.At), h.Where, in, h.OutPort, cause, wait)
 	}
 	if j.Outcome != "delivered" && j.Outcome != "in-flight" {
-		fmt.Printf("  %10s  %s at %s\n", fmtDur(j.End), j.Outcome, j.Where)
+		fmt.Fprintf(stdout, "  %10s  %s at %s\n", fmtDur(j.End), j.Outcome, j.Where)
 	}
-}
-
-func emit(opts options, tbl *measure.Table) {
-	if opts.csv {
-		fmt.Print(tbl.CSV())
-		return
-	}
-	fmt.Print(tbl.String())
 }

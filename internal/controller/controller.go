@@ -590,6 +590,3 @@ func (c *Controller) reinstallAll() error {
 	sortPairs(all)
 	return c.reroute(all)
 }
-
-// Notifications returns how many failure/repair reports arrived.
-func (c *Controller) Notifications() int64 { return c.cNotifies.Value() }

@@ -142,8 +142,8 @@ func TestNotifyFailureIgnoredByDefault(t *testing.T) {
 	if after != r {
 		t.Error("route changed despite ignored notifications (the paper's evaluation mode)")
 	}
-	if c.Notifications() != 1 {
-		t.Errorf("Notifications = %d, want 1", c.Notifications())
+	if n := c.cNotifies.Value(); n != 1 {
+		t.Errorf("kar_ctrl_notifications_total = %d, want 1", n)
 	}
 }
 

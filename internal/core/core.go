@@ -89,21 +89,6 @@ func (r *Route) BitLength() int { return r.System.BitLength() }
 // second column of the paper's Table 1).
 func (r *Route) SwitchCount() int { return len(r.Primary) + len(r.Protection) }
 
-// NextFrom returns the neighbour this route drives packets to from the
-// named switch, if the switch is encoded.
-func (r *Route) NextFrom(name string) (*topology.Node, bool) {
-	all := make([]Hop, 0, len(r.Primary)+len(r.Protection))
-	all = append(all, r.Primary...)
-	all = append(all, r.Protection...)
-	for _, h := range all {
-		if h.Switch.Name() == name {
-			nb, ok := h.Switch.Neighbor(h.Port)
-			return nb, ok
-		}
-	}
-	return nil, false
-}
-
 // String renders a compact description.
 func (r *Route) String() string {
 	var b strings.Builder

@@ -20,8 +20,9 @@ func encoderFixture(t *testing.T) (*topology.Graph, topology.Path) {
 }
 
 // TestEncoderMatchesEncodeRoute: the cached encoder is a drop-in for
-// EncodeRoute — identical routes, one basis validation per distinct
-// switch set (in any order).
+// EncodeRoute — identical routes, and a basis seen before is served the
+// System built then (that a permutation of one is not validated again
+// is rns.BasisCache's own test).
 func TestEncoderMatchesEncodeRoute(t *testing.T) {
 	g, path := encoderFixture(t)
 	enc := NewEncoder()
@@ -37,8 +38,12 @@ func TestEncoderMatchesEncodeRoute(t *testing.T) {
 	if !cached.ID.Equal(fresh.ID) {
 		t.Errorf("cached ID %v != fresh ID %v", cached.ID, fresh.ID)
 	}
-	if _, err := enc.EncodeRoute(path, nil); err != nil {
+	repeat, err := enc.EncodeRoute(path, nil)
+	if err != nil {
 		t.Fatalf("Encoder.EncodeRoute (repeat): %v", err)
+	}
+	if repeat.System != cached.System {
+		t.Error("a repeated basis was not served the cached System")
 	}
 
 	// The reverse path visits the same switches in reverse order: the
@@ -58,12 +63,8 @@ func TestEncoderMatchesEncodeRoute(t *testing.T) {
 	if !revCached.ID.Equal(revFresh.ID) {
 		t.Errorf("reverse cached ID %v != fresh ID %v", revCached.ID, revFresh.ID)
 	}
-	hits, misses := enc.cache.Hits(), enc.cache.Misses()
-	if misses != 1 {
-		t.Errorf("basis-cache misses = %d, want 1 (one distinct switch set)", misses)
-	}
-	if hits != 2 {
-		t.Errorf("basis-cache hits = %d, want 2", hits)
+	if revRepeat, err := enc.EncodeRoute(rev, nil); err != nil || revRepeat.System != revCached.System {
+		t.Errorf("a repeated reverse basis was not served the cached System (%v)", err)
 	}
 }
 

@@ -166,14 +166,12 @@ func TestEdgeMisdeliveryWithoutController(t *testing.T) {
 	net, g := threeNode(t)
 	e1n, _ := g.Node("E1")
 	New(net, e1n, nil)
-	var drops []simnet.Drop
-	net.SetDropHook(func(d simnet.Drop) { drops = append(drops, d) })
 	stray := &packet.Packet{Flow: packet.FlowID{Src: "X", Dst: "E2"}, Size: 100, TTL: 5}
 	sw, _ := g.Node("SW7")
 	net.Send(sw, 0, stray)
 	net.Scheduler().RunUntil(time.Second)
-	if len(drops) != 1 {
-		t.Fatalf("drops = %d, want 1 (no controller to re-encode)", len(drops))
+	if drops := net.Dropped(); drops != 1 {
+		t.Fatalf("drops = %d, want 1 (no controller to re-encode)", drops)
 	}
 }
 
@@ -182,14 +180,12 @@ func TestEdgeMisdeliveryReencodeFails(t *testing.T) {
 	e1n, _ := g.Node("E1")
 	re := &fixedReencoder{err: errors.New("no path")}
 	e1 := New(net, e1n, re)
-	var drops []simnet.Drop
-	net.SetDropHook(func(d simnet.Drop) { drops = append(drops, d) })
 	stray := &packet.Packet{Flow: packet.FlowID{Src: "X", Dst: "E2"}, Size: 100, TTL: 5}
 	sw, _ := g.Node("SW7")
 	net.Send(sw, 0, stray)
 	net.Scheduler().RunUntil(time.Second)
-	if len(drops) != 1 {
-		t.Fatalf("drops = %d, want 1 (re-encode failed)", len(drops))
+	if drops := net.Dropped(); drops != 1 {
+		t.Fatalf("drops = %d, want 1 (re-encode failed)", drops)
 	}
 	if st := e1.Stats(); st.Reencoded != 0 {
 		t.Errorf("Reencoded = %d, want 0", st.Reencoded)
@@ -274,8 +270,6 @@ func TestEdgeReencodeErrorReleases(t *testing.T) {
 	e1n, _ := g.Node("E1")
 	re := &fixedReencoder{err: errors.New("no path")}
 	e1 := New(net, e1n, re)
-	var reasons []simnet.DropReason
-	net.SetDropHook(func(d simnet.Drop) { reasons = append(reasons, d.Reason) })
 	flow := packet.FlowID{Src: "X", Dst: "E2"}
 	pkts := []*packet.Packet{packet.Get(), packet.Get()}
 	for _, p := range pkts {
@@ -283,8 +277,8 @@ func TestEdgeReencodeErrorReleases(t *testing.T) {
 		net.Deliver(p, e1n, 0)
 	}
 	net.Scheduler().RunUntil(time.Second)
-	if len(reasons) != 2 || reasons[0] != simnet.DropNoViablePort || reasons[1] != simnet.DropNoViablePort {
-		t.Fatalf("drop reasons = %v, want two no-viable-port", reasons)
+	if noPort := net.Metrics().SumCounter("kar_net_drops_total", "reason", simnet.DropNoViablePort.String()); net.Dropped() != 2 || noPort != 2 {
+		t.Fatalf("dropped %d packets, %d of them no-viable-port, want 2 and 2", net.Dropped(), noPort)
 	}
 	for i, p := range pkts {
 		if p.Flow != (packet.FlowID{}) { // Release zeroes a pool-owned packet

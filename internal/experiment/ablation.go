@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/controller"
 	"repro/internal/measure"
 	"repro/internal/packet"
 	"repro/internal/tcpsim"
@@ -153,9 +154,9 @@ func Reaction(cfg ReactionConfig) ([]ReactionRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		var opts []WorldOption
+		var opts []any
 		if s.reactive {
-			opts = append(opts, WithFailureReaction(), WithControlWorkers(cfg.Workers))
+			opts = append(opts, controller.WithFailureReaction(), controller.WithWorkers(cfg.Workers))
 		}
 		w := NewWorld(g, mustPolicy(s.policy), cfg.Seed, opts...)
 		recorder := cfg.Trace.Attach(w.Net)

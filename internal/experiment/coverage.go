@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/measure"
 	"repro/internal/topology"
 )
@@ -86,11 +88,17 @@ func analyzeOne(builder func() (*topology.Graph, error), src, dst string,
 	if err != nil {
 		return analysis.Result{}, err
 	}
-	w := NewWorld(g, mustPolicy(policy), 1)
+	// The analysis reads the controller's route table alone: no switch,
+	// edge or simulator is built for a closed form.
+	hops, err := core.HopsFromPairs(g, protection)
+	if err != nil {
+		return analysis.Result{}, err
+	}
+	ctrl := controller.New(g)
 	if len(path) > 0 {
-		_, err = w.InstallRouteOnPath(path, protection)
+		_, err = ctrl.InstallRouteOnPath(path, hops)
 	} else {
-		_, err = w.InstallRoute(src, dst, protection)
+		_, err = ctrl.InstallRoute(src, dst, hops)
 	}
 	if err != nil {
 		return analysis.Result{}, err
@@ -99,7 +107,7 @@ func analyzeOne(builder func() (*topology.Graph, error), src, dst string,
 	if !ok {
 		return analysis.Result{}, fmt.Errorf("experiment: no link %s-%s", fail[0], fail[1])
 	}
-	an, err := analysis.New(w.Ctrl, policy, []*topology.Link{l})
+	an, err := analysis.New(ctrl, policy, []*topology.Link{l})
 	if err != nil {
 		return analysis.Result{}, err
 	}

@@ -109,7 +109,7 @@ func RunTCP(cfg TCPRunConfig) (*TCPRunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := NewWorld(g, policy, cfg.Seed, scalarOption(cfg.Scalar))
+	w := NewWorld(g, policy, cfg.Seed, scalarPlane(cfg.Scalar)...)
 	// Attach the flight recorder before any route install, so the
 	// initial ingress programming lands on the control-plane timeline.
 	recorder := cfg.Trace.Attach(w.Net)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/measure"
+	"repro/internal/simnet"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -141,11 +142,13 @@ func Scale(cfg ScaleConfig) (*ScaleResult, error) {
 	}
 
 	buildStart := time.Now()
-	w := NewWorld(g, policy, cfg.Seed,
-		WithShards(cfg.Shards),
-		WithWorldEventCapacity(max(65536, 8*cfg.Pairs)),
-		scalarOption(cfg.Scalar),
-	)
+	// Scale worlds install thousands of routes: the event log's default
+	// capacity would evict, and eviction order is the one thing the
+	// parallel lanes do not keep deterministic.
+	w := NewWorld(g, policy, cfg.Seed, append(scalarPlane(cfg.Scalar),
+		simnet.WithShards(cfg.Shards),
+		simnet.WithEventCapacity(max(65536, 8*cfg.Pairs)),
+	)...)
 	recorder := cfg.Trace.Attach(w.Net)
 
 	// Distinct ordered pairs, drawn by seed. The draw sequence — and
@@ -255,9 +258,10 @@ func ScaleTable(r *ScaleResult) *measure.Table {
 	return tbl
 }
 
-func scalarOption(scalar bool) WorldOption {
+// scalarPlane is the world option a config's Scalar field stands for.
+func scalarPlane(scalar bool) []any {
 	if scalar {
-		return WithScalarDataPlane()
+		return []any{simnet.WithScalarDataPlane()}
 	}
-	return func(*worldConfig) {}
+	return nil
 }

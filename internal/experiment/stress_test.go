@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/packet"
-	"repro/internal/simnet"
 	"repro/internal/topology"
 	"repro/internal/udpsim"
 )
@@ -29,8 +28,6 @@ func TestFlappingLinkAccounting(t *testing.T) {
 		w.Net.ScheduleFailure(link, time.Duration(i)*100*time.Millisecond, 50*time.Millisecond)
 	}
 
-	drops := 0
-	w.Net.SetDropHook(func(simnet.Drop) { drops++ })
 	flow := packet.FlowID{Src: "AS1", Dst: "AS3"}
 	send, recv := udpsim.NewFlow(w.Net, w.Edges["AS1"], w.Edges["AS3"], flow, udpsim.Config{
 		Interval: time.Millisecond, Count: 2500,
@@ -42,6 +39,7 @@ func TestFlappingLinkAccounting(t *testing.T) {
 	if st.DupSeqs != 0 {
 		t.Errorf("duplicated packets: %d", st.DupSeqs)
 	}
+	drops := int(w.Net.Dropped())
 	if st.Received+drops < st.Sent {
 		t.Errorf("conservation violated: sent %d, delivered %d + dropped %d", st.Sent, st.Received, drops)
 	}

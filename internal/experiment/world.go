@@ -30,135 +30,37 @@ type World struct {
 // NewWorld wires a network over g: one KAR switch per core node (all
 // running policy, with per-switch RNGs derived from seed) and one edge
 // node per edge, connected to a controller in the paper's
-// ignore-failures mode.
-func NewWorld(g *topology.Graph, policy deflect.Policy, seed int64, opts ...WorldOption) *World {
-	cfg := worldConfig{reencodeDelay: edge.DefaultReencodeDelay}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// ignore-failures mode. opts are the layers' own options: each
+// simnet.Option reaches the network, each controller.Option the
+// controller and each edge.Option every edge; a value of any other type
+// is a bug in the caller and panics.
+func NewWorld(g *topology.Graph, policy deflect.Policy, seed int64, opts ...any) *World {
 	// The policy rides as a base label on every metric of this world,
-	// so merged per-run dumps stay separable (e.g.
+	// ahead of the caller's, so merged per-run dumps stay separable (e.g.
 	// kar_switch_deflections_total{policy="nip",...}).
 	netOpts := []simnet.Option{simnet.WithMetricLabels("policy", policy.Name())}
-	if len(cfg.metricLabels) > 0 {
-		netOpts = append(netOpts, simnet.WithMetricLabels(cfg.metricLabels...))
-	}
-	if cfg.detectDown > 0 || cfg.detectUp > 0 {
-		netOpts = append(netOpts, simnet.WithDetectionDelay(cfg.detectDown, cfg.detectUp))
-	}
-	if cfg.scalarDataPlane {
-		netOpts = append(netOpts, simnet.WithScalarDataPlane())
-	}
-	if cfg.shards > 1 {
-		netOpts = append(netOpts, simnet.WithShards(cfg.shards))
-	}
-	if cfg.eventCap > 0 {
-		netOpts = append(netOpts, simnet.WithEventCapacity(cfg.eventCap))
+	var ctrlOpts []controller.Option
+	var edgeOpts []edge.Option
+	for _, opt := range opts {
+		switch opt := opt.(type) {
+		case simnet.Option:
+			netOpts = append(netOpts, opt)
+		case controller.Option:
+			ctrlOpts = append(ctrlOpts, opt)
+		case edge.Option:
+			edgeOpts = append(edgeOpts, opt)
+		default:
+			panic(fmt.Sprintf("experiment: NewWorld option %T is not a simnet, controller or edge option", opt))
+		}
 	}
 	w := &World{Net: simnet.New(g, netOpts...)}
 	// Controller telemetry shares the world's registry and event log:
 	// route installs and re-encodes interleave with link failures on
 	// one virtual timeline.
-	ctrlOpts := []controller.Option{
-		controller.WithTelemetry(w.Net.Metrics(), w.Net.Events()),
-		controller.WithWorkers(cfg.controlWorkers),
-	}
-	if cfg.reactToFailures {
-		ctrlOpts = append(ctrlOpts, controller.WithFailureReaction())
-	}
-	if cfg.autoProtect {
-		ctrlOpts = append(ctrlOpts, controller.WithAutoProtection(core.PlanOptions{}))
-	}
-	w.Ctrl = controller.New(g, ctrlOpts...)
+	w.Ctrl = controller.New(g, append(ctrlOpts, controller.WithTelemetry(w.Net.Metrics(), w.Net.Events()))...)
 	w.Switches = kswitch.InstallAll(w.Net, policy, seed)
-	w.Edges = edge.InstallAll(w.Net, w.Ctrl, edge.WithReencodeDelay(cfg.reencodeDelay))
+	w.Edges = edge.InstallAll(w.Net, w.Ctrl, edgeOpts...)
 	return w
-}
-
-type worldConfig struct {
-	reencodeDelay   time.Duration
-	reactToFailures bool
-	controlWorkers  int
-	detectDown      time.Duration
-	detectUp        time.Duration
-	metricLabels    []string
-	scalarDataPlane bool
-	shards          int
-	eventCap        int
-	autoProtect     bool
-}
-
-// WorldOption tunes world assembly.
-type WorldOption func(*worldConfig)
-
-// WithReencodeDelay sets the edge↔controller round trip for
-// misdelivered packets.
-func WithReencodeDelay(d time.Duration) WorldOption {
-	return func(c *worldConfig) { c.reencodeDelay = d }
-}
-
-// WithFailureReaction builds the controller in reactive mode (the
-// non-paper baseline).
-func WithFailureReaction() WorldOption {
-	return func(c *worldConfig) { c.reactToFailures = true }
-}
-
-// WithAutoProtection builds the controller with per-destination
-// protection planning (controller.WithAutoProtection, complete
-// coverage): every installed route gets driven-deflection residues
-// along a tree rooted at its own destination, so explicit protection
-// pair lists become unnecessary and the guarantee is symmetric in
-// direction.
-func WithAutoProtection() WorldOption {
-	return func(c *worldConfig) { c.autoProtect = true }
-}
-
-// WithControlWorkers bounds the controller's reroute worker pool
-// (0: one per CPU). Worker count never changes results — reroute
-// installs are ordered deterministically — only wall clock.
-func WithControlWorkers(n int) WorldOption {
-	return func(c *worldConfig) { c.controlWorkers = n }
-}
-
-// WithWorldMetricLabels attaches extra constant key/value labels to
-// every metric of the world (on top of the policy label), so merged
-// multi-run dumps stay separable per run.
-func WithWorldMetricLabels(kv ...string) WorldOption {
-	return func(c *worldConfig) { c.metricLabels = append(c.metricLabels, kv...) }
-}
-
-// WithScalarDataPlane builds the world's network without packet-train
-// batching (see simnet.WithScalarDataPlane). Results are identical in
-// both modes — this exists for the byte-identity gate and benchmarks.
-func WithScalarDataPlane() WorldOption {
-	return func(c *worldConfig) { c.scalarDataPlane = true }
-}
-
-// WithShards partitions the world's network into n region shards that
-// advance in parallel under conservative lookahead windows (see
-// simnet.WithShards). Results are byte-identical for every shard
-// count; only wall clock changes.
-func WithShards(n int) WorldOption {
-	return func(c *worldConfig) { c.shards = n }
-}
-
-// WithWorldEventCapacity raises the control-plane event log's
-// retention. Scale worlds install thousands of routes; the default
-// capacity would evict, and eviction order is the one thing the
-// parallel lanes do not keep deterministic.
-func WithWorldEventCapacity(n int) WorldOption {
-	return func(c *worldConfig) { c.eventCap = n }
-}
-
-// WithDetectionDelays threads a failure-detection latency model into
-// the world's network (see simnet.WithDetectionDelay): switches see a
-// link transition only down/up after it happens, so pre-detection
-// packets black-hole instead of being cleanly dropped.
-func WithDetectionDelays(down, up time.Duration) WorldOption {
-	return func(c *worldConfig) {
-		c.detectDown = down
-		c.detectUp = up
-	}
 }
 
 // InstallRoute computes, encodes and installs the shortest route from

@@ -9,6 +9,11 @@ import (
 	"repro/internal/topology"
 )
 
+// linkUp reads a link's physical state off its kar_link_up gauge.
+func linkUp(w *World, l *topology.Link) bool {
+	return w.Net.Metrics().Gauge("kar_link_up", "link", l.Name()).Value() == 1
+}
+
 // Regression for composing a direct World.FailLinkBetween window with
 // a scenario-style fault.Flap on the same link: both now stack
 // refcounted down-holds, so the link is down exactly on the union of
@@ -53,7 +58,7 @@ func TestFailLinkBetweenComposesWithFlap(t *testing.T) {
 		11 * time.Millisecond, // both over
 	} {
 		at := at
-		sched.At(at, func() { probes[at] = w.Net.LinkUp(l) })
+		sched.At(at, func() { probes[at] = linkUp(w, l) })
 	}
 	w.Run(time.Second)
 
@@ -69,7 +74,7 @@ func TestFailLinkBetweenComposesWithFlap(t *testing.T) {
 			t.Errorf("link up=%v at %v, want %v", probes[at], at, wantUp)
 		}
 	}
-	if !w.Net.LinkUp(l) {
+	if !linkUp(w, l) {
 		t.Error("link still down after both failure causes ended")
 	}
 }
@@ -91,7 +96,7 @@ func TestFailLinkBetweenPermanent(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Run(time.Second)
-	if w.Net.LinkUp(l) {
+	if linkUp(w, l) {
 		t.Error("link up after a permanent FailLinkBetween")
 	}
 }

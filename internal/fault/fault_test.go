@@ -13,6 +13,11 @@ import (
 
 // pairNet builds A-B with an optional detection model and a counting
 // sink bound to B.
+// linkUp reads a link's physical state off its kar_link_up gauge.
+func linkUp(n *simnet.Network, l *topology.Link) bool {
+	return n.Metrics().Gauge("kar_link_up", "link", l.Name()).Value() == 1
+}
+
 func pairNet(t *testing.T, opts ...simnet.Option) (*simnet.Network, *topology.Node, *topology.Link, *recorder) {
 	t.Helper()
 	g := topology.New("pair")
@@ -78,7 +83,7 @@ func TestLinkCutWindow(t *testing.T) {
 	if rec.pkts[0].Seq != 0 || rec.pkts[1].Seq != 7 {
 		t.Errorf("delivered seqs %d,%d; want 0,7", rec.pkts[0].Seq, rec.pkts[1].Seq)
 	}
-	if !n.LinkUp(link) {
+	if !linkUp(n, link) {
 		t.Error("link still down after the cut window")
 	}
 	if got := n.Metrics().CounterValue("kar_fault_injections_total", "kind", "link_cut"); got != 1 {
@@ -93,7 +98,7 @@ func TestPermanentLinkCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Scheduler().RunUntil(time.Second)
-	if n.LinkUp(link) {
+	if linkUp(n, link) {
 		t.Error("permanent cut came back up")
 	}
 }
@@ -111,7 +116,7 @@ func TestFlapDeterministicTrain(t *testing.T) {
 	states := map[time.Duration]bool{}
 	for k := 0; k < 8; k++ {
 		at := time.Duration(k)*time.Millisecond + 500*time.Microsecond
-		n.Scheduler().At(at, func() { states[at] = n.LinkUp(link) })
+		n.Scheduler().At(at, func() { states[at] = linkUp(n, link) })
 	}
 	n.Scheduler().RunUntil(time.Second)
 	for at, up := range states {
@@ -121,7 +126,7 @@ func TestFlapDeterministicTrain(t *testing.T) {
 			t.Errorf("at %v link up=%v, want down=%v", at, up, wantDown)
 		}
 	}
-	if !n.LinkUp(link) {
+	if !linkUp(n, link) {
 		t.Error("flap leaked a down-hold past its window")
 	}
 }
@@ -180,7 +185,7 @@ func TestExpFlapNeverLeaksHoldPastWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.Scheduler().RunUntil(time.Second)
-		if !n.LinkUp(link) {
+		if !linkUp(n, link) {
 			t.Fatalf("seed %d: link still down after the flap window", seed)
 		}
 	}
@@ -233,7 +238,7 @@ func TestSwitchCrashHoldsAllPorts(t *testing.T) {
 		downAll = true
 		for i := 0; i < s.Degree(); i++ {
 			l, _ := s.PortLink(i)
-			if n.LinkUp(l) {
+			if linkUp(n, l) {
 				downAll = false
 			}
 		}
@@ -242,7 +247,7 @@ func TestSwitchCrashHoldsAllPorts(t *testing.T) {
 		upAll = true
 		for i := 0; i < s.Degree(); i++ {
 			l, _ := s.PortLink(i)
-			if !n.LinkUp(l) {
+			if !linkUp(n, l) {
 				upAll = false
 			}
 		}
@@ -270,8 +275,8 @@ func TestCrashComposesWithScheduledWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var at5, at12 bool
-	n.Scheduler().At(5*time.Millisecond, func() { at5 = n.LinkUp(l) })
-	n.Scheduler().At(12*time.Millisecond, func() { at12 = n.LinkUp(l) })
+	n.Scheduler().At(5*time.Millisecond, func() { at5 = linkUp(n, l) })
+	n.Scheduler().At(12*time.Millisecond, func() { at12 = linkUp(n, l) })
 	n.Scheduler().RunUntil(time.Second)
 	if at5 {
 		t.Error("S-E0 up at 5ms while the scheduled window still holds it")

@@ -132,12 +132,10 @@ func (p portPolicy) Decide(deflect.SwitchView, rns.RouteID, int, bool, *rand.Ran
 func TestDecisionOnPortWithoutLink(t *testing.T) {
 	for _, port := range []int{2, 4, -1} {
 		net, sw, _ := gapWorld(t, portPolicy(port))
-		var drops []simnet.Drop
-		net.SetDropHook(func(d simnet.Drop) { drops = append(drops, d) })
 		sw.HandlePacket(&packet.Packet{RouteID: rns.RouteIDFromUint64(7), TTL: 8, Size: 100}, 1)
 		net.Scheduler().RunUntil(time.Second)
-		if len(drops) != 1 || drops[0].Reason != simnet.DropNoPort {
-			t.Errorf("port %d: drops = %+v, want one no-port drop", port, drops)
+		if drops := net.Dropped(); drops != 1 {
+			t.Errorf("port %d: %d drops, want one (no-port, read below)", port, drops)
 		}
 		reg := net.Metrics()
 		if got := reg.CounterValue("kar_net_sends_total"); got != 1 {

@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // BasisCache memoises System construction. NewSystem pays an O(n²)
@@ -32,9 +31,6 @@ type BasisCache struct {
 	mu     sync.RWMutex
 	exact  map[string]*System // moduli in request order → shared System
 	sorted map[string]*System // sorted moduli → canonical System
-
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 // NewBasisCache builds an empty cache.
@@ -44,13 +40,6 @@ func NewBasisCache() *BasisCache {
 		sorted: make(map[string]*System),
 	}
 }
-
-// Hits returns how many System calls were served from cache (either
-// level).
-func (c *BasisCache) Hits() int64 { return c.hits.Load() }
-
-// Misses returns how many System calls paid full NewSystem validation.
-func (c *BasisCache) Misses() int64 { return c.misses.Load() }
 
 // fingerprintInto appends the big-endian byte encoding of moduli to
 // key and returns it: a collision-free map key.
@@ -73,14 +62,12 @@ func (c *BasisCache) System(moduli []uint64) (*System, error) {
 	sys, ok := c.exact[string(key)]
 	c.mu.RUnlock()
 	if ok {
-		c.hits.Add(1)
 		return sys, nil
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if sys, ok := c.exact[string(key)]; ok { // raced with another miss
-		c.hits.Add(1)
 		return sys, nil
 	}
 
@@ -88,11 +75,9 @@ func (c *BasisCache) System(moduli []uint64) (*System, error) {
 	if canon, ok := c.sorted[string(skey)]; ok {
 		sys := permuteSystem(canon, moduli)
 		c.exact[string(key)] = sys
-		c.hits.Add(1)
 		return sys, nil
 	}
 
-	c.misses.Add(1)
 	sys, err := NewSystem(moduli)
 	if err != nil {
 		return nil, err

@@ -7,11 +7,14 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/packet"
 	"repro/internal/par"
 	"repro/internal/resilience"
+	"repro/internal/simnet"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -291,26 +294,22 @@ func runOne(ctx context.Context, spec *Spec, idx int, opts *RunOptions) (*RunRes
 
 	labels := []string{"scenario", spec.Name, "run", strconv.Itoa(idx)}
 	labels = append(labels, opts.ExtraRunLabels...)
-	worldOpts := []experiment.WorldOption{
-		experiment.WithWorldMetricLabels(labels...),
+	worldOpts := []any{
+		simnet.WithMetricLabels(labels...),
+		simnet.WithShards(spec.Shards),
 	}
 	det := spec.Detection
 	if det != nil {
-		if det.DownDelay > 0 || det.UpDelay > 0 {
-			worldOpts = append(worldOpts, experiment.WithDetectionDelays(det.DownDelay.D(), det.UpDelay.D()))
-		}
+		worldOpts = append(worldOpts, simnet.WithDetectionDelay(det.DownDelay.D(), det.UpDelay.D()))
 		if det.React {
-			worldOpts = append(worldOpts, experiment.WithFailureReaction())
+			worldOpts = append(worldOpts, controller.WithFailureReaction())
 		}
 	}
 	if scalar {
-		worldOpts = append(worldOpts, experiment.WithScalarDataPlane())
+		worldOpts = append(worldOpts, simnet.WithScalarDataPlane())
 	}
 	if auto {
-		worldOpts = append(worldOpts, experiment.WithAutoProtection())
-	}
-	if spec.Shards > 1 {
-		worldOpts = append(worldOpts, experiment.WithShards(spec.Shards))
+		worldOpts = append(worldOpts, controller.WithAutoProtection(core.PlanOptions{}))
 	}
 	w := experiment.NewWorld(g, policy, seed, worldOpts...)
 	// Attach before route installs so the initial ingress programming

@@ -193,6 +193,12 @@ func Load(path string) (*Spec, error) {
 	return spec, nil
 }
 
+// MaxPackets bounds what the flows of one run may emit together (Σ
+// duration / interval): a scenario arrives from a file or a daemon
+// request, and a 1 ns interval is a run that never ends. The largest
+// committed scenario emits 3 000.
+const MaxPackets = 10_000_000
+
 // Parse decodes and validates a scenario from r. Unknown fields are
 // rejected so typos in scenario files fail loudly.
 func Parse(r io.Reader) (*Spec, error) {
@@ -233,6 +239,7 @@ func (s *Spec) Validate() error {
 	if len(s.Flows) == 0 {
 		return fmt.Errorf("scenario %s: at least one flow required", s.Name)
 	}
+	packets := int64(0)
 	for i, f := range s.Flows {
 		if f.Src == "" || f.Dst == "" {
 			return fmt.Errorf("scenario %s: flow %d: src and dst required", s.Name, i)
@@ -243,6 +250,15 @@ func (s *Spec) Validate() error {
 		if f.Interval < 0 || f.Size < 0 {
 			return fmt.Errorf("scenario %s: flow %d: interval and size must not be negative", s.Name, i)
 		}
+		interval := f.Interval
+		if interval == 0 {
+			interval = Duration(time.Millisecond) // udpsim's default
+		}
+		n := int64(s.Duration / interval)
+		if n >= MaxPackets-packets {
+			return fmt.Errorf("scenario %s: flows 0-%d emit over %d packets a run, the limit", s.Name, i, MaxPackets)
+		}
+		packets += n + 1
 	}
 	for i, inj := range s.Injections {
 		if _, err := inj.build(s.Seed, i); err != nil {

@@ -757,6 +757,12 @@ func TestAdmissionLimits(t *testing.T) {
 			fmt.Sprintf("verify pairs 100001 exceeds the limit of %d", maxPairs)},
 		{"verify pairs", "/v1/verify", `{"topology": "net15", "pairs": 2000000000}`,
 			fmt.Sprintf("pairs 2000000000 exceeds the limit of %d", maxPairs)},
+		{"generated topology in the spec", "/v1/scenarios", specWith(`"runs": 2, "topology": "fattree:100000",`),
+			fmt.Sprintf("100000 exceeds the limit of %d", topology.MaxSpecSwitches)},
+		{"generated topology", "/v1/verify", `{"topology": "fattree:100000"}`,
+			fmt.Sprintf("100000 exceeds the limit of %d", topology.MaxSpecSwitches)},
+		{"packets a run", "/v1/scenarios", `{"spec": ` + strings.Replace(tinySpec, `"interval": "1ms"`, `"interval": "1ns"`, 1) + `}`,
+			fmt.Sprintf("emit over %d packets a run", scenario.MaxPackets)},
 		{"scenario body", "/v1/scenarios", `{"spec": {"name": "` + strings.Repeat("x", maxRequestBytes) + `"}}`,
 			fmt.Sprintf("request body exceeds the limit of %d bytes", maxRequestBytes)},
 		{"verify body", "/v1/verify", `{"topology": "` + strings.Repeat("x", maxRequestBytes) + `"}`,

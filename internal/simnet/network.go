@@ -205,9 +205,6 @@ type Line struct {
 	dirs [2]dirState // 0: A→B, 1: B→A
 }
 
-// Up reports actual link health (no outstanding down-holds).
-func (l *Line) Up() bool { return l.downRefs == 0 }
-
 // LineStats is a snapshot of one link's counters, summed over both
 // directions.
 type LineStats struct {
@@ -225,7 +222,6 @@ type Network struct {
 	topo     *topology.Graph
 	lines    []*Line   // by topology.Link.Index()
 	handlers []Handler // by topology.Node.Index(); nil = unbound
-	dropHook func(Drop)
 	trace    TraceSink
 
 	// Detection-latency model: how long after an actual link-state
@@ -485,10 +481,6 @@ func (n *Network) Bind(node *topology.Node, h Handler) {
 	n.handlers[node.Index()] = h
 }
 
-// SetDropHook registers a callback invoked on every packet loss
-// (tracing, loss accounting). Pass nil to disable.
-func (n *Network) SetDropHook(fn func(Drop)) { n.dropHook = fn }
-
 // SetTraceSink attaches (or, with nil, detaches) the causal flight
 // recorder. Exactly one sink can be attached per world.
 func (n *Network) SetTraceSink(s TraceSink) { n.trace = s }
@@ -499,17 +491,14 @@ func (n *Network) Trace() TraceSink { return n.trace }
 
 // Drop records a packet loss originating at a node (TTL expiry,
 // no-viable-port). Links report their own drops internally. Drop is a
-// lifecycle sink: pool-owned packets are recycled here, after the drop
-// hook has observed them (hooks must copy, never retain).
+// lifecycle sink: pool-owned packets are recycled here, after the trace
+// sink has observed them (sinks must copy, never retain).
 func (n *Network) Drop(pkt *packet.Packet, reason DropReason, where string) {
-	// Drop hooks may read metrics; surface any deferred increments
-	// first so every driver and data plane observes identical values
-	// (a no-op inside a parallel window, where no hook is attached).
+	// Surface any deferred increments first, so whatever reads metrics
+	// at a drop observes identical values under every driver and data
+	// plane (a no-op inside a parallel window).
 	n.flushCounters()
 	n.countDrop(reason)
-	if n.dropHook != nil {
-		n.dropHook(Drop{Packet: pkt, Reason: reason, Where: where, At: n.sched.now})
-	}
 	if pkt.Sampled && n.trace != nil {
 		n.trace.PacketDrop(Drop{Packet: pkt, Reason: reason, Where: where, At: n.sched.now})
 	}
@@ -539,10 +528,6 @@ func (n *Network) PortUp(node *topology.Node, i int) bool {
 	}
 	return n.lines[l.Index()].seenUp
 }
-
-// LinkUp reports the physical state of a link (no outstanding
-// down-holds), regardless of what the switches have detected.
-func (n *Network) LinkUp(l *topology.Link) bool { return n.lines[l.Index()].Up() }
 
 // Send transmits pkt out of node's port i: FIFO queueing, fixed-rate
 // serialization, propagation delay, then delivery to the neighbour's
@@ -789,7 +774,7 @@ func transmissionTime(size int, rateMbps float64) time.Duration {
 // transition. By the time it runs, the network has finished the
 // transition (and any batch it was part of, e.g. a switch crash
 // taking every port down at once), so the hook may freely call back
-// into the Network — LinkSeenUp, AcquireLinkDown/ReleaseLinkDown,
+// into the Network — PortUp, AcquireLinkDown/ReleaseLinkDown,
 // FailLink/RepairLink, or a controller reroute — without observing
 // half-applied state or recursing into the dispatch path. Hooks run
 // on the simulation goroutine in detection order; virtual timestamps
@@ -797,11 +782,6 @@ func transmissionTime(size int, rateMbps float64) time.Duration {
 func (n *Network) SetLinkDetectionHook(fn func(l *topology.Link, up bool)) {
 	n.linkStateHook = fn
 }
-
-// LinkSeenUp reports the adjacent switches' *detected* view of a link
-// — what PortUp consults — which lags the physical state under a
-// detection-latency model. Detection hooks may call it re-entrantly.
-func (n *Network) LinkSeenUp(l *topology.Link) bool { return n.lines[l.Index()].seenUp }
 
 // AcquireLinkDown takes one down-hold on a link. The link goes
 // physically down on the first hold and stays down until every hold is

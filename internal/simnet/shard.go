@@ -129,7 +129,6 @@ func (n *Network) RunUntil(t time.Duration) {
 func (n *Network) parallelOK() bool {
 	return n.lookahead > 0 &&
 		n.trace == nil &&
-		n.dropHook == nil &&
 		n.impaired == 0 &&
 		!n.events.HasTap()
 }

@@ -253,15 +253,15 @@ func TestShardDeterminismCutFailure(t *testing.T) {
 }
 
 // TestShardSerialMatchesParallel pins that single-threaded global-
-// minimum stepping (forced by any total-order observer, here a drop
-// hook) and parallel windows produce identical runs.
+// minimum stepping (forced by any total-order observer, here a trace
+// sink) and parallel windows produce identical runs.
 func TestShardSerialMatchesParallel(t *testing.T) {
 	parallel := driveChain(t, 4, false, false)
 
 	w := newShardChain(t, 4, false)
-	w.n.SetDropHook(func(d Drop) { t.Errorf("unexpected drop: %v at %s", d.Reason, d.Where) })
+	logDrops(w.n)
 	if w.n.parallelOK() {
-		t.Fatal("a drop hook should veto parallel windows")
+		t.Fatal("a trace sink should veto parallel windows")
 	}
 	w.burst(w.e0, 0, 100, 8)
 	w.burst(w.e1, 700*time.Microsecond, 300, 5)
@@ -276,6 +276,9 @@ func TestShardSerialMatchesParallel(t *testing.T) {
 	w.burst(w.e0, 2500*time.Microsecond, 600, 4)
 	w.n.RunUntil(10 * time.Millisecond)
 
+	if d := w.n.Dropped(); d != 0 {
+		t.Errorf("%d unexpected drops", d)
+	}
 	checkRunsEqual(t, "serial-vs-parallel", parallel, w.result(t))
 }
 

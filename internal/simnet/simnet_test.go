@@ -151,8 +151,6 @@ func TestSendSerializesBackToBack(t *testing.T) {
 func TestQueueTailDrop(t *testing.T) {
 	n, a, _, sk := twoNodeNet(t,
 		topology.WithRateMbps(100), topology.WithDelay(time.Millisecond), topology.WithQueuePackets(3))
-	var drops []Drop
-	n.SetDropHook(func(d Drop) { drops = append(drops, d) })
 	for i := 0; i < 5; i++ {
 		n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 64})
 	}
@@ -160,13 +158,8 @@ func TestQueueTailDrop(t *testing.T) {
 	if len(sk.pkts) != 3 {
 		t.Errorf("delivered %d packets, want 3 (queue capacity)", len(sk.pkts))
 	}
-	if len(drops) != 2 {
-		t.Fatalf("dropped %d packets, want 2", len(drops))
-	}
-	for _, d := range drops {
-		if d.Reason != DropQueueFull {
-			t.Errorf("drop reason = %v, want queue-full", d.Reason)
-		}
+	if n.Dropped() != 2 || dropsBy(n, DropQueueFull) != 2 {
+		t.Fatalf("dropped %d packets, %d of them queue-full, want 2 and 2", n.Dropped(), dropsBy(n, DropQueueFull))
 	}
 	aNode, _ := n.Topology().Node("A")
 	link, _ := aNode.PortLink(0)
@@ -178,8 +171,6 @@ func TestQueueTailDrop(t *testing.T) {
 
 func TestFailLinkDropsAndRepairRestores(t *testing.T) {
 	n, a, _, sk := twoNodeNet(t)
-	var drops []Drop
-	n.SetDropHook(func(d Drop) { drops = append(drops, d) })
 	aNode, _ := n.Topology().Node("A")
 	link, _ := aNode.PortLink(0)
 
@@ -197,8 +188,8 @@ func TestFailLinkDropsAndRepairRestores(t *testing.T) {
 	if len(sk.pkts) != 2 {
 		t.Errorf("delivered %d packets, want 2", len(sk.pkts))
 	}
-	if len(drops) != 1 || drops[0].Reason != DropLinkDown {
-		t.Errorf("drops = %+v, want one link-down drop", drops)
+	if n.Dropped() != 1 || dropsBy(n, DropLinkDown) != 1 {
+		t.Errorf("dropped %d packets, %d of them link-down, want one link-down drop", n.Dropped(), dropsBy(n, DropLinkDown))
 	}
 	if !n.PortUp(aNode, 0) {
 		t.Error("port reported down after repair")
@@ -209,8 +200,6 @@ func TestFailLinkKillsInFlight(t *testing.T) {
 	// 10 ms delay: a packet sent at t=0 arrives at ~10 ms; failing the
 	// link at 5 ms must kill it.
 	n, a, _, sk := twoNodeNet(t, topology.WithDelay(10*time.Millisecond))
-	var drops []Drop
-	n.SetDropHook(func(d Drop) { drops = append(drops, d) })
 	aNode, _ := n.Topology().Node("A")
 	link, _ := aNode.PortLink(0)
 
@@ -221,8 +210,8 @@ func TestFailLinkKillsInFlight(t *testing.T) {
 	if len(sk.pkts) != 0 {
 		t.Errorf("delivered %d packets, want 0 (in-flight kill)", len(sk.pkts))
 	}
-	if len(drops) != 1 || drops[0].Reason != DropInFlight {
-		t.Fatalf("drops = %+v, want one in-flight drop", drops)
+	if n.Dropped() != 1 || dropsBy(n, DropInFlight) != 1 {
+		t.Fatalf("dropped %d packets, %d of them in flight, want one in-flight drop", n.Dropped(), dropsBy(n, DropInFlight))
 	}
 	if st := n.LineStats(link); st.InFlightDrops != 1 {
 		t.Errorf("InFlightDrops = %d, want 1", st.InFlightDrops)
@@ -254,11 +243,9 @@ func TestPortUpAndInvalidSends(t *testing.T) {
 	if n.PortUp(aNode, 1) {
 		t.Error("port 1 does not exist, PortUp must be false")
 	}
-	var drops []Drop
-	n.SetDropHook(func(d Drop) { drops = append(drops, d) })
 	n.Send(a, 5, &packet.Packet{Size: 100, TTL: 64})
-	if len(drops) != 1 || drops[0].Reason != DropNoPort {
-		t.Errorf("drops = %+v, want one no-port drop", drops)
+	if n.Dropped() != 1 || dropsBy(n, DropNoPort) != 1 {
+		t.Errorf("dropped %d packets, %d of them no-port, want one no-port drop", n.Dropped(), dropsBy(n, DropNoPort))
 	}
 }
 
@@ -292,13 +279,11 @@ func TestUnboundNodeDrops(t *testing.T) {
 func TestBindNilUnbinds(t *testing.T) {
 	n, a, b, sk := twoNodeNet(t)
 	n.Bind(b, nil)
-	var drops []Drop
-	n.SetDropHook(func(d Drop) { drops = append(drops, d) })
 	n.Send(a, 0, &packet.Packet{Size: 100, TTL: 64})
 	n.Scheduler().RunUntil(time.Second)
 	n.Deliver(&packet.Packet{Size: 100, TTL: 64}, b, 0)
-	if len(drops) != 2 || drops[0].Reason != DropNoPort || drops[1].Reason != DropNoPort {
-		t.Errorf("drops = %+v, want two no-port drops", drops)
+	if n.Dropped() != 2 || dropsBy(n, DropNoPort) != 2 {
+		t.Errorf("dropped %d packets, %d of them no-port, want two no-port drops", n.Dropped(), dropsBy(n, DropNoPort))
 	}
 	if len(sk.pkts) != 0 || n.Delivered() != 0 {
 		t.Errorf("%d packets reached the unbound handler, Delivered = %d", len(sk.pkts), n.Delivered())

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/deflect"
 	"repro/internal/experiment"
+	"repro/internal/simnet"
 	"repro/internal/topology"
 	"repro/internal/udpsim"
 )
@@ -30,9 +31,9 @@ func TestScaleWorldSpillsPastFrontHeap(t *testing.T) {
 				t.Fatal(err)
 			}
 			policy, _ := deflect.ByName("nip")
-			opts := []experiment.WorldOption{experiment.WithShards(m.shards)}
+			opts := []any{simnet.WithShards(m.shards)}
 			if m.scalar {
-				opts = append(opts, experiment.WithScalarDataPlane())
+				opts = append(opts, simnet.WithScalarDataPlane())
 			}
 			w := experiment.NewWorld(g, policy, 3, opts...)
 			hosts := g.EdgeNodes()

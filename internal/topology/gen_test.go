@@ -148,6 +148,20 @@ func TestFromSpecErrors(t *testing.T) {
 			t.Errorf("FromSpec(%q): want error", spec)
 		}
 	}
+	// A spec past MaxSpecSwitches is refused before anything is sized from
+	// it, whichever number carries it; at the limit it builds.
+	for _, spec := range []string{
+		"fattree:100000", "fattree:58", "fattree:4294967296", "clos:4000:97",
+		"clos:9223372036854775807:9223372036854775807", "isp:4097:2:40:7",
+		"isp:100:5000:40:7", "rand:4097:0:2:1", "rand:100:99999:4:1",
+	} {
+		if _, err := FromSpec(spec); err == nil || !strings.Contains(err.Error(), "exceeds the limit of 4096") {
+			t.Errorf("FromSpec(%q): %v, want an error naming the limit", spec, err)
+		}
+	}
+	if g, err := FromSpec("clos:4000:96"); err != nil || len(g.CoreNodes()) != MaxSpecSwitches {
+		t.Errorf("FromSpec(clos:4000:96): %v, want %d switches", err, MaxSpecSwitches)
+	}
 	for spec, want := range map[string]bool{
 		"fattree:4": true, "clos:4:2": true, "isp:9:2:2:1": true,
 		"rand:4:0:2:1": true, "fig1": false, "rnp28": false, "mesh:4": false,

@@ -82,7 +82,7 @@ func fromWire(w wireRecord) Record {
 }
 
 // WriteJSONL streams runs as one JSON object per line — the grep- and
-// kartrace-friendly structured export. Byte-deterministic: records are
+// structured export, `karsim trace`'s input. Byte-deterministic: records are
 // emitted in recording order and fields in fixed order.
 func WriteJSONL(w io.Writer, runs []RunTrace) error {
 	bw := bufio.NewWriter(w)

@@ -8,13 +8,14 @@ import (
 
 	"repro/internal/deflect"
 	"repro/internal/experiment"
+	"repro/internal/simnet"
 	"repro/internal/topology"
 	"repro/internal/udpsim"
 )
 
 // closWorld builds a leaf-spine world with routes installed between
 // every ordered host pair.
-func closWorld(t *testing.T, opts ...experiment.WorldOption) *experiment.World {
+func closWorld(t *testing.T, opts ...any) *experiment.World {
 	t.Helper()
 	g, err := topology.Clos(4, 2)
 	if err != nil {
@@ -51,7 +52,7 @@ func allPairs(w *experiment.World) []udpsim.Pair {
 }
 
 // runSet drives one flow-set world and returns (stats, metrics dump).
-func runSet(t *testing.T, cfg udpsim.SetConfig, opts ...experiment.WorldOption) (udpsim.SetStats, string) {
+func runSet(t *testing.T, cfg udpsim.SetConfig, opts ...any) (udpsim.SetStats, string) {
 	t.Helper()
 	w := closWorld(t, opts...)
 	fs, err := udpsim.NewFlowSet(w.Net, allPairs(w), cfg)
@@ -137,17 +138,17 @@ func TestFlowSetDeterminism(t *testing.T) {
 			t.Errorf("reference dump lacks series %s", series)
 		}
 	}
-	variants := map[string][]experiment.WorldOption{
+	variants := map[string][]any{
 		"rebuild": nil,
-		"scalar":  {experiment.WithScalarDataPlane()},
-		"shards2": {experiment.WithShards(2)},
-		"shards3": {experiment.WithShards(3)},
-		"shards4": {experiment.WithShards(4)},
+		"scalar":  {simnet.WithScalarDataPlane()},
+		"shards2": {simnet.WithShards(2)},
+		"shards3": {simnet.WithShards(3)},
+		"shards4": {simnet.WithShards(4)},
 		"shards2-scalar": {
-			experiment.WithShards(2), experiment.WithScalarDataPlane(),
+			simnet.WithShards(2), simnet.WithScalarDataPlane(),
 		},
 		"shards4-scalar": {
-			experiment.WithShards(4), experiment.WithScalarDataPlane(),
+			simnet.WithShards(4), simnet.WithScalarDataPlane(),
 		},
 	}
 	for name, opts := range variants {
@@ -189,7 +190,7 @@ func TestFlowSetWindowDropsRaceFree(t *testing.T) {
 			t.Fatalf("FromSpec: %v", err)
 		}
 		policy, _ := deflect.ByName("nip")
-		w := experiment.NewWorld(g, policy, 11, experiment.WithShards(shards))
+		w := experiment.NewWorld(g, policy, 11, simnet.WithShards(shards))
 		hosts := g.EdgeNodes()
 		var pairs []udpsim.Pair
 		for i, a := range hosts {

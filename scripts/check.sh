@@ -29,6 +29,14 @@ if grep -rn --include='*.go' 'rand\.NewSource(' . | grep -v '_test\.go:' | grep 
     exit 1
 fi
 
+echo "==> one front door: package main only under cmd/karsim, examples/ and bench/"
+# Every user-facing entry point is a row of cmd/karsim's experiment or
+# verb table; a second binary is a second flag grammar nobody tests.
+if grep -rl --include='*.go' '^package main$' . | grep -vE '^\./(cmd/karsim|examples|bench)/'; then
+    echo "FAIL: package main outside cmd/karsim, examples/ and bench/" >&2
+    exit 1
+fi
+
 echo "==> fuzz the scheduler queue against a sorted reference (10 s)"
 # The committed corpus (internal/simnet/testdata/fuzz) runs with every
 # go test; this explores from it: random programs of post / train append
@@ -106,15 +114,14 @@ cmp -s "$tmp/a.prom.json" "$tmp/b.prom.json" || {
 }
 echo "metrics smoke test OK ($(wc -l < "$tmp/a.prom") lines, byte-identical across runs)"
 
-echo "==> flight recorder through the CLIs (flap-react-net15, -trace-export, kartrace)"
+echo "==> flight recorder through the CLI (flap-react-net15, -trace-export, karsim trace)"
 # Byte identity of metric dumps, trace exports and verdicts across
 # repeats, worker counts, shard counts and data planes is
 # TestDeterminismMatrix (determinism_test.go: fig4, reaction, sweeps,
 # flap-net15, flap-react, scale, dtree rows), which the race pass above
 # has run in-process. What is left for the shell is the file framing:
 # both export files are written, carry both planes (packet records and
-# control-plane reaction events), and kartrace reads them back.
-go build -o "$tmp/kartrace" ./cmd/kartrace
+# control-plane reaction events), and `karsim trace` reads them back.
 "$tmp/karsim" -scenario examples/scenarios/flap-react-net15.json -trace-export "$tmp/t1" > /dev/null
 for want in '"kind":"inject"' '"kind":"hop"' '"kind":"decap"' '"kind":"ctrl"' \
     '"event":"link_fail"' '"event":"reroute"' '"event":"ingress_install"'; do
@@ -129,10 +136,10 @@ for want in '"traceEvents"' '"name":"reaction:fail SW7-SW13"'; do
         exit 1
     }
 done
-"$tmp/kartrace" -in "$tmp/t1.jsonl" > "$tmp/t1.report"
+"$tmp/karsim" trace -in "$tmp/t1.jsonl" > "$tmp/t1.report"
 for want in 'reaction chains' 'detection' 'first delivery' 'Journeys by flow'; do
     grep -q "$want" "$tmp/t1.report" || {
-        echo "FAIL: kartrace report is missing '$want'" >&2
+        echo "FAIL: karsim trace report is missing '$want'" >&2
         exit 1
     }
 done
@@ -214,8 +221,7 @@ cmp -s "$tmp/d1.json" "$tmp/d4.json" || {
 echo "structured failover determinism OK"
 
 echo "==> serve daemon smoke (byte identity vs batch CLI, drain)"
-go build -o "$tmp/karload" ./cmd/karload
-sh scripts/serve_smoke.sh "$tmp/karsim" "$tmp/karload"
+sh scripts/serve_smoke.sh "$tmp/karsim"
 
 echo "==> scenario smoke (examples/scenarios)"
 sh scripts/scenarios.sh "$tmp/karsim"

@@ -1,12 +1,13 @@
 #!/bin/sh
 # Serve-daemon smoke gate: start `karsim serve` on an ephemeral port,
-# drive it with karload (no curl dependency), and enforce the
+# drive it with `karsim client` (no curl dependency), and enforce the
 # determinism contract — the daemon's verdict and verify documents must
 # be byte-identical to the batch CLI's, at workers 1 and 4 — plus the
-# health/metrics surfaces and a graceful SIGTERM drain.
+# health/metrics surfaces, a burst of concurrent clients and a graceful
+# SIGTERM drain.
 #
-# Usage: serve_smoke.sh [karsim-binary] [karload-binary]
-# (binaries are built into a temp dir when not given)
+# Usage: serve_smoke.sh [karsim-binary]
+# (the binary is built into a temp dir when not given)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -20,14 +21,9 @@ cleanup() {
 trap cleanup EXIT
 
 KARSIM="${1:-}"
-KARLOAD="${2:-}"
 if [ -z "$KARSIM" ]; then
     go build -o "$tmp/karsim" ./cmd/karsim
     KARSIM="$tmp/karsim"
-fi
-if [ -z "$KARLOAD" ]; then
-    go build -o "$tmp/karload" ./cmd/karload
-    KARLOAD="$tmp/karload"
 fi
 
 scenario=examples/scenarios/flap-react-net15.json
@@ -55,15 +51,15 @@ done
 ADDR="$(tr -d '\n' < "$tmp/addr")"
 
 echo "--> health and readiness"
-"$KARLOAD" -addr "$ADDR" -probe /healthz | grep -q ok || { echo "FAIL: healthz" >&2; exit 1; }
-"$KARLOAD" -addr "$ADDR" -probe /readyz | grep -q ready || { echo "FAIL: readyz" >&2; exit 1; }
+"$KARSIM" client -addr "$ADDR" -probe /healthz | grep -q ok || { echo "FAIL: healthz" >&2; exit 1; }
+"$KARSIM" client -addr "$ADDR" -probe /readyz | grep -q ready || { echo "FAIL: readyz" >&2; exit 1; }
 
 echo "--> daemon/CLI byte identity (scenario, workers 1 vs 4)"
 # Build job requests wrapping the scenario file as the spec document.
 { printf '{"spec": '; cat "$scenario"; printf ', "workers": 1}'; } > "$tmp/req1.json"
 { printf '{"spec": '; cat "$scenario"; printf ', "workers": 4}'; } > "$tmp/req4.json"
-"$KARLOAD" -addr "$ADDR" -post /v1/scenarios -body "$tmp/req1.json" -result "$tmp/d1.json" > /dev/null
-"$KARLOAD" -addr "$ADDR" -post /v1/scenarios -body "$tmp/req4.json" -result "$tmp/d4.json" > /dev/null
+"$KARSIM" client -addr "$ADDR" -post /v1/scenarios -body "$tmp/req1.json" -result "$tmp/d1.json" > /dev/null
+"$KARSIM" client -addr "$ADDR" -post /v1/scenarios -body "$tmp/req4.json" -result "$tmp/d4.json" > /dev/null
 cmp -s "$tmp/d1.json" "$tmp/cli1.json" || {
     echo "FAIL: daemon verdict (workers=1) differs from batch CLI" >&2
     exit 1
@@ -75,14 +71,14 @@ cmp -s "$tmp/d4.json" "$tmp/cli1.json" || {
 
 echo "--> daemon/CLI byte identity (verify sweep)"
 printf '{"topology": "net15", "routes": "AS1:AS2,AS1:AS3", "policies": ["avp", "nip"]}' > "$tmp/vreq.json"
-"$KARLOAD" -addr "$ADDR" -post /v1/verify -body "$tmp/vreq.json" -result "$tmp/vd.json" > /dev/null
+"$KARSIM" client -addr "$ADDR" -post /v1/verify -body "$tmp/vreq.json" -result "$tmp/vd.json" > /dev/null
 cmp -s "$tmp/vd.json" "$tmp/vcli.json" || {
     echo "FAIL: daemon verify report differs from batch CLI" >&2
     exit 1
 }
 
 echo "--> metrics exposition"
-"$KARLOAD" -addr "$ADDR" -probe /metrics > "$tmp/metrics.prom"
+"$KARSIM" client -addr "$ADDR" -probe /metrics > "$tmp/metrics.prom"
 for series in \
     'kar_serve_build_info{' \
     'kar_serve_queue_capacity 32' \
@@ -96,8 +92,30 @@ for series in \
     }
 done
 
-echo "--> concurrent load burst (40 jobs, concurrency 8)"
-"$KARLOAD" -addr "$ADDR" -n 40 -c 8 -workers 1
+echo "--> concurrent burst (40 jobs, 8 clients at a time)"
+# A 20 ms scenario per job: five rounds of eight clients against two
+# executors and a 32-slot queue; every one must end "done".
+cat > "$tmp/burst.json" <<'EOF'
+{"spec": {"name": "burst", "topology": "net15", "policy": "nip", "seed": 1,
+  "duration": "20ms", "drain": "10ms",
+  "flows": [{"src": "AS1", "dst": "AS3", "interval": "1ms"}],
+  "injections": [{"kind": "link_cut", "link": ["SW7", "SW13"], "start": "5ms", "duration": "5ms"}]},
+ "workers": 1, "collect": false}
+EOF
+for round in 1 2 3 4 5; do
+    pids=""
+    for client in 1 2 3 4 5 6 7 8; do
+        "$KARSIM" client -addr "$ADDR" -post /v1/scenarios -body "$tmp/burst.json" > /dev/null &
+        pids="$pids $!"
+    done
+    for pid in $pids; do
+        wait "$pid" || { echo "FAIL: a job of burst round $round did not end done" >&2; exit 1; }
+    done
+done
+"$KARSIM" client -addr "$ADDR" -probe /metrics | grep -q '^kar_serve_queue_depth 0$' || {
+    echo "FAIL: queue not drained after the burst" >&2
+    exit 1
+}
 
 echo "--> graceful SIGTERM drain"
 kill -TERM "$SERVE_PID"
