@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -12,11 +13,11 @@ import (
 
 // genController builds a random topology and a failure-reactive
 // controller with a route installed between every ordered edge pair.
-func genController(t testing.TB, cfg topology.GenConfig, opts ...Option) (*topology.Graph, *Controller) {
+func genController(t testing.TB, spec string, opts ...Option) (*topology.Graph, *Controller) {
 	t.Helper()
-	g, err := topology.Generate(cfg)
+	g, err := topology.FromSpec(spec)
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatal(err)
 	}
 	c := New(g, append([]Option{WithFailureReaction()}, opts...)...)
 	edges := g.EdgeNodes()
@@ -79,7 +80,7 @@ func diffSnapshots(t *testing.T, label string, want, got map[pair][2]string) {
 // put every route back on its pre-failure baseline.
 func TestChurnMatchesFullReinstall(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		g, c := genController(t, topology.GenConfig{Cores: 24, ExtraLinks: 36, Edges: 10, Seed: seed})
+		g, c := genController(t, fmt.Sprintf("rand:24:36:10:%d", seed))
 		links := coreLinks(g)
 		rng := rand.New(rand.NewSource(seed))
 
@@ -186,7 +187,7 @@ func TestRerouteCountersRecomputedVsSkipped(t *testing.T) {
 // reinstall would (which recomputed every route).
 func TestIncrementalRerouteSavings(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	g, c := genController(t, topology.GenConfig{Cores: 64, ExtraLinks: 128, Edges: 24, Seed: 7},
+	g, c := genController(t, "rand:64:128:24:7",
 		WithTelemetry(reg, nil))
 	if c.Routes() < 500 {
 		t.Fatalf("installed %d routes, want >= 500", c.Routes())
@@ -234,7 +235,7 @@ func TestIncrementalRerouteSavings(t *testing.T) {
 func TestRerouteWorkerInvariance(t *testing.T) {
 	run := func(workers int) (map[pair][2]string, [3]int64) {
 		reg := telemetry.NewRegistry()
-		g, c := genController(t, topology.GenConfig{Cores: 32, ExtraLinks: 48, Edges: 12, Seed: 11},
+		g, c := genController(t, "rand:32:48:12:11",
 			WithTelemetry(reg, nil), WithWorkers(workers))
 		links := coreLinks(g)
 		rng := rand.New(rand.NewSource(11))

@@ -2,68 +2,88 @@ package coprime
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/rns"
 )
 
 func TestAllocatorNextSmallestFirst(t *testing.T) {
-	var a Allocator
-	want := []uint64{2, 3, 5, 7, 11, 13} // greedy over the integers yields primes
-	for _, w := range want {
-		got, err := a.Next(2)
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if got != w {
-			t.Fatalf("Next = %d, want %d", got, w)
-		}
+	got, err := Assign([]uint64{2, 2, 2, 2, 2, 2})
+	if err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+	// Greedy over the integers yields primes, in input order.
+	if want := []uint64{2, 3, 5, 7, 11, 13}; !slices.Equal(got, want) {
+		t.Fatalf("Assign = %v, want %v", got, want)
 	}
 }
 
 func TestAllocatorRespectsMinimum(t *testing.T) {
-	var a Allocator
-	got, err := a.Next(6)
+	// Served 8, 7, 6: 8 and 7 take their minimums; 6 is blocked by 2,
+	// 7 is taken and 8 is blocked by 2 again, so the third gets 9.
+	got, err := Assign([]uint64{6, 7, 8})
 	if err != nil {
-		t.Fatalf("Next: %v", err)
+		t.Fatalf("Assign: %v", err)
 	}
-	if got != 6 {
-		t.Errorf("Next(6) = %d, want 6 (6 is coprime with nothing yet)", got)
+	if want := []uint64{9, 7, 8}; !slices.Equal(got, want) {
+		t.Errorf("Assign(6, 7, 8) = %v, want %v", got, want)
 	}
-	// 7 is next coprime with 6; 8 shares 2, 9 shares 3.
-	got, err = a.Next(7)
+	// 10 takes 10; 9 is coprime with it; 8, 9 and 10 are then all
+	// blocked for the last one.
+	got, err = Assign([]uint64{10, 9, 8})
 	if err != nil {
-		t.Fatalf("Next: %v", err)
+		t.Fatalf("Assign: %v", err)
 	}
-	if got != 7 {
-		t.Errorf("second Next(7) = %d, want 7", got)
-	}
-	got, err = a.Next(8)
-	if err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	if got != 11 {
-		t.Errorf("Next(8) after {6,7} = %d, want 11 (8,9,10 conflict)", got)
+	if want := []uint64{10, 9, 11}; !slices.Equal(got, want) {
+		t.Errorf("Assign(10, 9, 8) = %v, want %v", got, want)
 	}
 }
 
-func TestNewAllocatorRejectsNonCoprimeSeed(t *testing.T) {
-	if _, err := NewAllocator([]uint64{6, 10}); err == nil {
-		t.Error("NewAllocator accepted a non-coprime seed set")
+// greedy is Assign without the blocked-factor set or the scan cursors:
+// each ID is the first candidate at or above its minimum whose GCD
+// with every ID so far is 1.
+func greedy(mins []uint64) []uint64 {
+	order := make([]int, len(mins))
+	for i := range order {
+		order[i] = i
 	}
+	sort.SliceStable(order, func(i, j int) bool { return mins[order[i]] > mins[order[j]] })
+	out := make([]uint64, len(mins))
+	var used []uint64
+	for _, i := range order {
+	next:
+		for v := max(mins[i], 2); ; v++ {
+			for _, u := range used {
+				if rns.GCD(u, v) != 1 {
+					continue next
+				}
+			}
+			out[i], used = v, append(used, v)
+			break
+		}
+	}
+	return out
 }
 
-func TestNewAllocatorSeeded(t *testing.T) {
-	a, err := NewAllocator([]uint64{4, 7, 11, 5})
-	if err != nil {
-		t.Fatalf("NewAllocator: %v", err)
-	}
-	got, err := a.Next(2)
-	if err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	if got != 3 {
-		t.Errorf("Next after fig1 basis = %d, want 3", got)
+// Repeated minimums resume their scan where the last one stopped, and
+// candidates are rejected by blocked prime factors: neither may change
+// an ID against the plain GCD greedy.
+func TestAssignMatchesGreedy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		mins := make([]uint64, 2+rng.Intn(40))
+		for i := range mins {
+			mins[i] = uint64(1 + rng.Intn(6)) // many repeats
+		}
+		got, err := Assign(mins)
+		if err != nil {
+			t.Fatalf("Assign(%v): %v", mins, err)
+		}
+		if want := greedy(mins); !slices.Equal(got, want) {
+			t.Fatalf("Assign(%v) = %v, greedy %v", mins, got, want)
+		}
 	}
 }
 
@@ -86,40 +106,6 @@ func TestAssignProducesValidBasis(t *testing.T) {
 			if id < mins[i] {
 				t.Fatalf("Assign(%v)[%d] = %d below minimum %d", mins, i, id, mins[i])
 			}
-		}
-	}
-}
-
-func TestPrimes(t *testing.T) {
-	got := Primes(7, 5)
-	want := []uint64{7, 11, 13, 17, 19}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Primes(7, 5) = %v, want %v", got, want)
-		}
-	}
-	// The RNP28 ID pool from DESIGN.md: first 28 primes ≥ 7 end at 127.
-	rnp := Primes(7, 28)
-	if rnp[27] != 127 {
-		t.Errorf("28th prime >= 7 is %d, want 127", rnp[27])
-	}
-	if err := rns.CheckPairwiseCoprime(rnp); err != nil {
-		t.Errorf("prime pool not coprime: %v", err)
-	}
-}
-
-func TestIsPrime(t *testing.T) {
-	tests := []struct {
-		v    uint64
-		want bool
-	}{
-		{0, false}, {1, false}, {2, true}, {3, true}, {4, false},
-		{27, false}, {29, true}, {97, true}, {1 << 16, false},
-		{65537, true}, {7919, true}, {7921, false}, // 89^2
-	}
-	for _, tt := range tests {
-		if got := IsPrime(tt.v); got != tt.want {
-			t.Errorf("IsPrime(%d) = %v, want %v", tt.v, got, tt.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -15,15 +16,10 @@ import (
 func TestEncodedRouteWalksProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 60; trial++ {
-		cfg := topology.GenConfig{
-			Cores:      4 + rng.Intn(30),
-			ExtraLinks: rng.Intn(30),
-			Edges:      2,
-			Seed:       rng.Int63(),
-		}
-		g, err := topology.Generate(cfg)
+		spec := fmt.Sprintf("rand:%d:%d:2:%d", 4+rng.Intn(30), rng.Intn(30), rng.Int63())
+		g, err := topology.FromSpec(spec)
 		if err != nil {
-			t.Fatalf("Generate(%+v): %v", cfg, err)
+			t.Fatalf("%s: %v", spec, err)
 		}
 		edges := g.EdgeNodes()
 		path, err := topology.ShortestPath(g, edges[0].Name(), edges[1].Name(), nil)
@@ -44,15 +40,10 @@ func TestEncodedRouteWalksProperty(t *testing.T) {
 func TestEncodedRouteWithPlannedProtectionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
-		cfg := topology.GenConfig{
-			Cores:      5 + rng.Intn(25),
-			ExtraLinks: 2 + rng.Intn(25),
-			Edges:      2,
-			Seed:       rng.Int63(),
-		}
-		g, err := topology.Generate(cfg)
+		spec := fmt.Sprintf("rand:%d:%d:2:%d", 5+rng.Intn(25), 2+rng.Intn(25), rng.Int63())
+		g, err := topology.FromSpec(spec)
 		if err != nil {
-			t.Fatalf("Generate(%+v): %v", cfg, err)
+			t.Fatalf("%s: %v", spec, err)
 		}
 		edges := g.EdgeNodes()
 		path, err := topology.ShortestPath(g, edges[0].Name(), edges[1].Name(), nil)

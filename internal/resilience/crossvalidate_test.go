@@ -53,9 +53,7 @@ func xvCases(t *testing.T) []xvCase {
 	}
 	// One generated topology: fail the first on-path core link whose
 	// removal keeps the graph connected.
-	gen := func() (*topology.Graph, error) {
-		return topology.Generate(topology.GenConfig{Cores: 6, ExtraLinks: 3, Edges: 2, Seed: 7})
-	}
+	gen := func() (*topology.Graph, error) { return topology.FromSpec("rand:6:3:2:7") }
 	g, err := gen()
 	if err != nil {
 		t.Fatal(err)

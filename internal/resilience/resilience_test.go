@@ -269,7 +269,7 @@ func TestDisconnectedExcluded(t *testing.T) {
 
 // Pair sampling is seeded, deduplicated and capped at C(n,2).
 func TestPairSamplingDeterministicAndCapped(t *testing.T) {
-	g, err := topology.Generate(topology.GenConfig{Cores: 5, ExtraLinks: 2, Edges: 3, Seed: 11})
+	g, err := topology.FromSpec("rand:5:2:3:11")
 	if err != nil {
 		t.Fatal(err)
 	}

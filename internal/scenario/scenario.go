@@ -227,6 +227,9 @@ func (s *Spec) Validate() error {
 	if s.Policy == "" {
 		return fmt.Errorf("scenario %s: missing policy", s.Name)
 	}
+	if _, ok := deflect.ByName(s.Policy); !ok {
+		return fmt.Errorf("scenario %s: unknown policy %q", s.Name, s.Policy)
+	}
 	if _, _, err := topology.Protection(s.Topology, s.Protection); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}

@@ -53,6 +53,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 	cases := map[string]string{
 		"unknown field":    `{"name":"x","topology":"net15","policy":"nip","duration":"1s","flows":[{"src":"AS1","dst":"AS3"}],"bogus":1}`,
 		"numeric duration": `{"name":"x","topology":"net15","policy":"nip","duration":5,"flows":[{"src":"AS1","dst":"AS3"}]}`,
+		"unknown policy":   `{"name":"x","topology":"net15","policy":"bogus","duration":"1s","flows":[{"src":"AS1","dst":"AS3"}]}`,
 		"bad topology":     `{"name":"x","topology":"mesh99","policy":"nip","duration":"1s","flows":[{"src":"AS1","dst":"AS3"}]}`,
 		"bad protection":   `{"name":"x","topology":"fig1","policy":"nip","protection":"partial","duration":"1s","flows":[{"src":"A","dst":"B"}]}`,
 		"no flows":         `{"name":"x","topology":"net15","policy":"nip","duration":"1s"}`,

@@ -722,6 +722,8 @@ func TestBadRequestsRejected(t *testing.T) {
 		{"/v1/verify", `{"topology": "net15", "routes": "x"}`},            // bad route syntax
 		{"/v1/verify", `{"topology": "fattree:4", "protection": "full"}`}, // generated + protection
 		{"/v1/verify", `{"topology": "net15", "policies": ["dtreee"]}`},   // unknown policy
+		{"/v1/verify", `{"topology": "isp:2048:512:16:1"}`},               // links past the limit
+		{"/v1/scenarios", `{"spec": ` + strings.Replace(tinySpec, `"policy": "nip"`, `"policy": "bogus"`, 1) + `}`}, // unknown policy
 	}
 	for _, c := range cases {
 		resp, data := postJSON(t, ts.URL+c.path, strings.NewReader(c.body))

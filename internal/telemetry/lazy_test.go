@@ -34,8 +34,8 @@ func TestLazySingleGetOrCreate(t *testing.T) {
 		t.Error("histogram get-or-create broken")
 	}
 	for name, want := range map[string]int{"udp_sent_total": 3, "up": 2, "hops": 1} {
-		if f := r.families[name]; len(f.lazy) != want || len(f.series) != 0 {
-			t.Errorf("%s: %d lazy, %d keyed; want %d lazy and nothing keyed", name, len(f.lazy), len(f.series), want)
+		if f := r.families[name]; len(f.pending) != want || len(f.series) != 0 {
+			t.Errorf("%s: %d pending, %d keyed; want %d pending and nothing keyed", name, len(f.pending), len(f.series), want)
 		}
 	}
 
@@ -52,8 +52,8 @@ func TestLazySingleGetOrCreate(t *testing.T) {
 	if got := r.SumCounter("udp_sent_total", "run", "0"); got != 5 {
 		t.Errorf("SumCounter(run=0) = %d, want 5", got)
 	}
-	if f := r.families["udp_sent_total"]; len(f.lazy) != 0 || len(f.series) != 3 {
-		t.Errorf("filtered SumCounter left %d lazy, %d keyed", len(f.lazy), len(f.series))
+	if f := r.families["udp_sent_total"]; len(f.pending) != 0 || len(f.series) != 3 {
+		t.Errorf("filtered SumCounter left %d pending, %d keyed", len(f.pending), len(f.series))
 	}
 	if r.Counter("udp_sent_total", "run", "0", "flow", "a->b") != c || r.Counter("udp_sent_total", "flow", "a->b", "run", "0") != c {
 		t.Error("keyed family returned another counter for the same pairs")
@@ -63,9 +63,9 @@ func TestLazySingleGetOrCreate(t *testing.T) {
 	}
 }
 
-// A family's lazy list is bounded: registration lazyMax+1 keys the
-// family, and every series — filed before or after — stays unique and
-// findable.
+// A family's single series wait unkeyed up to a bound: registration
+// lazyMax+1 keys the family, and every series — filed before or after —
+// stays unique and findable.
 func TestLazyListSpillsToKeyed(t *testing.T) {
 	r := NewRegistry()
 	const n = lazyMax + 4
@@ -74,8 +74,8 @@ func TestLazyListSpillsToKeyed(t *testing.T) {
 		cells[i] = r.Counter("drops_total", "link", fmt.Sprintf("L%d", i))
 		cells[i].Add(int64(i))
 	}
-	if f := r.families["drops_total"]; len(f.lazy) != 0 || len(f.series) != n {
-		t.Errorf("%d lazy, %d keyed after %d registrations; want 0 and %d", len(f.lazy), len(f.series), n, n)
+	if f := r.families["drops_total"]; len(f.pending) != 0 || len(f.series) != n {
+		t.Errorf("%d pending, %d keyed after %d registrations; want 0 and %d", len(f.pending), len(f.series), n, n)
 	}
 	for i := range cells {
 		if r.Counter("drops_total", "link", fmt.Sprintf("L%d", i)) != cells[i] {

@@ -247,20 +247,6 @@ func RebuildHistogram(bounds []float64, counts []int64, count int64, sum float64
 	return h
 }
 
-// merge folds another histogram's state into h. Bucket layouts must
-// match (same metric family ⇒ same constructor buckets).
-func (h *Histogram) merge(count int64, sum float64, counts []int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count += count
-	h.sum += sum
-	for i := range counts {
-		if i < len(h.counts) {
-			h.counts[i] += counts[i]
-		}
-	}
-}
-
 // family groups every labelled series of one metric name.
 type family struct {
 	name   string
@@ -269,36 +255,49 @@ type family struct {
 	// series is the keyed view — label-set key → *Counter, *Gauge or
 	// *Histogram — made on the family's first keyed insert.
 	series map[string]any
-	// lazy and pending hold what has been registered but not yet keyed:
-	// single series in registration order, then the blocks of
-	// CounterVec/GaugeVec. materialise moves both into series; nothing
-	// else reads them except the unfiltered SumCounter, which needs no
-	// labels. Every lazy series was registered before any pending block
-	// (see Registry.single).
-	lazy    []lazySeries
+	// pending holds what has been registered but not yet keyed, in
+	// registration order. materialise moves it into series; nothing
+	// else reads it except the unfiltered SumCounter, which needs no
+	// labels.
 	pending []block
 }
 
-// lazySeries is one Counter/Gauge/Histogram registration whose label
-// set and key have not been built: the caller's key/value pairs and
-// the cell handed back.
-type lazySeries struct {
-	kv   []string
-	cell any
-}
-
-// lazyMax bounds a family's lazy list, which every further
-// registration scans: past it the family is keyed and lookups go
-// through the map.
+// lazyMax bounds how many single series an unkeyed family holds, which
+// every further registration scans: past it the family is keyed and
+// lookups go through the map.
 const lazyMax = 8
 
-// block is one CounterVec/GaugeVec registration: a slab of cells and
-// the function that names cell i. Exactly one of counters and gauges
-// is set.
+// block is one registration whose label sets and keys have not been
+// built: a slab of cells and the labels of each. A CounterVec/GaugeVec
+// block names cell i by labels(i); a Counter/Gauge/Histogram is a
+// block of one, named by kv, the caller's copied pairs. Exactly one of
+// counters, gauges and hists is set.
 type block struct {
 	labels   func(i int) []string
+	kv       []string
 	counters []Counter
 	gauges   []Gauge
+	hists    []Histogram
+}
+
+// pairs returns the key/value pairs of cell i.
+func (b *block) pairs(i int) []string {
+	if b.labels == nil {
+		return b.kv
+	}
+	return b.labels(i)
+}
+
+// single returns the one cell of a single-series block.
+func (b *block) single() any {
+	switch {
+	case b.counters != nil:
+		return &b.counters[0]
+	case b.gauges != nil:
+		return &b.gauges[0]
+	default:
+		return &b.hists[0]
+	}
 }
 
 // Registry holds metric families. Series registration is idempotent:
@@ -431,35 +430,26 @@ func (f *family) seriesAt(ls []Label, cell any) any {
 	return cell
 }
 
-// materialise builds the label set and key of every lazy series and
-// pending block cell and files it in f.series, after which the family
-// is indistinguishable from one registered eagerly. The caller holds
-// r.mu; lanes may be incrementing the cells meanwhile (they touch only
-// the value words).
+// materialise builds the label set and key of every pending cell and
+// files it in f.series, after which the family is indistinguishable
+// from one registered eagerly. The caller holds r.mu; lanes may be
+// incrementing the cells meanwhile (they touch only the value words).
 func (r *Registry) materialise(f *family) {
-	for _, s := range f.lazy {
-		ls := r.labelSet(s.kv)
-		switch c := s.cell.(type) {
-		case *Counter:
-			c.labels = ls
-		case *Gauge:
-			c.labels = ls
-		case *Histogram:
-			c.labels = ls
-		}
-		f.seriesAt(ls, s.cell)
-	}
-	f.lazy = nil
 	for _, b := range f.pending {
 		for i := range b.counters {
 			c := &b.counters[i]
-			c.labels = r.labelSet(b.labels(i))
+			c.labels = r.labelSet(b.pairs(i))
 			f.seriesAt(c.labels, c)
 		}
 		for i := range b.gauges {
 			g := &b.gauges[i]
-			g.labels = r.labelSet(b.labels(i))
+			g.labels = r.labelSet(b.pairs(i))
 			f.seriesAt(g.labels, g)
+		}
+		for i := range b.hists {
+			h := &b.hists[i]
+			h.labels = r.labelSet(b.pairs(i))
+			f.seriesAt(h.labels, h)
 		}
 	}
 	f.pending = nil
@@ -478,9 +468,10 @@ func (r *Registry) lookup(name string, k kind, bounds []float64, ls []Label) any
 
 // single is the registration path of Counter, Gauge and Histogram:
 // get-or-create by the caller's key/value pairs. While the family is
-// unkeyed, holds no block and has room on its lazy list, the series is
-// found or filed there by comparing pairs — no label set, key or map
-// insert; otherwise the family is materialised and the lookup is keyed.
+// unkeyed and holds only single-series blocks, fewer than lazyMax, the
+// series is found among them or filed as a new one by comparing pairs
+// — no label set, key or map insert; otherwise the family is
+// materialised and the lookup is keyed.
 func (r *Registry) single(name string, k kind, bounds []float64, kv []string) any {
 	if len(kv)%2 != 0 {
 		panic("telemetry: odd label key/value list")
@@ -488,22 +479,40 @@ func (r *Registry) single(name string, k kind, bounds []float64, kv []string) an
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.getFamily(name, k, bounds)
-	if len(f.series) == 0 && len(f.pending) == 0 {
-		for _, s := range f.lazy {
-			if samePairs(s.kv, kv) {
-				return s.cell
+	if len(f.series) == 0 && f.singlesOnly() {
+		for i := range f.pending {
+			if b := &f.pending[i]; samePairs(b.kv, kv) {
+				return b.single()
 			}
 		}
-		if len(f.lazy) < lazyMax {
-			cell := f.newCell(nil)
+		if len(f.pending) < lazyMax {
 			// kv is the caller's variadic slice: copied, it may stay on
 			// the caller's stack and be reused.
-			f.lazy = append(f.lazy, lazySeries{kv: append([]string(nil), kv...), cell: cell})
-			return cell
+			b := block{kv: append([]string(nil), kv...)}
+			switch k {
+			case kindCounter:
+				b.counters = make([]Counter, 1)
+			case kindGauge:
+				b.gauges = make([]Gauge, 1)
+			default:
+				b.hists = []Histogram{{bounds: f.bounds, counts: make([]int64, len(f.bounds)+1)}}
+			}
+			f.pending = append(f.pending, b)
+			return b.single()
 		}
 	}
 	r.materialise(f)
 	return f.seriesAt(r.labelSet(kv), nil)
+}
+
+// singlesOnly reports whether every pending block is a single series.
+func (f *family) singlesOnly() bool {
+	for i := range f.pending {
+		if f.pending[i].labels != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // samePairs reports whether two key/value lists name one label set:
@@ -612,9 +621,6 @@ func (r *Registry) SumCounter(name string, kv ...string) int64 {
 	if len(match) > 0 {
 		r.materialise(f)
 	}
-	for _, s := range f.lazy {
-		sum += s.cell.(*Counter).Value()
-	}
 	for _, b := range f.pending {
 		for i := range b.counters {
 			sum += b.counters[i].Value()
@@ -676,7 +682,7 @@ func (r *Registry) Merge(o *Registry) {
 			case kindGauge:
 				r.lookup(fs.name, kindGauge, nil, s.labels).(*Gauge).Add(s.fvalue)
 			case kindHistogram:
-				r.lookup(fs.name, kindHistogram, fs.bounds, s.labels).(*Histogram).merge(s.value, s.fvalue, s.counts)
+				r.lookup(fs.name, kindHistogram, fs.bounds, s.labels).(*Histogram).Merge(s.counts, s.value, s.fvalue)
 			}
 		}
 	}

@@ -11,36 +11,83 @@ import (
 	"repro/internal/xrand"
 )
 
-// GenConfig parameterises random topology generation.
-type GenConfig struct {
-	// Cores is the number of core switches (≥ 2).
-	Cores int
-	// ExtraLinks are core links added beyond the spanning tree.
-	ExtraLinks int
-	// Edges is the number of edge nodes, each attached to one random
-	// core (≥ 2 for end-to-end experiments).
-	Edges int
-	// Seed drives the generator.
-	Seed int64
+// wire is one link of a generated graph, named by its endpoints: core
+// i is i, host h is cores+h. Only a may be a host.
+type wire struct{ a, b int }
+
+// build assembles a generated graph from its wire list. Each core's
+// switch ID is pairwise coprime with the others and above its degree in
+// wires (coprime.Assign over degree+1 minimums), and coreName names it.
+// Cores are inserted first, in index order. Host h is named
+// E<hostBase+h> and inserted just before its first wire, hosts being
+// numbered in that order; every host wire carries HostQueuePackets.
+// Wires are connected in list order, which fixes every port.
+func build(name string, cores int, coreName func(i int, id uint64) string, hostBase int, wires []wire) (*Graph, error) {
+	mins := make([]uint64, cores)
+	hostWires := 0
+	for _, w := range wires {
+		if w.a < cores {
+			mins[w.a]++
+		} else {
+			hostWires++
+		}
+		mins[w.b]++
+	}
+	for i := range mins {
+		mins[i]++
+	}
+	ids, err := coprime.Assign(mins)
+	if err != nil {
+		return nil, fmt.Errorf("topology: %s: %w", name, err)
+	}
+
+	g := New(name)
+	nodes := make([]*Node, cores, cores+hostWires)
+	for i, id := range ids {
+		if nodes[i], err = g.AddCore(coreName(i, id), id); err != nil {
+			return nil, err
+		}
+	}
+	for _, w := range wires {
+		cfg := defaultLink
+		if w.a >= cores {
+			if w.a == len(nodes) {
+				host, err := g.AddEdge("E" + strconv.Itoa(hostBase+w.a-cores))
+				if err != nil {
+					return nil, err
+				}
+				nodes = append(nodes, host)
+			}
+			cfg.queuePkts = HostQueuePackets
+		}
+		if _, err := g.connect(nodes[w.a], nodes[w.b], cfg); err != nil {
+			return nil, err
+		}
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
-// Generate builds a random connected KAR topology: a random spanning
-// tree over the cores plus ExtraLinks random chords, with
-// pairwise-coprime switch IDs allocated smallest-first (each ID
-// strictly above its switch's final degree, as KAR requires). Edge
-// nodes attach to distinct random cores. Deterministic per seed.
-func Generate(cfg GenConfig) (*Graph, error) {
-	if cfg.Cores < 2 {
-		return nil, fmt.Errorf("topology: generate: need >= 2 cores, got %d", cfg.Cores)
-	}
-	if cfg.Edges < 0 || cfg.Edges > cfg.Cores {
-		return nil, fmt.Errorf("topology: generate: edges %d out of range [0, %d]", cfg.Edges, cfg.Cores)
-	}
-	rng := xrand.New(cfg.Seed)
+// idName names a core by its switch ID, as the rand and isp generators do.
+func idName(_ int, id uint64) string { return "SW" + strconv.FormatUint(id, 10) }
 
-	// Degree plan: spanning tree + chords + edge attachments.
-	type link struct{ a, b int }
-	var links []link
+// generate builds a random connected topology: a random spanning tree
+// over the cores plus extra random chords, and edge hosts on distinct
+// random cores. Deterministic per seed.
+func generate(cores, extra, edges int, seed int64) (*Graph, error) {
+	if cores < 2 {
+		return nil, fmt.Errorf("topology: generate: need >= 2 cores, got %d", cores)
+	}
+	if edges < 0 || edges > cores {
+		return nil, fmt.Errorf("topology: generate: edges %d out of range [0, %d]", edges, cores)
+	}
+	rng := xrand.New(seed)
+
+	// The host wires lead the list; their cores are drawn after the chords.
+	_, links := randSize(int64(cores), int64(extra), int64(edges))
+	wires := make([]wire, edges, links)
 	seen := make(map[[2]int]bool)
 	addLink := func(a, b int) bool {
 		if a == b {
@@ -53,231 +100,101 @@ func Generate(cfg GenConfig) (*Graph, error) {
 			return false
 		}
 		seen[[2]int{a, b}] = true
-		links = append(links, link{a: a, b: b})
+		wires = append(wires, wire{a, b})
 		return true
 	}
 	// Random spanning tree: attach node i to a random predecessor.
-	perm := rng.Perm(cfg.Cores)
-	for i := 1; i < cfg.Cores; i++ {
+	perm := rng.Perm(cores)
+	for i := 1; i < cores; i++ {
 		addLink(perm[i], perm[rng.Intn(i)])
 	}
-	for added := 0; added < cfg.ExtraLinks; {
-		if maxLinks := cfg.Cores * (cfg.Cores - 1) / 2; len(links) >= maxLinks {
-			break
-		}
-		if addLink(rng.Intn(cfg.Cores), rng.Intn(cfg.Cores)) {
+	for added := 0; added < extra && len(wires)-edges < cores*(cores-1)/2; {
+		if addLink(rng.Intn(cores), rng.Intn(cores)) {
 			added++
 		}
 	}
-
-	degree := make([]uint64, cfg.Cores)
-	for _, l := range links {
-		degree[l.a]++
-		degree[l.b]++
+	for i, c := range rng.Perm(cores)[:edges] {
+		wires[i] = wire{cores + i, c}
 	}
-	edgeAt := rng.Perm(cfg.Cores)[:cfg.Edges]
-	for _, c := range edgeAt {
-		degree[c]++
-	}
-
-	// Allocate coprime IDs: each must exceed the switch's port count.
-	mins := make([]uint64, cfg.Cores)
-	for i, d := range degree {
-		mins[i] = d + 1
-	}
-	ids, err := coprime.Assign(mins)
-	if err != nil {
-		return nil, fmt.Errorf("topology: generate: %w", err)
-	}
-
-	g := New(fmt.Sprintf("rand-%d-%d", cfg.Cores, cfg.Seed))
-	names := make([]string, cfg.Cores)
-	for i, id := range ids {
-		names[i] = fmt.Sprintf("SW%d", id)
-		if _, err := g.AddCore(names[i], id); err != nil {
-			return nil, err
-		}
-	}
-	for i, c := range edgeAt {
-		name := fmt.Sprintf("E%d", i+1)
-		if _, err := g.AddEdge(name); err != nil {
-			return nil, err
-		}
-		if _, err := g.Connect(name, names[c], WithQueuePackets(HostQueuePackets)); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range links {
-		if _, err := g.Connect(names[l.a], names[l.b]); err != nil {
-			return nil, err
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return build(fmt.Sprintf("rand-%d-%d", cores, seed), cores, idName, 1, wires)
 }
 
-// FatTree builds the standard k-ary fat-tree datacenter fabric
-// (k even, k >= 2): k pods of k/2 aggregation and k/2 top-of-rack
-// switches, (k/2)^2 core-layer switches, and one KAR edge host per
-// ToR. Core group i connects to aggregation switch i of every pod;
-// every ToR connects to every aggregation switch in its pod. Switch
-// IDs are allocated pairwise-coprime smallest-first over the analytic
-// degree plan, so the graph is fully deterministic in k. Pod switches
-// are inserted pod-by-pod before the core layer, which keeps
+// fatTree builds the standard k-ary fat-tree datacenter fabric (k even,
+// k >= 2): k pods of k/2 aggregation and k/2 top-of-rack switches,
+// (k/2)^2 core-layer switches, and one edge host per ToR. Core group i
+// connects to aggregation switch i of every pod; every ToR connects to
+// every aggregation switch in its pod. Pod switches are inserted pod by
+// pod (aggregation, then ToR) before the core layer, which keeps
 // contiguous region partitions (PartitionRegions) pod-aligned.
-func FatTree(k int) (*Graph, error) {
+func fatTree(k int) (*Graph, error) {
 	if k < 2 || k%2 != 0 {
 		return nil, fmt.Errorf("topology: fattree: k must be even and >= 2, got %d", k)
 	}
 	half := k / 2
-	nSwitches := k*k + half*half // k pods x (half agg + half tor) + core layer
-
-	// Analytic degree plan in insertion order: per pod, aggs then
-	// ToRs; core layer last. Agg: half up + half down. ToR: half up
-	// + one host. Core: one link per pod.
-	mins := make([]uint64, 0, nSwitches)
-	for p := 0; p < k; p++ {
-		for i := 0; i < half; i++ {
-			mins = append(mins, uint64(k)+1) // agg
-		}
-		for i := 0; i < half; i++ {
-			mins = append(mins, uint64(half)+2) // tor
-		}
-	}
-	for c := 0; c < half*half; c++ {
-		mins = append(mins, uint64(k)+1) // core
-	}
-	ids, err := coprime.Assign(mins)
-	if err != nil {
-		return nil, fmt.Errorf("topology: fattree: %w", err)
-	}
-
-	g := New(fmt.Sprintf("fattree-%d", k))
-	agg := make([][]string, k)
-	tor := make([][]string, k)
-	next := 0
-	for p := 0; p < k; p++ {
-		agg[p] = make([]string, half)
-		tor[p] = make([]string, half)
-		for i := 0; i < half; i++ {
-			agg[p][i] = fmt.Sprintf("A%d_%d", p, i)
-			if _, err := g.AddCore(agg[p][i], ids[next]); err != nil {
-				return nil, err
-			}
-			next++
-		}
-		for i := 0; i < half; i++ {
-			tor[p][i] = fmt.Sprintf("T%d_%d", p, i)
-			if _, err := g.AddCore(tor[p][i], ids[next]); err != nil {
-				return nil, err
-			}
-			next++
-		}
-	}
-	cores := make([]string, half*half)
-	for c := range cores {
-		cores[c] = fmt.Sprintf("C%d_%d", c/half, c%half)
-		if _, err := g.AddCore(cores[c], ids[next]); err != nil {
-			return nil, err
-		}
-		next++
-	}
+	switches, links := fatTreeSize(int64(k))
+	cores := int(switches)
+	agg := func(p, i int) int { return p*k + i }
+	tor := func(p, i int) int { return p*k + half + i }
 
 	// Hosts and intra-pod fabric, pod by pod; core uplinks last.
+	wires := make([]wire, 0, links)
 	for p := 0; p < k; p++ {
 		for t := 0; t < half; t++ {
-			host := fmt.Sprintf("E%d", p*half+t)
-			if _, err := g.AddEdge(host); err != nil {
-				return nil, err
-			}
-			if _, err := g.Connect(host, tor[p][t], WithQueuePackets(HostQueuePackets)); err != nil {
-				return nil, err
-			}
+			wires = append(wires, wire{cores + p*half + t, tor(p, t)})
 		}
 		for t := 0; t < half; t++ {
 			for a := 0; a < half; a++ {
-				if _, err := g.Connect(tor[p][t], agg[p][a]); err != nil {
-					return nil, err
-				}
+				wires = append(wires, wire{tor(p, t), agg(p, a)})
 			}
 		}
 	}
-	for c, name := range cores {
-		group := c / half
+	for c := 0; c < half*half; c++ {
 		for p := 0; p < k; p++ {
-			if _, err := g.Connect(name, agg[p][group]); err != nil {
-				return nil, err
-			}
+			wires = append(wires, wire{k*k + c, agg(p, c/half)})
 		}
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
+	name := func(i int, _ uint64) string {
+		if c := i - k*k; c >= 0 {
+			return fmt.Sprintf("C%d_%d", c/half, c%half)
+		}
+		p, j := i/k, i%k
+		if j < half {
+			return fmt.Sprintf("A%d_%d", p, j)
+		}
+		return fmt.Sprintf("T%d_%d", p, j-half)
 	}
-	return g, nil
+	return build(fmt.Sprintf("fattree-%d", k), cores, name, 0, wires)
 }
 
-// Clos builds a two-tier leaf-spine fabric: every leaf connects to
-// every spine, with one KAR edge host per leaf. Deterministic in
-// (leaves, spines).
-func Clos(leaves, spines int) (*Graph, error) {
+// clos builds a two-tier leaf-spine fabric: every leaf connects to
+// every spine, with one edge host per leaf.
+func clos(leaves, spines int) (*Graph, error) {
 	if leaves < 2 || spines < 1 {
 		return nil, fmt.Errorf("topology: clos: need >= 2 leaves and >= 1 spine, got %d/%d", leaves, spines)
 	}
-	mins := make([]uint64, 0, leaves+spines)
+	_, links := closSize(int64(leaves), int64(spines))
+	wires := make([]wire, 0, links)
 	for i := 0; i < leaves; i++ {
-		mins = append(mins, uint64(spines)+2) // spines up + one host
-	}
-	for i := 0; i < spines; i++ {
-		mins = append(mins, uint64(leaves)+1)
-	}
-	ids, err := coprime.Assign(mins)
-	if err != nil {
-		return nil, fmt.Errorf("topology: clos: %w", err)
-	}
-
-	g := New(fmt.Sprintf("clos-%d-%d", leaves, spines))
-	leaf := make([]string, leaves)
-	for i := range leaf {
-		leaf[i] = fmt.Sprintf("L%d", i)
-		if _, err := g.AddCore(leaf[i], ids[i]); err != nil {
-			return nil, err
+		wires = append(wires, wire{leaves + spines + i, i})
+		for s := 0; s < spines; s++ {
+			wires = append(wires, wire{i, leaves + s})
 		}
 	}
-	spine := make([]string, spines)
-	for i := range spine {
-		spine[i] = fmt.Sprintf("S%d", i)
-		if _, err := g.AddCore(spine[i], ids[leaves+i]); err != nil {
-			return nil, err
+	name := func(i int, _ uint64) string {
+		if i < leaves {
+			return "L" + strconv.Itoa(i)
 		}
+		return "S" + strconv.Itoa(i-leaves)
 	}
-	for i, l := range leaf {
-		host := fmt.Sprintf("E%d", i)
-		if _, err := g.AddEdge(host); err != nil {
-			return nil, err
-		}
-		if _, err := g.Connect(host, l, WithQueuePackets(HostQueuePackets)); err != nil {
-			return nil, err
-		}
-		for _, s := range spine {
-			if _, err := g.Connect(l, s); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return build(fmt.Sprintf("clos-%d-%d", leaves, spines), leaves+spines, name, 0, wires)
 }
 
-// ISP builds an ISP-like backbone by Barabási–Albert preferential
-// attachment: an (m+1)-clique seed, then each new switch attaches to
-// m distinct existing switches chosen proportionally to degree. hosts
-// KAR edge nodes attach to switches spread evenly across the
-// insertion order. Deterministic per seed.
-func ISP(cores, m, hosts int, seed int64) (*Graph, error) {
+// isp builds an ISP-like backbone by Barabási–Albert preferential
+// attachment: an (m+1)-clique seed, then each new switch attaches to m
+// distinct existing switches chosen proportionally to degree. The hosts
+// attach to switches spread evenly across the insertion order.
+// Deterministic per seed.
+func isp(cores, m, hosts int, seed int64) (*Graph, error) {
 	if m < 1 || cores < m+2 {
 		return nil, fmt.Errorf("topology: isp: need m >= 1 and cores >= m+2, got cores=%d m=%d", cores, m)
 	}
@@ -286,81 +203,53 @@ func ISP(cores, m, hosts int, seed int64) (*Graph, error) {
 	}
 	rng := xrand.New(seed)
 
-	type link struct{ a, b int }
-	var links []link
+	_, links := ispSize(int64(cores), int64(m), int64(hosts))
+	wires := make([]wire, 0, links)
+	for i := 0; i < hosts; i++ {
+		wires = append(wires, wire{cores + i, i * cores / hosts})
+	}
 	// Preferential-attachment urn: every link endpoint appears once.
 	urn := make([]int, 0, 2*(m*cores))
 	for a := 0; a <= m; a++ {
 		for b := a + 1; b <= m; b++ {
-			links = append(links, link{a, b})
+			wires = append(wires, wire{a, b})
 			urn = append(urn, a, b)
 		}
 	}
 	picked := make(map[int]bool, m)
+	targets := make([]int, 0, m)
 	for v := m + 1; v < cores; v++ {
-		for k := range picked {
-			delete(picked, k)
-		}
+		clear(picked)
 		for len(picked) < m {
 			picked[urn[rng.Intn(len(urn))]] = true
 		}
 		// Deterministic link order for the chosen targets.
-		targets := make([]int, 0, m)
+		targets = targets[:0]
 		for t := range picked {
 			targets = append(targets, t)
 		}
 		sort.Ints(targets)
 		for _, t := range targets {
-			links = append(links, link{t, v})
+			wires = append(wires, wire{t, v})
 			urn = append(urn, t, v)
 		}
 	}
+	return build(fmt.Sprintf("isp-%d-%d-%d", cores, m, seed), cores, idName, 0, wires)
+}
 
-	degree := make([]uint64, cores)
-	for _, l := range links {
-		degree[l.a]++
-		degree[l.b]++
-	}
-	hostAt := make([]int, hosts)
-	for i := range hostAt {
-		hostAt[i] = i * cores / max(hosts, 1)
-		degree[hostAt[i]]++
-	}
-	mins := make([]uint64, cores)
-	for i, d := range degree {
-		mins[i] = d + 1
-	}
-	ids, err := coprime.Assign(mins)
-	if err != nil {
-		return nil, fmt.Errorf("topology: isp: %w", err)
-	}
+// The switches and links (host links included) a generator's counts
+// imply, computed before it runs. rand's are an upper bound: it stops
+// adding chords when the cores are fully meshed.
+func randSize(cores, extra, edges int64) (int64, int64) {
+	return cores, min(cores-1+max(extra, 0), cores*(cores-1)/2) + edges
+}
 
-	g := New(fmt.Sprintf("isp-%d-%d-%d", cores, m, seed))
-	names := make([]string, cores)
-	for i, id := range ids {
-		names[i] = fmt.Sprintf("SW%d", id)
-		if _, err := g.AddCore(names[i], id); err != nil {
-			return nil, err
-		}
-	}
-	for i, c := range hostAt {
-		host := fmt.Sprintf("E%d", i)
-		if _, err := g.AddEdge(host); err != nil {
-			return nil, err
-		}
-		if _, err := g.Connect(host, names[c], WithQueuePackets(HostQueuePackets)); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range links {
-		if _, err := g.Connect(names[l.a], names[l.b]); err != nil {
-			return nil, err
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+func fatTreeSize(k int64) (int64, int64) { return k*k + k*k/4, k*k/2 + k*k*k/2 }
+
+func closSize(leaves, spines int64) (int64, int64) { return leaves + spines, leaves * (spines + 1) }
+
+func ispSize(cores, m, hosts int64) (int64, int64) {
+	return cores, m*(m+1)/2 + (cores-m-1)*m + hosts
 }
 
 // MaxSpecSwitches is the largest topology FromSpec builds, in switches
@@ -368,6 +257,33 @@ func ISP(cores, m, hosts int, seed int64) (*Graph, error) {
 // has 980). A spec arrives from a flag, a scenario file or a daemon
 // request, and every generator sizes its slices from it.
 const MaxSpecSwitches = 4096
+
+// MaxSpecLinks bounds the links a spec implies, host links included
+// (fattree:56 has 89 376): inside MaxSpecSwitches, a clos or isp spec
+// can still ask for millions.
+const MaxSpecLinks = 1 << 18
+
+// specKinds are the FromSpec generators: each one's grammar, the
+// switches and links its counts imply, and the builder of its numbers.
+var specKinds = map[string]struct {
+	usage string
+	arity int
+	size  func(n []int64) (switches, links int64)
+	build func(n []int64) (*Graph, error)
+}{
+	"rand": {"rand:<cores>:<extra-links>:<edges>:<seed>", 4,
+		func(n []int64) (int64, int64) { return randSize(n[0], n[1], n[2]) },
+		func(n []int64) (*Graph, error) { return generate(int(n[0]), int(n[1]), int(n[2]), n[3]) }},
+	"fattree": {"fattree:<k>", 1,
+		func(n []int64) (int64, int64) { return fatTreeSize(n[0]) },
+		func(n []int64) (*Graph, error) { return fatTree(int(n[0])) }},
+	"clos": {"clos:<leaves>:<spines>", 2,
+		func(n []int64) (int64, int64) { return closSize(n[0], n[1]) },
+		func(n []int64) (*Graph, error) { return clos(int(n[0]), int(n[1])) }},
+	"isp": {"isp:<cores>:<m>:<hosts>:<seed>", 4,
+		func(n []int64) (int64, int64) { return ispSize(n[0], n[1], n[2]) },
+		func(n []int64) (*Graph, error) { return isp(int(n[0]), int(n[1]), int(n[2]), n[3]) }},
+}
 
 // FromSpec builds a generated topology from a colon-separated spec:
 //
@@ -380,7 +296,14 @@ const MaxSpecSwitches = 4096
 // canned scenario topologies.
 func FromSpec(spec string) (*Graph, error) {
 	kind, rest, _ := strings.Cut(spec, ":")
+	gen, ok := specKinds[kind]
+	if !ok {
+		return nil, fmt.Errorf("topology: unknown generator spec %q", spec)
+	}
 	parts := strings.Split(rest, ":")
+	if len(parts) != gen.arity {
+		return nil, fmt.Errorf("topology: spec %q: want %s", spec, gen.usage)
+	}
 	nums := make([]int64, len(parts))
 	for i, p := range parts {
 		v, err := strconv.ParseInt(p, 10, 64)
@@ -391,43 +314,23 @@ func FromSpec(spec string) (*Graph, error) {
 	}
 	// Every count of a spec (the seed, where there is one, is the fourth
 	// number) is held to the limit before anything is computed from it,
-	// then the switch count they imply.
-	size := slices.Max(nums[:min(len(nums), 3)])
+	// then the switches and links they imply. A negative count, which
+	// its generator refuses, counts as none here.
+	counts := make([]int64, min(len(nums), 3))
+	for i := range counts {
+		counts[i] = max(nums[i], 0)
+	}
+	size, links := slices.Max(counts), int64(0)
 	if size <= MaxSpecSwitches {
-		switch {
-		case kind == "fattree" && len(nums) == 1:
-			size = nums[0]*nums[0] + nums[0]*nums[0]/4
-		case kind == "clos" && len(nums) == 2:
-			size = nums[0] + nums[1]
-		}
+		size, links = gen.size(counts)
 	}
 	if size > MaxSpecSwitches {
 		return nil, fmt.Errorf("topology: spec %q: %d exceeds the limit of %d on a spec's switches and on each of its counts", spec, size, MaxSpecSwitches)
 	}
-	switch kind {
-	case "rand":
-		if len(nums) != 4 {
-			return nil, fmt.Errorf("topology: spec %q: want rand:<cores>:<extra-links>:<edges>:<seed>", spec)
-		}
-		return Generate(GenConfig{Cores: int(nums[0]), ExtraLinks: int(nums[1]), Edges: int(nums[2]), Seed: nums[3]})
-	case "fattree":
-		if len(nums) != 1 {
-			return nil, fmt.Errorf("topology: spec %q: want fattree:<k>", spec)
-		}
-		return FatTree(int(nums[0]))
-	case "clos":
-		if len(nums) != 2 {
-			return nil, fmt.Errorf("topology: spec %q: want clos:<leaves>:<spines>", spec)
-		}
-		return Clos(int(nums[0]), int(nums[1]))
-	case "isp":
-		if len(nums) != 4 {
-			return nil, fmt.Errorf("topology: spec %q: want isp:<cores>:<m>:<hosts>:<seed>", spec)
-		}
-		return ISP(int(nums[0]), int(nums[1]), int(nums[2]), nums[3])
-	default:
-		return nil, fmt.Errorf("topology: unknown generator spec %q", spec)
+	if links > MaxSpecLinks {
+		return nil, fmt.Errorf("topology: spec %q: %d links exceed the limit of %d on a spec's links", spec, links, MaxSpecLinks)
 	}
+	return gen.build(nums)
 }
 
 // canned maps the names of the hand-built topologies to their builders.
@@ -506,12 +409,6 @@ func Protection(topo, level string) (pairs [][2]string, auto bool, err error) {
 // rather than a canned topology name.
 func IsSpec(name string) bool {
 	kind, _, ok := strings.Cut(name, ":")
-	if !ok {
-		return false
-	}
-	switch kind {
-	case "rand", "fattree", "clos", "isp":
-		return true
-	}
-	return false
+	_, known := specKinds[kind]
+	return ok && known
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -11,27 +12,27 @@ import (
 // and the standard link count.
 func TestFatTreeShape(t *testing.T) {
 	for _, k := range []int{4, 8} {
-		g, err := FatTree(k)
+		g, err := FromSpec(fmt.Sprintf("fattree:%d", k))
 		if err != nil {
-			t.Fatalf("FatTree(%d): %v", k, err)
+			t.Fatalf("fattree:%d: %v", k, err)
 		}
 		half := k / 2
 		if got, want := len(g.CoreNodes()), k*k+half*half; got != want {
-			t.Errorf("FatTree(%d): %d switches, want %d", k, got, want)
+			t.Errorf("fattree:%d: %d switches, want %d", k, got, want)
 		}
 		if got, want := len(g.EdgeNodes()), k*half; got != want {
-			t.Errorf("FatTree(%d): %d hosts, want %d", k, got, want)
+			t.Errorf("fattree:%d: %d hosts, want %d", k, got, want)
 		}
 		// Hosts + intra-pod (k * half*half) + core uplinks (half^2 * k).
 		if got, want := len(g.Links()), k*half+k*half*half+half*half*k; got != want {
-			t.Errorf("FatTree(%d): %d links, want %d", k, got, want)
+			t.Errorf("fattree:%d: %d links, want %d", k, got, want)
 		}
 		if err := g.Validate(); err != nil {
-			t.Errorf("FatTree(%d): validate: %v", k, err)
+			t.Errorf("fattree:%d: validate: %v", k, err)
 		}
 	}
-	if _, err := FatTree(3); err == nil {
-		t.Error("FatTree(3): want error for odd k")
+	if _, err := FromSpec("fattree:3"); err == nil {
+		t.Error("fattree:3: want error for odd k")
 	}
 }
 
@@ -42,7 +43,7 @@ func TestFatTreeDatacenterScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("datacenter-scale build")
 	}
-	g, err := FatTree(28)
+	g, err := FromSpec("fattree:28")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestFatTreeDatacenterScale(t *testing.T) {
 
 // TestClosShape: every leaf sees every spine plus one host.
 func TestClosShape(t *testing.T) {
-	g, err := Clos(6, 3)
+	g, err := FromSpec("clos:6:3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestClosShape(t *testing.T) {
 // TestISPShape: m links per non-seed switch, hosts spread across the
 // insertion order, connected and valid.
 func TestISPShape(t *testing.T) {
-	g, err := ISP(50, 2, 10, 42)
+	g, err := FromSpec("isp:50:2:10:42")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +138,40 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
+// TestGeneratorFingerprintGolden pins every generator's output — node
+// names, kinds, IDs, ports and link attributes — to hashes taken before
+// the four generators shared one builder.
+func TestGeneratorFingerprintGolden(t *testing.T) {
+	for _, c := range []struct{ spec, want string }{
+		{"fattree:2", "ad7e906c6e05e4f2"},
+		{"fattree:4", "134dcd4a1c2ede74"},
+		{"fattree:8", "df887d9b0e03011f"},
+		{"fattree:28", "4e9b5232edeb2c70"},
+		{"clos:2:1", "38b09e60116d99ad"},
+		{"clos:6:3", "f86cb2678a819e44"},
+		{"clos:8:4", "49c1bb3fa67ee843"},
+		{"clos:64:16", "031cf082238e27bd"},
+		{"isp:9:2:2:1", "452d9c5221f61a71"},
+		{"isp:40:2:8:1", "3f7536fd2dc3567b"},
+		{"isp:60:3:8:1", "367d3aab26fb3ead"},
+		{"isp:200:2:40:7", "2bcd35497986ea89"},
+		{"rand:2:0:2:1", "947bd732fb74942f"},
+		{"rand:12:4:6:9", "d6d37970b9a0b662"},
+		{"rand:24:36:10:7", "16fd5d45c567aa13"},
+		{"rand:50:40:4:4", "5b708f5cfdafcb5c"},
+		{"rand:5:2:3:11", "5a29738c7cb10b24"},
+		{"rand:48:72:12:5", "5ddeef56253dd361"},
+	} {
+		g, err := FromSpec(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		if got := g.Fingerprint(); got != c.want {
+			t.Errorf("%s: fingerprint %s, want %s", c.spec, got, c.want)
+		}
+	}
+}
+
 // TestFromSpecErrors: malformed specs fail loudly instead of building
 // something surprising.
 func TestFromSpecErrors(t *testing.T) {
@@ -159,8 +194,19 @@ func TestFromSpecErrors(t *testing.T) {
 			t.Errorf("FromSpec(%q): %v, want an error naming the limit", spec, err)
 		}
 	}
-	if g, err := FromSpec("clos:4000:96"); err != nil || len(g.CoreNodes()) != MaxSpecSwitches {
-		t.Errorf("FromSpec(clos:4000:96): %v, want %d switches", err, MaxSpecSwitches)
+	// Inside the switch limit, a spec past MaxSpecLinks is refused too.
+	for _, spec := range []string{
+		"clos:4000:96", "clos:2048:2048", "isp:2048:512:16:1",
+		"isp:4096:64:2081:1",
+	} {
+		if _, err := FromSpec(spec); err == nil || !strings.Contains(err.Error(), "exceed the limit of 262144") {
+			t.Errorf("FromSpec(%q): %v, want an error naming the link limit", spec, err)
+		}
+	}
+	// At both limits it builds: 4096 switches, 64·8191/2 fabric links
+	// and 2080 host links.
+	if g, err := FromSpec("isp:4096:64:2080:1"); err != nil || len(g.CoreNodes()) != MaxSpecSwitches || g.NumLinks() != MaxSpecLinks {
+		t.Errorf("FromSpec(isp:4096:64:2080:1): %v, want %d switches and %d links", err, MaxSpecSwitches, MaxSpecLinks)
 	}
 	for spec, want := range map[string]bool{
 		"fattree:4": true, "clos:4:2": true, "isp:9:2:2:1": true,
@@ -213,7 +259,7 @@ func TestProtectionResolver(t *testing.T) {
 // insertion order keeps pods whole, hosts land with their ToR's
 // region, and every region is non-empty.
 func TestPartitionRegionsFatTree(t *testing.T) {
-	g, err := FatTree(4)
+	g, err := FromSpec("fattree:4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,41 +311,44 @@ func TestGeneratedLinkDelaysPositive(t *testing.T) {
 }
 
 func TestGenerateValidAndDeterministic(t *testing.T) {
-	for _, cfg := range []GenConfig{
-		{Cores: 2, ExtraLinks: 0, Edges: 2, Seed: 1},
-		{Cores: 10, ExtraLinks: 5, Edges: 2, Seed: 2},
-		{Cores: 28, ExtraLinks: 12, Edges: 3, Seed: 3},
-		{Cores: 50, ExtraLinks: 40, Edges: 4, Seed: 4},
+	for _, c := range []struct {
+		spec         string
+		cores, edges int
+	}{
+		{"rand:2:0:2:1", 2, 2},
+		{"rand:10:5:2:2", 10, 2},
+		{"rand:28:12:3:3", 28, 3},
+		{"rand:50:40:4:4", 50, 4},
 	} {
-		g, err := Generate(cfg)
+		g, err := FromSpec(c.spec)
 		if err != nil {
-			t.Fatalf("Generate(%+v): %v", cfg, err)
+			t.Fatalf("%s: %v", c.spec, err)
 		}
 		if err := g.Validate(); err != nil {
-			t.Fatalf("Generate(%+v) invalid: %v", cfg, err)
+			t.Fatalf("%s invalid: %v", c.spec, err)
 		}
-		if got := len(g.CoreNodes()); got != cfg.Cores {
-			t.Errorf("cores = %d, want %d", got, cfg.Cores)
+		if got := len(g.CoreNodes()); got != c.cores {
+			t.Errorf("%s: cores = %d, want %d", c.spec, got, c.cores)
 		}
-		if got := len(g.EdgeNodes()); got != cfg.Edges {
-			t.Errorf("edges = %d, want %d", got, cfg.Edges)
+		if got := len(g.EdgeNodes()); got != c.edges {
+			t.Errorf("%s: edges = %d, want %d", c.spec, got, c.edges)
 		}
 		// Determinism: same seed, same graph.
-		g2, err := Generate(cfg)
+		g2, err := FromSpec(c.spec)
 		if err != nil {
-			t.Fatalf("Generate again: %v", err)
+			t.Fatalf("%s again: %v", c.spec, err)
 		}
 		if g.Fingerprint() != g2.Fingerprint() {
-			t.Errorf("Generate(%+v) not deterministic", cfg)
+			t.Errorf("%s not deterministic", c.spec)
 		}
 	}
 }
 
 func TestGenerateRejectsBadConfig(t *testing.T) {
-	if _, err := Generate(GenConfig{Cores: 1}); err == nil {
+	if _, err := FromSpec("rand:1:0:0:0"); err == nil {
 		t.Error("accepted a single-core config")
 	}
-	if _, err := Generate(GenConfig{Cores: 4, Edges: 9}); err == nil {
+	if _, err := FromSpec("rand:4:0:9:0"); err == nil {
 		t.Error("accepted more edges than cores")
 	}
 }
@@ -307,9 +356,9 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 // TestGeneratedTopologyRoutes: a generated graph supports end-to-end
 // routing and encoding out of the box.
 func TestGeneratedTopologyRoutes(t *testing.T) {
-	g, err := Generate(GenConfig{Cores: 20, ExtraLinks: 15, Edges: 2, Seed: 9})
+	g, err := FromSpec("rand:20:15:2:9")
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatal(err)
 	}
 	edges := g.EdgeNodes()
 	p, err := ShortestPath(g, edges[0].Name(), edges[1].Name(), nil)

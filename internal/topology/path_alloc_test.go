@@ -11,9 +11,9 @@ import "testing"
 // scratch arrays warm, caller-owned result buffer reused — must not
 // allocate. This is the controller's reroute inner loop.
 func TestAppendShortestPathZeroAlloc(t *testing.T) {
-	g, err := Generate(GenConfig{Cores: 48, ExtraLinks: 72, Edges: 12, Seed: 5})
+	g, err := FromSpec("rand:48:72:12:5")
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatal(err)
 	}
 	edges := g.EdgeNodes()
 	src, dst := edges[0].Name(), edges[len(edges)-1].Name()

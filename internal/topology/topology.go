@@ -300,20 +300,27 @@ func (g *Graph) Connect(a, b string, opts ...LinkOption) (*Link, error) {
 	if !ok {
 		return nil, fmt.Errorf("%q: %w", b, ErrUnknownNode)
 	}
-	if na == nb {
-		return nil, fmt.Errorf("%q: %w", a, ErrSelfLoop)
-	}
-	if _, ok := g.LinkBetween(a, b); ok {
-		return nil, fmt.Errorf("%s-%s: %w", a, b, ErrDuplicateLink)
-	}
-
-	cfg := linkConfig{
-		rateMbps:  DefaultRateMbps,
-		delay:     DefaultDelay,
-		queuePkts: DefaultQueuePackets,
-	}
+	cfg := defaultLink
 	for _, opt := range opts {
 		opt(&cfg)
+	}
+	return g.connect(na, nb, cfg)
+}
+
+// defaultLink is the configuration of a link given no options.
+var defaultLink = linkConfig{
+	rateMbps:  DefaultRateMbps,
+	delay:     DefaultDelay,
+	queuePkts: DefaultQueuePackets,
+}
+
+// connect is Connect on resolved nodes and a resolved configuration.
+func (g *Graph) connect(na, nb *Node, cfg linkConfig) (*Link, error) {
+	if na == nb {
+		return nil, fmt.Errorf("%q: %w", na.name, ErrSelfLoop)
+	}
+	if linkBetween(na, nb) != nil {
+		return nil, fmt.Errorf("%s-%s: %w", na.name, nb.name, ErrDuplicateLink)
 	}
 	if !cfg.hasPorts {
 		cfg.aPort, cfg.bPort = nextFreePort(na), nextFreePort(nb)
@@ -405,16 +412,21 @@ func (g *Graph) NumLinks() int { return len(g.links) }
 // LinkBetween finds the link joining two named nodes, in either
 // orientation.
 func (g *Graph) LinkBetween(a, b string) (*Link, bool) {
-	na, ok := g.nodes[a]
-	if !ok {
+	na, nb := g.nodes[a], g.nodes[b]
+	if na == nil || nb == nil {
 		return nil, false
 	}
+	l := linkBetween(na, nb)
+	return l, l != nil
+}
+
+func linkBetween(na, nb *Node) *Link {
 	for _, l := range na.ports {
-		if l != nil && l.Other(na).name == b {
-			return l, true
+		if l != nil && l.Other(na) == nb {
+			return l
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // Validate checks the KAR invariants: pairwise-coprime core IDs, every

@@ -17,9 +17,9 @@ import (
 // every ordered host pair.
 func closWorld(t *testing.T, opts ...any) *experiment.World {
 	t.Helper()
-	g, err := topology.Clos(4, 2)
+	g, err := topology.FromSpec("clos:4:2")
 	if err != nil {
-		t.Fatalf("Clos: %v", err)
+		t.Fatal(err)
 	}
 	policy, ok := deflect.ByName("nip")
 	if !ok {

@@ -37,6 +37,14 @@ if grep -rl --include='*.go' '^package main$' . | grep -vE '^\./(cmd/karsim|exam
     exit 1
 fi
 
+echo "==> switch IDs are assigned in internal/topology alone"
+# The ID rule sets the route-ID header budget; every generated graph
+# gets its IDs from topology's one builder (bench/ times the kernel).
+if grep -rln --include='*.go' '"repro/internal/coprime"' . | grep -v '_test\.go$' | grep -vE '^\./(internal/topology|bench)/'; then
+    echo "FAIL: internal/coprime imported outside internal/topology" >&2
+    exit 1
+fi
+
 echo "==> fuzz the scheduler queue against a sorted reference (10 s)"
 # The committed corpus (internal/simnet/testdata/fuzz) runs with every
 # go test; this explores from it: random programs of post / train append
