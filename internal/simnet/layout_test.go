@@ -37,7 +37,24 @@ func TestLineLayoutSeparatesWriters(t *testing.T) {
 	if end := unsafe.Offsetof(l.imp) + unsafe.Sizeof(l.imp); end > line {
 		t.Errorf("Line's per-hop header fields end at %d, past the first cache line", end)
 	}
-	if end := unsafe.Offsetof(d.inFlightDrops) + unsafe.Sizeof(d.inFlightDrops); end > unsafe.Offsetof(d.busyUntil) {
+	if end := unsafe.Offsetof(d.box) + unsafe.Sizeof(d.box); end > unsafe.Offsetof(d.busyUntil) {
 		t.Errorf("dirState's construction-time fields end at %d, inside the sender-written group", end)
+	}
+	// A direction's tie-break counter is written by its sender on every
+	// hop: it belongs in the sender-written group, not in a line of the
+	// scheduler's entity array that another lane's counters share.
+	if off := unsafe.Offsetof(d.keys); off <= unsafe.Offsetof(d.busyUntil) || off >= unsafe.Offsetof(d.train) {
+		t.Errorf("dirState.keys at %d, want inside the sender-written group (after busyUntil at %d, before train at %d)",
+			off, unsafe.Offsetof(d.busyUntil), unsafe.Offsetof(d.train))
+	}
+}
+
+// TestEntsHoldControlAndNodesOnly: the lanes' shared key-counter array
+// has the control entity and one entity per node, and no link
+// direction's counter.
+func TestEntsHoldControlAndNodesOnly(t *testing.T) {
+	w := newShardChain(t, 1, false)
+	if got, want := len(w.n.sched.ents), 1+len(w.n.Topology().Nodes()); got != want {
+		t.Errorf("len(Scheduler.ents) = %d, want %d (control + nodes)", got, want)
 	}
 }

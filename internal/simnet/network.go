@@ -138,21 +138,35 @@ type dirState struct {
 	// Exception-path counters (atomic registry cells).
 	queueDrops    *telemetry.Counter
 	inFlightDrops *telemetry.Counter
-	_             [8]byte // end of the construction-time cache line
+
+	// box is a cut direction's inbox index (Network.boxes), set before
+	// the world's first parallel window.
+	box int
 
 	// Everything below is written per packet, by the sending lane only.
 	busyUntil time.Duration
+	// keys counts the tie-break keys this direction has stamped: its
+	// one writer is the sender, so no other lane's line holds it.
+	keys uint64
 
 	// Per-packet counters: cells owned by the sending lane, embedded so
 	// a hop writes only lines this direction already owns.
 	sentPackets DeferredCounter
 	sentBytes   DeferredCounter
-	_           [8]byte // train starts on a cache line of its own
 
 	// train is this direction's queue record — one member per packet
 	// still holding a queue slot — and, on batched directions, its
 	// undelivered transmissions (see train.go).
 	train train
+}
+
+// nextKey stamps this direction's next tie-break key. A direction takes
+// two per packet — the queue-slot release, then the delivery — whether
+// the delivery is a train member or a queue entry, so tie-break order
+// against every other event is identical in both data planes.
+func (ds *dirState) nextKey() uint64 {
+	ds.keys++
+	return uint64(ds.ent)<<entShift | ds.keys
 }
 
 // Impairment is a gray-failure model attached to a line: every packet
@@ -252,14 +266,26 @@ type Network struct {
 	// window bound (the minimum propagation delay over cut links);
 	// impaired counts lines with an installed gray impairment (their RNG
 	// draw order is defined by the global event order, so no window opens
-	// while one is installed). inWindow is true exactly while shard
-	// goroutines run a parallel window: cross-lane deliveries go through
-	// outboxes and telemetry folds wait for the barrier.
+	// while one is installed). inWindow is true exactly while lanes run
+	// a parallel window: cross-lane deliveries go through inboxes and
+	// telemetry folds wait for the barrier.
 	lanes     []*Scheduler
 	nodeLane  []int
 	lookahead time.Duration
 	impaired  int
 	inWindow  bool
+
+	// Cross-lane mail (shard.go), opened by the first parallel window:
+	// boxes[p][b] is inbox b in parity p, one inbox per (sending lane,
+	// receiving lane) pair a cut direction joins; mail[i] lists the
+	// inboxes addressed to lane i. A window's senders fill parity fill
+	// while its receivers take what the last window left in the other
+	// one; inboxAt is the earliest delivery still waiting there, never
+	// when there is none.
+	boxes   [2][]inbox
+	mail    [][]int
+	fill    int
+	inboxAt time.Duration
 }
 
 // Option configures a Network.
@@ -348,13 +374,15 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 		metrics:    telemetry.NewRegistry(telemetry.WithBaseLabels(cfg.baseLabels...)),
 		detectDown: cfg.detectDown,
 		detectUp:   cfg.detectUp,
+		inboxAt:    never,
 	}
 	// Tie-break entity layout: 0 is the control plane, 1..len(nodes)
 	// the nodes (per-node timers), then two entities per link (one per
-	// direction). All lanes share the counter array — each entity is
-	// posted to from exactly one lane — so keys depend only on per-
-	// entity posting order, never on which lane allocated them.
-	ents := make([]uint64, 1+len(nodes)+2*len(links))
+	// direction). All lanes share the control and node counters — each
+	// entity is posted to from exactly one lane — so keys depend only on
+	// per-entity posting order, never on which lane allocated them; a
+	// link direction's counter lives in its dirState.
+	ents := make([]uint64, 1+len(nodes))
 	n.sched = &Scheduler{ents: ents}
 	n.nodeLane = topology.PartitionRegions(topo, shards)
 	n.lanes = make([]*Scheduler, shards)
@@ -583,8 +611,8 @@ func (n *Network) SendOnLine(line *Line, dir uint8, pkt *packet.Packet) {
 // append. On a batched direction the member is also the delivery (the
 // train's queue entry dispatches it); on a noBatch direction it only
 // holds the queue slot, and the delivery is a queue entry of its own —
-// on a cut link routed to the receiving shard's lane (buffered in the
-// sender's outbox during parallel windows). Both arms bump identical
+// on a cut link routed to the receiving shard's lane (buffered in an
+// inbox during parallel windows). Both arms bump identical
 // counters in identical order and allocate the same two tie-break keys
 // from the direction's entity (slot release, then delivery), which is
 // what keeps batched and scalar runs byte-identical.
@@ -631,8 +659,8 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	}
 
 	m := trainMember{at: done + line.delay, txStart: start}
-	m.deqKey = lane.allocKey(ds.ent)
-	m.key = lane.allocKey(ds.ent)
+	m.deqKey = ds.nextKey()
+	m.key = ds.nextKey()
 	if tr.members == nil {
 		// Most directions a short run touches carry a packet or two at a
 		// time; a busy one doubles its way up once and keeps the array.
@@ -651,10 +679,15 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 		lane.deliverAt(m.at, m.key, d)
 	case n.inWindow:
 		// Parallel window: lanes may not touch each other's queues.
-		// Buffer in the sender's outbox; the barrier drains it. The
-		// lookahead bound guarantees m.at lands at or after the
-		// window end, so the receiver cannot have passed it.
-		lane.outbox = append(lane.outbox, outMsg{dst: ds.dstLane, at: m.at, key: m.key, d: d})
+		// The pair's inbox holds the delivery until the receiver takes
+		// it at the start of the next window. The lookahead bound
+		// guarantees m.at lands at or after this window's end, so the
+		// receiver cannot have passed it.
+		b := &n.boxes[n.fill][ds.box]
+		if len(b.msgs) == 0 || m.at < b.min {
+			b.min = m.at
+		}
+		b.msgs = append(b.msgs, outMsg{at: m.at, key: m.key, d: d})
 	default:
 		// Between windows: push directly.
 		ds.dstLane.deliverAt(m.at, m.key, d)

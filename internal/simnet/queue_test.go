@@ -272,24 +272,23 @@ func TestQueueMatchesSortedReference(t *testing.T) {
 	t.Run("barrier-push", func(t *testing.T) {
 		// A sender's window produced a cut-link delivery for exactly the
 		// window's end; the receiver's last peek of the window already
-		// moved its cur past that instant.
+		// moved its cur past that instant when it takes its mail.
 		end := 300 * time.Microsecond
-		var a, b Scheduler
+		var b Scheduler
 		for i := 0; i < smallWorld; i++ {
 			b.push(entry{at: 0, key: uint64(i + 1), what: noop})
 		}
 		b.push(entry{at: time.Millisecond, key: 100, what: noop})
-		b.runWindow(end, time.Second)
+		b.runWindow(end)
 		if b.cur <= bucketOf(end) {
 			t.Fatalf("receiver's cur = %d, want it past the window end's bucket %d", b.cur, bucketOf(end))
 		}
-		a.outbox = append(a.outbox, outMsg{dst: &b, at: end, key: 200})
-		a.drainOutbox()
+		b.deliverAt(end, 200, delivery{})
 		if e := b.peek(); e == nil || e.at != end || e.key != 200 {
 			t.Fatalf("after the barrier peek = %+v, want the cut-link delivery (%v,200)", e, end)
 		}
-		if b.Pending() != 2 || len(a.outbox) != 0 {
-			t.Fatalf("receiver holds %d, sender's outbox %d; want 2, 0", b.Pending(), len(a.outbox))
+		if b.Pending() != 2 {
+			t.Fatalf("receiver holds %d, want 2", b.Pending())
 		}
 	})
 	t.Run("hour-timers", func(t *testing.T) {

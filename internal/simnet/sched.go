@@ -28,11 +28,11 @@ type pending interface{ run(s *Scheduler) }
 type entry struct {
 	at time.Duration
 	// key is the equal-time tie-break: entity<<entShift | per-entity
-	// count (see Scheduler.allocKey). Unlike a global FIFO sequence,
-	// the key an event gets depends only on which entity posted it and
-	// how many that entity posted before — an order that is identical
-	// however the world is sharded, which is what makes N-shard runs
-	// replay the 1-shard dispatch order exactly.
+	// count (see Scheduler.allocKey, dirState.nextKey). Unlike a global
+	// FIFO sequence, the key an event gets depends only on which entity
+	// posted it and how many that entity posted before — an order that
+	// is identical however the world is sharded, which is what makes
+	// N-shard runs replay the 1-shard dispatch order exactly.
 	key  uint64
 	what pending
 }
@@ -164,9 +164,10 @@ type Scheduler struct {
 	// trains' queued heads (Pending accounting).
 	trainExtra int
 
-	// ents holds the per-entity key counters. Lanes of one world share
-	// a single backing array (each entity is owned by exactly one
-	// lane); a standalone scheduler lazily grows its own.
+	// ents holds the key counters of the control and node entities.
+	// Lanes of one world share a single backing array (each entity is
+	// owned by exactly one lane); a standalone scheduler lazily grows
+	// its own. A link direction counts its keys in its own dirState.
 	ents []uint64
 
 	// curKey is the key of the item currently (or most recently)
@@ -176,11 +177,6 @@ type Scheduler struct {
 	// After RunUntil drains everything ≤ t it is set to idleKey: every
 	// release stamped so far has matured.
 	curKey uint64
-
-	// outbox buffers cross-lane deliveries produced inside a parallel
-	// window; the Network drains it into the destination lanes at the
-	// window barrier (heap order makes the drain order irrelevant).
-	outbox []outMsg
 
 	// denyPost, when set, panics At/After: the Network sets it on the
 	// control lane during parallel windows, because a control event
@@ -220,14 +216,6 @@ type Scheduler struct {
 	_ [64]byte
 }
 
-// outMsg is one buffered cross-lane delivery.
-type outMsg struct {
-	dst *Scheduler
-	at  time.Duration
-	key uint64
-	d   delivery
-}
-
 // idleKey marks "no dispatch in progress": all keys allocated so far
 // compare below it (entity indexes stay far under 2^24).
 const idleKey = ^uint64(0)
@@ -247,12 +235,9 @@ func (s *Scheduler) Reserve(n int) {
 	s.front = q
 }
 
-// allocKey stamps one tie-break key for the given entity. A link
-// direction takes two per packet — the queue-slot release, then the
-// delivery — whether the delivery is a train member or a heap event,
-// so tie-break order against every other event is identical in both
-// data planes. Entity counters are single-writer: each entity posts
-// only from its own lane's goroutine.
+// allocKey stamps one tie-break key for a control or node entity.
+// Entity counters are single-writer: each entity posts only from its
+// own lane's goroutine.
 func (s *Scheduler) allocKey(ent uint32) uint64 {
 	if int(ent) >= len(s.ents) {
 		// Standalone scheduler (tests): grow a private counter array.
@@ -544,30 +529,18 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	}
 }
 
-// runWindow processes this lane's items with at < endExcl (and ≤ tMax)
-// — one shard's share of a conservative parallel window. It leaves
-// now/curKey at the last dispatched item: the window bound, not the
-// clock, is the synchronization point.
-func (s *Scheduler) runWindow(endExcl, tMax time.Duration) {
+// runWindow processes this lane's items with at < end — one shard's
+// share of a conservative parallel window. It leaves now/curKey at the
+// last dispatched item: the window bound, not the clock, is the
+// synchronization point.
+func (s *Scheduler) runWindow(end time.Duration) {
 	for {
 		e := s.peek()
-		if e == nil || e.at >= endExcl || e.at > tMax {
+		if e == nil || e.at >= end {
 			return
 		}
 		s.step(e)
 	}
-}
-
-// drainOutbox pushes buffered cross-lane deliveries into their
-// destination queues. Called single-threaded at window barriers; queue
-// order by (at, key) makes the drain order irrelevant.
-func (s *Scheduler) drainOutbox() {
-	for i := range s.outbox {
-		m := &s.outbox[i]
-		m.dst.deliverAt(m.at, m.key, m.d)
-		s.outbox[i] = outMsg{} // no stale packet pins
-	}
-	s.outbox = s.outbox[:0]
 }
 
 // Pending returns the number of scheduled items — queued events plus

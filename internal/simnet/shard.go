@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -27,22 +28,35 @@ import (
 //     control plane, nodes, link directions — are each owned by one
 //     lane, and an entity's events are numbered in its own posting
 //     order, which is a function of the simulation's causal history,
-//     not of lane interleaving.
+//     not of lane interleaving. Each counter has one writer: the
+//     control and node counters sit in the lanes' shared ents array, a
+//     link direction's in its own dirState, beside the queue state its
+//     sender writes anyway.
 //   - Each lane dispatches its own events in (at, key) order in every
-//     mode. Cross-lane arrivals carry at ≥ window end, so they are
-//     merged into the receiver's queue before the receiver can reach
-//     them; within a window each lane sees exactly the event set the
-//     serialized run would have given it.
+//     mode. Cross-lane arrivals carry at ≥ window end; they wait in an
+//     inbox per (sender, receiver) pair, which the receiving lane
+//     empties into its own queue at the start of the next window,
+//     before it runs anything. So within a window each lane sees
+//     exactly the event set the serialized run would have given it.
 //   - Control events (entity 0) sort below all data keys at equal
 //     times and run single-threaded between windows, so failures,
 //     repairs, detections and experiment phases interleave with the
-//     data plane in one global order.
+//     data plane in one global order. Before any single-threaded step,
+//     and before RunUntil returns, the caller empties every inbox
+//     itself: control callbacks, observers and Pending see whole
+//     queues.
 //   - Per-hop telemetry accumulates in lane-owned cells and is folded
 //     into the shared registry single-threaded, between windows; the
 //     folds are commutative (counter adds, bucketed histogram merges
 //     of integral sums), and data-plane event-log records are
 //     canonically sorted on export, so concurrent windows produce the
 //     same observable bytes as the serialized order.
+//
+// Lanes stay put: for the length of one RunUntil, lane 0 runs on the
+// calling goroutine and every other lane on one worker goroutine of its
+// own, started by the first window and parked on a channel between
+// windows, so a lane's hot set (front heap, ring slab, trains, free
+// lists) stays with one goroutine.
 //
 // Observers that demand the total global order — the flight recorder,
 // the drop hook, the event-log tap — and gray impairments (whose RNG
@@ -51,30 +65,56 @@ import (
 // goroutine instead — same lanes, same keys, the identical dispatch
 // sequence, just without the parallelism.
 
+// never is the time of an empty inbox's earliest delivery.
+const never = time.Duration(math.MaxInt64)
+
+// inbox holds the cut-link deliveries one lane sent another during one
+// window, until the receiver takes them at the start of the next.
+type inbox struct {
+	msgs []outMsg
+	min  time.Duration // earliest msgs[i].at
+	// Neighbouring inboxes belong to different lane pairs; the pad
+	// keeps each on a cache line of its own.
+	_ [32]byte
+}
+
+// outMsg is one buffered cross-lane delivery.
+type outMsg struct {
+	at  time.Duration
+	key uint64
+	d   delivery
+}
+
 // RunUntil advances the whole world (all shard lanes plus the control
 // plane) to virtual time t. With one shard it is exactly
 // Scheduler.RunUntil. With several, one loop looks at the global (at,
-// key) minimum across the control lane and every shard lane: a control
-// event, or any item while parallelOK vetoes, is stepped single-
-// threaded (at equal times control sorts first — entity 0); otherwise
-// all lanes concurrently run their items in [m, min(m+W, next control
-// event, t]] and meet at a barrier, where cross-lane deliveries
-// buffered in the window are merged into their destination queues. The
-// choice is re-made at every step, so an observer or impairment a
-// control event attaches mid-run takes effect at once, and it is
-// invisible in every output byte.
+// key) minimum across the control lane, every shard lane and the
+// inboxes: a control event, or any item while parallelOK vetoes, is
+// stepped single-threaded (at equal times control sorts first — entity
+// 0); otherwise all lanes concurrently run their items in [m, min(m+W,
+// next control event, t]] and meet at a barrier. The choice is re-made
+// at every step, so an observer or impairment a control event attaches
+// mid-run takes effect at once, and it is invisible in every output
+// byte.
 func (n *Network) RunUntil(t time.Duration) {
 	if len(n.lanes) == 1 {
 		n.sched.RunUntil(t)
 		return
 	}
-	var wg sync.WaitGroup
+	var c *crew
+	// Workers never outlive the call, whether it returns or unwinds a
+	// lane-0 panic.
+	defer func() { c.stop() }()
 	for {
-		best, at, _ := n.peekMin()
-		if best == nil || at > t {
+		best, at := n.peekMin()
+		if at > t && n.inboxAt > t {
 			break
 		}
-		if best == n.sched || !n.parallelOK() {
+		if (best == n.sched && at <= n.inboxAt) || !n.parallelOK() {
+			if n.inboxAt != never {
+				n.takeAllMail()
+				continue
+			}
 			// The control clock follows every single-threaded step so
 			// global observers (trace stamps, drop hooks, the event
 			// log's Record) read the right virtual time whichever lane
@@ -83,7 +123,7 @@ func (n *Network) RunUntil(t time.Duration) {
 			best.step(best.peek())
 			continue
 		}
-		end := at + n.lookahead
+		end := min(at, n.inboxAt) + n.lookahead
 		if ctl := n.sched.peek(); ctl != nil && ctl.at < end {
 			// Windows never span a control event: link state and
 			// experiment phases must interleave at their exact global
@@ -93,22 +133,12 @@ func (n *Network) RunUntil(t time.Duration) {
 		if end > t {
 			end = t + 1 // t itself is inside the run
 		}
-		n.inWindow = true
-		n.sched.denyPost = true
-		for _, lane := range n.lanes {
-			wg.Add(1)
-			go func(s *Scheduler) {
-				defer wg.Done()
-				s.runWindow(end, t)
-			}(lane)
+		if c == nil {
+			c = n.hire()
 		}
-		wg.Wait()
-		n.sched.denyPost = false
-		n.inWindow = false
-		for _, lane := range n.lanes {
-			lane.drainOutbox()
-		}
+		n.window(c, end)
 	}
+	n.takeAllMail()
 	// Every lane's clock moves to t and reads idle (every queue release
 	// stamped ≤ t has matured), and deferred telemetry surfaces — the
 	// multi-lane mirror of Scheduler.RunUntil's epilogue.
@@ -123,6 +153,139 @@ func (n *Network) RunUntil(t time.Duration) {
 	n.flushCounters()
 }
 
+// window runs every lane's items before end in parallel — lane 0 here,
+// the others on c's workers — and waits for all of them.
+func (n *Network) window(c *crew, end time.Duration) {
+	n.inWindow, n.sched.denyPost = true, true
+	for _, ch := range c.ends {
+		ch <- end
+	}
+	n.runLane(0, end)
+	for range c.ends {
+		<-c.done
+	}
+	n.inWindow, n.sched.denyPost = false, false
+	// What the senders just filled is the next window's mail.
+	n.inboxAt = never
+	for i := range n.boxes[n.fill] {
+		if b := &n.boxes[n.fill][i]; len(b.msgs) > 0 && b.min < n.inboxAt {
+			n.inboxAt = b.min
+		}
+	}
+	n.fill ^= 1
+}
+
+// runLane is lane i's share of a window: it takes the mail other lanes
+// sent it during the last one, then runs its items before end.
+func (n *Network) runLane(i int, end time.Duration) {
+	n.takeMail(i)
+	n.lanes[i].runWindow(end)
+}
+
+// takeMail moves the deliveries waiting in lane i's inboxes into its
+// queue; order by (at, key) makes the order of the moves irrelevant.
+func (n *Network) takeMail(i int) {
+	lane, boxes := n.lanes[i], n.boxes[n.fill^1]
+	for _, b := range n.mail[i] {
+		box := &boxes[b]
+		for j := range box.msgs {
+			m := &box.msgs[j]
+			lane.deliverAt(m.at, m.key, m.d)
+			box.msgs[j] = outMsg{} // no stale packet pins
+		}
+		box.msgs = box.msgs[:0]
+	}
+}
+
+// takeAllMail empties every inbox from the calling goroutine, between
+// windows.
+func (n *Network) takeAllMail() {
+	if n.inboxAt == never {
+		return
+	}
+	for i := range n.lanes {
+		n.takeMail(i)
+	}
+	n.inboxAt = never
+}
+
+// openMail gives every cut direction the inbox of its (sending lane,
+// receiving lane) pair, and every lane the list of inboxes addressed to
+// it. The first parallel window opens them: a world that never runs one
+// pays nothing.
+func (n *Network) openMail() {
+	pairs := make(map[[2]int]int)
+	n.mail = make([][]int, len(n.lanes))
+	for _, line := range n.lines {
+		for d := range line.dirs {
+			ds := &line.dirs[d]
+			if ds.lane == ds.dstLane {
+				continue
+			}
+			src := line.link.A()
+			if d == 1 {
+				src = line.link.B()
+			}
+			pair := [2]int{n.nodeLane[src.Index()], n.nodeLane[ds.dst.Index()]}
+			b, ok := pairs[pair]
+			if !ok {
+				b = len(pairs)
+				pairs[pair] = b
+				n.mail[pair[1]] = append(n.mail[pair[1]], b)
+			}
+			ds.box = b
+		}
+	}
+	n.boxes[0], n.boxes[1] = make([]inbox, len(pairs)), make([]inbox, len(pairs))
+}
+
+// crew runs lanes 1.. of a sharded world, one worker goroutine each,
+// for the length of one RunUntil.
+type crew struct {
+	ends   []chan time.Duration // a window's end, to each worker
+	done   chan struct{}        // one reply per worker per window
+	exited sync.WaitGroup
+}
+
+// hire starts the workers of n's lanes 1.., opening the inboxes on the
+// world's first window.
+func (n *Network) hire() *crew {
+	if n.boxes[0] == nil {
+		n.openMail()
+	}
+	c := &crew{
+		ends: make([]chan time.Duration, len(n.lanes)-1),
+		// Sized so that a worker never blocks on its reply, even when a
+		// lane-0 panic leaves a window's replies unread.
+		done: make(chan struct{}, len(n.lanes)-1),
+	}
+	for i := range c.ends {
+		ends := make(chan time.Duration, 1)
+		c.ends[i] = ends
+		c.exited.Add(1)
+		go func(lane int) {
+			defer c.exited.Done()
+			for end := range ends {
+				n.runLane(lane, end)
+				c.done <- struct{}{}
+			}
+		}(i + 1)
+	}
+	return c
+}
+
+// stop ends the workers and waits until they have exited. A nil crew
+// (no window opened) has nothing to stop.
+func (c *crew) stop() {
+	if c == nil {
+		return
+	}
+	for _, ch := range c.ends {
+		close(ch)
+	}
+	c.exited.Wait()
+}
+
 // parallelOK reports whether a parallel window may open: a positive
 // lookahead and no observer or impairment that needs the total global
 // event order.
@@ -133,22 +296,25 @@ func (n *Network) parallelOK() bool {
 		!n.events.HasTap()
 }
 
-// peekMin returns the lane with the globally earliest pending (at,
-// key), including the control lane; nil when everything is drained.
-func (n *Network) peekMin() (best *Scheduler, bAt time.Duration, bKey uint64) {
+// peekMin returns the queue holding the globally earliest pending (at,
+// key), including the control lane, and that entry's time; nil and
+// never when every queue is empty. Inboxes are not looked at.
+func (n *Network) peekMin() (best *Scheduler, at time.Duration) {
+	at = never
+	var key uint64
 	if e := n.sched.peek(); e != nil {
-		best, bAt, bKey = n.sched, e.at, e.key
+		best, at, key = n.sched, e.at, e.key
 	}
 	for _, lane := range n.lanes {
 		e := lane.peek()
 		if e == nil {
 			continue
 		}
-		if best == nil || e.at < bAt || (e.at == bAt && e.key < bKey) {
-			best, bAt, bKey = lane, e.at, e.key
+		if best == nil || e.at < at || (e.at == at && e.key < key) {
+			best, at, key = lane, e.at, e.key
 		}
 	}
-	return best, bAt, bKey
+	return best, at
 }
 
 // ClockOf returns the scheduling handle for per-node timers: events

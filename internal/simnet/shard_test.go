@@ -2,8 +2,11 @@ package simnet
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -313,17 +316,69 @@ func TestMidRunImpairmentSharded(t *testing.T) {
 			len(ref.seq0), len(ref.seq1), sent)
 	}
 	checkRunsEqual(t, "mid-run-impairment-shards2", ref, run(2))
+
+	// The impairment lands on the instant a window that buffered cut-
+	// link deliveries ends: C2 sends a burst over the cut just before,
+	// in a window that opens at the burst (nothing else is pending) and
+	// ends at the control event. That control step must first take the
+	// burst out of the inbox into C3's queue, so the burst's transits
+	// draw from the impairment in the global order.
+	const impAt = 2 * time.Millisecond
+	land := func(shards int) (chainRun, int) {
+		w := newShardChain(t, shards, false)
+		c2 := w.relays[1].node
+		cutDir := &w.n.lines[w.cut.Index()].dirs[0] // C2→C3
+		buffered := shards == 1
+		w.n.ClockOf(c2).At(impAt-100*time.Microsecond, func() {
+			for i := 0; i < 6; i++ {
+				w.n.Send(c2, 1, &packet.Packet{
+					Size: 600, TTL: 16, Seq: uint64(700 + i),
+					RouteID: rns.RouteIDFromUint64(0x5AD_0700 + uint64(i)),
+				})
+			}
+			if shards > 1 {
+				buffered = w.n.inWindow && len(w.n.boxes[w.n.fill][cutDir.box].msgs) == 6
+			}
+		})
+		pending := -1
+		w.n.Scheduler().At(impAt, func() {
+			pending = w.n.Pending()
+			w.n.SetImpairment(w.cut, &Impairment{
+				DropProb: 0.3, CorruptProb: 0.3, Rand: rand.New(rand.NewSource(11)),
+			})
+		})
+		w.n.RunUntil(20 * time.Millisecond)
+		if !buffered {
+			t.Errorf("shards=%d: the burst was not buffered in the cut link's inbox inside a window", shards)
+		}
+		return w.result(t), pending
+	}
+	landRef, landPending := land(1)
+	if landPending != 6 || len(landRef.seq1) == 0 || len(landRef.seq1) == 6 {
+		t.Fatalf("reference run: %d pending at the impairment, %d of 6 delivered; want 6 pending and some, not all, delivered",
+			landPending, len(landRef.seq1))
+	}
+	for _, shards := range []int{2, 4} {
+		got, pending := land(shards)
+		if pending != landPending {
+			t.Errorf("shards=%d: Pending() = %d at the impairment, want %d", shards, pending, landPending)
+		}
+		checkRunsEqual(t, fmt.Sprintf("impairment-after-buffered-window-shards%d", shards), landRef, got)
+	}
 }
 
 // TestShardMidRunReads: telemetry read from the control plane — inside
 // an At callback between parallel windows, and at a RunUntil boundary
 // while packets are still in flight — is exact in every driver. The
 // per-hop counters sit in lane-owned cells until folded; a read must
-// see every lane's share, whichever driver ran the hops.
+// see every lane's share, whichever driver ran the hops. Likewise
+// Pending: a cut-link delivery a window left in an inbox must be in
+// its receiver's queue before a control callback runs.
 func TestShardMidRunReads(t *testing.T) {
 	type reading struct {
 		delivered, sends int64
 		cut              LineStats
+		pending          int
 	}
 	run := func(shards int, scalar bool) []reading {
 		w := newShardChain(t, shards, scalar)
@@ -334,6 +389,7 @@ func TestShardMidRunReads(t *testing.T) {
 				delivered: w.n.Delivered(),
 				sends:     w.n.Metrics().SumCounter("kar_net_sends_total"),
 				cut:       w.n.LineStats(w.cut),
+				pending:   w.n.Pending(),
 			}
 			// Ground truth from the handlers themselves (every relay
 			// hand-off is one delivery and one send).
@@ -425,6 +481,69 @@ func TestWindowDenyPostPanics(t *testing.T) {
 		}
 	}()
 	w.n.Scheduler().At(time.Millisecond, func() {})
+}
+
+// TestShardWorkersNeverOutliveRun: a sharded RunUntil runs lanes 1.. on
+// one worker goroutine each, started by its first window, and has
+// stopped every one by the time it returns — after a normal run, after
+// a run whose every step a trace sink vetoes (which starts none), and
+// after a lane-0 panic unwinds it.
+func TestShardWorkersNeverOutliveRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		// A worker's last act is to mark itself done; give the runtime
+		// a moment to retire it before counting.
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() != base && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if g := runtime.NumGoroutine(); g != base {
+			t.Errorf("%s: %d goroutines after RunUntil, %d before", what, g, base)
+		}
+	}
+	for _, shards := range []int{2, 4} {
+		w := newShardChain(t, shards, false)
+		w.burst(w.e0, 0, 100, 8)
+		w.burst(w.e1, 700*time.Microsecond, 300, 5)
+		during := 0
+		// E0 is on lane 0, which runs on this goroutine.
+		w.n.ClockOf(w.e0).At(time.Millisecond, func() { during = runtime.NumGoroutine() })
+		w.n.RunUntil(10 * time.Millisecond)
+		if want := base + shards - 1; during != want {
+			t.Errorf("shards=%d: %d goroutines inside a window, want %d (one worker per lane but the caller's)", shards, during, want)
+		}
+		if len(w.s1.seqs) != 8 || len(w.s0.seqs) != 5 {
+			t.Fatalf("shards=%d: delivered %d+%d packets, want 8+5", shards, len(w.s1.seqs), len(w.s0.seqs))
+		}
+		settled(fmt.Sprintf("shards=%d", shards))
+	}
+
+	w := newShardChain(t, 2, false)
+	logDrops(w.n)
+	w.burst(w.e0, 0, 100, 8)
+	during := 0
+	w.n.ClockOf(w.e1).At(time.Millisecond, func() { during = runtime.NumGoroutine() })
+	w.n.RunUntil(10 * time.Millisecond)
+	if during != base {
+		t.Errorf("vetoed run: %d goroutines mid-run, want %d (no window, no worker)", during, base)
+	}
+	settled("vetoed run")
+
+	w = newShardChain(t, 2, false)
+	w.burst(w.e1, 0, 300, 5) // keeps lane 1's worker busy in the window
+	w.n.ClockOf(w.e0).At(time.Millisecond, func() {
+		w.n.Scheduler().At(2*time.Millisecond, func() {})
+	})
+	func() {
+		defer func() {
+			if p, _ := recover().(string); !strings.Contains(p, "parallel shard window") {
+				t.Errorf("lane-0 control post inside a window: recovered %q, want the denyPost panic", p)
+			}
+		}()
+		w.n.RunUntil(10 * time.Millisecond)
+	}()
+	settled("lane-0 panic")
 }
 
 // TestClockOfLaneTimers: per-node clocks fire on the owning lane at

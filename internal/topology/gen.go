@@ -124,8 +124,9 @@ func generate(cores, extra, edges int, seed int64) (*Graph, error) {
 // (k/2)^2 core-layer switches, and one edge host per ToR. Core group i
 // connects to aggregation switch i of every pod; every ToR connects to
 // every aggregation switch in its pod. Pod switches are inserted pod by
-// pod (aggregation, then ToR) before the core layer, which keeps
-// contiguous region partitions (PartitionRegions) pod-aligned.
+// pod (aggregation, then ToR) before the core layer, so a contiguous
+// region partition (PartitionRegions) keeps whole every pod no cut
+// falls in; it cuts by weight, not at pod boundaries.
 func fatTree(k int) (*Graph, error) {
 	if k < 2 || k%2 != 0 {
 		return nil, fmt.Errorf("topology: fattree: k must be even and >= 2, got %d", k)

@@ -256,38 +256,54 @@ func TestProtectionResolver(t *testing.T) {
 }
 
 // TestPartitionRegionsFatTree: contiguous chunking over the pod-major
-// insertion order keeps pods whole, hosts land with their ToR's
+// insertion order balances the regions by weight (a switch plus its
+// hosts) to within one pod's weight, hosts land with their ToR's
 // region, and every region is non-empty.
 func TestPartitionRegionsFatTree(t *testing.T) {
-	g, err := FromSpec("fattree:4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		regions := PartitionRegions(g, shards)
-		if len(regions) != len(g.Nodes()) {
-			t.Fatalf("shards=%d: %d region entries, want %d", shards, len(regions), len(g.Nodes()))
+	for _, c := range []struct {
+		k      int
+		shards []int
+	}{{4, []int{1, 2, 4}}, {28, []int{2, 4}}} {
+		g, err := FromSpec(fmt.Sprintf("fattree:%d", c.k))
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen := make(map[int]bool)
-		for _, r := range regions {
-			if r < 0 || r >= shards {
-				t.Fatalf("shards=%d: region %d out of range", shards, r)
+		pod := c.k + c.k/2 // k switches and k/2 hosts
+		for _, shards := range c.shards {
+			regions := PartitionRegions(g, shards)
+			if len(regions) != len(g.Nodes()) {
+				t.Fatalf("k=%d shards=%d: %d region entries, want %d", c.k, shards, len(regions), len(g.Nodes()))
 			}
-			seen[r] = true
-		}
-		if len(seen) != shards {
-			t.Errorf("shards=%d: only %d regions populated", shards, len(seen))
-		}
-		// Host region == its ToR's region: the access link is never
-		// a cut link, so host traffic enters the fabric in-shard.
-		for _, h := range g.EdgeNodes() {
-			tor, ok := h.Neighbor(0)
-			if !ok {
-				t.Fatalf("host %s has no uplink", h.Name())
+			// Every host sits in its switch's region, so a region's
+			// weight is the number of nodes in it.
+			weight := make([]int, shards)
+			for _, r := range regions {
+				if r < 0 || r >= shards {
+					t.Fatalf("k=%d shards=%d: region %d out of range", c.k, shards, r)
+				}
+				weight[r]++
 			}
-			if regions[h.Index()] != regions[tor.Index()] {
-				t.Errorf("shards=%d: host %s in region %d, its ToR %s in region %d",
-					shards, h.Name(), regions[h.Index()], tor.Name(), regions[tor.Index()])
+			ideal := float64(len(g.Nodes())) / float64(shards)
+			for r, w := range weight {
+				if w == 0 {
+					t.Errorf("k=%d shards=%d: region %d is empty", c.k, shards, r)
+				}
+				if d := float64(w) - ideal; d > float64(pod) || d < -float64(pod) {
+					t.Errorf("k=%d shards=%d: region %d weighs %d, more than a pod (%d) from the ideal %.1f",
+						c.k, shards, r, w, pod, ideal)
+				}
+			}
+			// Host region == its ToR's region: the access link is never
+			// a cut link, so host traffic enters the fabric in-shard.
+			for _, h := range g.EdgeNodes() {
+				tor, ok := h.Neighbor(0)
+				if !ok {
+					t.Fatalf("host %s has no uplink", h.Name())
+				}
+				if regions[h.Index()] != regions[tor.Index()] {
+					t.Errorf("k=%d shards=%d: host %s in region %d, its ToR %s in region %d",
+						c.k, shards, h.Name(), regions[h.Index()], tor.Name(), regions[tor.Index()])
+				}
 			}
 		}
 	}

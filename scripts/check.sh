@@ -79,8 +79,11 @@ echo "==> go test -race: sharded driver, failover path"
 # full pass takes ~20 minutes.
 # With them the failover path: the link and handler tables, the switch
 # slow path, the edge's re-encode queue, and the sweep pool, whose
-# workers run different cells' worlds side by side.
-go test -race -run 'Shard|Window|FlowSet|Train' ./internal/udpsim/
+# workers run different cells' worlds side by side. A race in the
+# hand-off between the caller, the lane workers and the inboxes shows
+# only in some interleavings, so the shard tests run five times over.
+go test -race -count=5 -run 'Shard|Window|FlowSet|Train' ./internal/udpsim/
+go test -race -count=5 -run 'Shard|Window' ./internal/simnet
 go test -race ./internal/simnet ./internal/kswitch ./internal/edge
 go test -race -run 'RunSweep|DeterminismMatrix/(fig5-sweep|fig7-sweep|reno-ablation)' ./internal/experiment .
 
