@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/experiment"
 )
@@ -90,7 +89,7 @@ var experiments = []struct {
 		if err != nil {
 			return err
 		}
-		reaction, err := experiment.Reaction(experiment.ReactionConfig{ControlDelay: controlDelay, Seed: o.seed, Workers: o.workers})
+		reaction, err := experiment.Reaction(experiment.ReactionConfig{Seed: o.seed, Workers: o.workers})
 		if err != nil {
 			return err
 		}
@@ -102,8 +101,7 @@ var experiments = []struct {
 	// carries the kar_ctrl_reroutes_{recomputed,skipped}_total counters.
 	{"reaction", true, func(o *options) error {
 		rows, err := experiment.Reaction(experiment.ReactionConfig{
-			ControlDelay: controlDelay, Seed: o.seed, Workers: o.workers,
-			Metrics: o.collector, Trace: o.tracer,
+			Seed: o.seed, Workers: o.workers, Metrics: o.collector, Trace: o.tracer,
 		})
 		if err != nil {
 			return err
@@ -128,10 +126,6 @@ var experiments = []struct {
 		return nil
 	}},
 }
-
-// controlDelay is the notify+install round trip of the reactive
-// strategy in the ablation and reaction experiments.
-const controlDelay = 250 * time.Millisecond
 
 // repeat is the command line's repeated-run sweep configuration.
 func (o *options) repeat() experiment.RepeatConfig {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -58,6 +59,41 @@ func TestVerifyGolden(t *testing.T) {
 		}
 		got.Write(report)
 		diffGolden(t, "testdata/verify_net15.golden (-workers "+workers+")", got.String(), string(want))
+	}
+}
+
+// reactionJSONSHA256 pins the JSON twin of reaction_seed1.prom.golden
+// (6 341 lines: the per-run event streams beside the metrics).
+const reactionJSONSHA256 = "ab2413d7c31c448df5fd4af34d403c00ff6ee5f683bd6a422fcf6631455d85e6"
+
+// TestReactionMetricsGolden: `-exp reaction -seed 1 -metrics` writes the
+// dumps it wrote when the reactive strategy's notify was scheduled by
+// hand at failure + 250 ms, now that it rides the link-detection hook
+// (World.ReactAfter) — testdata/reaction_seed1.prom.golden is that
+// Prometheus dump, and its JSON twin is pinned by hash — at one worker
+// and at four.
+func TestReactionMetricsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/reaction_seed1.prom.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []string{"1", "4"} {
+		prom := filepath.Join(t.TempDir(), "reaction.prom")
+		if err := run(strings.Fields("-exp reaction -seed 1 -workers "+workers+" -metrics "+prom), io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(prom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffGolden(t, "testdata/reaction_seed1.prom.golden (-workers "+workers+")", string(got), string(want))
+		js, err := os.ReadFile(prom + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(js)); sum != reactionJSONSHA256 {
+			t.Errorf("-workers %s: JSON dump has SHA-256 %s, want %s", workers, sum, reactionJSONSHA256)
+		}
 	}
 }
 

@@ -175,7 +175,7 @@ func TestDeterminismMatrix(t *testing.T) {
 			produce: func(t *testing.T, m mode) outputs {
 				c := telemetry.NewCollector()
 				_, err := experiment.Reaction(experiment.ReactionConfig{
-					ControlDelay: 250 * time.Millisecond, Seed: 1, Workers: m.workers, Metrics: c,
+					Seed: 1, Workers: m.workers, Metrics: c,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -348,8 +348,8 @@ func (c *Controller) IngressPort(route *core.Route) (int, error) {
 	return port, nil
 }
 
-// ReencodeRoute implements edge.Reencoder: a fresh route ID (and the
-// edge's output port) for reaching dstEdge from fromEdge. Used when a
+// ReencodeRoute returns a fresh route ID (and the edge's output port)
+// for reaching dstEdge from fromEdge. Used when a
 // deflected packet lands at the wrong edge; per the paper, the
 // controller recalculates based on the best path from that edge,
 // reusing the destination's protection hops where they do not collide
@@ -358,7 +358,7 @@ func (c *Controller) ReencodeRoute(fromEdge, dstEdge string) (rns.RouteID, int, 
 	return c.reencode(fromEdge, dstEdge, nil)
 }
 
-// ReencodeRouteAt implements edge.ReencoderAt: ReencodeRoute with the
+// ReencodeRouteAt implements edge.Reencoder: ReencodeRoute with the
 // requesting edge's virtual time, so a cache miss's route_install
 // event is stamped at the instant the re-encode actually happened even
 // when the request arrives from a shard lane running ahead of the

@@ -18,18 +18,11 @@ import (
 // Reencoder is the slice of the controller an edge needs: fresh route
 // IDs for packets that arrived at the wrong edge.
 type Reencoder interface {
-	// ReencodeRoute returns the route ID and output port for reaching
-	// dstEdge from fromEdge.
-	ReencodeRoute(fromEdge, dstEdge string) (rns.RouteID, int, error)
-}
-
-// ReencoderAt is the sharded-world upgrade of Reencoder: the edge
-// passes its own clock's virtual time so the controller can stamp the
-// resulting route_install event correctly even when the request
-// arrives from a shard lane running ahead of the control clock. Edges
-// use it whenever the controller implements it.
-type ReencoderAt interface {
-	Reencoder
+	// ReencodeRouteAt returns the route ID and output port for reaching
+	// dstEdge from fromEdge. at is the requesting edge's virtual time, so
+	// the controller can stamp the resulting route_install event
+	// correctly even when the request arrives from a shard lane running
+	// ahead of the control clock.
 	ReencodeRouteAt(at time.Duration, fromEdge, dstEdge string) (rns.RouteID, int, error)
 }
 
@@ -119,11 +112,10 @@ type Edge struct {
 	// construction and every timer is posted to this edge's own entity,
 	// so they fire in arrival order: pending[pendHead:] queues the
 	// packets and each timer is the one method value reencodeFn, which
-	// takes the oldest. ctrlAt is ctrl when it implements the upgrade.
+	// takes the oldest.
 	pending    []*packet.Packet
 	pendHead   int
 	reencodeFn func()
-	ctrlAt     ReencoderAt
 }
 
 var _ simnet.Handler = (*Edge)(nil)
@@ -173,7 +165,6 @@ func install(net *simnet.Network, nodes []*topology.Node, ctrl Reencoder, opts [
 	reencoded := reg.CounterVec("kar_edge_reencode_total", len(nodes), byName)
 	unclaimed := reg.CounterVec("kar_edge_unclaimed_total", len(nodes), byName)
 	noRoute := reg.CounterVec("kar_edge_noroute_total", len(nodes), byName)
-	ctrlAt, _ := ctrl.(ReencoderAt)
 	es := make([]Edge, len(nodes))
 	for i, node := range nodes {
 		e := &es[i]
@@ -181,7 +172,6 @@ func install(net *simnet.Network, nodes []*topology.Node, ctrl Reencoder, opts [
 			net:           net,
 			node:          node,
 			ctrl:          ctrl,
-			ctrlAt:        ctrlAt,
 			clock:         net.ClockOf(node),
 			reencodeDelay: DefaultReencodeDelay,
 			cEncapped:     net.DeferCounter(node, &encapped[i]),
@@ -345,16 +335,7 @@ func (e *Edge) reencodeNext() {
 		clear(e.pending[n:])
 		e.pending, e.pendHead = e.pending[:n], 0
 	}
-	var (
-		id      rns.RouteID
-		outPort int
-		err     error
-	)
-	if e.ctrlAt != nil {
-		id, outPort, err = e.ctrlAt.ReencodeRouteAt(e.clock.Now(), e.node.Name(), pkt.Flow.Dst)
-	} else {
-		id, outPort, err = e.ctrl.ReencodeRoute(e.node.Name(), pkt.Flow.Dst)
-	}
+	id, outPort, err := e.ctrl.ReencodeRouteAt(e.clock.Now(), e.node.Name(), pkt.Flow.Dst)
 	if err != nil {
 		e.net.Drop(pkt, simnet.DropNoViablePort, e.node.Name())
 		return

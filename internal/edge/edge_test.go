@@ -57,7 +57,7 @@ type fixedReencoder struct {
 	lastDst string
 }
 
-func (f *fixedReencoder) ReencodeRoute(from, dst string) (rns.RouteID, int, error) {
+func (f *fixedReencoder) ReencodeRouteAt(_ time.Duration, from, dst string) (rns.RouteID, int, error) {
 	f.calls++
 	f.lastSrc, f.lastDst = from, dst
 	return f.id, f.port, f.err

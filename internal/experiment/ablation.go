@@ -6,12 +6,10 @@ import (
 
 	"repro/internal/controller"
 	"repro/internal/measure"
-	"repro/internal/packet"
 	"repro/internal/tcpsim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/trace"
-	"repro/internal/udpsim"
 )
 
 // ---------------------------------------------------------------------------
@@ -103,11 +101,12 @@ type ReactionRow struct {
 	MeanHops  float64
 }
 
+// controlDelay is the data-plane→controller→ingress round trip the
+// reactive strategy pays before the recomputed route takes effect.
+const controlDelay = 250 * time.Millisecond
+
 // ReactionConfig parameterises the reaction-strategy comparison.
 type ReactionConfig struct {
-	// ControlDelay is the data-plane→controller→ingress round trip the
-	// reactive strategy pays before the recomputed route takes effect.
-	ControlDelay time.Duration
 	// Seed drives the per-switch RNGs.
 	Seed int64
 	// Workers bounds the reactive controller's reroute worker pool
@@ -133,9 +132,8 @@ type ReactionConfig struct {
 // recomputed-vs-skipped counters in the -metrics dump are about.
 func Reaction(cfg ReactionConfig) ([]ReactionRow, error) {
 	const (
-		probes   = 2000
-		failAt   = 100 * time.Millisecond
-		interval = time.Millisecond
+		probes = 2000
+		failAt = 100 * time.Millisecond
 	)
 	strategies := []struct {
 		name     string
@@ -144,7 +142,7 @@ func Reaction(cfg ReactionConfig) ([]ReactionRow, error) {
 		reactive bool
 	}{
 		{name: "KAR driven deflection (NIP)", slug: "kar-nip", policy: "nip", reactive: false},
-		{name: fmt.Sprintf("reactive controller (%v notify+install)", cfg.ControlDelay), slug: "reactive", policy: "none", reactive: true},
+		{name: fmt.Sprintf("reactive controller (%v notify+install)", controlDelay), slug: "reactive", policy: "none", reactive: true},
 		{name: "no deflection, no reaction", slug: "static", policy: "none", reactive: false},
 	}
 
@@ -182,36 +180,16 @@ func Reaction(cfg ReactionConfig) ([]ReactionRow, error) {
 					}
 				}
 			}
-		}
-		link, ok := g.LinkBetween("SW7", "SW13")
-		if !ok {
-			return nil, fmt.Errorf("experiment: missing link SW7-SW13")
-		}
-		w.Net.Scheduler().At(failAt, func() { w.Net.FailLink(link) })
-		if s.reactive {
 			// The data plane reports the failure; after the control
 			// round trip the controller recomputes and the ingress is
 			// reprogrammed with the new route ID.
-			w.Net.Scheduler().At(failAt+cfg.ControlDelay, func() {
-				if err := w.Ctrl.NotifyFailure(link); err != nil {
-					return
-				}
-				route, ok := w.Ctrl.Route("AS1", "AS3")
-				if !ok {
-					return
-				}
-				_ = w.programIngress("AS1", "AS3", route)
-			})
+			w.ReactAfter(controlDelay, [][2]string{{"AS1", "AS3"}})
 		}
 
-		flow := packet.FlowID{Src: "AS1", Dst: "AS3"}
-		send, recv := udpsim.NewFlow(w.Net, w.Edges["AS1"], w.Edges["AS3"], flow, udpsim.Config{
-			Interval: interval, Count: probes,
-		})
-		send.Start()
-		w.Run(time.Duration(probes)*interval + 10*time.Second)
-
-		st := recv.Stats(send)
+		st, err := probeRun(w.Net, w.Edges, failAt, [][2]string{{"SW7", "SW13"}}, probes, 10*time.Second)
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, ReactionRow{
 			Strategy:  s.name,
 			Delivered: st.Received,

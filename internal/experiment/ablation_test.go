@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestRenoAblation: the adaptive transport must clearly beat strict
 // Reno under deflection-induced reordering — the DESIGN.md claim.
@@ -37,8 +34,7 @@ func TestRenoAblation(t *testing.T) {
 // controller loses roughly controlDelay worth of probes; no-reaction
 // loses everything after the failure.
 func TestReactionComparison(t *testing.T) {
-	const delay = 250 * time.Millisecond
-	rows, err := Reaction(ReactionConfig{ControlDelay: delay, Seed: 5})
+	rows, err := Reaction(ReactionConfig{Seed: 5})
 	if err != nil {
 		t.Fatalf("Reaction: %v", err)
 	}

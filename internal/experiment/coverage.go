@@ -20,6 +20,49 @@ type CoverageRow struct {
 	Result     analysis.Result
 }
 
+// coverageCell is one closed-form question: a route over a topology
+// (pinned to path when one is given), its protection pairs under a
+// label, and the failed link.
+type coverageCell struct {
+	topology   string
+	graph      func() (*topology.Graph, error)
+	src, dst   string
+	path       []string
+	protection string
+	pairs      [][2]string
+	fail       [2]string
+}
+
+// fig8Cell is the Fig. 8 redundant-path scenario: the route extended
+// past São Paulo to EDGE-SUL, its protection, and SW73–SW107 failing.
+var fig8Cell = coverageCell{
+	topology: "rnp28-fig8", graph: topology.RNP28Fig8, src: "EDGE-N", dst: "EDGE-SUL",
+	path: topology.RNP28Fig8Route, protection: "fig8", pairs: topology.RNP28Fig8Protection,
+	fail: [2]string{"SW73", "SW107"},
+}
+
+// coverageCells lists the coverage questions in row order: Net15's
+// AS1→AS3 route per protection level and on-route failure, the Fig. 7
+// RNP route under partial protection per on-route failure, and Fig. 8.
+func coverageCells() ([]coverageCell, error) {
+	var cells []coverageCell
+	for _, prot := range net15Levels {
+		pairs, err := net15Protection(prot)
+		if err != nil {
+			return nil, err
+		}
+		for _, fail := range net15Failures {
+			cells = append(cells, coverageCell{topology: "net15", graph: topology.Net15, src: "AS1", dst: "AS3",
+				protection: prot, pairs: pairs, fail: fail})
+		}
+	}
+	for _, fail := range rnpFailures {
+		cells = append(cells, coverageCell{topology: "rnp28", graph: topology.RNP28, src: "EDGE-N", dst: "EDGE-SP",
+			protection: "partial", pairs: topology.RNP28PartialProtection, fail: fail})
+	}
+	return append(cells, fig8Cell), nil
+}
+
 // Coverage runs the Markov-chain analysis that underpins the paper's
 // §3 narratives: for every single failure on the measured route, the
 // exact delivery probability and expected path stretch per protection
@@ -28,90 +71,56 @@ func Coverage(policies []string) ([]CoverageRow, error) {
 	if len(policies) == 0 {
 		policies = []string{"avp", "nip"}
 	}
-	var rows []CoverageRow
-
-	// 15-node network: route AS1→AS3, three on-route failures.
-	for _, prot := range []string{"unprotected", "partial", "full"} {
-		pairs, err := net15Protection(prot)
-		if err != nil {
-			return nil, err
-		}
-		for _, fail := range [][2]string{{"SW10", "SW7"}, {"SW7", "SW13"}, {"SW13", "SW29"}} {
-			for _, policy := range policies {
-				res, err := analyzeOne(topology.Net15, "AS1", "AS3", nil, pairs, policy, fail)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, CoverageRow{
-					Topology: "net15", Failure: fail[0] + "-" + fail[1],
-					Protection: prot, Policy: policy, Result: res,
-				})
-			}
-		}
+	cells, err := coverageCells()
+	if err != nil {
+		return nil, err
 	}
-
-	// RNP backbone: the Fig. 7 route under partial protection.
-	for _, fail := range [][2]string{{"SW7", "SW13"}, {"SW13", "SW41"}, {"SW41", "SW73"}} {
+	var rows []CoverageRow
+	for _, c := range cells {
 		for _, policy := range policies {
-			res, err := analyzeOne(topology.RNP28, "EDGE-N", "EDGE-SP", nil,
-				topology.RNP28PartialProtection, policy, fail)
+			res, err := analyzeOne(c, policy)
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, CoverageRow{
-				Topology: "rnp28", Failure: fail[0] + "-" + fail[1],
-				Protection: "partial", Policy: policy, Result: res,
+				Topology: c.topology, Failure: c.fail[0] + "-" + c.fail[1],
+				Protection: c.protection, Policy: policy, Result: res,
 			})
 		}
-	}
-
-	// Fig. 8 redundant-path region.
-	for _, policy := range policies {
-		res, err := analyzeOne(topology.RNP28Fig8, "EDGE-N", "EDGE-SUL",
-			topology.RNP28Fig8Route, topology.RNP28Fig8Protection, policy,
-			[2]string{"SW73", "SW107"})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, CoverageRow{
-			Topology: "rnp28-fig8", Failure: "SW73-SW107",
-			Protection: "fig8", Policy: policy, Result: res,
-		})
 	}
 	return rows, nil
 }
 
-func analyzeOne(builder func() (*topology.Graph, error), src, dst string,
-	path []string, protection [][2]string, policy string, fail [2]string) (analysis.Result, error) {
-
-	g, err := builder()
+// analyzeOne answers one cell under policy in closed form.
+func analyzeOne(c coverageCell, policy string) (analysis.Result, error) {
+	g, err := c.graph()
 	if err != nil {
 		return analysis.Result{}, err
 	}
 	// The analysis reads the controller's route table alone: no switch,
 	// edge or simulator is built for a closed form.
-	hops, err := core.HopsFromPairs(g, protection)
+	hops, err := core.HopsFromPairs(g, c.pairs)
 	if err != nil {
 		return analysis.Result{}, err
 	}
 	ctrl := controller.New(g)
-	if len(path) > 0 {
-		_, err = ctrl.InstallRouteOnPath(path, hops)
+	if len(c.path) > 0 {
+		_, err = ctrl.InstallRouteOnPath(c.path, hops)
 	} else {
-		_, err = ctrl.InstallRoute(src, dst, hops)
+		_, err = ctrl.InstallRoute(c.src, c.dst, hops)
 	}
 	if err != nil {
 		return analysis.Result{}, err
 	}
-	l, ok := g.LinkBetween(fail[0], fail[1])
+	l, ok := g.LinkBetween(c.fail[0], c.fail[1])
 	if !ok {
-		return analysis.Result{}, fmt.Errorf("experiment: no link %s-%s", fail[0], fail[1])
+		return analysis.Result{}, fmt.Errorf("experiment: no link %s-%s", c.fail[0], c.fail[1])
 	}
 	an, err := analysis.New(ctrl, policy, []*topology.Link{l})
 	if err != nil {
 		return analysis.Result{}, err
 	}
-	return an.Analyze(src, dst)
+	return an.Analyze(c.src, c.dst)
 }
 
 // CoverageTable renders the analysis rows.

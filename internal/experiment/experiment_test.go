@@ -214,6 +214,10 @@ func TestTable2(t *testing.T) {
 	if quant.TableEntriesTotal != 36 {
 		t.Errorf("total table entries = %d, want 36", quant.TableEntriesTotal)
 	}
+	// Every Net15 core switch holds one row per edge.
+	if quant.TableEntriesTotal != quant.CoreSwitches*quant.TableEntriesPerSW {
+		t.Errorf("total table entries = %d, want %d core switches × %d", quant.TableEntriesTotal, quant.CoreSwitches, quant.TableEntriesPerSW)
+	}
 	if quant.KARStatePerSW != 0 {
 		t.Errorf("KAR state per switch = %d, want 0", quant.KARStatePerSW)
 	}

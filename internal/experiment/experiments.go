@@ -50,6 +50,15 @@ func reverseBudget(level string) int {
 	}
 }
 
+// The measured routes' axes: Net15's protection levels and on-route
+// failures (Table 1, Fig. 5, coverage), and the RNP route's on-route
+// failures (Fig. 7, coverage).
+var (
+	net15Levels   = []string{"unprotected", "partial", "full"}
+	net15Failures = [][2]string{{"SW10", "SW7"}, {"SW7", "SW13"}, {"SW13", "SW29"}}
+	rnpFailures   = [][2]string{{"SW7", "SW13"}, {"SW13", "SW41"}, {"SW41", "SW73"}}
+)
+
 // ---------------------------------------------------------------------------
 // Table 1 — encoding sizes.
 
@@ -68,7 +77,7 @@ func Table1() (*measure.Table, error) {
 		Title:   "Table 1: maximum bit length required by each protection mechanism (15-node network)",
 		Headers: []string{"Protection mechanism", "Bit length", "Switches in route ID"},
 	}
-	for _, level := range []string{"unprotected", "partial", "full"} {
+	for _, level := range net15Levels {
 		pairs, err := net15Protection(level)
 		if err != nil {
 			return nil, err
@@ -84,6 +93,102 @@ func Table1() (*measure.Table, error) {
 		tbl.AddRow(level, fmt.Sprint(route.BitLength()), fmt.Sprint(route.SwitchCount()))
 	}
 	return tbl, nil
+}
+
+// ---------------------------------------------------------------------------
+// The TCP sweep engine: every TCP figure (Fig. 4, 5, 7, 8) and the
+// transport ablation is a list of cells run through runSweep.
+
+// RepeatConfig scales a sweep of repeated TCP runs; zero values take
+// the paper's 30 runs of 5 s each after a 1 s ramp.
+type RepeatConfig struct {
+	Runs        int
+	RunDuration time.Duration
+	WarmUp      time.Duration // excluded from each run's mean
+	Seed        int64
+	// Workers bounds the runs in flight across the whole sweep (0: one
+	// per CPU). It only affects wall clock: each run is an isolated
+	// world keyed by its seed.
+	Workers int
+	// Metrics optionally collects every run's telemetry.
+	Metrics *telemetry.Collector
+	// Trace optionally collects every run's flight-recorder trace.
+	Trace *trace.Collector
+}
+
+func (c RepeatConfig) defaults() RepeatConfig {
+	if c.Runs == 0 {
+		c.Runs = 30
+	}
+	c.Runs = max(c.Runs, 1) // a negative count runs one seed
+	if c.RunDuration == 0 {
+		c.RunDuration = 6 * time.Second
+	}
+	if c.WarmUp == 0 {
+		c.WarmUp = time.Second
+	}
+	return c
+}
+
+// sweepCell is one row of a sweep: a run template (which may carry
+// windowed failures of its own, as Fig. 4's does), the link that is
+// down for the whole run (zero: none), and the row's offset from the
+// sweep's seed. The sweep supplies seed, duration and collectors.
+type sweepCell struct {
+	run        TCPRunConfig
+	fail       [2]string
+	seedOffset int64
+}
+
+// cellResult summarises a cell: mean goodput over [WarmUp,
+// RunDuration) across its runs, and the first run's goodput series and
+// transport counters (small values: no run's world outlives it).
+type cellResult struct {
+	Goodput  measure.Summary
+	Series   *measure.Series
+	Sender   tcpsim.SenderStats
+	Receiver tcpsim.ReceiverStats
+}
+
+// runSweep is the one sweep engine: one pool over every (cell, run)
+// pair — index k is run k%Runs of cell k/Runs, seeded cell seed +
+// run·1 000 003 — so a one-run sweep of many cells still fills Workers,
+// and no result depends on which pairs overlap. cfg has had defaults
+// applied.
+func runSweep(cfg RepeatConfig, cells []sweepCell) ([]cellResult, error) {
+	out := make([]cellResult, len(cells))
+	runs := make([]TCPRunConfig, len(cells))
+	for c, cell := range cells {
+		run := cell.run
+		run.Duration, run.Metrics, run.Trace = cfg.RunDuration, cfg.Metrics, cfg.Trace
+		run.Seed = cfg.Seed + cell.seedOffset
+		if f := cell.fail; f != ([2]string{}) {
+			run.Failures = []FailureSpec{{A: f[0], B: f[1], Duration: cfg.RunDuration}}
+		}
+		runs[c] = run
+	}
+	means := make([]float64, len(cells)*cfg.Runs)
+	err := par.ForEach(context.TODO(), len(means), cfg.Workers, func(_, k int) error {
+		c, i := k/cfg.Runs, k%cfg.Runs
+		run := runs[c]
+		run.Seed += int64(i) * 1_000_003
+		res, err := RunTCP(run)
+		if err != nil {
+			return err
+		}
+		means[k] = res.Goodput.Window(cfg.WarmUp, cfg.RunDuration).Mean()
+		if i == 0 {
+			out[c].Series, out[c].Sender, out[c].Receiver = res.Goodput, res.Sender, res.Receiver
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for c := range out {
+		out[c].Goodput = measure.Summarize(means[c*cfg.Runs : (c+1)*cfg.Runs])
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -143,43 +248,39 @@ type Fig4Series struct {
 func Fig4(cfg Fig4Config) ([]Fig4Series, error) {
 	cfg = cfg.defaults()
 	total := cfg.PreFailure + cfg.FailureFor + cfg.PostRepair
-	out := make([]Fig4Series, len(cfg.Policies))
-	err := par.ForEach(context.TODO(), len(cfg.Policies), cfg.Workers, func(_, i int) error {
-		policy := cfg.Policies[i]
-		res, err := RunTCP(TCPRunConfig{
-			Graph:            topology.Net15,
-			Policy:           policy,
-			Metrics:          cfg.Metrics,
-			Trace:            cfg.Trace,
-			Scalar:           cfg.Scalar,
-			Seed:             cfg.Seed + int64(i),
-			Src:              "AS1",
-			Dst:              "AS3",
-			Protection:       topology.Net15FullProtection,
-			ReverseBitBudget: reverseBudget("full"),
-			Failures: []FailureSpec{{
-				A: "SW7", B: "SW13", From: cfg.PreFailure, Duration: cfg.FailureFor,
-			}},
-			Duration:    total,
-			SampleEvery: cfg.SampleEvery,
-			TCP:         net15TCP(),
-		})
-		if err != nil {
-			return err
+	// One one-run cell per policy, seeded Seed + its index.
+	cells := make([]sweepCell, len(cfg.Policies))
+	for i, policy := range cfg.Policies {
+		cells[i] = sweepCell{
+			run: TCPRunConfig{
+				Graph: topology.Net15, Policy: policy, Src: "AS1", Dst: "AS3",
+				Protection: topology.Net15FullProtection, ReverseBitBudget: reverseBudget("full"),
+				Failures:    []FailureSpec{{A: "SW7", B: "SW13", From: cfg.PreFailure, Duration: cfg.FailureFor}},
+				SampleEvery: cfg.SampleEvery, TCP: net15TCP(), Scalar: cfg.Scalar,
+			},
+			seedOffset: int64(i),
 		}
-		warm := cfg.PreFailure / 10
+	}
+	res, err := runSweep(RepeatConfig{
+		Runs: 1, RunDuration: total, Seed: cfg.Seed, Workers: cfg.Workers, Metrics: cfg.Metrics, Trace: cfg.Trace,
+	}, cells)
+	if err != nil {
+		return nil, err
+	}
+	warm := cfg.PreFailure / 10
+	out := make([]Fig4Series, len(cells))
+	for i, r := range res {
 		out[i] = Fig4Series{
-			Policy:     policy,
-			Goodput:    res.Goodput,
-			PreMbps:    res.MeanMbps(warm, cfg.PreFailure),
-			DuringMbps: res.MeanMbps(cfg.PreFailure+cfg.SampleEvery, cfg.PreFailure+cfg.FailureFor),
-			PostMbps:   res.MeanMbps(cfg.PreFailure+cfg.FailureFor+2*cfg.SampleEvery, total),
-			Sender:     res.Sender,
-			Receiver:   res.Receiver,
+			Policy:     cfg.Policies[i],
+			Goodput:    r.Series,
+			PreMbps:    r.Series.Window(warm, cfg.PreFailure).Mean(),
+			DuringMbps: r.Series.Window(cfg.PreFailure+cfg.SampleEvery, cfg.PreFailure+cfg.FailureFor).Mean(),
+			PostMbps:   r.Series.Window(cfg.PreFailure+cfg.FailureFor+2*cfg.SampleEvery, total).Mean(),
+			Sender:     r.Sender,
+			Receiver:   r.Receiver,
 		}
-		return nil
-	})
-	return out, err
+	}
+	return out, nil
 }
 
 // Fig4Table renders phase means per policy.
@@ -198,96 +299,7 @@ func Fig4Table(series []Fig4Series) *measure.Table {
 }
 
 // ---------------------------------------------------------------------------
-// The repeated-run TCP sweeps: Fig. 5, Fig. 7, Fig. 8, the transport
-// ablation.
-
-// RepeatConfig scales a sweep of repeated TCP runs; zero values take
-// the paper's 30 runs of 5 s each after a 1 s ramp.
-type RepeatConfig struct {
-	Runs        int
-	RunDuration time.Duration
-	WarmUp      time.Duration // excluded from each run's mean
-	Seed        int64
-	// Workers bounds the runs in flight across the whole sweep (0: one
-	// per CPU). It only affects wall clock: each run is an isolated
-	// world keyed by its seed.
-	Workers int
-	// Metrics optionally collects every run's telemetry.
-	Metrics *telemetry.Collector
-	// Trace optionally collects every run's flight-recorder trace.
-	Trace *trace.Collector
-}
-
-func (c RepeatConfig) defaults() RepeatConfig {
-	if c.Runs == 0 {
-		c.Runs = 30
-	}
-	c.Runs = max(c.Runs, 1) // a negative count runs one seed
-	if c.RunDuration == 0 {
-		c.RunDuration = 6 * time.Second
-	}
-	if c.WarmUp == 0 {
-		c.WarmUp = time.Second
-	}
-	return c
-}
-
-// sweepCell is one row of a sweep: a run template, the link that is
-// down for the whole run (zero: none), and the row's offset from the
-// sweep's seed. The sweep supplies seed, duration and collectors.
-type sweepCell struct {
-	run        TCPRunConfig
-	fail       [2]string
-	seedOffset int64
-}
-
-// cellResult summarises a cell: mean goodput over [WarmUp,
-// RunDuration) across its runs, and the first run's sender counters.
-type cellResult struct {
-	Goodput measure.Summary
-	Sender  tcpsim.SenderStats
-}
-
-// runSweep is the one sweep engine: one pool over every (cell, run)
-// pair — index k is run k%Runs of cell k/Runs, seeded cell seed +
-// run·1 000 003 — so a one-run sweep of many cells still fills Workers,
-// and no result depends on which pairs overlap. cfg has had defaults
-// applied.
-func runSweep(cfg RepeatConfig, cells []sweepCell) ([]cellResult, error) {
-	out := make([]cellResult, len(cells))
-	runs := make([]TCPRunConfig, len(cells))
-	for c, cell := range cells {
-		run := cell.run
-		run.Duration, run.Metrics, run.Trace = cfg.RunDuration, cfg.Metrics, cfg.Trace
-		run.Seed = cfg.Seed + cell.seedOffset
-		if f := cell.fail; f != ([2]string{}) {
-			run.Failures = []FailureSpec{{A: f[0], B: f[1], Duration: cfg.RunDuration}}
-		}
-		runs[c] = run
-	}
-	means := make([]float64, len(cells)*cfg.Runs)
-	err := par.ForEach(context.TODO(), len(means), cfg.Workers, func(_, k int) error {
-		c, i := k/cfg.Runs, k%cfg.Runs
-		run := runs[c]
-		run.Seed += int64(i) * 1_000_003
-		res, err := RunTCP(run)
-		if err != nil {
-			return err
-		}
-		means[k] = res.MeanMbps(cfg.WarmUp, cfg.RunDuration)
-		if i == 0 {
-			out[c].Sender = res.Sender
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for c := range out {
-		out[c].Goodput = measure.Summarize(means[c*cfg.Runs : (c+1)*cfg.Runs])
-	}
-	return out, nil
-}
+// Fig. 5 — the failure × protection × deflection sweep.
 
 // Fig5Config scales the Fig. 5 sweep: RepeatConfig's fields plus the
 // three sweep axes (default: AVP/NIP × the three protection levels ×
@@ -322,10 +334,10 @@ func Fig5(cfg Fig5Config) ([]Fig5Row, error) {
 		cfg.Policies = []string{"avp", "nip"}
 	}
 	if len(cfg.Protections) == 0 {
-		cfg.Protections = []string{"unprotected", "partial", "full"}
+		cfg.Protections = net15Levels
 	}
 	if len(cfg.Failures) == 0 {
-		cfg.Failures = [][2]string{{"SW10", "SW7"}, {"SW7", "SW13"}, {"SW13", "SW29"}}
+		cfg.Failures = net15Failures
 	}
 	var rows []Fig5Row
 	var cells []sweepCell
@@ -400,7 +412,7 @@ func rnpRun() TCPRunConfig {
 // Fig7 regenerates the paper's Fig. 7: the rnpRun flow measured with
 // no failure and with each of three failure locations.
 func Fig7(cfg RepeatConfig) ([]Fig7Row, error) {
-	fails := [][2]string{{}, {"SW7", "SW13"}, {"SW13", "SW41"}, {"SW41", "SW73"}}
+	fails := append([][2]string{{}}, rnpFailures...)
 	rows := make([]Fig7Row, len(fails))
 	cells := make([]sweepCell, len(fails))
 	for i, f := range fails {
@@ -459,13 +471,13 @@ type Fig8Result struct {
 // SW71→SW17→SW41 returning deflected packets to SW73, and link
 // SW73–SW107 failing.
 func Fig8(cfg RepeatConfig) (*Fig8Result, error) {
+	c := fig8Cell
 	base := TCPRunConfig{
-		Graph: topology.RNP28Fig8, Policy: "nip", Src: "EDGE-N", Dst: "EDGE-SUL",
-		Path: topology.RNP28Fig8Route, Protection: topology.RNP28Fig8Protection, TCP: rnpTCP(),
+		Graph: c.graph, Policy: "nip", Src: c.src, Dst: c.dst, Path: c.path, Protection: c.pairs, TCP: rnpTCP(),
 	}
 	cells, err := runSweep(cfg.defaults(), []sweepCell{
 		{run: base},
-		{run: base, fail: [2]string{"SW73", "SW107"}, seedOffset: 55_555},
+		{run: base, fail: c.fail, seedOffset: 55_555},
 	})
 	if err != nil {
 		return nil, err
@@ -476,8 +488,7 @@ func Fig8(cfg RepeatConfig) (*Fig8Result, error) {
 	}
 
 	// Closed-form expectation for the same scenario.
-	res.Analytic, err = analyzeOne(topology.RNP28Fig8, "EDGE-N", "EDGE-SUL",
-		topology.RNP28Fig8Route, topology.RNP28Fig8Protection, "nip", [2]string{"SW73", "SW107"})
+	res.Analytic, err = analyzeOne(c, "nip")
 	return res, err
 }
 

@@ -8,10 +8,12 @@ import (
 	"repro/internal/edge"
 	"repro/internal/measure"
 	"repro/internal/packet"
+	"repro/internal/simnet"
 	"repro/internal/tcpsim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/internal/udpsim"
 )
 
 // FailureSpec schedules one link failure.
@@ -26,7 +28,7 @@ type TCPRunConfig struct {
 	// Graph builds a fresh topology for the run (worlds are never
 	// shared between runs).
 	Graph func() (*topology.Graph, error)
-	// Policy is the deflection policy name (none/hp/avp/nip).
+	// Policy is the deflection policy name (none/hp/avp/nip/dtree).
 	Policy string
 	// Seed drives all randomness in the run.
 	Seed int64
@@ -70,33 +72,17 @@ type TCPRunConfig struct {
 
 // TCPRunResult carries one run's measurements.
 type TCPRunResult struct {
-	// Cumulative is the sampled cumulative goodput (bytes).
-	Cumulative []measure.Point
 	// Goodput is the per-interval throughput series (Mb/s).
 	Goodput *measure.Series
 	// Sender and Receiver are final transport counters.
 	Sender   tcpsim.SenderStats
 	Receiver tcpsim.ReceiverStats
-	// SrcEdge and DstEdge are final edge counters.
-	SrcEdge, DstEdge edge.Stats
-	// Route is the installed forward route.
-	Route *core.Route
-	// Metrics is the run's world registry; Events its control-plane
-	// event stream.
+	// Metrics is the run's world registry.
 	Metrics *telemetry.Registry
-	Events  []telemetry.Event
 }
 
-// MeanMbps returns the mean goodput over [from, to).
-func (r *TCPRunResult) MeanMbps(from, to time.Duration) float64 {
-	w := r.Goodput.Window(from, to)
-	if len(w.Points) == 0 {
-		return 0
-	}
-	return w.Mean()
-}
-
-// RunTCP executes one measurement run in a fresh world.
+// RunTCP executes one measurement run in a fresh world. runSweep is its
+// one caller: a single run is a one-run sweep of one cell.
 func RunTCP(cfg TCPRunConfig) (*TCPRunResult, error) {
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = time.Second
@@ -115,11 +101,10 @@ func RunTCP(cfg TCPRunConfig) (*TCPRunResult, error) {
 	recorder := cfg.Trace.Attach(w.Net)
 
 	// Forward route.
-	var route *core.Route
 	if len(cfg.Path) > 0 {
-		route, err = w.InstallRouteOnPath(cfg.Path, cfg.Protection)
+		_, err = w.InstallRouteOnPath(cfg.Path, cfg.Protection)
 	} else {
-		route, err = w.InstallRoute(cfg.Src, cfg.Dst, cfg.Protection)
+		_, err = w.InstallRoute(cfg.Src, cfg.Dst, cfg.Protection)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("experiment: forward route: %w", err)
@@ -147,11 +132,12 @@ func RunTCP(cfg TCPRunConfig) (*TCPRunResult, error) {
 		return nil, fmt.Errorf("experiment: unknown transport %q", cfg.Transport)
 	}
 
-	res := &TCPRunResult{Route: route}
+	// Sample the cumulative in-order bytes every SampleEvery.
+	var cumulative []measure.Point
 	sched := w.Net.Scheduler()
 	var sample func()
 	sample = func() {
-		res.Cumulative = append(res.Cumulative, measure.Point{T: sched.Now(), V: float64(receiver.BytesInOrder())})
+		cumulative = append(cumulative, measure.Point{T: sched.Now(), V: float64(receiver.BytesInOrder())})
 		if sched.Now() < cfg.Duration {
 			sched.After(cfg.SampleEvery, sample)
 		}
@@ -160,13 +146,12 @@ func RunTCP(cfg TCPRunConfig) (*TCPRunResult, error) {
 	sender.Start()
 	w.Run(cfg.Duration)
 
-	res.Goodput = measure.ThroughputSeries(fmt.Sprintf("%s/%s", cfg.Policy, flow), res.Cumulative)
-	res.Sender = sender.Stats()
-	res.Receiver = receiver.Stats()
-	res.SrcEdge = w.Edges[cfg.Src].Stats()
-	res.DstEdge = w.Edges[cfg.Dst].Stats()
-	res.Metrics = w.Net.Metrics()
-	res.Events = w.Net.Events().Events()
+	res := &TCPRunResult{
+		Goodput:  measure.ThroughputSeries(fmt.Sprintf("%s/%s", cfg.Policy, flow), cumulative),
+		Sender:   sender.Stats(),
+		Receiver: receiver.Stats(),
+		Metrics:  w.Net.Metrics(),
+	}
 	// Run labels are derived from the configuration only, so the
 	// collector's dump is deterministic per seed regardless of worker
 	// completion order.
@@ -174,6 +159,31 @@ func RunTCP(cfg TCPRunConfig) (*TCPRunResult, error) {
 	cfg.Metrics.Add(label, w.Net.Metrics(), w.Net.Events())
 	cfg.Trace.Commit(label, recorder)
 	return res, nil
+}
+
+// probeRun is the one CBR probe run, of Reaction and Table 2: count
+// probes 1 ms apart from AS1 to AS3 over net's edges, the named links
+// failing at failAt (zero: before the first probe leaves), and drain of
+// settling time after the last probe is due.
+func probeRun(net *simnet.Network, edges map[string]*edge.Edge, failAt time.Duration, fails [][2]string,
+	count int, drain time.Duration) (udpsim.Stats, error) {
+
+	for _, f := range fails {
+		l, ok := net.Topology().LinkBetween(f[0], f[1])
+		if !ok {
+			return udpsim.Stats{}, fmt.Errorf("experiment: no link %s-%s", f[0], f[1])
+		}
+		if failAt == 0 {
+			net.FailLink(l)
+		} else {
+			net.Scheduler().At(failAt, func() { net.FailLink(l) })
+		}
+	}
+	send, recv := udpsim.NewFlow(net, edges["AS1"], edges["AS3"], packet.FlowID{Src: "AS1", Dst: "AS3"},
+		udpsim.Config{Interval: time.Millisecond, Count: count})
+	send.Start()
+	net.RunUntil(time.Duration(count)*time.Millisecond + drain)
+	return recv.Stats(send), nil
 }
 
 // tcpSender is the surface shared by the Reno and SACK senders.

@@ -17,7 +17,8 @@ import (
 // a generated fabric (fattree/clos/isp specs), a declared flow
 // population driven by an arrival process, and optional mid-run link
 // failures. Zero values take moderate defaults that finish in seconds;
-// the committed BENCH entry runs it at fattree:28 with 10^6 flows.
+// the benchmark's fattree28_flows workload (bench/) runs it at
+// fattree:28 with 10^6 flows.
 type ScaleConfig struct {
 	// Topo is a topology.FromSpec generator spec (default "fattree:8").
 	Topo string

@@ -7,12 +7,10 @@ import (
 	"repro/internal/controller"
 	"repro/internal/edge"
 	"repro/internal/measure"
-	"repro/internal/packet"
 	"repro/internal/rns"
 	"repro/internal/simnet"
 	"repro/internal/tablefwd"
 	"repro/internal/topology"
-	"repro/internal/udpsim"
 )
 
 // Table2Qualitative reproduces the paper's Table 2 verbatim: the
@@ -62,97 +60,67 @@ type Table2Row struct {
 	DoubleFailureB     string
 }
 
-// Table2Quantitative runs the comparison on the 15-node network.
+// Table2Quantitative runs the comparison on the 15-node network: the
+// same probe run over the fast-failover baseline's switches and over
+// KAR's, both with the double failure down before the first probe.
 func Table2Quantitative() (*Table2Row, error) {
 	// The double failure of the tablefwd tests: SW7's primary toward
 	// AS3 and its loop-free alternate.
 	failures := [][2]string{{"SW7", "SW13"}, {"SW7", "SW11"}}
-	const probes = 400
+	const (
+		probes = 400
+		drain  = 5 * time.Second
+	)
 
-	tableDelivered, entriesPerSW, total, cores, err := runTableBaseline(failures, probes)
-	if err != nil {
-		return nil, err
-	}
-	karDelivered, err := runKARDoubleFailure(failures, probes)
-	if err != nil {
-		return nil, err
-	}
-	return &Table2Row{
-		Topology:           "net15",
-		CoreSwitches:       cores,
-		TableEntriesPerSW:  entriesPerSW,
-		TableEntriesTotal:  total,
-		KARStatePerSW:      0,
-		TableDoubleFailPct: float64(tableDelivered) / probes * 100,
-		KARDoubleFailPct:   float64(karDelivered) / probes * 100,
-		DoubleFailureA:     failures[0][0] + "-" + failures[0][1],
-		DoubleFailureB:     failures[1][0] + "-" + failures[1][1],
-	}, nil
-}
-
-func runTableBaseline(failures [][2]string, probes int) (delivered, perSW, total, cores int, err error) {
+	// The baseline: tablefwd switches, and an ingress that stamps no
+	// route ID, only the port toward the first switch.
 	g, err := topology.Net15()
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return nil, err
 	}
 	net := simnet.New(g)
 	switches, err := tablefwd.InstallAll(net, nil)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return nil, err
 	}
-	ctrl := controller.New(g)
-	edges := make(map[string]*edge.Edge)
-	for _, n := range g.EdgeNodes() {
-		edges[n.Name()] = edge.New(net, n, ctrl)
-	}
-	for _, f := range failures {
-		l, ok := g.LinkBetween(f[0], f[1])
-		if !ok {
-			return 0, 0, 0, 0, fmt.Errorf("experiment: no link %s-%s", f[0], f[1])
-		}
-		net.FailLink(l)
-	}
-	as1 := edges["AS1"].Node()
-	port, _ := as1.PortToward("SW10")
+	edges := edge.InstallAll(net, controller.New(g))
+	port, _ := edges["AS1"].Node().PortToward("SW10")
 	edges["AS1"].InstallRoute("AS3", rns.RouteID{}, port)
-	flow := packet.FlowID{Src: "AS1", Dst: "AS3"}
-	send, recv := udpsim.NewFlow(net, edges["AS1"], edges["AS3"], flow, udpsim.Config{
-		Interval: time.Millisecond, Count: probes,
-	})
-	send.Start()
-	net.Scheduler().RunUntil(time.Duration(probes)*time.Millisecond + 5*time.Second)
-
-	st := recv.Stats(send)
-	for _, sw := range switches {
-		perSW = sw.StateEntries()
-		break
-	}
-	return st.Received, perSW, tablefwd.TotalStateEntries(switches), len(g.CoreNodes()), nil
-}
-
-func runKARDoubleFailure(failures [][2]string, probes int) (int, error) {
-	g, err := topology.Net15()
+	table, err := probeRun(net, edges, 0, failures, probes, drain)
 	if err != nil {
-		return 0, err
+		return nil, err
+	}
+
+	// KAR: NIP over the fully protected route.
+	g, err = topology.Net15()
+	if err != nil {
+		return nil, err
 	}
 	w := NewWorld(g, mustPolicy("nip"), 17)
 	if _, err := w.InstallRoute("AS1", "AS3", topology.Net15FullProtection); err != nil {
-		return 0, err
+		return nil, err
 	}
-	for _, f := range failures {
-		l, ok := g.LinkBetween(f[0], f[1])
-		if !ok {
-			return 0, fmt.Errorf("experiment: no link %s-%s", f[0], f[1])
-		}
-		w.Net.FailLink(l)
+	kar, err := probeRun(w.Net, w.Edges, 0, failures, probes, drain)
+	if err != nil {
+		return nil, err
 	}
-	flow := packet.FlowID{Src: "AS1", Dst: "AS3"}
-	send, recv := udpsim.NewFlow(w.Net, w.Edges["AS1"], w.Edges["AS3"], flow, udpsim.Config{
-		Interval: time.Millisecond, Count: probes,
-	})
-	send.Start()
-	w.Run(time.Duration(probes)*time.Millisecond + 5*time.Second)
-	return recv.Stats(send).Received, nil
+
+	row := &Table2Row{
+		Topology:           "net15",
+		CoreSwitches:       len(g.CoreNodes()),
+		TableEntriesTotal:  tablefwd.TotalStateEntries(switches),
+		KARStatePerSW:      0,
+		TableDoubleFailPct: float64(table.Received) / probes * 100,
+		KARDoubleFailPct:   float64(kar.Received) / probes * 100,
+		DoubleFailureA:     failures[0][0] + "-" + failures[0][1],
+		DoubleFailureB:     failures[1][0] + "-" + failures[1][1],
+	}
+	// Entries per core switch: the largest table, not whichever switch
+	// a map range yields first.
+	for _, sw := range switches {
+		row.TableEntriesPerSW = max(row.TableEntriesPerSW, sw.StateEntries())
+	}
+	return row, nil
 }
 
 // Table2QuantTable renders the quantitative row.

@@ -2,7 +2,11 @@
 // switches + edges + controller over the simulator) and implements one
 // named experiment per table and figure of the paper's evaluation
 // (§3): table1, fig4, fig5, fig7, fig8, plus the table2 state
-// comparison and the deflection coverage analysis.
+// comparison, the deflection coverage analysis, the transport ablation,
+// the reaction comparison against a reactive controller and the
+// datacenter-scale workload. Each experiment is a list of cells, one
+// runner per kind of run (runSweep for TCP, probeRun for CBR probes,
+// analyzeOne for closed forms) and a table renderer.
 package experiment
 
 import (
@@ -105,15 +109,32 @@ func (w *World) programIngress(src, dst string, route *core.Route) error {
 	return nil
 }
 
-// RefreshIngress reprograms the ingress edge of an installed pair with
-// the controller's current route — the step a reactive control plane
-// performs after NotifyFailure/NotifyRepair recomputes routes.
-func (w *World) RefreshIngress(src, dst string) error {
-	route, ok := w.Ctrl.Route(src, dst)
-	if !ok {
-		return fmt.Errorf("experiment: no installed route %s->%s to refresh", src, dst)
-	}
-	return w.programIngress(src, dst, route)
+// ReactAfter makes the world's control plane reactive, the "traditional
+// approach" of the paper's introduction: delay after the switches
+// detect a link transition, the controller hears of it (NotifyFailure
+// or NotifyRepair, which reroute when the controller was built
+// WithFailureReaction) and each (src, dst) pair's ingress edge is
+// reprogrammed with the pair's current route. It is the world's one
+// owner of the link-detection hook.
+func (w *World) ReactAfter(delay time.Duration, pairs [][2]string) {
+	sched := w.Net.Scheduler()
+	w.Net.SetLinkDetectionHook(func(l *topology.Link, up bool) {
+		sched.After(delay, func() {
+			// A pair the controller cannot reroute keeps its old route (and
+			// is counted in kar_ctrl_reroute_failures_total), so errors are
+			// dropped and every ingress gets whatever route is installed.
+			if up {
+				_ = w.Ctrl.NotifyRepair(l)
+			} else {
+				_ = w.Ctrl.NotifyFailure(l)
+			}
+			for _, p := range pairs {
+				if route, ok := w.Ctrl.Route(p[0], p[1]); ok {
+					_ = w.programIngress(p[0], p[1], route)
+				}
+			}
+		})
+	})
 }
 
 // FailLinkBetween schedules a failure of the named link for

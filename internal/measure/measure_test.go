@@ -136,24 +136,3 @@ func TestTableRendering(t *testing.T) {
 		t.Errorf("CSV has %d lines, want 4", lines)
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2, 5}
-	tests := []struct {
-		q, want float64
-	}{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.75, 4},
-	}
-	for _, tt := range tests {
-		if got := Quantile(xs, tt.q); math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile(nil) should be NaN")
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Error("Quantile sorted its input in place")
-	}
-}

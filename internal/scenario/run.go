@@ -330,21 +330,14 @@ func runOne(ctx context.Context, spec *Spec, idx int, opts *RunOptions) (*RunRes
 
 	// Reactive control plane: the controller hears about a transition
 	// NotifyDelay after the switches detect it, recomputes routes, and
-	// the scenario replays each flow's ingress programming — the
-	// control-plane churn PR-3's incremental rerouting is built for.
+	// each flow's ingress is reprogrammed — the control-plane churn the
+	// controller's incremental rerouting is built for.
 	if det != nil && det.React {
-		w.Net.SetLinkDetectionHook(func(l *topology.Link, up bool) {
-			sched.After(det.NotifyDelay.D(), func() {
-				if up {
-					_ = w.Ctrl.NotifyRepair(l)
-				} else {
-					_ = w.Ctrl.NotifyFailure(l)
-				}
-				for _, f := range spec.Flows {
-					_ = w.RefreshIngress(f.Src, f.Dst)
-				}
-			})
-		})
+		pairs := make([][2]string, len(spec.Flows))
+		for i, f := range spec.Flows {
+			pairs[i] = [2]string{f.Src, f.Dst}
+		}
+		w.ReactAfter(det.NotifyDelay.D(), pairs)
 	}
 
 	injectors := make([]fault.Injector, 0, len(spec.Injections))

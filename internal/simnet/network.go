@@ -779,8 +779,9 @@ func (n *Network) SetImpairment(l *topology.Link, imp *Impairment) {
 	line.imp = imp
 }
 
-// Deliver hands a packet to a node's handler immediately (used by
-// Send, and by edges looping a packet back into themselves).
+// Deliver hands a packet to a node's handler immediately: the endpoint
+// of a noBatch direction's delivery (finishTransit), of a train member
+// whose endpoint is unbound, and of tests injecting a packet.
 func (n *Network) Deliver(pkt *packet.Packet, dst *topology.Node, inPort int) {
 	h := n.handlers[dst.Index()]
 	if h == nil {

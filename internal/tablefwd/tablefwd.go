@@ -26,27 +26,9 @@ type Switch struct {
 	net   *simnet.Network
 	node  *topology.Node
 	table map[string]entry // destination edge name → ports
-
-	received  int64
-	forwarded int64
-	failovers int64
-	drops     int64
 }
 
 var _ simnet.Handler = (*Switch)(nil)
-
-// Stats snapshots switch counters.
-type Stats struct {
-	Received  int64
-	Forwarded int64
-	Failovers int64
-	Drops     int64
-}
-
-// Stats returns the counters.
-func (s *Switch) Stats() Stats {
-	return Stats{Received: s.received, Forwarded: s.forwarded, Failovers: s.failovers, Drops: s.drops}
-}
 
 // StateEntries returns the number of forwarding-table rows — the
 // quantity Table 2 contrasts with KAR's zero-table core.
@@ -55,7 +37,6 @@ func (s *Switch) StateEntries() int { return len(s.table) }
 // HandlePacket forwards by destination lookup, failing over to the
 // backup port when the primary is down.
 func (s *Switch) HandlePacket(pkt *packet.Packet, inPort int) {
-	s.received++
 	pkt.TTL--
 	if pkt.TTL <= 0 {
 		s.net.Drop(pkt, simnet.DropTTL, s.node.Name())
@@ -63,22 +44,17 @@ func (s *Switch) HandlePacket(pkt *packet.Packet, inPort int) {
 	}
 	e, ok := s.table[pkt.Flow.Dst]
 	if !ok {
-		s.drops++
 		s.net.Drop(pkt, simnet.DropNoViablePort, s.node.Name())
 		return
 	}
 	if s.net.PortUp(s.node, e.primary) {
-		s.forwarded++
 		s.net.Send(s.node, e.primary, pkt)
 		return
 	}
 	if e.backup >= 0 && s.net.PortUp(s.node, e.backup) {
-		s.failovers++
-		s.forwarded++
 		s.net.Send(s.node, e.backup, pkt)
 		return
 	}
-	s.drops++
 	s.net.Drop(pkt, simnet.DropNoViablePort, s.node.Name())
 }
 

@@ -75,9 +75,6 @@ func Net15() (*Graph, error) {
 	return g, nil
 }
 
-// Net15Route is the controller-selected primary route of §3.1.
-var Net15Route = []string{"AS1", "SW10", "SW7", "SW13", "SW29", "AS3"}
-
 // Net15PartialProtection lists the driven-deflection forwarding hops
 // added for partial protection: each entry is (switch → neighbour its
 // encoded port points to). The partial set covers the corridor

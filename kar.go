@@ -19,7 +19,7 @@
 //   - coprime   — switch-ID allocation
 //   - topology  — graph model + the paper's three topologies
 //   - core      — route encoding and protection planning
-//   - deflect   — HP / AVP / NIP deflection policies (§2.1)
+//   - deflect   — HP / AVP / NIP deflection policies (§2.1), plus deterministic dtree
 //   - packet    — packets and the KAR shim header codec
 //   - simnet    — deterministic discrete-event network simulator
 //   - kswitch   — the KAR core switch
@@ -140,7 +140,7 @@ func PlanProtection(g *Graph, path Path, maxBits int) ([]Hop, error) {
 	return core.PlanProtection(g, path, core.PlanOptions{MaxBits: maxBits})
 }
 
-// PolicyByName resolves "none", "hp", "avp" or "nip".
+// PolicyByName resolves "none", "hp", "avp", "nip" or "dtree".
 func PolicyByName(name string) (Policy, bool) { return deflect.ByName(name) }
 
 // ShortestPath runs hop-count Dijkstra between two named nodes.

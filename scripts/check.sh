@@ -45,6 +45,21 @@ if grep -rln --include='*.go' '"repro/internal/coprime"' . | grep -v '_test\.go$
     exit 1
 fi
 
+echo "==> one TCP run engine, one reactive control plane"
+# Every TCP figure is a list of cells run through runSweep, and the
+# reactive controller is World.ReactAfter: a second caller of RunTCP or
+# of the link-detection hook is a second definition that can drift.
+if grep -rn --include='*.go' 'RunTCP(' . | grep -v '_test\.go:' | grep -v 'func RunTCP(' |
+    grep -v '^\./internal/experiment/experiments\.go:[0-9]*:		res, err := RunTCP(run)$'; then
+    echo "FAIL: RunTCP called outside runSweep" >&2
+    exit 1
+fi
+if grep -rn --include='*.go' 'SetLinkDetectionHook(' . | grep -v '_test\.go:' |
+    grep -vE '^\./internal/(simnet/|experiment/world\.go:)'; then
+    echo "FAIL: SetLinkDetectionHook called outside internal/simnet and World.ReactAfter" >&2
+    exit 1
+fi
+
 echo "==> fuzz the scheduler queue against a sorted reference (10 s)"
 # The committed corpus (internal/simnet/testdata/fuzz) runs with every
 # go test; this explores from it: random programs of post / train append
@@ -85,7 +100,7 @@ echo "==> go test -race: sharded driver, failover path"
 go test -race -count=5 -run 'Shard|Window|FlowSet|Train' ./internal/udpsim/
 go test -race -count=5 -run 'Shard|Window' ./internal/simnet
 go test -race ./internal/simnet ./internal/kswitch ./internal/edge
-go test -race -run 'RunSweep|DeterminismMatrix/(fig5-sweep|fig7-sweep|reno-ablation)' ./internal/experiment .
+go test -race -run 'RunSweep|DeterminismMatrix/(fig4-metrics|fig5-sweep|fig7-sweep|reno-ablation)' ./internal/experiment .
 
 echo "==> go test -race ./..."
 # The experiment package replays whole figure sweeps; under the race
