@@ -285,7 +285,7 @@ func (e *Edge) HandlePacket(pkt *packet.Packet, inPort int) {
 			if !ok {
 				if !e.hasDefault {
 					e.cUnclaimed.Inc()
-					e.net.Drop(pkt, simnet.DropNoPort, e.node.Name())
+					e.net.Drop(pkt, simnet.DropNoPort, e.node)
 					return
 				}
 				ep = e.defaultEp
@@ -313,7 +313,7 @@ func (e *Edge) HandlePacket(pkt *packet.Packet, inPort int) {
 	// Misdelivery: a deflected packet random-walked to the wrong edge.
 	e.cMisdelivered.Inc()
 	if e.ctrl == nil {
-		e.net.Drop(pkt, simnet.DropNoViablePort, e.node.Name())
+		e.net.Drop(pkt, simnet.DropNoViablePort, e.node)
 		return
 	}
 	if e.reencodeFn == nil {
@@ -337,7 +337,7 @@ func (e *Edge) reencodeNext() {
 	}
 	id, outPort, err := e.ctrl.ReencodeRouteAt(e.clock.Now(), e.node.Name(), pkt.Flow.Dst)
 	if err != nil {
-		e.net.Drop(pkt, simnet.DropNoViablePort, e.node.Name())
+		e.net.Drop(pkt, simnet.DropNoViablePort, e.node)
 		return
 	}
 	pkt.RouteID = id

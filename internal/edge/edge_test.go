@@ -271,7 +271,8 @@ func TestEdgeReencodeErrorReleases(t *testing.T) {
 	re := &fixedReencoder{err: errors.New("no path")}
 	e1 := New(net, e1n, re)
 	flow := packet.FlowID{Src: "X", Dst: "E2"}
-	pkts := []*packet.Packet{packet.Get(), packet.Get()}
+	src := net.ClockOf(e1n)
+	pkts := []*packet.Packet{src.NewPacket(), src.NewPacket()}
 	for _, p := range pkts {
 		p.Flow, p.Size, p.TTL = flow, 100, 5
 		net.Deliver(p, e1n, 0)
@@ -281,7 +282,7 @@ func TestEdgeReencodeErrorReleases(t *testing.T) {
 		t.Fatalf("dropped %d packets, %d of them no-viable-port, want 2 and 2", net.Dropped(), noPort)
 	}
 	for i, p := range pkts {
-		if p.Flow != (packet.FlowID{}) { // Release zeroes a pool-owned packet
+		if p.Flow != (packet.FlowID{}) { // recycling zeroes a pool-owned packet
 			t.Errorf("packet %d was not released to the pool", i)
 		}
 	}

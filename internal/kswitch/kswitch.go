@@ -206,7 +206,7 @@ func (s *Switch) HandlePacket(pkt *packet.Packet, inPort int) {
 	pkt.TTL--
 	if pkt.TTL <= 0 {
 		s.cTTLDrops.Inc()
-		s.net.Drop(pkt, simnet.DropTTL, s.node.Name())
+		s.net.Drop(pkt, simnet.DropTTL, s.node)
 		return
 	}
 	s.decide(pkt, inPort)
@@ -237,7 +237,7 @@ func (s *Switch) HandleBatchPacket(pkt *packet.Packet, inPort int, residue uint1
 	pkt.TTL--
 	if pkt.TTL <= 0 {
 		s.cTTLDrops.Inc()
-		s.net.Drop(pkt, simnet.DropTTL, s.node.Name())
+		s.net.Drop(pkt, simnet.DropTTL, s.node)
 		return
 	}
 	port := int(residue)
@@ -272,7 +272,7 @@ func (s *Switch) decide(pkt *packet.Packet, inPort int) {
 			s.loggedDrop[flow] = true
 			s.net.Events().RecordAt(s.clock.Now(), telemetry.EventPolicyDrop, s.node.Name(), flow)
 		}
-		s.net.Drop(pkt, simnet.DropNoViablePort, s.node.Name())
+		s.net.Drop(pkt, simnet.DropNoViablePort, s.node)
 		return
 	}
 	if d.Deflected {

@@ -40,6 +40,12 @@ func TestLineLayoutSeparatesWriters(t *testing.T) {
 	if end := unsafe.Offsetof(d.box) + unsafe.Sizeof(d.box); end > unsafe.Offsetof(d.busyUntil) {
 		t.Errorf("dirState's construction-time fields end at %d, inside the sender-written group", end)
 	}
+	// The serialization memo is rewritten by the sender whenever the
+	// packet size changes: sender-written group too.
+	if off := unsafe.Offsetof(d.txSize); off < unsafe.Offsetof(d.busyUntil) {
+		t.Errorf("dirState.txSize at %d, want inside the sender-written group (from busyUntil at %d)",
+			off, unsafe.Offsetof(d.busyUntil))
+	}
 	// A direction's tie-break counter is written by its sender on every
 	// hop: it belongs in the sender-written group, not in a line of the
 	// scheduler's entity array that another lane's counters share.

@@ -158,6 +158,11 @@ type dirState struct {
 	// still holding a queue slot — and, on batched directions, its
 	// undelivered transmissions (see train.go).
 	train train
+
+	// The serialization time of the last packet size sent (enqueue).
+	txSize int
+	txTime time.Duration
+	_      [32]byte // the next direction starts on a cache line of its own
 }
 
 // nextKey stamps this direction's next tie-break key. A direction takes
@@ -519,9 +524,16 @@ func (n *Network) Trace() TraceSink { return n.trace }
 
 // Drop records a packet loss originating at a node (TTL expiry,
 // no-viable-port). Links report their own drops internally. Drop is a
-// lifecycle sink: pool-owned packets are recycled here, after the trace
-// sink has observed them (sinks must copy, never retain).
-func (n *Network) Drop(pkt *packet.Packet, reason DropReason, where string) {
+// lifecycle sink: pool-owned packets are recycled here, into the node's
+// lane cache, after the trace sink has observed them (sinks must copy,
+// never retain).
+func (n *Network) Drop(pkt *packet.Packet, reason DropReason, node *topology.Node) {
+	n.drop(n.laneOf(node), pkt, reason, node.Name())
+}
+
+// drop is Drop on the lane whose event lost the packet; where names the
+// node or link.
+func (n *Network) drop(lane *Scheduler, pkt *packet.Packet, reason DropReason, where string) {
 	// Surface any deferred increments first, so whatever reads metrics
 	// at a drop observes identical values under every driver and data
 	// plane (a no-op inside a parallel window).
@@ -530,7 +542,7 @@ func (n *Network) Drop(pkt *packet.Packet, reason DropReason, where string) {
 	if pkt.Sampled && n.trace != nil {
 		n.trace.PacketDrop(Drop{Packet: pkt, Reason: reason, Where: where, At: n.sched.now})
 	}
-	pkt.Release()
+	lane.pkts.Put(pkt)
 }
 
 // countDrop bumps the per-reason drop counter; Dropped() sums these,
@@ -564,8 +576,9 @@ func (n *Network) PortUp(node *topology.Node, i int) bool {
 func (n *Network) Send(node *topology.Node, i int, pkt *packet.Packet) {
 	line, dir := n.LineAt(node, i)
 	if line == nil {
-		n.laneOf(node).sends.Inc()
-		n.Drop(pkt, DropNoPort, fmt.Sprintf("%s:%d", node.Name(), i))
+		lane := n.laneOf(node)
+		lane.sends.Inc()
+		n.drop(lane, pkt, DropNoPort, fmt.Sprintf("%s:%d", node.Name(), i))
 		return
 	}
 	n.SendOnLine(line, dir, pkt)
@@ -595,12 +608,13 @@ func (l *Line) SeenUp() bool { return l.seenUp }
 // direction) — the batched switch pipeline's exit path, and the tail
 // of Send.
 func (n *Network) SendOnLine(line *Line, dir uint8, pkt *packet.Packet) {
-	line.dirs[dir].lane.sends.Inc()
+	lane := line.dirs[dir].lane
+	lane.sends.Inc()
 	if line.downRefs > 0 && !line.seenUp {
 		// The sending switch has detected the failure: local drop. While
 		// the failure is still undetected the packet is accepted and
 		// black-holes in flight instead.
-		n.Drop(pkt, DropLinkDown, line.link.Name())
+		n.drop(lane, pkt, DropLinkDown, line.link.Name())
 		return
 	}
 	n.enqueue(line, int(dir), pkt)
@@ -641,11 +655,20 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	tr.compact()
 	if tr.pendingQueue() >= line.queueCap {
 		ds.queueDrops.Inc()
-		n.Drop(pkt, DropQueueFull, line.link.Name())
+		n.drop(lane, pkt, DropQueueFull, line.link.Name())
 		return
 	}
 
-	txTime := transmissionTime(pkt.Size, line.rate)
+	// The last size's serialization time is remembered: a hop divides
+	// only when the size changes. Counted per hop, that was never after a
+	// direction's first packet on the CBR and flow-set workloads, and on
+	// 2.4 % of hops where TCP segments and ACKs share a direction
+	// (EXPERIMENTS.md, "A healthy hop pays for its modulo"). The zero
+	// memo is exact too — a zero-byte packet serializes in no time.
+	if pkt.Size != ds.txSize {
+		ds.txSize, ds.txTime = pkt.Size, transmissionTime(pkt.Size, line.rate)
+	}
+	txTime := ds.txTime
 	start := ds.busyUntil
 	if start < now {
 		start = now
@@ -658,39 +681,33 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 		n.trace.PacketTx(pkt, line.link.Name(), start-now, txTime)
 	}
 
-	m := trainMember{at: done + line.delay, txStart: start}
-	m.deqKey = ds.nextKey()
-	m.key = ds.nextKey()
-	if tr.members == nil {
-		// Most directions a short run touches carry a packet or two at a
-		// time; a busy one doubles its way up once and keeps the array.
-		tr.members = make([]trainMember, 0, 4)
-	}
+	at := done + line.delay
+	deqKey := ds.nextKey()
+	key := ds.nextKey()
 	if !ds.noBatch {
-		m.pkt = pkt
-		tr.members = append(tr.members, m)
+		tr.push(at, key, deqKey, start, pkt)
 		lane.trainGrew(tr)
 		return
 	}
-	tr.members = append(tr.members, m)
+	tr.push(at, key, deqKey, start, nil)
 	d := delivery{line: line, pkt: pkt, txStart: start, dir: uint8(dir)}
 	switch {
 	case ds.dstLane == lane:
-		lane.deliverAt(m.at, m.key, d)
+		lane.deliverAt(at, key, d)
 	case n.inWindow:
 		// Parallel window: lanes may not touch each other's queues.
 		// The pair's inbox holds the delivery until the receiver takes
 		// it at the start of the next window. The lookahead bound
-		// guarantees m.at lands at or after this window's end, so the
+		// guarantees at lands at or after this window's end, so the
 		// receiver cannot have passed it.
 		b := &n.boxes[n.fill][ds.box]
-		if len(b.msgs) == 0 || m.at < b.min {
-			b.min = m.at
+		if len(b.msgs) == 0 || at < b.min {
+			b.min = at
 		}
-		b.msgs = append(b.msgs, outMsg{at: m.at, key: m.key, d: d})
+		b.msgs = append(b.msgs, outMsg{at: at, key: key, d: d})
 	default:
 		// Between windows: push directly.
-		ds.dstLane.deliverAt(m.at, m.key, d)
+		ds.dstLane.deliverAt(at, key, d)
 	}
 }
 
@@ -703,7 +720,7 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 func (l *Line) transit(ds *dirState, pkt *packet.Packet, txStart time.Duration) (alive, intact bool) {
 	if l.downRefs > 0 || (l.everDown && l.lastDownAt >= txStart) {
 		ds.inFlightDrops.Inc()
-		l.net.Drop(pkt, DropInFlight, l.link.Name())
+		l.net.drop(ds.dstLane, pkt, DropInFlight, l.link.Name())
 		return false, false
 	}
 	if imp := l.imp; imp != nil {
@@ -711,10 +728,10 @@ func (l *Line) transit(ds *dirState, pkt *packet.Packet, txStart time.Duration) 
 		switch {
 		case r < imp.DropProb:
 			l.cGrayDrops.Inc()
-			l.net.Drop(pkt, DropGray, l.link.Name())
+			l.net.drop(ds.dstLane, pkt, DropGray, l.link.Name())
 			return false, false
 		case r < imp.DropProb+imp.CorruptProb:
-			return l.corrupt(pkt, imp.Rand), false
+			return l.corrupt(ds, pkt, imp.Rand), false
 		}
 	}
 	return true, true
@@ -739,12 +756,12 @@ func (l *Line) finishTransit(pkt *packet.Packet, dir int, txStart time.Duration)
 // route IDs and zero-width IDs fall back to a gray drop: the flip
 // would land in heap-shared big.Int words, or there is no wire bit to
 // flip.
-func (l *Line) corrupt(pkt *packet.Packet, rng *rand.Rand) bool {
+func (l *Line) corrupt(ds *dirState, pkt *packet.Packet, rng *rand.Rand) bool {
 	u, ok := pkt.RouteID.Uint64()
 	width := pkt.RouteID.ByteLen() * 8
 	if !ok || width == 0 {
 		l.cGrayDrops.Inc()
-		l.net.Drop(pkt, DropGray, l.link.Name())
+		l.net.drop(ds.dstLane, pkt, DropGray, l.link.Name())
 		return false
 	}
 	l.cCorrupted.Inc()
@@ -785,7 +802,7 @@ func (n *Network) SetImpairment(l *topology.Link, imp *Impairment) {
 func (n *Network) Deliver(pkt *packet.Packet, dst *topology.Node, inPort int) {
 	h := n.handlers[dst.Index()]
 	if h == nil {
-		n.Drop(pkt, DropNoPort, dst.Name())
+		n.Drop(pkt, DropNoPort, dst)
 		return
 	}
 	pkt.Hops++

@@ -80,8 +80,8 @@ func (m *queueModel) pop() bool {
 		e = &m.s.front[0]
 	}
 	if tr, ok := e.what.(*train); ok {
-		var mem trainMember
-		m.s.trainNext(tr, &mem)
+		mem := tr.members[tr.head]
+		m.s.trainNext(tr)
 		if (queueRef{mem.at, mem.key}) != got {
 			m.t.Fatalf("train entry keyed (%v,%d), head member is (%v,%d)", got.at, got.key, mem.at, mem.key)
 		}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/packet"
+	"repro/internal/rns"
 	"repro/internal/telemetry"
 )
 
@@ -159,6 +160,14 @@ type Scheduler struct {
 	link  []int32
 
 	freeDeliv *delivery
+
+	// Lane-owned recycling: the free list of packets this lane's handlers
+	// and timers create and terminate (Clock.NewPacket/Recycle, drops),
+	// and the gather/scatter scratch of its trains' residue batches
+	// (train.extendResidues).
+	pkts packet.Cache
+	ids  []rns.RouteID
+	out  []uint16
 
 	// trainExtra counts the undelivered train members behind their
 	// trains' queued heads (Pending accounting).
@@ -527,6 +536,7 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	if s.flush != nil {
 		s.flush()
 	}
+	s.pkts.Spill()
 }
 
 // runWindow processes this lane's items with at < end — one shard's
@@ -571,3 +581,13 @@ func (c Clock) At(t time.Duration, fn func()) { c.s.post(t, c.ent, fn) }
 
 // After schedules fn d from the node's current time.
 func (c Clock) After(d time.Duration, fn func()) { c.At(c.s.now+d, fn) }
+
+// NewPacket returns a zeroed pool-owned packet from the node's lane
+// cache: the way a traffic source on that node makes a packet.
+func (c Clock) NewPacket() *packet.Packet { return c.s.pkts.Get() }
+
+// Recycle returns a packet to the node's lane cache: the way the sink
+// on that node that terminates a packet (a transport receiver, or a
+// sender whose injection failed) disposes of it. Like
+// packet.Release, it is a no-op for hand-built packets.
+func (c Clock) Recycle(pkt *packet.Packet) { c.s.pkts.Put(pkt) }

@@ -144,11 +144,13 @@ func (n *Network) RunUntil(t time.Duration) {
 	// multi-lane mirror of Scheduler.RunUntil's epilogue.
 	n.sched.now = t
 	n.sched.curKey = idleKey
+	n.sched.pkts.Spill()
 	for _, lane := range n.lanes {
 		if lane.now < t {
 			lane.now = t
 		}
 		lane.curKey = idleKey
+		lane.pkts.Spill()
 	}
 	n.flushCounters()
 }

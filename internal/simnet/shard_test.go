@@ -56,6 +56,7 @@ type laneSink struct {
 func (s *laneSink) HandlePacket(pkt *packet.Packet, inPort int) {
 	s.seqs = append(s.seqs, pkt.Seq)
 	s.ats = append(s.ats, s.clk.Now())
+	s.clk.Recycle(pkt)
 }
 
 type shardChain struct {
@@ -253,6 +254,47 @@ func TestShardDeterminismCutFailure(t *testing.T) {
 		got := driveChain(t, shards, false, true)
 		checkRunsEqual(t, "fail-shards", ref, got)
 	}
+}
+
+// TestShardRecyclesOnTheDroppingLane: lane timers at both ends send
+// pooled packets across the cut link while failure windows on it kill
+// some in flight (on the receiving lane) and drop others at the sender,
+// inside parallel windows. A lost packet must go back to the cache of
+// the lane whose event lost it: under -race, one recycled into the
+// other lane's cache races with that lane's own sends. The run must
+// also replay the 1-shard run.
+func TestShardRecyclesOnTheDroppingLane(t *testing.T) {
+	run := func(shards int) (chainRun, int64) {
+		w := newShardChain(t, shards, false)
+		for _, e := range []*topology.Node{w.e0, w.e1} {
+			e, clk := e, w.n.ClockOf(e)
+			var seq uint64
+			var tick func()
+			tick = func() {
+				for i := 0; i < 4; i++ {
+					p := clk.NewPacket()
+					p.Size, p.TTL, p.Seq = 600, 16, seq
+					seq++
+					w.n.Send(e, 0, p)
+				}
+				if clk.Now() < 8*time.Millisecond {
+					clk.After(100*time.Microsecond, tick)
+				}
+			}
+			clk.At(0, tick)
+		}
+		for i := 0; i < 4; i++ {
+			w.n.ScheduleFailure(w.cut, time.Duration(1+2*i)*time.Millisecond, 700*time.Microsecond)
+		}
+		w.n.RunUntil(10 * time.Millisecond)
+		return w.result(t), w.n.Metrics().Counter("kar_net_drops_total", "reason", "in-flight").Value()
+	}
+	ref, inFlight := run(1)
+	if inFlight == 0 {
+		t.Fatal("no in-flight drops: the failure windows kill nothing on the wire")
+	}
+	got, _ := run(2)
+	checkRunsEqual(t, "shards2", ref, got)
 }
 
 // TestShardSerialMatchesParallel pins that single-threaded global-

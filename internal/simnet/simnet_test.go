@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -145,6 +146,35 @@ func TestSendSerializesBackToBack(t *testing.T) {
 	}
 	if gap := sk.times[1] - sk.times[0]; gap != 100*time.Microsecond {
 		t.Errorf("inter-delivery gap = %v, want 100µs (serialization)", gap)
+	}
+}
+
+// TestSerializationFollowsEachSize: a link direction remembers the last
+// packet size's serialization time, so a size change must recompute it,
+// and each direction remembers its own. At 100 Mb/s, 1250 B serialize in
+// 100 µs, 64 B in 5.12 µs and 0 B in no time.
+func TestSerializationFollowsEachSize(t *testing.T) {
+	n, a, b, sk := twoNodeNet(t, topology.WithRateMbps(100), topology.WithDelay(time.Millisecond))
+	back := &sink{sched: n.Scheduler()}
+	n.Bind(a, back)
+	n.Send(b, 0, &packet.Packet{Size: 64, TTL: 64})
+	for _, size := range []int{1250, 1250, 64, 0, 1250} {
+		n.Send(a, 0, &packet.Packet{Size: size, TTL: 64})
+	}
+	n.Send(b, 0, &packet.Packet{Size: 1250, TTL: 64})
+	n.Scheduler().RunUntil(10 * time.Millisecond)
+	us := func(f float64) time.Duration { return time.Millisecond + time.Duration(f*1000) }
+	for _, c := range []struct {
+		name string
+		got  []time.Duration
+		want []time.Duration
+	}{
+		{"A→B", sk.times, []time.Duration{us(100), us(200), us(205.12), us(205.12), us(305.12)}},
+		{"B→A", back.times, []time.Duration{us(5.12), us(105.12)}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s deliveries at %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -36,8 +36,8 @@ func TestDropsByReasonSumToTotal(t *testing.T) {
 	n.Send(a, 5, &packet.Packet{Size: 1250, TTL: 64, Sampled: true})
 
 	// TTL and policy drops are reported by switches through Drop().
-	n.Drop(&packet.Packet{TTL: 0, Sampled: true}, DropTTL, "A")
-	n.Drop(&packet.Packet{TTL: 3, Sampled: true}, DropNoViablePort, "A")
+	n.Drop(&packet.Packet{TTL: 0, Sampled: true}, DropTTL, a)
+	n.Drop(&packet.Packet{TTL: 3, Sampled: true}, DropNoViablePort, a)
 	n.Scheduler().RunUntil(40 * time.Millisecond)
 
 	wantByReason := map[DropReason]int64{

@@ -94,14 +94,31 @@ type train struct {
 	bh       BatchHandler
 	red      rns.Reducer
 	resValid bool
-
-	// Scratch for gather → ReduceBatch → scatter.
-	ids []rns.RouteID
-	out []uint16
 }
 
 // pendingQueue returns the occupied queue slots (after a drain).
 func (tr *train) pendingQueue() int { return len(tr.members) - tr.deqHead }
+
+// push appends a member. Its fields are stored in place: a member
+// built on the stack and copied in reloads its halves right behind the
+// stores that wrote them, and that forwarding stall was a tenth of a
+// healthy hop.
+func (tr *train) push(at time.Duration, key, deqKey uint64, txStart time.Duration, pkt *packet.Packet) {
+	n := len(tr.members)
+	switch {
+	case tr.members == nil:
+		// Most directions a short run touches carry a packet or two at a
+		// time; a busy one doubles its way up once and keeps the array.
+		tr.members = make([]trainMember, 1, 4)
+	case n == cap(tr.members):
+		tr.members = append(tr.members, trainMember{})
+	default:
+		tr.members = tr.members[:n+1]
+	}
+	m := &tr.members[n]
+	m.at, m.key, m.deqKey, m.txStart = at, key, deqKey, txStart
+	m.pkt, m.res, m.resOK = pkt, 0, false
+}
 
 // reset empties a train whose members are all delivered; endpoint
 // caches survive (the topology is static).
@@ -131,8 +148,9 @@ func (tr *train) resolveEndpoint() {
 // extendResidues computes residues for every member past resLen with
 // one ReduceBatch call — the word-parallel amortization: it runs once
 // per train-load, not once per packet, regardless of how deliveries
-// interleave with other links' traffic.
-func (tr *train) extendResidues() {
+// interleave with other links' traffic. The gather and scatter arrays
+// are the running lane's scratch, shared by all its trains.
+func (tr *train) extendResidues(s *Scheduler) {
 	if tr.h == nil {
 		tr.resolveEndpoint()
 	}
@@ -142,12 +160,12 @@ func (tr *train) extendResidues() {
 		return
 	}
 	need := n - tr.resLen
-	if cap(tr.ids) < need {
-		c := max(2*need, 4) // members starts at 4 too
-		tr.ids = make([]rns.RouteID, need, c)
-		tr.out = make([]uint16, need, c)
+	if cap(s.ids) < need {
+		c := max(2*need, 64)
+		s.ids = make([]rns.RouteID, need, c)
+		s.out = make([]uint16, need, c)
 	}
-	ids, out := tr.ids[:need], tr.out[:need]
+	ids, out := s.ids[:need], s.out[:need]
 	for i := 0; i < need; i++ {
 		ids[i] = tr.members[tr.resLen+i].pkt.RouteID
 	}
@@ -174,13 +192,12 @@ func (s *Scheduler) trainGrew(tr *train) {
 	s.push(entry{at: head.at, key: head.key, what: tr})
 }
 
-// trainNext moves tr's head member into *m, then re-keys tr's queue
+// trainNext advances tr past its head member, then re-keys tr's queue
 // entry — the queue's root — to the following member or, when none is
 // left, removes it and deactivates the train. Only the root is ever
 // advanced or removed, so trains need no back-pointer into the queue:
 // the active flag says whether one has an entry.
-func (s *Scheduler) trainNext(tr *train, m *trainMember) {
-	*m = tr.members[tr.head]
+func (s *Scheduler) trainNext(tr *train) {
 	tr.members[tr.head].pkt = nil // no stale pin until reset/compact
 	tr.head++
 	if tr.head < len(tr.members) {
@@ -195,16 +212,20 @@ func (s *Scheduler) trainNext(tr *train, m *trainMember) {
 }
 
 // run delivers the next member of tr, whose entry is the queue's root
-// (the clock and curKey are already the member's): fix the queue, then
-// hand the packet to the line — mirroring pop-then-dispatch so handlers
-// may freely enqueue more traffic (including onto this train).
+// (the clock and curKey are already the member's): take what delivery
+// needs out of the member, fix the queue, then hand the packet to the
+// line — mirroring pop-then-dispatch so handlers may freely enqueue
+// more traffic (including onto this train). The member is read field by
+// field, not copied whole: its residue was usually stored a moment ago
+// by extendResidues, and a wide load over narrow fresh stores stalls.
 func (tr *train) run(s *Scheduler) {
 	if tr.resLen <= tr.head {
-		tr.extendResidues()
+		tr.extendResidues(s)
 	}
-	var m trainMember
-	s.trainNext(tr, &m)
-	tr.line.deliverMember(tr, &m)
+	m := &tr.members[tr.head]
+	pkt, txStart, res, resOK := m.pkt, m.txStart, m.res, m.resOK
+	s.trainNext(tr)
+	tr.line.deliverMember(tr, pkt, txStart, res, resOK)
 }
 
 // --- Line-side train operations -------------------------------------------
@@ -250,12 +271,10 @@ func (tr *train) compact() {
 // inline: only a line that is or ever was down, or carries a gray
 // impairment, pays for the transit call (and draws its RNG in the
 // scalar order).
-func (l *Line) deliverMember(tr *train, m *trainMember) {
+func (l *Line) deliverMember(tr *train, pkt *packet.Packet, txStart time.Duration, res uint16, resOK bool) {
 	ds := &l.dirs[tr.dir]
-	pkt := m.pkt
-	resOK := m.resOK
 	if l.downRefs != 0 || l.everDown || l.imp != nil {
-		alive, intact := l.transit(ds, pkt, m.txStart)
+		alive, intact := l.transit(ds, pkt, txStart)
 		if !alive {
 			return
 		}
@@ -271,7 +290,7 @@ func (l *Line) deliverMember(tr *train, m *trainMember) {
 	pkt.Hops++
 	ds.dstLane.delivered.Inc()
 	if tr.bh != nil && resOK {
-		tr.bh.HandleBatchPacket(pkt, ds.dstPort, m.res)
+		tr.bh.HandleBatchPacket(pkt, ds.dstPort, res)
 		return
 	}
 	tr.h.HandlePacket(pkt, ds.dstPort)

@@ -39,12 +39,12 @@ func (s *Switch) StateEntries() int { return len(s.table) }
 func (s *Switch) HandlePacket(pkt *packet.Packet, inPort int) {
 	pkt.TTL--
 	if pkt.TTL <= 0 {
-		s.net.Drop(pkt, simnet.DropTTL, s.node.Name())
+		s.net.Drop(pkt, simnet.DropTTL, s.node)
 		return
 	}
 	e, ok := s.table[pkt.Flow.Dst]
 	if !ok {
-		s.net.Drop(pkt, simnet.DropNoViablePort, s.node.Name())
+		s.net.Drop(pkt, simnet.DropNoViablePort, s.node)
 		return
 	}
 	if s.net.PortUp(s.node, e.primary) {
@@ -55,7 +55,7 @@ func (s *Switch) HandlePacket(pkt *packet.Packet, inPort int) {
 		s.net.Send(s.node, e.backup, pkt)
 		return
 	}
-	s.net.Drop(pkt, simnet.DropNoViablePort, s.node.Name())
+	s.net.Drop(pkt, simnet.DropNoViablePort, s.node)
 }
 
 // InstallAll builds one table switch per core node, with tables

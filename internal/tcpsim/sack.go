@@ -113,7 +113,7 @@ func (s *SACKSender) nextLost() (uint64, bool) {
 // onAck processes a cumulative ACK with SACK blocks. The ACK
 // terminates here, so the sender recycles it.
 func (s *SACKSender) onAck(pkt *packet.Packet) {
-	defer pkt.Release()
+	defer s.sched.Recycle(pkt)
 	s.raiseDupThresh(pkt.ReorderExtent + 1)
 	if s.undo(pkt) {
 		// Clear stale loss marks: they were reordering.

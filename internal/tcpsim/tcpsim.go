@@ -246,7 +246,7 @@ func (s *senderCore) window() float64 {
 }
 
 func (s *senderCore) sendSegment(seq uint64, retrans bool) {
-	pkt := packet.Get()
+	pkt := s.sched.NewPacket()
 	pkt.Flow = s.flow
 	pkt.Kind = packet.KindData
 	pkt.Seq = seq
@@ -267,7 +267,7 @@ func (s *senderCore) sendSegment(seq uint64, retrans bool) {
 	// Injection failures (no route) surface through edge stats; the
 	// segment is then recovered like any other loss.
 	if err := s.edge.Inject(pkt); err != nil {
-		pkt.Release()
+		s.sched.Recycle(pkt)
 	}
 }
 
@@ -507,7 +507,7 @@ func (s *Sender) trySend() {
 // receiver's next expected segment. The ACK terminates here, so the
 // sender recycles it.
 func (s *Sender) onAck(pkt *packet.Packet) {
-	defer pkt.Release()
+	defer s.sched.Recycle(pkt)
 	if s.undo(pkt) {
 		s.dupAcks = 0
 	}
@@ -621,7 +621,7 @@ func (s *Sender) onTimeout() {
 // onData handles an arriving data segment at the receiver. The
 // segment terminates here, so the receiver recycles it.
 func (r *Receiver) onData(pkt *packet.Packet) {
-	defer pkt.Release()
+	defer r.sched.Recycle(pkt)
 	seq := pkt.Seq
 	switch {
 	case seq == r.expected:
@@ -658,7 +658,7 @@ func (r *Receiver) onData(pkt *packet.Packet) {
 }
 
 func (r *Receiver) sendAck() {
-	ack := packet.Get()
+	ack := r.sched.NewPacket()
 	ack.Flow = r.flow.Reverse()
 	ack.Kind = packet.KindAck
 	ack.Seq = r.expected
@@ -674,7 +674,7 @@ func (r *Receiver) sendAck() {
 	r.dsackPending = false
 	r.m.acks.Inc()
 	if err := r.edge.Inject(ack); err != nil {
-		ack.Release()
+		r.sched.Recycle(ack)
 	}
 }
 

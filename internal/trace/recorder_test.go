@@ -208,12 +208,13 @@ func TestSampleFlowDeterministic(t *testing.T) {
 func TestRecorderRingOverflow(t *testing.T) {
 	n, rec := pairNet(t, trace.Config{Rate: 1, Max: 4})
 
+	a, _ := n.Topology().Node("A")
 	const total = 11
 	for i := 0; i < total; i++ {
-		n.Drop(&packet.Packet{Seq: uint64(i), TTL: 1, Sampled: true}, simnet.DropTTL, "A")
+		n.Drop(&packet.Packet{Seq: uint64(i), TTL: 1, Sampled: true}, simnet.DropTTL, a)
 	}
 	// An unsampled drop is invisible to the flight recorder.
-	n.Drop(&packet.Packet{Seq: 99, TTL: 1}, simnet.DropTTL, "A")
+	n.Drop(&packet.Packet{Seq: 99, TTL: 1}, simnet.DropTTL, a)
 
 	recs := rec.Records()
 	if len(recs) != 4 {
@@ -246,15 +247,18 @@ func TestUnsampledZeroAlloc(t *testing.T) {
 	w := buildWorld(t)
 	trace.NewRecorder(w.Net, trace.Config{Rate: 0})
 	flow := packet.FlowID{Src: "S", Dst: "D"}
+	sNode, _ := w.Net.Topology().Node("S")
+	dNode, _ := w.Net.Topology().Node("D")
+	src, dst := w.Net.ClockOf(sNode), w.Net.ClockOf(dNode)
 	delivered := 0
 	w.Edges["D"].Attach(flow, edge.ReceiverFunc(func(p *packet.Packet) {
 		delivered++
-		p.Release()
+		dst.Recycle(p)
 	}))
 
 	seq := uint64(0)
 	inject := func() {
-		p := packet.Get()
+		p := src.NewPacket()
 		p.Flow = flow
 		p.Kind = packet.KindData
 		p.Seq = seq

@@ -266,7 +266,7 @@ func (p *pairPump) tick() {
 	}
 	flow := p.flowBase + uint32(p.rng.Intn(p.nFlows))
 	for i := 0; i < count; i++ {
-		pkt := packet.Get()
+		pkt := p.clock.NewPacket()
 		pkt.Flow = packet.FlowID{Src: p.srcName, Dst: p.dstName, ID: flow}
 		pkt.Kind = packet.KindData
 		pkt.Seq = uint64(fs.sent[flow])
@@ -276,7 +276,7 @@ func (p *pairPump) tick() {
 		p.cSent.Inc()
 		if err := p.src.Inject(pkt); err != nil {
 			fs.cNoRoute.Inc()
-			pkt.Release()
+			p.clock.Recycle(pkt)
 		}
 	}
 	p.clock.After(p.nextGap(), p.tickFn)
@@ -286,7 +286,7 @@ func (p *pairPump) tick() {
 // lane-local aggregates. Duplicate sequence detection is deliberately
 // skipped — a per-flow bitmap would dominate memory at 10^6 flows.
 func (r *setReceiver) onData(pkt *packet.Packet) {
-	defer pkt.Release()
+	defer r.clock.Recycle(pkt)
 	fs := r.set
 	if int(pkt.Flow.ID) < len(fs.recv) {
 		fs.recv[pkt.Flow.ID] = true

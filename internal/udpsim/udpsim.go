@@ -149,7 +149,7 @@ func (s *Sender) tick() {
 		if s.cfg.Count > 0 && s.sent >= s.cfg.Count {
 			break
 		}
-		pkt := packet.Get()
+		pkt := s.clock.NewPacket()
 		pkt.Flow = s.flow
 		pkt.Kind = packet.KindData
 		pkt.Seq = uint64(s.sent)
@@ -158,7 +158,7 @@ func (s *Sender) tick() {
 		s.sent++
 		s.cSent.Inc()
 		if err := s.edge.Inject(pkt); err != nil {
-			pkt.Release()
+			s.clock.Recycle(pkt)
 		}
 	}
 	s.clock.After(s.cfg.Interval, s.tickFn)
@@ -167,7 +167,7 @@ func (s *Sender) tick() {
 // onData terminates the flow: it records stats and, as the packet's
 // final owner, recycles it.
 func (r *Receiver) onData(pkt *packet.Packet) {
-	defer pkt.Release()
+	defer r.clock.Recycle(pkt)
 	st := &r.stats
 	word, bit := pkt.Seq>>6, uint64(1)<<(pkt.Seq&63)
 	if word >= uint64(len(r.seen)) {

@@ -170,3 +170,39 @@ func TestCBRDuplicateDetection(t *testing.T) {
 		t.Error("nothing delivered under AVP")
 	}
 }
+
+// TestSaturatedHopAllocatesNothing: once a saturating CBR flow on the
+// Fig. 5 measurement path (AS1→AS3 over Net15, nip, full protection)
+// is warm, its hops — switch, link, train, scheduler, telemetry and the
+// packets themselves, recycled through the lanes' caches and, between
+// runs, the depot — allocate nothing. The 100 ms warm-up also grows the
+// receiver's duplicate bitmap past every sequence number the measured
+// runs reach.
+func TestSaturatedHopAllocatesNothing(t *testing.T) {
+	g, err := topology.Net15()
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy, _ := deflect.ByName("nip")
+	w := experiment.NewWorld(g, policy, 1)
+	if _, err := w.InstallRoute("AS1", "AS3", topology.Net15FullProtection); err != nil {
+		t.Fatal(err)
+	}
+	send, _ := udpsim.NewFlow(w.Net, w.Edges["AS1"], w.Edges["AS3"], packet.FlowID{Src: "AS1", Dst: "AS3"},
+		udpsim.Config{Interval: time.Millisecond, Size: 250, Burst: 100})
+	send.Start()
+	until := 100 * time.Millisecond
+	w.Run(until)
+	before := w.Net.Delivered()
+	allocs := testing.AllocsPerRun(5, func() {
+		until += 10 * time.Millisecond
+		w.Run(until)
+	})
+	hops := w.Net.Delivered() - before
+	if hops < 10_000 {
+		t.Fatalf("%d hops in the measured runs: the flow is not saturating the path", hops)
+	}
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per 10 ms run of %d hops, want 0", allocs, hops/6)
+	}
+}

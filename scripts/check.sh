@@ -60,6 +60,16 @@ if grep -rn --include='*.go' 'SetLinkDetectionHook(' . | grep -v '_test\.go:' |
     exit 1
 fi
 
+echo "==> packets are made and recycled on their lane"
+# A traffic source takes its packets from its node's lane cache
+# (Clock.NewPacket) and a sink hands them back there (Clock.Recycle,
+# Network.Drop); the depot behind the caches is internal/packet's own,
+# and bench/ times it directly. Tests elsewhere go through a lane too.
+if grep -rnE --include='*.go' 'packet\.Get\(|\.Release\(\)' . | grep -vE '^\./(internal/packet|bench)/'; then
+    echo "FAIL: packet.Get or Packet.Release outside internal/packet (use Clock.NewPacket / Clock.Recycle)" >&2
+    exit 1
+fi
+
 echo "==> fuzz the scheduler queue against a sorted reference (10 s)"
 # The committed corpus (internal/simnet/testdata/fuzz) runs with every
 # go test; this explores from it: random programs of post / train append
@@ -92,14 +102,15 @@ echo "==> go test -race: sharded driver, failover path"
 # mid-window flush guard, the queue's barrier push and the trains are
 # where a data race would be, and these tests take seconds where the
 # full pass takes ~20 minutes.
-# With them the failover path: the link and handler tables, the switch
-# slow path, the edge's re-encode queue, and the sweep pool, whose
-# workers run different cells' worlds side by side. A race in the
-# hand-off between the caller, the lane workers and the inboxes shows
-# only in some interleavings, so the shard tests run five times over.
+# With them the packet caches and the failover path: the link and
+# handler tables, the switch slow path, the edge's re-encode queue, and
+# the sweep pool, whose workers run different cells' worlds side by
+# side. A race in the hand-off between the caller, the lane workers and
+# the inboxes shows only in some interleavings, so the shard tests run
+# five times over.
 go test -race -count=5 -run 'Shard|Window|FlowSet|Train' ./internal/udpsim/
 go test -race -count=5 -run 'Shard|Window' ./internal/simnet
-go test -race ./internal/simnet ./internal/kswitch ./internal/edge
+go test -race ./internal/simnet ./internal/kswitch ./internal/edge ./internal/packet
 go test -race -run 'RunSweep|DeterminismMatrix/(fig4-metrics|fig5-sweep|fig7-sweep|reno-ablation)' ./internal/experiment .
 
 echo "==> go test -race ./..."
