@@ -116,7 +116,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.BoolVar(&opts.csv, "csv", false, "emit CSV instead of aligned tables")
 	fs.StringVar(&opts.metrics, "metrics", "", "write a Prometheus-text metrics dump to this path (plus <path>.json with events) and print a MetricsReport")
 	fs.StringVar(&opts.pprof, "pprof", "", "write runtime profiles to <prefix>.{cpu,heap,mutex,block}.pprof")
-	fs.IntVar(&opts.shards, "shards", 1, "parallel region shards for -exp scale and -scenario (results are byte-identical for every value)")
+	fs.IntVar(&opts.shards, "shards", 1, "worker goroutines for -exp scale and -scenario; the world is cut into two regions per worker (results are byte-identical for every value)")
 	fs.StringVar(&opts.topo, "topo", "", "generated topology spec for -exp scale: fattree:<k>, clos:<leaves>:<spines>, isp:<cores>:<m>:<hosts>:<seed>, rand:<cores>:<extra>:<edges>:<seed>")
 	fs.IntVar(&opts.flows, "flows", 0, "logical flow population for -exp scale (default 100000)")
 	fs.IntVar(&opts.pairs, "pairs", 0, "distinct src/dst host pairs for -exp scale (default 64)")

@@ -24,8 +24,9 @@ type ScaleConfig struct {
 	Topo string
 	// Policy is the deflection policy name (default "nip").
 	Policy string
-	// Shards partitions the network into that many parallel regions
-	// (default 1). Results are byte-identical for every value.
+	// Shards is the number of worker goroutines the world runs on
+	// (default 1); the world is cut into two regions per worker.
+	// Results are byte-identical for every value.
 	Shards int
 	// Flows is the logical flow population size (default 100_000).
 	Flows int

@@ -51,9 +51,10 @@ type Spec struct {
 	// or a topology.FromSpec generator spec ("fattree:8",
 	// "clos:8:4", "isp:200:2:40:7", "rand:12:4:6:9").
 	Topology string `json:"topology"`
-	// Shards partitions each run's network into parallel regions.
-	// Results are byte-identical for every value; this is a wall-clock
-	// knob only.
+	// Shards is the number of worker goroutines each run's network
+	// runs on; the network is cut into two regions per worker. Results
+	// are byte-identical for every value; this is a wall-clock knob
+	// only.
 	Shards int `json:"shards,omitempty"`
 	// Policy is the deflection policy (none/hp/avp/nip/dtree).
 	Policy string `json:"policy"`

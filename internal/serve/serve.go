@@ -394,8 +394,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind JobKind, ru
 // Admission limits: what one request may ask of the daemon. A request
 // past any of them is refused with a 400 naming the limit before
 // anything is sized from it — runs sizes the verdict's result slice,
-// shards the lane set, pairs the sweep's failure list. Constants, not
-// settings: they bound a single job, the queue bounds how many.
+// shards the worker crew and the lane set, pairs the sweep's failure
+// list. Constants, not settings: they bound a single job, the queue
+// bounds how many.
 const (
 	maxRuns         = 10_000
 	maxShards       = 256

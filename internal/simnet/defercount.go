@@ -111,10 +111,11 @@ func (s *Scheduler) foldCells() {
 
 // flushCounters folds every lane's dirty cells. Called at observation
 // boundaries; cheap when nothing is pending. Inside a parallel window
-// it must return before touching any list: lane goroutines reach it
-// through Drop while the other lanes are appending to theirs. Nothing can observe a counter there —
-// observers run on the control plane, between windows — so the fold
-// simply waits for the next boundary.
+// it must return before touching any list: workers running lanes reach
+// it through Drop while the other lanes are appending to theirs.
+// Nothing can observe a counter there — observers run on the control
+// plane, between windows — so the fold simply waits for the next
+// boundary.
 func (n *Network) flushCounters() {
 	if n.inWindow {
 		return

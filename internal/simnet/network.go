@@ -265,7 +265,7 @@ type Network struct {
 	cSends     *telemetry.Counter
 	cDrops     [dropReasonCount + 1]*telemetry.Counter
 
-	// Sharded execution (see shard.go). lanes[i] is shard i's
+	// Sharded execution (see shard.go). lanes[i] is region i's
 	// scheduler; with one shard, lanes[0] == sched. nodeLane maps node
 	// insertion index → owning lane index; lookahead is the conservative
 	// window bound (the minimum propagation delay over cut links);
@@ -291,6 +291,10 @@ type Network struct {
 	mail    [][]int
 	fill    int
 	inboxAt time.Duration
+
+	// workers is the number of goroutines that run the lanes' windows,
+	// the caller among them (Shards()).
+	workers int
 }
 
 // Option configures a Network.
@@ -341,11 +345,13 @@ func WithScalarDataPlane() Option {
 	return func(c *netConfig) { c.scalar = true }
 }
 
-// WithShards partitions the world into n parallel regions (see
-// shard.go): topology.PartitionRegions assigns every node to a shard,
-// each shard advances on its own scheduler lane, and lanes synchronize
+// WithShards runs the world on n worker goroutines, the caller among
+// them (see shard.go); the world is cut into two regions per worker:
+// topology.PartitionRegions assigns every node to a region, each
+// region advances on its own scheduler lane, and lanes synchronize
 // conservatively with a lookahead window derived from the minimum
-// cut-link propagation delay. n ≤ 1 (the default) is one lane.
+// cut-link propagation delay. n is clamped to the core count, and so
+// is the region count. n ≤ 1 (the default) is one lane.
 // Determinism is unaffected by construction: same seed ⇒ byte-identical
 // dumps for every shard count.
 func WithShards(n int) Option {
@@ -365,12 +371,19 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	}
 	nodes := topo.Nodes()
 	links := topo.Links()
-	shards := cfg.shards
-	if shards < 1 {
-		shards = 1
+	// Never more workers than cores, and two lanes per worker but
+	// never more lanes than cores: every lane holds a core.
+	cores := len(topo.CoreNodes())
+	workers := max(cfg.shards, 1)
+	if workers > cores && cores > 0 {
+		workers = cores
 	}
-	if c := len(topo.CoreNodes()); shards > c && c > 0 {
-		shards = c
+	lanes := workers
+	if workers > 1 {
+		lanes = lanesPerWorker * workers
+		if lanes > cores && cores > 0 {
+			lanes = cores
+		}
 	}
 	n := &Network{
 		topo:       topo,
@@ -379,6 +392,7 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 		metrics:    telemetry.NewRegistry(telemetry.WithBaseLabels(cfg.baseLabels...)),
 		detectDown: cfg.detectDown,
 		detectUp:   cfg.detectUp,
+		workers:    workers,
 		inboxAt:    never,
 	}
 	// Tie-break entity layout: 0 is the control plane, 1..len(nodes)
@@ -389,10 +403,10 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	// link direction's counter lives in its dirState.
 	ents := make([]uint64, 1+len(nodes))
 	n.sched = &Scheduler{ents: ents}
-	n.nodeLane = topology.PartitionRegions(topo, shards)
-	n.lanes = make([]*Scheduler, shards)
-	if shards == 1 {
-		// Single shard: the data lane is the control scheduler.
+	n.nodeLane = topology.PartitionRegions(topo, lanes)
+	n.lanes = make([]*Scheduler, lanes)
+	if lanes == 1 {
+		// Single lane: the data lane is the control scheduler.
 		n.lanes[0] = n.sched
 	} else {
 		// The control lane of a sharded world only ever holds control
@@ -417,7 +431,7 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	// few events per link plus headroom, so world start-up never
 	// re-grows it (visible as startup allocs in the Fig5 benchmarks).
 	for _, lane := range n.lanes {
-		lane.Reserve(4*len(links)/shards + 64)
+		lane.Reserve(4*len(links)/lanes + 64)
 		lane.flush = flush
 		lane.delivered = DeferredCounter{c: n.cDelivered, lane: lane}
 		lane.sends = DeferredCounter{c: n.cSends, lane: lane}
@@ -486,11 +500,13 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	return n
 }
 
-// Shards returns the number of parallel regions this world runs as.
-func (n *Network) Shards() int { return len(n.lanes) }
+// Shards returns the number of worker goroutines a sharded RunUntil
+// runs on, the caller among them; the world is cut into two regions
+// (scheduler lanes) per worker.
+func (n *Network) Shards() int { return n.workers }
 
 // Lookahead returns the conservative synchronization bound: the
-// minimum propagation delay over links that cross shard boundaries
+// minimum propagation delay over links that cross region boundaries
 // (zero in a 1-shard world, where no link does).
 func (n *Network) Lookahead() time.Duration { return n.lookahead }
 

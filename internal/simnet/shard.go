@@ -3,15 +3,17 @@ package simnet
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/topology"
 )
 
 // This file is the sharded execution engine. A world built with
-// WithShards(N>1) is partitioned by topology.PartitionRegions into N
-// regions; each region's nodes, and every link direction whose sender
-// is in the region, live on one scheduler lane. Lanes advance in
+// WithShards(N>1) runs on N workers and is partitioned by
+// topology.PartitionRegions into 2N regions (at most one per core);
+// each region's nodes, and every link direction whose sender is in the
+// region, live on one scheduler lane. Lanes advance in
 // parallel under conservative synchronization (classic Chandy-Misra
 // lookahead, barrier-window flavor): the only inter-lane dependencies
 // are cut-link deliveries, and a packet entering a cut link at time s
@@ -52,11 +54,16 @@ import (
 //     canonically sorted on export, so concurrent windows produce the
 //     same observable bytes as the serialized order.
 //
-// Lanes stay put: for the length of one RunUntil, lane 0 runs on the
-// calling goroutine and every other lane on one worker goroutine of its
-// own, started by the first window and parked on a channel between
-// windows, so a lane's hot set (front heap, ring slab, trains, free
-// lists) stays with one goroutine.
+// Workers pull lanes: for the length of one RunUntil the caller and
+// N−1 worker goroutines — started by the first window, parked on a
+// channel between windows — are the crew, and in every window each of
+// them draws lane indexes from one counter and runs the lanes it draws
+// until none is left. A lane runs on exactly one goroutine per window
+// and takes its own mail first, whichever goroutine that is. Lanes
+// outnumber workers two to one, so the barrier waits for the last lane
+// to finish, not for the busier half of the world: a worker that drew
+// a light lane, or woke after the caller had started, takes up what is
+// left. Which goroutine ran which lane reaches no output byte.
 //
 // Observers that demand the total global order — the flight recorder,
 // the drop hook, the event-log tap — and gray impairments (whose RNG
@@ -92,10 +99,10 @@ type outMsg struct {
 // inboxes: a control event, or any item while parallelOK vetoes, is
 // stepped single-threaded (at equal times control sorts first — entity
 // 0); otherwise all lanes concurrently run their items in [m, min(m+W,
-// next control event, t]] and meet at a barrier. The choice is re-made
-// at every step, so an observer or impairment a control event attaches
-// mid-run takes effect at once, and it is invisible in every output
-// byte.
+// next control event, t]] on the crew's workers and meet at a barrier.
+// The choice is re-made at every step, so an observer or impairment a
+// control event attaches mid-run takes effect at once, and it is
+// invisible in every output byte.
 func (n *Network) RunUntil(t time.Duration) {
 	if len(n.lanes) == 1 {
 		n.sched.RunUntil(t)
@@ -103,7 +110,7 @@ func (n *Network) RunUntil(t time.Duration) {
 	}
 	var c *crew
 	// Workers never outlive the call, whether it returns or unwinds a
-	// lane-0 panic.
+	// lane's panic.
 	defer func() { c.stop() }()
 	for {
 		best, at := n.peekMin()
@@ -155,16 +162,25 @@ func (n *Network) RunUntil(t time.Duration) {
 	n.flushCounters()
 }
 
-// window runs every lane's items before end in parallel — lane 0 here,
-// the others on c's workers — and waits for all of them.
+// window runs every lane's items before end on c's workers — the
+// caller among them — and waits until all of them have run. A lane's
+// panic on a worker goroutine is raised here, on the caller, once the
+// window is over.
 func (n *Network) window(c *crew, end time.Duration) {
 	n.inWindow, n.sched.denyPost = true, true
-	for _, ch := range c.ends {
-		ch <- end
+	c.end = end
+	c.left.Store(int32(len(n.lanes)))
+	c.next.Store(0)
+	for _, wake := range c.wake {
+		select {
+		case wake <- struct{}{}:
+		default: // still holds a wake-up it has not taken
+		}
 	}
-	n.runLane(0, end)
-	for range c.ends {
-		<-c.done
+	c.pull()
+	<-c.done
+	if c.fault != nil {
+		panic(c.fault)
 	}
 	n.inWindow, n.sched.denyPost = false, false
 	// What the senders just filled is the next window's mail.
@@ -241,49 +257,102 @@ func (n *Network) openMail() {
 	n.boxes[0], n.boxes[1] = make([]inbox, len(pairs)), make([]inbox, len(pairs))
 }
 
-// crew runs lanes 1.. of a sharded world, one worker goroutine each,
-// for the length of one RunUntil.
+// lanesPerWorker is how many regions a sharded world is cut into per
+// worker. Lanes outnumber workers so that, inside a window, a worker
+// that drew a light lane or woke late takes up what is left instead of
+// the barrier waiting for the busiest region.
+const lanesPerWorker = 2
+
+// crew is a sharded world's workers for the length of one RunUntil: the
+// caller and Shards()−1 goroutines, started by the first window and
+// parked between windows. In a window every worker draws lane indexes
+// from one counter and runs each lane it draws, until none is left: a
+// lane runs on exactly one goroutine per window, though not always the
+// same one, and whoever runs the window's last lane ends it.
 type crew struct {
-	ends   []chan time.Duration // a window's end, to each worker
-	done   chan struct{}        // one reply per worker per window
+	n     *Network
+	end   time.Duration   // the current window's end
+	next  atomic.Int32    // the next lane index to draw
+	left  atomic.Int32    // the window's lanes not yet run
+	done  chan struct{}   // one signal per window, from its last lane
+	wake  []chan struct{} // one per goroutine worker, capacity 1
+	fault any             // the first lane panic a goroutine worker recovered
+	once  sync.Once       // guards fault
+	// exited counts the goroutine workers still running.
 	exited sync.WaitGroup
 }
 
-// hire starts the workers of n's lanes 1.., opening the inboxes on the
-// world's first window.
+// hire starts the goroutine workers of a sharded world, opening the
+// inboxes on the world's first window.
 func (n *Network) hire() *crew {
 	if n.boxes[0] == nil {
 		n.openMail()
 	}
 	c := &crew{
-		ends: make([]chan time.Duration, len(n.lanes)-1),
-		// Sized so that a worker never blocks on its reply, even when a
-		// lane-0 panic leaves a window's replies unread.
-		done: make(chan struct{}, len(n.lanes)-1),
+		n: n,
+		// Sized so that the caller, when it runs the window's last lane
+		// itself, signals the barrier it is about to wait at.
+		done: make(chan struct{}, 1),
+		wake: make([]chan struct{}, n.workers-1),
 	}
-	for i := range c.ends {
-		ends := make(chan time.Duration, 1)
-		c.ends[i] = ends
+	for i := range c.wake {
+		wake := make(chan struct{}, 1)
+		c.wake[i] = wake
 		c.exited.Add(1)
-		go func(lane int) {
+		go func() {
 			defer c.exited.Done()
-			for end := range ends {
-				n.runLane(lane, end)
-				c.done <- struct{}{}
+			for range wake {
+				c.serve()
 			}
-		}(i + 1)
+		}()
 	}
 	return c
 }
 
-// stop ends the workers and waits until they have exited. A nil crew
-// (no window opened) has nothing to stop.
+// pull runs lanes of the current window until there is none left to
+// draw. A worker that wakes after the others drew every lane draws an
+// index past the end and goes back to sleep; one that draws after the
+// next window opened is a worker of that window.
+func (c *crew) pull() {
+	for {
+		i := int(c.next.Add(1)) - 1
+		if i >= len(c.n.lanes) {
+			return
+		}
+		c.n.runLane(i, c.end)
+		c.ran()
+	}
+}
+
+// ran counts a lane of the window as run; the last one ends the window.
+func (c *crew) ran() {
+	if c.left.Add(-1) == 0 {
+		c.done <- struct{}{}
+	}
+}
+
+// serve is pull on a goroutine worker: a lane's panic is recovered and
+// handed to the caller, which raises it when the window is over, so
+// that every lane's panic unwinds the same RunUntil whichever goroutine
+// drew the lane.
+func (c *crew) serve() {
+	defer func() {
+		if p := recover(); p != nil {
+			c.once.Do(func() { c.fault = p })
+			c.ran()
+		}
+	}()
+	c.pull()
+}
+
+// stop ends the goroutine workers and waits until they have exited. A
+// nil crew (no window opened) has nothing to stop.
 func (c *crew) stop() {
 	if c == nil {
 		return
 	}
-	for _, ch := range c.ends {
-		close(ch)
+	for _, wake := range c.wake {
+		close(wake)
 	}
 	c.exited.Wait()
 }

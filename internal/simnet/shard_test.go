@@ -332,7 +332,7 @@ func TestShardSerialMatchesParallel(t *testing.T) {
 // parallel windows from that instant on — its RNG draws are defined by
 // the global event order, and two lanes deliver over the link. The
 // sharded run must replay the 1-shard run element for element (and,
-// under -race, without both lane goroutines drawing from imp.Rand).
+// under -race, without two worker goroutines drawing from imp.Rand).
 func TestMidRunImpairmentSharded(t *testing.T) {
 	run := func(shards int) chainRun {
 		w := newShardChain(t, shards, false)
@@ -481,33 +481,44 @@ func TestShardMidRunReads(t *testing.T) {
 
 // TestShardLookahead checks the conservative window bound: the minimum
 // propagation delay over cut links, which depends on where the
-// partition falls.
+// partition falls. The world is cut into two regions per worker, so
+// on the four-core chain two workers already give every core a region
+// of its own.
 func TestShardLookahead(t *testing.T) {
 	if w := newShardChain(t, 1, false); w.n.Lookahead() != 0 {
 		t.Errorf("1 shard: lookahead = %v, want 0 (no cut links)", w.n.Lookahead())
 	}
-	// shards=2: cores split {C1,C2} | {C3,C4}; only C2—C3 (300µs) cut.
-	if w := newShardChain(t, 2, false); w.n.Lookahead() != 300*time.Microsecond {
-		t.Errorf("2 shards: lookahead = %v, want 300µs", w.n.Lookahead())
-	}
-	// shards=4: every core its own region; all three inter-core links
-	// cut, min delay still C2—C3.
-	if w := newShardChain(t, 4, false); w.n.Lookahead() != 300*time.Microsecond {
-		t.Errorf("4 shards: lookahead = %v, want 300µs", w.n.Lookahead())
+	for _, shards := range []int{2, 4} {
+		w := newShardChain(t, shards, false)
+		// Four regions: all three inter-core links (500, 300, 400µs)
+		// are cut, and the minimum is C2—C3.
+		cut := 0
+		for _, line := range w.n.lines {
+			if line.dirs[0].lane != line.dirs[0].dstLane {
+				cut++
+			}
+		}
+		if len(w.n.lanes) != 4 || cut != 3 {
+			t.Errorf("%d shards: %d lanes and %d cut links, want 4 and 3", shards, len(w.n.lanes), cut)
+		}
+		if w.n.Lookahead() != 300*time.Microsecond {
+			t.Errorf("%d shards: lookahead = %v, want 300µs", shards, w.n.Lookahead())
+		}
 	}
 }
 
-// TestShardCountClamped: the shard count never exceeds the number of
-// core nodes, and nonpositive values mean the legacy 1-lane world.
+// TestShardCountClamped: neither the worker count (Shards) nor the
+// lane count, two per worker, exceeds the number of core nodes, and
+// nonpositive values mean the legacy 1-lane world.
 func TestShardCountClamped(t *testing.T) {
-	if w := newShardChain(t, 16, false); w.n.Shards() != 4 {
-		t.Errorf("Shards() = %d, want clamp to 4 cores", w.n.Shards())
-	}
-	if w := newShardChain(t, 0, false); w.n.Shards() != 1 {
-		t.Errorf("Shards() = %d, want 1", w.n.Shards())
-	}
-	if w := newShardChain(t, 2, false); w.n.Shards() != 2 {
-		t.Errorf("Shards() = %d, want 2", w.n.Shards())
+	for _, tc := range []struct{ shards, workers, lanes int }{
+		{16, 4, 4}, {0, 1, 1}, {1, 1, 1}, {2, 2, 4}, {3, 3, 4},
+	} {
+		w := newShardChain(t, tc.shards, false)
+		if w.n.Shards() != tc.workers || len(w.n.lanes) != tc.lanes {
+			t.Errorf("WithShards(%d): Shards() = %d over %d lanes, want %d over %d",
+				tc.shards, w.n.Shards(), len(w.n.lanes), tc.workers, tc.lanes)
+		}
 	}
 }
 
@@ -525,35 +536,29 @@ func TestWindowDenyPostPanics(t *testing.T) {
 	w.n.Scheduler().At(time.Millisecond, func() {})
 }
 
-// TestShardWorkersNeverOutliveRun: a sharded RunUntil runs lanes 1.. on
-// one worker goroutine each, started by its first window, and has
-// stopped every one by the time it returns — after a normal run, after
-// a run whose every step a trace sink vetoes (which starts none), and
-// after a lane-0 panic unwinds it.
+// TestShardWorkersNeverOutliveRun: a sharded RunUntil runs its lanes
+// on the caller and Shards()−1 worker goroutines, started by its first
+// window, and has stopped every one by the time it returns — after a
+// normal run, after a run whose every step a trace sink vetoes (which
+// starts none), and after a lane's panic unwinds it, whichever
+// goroutine drew the panicking lane.
 func TestShardWorkersNeverOutliveRun(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	settled := func(what string) {
 		t.Helper()
-		// A worker's last act is to mark itself done; give the runtime
-		// a moment to retire it before counting.
-		deadline := time.Now().Add(time.Second)
-		for runtime.NumGoroutine() != base && time.Now().Before(deadline) {
-			runtime.Gosched()
-		}
-		if g := runtime.NumGoroutine(); g != base {
+		if g := settledGoroutines(); g != base {
 			t.Errorf("%s: %d goroutines after RunUntil, %d before", what, g, base)
 		}
 	}
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{2, 3, 4} {
 		w := newShardChain(t, shards, false)
 		w.burst(w.e0, 0, 100, 8)
 		w.burst(w.e1, 700*time.Microsecond, 300, 5)
 		during := 0
-		// E0 is on lane 0, which runs on this goroutine.
 		w.n.ClockOf(w.e0).At(time.Millisecond, func() { during = runtime.NumGoroutine() })
 		w.n.RunUntil(10 * time.Millisecond)
 		if want := base + shards - 1; during != want {
-			t.Errorf("shards=%d: %d goroutines inside a window, want %d (one worker per lane but the caller's)", shards, during, want)
+			t.Errorf("shards=%d: %d goroutines inside a window, want %d (the caller and shards−1 workers, whatever the lane count)", shards, during, want)
 		}
 		if len(w.s1.seqs) != 8 || len(w.s0.seqs) != 5 {
 			t.Fatalf("shards=%d: delivered %d+%d packets, want 8+5", shards, len(w.s1.seqs), len(w.s0.seqs))
@@ -572,20 +577,156 @@ func TestShardWorkersNeverOutliveRun(t *testing.T) {
 	}
 	settled("vetoed run")
 
-	w = newShardChain(t, 2, false)
-	w.burst(w.e1, 0, 300, 5) // keeps lane 1's worker busy in the window
-	w.n.ClockOf(w.e0).At(time.Millisecond, func() {
-		w.n.Scheduler().At(2*time.Millisecond, func() {})
-	})
-	func() {
-		defer func() {
-			if p, _ := recover().(string); !strings.Contains(p, "parallel shard window") {
-				t.Errorf("lane-0 control post inside a window: recovered %q, want the denyPost panic", p)
-			}
+	// A lane posts to the control plane inside a window, which panics.
+	// On its own, lane 0 is drawn by the caller, which unwinds from it
+	// directly. Held in a handshake, lane 0 keeps the caller until lane
+	// 3 — on E1, the far end — has run, so a worker draws lane 3 and
+	// its panic reaches the caller when the window is over.
+	for _, held := range []bool{false, true} {
+		w := newShardChain(t, 2, false)
+		w.burst(w.e0, 0, 100, 8)
+		w.burst(w.e1, 0, 300, 5)
+		panicker := w.e0
+		if held {
+			panicker = w.e1
+			ran := make(chan struct{})
+			w.n.ClockOf(w.e0).At(time.Millisecond, func() {
+				select {
+				case <-ran:
+				case <-time.After(10 * time.Second):
+					t.Error("lane 3 never ran while lane 0 held the caller")
+				}
+			})
+			w.n.ClockOf(w.e1).At(time.Millisecond, func() { close(ran) })
+		}
+		w.n.ClockOf(panicker).At(time.Millisecond, func() {
+			w.n.Scheduler().At(2*time.Millisecond, func() {})
+		})
+		func() {
+			defer func() {
+				if p, _ := recover().(string); !strings.Contains(p, "parallel shard window") {
+					t.Errorf("held=%v: control post inside a window recovered %q, want the denyPost panic", held, p)
+				}
+			}()
+			w.n.RunUntil(10 * time.Millisecond)
 		}()
-		w.n.RunUntil(10 * time.Millisecond)
-	}()
-	settled("lane-0 panic")
+		settled(fmt.Sprintf("lane panic, held=%v", held))
+	}
+}
+
+// settledGoroutines counts the process's goroutines once the workers of
+// earlier runs have gone: a worker marks itself exited just before it
+// returns, so for a moment after RunUntil it is still counted. The
+// count is taken when it has not fallen for 20 ms.
+func settledGoroutines() int {
+	g := runtime.NumGoroutine()
+	for quiet := time.Now(); time.Since(quiet) < 20*time.Millisecond; {
+		time.Sleep(time.Millisecond)
+		if now := runtime.NumGoroutine(); now < g {
+			g, quiet = now, time.Now()
+		}
+	}
+	return g
+}
+
+// fabricRelay forwards a packet out of a port chosen from its sequence
+// number and arrival port until its TTL runs out, and notes, for its
+// lane, every dispatch inside a parallel window and the goroutine count
+// it saw there. Each lane's note is written by that lane's runner only.
+type fabricRelay struct {
+	n     *Network
+	node  *topology.Node
+	clk   Clock
+	notes []laneNote
+}
+
+type laneNote struct {
+	inWindow   int
+	goroutines map[int]bool
+}
+
+func (r *fabricRelay) HandlePacket(pkt *packet.Packet, inPort int) {
+	if r.n.inWindow {
+		note := &r.notes[r.n.nodeLane[r.node.Index()]]
+		note.inWindow++
+		note.goroutines[runtime.NumGoroutine()] = true
+	}
+	if r.node.Kind() != topology.KindCore || pkt.TTL == 0 {
+		r.clk.Recycle(pkt)
+		return
+	}
+	pkt.TTL--
+	span := r.node.PortSpan()
+	r.n.Send(r.node, (inPort+1+int(pkt.Seq%uint64(span-1)))%span, pkt)
+}
+
+// TestShardLanesOutnumberWorkers: the world is cut into two lanes per
+// worker and the workers pull lanes each window. On fattree:4 at 2 and
+// 3 workers (4 and 6 lanes), every lane dispatches inside parallel
+// windows, the goroutine count there is the caller's plus shards−1
+// workers, and the metric dump is the 1-shard run's.
+func TestShardLanesOutnumberWorkers(t *testing.T) {
+	run := func(shards int) (string, []laneNote, int, int64) {
+		g, err := topology.FromSpec("fattree:4")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := New(g, WithShards(shards))
+		notes := make([]laneNote, len(n.lanes))
+		for i := range notes {
+			notes[i].goroutines = map[int]bool{}
+		}
+		for _, node := range g.Nodes() {
+			n.Bind(node, &fabricRelay{n: n, node: node, clk: n.ClockOf(node), notes: notes})
+		}
+		for h, host := range g.EdgeNodes() {
+			host, clk := host, n.ClockOf(host)
+			seq := uint64(h) << 32
+			var tick func()
+			tick = func() {
+				for i := 0; i < 3; i++ {
+					p := clk.NewPacket()
+					p.Size, p.TTL, p.Seq = 500, 7, seq
+					seq++
+					n.Send(host, 0, p)
+				}
+				if clk.Now() < 8*time.Millisecond {
+					clk.After(40*time.Microsecond, tick)
+				}
+			}
+			clk.At(time.Duration(h)*5*time.Microsecond, tick)
+		}
+		base := settledGoroutines()
+		n.RunUntil(12 * time.Millisecond)
+		var buf bytes.Buffer
+		if err := n.Metrics().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), notes, base, n.Delivered()
+	}
+	ref, _, _, delivered := run(1)
+	if delivered == 0 {
+		t.Fatal("the reference run delivered nothing")
+	}
+	for _, tc := range []struct{ shards, lanes int }{{2, 4}, {3, 6}} {
+		dump, notes, base, _ := run(tc.shards)
+		if len(notes) != tc.lanes {
+			t.Fatalf("shards=%d: %d lanes, want %d", tc.shards, len(notes), tc.lanes)
+		}
+		for i, note := range notes {
+			if note.inWindow == 0 {
+				t.Errorf("shards=%d: lane %d dispatched nothing inside a window", tc.shards, i)
+			}
+			want := base + tc.shards - 1
+			if len(note.goroutines) != 1 || !note.goroutines[want] {
+				t.Errorf("shards=%d: lane %d saw goroutine counts %v inside windows, want only %d",
+					tc.shards, i, note.goroutines, want)
+			}
+		}
+		if dump != ref {
+			t.Errorf("shards=%d: metric dump diverged from the 1-shard run", tc.shards)
+		}
+	}
 }
 
 // TestClockOfLaneTimers: per-node clocks fire on the owning lane at

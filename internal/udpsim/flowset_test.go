@@ -177,10 +177,10 @@ func TestFlowSetConfigErrors(t *testing.T) {
 }
 
 // TestFlowSetWindowDropsRaceFree forces tail drops inside parallel
-// shard windows: an overloaded fat-tree at shards=2 fills queues on
-// both lanes, so Network.Drop — and the flush hook of every timer
-// dispatch — runs on shard goroutines while the other lane appends to
-// its own dirty lists. Under -race (check.sh) this is the regression
+// shard windows: an overloaded fat-tree at shards=2 (four lanes) fills
+// queues on every lane, so Network.Drop — and the flush hook of every
+// timer dispatch — runs on worker goroutines while other lanes append
+// to their own dirty lists. Under -race (check.sh) this is the regression
 // gate for the mid-window flush guard; everywhere it checks that drops
 // and the per-lane deferred cells add up to the 1-shard run's numbers.
 func TestFlowSetWindowDropsRaceFree(t *testing.T) {

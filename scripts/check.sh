@@ -70,6 +70,18 @@ if grep -rnE --include='*.go' 'packet\.Get\(|\.Release\(\)' . | grep -vE '^\./(i
     exit 1
 fi
 
+echo "==> internal/simnet starts goroutines in one place: the crew"
+# A sharded world's lanes run on the crew's workers, the caller and
+# shards-1 goroutines pulling lanes each window (shard.go, hire); a
+# second go statement is a second crew beside the pool.
+spawns=$(grep -nE '^[[:space:]]*go [A-Za-z_(]' $(ls internal/simnet/*.go | grep -v _test.go) || true)
+if [ "$(printf '%s\n' "$spawns" | grep -c '^internal/simnet/shard\.go:')" != 1 ] ||
+    [ "$(printf '%s\n' "$spawns" | grep -c .)" != 1 ]; then
+    echo "FAIL: want exactly one go statement in non-test internal/simnet (crew.hire), found:" >&2
+    printf '%s\n' "$spawns" >&2
+    exit 1
+fi
+
 echo "==> fuzz the scheduler queue against a sorted reference (10 s)"
 # The committed corpus (internal/simnet/testdata/fuzz) runs with every
 # go test; this explores from it: random programs of post / train append
@@ -105,9 +117,9 @@ echo "==> go test -race: sharded driver, failover path"
 # With them the packet caches and the failover path: the link and
 # handler tables, the switch slow path, the edge's re-encode queue, and
 # the sweep pool, whose workers run different cells' worlds side by
-# side. A race in the hand-off between the caller, the lane workers and
-# the inboxes shows only in some interleavings, so the shard tests run
-# five times over.
+# side. A race in the hand-off between the caller, the crew's workers
+# pulling lanes and the inboxes shows only in some interleavings, so the
+# shard tests run five times over.
 go test -race -count=5 -run 'Shard|Window|FlowSet|Train' ./internal/udpsim/
 go test -race -count=5 -run 'Shard|Window' ./internal/simnet
 go test -race ./internal/simnet ./internal/kswitch ./internal/edge ./internal/packet
