@@ -89,11 +89,7 @@ var experiments = []struct {
 		if err != nil {
 			return err
 		}
-		reaction, err := experiment.Reaction(experiment.ReactionConfig{Seed: o.seed, Workers: o.workers})
-		if err != nil {
-			return err
-		}
-		o.print(experiment.RenoAblationTable(reno), experiment.ReactionTable(reaction))
+		o.print(experiment.RenoAblationTable(reno))
 		return nil
 	}},
 	// reaction is the control-plane experiment: deflection vs a reactive

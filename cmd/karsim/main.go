@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/measure"
+	"repro/internal/resilience"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -55,8 +56,9 @@ func main() {
 type options struct {
 	// out receives everything the run prints.
 	out io.Writer
-	// set names the flags given on the command line: -scenario applies
-	// -seed, -runs and -shards as overrides only when the user set them.
+	// set names the flags given on the command line: -seed, -runs and
+	// -shards reach a -scenario or -verify request only when given, so
+	// an omitted flag is an omitted request field.
 	set map[string]bool
 
 	exp      string
@@ -83,13 +85,11 @@ type options struct {
 
 	verdictJSON string
 
-	verify           string
-	verifyProtection string
-	verifyPolicies   string
-	verifyRoutes     string
-	verifyMin        float64
-	verifyPairs      int
-	verifyJSON       string
+	// verify is the request the -verify flag family fills, the serve
+	// daemon's /v1/verify body.
+	verify     resilience.Request
+	verifyMin  float64
+	verifyJSON string
 
 	// collector gathers per-run telemetry when -metrics is set; nil
 	// otherwise (telemetry.Collector methods are nil-safe on Add).
@@ -126,14 +126,17 @@ func run(args []string, stdout io.Writer) error {
 	fs.StringVar(&opts.traceExport, "trace-export", "", "write flight-recorder traces to <prefix>.jsonl (structured) and <prefix>.trace.json (Perfetto/chrome://tracing)")
 	fs.Float64Var(&opts.traceSample, "trace-sample", 1, "per-flow sampling probability for -trace-export (deterministic flow hash, not an RNG)")
 	fs.IntVar(&opts.traceMax, "trace-max", 0, "retained flight-recorder records per run (0 = default 65536)")
-	fs.StringVar(&opts.verify, "verify", "", "run the exhaustive failure-sweep resilience verifier on this topology (net15, rnp28, rnp28-fig8, fig1, or a generator spec as for -topo) instead of -exp")
-	fs.StringVar(&opts.verifyProtection, "verify-protection", "none", "protection level for -verify: none, partial, full or auto (per-destination planned trees)")
-	fs.StringVar(&opts.verifyPolicies, "verify-policies", "none,hp,avp,nip", "comma-separated deflection policies for -verify (none, hp, avp, nip, dtree)")
-	fs.StringVar(&opts.verifyRoutes, "verify-routes", "", "comma-separated src:dst routes for -verify (default: every ordered edge pair)")
+	fs.StringVar(&opts.verify.Topology, "verify", "", "run the exhaustive failure-sweep resilience verifier on this topology (net15, rnp28, rnp28-fig8, fig1, or a generator spec as for -topo) instead of -exp")
+	fs.StringVar(&opts.verify.Protection, "verify-protection", "none", "protection level for -verify: none, partial, full or auto (per-destination planned trees)")
+	fs.Func("verify-policies", "comma-separated deflection policies for -verify (none, hp, avp, nip, dtree; default none,hp,avp,nip)", func(v string) error {
+		opts.verify.Policies = strings.FieldsFunc(v, func(r rune) bool { return r == ',' || r == ' ' })
+		return nil
+	})
+	fs.StringVar(&opts.verify.Routes, "verify-routes", "", "comma-separated src:dst routes for -verify (default: every ordered edge pair)")
 	fs.Float64Var(&opts.verifyMin, "verify-min", -1, "fail (exit non-zero) if any route's single-failure survive fraction drops below this")
-	fs.IntVar(&opts.verifyPairs, "verify-pairs", 0, "additionally sample this many two-link failure pairs (seeded by -seed)")
+	fs.IntVar(&opts.verify.Pairs, "verify-pairs", 0, "additionally sample this many two-link failure pairs (seeded by -seed when given, else 0, as /v1/verify)")
 	fs.StringVar(&opts.verifyJSON, "verify-json", "", "write the -verify report as JSON to this path")
-	fs.StringVar(&opts.verdictJSON, "verdict-json", "", "write the -scenario verdict as JSON to this path (byte-identical to the serve daemon's result for the same spec, seed and overrides)")
+	fs.StringVar(&opts.verdictJSON, "verdict-json", "", "write the -scenario verdict as JSON to this path (byte-identical to the serve daemon's result for the same request)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -158,7 +161,7 @@ func run(args []string, stdout io.Writer) error {
 	// telemetry the run did produce is on disk.
 	var verdict error
 	switch {
-	case opts.verify != "":
+	case opts.verify.Topology != "":
 		verdict, err = runVerify(&opts)
 	case opts.scenario != "":
 		verdict, err = runScenario(&opts)

@@ -40,7 +40,9 @@ func TestExpAllGolden(t *testing.T) {
 // TestVerifyGolden: `-verify` prints, and writes as -verify-json, what
 // it did before the sweep remembered verdicts and the analyzer kept
 // scratch — testdata/verify_net15.golden is the parent commit's table
-// followed by its JSON report — at one worker and at four.
+// followed by its JSON report — at one worker and at four. The golden's
+// pair sample was drawn when -seed's default of 1 reached the sampler,
+// so the seed is given here.
 func TestVerifyGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/verify_net15.golden")
 	if err != nil {
@@ -50,7 +52,7 @@ func TestVerifyGolden(t *testing.T) {
 		doc := filepath.Join(t.TempDir(), "verify.json")
 		var got bytes.Buffer
 		if err := run(strings.Fields("-verify net15 -verify-protection auto -verify-policies hp,avp,nip,dtree"+
-			" -verify-pairs 100 -workers "+workers+" -verify-json "+doc), &got); err != nil {
+			" -verify-pairs 100 -seed 1 -workers "+workers+" -verify-json "+doc), &got); err != nil {
 			t.Fatal(err)
 		}
 		report, err := os.ReadFile(doc)
@@ -136,53 +138,30 @@ func TestNegativeRunsRunsOneSeed(t *testing.T) {
 	}
 }
 
-// TestScenarioFlagOverrides: -seed and -runs given with -scenario
-// override the file as the daemon's request fields do — same rule, same
-// verdict document — and flags left alone leave the file alone.
-func TestScenarioFlagOverrides(t *testing.T) {
-	const file = "../../examples/scenarios/multi-failure-net15.json"
-	verdictOf := func(flags string) ([]byte, *scenario.Verdict) {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), "verdict.json")
-		if err := run(strings.Fields("-scenario "+file+" -verdict-json "+path+" "+flags), io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		doc, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v scenario.Verdict
-		if err := json.Unmarshal(doc, &v); err != nil {
-			t.Fatal(err)
-		}
-		return doc, &v
+// cliDocument runs karsim with args plus docFlag naming a temporary
+// file, and returns the document written there.
+func cliDocument(t *testing.T, args, docFlag string) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "doc.json")
+	if err := run(strings.Fields(args+" "+docFlag+" "+path), io.Discard); err != nil {
+		t.Fatal(err)
 	}
-	seeds := func(v *scenario.Verdict) string {
-		var s []int64
-		for _, r := range v.Runs {
-			s = append(s, r.Seed)
-		}
-		return fmt.Sprint(s)
-	}
-
-	if _, v := verdictOf(""); seeds(v) != "[7 1000010]" {
-		t.Errorf("no overrides: runs seeded %s, want the file's [7 1000010]", seeds(v))
-	}
-	cli, v := verdictOf("-seed 99 -runs 3")
-	if seeds(v) != "[99 1000102 2000105]" {
-		t.Errorf("-seed 99 -runs 3: runs seeded %s, want [99 1000102 2000105]", seeds(v))
-	}
-
-	spec, err := os.ReadFile(file)
+	doc, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return doc
+}
+
+// daemonDocument submits body to path on an in-process daemon, waits
+// for the job, and returns its result document.
+func daemonDocument(t *testing.T, path, body string) []byte {
+	t.Helper()
 	srv := serve.New(serve.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
-	resp, err := http.Post(ts.URL+"/v1/scenarios?wait=1", "application/json",
-		strings.NewReader(`{"spec": `+string(spec)+`, "seed": 99, "runs": 3}`))
+	resp, err := http.Post(ts.URL+path+"?wait=1", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +175,63 @@ func TestScenarioFlagOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	daemon, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	defer resp.Body.Close()
+	doc, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return doc
+}
+
+// TestScenarioFlagOverrides: -seed and -runs given with -scenario
+// override the file as the daemon's request fields do — same request,
+// same verdict document — and flags left alone leave the file alone.
+func TestScenarioFlagOverrides(t *testing.T) {
+	const file = "../../examples/scenarios/multi-failure-net15.json"
+	seeds := func(doc []byte) string {
+		t.Helper()
+		var v scenario.Verdict
+		if err := json.Unmarshal(doc, &v); err != nil {
+			t.Fatal(err)
+		}
+		var s []int64
+		for _, r := range v.Runs {
+			s = append(s, r.Seed)
+		}
+		return fmt.Sprint(s)
+	}
+
+	if got := seeds(cliDocument(t, "-scenario "+file, "-verdict-json")); got != "[7 1000010]" {
+		t.Errorf("no overrides: runs seeded %s, want the file's [7 1000010]", got)
+	}
+	cli := cliDocument(t, "-scenario "+file+" -seed 99 -runs 3", "-verdict-json")
+	if got := seeds(cli); got != "[99 1000102 2000105]" {
+		t.Errorf("-seed 99 -runs 3: runs seeded %s, want [99 1000102 2000105]", got)
+	}
+
+	spec, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon := daemonDocument(t, "/v1/scenarios", `{"spec": `+string(spec)+`, "seed": 99, "runs": 3}`)
 	if !bytes.Equal(cli, daemon) {
 		t.Errorf("verdict documents differ: CLI %d bytes, daemon %d bytes", len(cli), len(daemon))
+	}
+}
+
+// TestVerifyMatchesDaemon: the -verify flag family and a /v1/verify
+// body name the same request, so they get the same report — sampled
+// pairs included, whose seed is 0 on both sides when neither gives one.
+func TestVerifyMatchesDaemon(t *testing.T) {
+	for _, c := range []struct{ flags, body string }{
+		{"-verify-pairs 8", `"pairs": 8`},
+		{"-verify-pairs 8 -seed 5", `"pairs": 8, "seed": 5`},
+	} {
+		cli := cliDocument(t, "-verify net15 -verify-routes AS1:AS3 -verify-policies nip "+c.flags, "-verify-json")
+		daemon := daemonDocument(t, "/v1/verify", `{"topology": "net15", "routes": "AS1:AS3", "policies": ["nip"], `+c.body+`}`)
+		if !bytes.Equal(cli, daemon) {
+			t.Errorf("%s: report differs from the daemon's for {%s}: CLI %d bytes, daemon %d bytes", c.flags, c.body, len(cli), len(daemon))
+		}
 	}
 }
 

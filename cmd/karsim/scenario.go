@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/measure"
 	"repro/internal/scenario"
@@ -9,28 +10,31 @@ import (
 
 // runScenario executes a declarative fault scenario file and prints
 // its verdict: one row per seeded run with traffic totals, fault
-// counters and any expectation violations. -seed, -runs and -shards,
-// when the user gave them, override the file's values by the rule the
-// serve daemon applies to its request fields (scenario.Spec.Override),
-// so the verdict document is the daemon's for the same overrides. A
-// failing verdict comes back as the first result, for the caller to
-// return after telemetry is written.
+// counters and any expectation violations. The file and -seed, -runs
+// and -shards, when the user gave them, fill the scenario.Request the
+// serve daemon decodes from a /v1/scenarios body, so the verdict
+// document is the daemon's for the same request. A failing verdict
+// comes back as the first result, for the caller to return after
+// telemetry is written.
 func runScenario(o *options) (verdict, err error) {
-	spec, err := scenario.Load(o.scenario)
+	doc, err := os.ReadFile(o.scenario)
 	if err != nil {
 		return nil, err
 	}
-	var seed *int64
+	req := scenario.Request{Spec: doc}
 	if o.set["seed"] {
-		seed = &o.seed
+		req.Seed = &o.seed
 	}
-	given := func(name string, v int) int {
-		if o.set[name] {
-			return v
-		}
-		return 0
+	if o.set["runs"] {
+		req.Runs = o.runs
 	}
-	spec.Override(seed, given("runs", o.runs), given("shards", o.shards))
+	if o.set["shards"] {
+		req.Shards = o.shards
+	}
+	spec, err := req.Resolve()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", o.scenario, err)
+	}
 	v, err := scenario.Run(spec, scenario.RunOptions{Workers: o.workers, Metrics: o.collector, Trace: o.tracer})
 	if err != nil {
 		return nil, err

@@ -12,17 +12,20 @@ import (
 // runVerify drives the exhaustive failure-sweep resilience verifier:
 // enumerate every single-link failure (plus optional seeded two-link
 // samples) on the chosen topology and score every (route, policy)
-// against it. resilience.Plan resolves the -verify flag family exactly
-// as the serve daemon resolves a /v1/verify body. A -verify-min
-// violation comes back as the first result, for the caller to return
-// after telemetry is written.
+// against it. The -verify flag family fills the resilience.Request the
+// serve daemon decodes from a /v1/verify body, and -seed reaches it only
+// when given, so the report is the daemon's for the same request. A
+// -verify-min violation comes back as the first result, for the caller
+// to return after telemetry is written.
 func runVerify(o *options) (verdict, err error) {
-	policies := strings.FieldsFunc(o.verifyPolicies, func(r rune) bool { return r == ',' || r == ' ' })
-	g, routes, cfg, err := resilience.Plan(o.verify, o.verifyRoutes, policies, o.verifyProtection)
+	req := o.verify
+	if o.set["seed"] {
+		req.Seed = o.seed
+	}
+	g, routes, cfg, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Pairs, cfg.PairSeed = o.verifyPairs, o.seed
 	cfg.Workers, cfg.Registry = o.workers, telemetry.NewRegistry()
 	rep, err := resilience.Sweep(g, routes, cfg)
 	if err != nil {
@@ -45,9 +48,8 @@ func runVerify(o *options) (verdict, err error) {
 	o.print(sections...)
 
 	if o.verifyMin >= 0 {
-		if min, worst := rep.MinSurviveFraction(); min < o.verifyMin {
-			verdict = fmt.Errorf("verify %s: route %s->%s policy=%s survives %.4f of single failures, below -verify-min %.4f",
-				rep.Topology, worst.Src, worst.Dst, worst.Policy, min, o.verifyMin)
+		if viols := rep.Violations(&o.verifyMin, nil); len(viols) > 0 {
+			verdict = fmt.Errorf("verify %s: %d scores below -verify-min %.4f:\n%s", rep.Topology, len(viols), o.verifyMin, strings.Join(viols, "\n"))
 		}
 	}
 	return verdict, writeDocument(o.verifyJSON, rep)

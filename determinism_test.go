@@ -3,6 +3,7 @@ package kar
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -102,6 +103,21 @@ func scale(t *testing.T, m mode, topo string, flows int, metrics *telemetry.Coll
 	}
 }
 
+// loadSpec resolves the scenario file at path as `karsim -scenario`
+// does with no overrides.
+func loadSpec(t *testing.T, path string) *scenario.Spec {
+	t.Helper()
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := (&scenario.Request{Spec: doc}).Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
 // runSpec runs a scenario spec in mode m.
 func runSpec(t *testing.T, spec *scenario.Spec, m mode, metrics *telemetry.Collector, traces *trace.Collector) *scenario.Verdict {
 	t.Helper()
@@ -195,10 +211,7 @@ func TestDeterminismMatrix(t *testing.T) {
 			// under the kar_fault_* family and the scenario base label.
 			name: "flap-net15-metrics",
 			produce: func(t *testing.T, m mode) outputs {
-				spec, err := scenario.Load("examples/scenarios/flap-net15.json")
-				if err != nil {
-					t.Fatal(err)
-				}
+				spec := loadSpec(t, "examples/scenarios/flap-net15.json")
 				c := telemetry.NewCollector()
 				runSpec(t, spec, m, c, nil)
 				o := outputs{}
@@ -213,10 +226,7 @@ func TestDeterminismMatrix(t *testing.T) {
 		{
 			name: "flap-react-trace",
 			produce: func(t *testing.T, m mode) outputs {
-				spec, err := scenario.Load("examples/scenarios/flap-react-net15.json")
-				if err != nil {
-					t.Fatal(err)
-				}
+				spec := loadSpec(t, "examples/scenarios/flap-react-net15.json")
 				c := trace.NewCollector(trace.Config{Rate: 1})
 				runSpec(t, spec, m, nil, c)
 				o := outputs{}

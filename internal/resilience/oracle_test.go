@@ -58,14 +58,15 @@ func TestSweepMatchesFreshComputation(t *testing.T) {
 	} {
 		for _, level := range row.levels {
 			t.Run(row.topo+"/"+level, func(t *testing.T) {
-				g, routes, cfg, err := Plan(row.topo, "", []string{"none", "hp", "avp", "nip", "dtree"}, level)
+				req := Request{Topology: row.topo, Policies: []string{"none", "hp", "avp", "nip", "dtree"},
+					Protection: level, Pairs: 200, Seed: 11}
+				g, routes, cfg, err := req.Resolve()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if row.routes > 0 {
 					routes = routes[:row.routes]
 				}
-				cfg.Pairs, cfg.PairSeed = 200, 11
 				var hits, cases int
 				for _, workers := range []int{1, 4} {
 					cfg.Workers = workers

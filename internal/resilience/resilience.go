@@ -196,19 +196,24 @@ func (r *Report) Total(policy string) (*PolicyTotal, bool) {
 	return nil, false
 }
 
-// MinSurviveFraction returns the smallest single-failure survive
-// fraction across all scores, with the offending row.
-func (r *Report) MinSurviveFraction() (float64, *RouteScore) {
-	min, idx := 2.0, -1
-	for i := range r.Scores {
-		if r.Scores[i].SurviveFraction < min {
-			min, idx = r.Scores[i].SurviveFraction, i
+// Violations lists every score that breaks a gate: a single-failure
+// survive fraction below minSurvival, or a worst-case stretch above
+// maxStretch. A nil gate is not checked. It is the one survival gate,
+// behind both `karsim -verify -verify-min` and a scenario's verify
+// block.
+func (r *Report) Violations(minSurvival, maxStretch *float64) []string {
+	var out []string
+	for _, sc := range r.Scores {
+		if minSurvival != nil && sc.SurviveFraction < *minSurvival {
+			out = append(out, fmt.Sprintf("verify: %s->%s policy=%s survives %.4f of single failures, below min_survival %.4f (worst: %s)",
+				sc.Src, sc.Dst, sc.Policy, sc.SurviveFraction, *minSurvival, sc.WorstPDeliverFailure))
+		}
+		if maxStretch != nil && sc.WorstStretch > *maxStretch {
+			out = append(out, fmt.Sprintf("verify: %s->%s policy=%s worst stretch %.3f exceeds max_stretch %.3f (at %s)",
+				sc.Src, sc.Dst, sc.Policy, sc.WorstStretch, *maxStretch, sc.WorstStretchFailure))
 		}
 	}
-	if idx < 0 {
-		return 1, nil
-	}
-	return min, &r.Scores[idx]
+	return out
 }
 
 // failSet is the links of one failure set. Sets hold one or two links,
@@ -691,39 +696,68 @@ func enumerateFailures(g *topology.Graph, pairs int, pairSeed int64) ([]failure,
 	return out, drawn
 }
 
-// Plan assembles a verify run from the nouns a user hands over — the
-// one such assembly, shared by `karsim -verify` and the serve daemon's
-// /v1/verify: a topology name (resolved through the shared graph
-// cache), a "src:dst[,src:dst...]" route list (empty: every ordered
-// edge pair), policy names (empty: the sweep's default four) and a
-// protection level. It returns the graph, the routes, and a Config
-// with Policies and the protection fields set; the caller adds pairs,
-// seed, workers and sinks.
-func Plan(topo, routes string, policies []string, level string) (*topology.Graph, []RouteSpec, Config, error) {
+// Request is a verify job as every front door hands it over — the
+// body of the serve daemon's POST /v1/verify and what `karsim -verify`
+// builds from its flag family.
+type Request struct {
+	// Topology is a canned name (net15, rnp28, ...) or a generator
+	// spec ("fattree:8", "isp:200:2:40:7", ...).
+	Topology string `json:"topology"`
+	// Routes is "src:dst[,src:dst...]"; empty sweeps every ordered
+	// edge pair.
+	Routes string `json:"routes,omitempty"`
+	// Policies to score (default: none, hp, avp, nip).
+	Policies []string `json:"policies,omitempty"`
+	// Protection names a canned driven-deflection set ("none",
+	// "partial", "full") or "auto" for controller-planned
+	// per-destination trees; generated topologies support only "none"
+	// and "auto".
+	Protection string `json:"protection,omitempty"`
+	// Pairs samples this many two-link failures on top of the
+	// exhaustive single-failure sweep; Seed pins the sample.
+	Pairs int   `json:"pairs,omitempty"`
+	Seed  int64 `json:"seed,omitempty"`
+	// Workers bounds the sweep's case-analysis pool.
+	Workers int `json:"workers,omitempty"`
+	// Collect retains the sweep's kar_verify_* counters on /metrics
+	// (default true).
+	Collect *bool `json:"collect,omitempty"`
+}
+
+// Resolve assembles the sweep the request names — the one such
+// assembly: the topology through the shared graph cache, the route
+// list (empty: every ordered edge pair), the policy names and the
+// protection level, all rejected here if no sweep could run them. The
+// Config carries the policies, the protection fields, Pairs and
+// PairSeed; the caller adds workers and sinks.
+func (r *Request) Resolve() (*topology.Graph, []RouteSpec, Config, error) {
 	fail := func(err error) (*topology.Graph, []RouteSpec, Config, error) { return nil, nil, Config{}, err }
-	g, err := topology.Shared(topo)
+	if r.Topology == "" {
+		return fail(errors.New("resilience: request has no topology"))
+	}
+	g, err := topology.Shared(r.Topology)
 	if err != nil {
 		return fail(err)
 	}
 	var rs []RouteSpec
-	if strings.TrimSpace(routes) == "" {
+	if strings.TrimSpace(r.Routes) == "" {
 		rs, err = AllPairRoutes(g)
 	} else {
-		rs, err = ParseRoutes(routes)
+		rs, err = ParseRoutes(r.Routes)
 	}
 	if err != nil {
 		return fail(err)
 	}
-	for _, p := range policies {
+	for _, p := range r.Policies {
 		if _, ok := deflect.ByName(p); !ok {
 			return fail(fmt.Errorf("resilience: unknown policy %q", p))
 		}
 	}
-	cfg, err := Protect(topo, level)
+	cfg, err := Protect(r.Topology, r.Protection)
 	if err != nil {
 		return fail(err)
 	}
-	cfg.Policies = policies
+	cfg.Policies, cfg.Pairs, cfg.PairSeed = r.Policies, r.Pairs, r.Seed
 	return g, rs, cfg, nil
 }
 

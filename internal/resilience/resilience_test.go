@@ -119,12 +119,12 @@ func TestNet15UnprotectedNoneHasLosses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, worst := rep.MinSurviveFraction()
-	if min >= 1 {
-		t.Fatalf("unprotected none survives everything (min fraction %v)", min)
+	one, lost := 1.0, 0
+	for _, sc := range rep.Scores {
+		lost += sc.Lost
 	}
-	if worst == nil || worst.Lost == 0 {
-		t.Errorf("worst score %+v has no lost cases", worst)
+	if viols := rep.Violations(&one, nil); len(viols) == 0 || lost == 0 {
+		t.Fatalf("unprotected none survives everything: %d violations of min survival 1, %d lost cases", len(viols), lost)
 	}
 	if len(rep.Impacts) == 0 {
 		t.Error("no blast-radius entries despite losses")
@@ -315,10 +315,10 @@ func TestHostilePairCountClamped(t *testing.T) {
 	}
 }
 
-// Plan is the one verify assembly: it resolves every noun and rejects
-// what no sweep could run.
-func TestPlan(t *testing.T) {
-	g, routes, cfg, err := Plan("net15", "", []string{"nip", "dtree"}, "")
+// Resolve is the one verify assembly: it resolves every noun of a
+// request and rejects what no sweep could run.
+func TestRequestResolve(t *testing.T) {
+	g, routes, cfg, err := (&Request{Topology: "net15", Policies: []string{"nip", "dtree"}, Pairs: 8}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,23 +328,27 @@ func TestPlan(t *testing.T) {
 	if cfg.ProtectionLabel != "none" || cfg.AutoProtect || cfg.Protection != nil || len(cfg.Policies) != 2 {
 		t.Errorf("empty level resolved to %+v", cfg)
 	}
-	if _, routes, cfg, err = Plan("net15", "AS1:AS3, AS3:AS1", nil, "full"); err != nil || len(routes) != 2 ||
-		cfg.ProtectionLabel != "full" || len(cfg.Protection) != len(topology.Net15FullProtection) {
+	if cfg.Pairs != 8 || cfg.PairSeed != 0 {
+		t.Errorf("pairs 8 without a seed resolved to Pairs %d, PairSeed %d", cfg.Pairs, cfg.PairSeed)
+	}
+	if _, routes, cfg, err = (&Request{Topology: "net15", Routes: "AS1:AS3, AS3:AS1", Protection: "full", Seed: 7}).Resolve(); err != nil ||
+		len(routes) != 2 || cfg.ProtectionLabel != "full" || len(cfg.Protection) != len(topology.Net15FullProtection) || cfg.PairSeed != 7 {
 		t.Errorf("full on two routes: %d routes, %+v, %v", len(routes), cfg, err)
 	}
-	if _, _, cfg, err = Plan("fattree:4", "", nil, "auto"); err != nil || !cfg.AutoProtect || cfg.ProtectionLabel != "auto" {
+	if _, _, cfg, err = (&Request{Topology: "fattree:4", Protection: "auto"}).Resolve(); err != nil || !cfg.AutoProtect || cfg.ProtectionLabel != "auto" {
 		t.Errorf("auto on a generated topology: %+v, %v", cfg, err)
 	}
-	for what, args := range map[string][4]string{
-		"unknown topology":  {"mesh99", "", "nip", ""},
-		"bad route syntax":  {"net15", "x", "nip", ""},
-		"unknown policy":    {"net15", "", "dtreee", ""},
-		"unknown level":     {"net15", "", "nip", "total"},
-		"generated+canned":  {"fattree:4", "", "nip", "full"},
-		"no set for rnp28":  {"rnp28", "", "nip", "full"},
-		"one-edge topology": {"rand:3:0:1:1", "", "nip", ""},
+	for what, req := range map[string]Request{
+		"no topology":       {Policies: []string{"nip"}},
+		"unknown topology":  {Topology: "mesh99", Policies: []string{"nip"}},
+		"bad route syntax":  {Topology: "net15", Routes: "x", Policies: []string{"nip"}},
+		"unknown policy":    {Topology: "net15", Policies: []string{"dtreee"}},
+		"unknown level":     {Topology: "net15", Policies: []string{"nip"}, Protection: "total"},
+		"generated+canned":  {Topology: "fattree:4", Policies: []string{"nip"}, Protection: "full"},
+		"no set for rnp28":  {Topology: "rnp28", Policies: []string{"nip"}, Protection: "full"},
+		"one-edge topology": {Topology: "rand:3:0:1:1", Policies: []string{"nip"}},
 	} {
-		if _, _, _, err := Plan(args[0], args[1], []string{args[2]}, args[3]); err == nil {
+		if _, _, _, err := req.Resolve(); err == nil {
 			t.Errorf("%s: accepted", what)
 		}
 	}

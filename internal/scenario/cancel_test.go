@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -148,10 +149,9 @@ func TestRunMetricPrefixAndExtraLabels(t *testing.T) {
 	spec.Runs = 1
 	coll := telemetry.NewCollector()
 	_, err := Run(spec, RunOptions{
-		Workers:        1,
-		Metrics:        coll,
-		MetricPrefix:   "job=j000042/",
-		ExtraRunLabels: []string{"job", "j000042"},
+		Workers: 1,
+		Metrics: coll,
+		Job:     "j000042",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +163,13 @@ func TestRunMetricPrefixAndExtraLabels(t *testing.T) {
 	const want = "job=j000042/scenario/cancel-probe/run=0/seed=7"
 	if labels[0] != want {
 		t.Fatalf("collector label = %q, want %q", labels[0], want)
+	}
+	var dump strings.Builder
+	if err := coll.WritePrometheus(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(dump.String(), `job="j000042"`) {
+		t.Error(`run metrics carry no job="j000042" label`)
 	}
 }
 

@@ -39,15 +39,12 @@ type RunOptions struct {
 	Trace *trace.Collector
 	// Scalar disables the batched data plane (results are identical).
 	Scalar bool
-	// MetricPrefix is prepended to every collector run label (e.g.
-	// "job=j000042/" under the serve daemon), keeping concurrent jobs'
-	// event streams separable in one collector. Empty for the CLI.
-	MetricPrefix string
-	// ExtraRunLabels are additional constant key/value pairs attached
-	// to every metric of every run's world, on top of the scenario/run
-	// labels — the daemon passes ("job", id) so same-named jobs stay
-	// distinct series in the live /metrics exposition.
-	ExtraRunLabels []string
+	// Job is the serve daemon's job ID (empty for the CLI). It prefixes
+	// every collector run label with "job=<id>/", keeping concurrent
+	// jobs' event streams separable in one collector, and adds a "job"
+	// label to every metric of every run's world, so same-named jobs
+	// stay distinct series in the live /metrics exposition.
+	Job string
 	// Progress, when set, receives live execution milestones: run
 	// starts, phase completions, injector activations, run verdicts and
 	// resilience-sweep progress. Calls may come concurrently from
@@ -78,6 +75,14 @@ type ProgressEvent struct {
 	// advancing by that set's routes × policies cases.
 	SweepDone  int `json:"sweep_done,omitempty"`
 	SweepTotal int `json:"sweep_total,omitempty"`
+}
+
+// prefix is the collector label prefix Job implies.
+func (o *RunOptions) prefix() string {
+	if o.Job == "" {
+		return ""
+	}
+	return "job=" + o.Job + "/"
 }
 
 // emit invokes the progress callback when one is configured.
@@ -257,23 +262,10 @@ func runVerifySweep(ctx context.Context, spec *Spec, opts RunOptions) (*VerifyRe
 		}
 		return nil, fmt.Errorf("scenario %s: verify: %w", spec.Name, err)
 	}
-	opts.Metrics.Add(opts.MetricPrefix+"scenario/"+spec.Name+"/verify", reg, nil)
+	opts.Metrics.Add(opts.prefix()+"scenario/"+spec.Name+"/verify", reg, nil)
 
-	res := &VerifyResult{Report: rep}
-	for _, sc := range rep.Scores {
-		if spec.Verify.MinSurvival != nil && sc.SurviveFraction < *spec.Verify.MinSurvival {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("verify: %s->%s policy=%s survives %.4f of single failures, below min_survival %.4f (worst: %s)",
-					sc.Src, sc.Dst, sc.Policy, sc.SurviveFraction, *spec.Verify.MinSurvival, sc.WorstPDeliverFailure))
-		}
-		if spec.Verify.MaxStretch != nil && sc.WorstStretch > *spec.Verify.MaxStretch {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("verify: %s->%s policy=%s worst stretch %.3f exceeds max_stretch %.3f (at %s)",
-					sc.Src, sc.Dst, sc.Policy, sc.WorstStretch, *spec.Verify.MaxStretch, sc.WorstStretchFailure))
-		}
-	}
-	res.Pass = len(res.Violations) == 0
-	return res, nil
+	viols := rep.Violations(spec.Verify.MinSurvival, spec.Verify.MaxStretch)
+	return &VerifyResult{Report: rep, Violations: viols, Pass: len(viols) == 0}, nil
 }
 
 func runOne(ctx context.Context, spec *Spec, idx int, opts *RunOptions) (*RunResult, error) {
@@ -293,7 +285,9 @@ func runOne(ctx context.Context, spec *Spec, idx int, opts *RunOptions) (*RunRes
 	}
 
 	labels := []string{"scenario", spec.Name, "run", strconv.Itoa(idx)}
-	labels = append(labels, opts.ExtraRunLabels...)
+	if opts.Job != "" {
+		labels = append(labels, "job", opts.Job)
+	}
 	worldOpts := []any{
 		simnet.WithMetricLabels(labels...),
 		simnet.WithShards(spec.Shards),
@@ -446,7 +440,7 @@ func runOne(ctx context.Context, spec *Spec, idx int, opts *RunOptions) (*RunRes
 	res.Deflections = reg.SumCounter("kar_switch_deflections_total")
 	spec.Expect.evaluate(res)
 
-	label := fmt.Sprintf("%sscenario/%s/run=%d/seed=%d", opts.MetricPrefix, spec.Name, idx, seed)
+	label := fmt.Sprintf("%sscenario/%s/run=%d/seed=%d", opts.prefix(), spec.Name, idx, seed)
 	coll.Add(label, w.Net.Metrics(), w.Net.Events())
 	traces.Commit(label, recorder)
 	opts.emit(ProgressEvent{Kind: "run_done", Run: idx, Seed: seed, Result: res})

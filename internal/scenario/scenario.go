@@ -8,10 +8,10 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/deflect"
@@ -180,20 +180,6 @@ type Expect struct {
 	MinDeflections *int64 `json:"min_deflections,omitempty"`
 }
 
-// Load reads and validates a scenario file.
-func Load(path string) (*Spec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	spec, err := Parse(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return spec, nil
-}
-
 // MaxPackets bounds what the flows of one run may emit together (Σ
 // duration / interval): a scenario arrives from a file or a daemon
 // request, and a 1 ns interval is a run that never ends. The largest
@@ -332,18 +318,46 @@ func (inj Injection) build(runSeed int64, idx int) (fault.Injector, error) {
 // graph cache (topology.Shared).
 func BuildTopology(name string) (*topology.Graph, error) { return topology.Shared(name) }
 
-// Override applies execution overrides to the spec — the one rule the
-// serve daemon's request fields and `karsim -scenario`'s flags share:
-// a non-nil seed and positive runs and shards replace the file's
-// values, anything else leaves them alone.
-func (s *Spec) Override(seed *int64, runs, shards int) {
-	if seed != nil {
-		s.Seed = *seed
+// Request is a scenario job as every front door hands it over — the
+// body of the serve daemon's POST /v1/scenarios and what `karsim
+// -scenario` builds from its file and flags: a full scenario spec plus
+// execution overrides. Overrides that change results (seed, runs,
+// shards) edit the spec in Resolve; the rest only tune execution.
+type Request struct {
+	// Spec is the scenario document, verbatim internal/scenario JSON.
+	Spec json.RawMessage `json:"spec"`
+	// Workers overrides the per-job run parallelism (default: the
+	// daemon's job_workers setting). Never changes results.
+	Workers int `json:"workers,omitempty"`
+	// Seed/Runs/Shards, when set, override the spec's own values.
+	Seed   *int64 `json:"seed,omitempty"`
+	Runs   int    `json:"runs,omitempty"`
+	Shards int    `json:"shards,omitempty"`
+	// Collect retains the job's full simulation telemetry in the live
+	// /metrics exposition (default true). Load generators turn it off
+	// so hundreds of jobs do not accrete registries.
+	Collect *bool `json:"collect,omitempty"`
+}
+
+// Resolve parses and validates the spec document and applies the
+// overrides: a non-nil seed and positive runs and shards replace the
+// document's values, anything else leaves them alone.
+func (r *Request) Resolve() (*Spec, error) {
+	if len(r.Spec) == 0 {
+		return nil, fmt.Errorf("scenario: request has no spec")
 	}
-	if runs > 0 {
-		s.Runs = runs
+	spec, err := Parse(bytes.NewReader(r.Spec))
+	if err != nil {
+		return nil, err
 	}
-	if shards > 0 {
-		s.Shards = shards
+	if r.Seed != nil {
+		spec.Seed = *r.Seed
 	}
+	if r.Runs > 0 {
+		spec.Runs = r.Runs
+	}
+	if r.Shards > 0 {
+		spec.Shards = r.Shards
+	}
+	return spec, nil
 }

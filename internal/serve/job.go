@@ -3,9 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -44,62 +42,26 @@ func (s JobState) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// ScenarioRequest is the POST /v1/scenarios body: a full scenario spec
-// (the same JSON the batch CLI loads from a file) plus execution
-// overrides. Overrides that change results (seed, runs, shards) edit
-// the spec before validation; the rest only tune execution.
-type ScenarioRequest struct {
-	// Spec is the scenario document, verbatim internal/scenario JSON.
-	Spec json.RawMessage `json:"spec"`
-	// Workers overrides the per-job run parallelism (default: the
-	// daemon's job_workers setting). Never changes results.
-	Workers int `json:"workers,omitempty"`
-	// Seed/Runs/Shards, when set, override the spec's own values.
-	Seed   *int64 `json:"seed,omitempty"`
-	Runs   int    `json:"runs,omitempty"`
-	Shards int    `json:"shards,omitempty"`
-	// Collect retains the job's full simulation telemetry in the live
-	// /metrics exposition (default true). Load generators turn it off
-	// so hundreds of jobs do not accrete registries.
-	Collect *bool `json:"collect,omitempty"`
-}
+// ScenarioRequest is the POST /v1/scenarios body: the scenario engine's
+// own request, the value `karsim -scenario` builds from its file and
+// flags.
+type ScenarioRequest = scenario.Request
 
-// VerifyRequest is the POST /v1/verify body, mirroring the batch CLI's
-// -verify flag family.
-type VerifyRequest struct {
-	// Topology is a canned name (net15, rnp28, ...) or a generator
-	// spec ("fattree:8", "isp:200:2:40:7", ...).
-	Topology string `json:"topology"`
-	// Routes is "src:dst[,src:dst...]"; empty sweeps every ordered
-	// edge pair.
-	Routes string `json:"routes,omitempty"`
-	// Policies to score (default: none, hp, avp, nip).
-	Policies []string `json:"policies,omitempty"`
-	// Protection names a canned driven-deflection set ("none",
-	// "partial", "full") or "auto" for controller-planned
-	// per-destination trees; generated topologies support only "none"
-	// and "auto".
-	Protection string `json:"protection,omitempty"`
-	// Pairs samples this many two-link failures on top of the
-	// exhaustive single-failure sweep; Seed pins the sample.
-	Pairs int   `json:"pairs,omitempty"`
-	Seed  int64 `json:"seed,omitempty"`
-	// Workers bounds the sweep's case-analysis pool.
-	Workers int `json:"workers,omitempty"`
-	// Collect retains the sweep's kar_verify_* counters on /metrics
-	// (default true).
-	Collect *bool `json:"collect,omitempty"`
-}
+// VerifyRequest is the POST /v1/verify body: the verifier's own
+// request, the value `karsim -verify` builds from its flag family.
+type VerifyRequest = resilience.Request
+
+// jobRun executes a job's request. Its byte result is served verbatim
+// from GET /v1/jobs/{id}/result, and is produced by the same encoder
+// the batch CLI uses — byte-identical per request.
+type jobRun func(ctx context.Context, s *Server, j *Job) ([]byte, error)
 
 // Job is one queued or executed unit of work.
 type Job struct {
 	ID   string
 	Kind JobKind
 
-	// run executes the job's request. Its byte result is served
-	// verbatim from GET /v1/jobs/{id}/result, and is produced by the
-	// same encoder the batch CLI uses — byte-identical per seed.
-	run func(ctx context.Context, s *Server, j *Job) ([]byte, error)
+	run jobRun
 
 	events *eventBuf
 	// done closes when the job reaches a terminal state.
@@ -162,16 +124,13 @@ func encodeResult(v any) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// buildScenarioJob validates the request and returns the job executor.
-func buildScenarioJob(req *ScenarioRequest) (func(ctx context.Context, s *Server, j *Job) ([]byte, error), error) {
-	if len(req.Spec) == 0 {
-		return nil, fmt.Errorf("serve: scenario request has no spec")
-	}
-	spec, err := scenario.Parse(bytes.NewReader(req.Spec))
+// buildScenarioJob resolves the request, holds it to the admission
+// limits and returns the job executor.
+func buildScenarioJob(req *ScenarioRequest) (jobRun, error) {
+	spec, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	spec.Override(req.Seed, req.Runs, req.Shards)
 	pairs := 0
 	if spec.Verify != nil {
 		pairs = spec.Verify.Pairs
@@ -184,9 +143,8 @@ func buildScenarioJob(req *ScenarioRequest) (func(ctx context.Context, s *Server
 	workers := req.Workers
 	return func(ctx context.Context, s *Server, j *Job) ([]byte, error) {
 		opts := scenario.RunOptions{
-			Workers:        s.jobWorkers(workers),
-			MetricPrefix:   "job=" + j.ID + "/",
-			ExtraRunLabels: []string{"job", j.ID},
+			Workers: s.jobWorkers(workers),
+			Job:     j.ID,
 			Progress: func(ev scenario.ProgressEvent) {
 				j.events.append(jobEvent{Job: j.ID, ProgressEvent: ev})
 			},
@@ -202,23 +160,20 @@ func buildScenarioJob(req *ScenarioRequest) (func(ctx context.Context, s *Server
 	}, nil
 }
 
-// buildVerifyJob validates the request and returns the job executor.
-// Everything resilience.Plan rejects — unknown topology, policy or
-// protection level, a canned level on a generated topology — is
-// rejected here, at admission (HTTP 400), not at job runtime where the
-// client would have to poll a failed job to see the typo.
-func buildVerifyJob(req *VerifyRequest) (func(ctx context.Context, s *Server, j *Job) ([]byte, error), error) {
-	if req.Topology == "" {
-		return nil, fmt.Errorf("serve: verify request has no topology")
-	}
+// buildVerifyJob resolves the request, holds it to the admission limits
+// and returns the job executor. Everything Resolve rejects — unknown
+// topology, policy or protection level, a canned level on a generated
+// topology — is rejected here, at admission (HTTP 400), not at job
+// runtime where the client would have to poll a failed job to see the
+// typo.
+func buildVerifyJob(req *VerifyRequest) (jobRun, error) {
 	if err := overLimit("pairs", req.Pairs, maxPairs); err != nil {
 		return nil, err
 	}
-	g, routes, cfg, err := resilience.Plan(req.Topology, req.Routes, req.Policies, req.Protection)
+	g, routes, cfg, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Pairs, cfg.PairSeed = req.Pairs, req.Seed
 	collect := req.Collect == nil || *req.Collect
 	workers := req.Workers
 	return func(ctx context.Context, s *Server, j *Job) ([]byte, error) {

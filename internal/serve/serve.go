@@ -111,8 +111,8 @@ func New(cfg Config) *Server {
 	s.metrics = newServeMetrics(s.reg, cfg.Version)
 	s.metrics.queueCap.Set(float64(cfg.QueueCap))
 
-	s.mux.HandleFunc("POST /v1/scenarios", s.handleSubmitScenario)
-	s.mux.HandleFunc("POST /v1/verify", s.handleSubmitVerify)
+	s.mux.HandleFunc("POST /v1/scenarios", handleSubmit(s, KindScenario, buildScenarioJob))
+	s.mux.HandleFunc("POST /v1/verify", handleSubmit(s, KindVerify, buildVerifyJob))
 	s.mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
@@ -187,7 +187,7 @@ var (
 )
 
 // enqueue registers and queues a freshly built job.
-func (s *Server) enqueue(kind JobKind, run func(context.Context, *Server, *Job) ([]byte, error)) (*Job, error) {
+func (s *Server) enqueue(kind JobKind, run jobRun) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -364,7 +364,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // (default), or — with ?wait=1 — blocks until the job finishes and
 // replies 200 with the final status. A waiting client that disconnects
 // cancels its job.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind JobKind, run func(context.Context, *Server, *Job) ([]byte, error)) {
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind JobKind, run jobRun) {
 	j, err := s.enqueue(kind, run)
 	switch {
 	case errors.Is(err, errDraining):
@@ -430,30 +430,21 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, what string, req any)
 	return false
 }
 
-func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
-	var req ScenarioRequest
-	if !decodeRequest(w, r, "scenario", &req) {
-		return
+// handleSubmit is the POST handler of one job kind: it decodes the body
+// into that kind's request, builds the job and submits it.
+func handleSubmit[R any](s *Server, kind JobKind, build func(*R) (jobRun, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req R
+		if !decodeRequest(w, r, string(kind), &req) {
+			return
+		}
+		run, err := build(&req)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		s.submit(w, r, kind, run)
 	}
-	run, err := buildScenarioJob(&req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.submit(w, r, KindScenario, run)
-}
-
-func (s *Server) handleSubmitVerify(w http.ResponseWriter, r *http.Request) {
-	var req VerifyRequest
-	if !decodeRequest(w, r, "verify", &req) {
-		return
-	}
-	run, err := buildVerifyJob(&req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.submit(w, r, KindVerify, run)
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {

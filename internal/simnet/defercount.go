@@ -10,11 +10,11 @@ import (
 // series. Increments land in a plain field and put the cell on its
 // lane's dirty list; the list is folded into the (atomic) backing
 // counter single-threaded at observation boundaries: before any
-// control-plane callback, before drop hooks, and when Step or RunUntil
-// returns. Every way to observe a counter (metric
-// dumps, LineStats, phase stats, control-plane callbacks) runs at one
-// of those boundaries, and adds commute, so observed values are the
-// same in every driver, data plane and shard count.
+// control-plane callback and when Step or RunUntil returns. Every way
+// to observe a counter (metric dumps, LineStats, phase stats,
+// control-plane callbacks) runs at one of those boundaries, and adds
+// commute, so observed values are the same in every driver, data plane
+// and shard count.
 //
 // A cell is bound at construction to the scheduler lane of the node
 // that increments it, and only that lane's goroutine (or the control

@@ -65,10 +65,10 @@ import (
 // a light lane, or woke after the caller had started, takes up what is
 // left. Which goroutine ran which lane reaches no output byte.
 //
-// Observers that demand the total global order — the flight recorder,
-// the drop hook, the event-log tap — and gray impairments (whose RNG
-// draw order is defined by the global event order) veto windows: while
-// one is attached the driver steps the global (at, key) minimum on one
+// Observers that demand the total global order — the flight recorder
+// and the event-log tap — and gray impairments (whose RNG draw order is
+// defined by the global event order) veto windows: while one is
+// attached the driver steps the global (at, key) minimum on one
 // goroutine instead — same lanes, same keys, the identical dispatch
 // sequence, just without the parallelism.
 
@@ -123,9 +123,9 @@ func (n *Network) RunUntil(t time.Duration) {
 				continue
 			}
 			// The control clock follows every single-threaded step so
-			// global observers (trace stamps, drop hooks, the event
-			// log's Record) read the right virtual time whichever lane
-			// the item ran on.
+			// global observers (trace stamps, the event log's Record)
+			// read the right virtual time whichever lane the item ran
+			// on.
 			n.sched.now = at
 			best.step(best.peek())
 			continue

@@ -60,6 +60,19 @@ if grep -rn --include='*.go' 'SetLinkDetectionHook(' . | grep -v '_test\.go:' |
     exit 1
 fi
 
+echo "==> a job request is declared by the engine that runs it"
+# scenario.Request and resilience.Request are what every front door
+# builds: karsim's flags and the daemon's bodies. internal/serve names
+# them with two aliases; a request struct of its own is a second
+# resolution that can drift from the CLI's.
+serve_go=$(ls internal/serve/*.go | grep -v _test.go)
+if grep -nE 'Request[[:space:]]+struct' $serve_go ||
+    ! grep -qx 'type ScenarioRequest = scenario.Request' $serve_go ||
+    ! grep -qx 'type VerifyRequest = resilience.Request' $serve_go; then
+    echo "FAIL: internal/serve declares a request struct, or lost its aliases of scenario.Request and resilience.Request" >&2
+    exit 1
+fi
+
 echo "==> packets are made and recycled on their lane"
 # A traffic source takes its packets from its node's lane cache
 # (Clock.NewPacket) and a sink hands them back there (Clock.Recycle,

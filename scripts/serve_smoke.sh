@@ -35,7 +35,9 @@ cmp -s "$tmp/cli1.json" "$tmp/cli4.json" || {
     echo "FAIL: CLI verdicts differ across worker counts" >&2
     exit 1
 }
-verify_args="-verify net15 -verify-routes AS1:AS2,AS1:AS3 -verify-policies avp,nip"
+# -verify-pairs without -seed: the sampler's seed is the request's, 0
+# when omitted on either side.
+verify_args="-verify net15 -verify-routes AS1:AS2,AS1:AS3 -verify-policies avp,nip -verify-pairs 8"
 "$KARSIM" $verify_args -workers 1 -verify-json "$tmp/vcli.json" > /dev/null
 
 echo "--> starting karsim serve"
@@ -70,7 +72,7 @@ cmp -s "$tmp/d4.json" "$tmp/cli1.json" || {
 }
 
 echo "--> daemon/CLI byte identity (verify sweep)"
-printf '{"topology": "net15", "routes": "AS1:AS2,AS1:AS3", "policies": ["avp", "nip"]}' > "$tmp/vreq.json"
+printf '{"topology": "net15", "routes": "AS1:AS2,AS1:AS3", "policies": ["avp", "nip"], "pairs": 8}' > "$tmp/vreq.json"
 "$KARSIM" client -addr "$ADDR" -post /v1/verify -body "$tmp/vreq.json" -result "$tmp/vd.json" > /dev/null
 cmp -s "$tmp/vd.json" "$tmp/vcli.json" || {
     echo "FAIL: daemon verify report differs from batch CLI" >&2
