@@ -24,15 +24,11 @@
 //     failure set and delivery is all-or-nothing.
 //
 // Policies are pure decision functions over a SwitchView; all
-// randomness comes from the *rand.Rand the caller injects, keeping
-// simulations reproducible.
+// randomness comes from the Rand the caller injects (a *rand.Rand, or
+// the switch's own xrand.Source), keeping simulations reproducible.
 package deflect
 
-import (
-	"math/rand"
-
-	"repro/internal/rns"
-)
+import "repro/internal/rns"
 
 // SwitchView is what a deflection policy may observe about a switch:
 // its KAR ID, the modulo-forwarding function over that ID, and the
@@ -58,6 +54,13 @@ type SwitchView interface {
 	EdgePort(i int) bool
 }
 
+// Rand is the randomness a policy draws: math/rand's Intn. Both
+// *rand.Rand and *xrand.Source implement it with the same stream.
+type Rand interface {
+	// Intn returns a uniform value in [0, n); n > 0.
+	Intn(n int) int
+}
+
 // Decision is the outcome of a forwarding decision.
 type Decision struct {
 	// Port is the chosen output port (meaningless when Drop is set).
@@ -73,7 +76,7 @@ type Decision struct {
 // entered the switch on inPort. wasDeflected carries the packet's
 // deflection flag (hot-potato keeps random-walking such packets).
 // inPort is -1 for packets originated by a locally attached edge
-// function (nothing to exclude).
+// function (nothing to exclude). Every draw comes from rng, a Rand.
 type Policy interface {
 	// Name returns the short name used in experiment output
 	// ("none", "hp", "avp", "nip", "dtree").
@@ -81,7 +84,7 @@ type Policy interface {
 	// Shape declares the decision's two halves. The zero Shape declares
 	// nothing: every packet of such a policy runs Decide.
 	Shape() Shape
-	Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision
+	Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng Rand) Decision
 }
 
 // Shape is a policy as the paper states one (§2.1, Algorithm 1): take
@@ -146,16 +149,27 @@ func (s Shape) OnPath(view SwitchView, routeID rns.RouteID, inPort int, wasDefle
 }
 
 // decide is Decide for the shapes with no fallback of their own.
-func (s Shape) decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+func (s Shape) decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng Rand) Decision {
 	if port, ok := s.OnPath(view, routeID, inPort, wasDeflected); ok {
 		return Decision{Port: port}
 	}
+	return s.Fallback(view, inPort, rng)
+}
+
+// Fallback is the decision of a drop or uniform fallback for a packet
+// whose encoded port the policy did not take. It reads only the port
+// states, so a caller that has already rejected the encoded port —
+// the switch, on its own cached lines — skips OnPath. A deterministic
+// fallback is its policy's Decide and is not stated here: Fallback
+// drops.
+func (s Shape) Fallback(view SwitchView, inPort int, rng Rand) Decision {
 	exclude := -1
 	switch s.Otherwise {
-	case FallbackDrop:
-		return Decision{Drop: true}
+	case FallbackUniform:
 	case FallbackUniformNotInput:
 		exclude = inPort
+	default:
+		return Decision{Drop: true}
 	}
 	port, ok := randomPort(view, rng, exclude)
 	if !ok {
@@ -194,7 +208,7 @@ type None struct{}
 
 func (None) Name() string { return "none" }
 func (None) Shape() Shape { return Shape{AcceptAlways, FallbackDrop} }
-func (p None) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+func (p None) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng Rand) Decision {
 	return p.Shape().decide(view, routeID, inPort, wasDeflected, rng)
 }
 
@@ -205,7 +219,7 @@ type HotPotato struct{}
 
 func (HotPotato) Name() string { return "hp" }
 func (HotPotato) Shape() Shape { return Shape{AcceptUndeflected, FallbackUniform} }
-func (p HotPotato) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+func (p HotPotato) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng Rand) Decision {
 	return p.Shape().decide(view, routeID, inPort, wasDeflected, rng)
 }
 
@@ -215,7 +229,7 @@ type AnyValidPort struct{}
 
 func (AnyValidPort) Name() string { return "avp" }
 func (AnyValidPort) Shape() Shape { return Shape{AcceptAlways, FallbackUniform} }
-func (p AnyValidPort) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+func (p AnyValidPort) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng Rand) Decision {
 	return p.Shape().decide(view, routeID, inPort, wasDeflected, rng)
 }
 
@@ -226,7 +240,7 @@ type NotInputPort struct{}
 
 func (NotInputPort) Name() string { return "nip" }
 func (NotInputPort) Shape() Shape { return Shape{AcceptNotInput, FallbackUniformNotInput} }
-func (p NotInputPort) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+func (p NotInputPort) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng Rand) Decision {
 	return p.Shape().decide(view, routeID, inPort, wasDeflected, rng)
 }
 
@@ -266,7 +280,7 @@ func (DTree) Name() string { return "dtree" }
 func (DTree) Shape() Shape { return Shape{AcceptNotInput, FallbackDeterministic} }
 
 // Decide implements Policy. rng is never touched and may be nil.
-func (p DTree) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng *rand.Rand) Decision {
+func (p DTree) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDeflected bool, rng Rand) Decision {
 	port := view.Forward(routeID)
 	span := view.NumPorts()
 	if port < span && view.PortUp(port) && p.Shape().Accepts(port, inPort, wasDeflected) {
@@ -310,9 +324,9 @@ func (p DTree) Decide(view SwitchView, routeID rns.RouteID, inPort int, wasDefle
 // (pass -1 to exclude nothing). It reports failure when no candidate
 // exists. Reservoir-style single pass keeps the draw uniform without
 // allocating.
-func randomPort(view SwitchView, rng *rand.Rand, exclude int) (int, bool) {
+func randomPort(view SwitchView, rng Rand, exclude int) (int, bool) {
 	chosen, seen := -1, 0
-	for i := 0; i < view.NumPorts(); i++ {
+	for i, n := 0, view.NumPorts(); i < n; i++ {
 		if i == exclude || !view.PortUp(i) {
 			continue
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/simnet"
 	"repro/internal/topology"
+	"repro/internal/xrand"
 )
 
 // Switch i's generator is rand.NewSource(base + i·seedStride)'s stream,
@@ -26,7 +27,7 @@ func TestLazySourceMatchesNewSource(t *testing.T) {
 		sws := install(net, g.CoreNodes(), deflect.NotInputPort{}, base)
 		for k := range sws {
 			seed := base + int64(k)*seedStride
-			lazy := rand.New(&sws[k].rngSrc)
+			lazy := rand.New(&sws[k].rng)
 			ref := rand.New(rand.NewSource(seed))
 			for i := 0; i < 2000; i++ {
 				var got, want any
@@ -50,8 +51,8 @@ func TestLazySourceMatchesNewSource(t *testing.T) {
 	}
 }
 
-// A switch that never leaves the batched fast path never builds a
-// generator; the first scalar decision does.
+// A healthy path draws nothing: every switch's source is still the
+// freshly seeded one. A scalar deflection draws from it.
 func TestLazySourceUnseededUntilDrawn(t *testing.T) {
 	w := newWorld(t, deflect.NotInputPort{}, false)
 	w.inject(20)
@@ -59,15 +60,22 @@ func TestLazySourceUnseededUntilDrawn(t *testing.T) {
 	if len(w.received) != 20 {
 		t.Fatalf("healthy world delivered %d of 20", len(w.received))
 	}
-	for name, s := range w.switches {
-		if s.rng != nil {
-			t.Errorf("%s built its generator on a healthy path", name)
+	for i, n := range w.net.Topology().CoreNodes() {
+		var fresh xrand.Source
+		fresh.Seed(1 + int64(i)*seedStride)
+		if w.switches[n.Name()].rng != fresh {
+			t.Errorf("%s drew from its source on a healthy path", n.Name())
 		}
 	}
+	// Route ID 0 encodes port 0, the input port: NIP deflects and draws.
 	sw := w.switches["SW4"]
+	before := sw.rng
 	sw.HandlePacket(&packet.Packet{Flow: packet.FlowID{Src: "S", Dst: "D"}, TTL: 8}, 0)
-	if sw.rng == nil {
-		t.Error("a scalar decision did not build the generator")
+	if sw.Stats().Deflections != 1 {
+		t.Fatalf("SW4 deflections = %d, want 1", sw.Stats().Deflections)
+	}
+	if sw.rng == before {
+		t.Error("a scalar deflection did not draw from the switch's source")
 	}
 }
 

@@ -7,7 +7,6 @@ package kswitch
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/deflect"
@@ -19,7 +18,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// Deflection causes, as classified by deflectCause.
+// Deflection causes, as decide classifies them from the encoded port.
 const (
 	// CauseInvalidPort: the modulo residue names a port index the
 	// switch does not have (stale or foreign route ID).
@@ -65,39 +64,38 @@ type Switch struct {
 	net    *simnet.Network
 	node   *topology.Node
 	policy deflect.Policy
-	rng    *rand.Rand // draws from rngSrc; made on the first decide
-	rngSrc xrand.Source
-	red    rns.Reducer // precomputed constants for node.ID()
+	rng    xrand.Source // the policy's draws, made straight from the source
+	red    rns.Reducer  // precomputed constants for node.ID()
 	// clock is the node's lane-local virtual time: event-log records
 	// from the forwarding path must carry it, because the global
 	// control clock lags inside parallel shard windows.
 	clock simnet.Clock
 
-	// Cached registry handles.
-	cReceived    *telemetry.Counter
-	cForwarded   *telemetry.Counter
-	cTTLDrops    *telemetry.Counter
-	cPolicyDrops *telemetry.Counter
-	cDeflections [causeCount]*telemetry.Counter
-
-	// Lane-owned deferred cells for the two per-hop counters, used only
-	// on the batched fast path; the scalar path (cut-link deliveries,
-	// peel-outs) and every slow-path arm keep the atomic cells — each is
-	// written by this node's lane alone, and the controller's workers
-	// may read them concurrently mid-step.
-	dReceived  simnet.DeferredCounter
-	dForwarded simnet.DeferredCounter
+	// One lane-owned deferred cell per series, on every arm of the
+	// pipeline: batched or scalar, the packet is handled by an event of
+	// this node's lane (or by the control plane between windows), so
+	// only one goroutine writes a cell at a time. Readers see counts
+	// after a fold: registry reads — dumps, SumCounter, the scenario
+	// engine's phase samples — run once RunUntil or Step has returned
+	// or inside a control-plane callback, and both fold first; Stats
+	// reads each cell's Value, its backing count plus what is pending.
+	received    simnet.DeferredCounter
+	forwarded   simnet.DeferredCounter
+	ttlDrops    simnet.DeferredCounter
+	policyDrops simnet.DeferredCounter
+	deflections [causeCount]simnet.DeferredCounter
 
 	// Event-log dedup: deflections and policy drops are per-packet
 	// (millions per run), so the control-plane log records only the
 	// first occurrence per cause / per flow; counters keep the volume.
-	// loggedDrop is made on the first policy drop.
+	// loggedDrop, keyed by the flow's (Src, Dst), is made on the first
+	// policy drop.
 	loggedDeflect [causeCount]bool
-	loggedDrop    map[string]bool
+	loggedDrop    map[[2]string]bool
 
-	// Batched fast path (see HandleBatchPacket): the policy's shape over
-	// per-port cached lines, so an on-path forward under batch delivery
-	// touches no map, no interface call and no RNG.
+	// The policy's shape over per-port cached lines: an accepted
+	// encoded port is forwarded on with no map, no interface call and
+	// no RNG, and a shaped fallback scans these lines.
 	shape     deflect.Shape
 	portLines []*simnet.Line
 	portDirs  []uint8
@@ -147,23 +145,21 @@ func install(net *simnet.Network, nodes []*topology.Node, policy deflect.Policy,
 	for i, node := range nodes {
 		s := &sws[i]
 		*s = Switch{
-			net:          net,
-			node:         node,
-			policy:       policy,
-			red:          rns.NewReducer(node.ID()),
-			clock:        net.ClockOf(node),
-			cReceived:    &received[i],
-			cForwarded:   &forwarded[i],
-			cTTLDrops:    &ttlDrops[i],
-			cPolicyDrops: &policyDrops[i],
-			shape:        policy.Shape(),
+			net:         net,
+			node:        node,
+			policy:      policy,
+			red:         rns.NewReducer(node.ID()),
+			clock:       net.ClockOf(node),
+			received:    net.DeferCounter(node, &received[i]),
+			forwarded:   net.DeferCounter(node, &forwarded[i]),
+			ttlDrops:    net.DeferCounter(node, &ttlDrops[i]),
+			policyDrops: net.DeferCounter(node, &policyDrops[i]),
+			shape:       policy.Shape(),
 		}
-		s.rngSrc.Seed(baseSeed + int64(i)*seedStride)
-		for c := range s.cDeflections {
-			s.cDeflections[c] = &deflections[i*causeCount+c]
+		s.rng.Seed(baseSeed + int64(i)*seedStride)
+		for c := range s.deflections {
+			s.deflections[c] = net.DeferCounter(node, &deflections[i*causeCount+c])
 		}
-		s.dReceived = net.DeferCounter(node, s.cReceived)
-		s.dForwarded = net.DeferCounter(node, s.cForwarded)
 		span := node.PortSpan()
 		s.portLines, lines = lines[:span:span], lines[span:]
 		s.portDirs, dirs = dirs[:span:span], dirs[span:]
@@ -192,24 +188,24 @@ func (v view) Forward(r rns.RouteID) int {
 	}
 	return core.ForwardReduced(v.s.red, r)
 }
-func (v view) NumPorts() int     { return v.s.node.PortSpan() }
+func (v view) NumPorts() int     { return len(v.s.portLines) }
 func (v view) PortUp(i int) bool { return v.s.portUp(i) }
 func (v view) EdgePort(i int) bool {
 	l, ok := v.s.node.PortLink(i)
 	return ok && l.Other(v.s.node).Kind() == topology.KindEdge
 }
 
-// HandlePacket implements simnet.Handler: decrement TTL, decide the
-// output port, forward.
+// HandlePacket implements simnet.Handler: decrement TTL, reduce the
+// route ID to the encoded port, decide, forward.
 func (s *Switch) HandlePacket(pkt *packet.Packet, inPort int) {
-	s.cReceived.Inc()
+	s.received.Inc()
 	pkt.TTL--
 	if pkt.TTL <= 0 {
-		s.cTTLDrops.Inc()
+		s.ttlDrops.Inc()
 		s.net.Drop(pkt, simnet.DropTTL, s.node)
 		return
 	}
-	s.decide(pkt, inPort)
+	s.decide(pkt, inPort, view{s}.Forward(pkt.RouteID))
 }
 
 // BatchReducer implements simnet.BatchHandler: trains bound for this
@@ -223,69 +219,86 @@ func (s *Switch) BatchReducer() (rns.Reducer, bool) {
 // HandleBatchPacket implements simnet.BatchHandler: HandlePacket with
 // the modulo already reduced train-side. Packets the batch machinery
 // cannot prove equivalent peel out: sampled packets re-enter the full
-// scalar pipeline (flight-recorder hooks; the on-path Decide consumes
-// no RNG, so the peel costs nothing in determinism), and any packet
-// the policy's shape does not accept falls through to the scalar
-// decision path — deflection-cause counters, event-log dedup and
-// policy RNG draws happen exactly as they would have.
+// scalar pipeline (flight-recorder hooks), and any packet the policy's
+// shape does not accept goes on to decide with its residue — the
+// deflection, its counters, event-log dedup and RNG draws exactly as
+// the scalar path makes them.
 func (s *Switch) HandleBatchPacket(pkt *packet.Packet, inPort int, residue uint16) {
 	if pkt.Sampled {
 		s.HandlePacket(pkt, inPort)
 		return
 	}
-	s.dReceived.Inc()
+	s.received.Inc()
 	pkt.TTL--
 	if pkt.TTL <= 0 {
-		s.cTTLDrops.Inc()
+		s.ttlDrops.Inc()
 		s.net.Drop(pkt, simnet.DropTTL, s.node)
 		return
 	}
 	port := int(residue)
 	if port < len(s.portLines) {
-		// The shape's contract: with the encoded port up and accepted,
-		// Decide returns {Port: port} without touching the RNG, so the
-		// switch's RNG stream stays a scalar run's; counters match
-		// decide's non-deflected arm.
+		// decide's accepted arm, inlined: forward on the encoded port.
 		if l := s.portLines[port]; l != nil && l.SeenUp() && s.shape.Accepts(port, inPort, pkt.Deflected) {
-			s.dForwarded.Inc()
+			s.forwarded.Inc()
 			s.net.SendOnLine(l, s.portDirs[port], pkt)
 			return
 		}
 	}
-	s.decide(pkt, inPort)
+	s.decide(pkt, inPort, port)
 }
 
-// decide is the policy pipeline shared by the scalar path and the
-// batched slow path: run Decide, account drops and deflections,
-// forward.
-func (s *Switch) decide(pkt *packet.Packet, inPort int) {
-	if s.rng == nil {
-		s.rng = rand.New(&s.rngSrc)
+// decide is the pipeline shared by both paths once the route ID is
+// reduced to the encoded port: choose the output port, account drops
+// and deflections, forward. A drop or uniform fallback runs the shape
+// over the cached lines and draws from the switch's source directly —
+// the shape's contract makes that Decide's answer and draws; a
+// deterministic or undeclared fallback is the policy's own Decide.
+func (s *Switch) decide(pkt *packet.Packet, inPort, port int) {
+	var d deflect.Decision
+	switch s.shape.Otherwise {
+	case deflect.FallbackDrop, deflect.FallbackUniform, deflect.FallbackUniformNotInput:
+		if s.portUp(port) && s.shape.Accepts(port, inPort, pkt.Deflected) {
+			d.Port = port
+		} else {
+			d = s.shape.Fallback(view{s}, inPort, &s.rng)
+		}
+	default:
+		d = s.policy.Decide(view{s}, pkt.RouteID, inPort, pkt.Deflected, &s.rng)
 	}
-	d := s.policy.Decide(view{s}, pkt.RouteID, inPort, pkt.Deflected, s.rng)
 	if d.Drop {
-		s.cPolicyDrops.Inc()
-		if flow := pkt.Flow.String(); !s.loggedDrop[flow] {
+		s.policyDrops.Inc()
+		if flow := [2]string{pkt.Flow.Src, pkt.Flow.Dst}; !s.loggedDrop[flow] {
 			if s.loggedDrop == nil {
-				s.loggedDrop = make(map[string]bool)
+				s.loggedDrop = make(map[[2]string]bool)
 			}
 			s.loggedDrop[flow] = true
-			s.net.Events().RecordAt(s.clock.Now(), telemetry.EventPolicyDrop, s.node.Name(), flow)
+			s.net.Events().RecordAt(s.clock.Now(), telemetry.EventPolicyDrop, s.node.Name(), pkt.Flow.String())
 		}
 		s.net.Drop(pkt, simnet.DropNoViablePort, s.node)
 		return
 	}
 	if d.Deflected {
+		// Why the encoded port was not used: it does not exist, its
+		// link is down, it is the (NIP-excluded) input port, or the
+		// policy random-walked past a usable port (HP once deflected).
+		cause := causeIdxRandomWalk
+		switch {
+		case port >= len(s.portLines):
+			cause = causeIdxInvalidPort
+		case !s.portUp(port):
+			cause = causeIdxPortDown
+		case port == inPort:
+			cause = causeIdxInputPort
+		}
 		pkt.Deflected = true
-		cause, encoded := s.deflectCause(pkt, inPort)
-		s.cDeflections[cause].Inc()
+		s.deflections[cause].Inc()
 		if !s.loggedDeflect[cause] {
 			s.loggedDeflect[cause] = true
 			s.net.Events().RecordAt(s.clock.Now(), telemetry.EventDeflect, s.node.Name(), causeNames[cause])
 		}
 		if pkt.Sampled {
 			if t := s.net.Trace(); t != nil {
-				t.PacketHop(pkt, s.node.Name(), inPort, encoded, d.Port, causeNames[cause])
+				t.PacketHop(pkt, s.node.Name(), inPort, port, d.Port, causeNames[cause])
 			}
 		}
 	} else if pkt.Sampled {
@@ -294,7 +307,7 @@ func (s *Switch) decide(pkt *packet.Packet, inPort int) {
 			t.PacketHop(pkt, s.node.Name(), inPort, d.Port, d.Port, "")
 		}
 	}
-	s.cForwarded.Inc()
+	s.forwarded.Inc()
 	if l := s.lineAt(d.Port); l != nil {
 		s.net.SendOnLine(l, s.portDirs[d.Port], pkt)
 		return
@@ -318,31 +331,6 @@ func (s *Switch) portUp(i int) bool {
 	return l != nil && l.SeenUp()
 }
 
-// deflectCause classifies why the encoded modulo port was not used:
-// it does not exist, its link is down, it is the (NIP-excluded) input
-// port, or the policy random-walked past a perfectly usable port (HP
-// after the first deflection). Returns a dense causeIdx* value plus
-// the encoded port itself (the flight recorder records the residue the
-// deflection overrode).
-func (s *Switch) deflectCause(pkt *packet.Packet, inPort int) (int, int) {
-	var port int
-	if u, ok := pkt.RouteID.Uint64(); ok {
-		port = int(s.red.Mod64(u))
-	} else {
-		port = core.ForwardReduced(s.red, pkt.RouteID)
-	}
-	switch {
-	case port < 0 || port >= s.node.PortSpan():
-		return causeIdxInvalidPort, port
-	case !s.portUp(port):
-		return causeIdxPortDown, port
-	case port == inPort:
-		return causeIdxInputPort, port
-	default:
-		return causeIdxRandomWalk, port
-	}
-}
-
 // Stats is a snapshot of switch counters.
 type Stats struct {
 	Received    int64
@@ -352,16 +340,17 @@ type Stats struct {
 	PolicyDrops int64
 }
 
-// Stats reads the counters back from the registry.
+// Stats reads the counters: each cell's backing count plus its pending
+// increments, exact whenever the control plane asks.
 func (s *Switch) Stats() Stats {
 	st := Stats{
-		Received:    s.cReceived.Value(),
-		Forwarded:   s.cForwarded.Value(),
-		TTLDrops:    s.cTTLDrops.Value(),
-		PolicyDrops: s.cPolicyDrops.Value(),
+		Received:    s.received.Value(),
+		Forwarded:   s.forwarded.Value(),
+		TTLDrops:    s.ttlDrops.Value(),
+		PolicyDrops: s.policyDrops.Value(),
 	}
-	for _, c := range s.cDeflections {
-		st.Deflections += c.Value()
+	for i := range s.deflections {
+		st.Deflections += s.deflections[i].Value()
 	}
 	return st
 }

@@ -97,6 +97,28 @@ func (s *Source) word(i int) int64 {
 // Int63 returns a non-negative pseudo-random 63-bit integer.
 func (s *Source) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
 
+// Intn returns (*rand.Rand).Intn(n) over this stream — the same value
+// from the same draws — for 0 < n < 2³¹, and panics otherwise. It is
+// what a deflecting switch draws, with no rand.Rand in front.
+func (s *Source) Intn(n int) int {
+	if n <= 0 || n > 1<<31-1 {
+		panic("xrand: Intn argument out of range")
+	}
+	if n&(n-1) == 0 { // a power of two: mask
+		return int(s.int31() & int32(n-1))
+	}
+	// Reject draws above the largest multiple of n, as Int31n does.
+	max := int32(1<<31 - 1 - (1<<31)%uint32(n))
+	v := s.int31()
+	for v > max {
+		v = s.int31()
+	}
+	return int(v % int32(n))
+}
+
+// int31 is (*rand.Rand).Int31: the top 31 bits of an Int63 draw.
+func (s *Source) int31() int32 { return int32(s.Int63() >> 32) }
+
 // Uint64 returns a pseudo-random 64-bit value.
 func (s *Source) Uint64() uint64 {
 	r := s.reg

@@ -36,8 +36,9 @@ func TestStreamMatchesMathRand(t *testing.T) {
 }
 
 // The derived distributions every caller actually uses, through
-// rand.New: a bounded int (deflection's random port), a float (gray
-// impairments, arrival gaps) and the ziggurat exponential (flapping).
+// rand.New: a bounded int, a float (gray impairments, arrival gaps) and
+// the ziggurat exponential (flapping); and Source.Intn (deflection's
+// random port).
 func TestRandMatchesMathRand(t *testing.T) {
 	for _, seed := range seeds {
 		want, got := rand.New(rand.NewSource(seed)), New(seed)
@@ -55,6 +56,23 @@ func TestRandMatchesMathRand(t *testing.T) {
 				if w, g := want.ExpFloat64(), got.ExpFloat64(); w != g {
 					t.Fatalf("seed %d call %d: ExpFloat64 = %v, math/rand %v", seed, n, g, w)
 				}
+			}
+		}
+	}
+	// Source.Intn, the switch's draw, with no rand.Rand in front: the
+	// same value from the same draws for bounds that mask (powers of
+	// two, 1 among them), reject rarely (3, 7, 1000) or often (2³⁰+1,
+	// 2³¹−1). Both streams' next draw is compared after every call.
+	bounds := []int{1, 2, 3, 7, 64, 1000, 1 << 30, 1<<30 + 1, 1<<31 - 1}
+	for _, seed := range seeds {
+		want, got := rand.New(rand.NewSource(seed)), NewSource(seed)
+		for n := 0; n < draws; n++ {
+			bound := bounds[n%len(bounds)]
+			if w, g := want.Intn(bound), got.Intn(bound); w != g {
+				t.Fatalf("seed %d call %d: Intn(%d) = %d, math/rand %d", seed, n, bound, g, w)
+			}
+			if w, g := want.Int63(), got.Int63(); w != g {
+				t.Fatalf("seed %d call %d: after Intn(%d) the streams diverge", seed, n, bound)
 			}
 		}
 	}
@@ -85,12 +103,21 @@ func TestStatelessDrawsDoNotAllocate(t *testing.T) {
 	var sink uint64
 	if n := testing.AllocsPerRun(100, func() {
 		s.Seed(99)
+		for i := 1; i <= 64; i++ {
+			sink += uint64(s.Intn(i))
+		}
+	}); n != 0 {
+		t.Errorf("64 Intn calls allocated %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s.Seed(99)
 		for i := 0; i < rngTap; i++ {
 			sink += s.Uint64()
 		}
 	}); n != 0 {
 		t.Errorf("%d draws allocated %v times, want 0", rngTap, n)
 	}
+
 	if s.reg != nil {
 		t.Errorf("register materialised within the first %d draws", rngTap)
 	}

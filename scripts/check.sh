@@ -29,6 +29,15 @@ if grep -rn --include='*.go' 'rand\.NewSource(' . | grep -v '_test\.go:' | grep 
     exit 1
 fi
 
+echo "==> the switch and the policies draw from xrand alone"
+# A deflecting switch hands its xrand.Source to the policy as a
+# deflect.Rand; a math/rand import there is a rand.Rand back on the
+# deflected hop (tests compare against math/rand and may import it).
+if grep -ln '"math/rand"' $(ls internal/kswitch/*.go internal/deflect/*.go | grep -v _test.go); then
+    echo "FAIL: math/rand imported in non-test internal/kswitch or internal/deflect" >&2
+    exit 1
+fi
+
 echo "==> one front door: package main only under cmd/karsim, examples/ and bench/"
 # Every user-facing entry point is a row of cmd/karsim's experiment or
 # verb table; a second binary is a second flag grammar nobody tests.
