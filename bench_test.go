@@ -358,10 +358,11 @@ func BenchmarkScale1kSwitch(b *testing.B) {
 }
 
 // BenchmarkWorldConstruction1kSwitch pins the construction cost of a
-// datacenter-class world: generator, coprime ID assignment (the
-// blocked-factor allocator keeps it out of the quadratic regime this
+// datacenter-class world: generator, coprime ID assignment and its
+// validation (the blocked-factor allocator and the running-product
+// coprimality check keep both out of the quadratic regime this
 // benchmark used to sit in), switch bring-up, scheduler and train
-// arena pre-sizing. No traffic.
+// arena pre-sizing. No routes, no traffic.
 func BenchmarkWorldConstruction1kSwitch(b *testing.B) {
 	policy, ok := PolicyByName("nip")
 	if !ok {

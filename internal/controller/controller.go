@@ -202,11 +202,12 @@ func (c *Controller) autoProtection(path topology.Path, explicit []core.Hop) ([]
 // Graph returns the controller's topology.
 func (c *Controller) Graph() *topology.Graph { return c.g }
 
-// pathWeight is the hop weight, with failed links priced out of the
-// market when failure reaction is enabled.
+// pathWeight is nil — the hop-count search — until failure reaction
+// knows of a failed link; then it is the hop weight with failed links
+// priced out of the market, which Dijkstra searches.
 func (c *Controller) pathWeight() topology.WeightFunc {
 	if !c.reactToFailures || len(c.failed) == 0 {
-		return topology.HopWeight
+		return nil
 	}
 	const prohibitive = 1e12
 	return func(l *topology.Link) float64 {

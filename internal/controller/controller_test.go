@@ -177,6 +177,33 @@ func TestNotifyFailureWithReaction(t *testing.T) {
 	}
 }
 
+// TestPathWeightNilUntilFailure: installs take the hop-count search (a
+// nil weight) unless failure reaction knows of a failed link; only then
+// does a search price links, by Dijkstra.
+func TestPathWeightNilUntilFailure(t *testing.T) {
+	g := net15(t)
+	if New(g).pathWeight() != nil {
+		t.Error("pathWeight without failure reaction is not nil")
+	}
+	c := New(g, WithFailureReaction())
+	if c.pathWeight() != nil {
+		t.Error("pathWeight before any failure is not nil")
+	}
+	link, _ := g.LinkBetween("SW7", "SW13")
+	if err := c.NotifyFailure(link); err != nil {
+		t.Fatalf("NotifyFailure: %v", err)
+	}
+	if c.pathWeight() == nil {
+		t.Error("pathWeight with a failed link is nil")
+	}
+	if err := c.NotifyRepair(link); err != nil {
+		t.Fatalf("NotifyRepair: %v", err)
+	}
+	if c.pathWeight() != nil {
+		t.Error("pathWeight after the repair is not nil")
+	}
+}
+
 func TestInstallRouteErrors(t *testing.T) {
 	c := New(net15(t))
 	if _, err := c.InstallRoute("AS1", "NOPE", nil); err == nil {

@@ -611,7 +611,7 @@ func buildController(g *topology.Graph, routes []RouteSpec, protection [][2]stri
 	for i, rt := range routes {
 		names := rt.Path
 		if len(names) == 0 {
-			path, err := topology.ShortestPath(g, rt.Src, rt.Dst, topology.HopWeight)
+			path, err := topology.ShortestPath(g, rt.Src, rt.Dst, nil)
 			if err != nil {
 				return nil, nil, fmt.Errorf("resilience: route %s->%s: %w", rt.Src, rt.Dst, err)
 			}

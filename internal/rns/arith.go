@@ -5,8 +5,8 @@ import (
 	"math/bits"
 )
 
-// GCD returns the greatest common divisor of a and b using the binary
-// Euclidean algorithm. GCD(0, x) = x by convention.
+// GCD returns the greatest common divisor of a and b by Euclid's
+// remainder algorithm. GCD(0, x) = x by convention.
 func GCD(a, b uint64) uint64 {
 	for b != 0 {
 		a, b = b, a%b
@@ -18,18 +18,43 @@ func GCD(a, b uint64) uint64 {
 // every id is at least 2. It returns a *CoprimeError (wrapping
 // ErrNotCoprime) naming the first offending pair, or an error wrapping
 // ErrModulusTooSmall / ErrEmptyBasis.
+//
+// An id is coprime with every earlier one iff it is coprime with their
+// product, kept as little-endian 64-bit words and reduced mod the id in
+// one pass; only a failing id scans the earlier ones for its partner.
+// The cost is one pass per id, not one GCD per pair.
 func CheckPairwiseCoprime(ids []uint64) error {
 	if len(ids) == 0 {
 		return ErrEmptyBasis
 	}
+	width := 0
+	for _, id := range ids {
+		width += bits.Len64(id)
+	}
+	prod := append(make([]uint64, 0, width/64+2), 1)
 	for i, id := range ids {
 		if id < 2 {
 			return fmt.Errorf("modulus #%d is %d: %w", i, id, ErrModulusTooSmall)
 		}
-		for _, other := range ids[:i] {
-			if g := GCD(id, other); g != 1 {
-				return &CoprimeError{A: other, B: id, GCD: g}
+		var rem uint64
+		for k := len(prod) - 1; k >= 0; k-- {
+			_, rem = bits.Div64(rem, prod[k], id)
+		}
+		if GCD(id, rem) != 1 {
+			for _, other := range ids[:i] {
+				if g := GCD(id, other); g != 1 {
+					return &CoprimeError{A: other, B: id, GCD: g}
+				}
 			}
+		}
+		var carry uint64
+		for k, w := range prod {
+			hi, lo := bits.Mul64(w, id)
+			lo, c := bits.Add64(lo, carry, 0)
+			prod[k], carry = lo, hi+c
+		}
+		if carry != 0 {
+			prod = append(prod, carry)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package rns
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -172,5 +173,76 @@ func TestAddMod(t *testing.T) {
 	}
 	if got := addMod(3, 3, 7); got != 6 {
 		t.Errorf("addMod(3, 3, 7) = %d, want 6", got)
+	}
+}
+
+// pairwiseCoprime is the reference CheckPairwiseCoprime: one GCD per
+// pair, in order, reporting the first failing id and its first partner.
+func pairwiseCoprime(ids []uint64) error {
+	if len(ids) == 0 {
+		return ErrEmptyBasis
+	}
+	for i, id := range ids {
+		if id < 2 {
+			return fmt.Errorf("modulus #%d is %d: %w", i, id, ErrModulusTooSmall)
+		}
+		for _, other := range ids[:i] {
+			if g := GCD(id, other); g != 1 {
+				return &CoprimeError{A: other, B: id, GCD: g}
+			}
+		}
+	}
+	return nil
+}
+
+// TestCheckPairwiseCoprimeMatchesPairwise holds the running-product
+// check to the pairwise sweep on random bases: small ids (ids below 2,
+// duplicates and shared factors are common), and coprime 64-bit bases
+// whose product spans many words, with and without a failing id
+// appended at a random position.
+func TestCheckPairwiseCoprimeMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	check := func(ids []uint64) {
+		t.Helper()
+		got, want := CheckPairwiseCoprime(ids), pairwiseCoprime(ids)
+		var gotCE, wantCE *CoprimeError
+		if fmt.Sprint(got) != fmt.Sprint(want) || errors.As(got, &gotCE) != errors.As(want, &wantCE) ||
+			gotCE != nil && *gotCE != *wantCE {
+			t.Fatalf("CheckPairwiseCoprime(%v) = %v, want %v", ids, got, want)
+		}
+	}
+	failures := 0
+	for trial := 0; trial < 2000; trial++ {
+		ids := make([]uint64, 1+rng.Intn(12))
+		for i := range ids {
+			ids[i] = uint64(rng.Intn(60))
+		}
+		check(ids)
+		if pairwiseCoprime(ids) != nil {
+			failures++
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		var ids []uint64
+		for len(ids) < 1+rng.Intn(40) {
+			x := rng.Uint64() | 1
+			if rng.Intn(4) == 0 {
+				x = 1<<64 - 59 // the largest 64-bit prime
+			}
+			if pairwiseCoprime(append(ids, x)) == nil {
+				ids = append(ids, x)
+			}
+		}
+		check(ids)
+		bad := ids[rng.Intn(len(ids))] // a duplicate, or a shared factor
+		if f := uint64(2 + rng.Intn(1000)); rng.Intn(2) == 0 && GCD(bad, f) != 1 {
+			bad = f
+		}
+		pos := rng.Intn(len(ids) + 1)
+		ids = append(ids[:pos], append([]uint64{bad}, ids[pos:]...)...)
+		check(ids)
+	}
+	if failures == 0 {
+		t.Error("no small base failed: the failure path went untested")
 	}
 }

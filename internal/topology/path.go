@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -66,46 +67,48 @@ func (p Path) String() string {
 type WeightFunc func(*Link) float64
 
 // HopWeight counts every link as cost 1 (the paper's shortest-path
-// routing).
+// routing). ShortestPath takes nil for it and runs the bidirectional
+// hop-count search; passing HopWeight runs Dijkstra, which returns the
+// same path and is that search's test oracle.
 func HopWeight(*Link) float64 { return 1 }
 
-// pathSearch is the reusable scratch state of one Dijkstra run: dist,
-// prev and done keyed by Node.Index(), a 4-ary min-heap of node
-// indexes, and an epoch stamp so arrays never need clearing between
-// searches. Steady state allocates nothing.
+// pathSearch is the reusable scratch state of one search: for
+// Dijkstra, dist, prev and done keyed by Node.Index() and a 4-ary
+// min-heap of node indexes; for the hop-count search, a ball grown from
+// each endpoint. An epoch stamp means arrays never need clearing
+// between searches. Steady state allocates nothing.
 type pathSearch struct {
 	dist []float64
 	prev []int32 // predecessor node index; -1 at the source
 	// stamp[i] == epoch marks dist/prev[i] valid; doneAt[i] == epoch
 	// marks node i finalised.
-	stamp  []uint32
-	doneAt []uint32
-	heap   []int32
-	epoch  uint32
+	stamp    []uint32
+	doneAt   []uint32
+	heap     []int32
+	fwd, bwd ball
+	epoch    uint32
+}
+
+// ball holds the nodes within r hops of its centre: at[i] == epoch
+// puts node i in it, d[i] hops out; q lists them in level order, the
+// outermost level from q[lo].
+type ball struct {
+	at   []uint32
+	d, q []int32
+	lo   int
+	r    int32
 }
 
 var searchPool = sync.Pool{New: func() any { return new(pathSearch) }}
 
-// begin sizes the arrays for n nodes and opens a fresh epoch.
+// begin sizes the arrays for n nodes and opens a fresh epoch; when the
+// epoch wraps, fresh arrays stand in for clearing stale stamps.
 func (s *pathSearch) begin(n int) {
-	if cap(s.dist) < n {
-		s.dist = make([]float64, n)
-		s.prev = make([]int32, n)
-		s.stamp = make([]uint32, n)
-		s.doneAt = make([]uint32, n)
-		s.epoch = 0
-	}
-	s.dist = s.dist[:n]
-	s.prev = s.prev[:n]
-	s.stamp = s.stamp[:n]
-	s.doneAt = s.doneAt[:n]
 	s.heap = s.heap[:0]
-	s.epoch++
-	if s.epoch == 0 { // wrapped: stale stamps could collide, clear once
-		for i := range s.stamp {
-			s.stamp[i], s.doneAt[i] = 0, 0
-		}
-		s.epoch = 1
+	if s.epoch++; cap(s.dist) < n || s.epoch == 0 {
+		newBall := func() ball { return ball{at: make([]uint32, n), d: make([]int32, n), q: make([]int32, 0, n)} }
+		*s = pathSearch{dist: make([]float64, n), prev: make([]int32, n), stamp: make([]uint32, n),
+			doneAt: make([]uint32, n), fwd: newBall(), bwd: newBall(), epoch: 1}
 	}
 }
 
@@ -183,12 +186,11 @@ func (s *pathSearch) pop() int32 {
 }
 
 // run executes Dijkstra from node `from`. Edge nodes other than the
-// source are never expanded (no transit through customer edges, per
-// the paper's core/edge split); when `to` is non-nil the search stops
-// as soon as it is finalised. With relaxEdges false, edge nodes other
-// than the source are not even relaxed into (the ShortestPathTree
-// variant: an edge never forwards toward the root).
-func (s *pathSearch) run(g *Graph, from, to *Node, weight WeightFunc, relaxEdges bool) {
+// source and `to` are neither relaxed into nor expanded (no transit
+// through customer edges, per the paper's core/edge split); when `to`
+// is non-nil the search stops as soon as it is finalised, and when it
+// is nil (ShortestPathTree) no edge forwards toward the root.
+func (s *pathSearch) run(g *Graph, from, to *Node, weight WeightFunc) {
 	s.begin(len(g.order))
 	s.relax(int32(from.idx), 0, -1)
 	for len(s.heap) > 0 {
@@ -198,18 +200,15 @@ func (s *pathSearch) run(g *Graph, from, to *Node, weight WeightFunc, relaxEdges
 		}
 		s.doneAt[ci] = s.epoch
 		cur := g.order[ci]
-		if to != nil && cur == to {
+		if cur == to {
 			return
-		}
-		if cur.kind == KindEdge && cur != from {
-			continue // no transit through edges
 		}
 		for _, l := range cur.ports {
 			if l == nil {
 				continue
 			}
 			next := l.Other(cur)
-			if !relaxEdges && next.kind == KindEdge && next != from {
+			if next.kind == KindEdge && next != from && next != to {
 				continue
 			}
 			ni := int32(next.idx)
@@ -221,10 +220,101 @@ func (s *pathSearch) run(g *Graph, from, to *Node, weight WeightFunc, relaxEdges
 	}
 }
 
-// ShortestPath runs Dijkstra from src to dst under the given weight
-// (HopWeight when nil). Edge nodes other than src and dst are never
-// used as transit — the paper's core/edge split means traffic cannot
-// cut through a customer edge.
+// start makes node i the ball's centre.
+func (b *ball) start(i int32, epoch uint32) {
+	b.at[i], b.d[i] = epoch, 0
+	b.q, b.lo, b.r = append(b.q[:0], i), 0, 0
+}
+
+// grow adds the ball's next level, skipping edge nodes other than gate
+// (the far endpoint), and reports whether the new level touches other.
+func (b *ball) grow(g *Graph, gate *Node, other *ball, epoch uint32) (touched bool) {
+	hi := len(b.q)
+	for _, ci := range b.q[b.lo:hi] {
+		cur := g.order[ci]
+		for _, l := range cur.ports {
+			if l == nil {
+				continue
+			}
+			next := l.Other(cur)
+			if ni := int32(next.idx); b.at[ni] != epoch && (next.kind != KindEdge || next == gate) {
+				b.at[ni], b.d[ni] = epoch, b.r+1
+				b.q = append(b.q, ni)
+				touched = touched || other.at[ni] == epoch
+			}
+		}
+	}
+	b.lo, b.r = hi, b.r+1
+	return touched
+}
+
+// appendHopPath appends the hop-count shortest path from → to (distinct
+// nodes) that Dijkstra's (dist, Node.Index()) pop order picks: each
+// node's predecessor is its lowest-index switch (or from) neighbour one
+// hop nearer from. It reports false when there is no path.
+func (s *pathSearch) appendHopPath(buf []*Node, g *Graph, from, to *Node) ([]*Node, bool) {
+	s.begin(len(g.order))
+	f, b, e := &s.fwd, &s.bwd, s.epoch
+	f.start(int32(from.idx), e)
+	b.start(int32(to.idx), e)
+	// Grow the smaller frontier a full level at a time until the balls
+	// touch: the touching nodes are then the layer f.r hops from from
+	// and b.r hops from to of every f.r + b.r hop path.
+	for touched := false; !touched; {
+		if f.lo == len(f.q) || b.lo == len(b.q) {
+			return buf, false
+		}
+		if len(f.q)-f.lo <= len(b.q)-b.lo {
+			touched = f.grow(g, to, b, e)
+		} else {
+			touched = b.grow(g, from, f, e)
+		}
+	}
+	// Extend the forward distances, a level at a time inwards, over the
+	// backward ball's nodes on a shortest path: those with a neighbour
+	// one hop nearer from. b.q[:b.lo] backwards is those levels in turn.
+	hops := f.r + b.r
+	for k := b.lo - 1; k >= 0; k-- {
+		wi := b.q[k]
+		w := g.order[wi]
+		for _, l := range w.ports {
+			if ui := otherIndex(l, w); ui >= 0 && f.at[ui] == e && f.d[ui] == hops-b.d[wi]-1 {
+				f.at[wi], f.d[wi] = e, hops-b.d[wi]
+				break
+			}
+		}
+	}
+	// Walk back from to, taking the lowest-index neighbour one hop
+	// nearer from.
+	base := len(buf)
+	buf = slices.Grow(buf, int(hops)+1)[:base+int(hops)+1]
+	buf[base+int(hops)] = to
+	for k, v := hops, to; k > 0; k-- {
+		best := int32(len(g.order))
+		for _, l := range v.ports {
+			if ui := otherIndex(l, v); ui >= 0 && ui < best && f.at[ui] == e && f.d[ui] == k-1 {
+				best = ui
+			}
+		}
+		v = g.order[best]
+		buf[base+int(k)-1] = v
+	}
+	return buf, true
+}
+
+// otherIndex is the index of the node across port link l from n, or -1
+// for an empty port.
+func otherIndex(l *Link, n *Node) int32 {
+	if l == nil {
+		return -1
+	}
+	return int32(l.Other(n).idx)
+}
+
+// ShortestPath finds a shortest path from src to dst: by hop count
+// when weight is nil, else by Dijkstra under weight. Edge nodes other
+// than src and dst are never used as transit — the paper's core/edge
+// split means traffic cannot cut through a customer edge.
 func ShortestPath(g *Graph, src, dst string, weight WeightFunc) (Path, error) {
 	nodes, err := AppendShortestPath(nil, g, src, dst, weight)
 	if err != nil {
@@ -237,10 +327,11 @@ func ShortestPath(g *Graph, src, dst string, weight WeightFunc) (Path, error) {
 // (grown as needed): with a reused buffer a steady-state search
 // allocates nothing. The result aliases buf's storage, so callers
 // that retain paths (route installs) must copy or hand over the slice.
+//
+// A nil weight runs a bidirectional breadth-first search, which visits
+// the two balls that meet rather than the whole graph; it returns the
+// path Dijkstra under HopWeight returns, tie-break included.
 func AppendShortestPath(buf []*Node, g *Graph, src, dst string, weight WeightFunc) ([]*Node, error) {
-	if weight == nil {
-		weight = HopWeight
-	}
 	from, ok := g.Node(src)
 	if !ok {
 		return buf, fmt.Errorf("source %q: %w", src, ErrUnknownNode)
@@ -252,29 +343,23 @@ func AppendShortestPath(buf []*Node, g *Graph, src, dst string, weight WeightFun
 	if from == to {
 		return append(buf, from), nil
 	}
-
 	s := searchPool.Get().(*pathSearch)
 	defer searchPool.Put(s)
-	s.run(g, from, to, weight, true)
-	ti := int32(to.idx)
-	if !s.done(ti) {
+	if weight == nil {
+		if buf, ok = s.appendHopPath(buf, g, from, to); !ok {
+			return buf, fmt.Errorf("%s -> %s: %w", src, dst, ErrNoPath)
+		}
+		return buf, nil
+	}
+	s.run(g, from, to, weight)
+	if !s.done(int32(to.idx)) {
 		return buf, fmt.Errorf("%s -> %s: %w", src, dst, ErrNoPath)
 	}
-	// Walk the prev chain to count, then fill the result tail-first.
-	n := 0
-	for i := ti; i >= 0; i = s.prev[i] {
-		n++
-	}
 	base := len(buf)
-	for len(buf) < base+n {
-		buf = append(buf, nil)
+	for i := int32(to.idx); i >= 0; i = s.prev[i] {
+		buf = append(buf, g.order[i])
 	}
-	for i, k := ti, base+n-1; i >= 0; i, k = s.prev[i], k-1 {
-		buf[k] = g.order[i]
-	}
-	if buf[base] != from {
-		return buf[:base], fmt.Errorf("%s -> %s: %w", src, dst, ErrNoPath)
-	}
+	slices.Reverse(buf[base:])
 	return buf, nil
 }
 
@@ -294,7 +379,7 @@ func ShortestPathTree(g *Graph, root string, weight WeightFunc) (map[*Node]*Link
 
 	s := searchPool.Get().(*pathSearch)
 	defer searchPool.Put(s)
-	s.run(g, r, nil, weight, false)
+	s.run(g, r, nil, weight)
 
 	next := make(map[*Node]*Link, len(g.order))
 	for i, n := range g.order {

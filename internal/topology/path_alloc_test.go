@@ -7,36 +7,58 @@ package topology
 
 import "testing"
 
-// TestAppendShortestPathZeroAlloc: steady-state Dijkstra — pooled
+// TestAppendShortestPathZeroAlloc: a steady-state search — pooled
 // scratch arrays warm, caller-owned result buffer reused — must not
-// allocate. This is the controller's reroute inner loop.
+// allocate, by the hop-count search (nil weight, the controller's
+// installs) or by Dijkstra (its reroutes after a failure).
 func TestAppendShortestPathZeroAlloc(t *testing.T) {
-	g, err := FromSpec("rand:48:72:12:5")
+	for _, spec := range []string{"rand:48:72:12:5", "fattree:28"} {
+		g, err := FromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges := g.EdgeNodes()
+		src, dst := edges[0].Name(), edges[len(edges)-1].Name()
+		for _, weight := range []WeightFunc{nil, HopWeight} {
+			// Warm run: sizes the pooled search state and the result buffer.
+			buf, err := AppendShortestPath(nil, g, src, dst, weight)
+			if err != nil {
+				t.Fatalf("%s: AppendShortestPath: %v", spec, err)
+			}
+			want := Path{Nodes: buf}.String()
+
+			allocs := testing.AllocsPerRun(200, func() {
+				var err error
+				buf, err = AppendShortestPath(buf[:0], g, src, dst, weight)
+				if err != nil {
+					t.Fatalf("%s: AppendShortestPath: %v", spec, err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s (weight %p): steady-state AppendShortestPath allocates %.1f objects/op, want 0", spec, weight, allocs)
+			}
+			if got := (Path{Nodes: buf}).String(); got != want {
+				t.Errorf("%s (weight %p): reused-buffer path = %s, want %s", spec, weight, got, want)
+			}
+		}
+	}
+}
+
+// TestValidateAllocs: validating a 980-switch fat tree allocates the
+// ID list and the coprimality check's running product, nothing per
+// switch or per pair.
+func TestValidateAllocs(t *testing.T) {
+	g, err := FromSpec("fattree:28")
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := g.EdgeNodes()
-	src, dst := edges[0].Name(), edges[len(edges)-1].Name()
-
-	// Warm run: sizes the pooled search state and the result buffer.
-	buf, err := AppendShortestPath(nil, g, src, dst, nil)
-	if err != nil {
-		t.Fatalf("AppendShortestPath: %v", err)
-	}
-	want := Path{Nodes: buf}.String()
-
-	allocs := testing.AllocsPerRun(200, func() {
-		var err error
-		buf, err = AppendShortestPath(buf[:0], g, src, dst, nil)
-		if err != nil {
-			t.Fatalf("AppendShortestPath: %v", err)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("steady-state AppendShortestPath allocates %.1f objects/op, want 0", allocs)
-	}
-	if got := (Path{Nodes: buf}).String(); got != want {
-		t.Errorf("reused-buffer path = %s, want %s", got, want)
+	if allocs > 2 {
+		t.Errorf("Validate on fattree:28 allocates %.1f objects, want <= 2", allocs)
 	}
 }
 

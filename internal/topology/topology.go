@@ -433,9 +433,11 @@ func linkBetween(na, nb *Node) *Link {
 // core ID strictly greater than its highest port index (so residues
 // can address every port), per-link sanity, and connectivity.
 func (g *Graph) Validate() error {
-	cores := g.CoreNodes()
-	ids := make([]uint64, 0, len(cores))
-	for _, n := range cores {
+	ids := make([]uint64, 0, len(g.order))
+	for _, n := range g.order {
+		if n.kind != KindCore {
+			continue
+		}
 		if n.id == 0 {
 			return fmt.Errorf("core %s: %w", n, ErrNoCoreID)
 		}
@@ -446,8 +448,8 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("core switch IDs: %w", err)
 		}
 	}
-	for _, n := range cores {
-		if maxPort := len(n.ports) - 1; maxPort >= 0 && n.id <= uint64(maxPort) {
+	for _, n := range g.order {
+		if maxPort := len(n.ports) - 1; n.kind == KindCore && maxPort >= 0 && n.id <= uint64(maxPort) {
 			return fmt.Errorf("core %s id %d with max port %d: %w", n, n.id, maxPort, ErrIDTooSmall)
 		}
 	}
@@ -468,24 +470,28 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// connected reports whether every node is reachable from the first,
+// by a breadth-first search over a pooled search's forward ball: seen
+// marks indexed by Node.Index() and a slice queue, no map.
 func (g *Graph) connected() bool {
-	seen := make(map[*Node]bool, len(g.order))
-	stack := []*Node{g.order[0]}
-	seen[g.order[0]] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	s := searchPool.Get().(*pathSearch)
+	defer searchPool.Put(s)
+	s.begin(len(g.order))
+	b := &s.fwd
+	b.start(0, s.epoch)
+	for k := 0; k < len(b.q); k++ {
+		n := g.order[b.q[k]]
 		for _, l := range n.ports {
 			if l == nil {
 				continue
 			}
-			if o := l.Other(n); !seen[o] {
-				seen[o] = true
-				stack = append(stack, o)
+			if oi := l.Other(n).idx; b.at[oi] != s.epoch {
+				b.at[oi] = s.epoch
+				b.q = append(b.q, int32(oi))
 			}
 		}
 	}
-	return len(seen) == len(g.order)
+	return len(b.q) == len(g.order)
 }
 
 // Summary renders a one-line description.

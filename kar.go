@@ -143,7 +143,8 @@ func PlanProtection(g *Graph, path Path, maxBits int) ([]Hop, error) {
 // PolicyByName resolves "none", "hp", "avp", "nip" or "dtree".
 func PolicyByName(name string) (Policy, bool) { return deflect.ByName(name) }
 
-// ShortestPath runs hop-count Dijkstra between two named nodes.
+// ShortestPath finds a hop-count shortest path between two named nodes
+// by bidirectional breadth-first search, with Dijkstra's tie-break.
 func ShortestPath(g *Graph, src, dst string) (Path, error) {
 	return topology.ShortestPath(g, src, dst, nil)
 }

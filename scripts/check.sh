@@ -104,11 +104,26 @@ if [ "$(printf '%s\n' "$spawns" | grep -c '^internal/simnet/shard\.go:')" != 1 ]
     exit 1
 fi
 
+echo "==> hop-count searches take one path"
+# A nil weight is the bidirectional hop-count search; HopWeight makes
+# the same search a whole-graph Dijkstra, the hop search's test oracle.
+# tablefwd's default, the planner's tree weight and the controller's
+# failed-link closure keep HopWeight: none is a ShortestPath call.
+if grep -rnE --include='*.go' '(Append)?ShortestPath\(.*topology\.HopWeight' . | grep -v '_test\.go:' | grep -v '^\./internal/topology/'; then
+    echo "FAIL: a ShortestPath/AppendShortestPath call passes topology.HopWeight (pass nil for hop count)" >&2
+    exit 1
+fi
+
 echo "==> fuzz the scheduler queue against a sorted reference (10 s)"
 # The committed corpus (internal/simnet/testdata/fuzz) runs with every
 # go test; this explores from it: random programs of post / train append
 # / re-key / pop over the calendar's bucket and horizon edges.
 go test -run '^$' -fuzz FuzzSchedulerOrder -fuzztime 10s ./internal/simnet
+
+echo "==> fuzz the hop-count search against Dijkstra (10 s)"
+# rand: topologies and endpoints from the committed corpus
+# (internal/topology/testdata/fuzz): bidirectional search ≡ HopWeight.
+go test -run '^$' -fuzz FuzzHopSearch -fuzztime 10s ./internal/topology
 
 echo "==> fuzz xrand's stream against math/rand's (10 s)"
 # Arbitrary (seed, length) from the committed corpus, which pins the
