@@ -76,10 +76,6 @@ type Controller struct {
 	// between windows) and cannot overlap a window by construction.
 	reencMu sync.Mutex
 
-	// enc caches RNS bases across encodes: reroutes re-encode routes
-	// over recurring (path ∪ protection) switch sets.
-	enc *core.Encoder
-
 	// Telemetry (a private registry and event log when the world
 	// supplies none). reg is only what New binds the counters on.
 	reg              *telemetry.Registry
@@ -167,7 +163,6 @@ func New(g *topology.Graph, opts ...Option) *Controller {
 		failed:  make(map[*topology.Link]bool),
 		entries: make(map[pair]*routeEntry),
 		byLink:  make(map[*topology.Link]map[pair]struct{}),
-		enc:     core.NewEncoder(),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -197,6 +192,18 @@ func (c *Controller) autoProtection(path topology.Path, explicit []core.Hop) ([]
 		return explicit, nil
 	}
 	return c.planner.Plan(path, c.autoOpts)
+}
+
+// encode is every route ID the controller computes: path with the
+// given protection hops, or with the planned set when auto-protection
+// is on and hops is empty. Safe for concurrent use, like
+// autoProtection.
+func (c *Controller) encode(path topology.Path, hops []core.Hop) (*core.Route, error) {
+	hops, err := c.autoProtection(path, hops)
+	if err != nil {
+		return nil, err
+	}
+	return core.EncodeRoute(path, hops)
 }
 
 // Graph returns the controller's topology.
@@ -277,14 +284,11 @@ func (c *Controller) InstallRoute(src, dst string, protection []core.Hop) (*core
 	if err != nil {
 		return nil, fmt.Errorf("controller: route %s->%s: %w", src, dst, err)
 	}
-	if protection, err = c.autoProtection(path, protection); err != nil {
-		return nil, fmt.Errorf("controller: route %s->%s: %w", src, dst, err)
-	}
-	route, err := c.enc.EncodeRoute(path, protection)
+	route, err := c.encode(path, protection)
 	if err != nil {
 		return nil, fmt.Errorf("controller: route %s->%s: %w", src, dst, err)
 	}
-	c.install(pair{src: src, dst: dst}, route, append([]core.Hop(nil), protection...))
+	c.install(pair{src: src, dst: dst}, route, route.Protection)
 	c.recordInstall(src, dst, route)
 	return route, nil
 }
@@ -312,16 +316,12 @@ func (c *Controller) InstallRouteOnPath(nodeNames []string, protection []core.Ho
 		nodes[i] = n
 	}
 	path := topology.Path{Nodes: nodes}
-	protection, err := c.autoProtection(path, protection)
-	if err != nil {
-		return nil, fmt.Errorf("controller: explicit route %s: %w", path, err)
-	}
-	route, err := c.enc.EncodeRoute(path, protection)
+	route, err := c.encode(path, protection)
 	if err != nil {
 		return nil, fmt.Errorf("controller: explicit route %s: %w", path, err)
 	}
 	src, dst := nodeNames[0], nodeNames[len(nodeNames)-1]
-	c.install(pair{src: src, dst: dst}, route, append([]core.Hop(nil), protection...))
+	c.install(pair{src: src, dst: dst}, route, route.Protection)
 	c.recordInstall(src, dst, route)
 	return route, nil
 }
@@ -385,19 +385,14 @@ func (c *Controller) reencode(fromEdge, dstEdge string, at *time.Duration) (rns.
 	if err != nil {
 		return rns.RouteID{}, 0, fmt.Errorf("controller: re-encode %s->%s: %w", fromEdge, dstEdge, err)
 	}
-	var protection []core.Hop
-	if c.autoProtect {
-		// Per-destination planning applies to re-encoded routes too: the
-		// fresh route gets a tree rooted at its own destination instead
-		// of borrowing whatever protected route happens to end there.
-		protection, err = c.autoProtection(path, nil)
-		if err != nil {
-			return rns.RouteID{}, 0, fmt.Errorf("controller: re-encode %s->%s: %w", fromEdge, dstEdge, err)
-		}
-	} else {
-		protection = filterHops(c.protectionToward(dstEdge), path)
+	// With auto-protection the fresh route gets a tree rooted at its
+	// own destination instead of borrowing whatever protected route
+	// happens to end there.
+	var hops []core.Hop
+	if !c.autoProtect {
+		hops = filterHops(c.protectionToward(dstEdge), path)
 	}
-	route, err := c.enc.EncodeRoute(path, protection)
+	route, err := c.encode(path, hops)
 	if err != nil {
 		return rns.RouteID{}, 0, fmt.Errorf("controller: re-encode %s->%s: %w", fromEdge, dstEdge, err)
 	}
@@ -534,15 +529,14 @@ func (c *Controller) reroute(affected []pair) error {
 		if err != nil {
 			return result{err: err, unreachable: true}
 		}
-		hops := filterHops(c.entries[k].protection, path)
-		if c.autoProtect {
-			// The new path has a new on-route set; re-plan from the cached
-			// destination tree instead of filtering the old plan.
-			if hops, err = c.autoProtection(path, nil); err != nil {
-				return result{err: err}
-			}
+		// The new path has a new on-route set: with auto-protection,
+		// encode re-plans from the cached destination tree instead of
+		// filtering the old plan.
+		var hops []core.Hop
+		if !c.autoProtect {
+			hops = filterHops(c.entries[k].protection, path)
 		}
-		route, err := c.enc.EncodeRoute(path, hops)
+		route, err := c.encode(path, hops)
 		return result{route: route, err: err}
 	}
 	// A failed recompute is that pair's result, not the pool's error:

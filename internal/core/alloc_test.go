@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/rns"
+	"repro/internal/topology"
 )
 
 // TestForwardZeroAlloc: the per-packet data plane — reducer-based and
@@ -18,7 +19,7 @@ func TestForwardZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wide.IsWide() {
+	if _, ok := wide.Uint64(); ok {
 		t.Fatal("16-prime route ID unexpectedly fits 64 bits")
 	}
 	red := rns.NewReducer(29)
@@ -39,5 +40,48 @@ func TestForwardZeroAlloc(t *testing.T) {
 	}
 	if sink < 0 {
 		t.Fatal("impossible sink")
+	}
+}
+
+// TestEncodeRouteAllocs bounds one fresh encode, basis validation and
+// CRT constants included: a 5-switch fattree:28 path, and Net15's
+// AS1→AS3 route with its planned protection set.
+func TestEncodeRouteAllocs(t *testing.T) {
+	cases := []struct {
+		spec, src, dst string
+		protect        bool
+		max            float64
+	}{
+		{"fattree:28", "", "", false, 10}, // first edge to last: 5 switches
+		{"net15", "AS1", "AS3", true, 14},
+	}
+	for _, tc := range cases {
+		g, err := topology.ByName(tc.spec)
+		if err != nil {
+			t.Fatalf("ByName(%s): %v", tc.spec, err)
+		}
+		if tc.src == "" {
+			edges := g.EdgeNodes()
+			tc.src, tc.dst = edges[0].Name(), edges[len(edges)-1].Name()
+		}
+		path, err := topology.ShortestPath(g, tc.src, tc.dst, nil)
+		if err != nil {
+			t.Fatalf("ShortestPath: %v", err)
+		}
+		var hops []Hop
+		if tc.protect {
+			if hops, err = PlanProtection(g, path, PlanOptions{}); err != nil {
+				t.Fatalf("PlanProtection: %v", err)
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := EncodeRoute(path, hops); err != nil {
+				t.Fatalf("EncodeRoute: %v", err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("%s %s: EncodeRoute allocates %.1f objects/op, want <= %.0f", tc.spec, path, allocs, tc.max)
+		}
+		t.Logf("%s %s (%d protection hops): %.1f allocations/op", tc.spec, path, len(hops), allocs)
 	}
 }

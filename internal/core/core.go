@@ -109,17 +109,7 @@ func (r *Route) String() string {
 // consecutive path nodes, with the last core's hop pointing at the
 // egress edge. Enforces the single-residue constraint: a switch may
 // appear at most once across primary and protection hops.
-//
-// Every call validates and precomputes a fresh rns.System; callers
-// that encode many routes over recurring bases (the controller's
-// reroute path) should hold an Encoder instead.
 func EncodeRoute(path topology.Path, protection []Hop) (*Route, error) {
-	return encodeRoute(path, protection, rns.NewSystem)
-}
-
-// encodeRoute is the shared body of EncodeRoute and Encoder.EncodeRoute;
-// sysFor supplies the validated RNS basis (fresh or cached).
-func encodeRoute(path topology.Path, protection []Hop, sysFor func([]uint64) (*rns.System, error)) (*Route, error) {
 	primary, err := primaryHops(path)
 	if err != nil {
 		return nil, err
@@ -153,7 +143,7 @@ func encodeRoute(path topology.Path, protection []Hop, sysFor func([]uint64) (*r
 		moduli[i] = h.Switch.ID()
 		residues[i] = uint64(h.Port)
 	}
-	sys, err := sysFor(moduli)
+	sys, err := rns.NewSystem(moduli)
 	if err != nil {
 		return nil, fmt.Errorf("route basis: %w", err)
 	}

@@ -302,3 +302,19 @@ func TestPlanProtectionPrefersRouteNeighbours(t *testing.T) {
 		}
 	}
 }
+
+// TestEncoderMatchesEncodeRoute: the Encoder shim is EncodeRoute.
+func TestEncoderMatchesEncodeRoute(t *testing.T) {
+	p := fig1Path(t, fig1Graph(t))
+	want, err := EncodeRoute(p, nil)
+	if err != nil {
+		t.Fatalf("EncodeRoute: %v", err)
+	}
+	got, err := NewEncoder().EncodeRoute(p, nil)
+	if err != nil {
+		t.Fatalf("Encoder.EncodeRoute: %v", err)
+	}
+	if !got.ID.Equal(want.ID) || got.String() != want.String() {
+		t.Errorf("Encoder.EncodeRoute = %v, EncodeRoute = %v", got, want)
+	}
+}

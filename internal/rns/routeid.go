@@ -41,23 +41,12 @@ func RouteIDFromBytes(b []byte) RouteID {
 	return RouteIDFromBig(new(big.Int).SetBytes(b))
 }
 
-// IsWide reports whether the value does not fit in 64 bits.
-func (r RouteID) IsWide() bool { return r.wide != nil }
-
 // Uint64 returns the native value and whether it was representable.
 func (r RouteID) Uint64() (uint64, bool) {
 	if r.wide != nil {
 		return 0, false
 	}
 	return r.small, true
-}
-
-// Big returns the value as a fresh big.Int.
-func (r RouteID) Big() *big.Int {
-	if r.wide != nil {
-		return new(big.Int).Set(r.wide)
-	}
-	return new(big.Int).SetUint64(r.small)
 }
 
 // Bytes returns the minimal big-endian encoding (empty for zero),

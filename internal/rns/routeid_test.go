@@ -9,9 +9,6 @@ import (
 
 func TestRouteIDZeroValue(t *testing.T) {
 	var r RouteID
-	if r.IsWide() {
-		t.Error("zero RouteID reports wide")
-	}
 	if v, ok := r.Uint64(); !ok || v != 0 {
 		t.Errorf("zero RouteID Uint64 = (%d, %v), want (0, true)", v, ok)
 	}
@@ -66,7 +63,7 @@ func TestRouteIDBytesRoundTripWide(t *testing.T) {
 
 func TestRouteIDFromBigNormalisesSmallValues(t *testing.T) {
 	r := RouteIDFromBig(big.NewInt(660))
-	if r.IsWide() {
+	if _, ok := r.Uint64(); !ok {
 		t.Error("660 normalised to wide representation")
 	}
 	if !r.Equal(RouteIDFromUint64(660)) {
@@ -120,11 +117,10 @@ func TestRouteIDEqualAcrossWidths(t *testing.T) {
 	}
 }
 
-func TestRouteIDBigIsACopy(t *testing.T) {
+func TestRouteIDBytesIsACopy(t *testing.T) {
 	r := RouteIDFromBig(new(big.Int).Lsh(big.NewInt(3), 90))
-	b := r.Big()
-	b.SetInt64(0)
+	clear(r.Bytes())
 	if r.BitLen() != 92 {
-		t.Errorf("mutating Big() result changed the RouteID: BitLen = %d, want 92", r.BitLen())
+		t.Errorf("mutating a Bytes() result changed the RouteID: BitLen = %d, want 92", r.BitLen())
 	}
 }

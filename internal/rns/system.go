@@ -16,16 +16,16 @@ import (
 type System struct {
 	moduli []uint64
 
+	li []uint64 // Lᵢ, on both paths (always < sᵢ, so always native)
+
 	// Native fast path, used when M < 2^64.
 	small bool
 	m     uint64
 	mi    []uint64 // Mᵢ
-	li    []uint64 // Lᵢ (always < sᵢ, so always native)
 
 	// Wide path.
 	mBig  *big.Int
 	miBig []*big.Int
-	liBig []uint64
 }
 
 // NewSystem validates moduli (each ≥ 2, pairwise coprime) and
@@ -34,7 +34,7 @@ func NewSystem(moduli []uint64) (*System, error) {
 	if err := CheckPairwiseCoprime(moduli); err != nil {
 		return nil, err
 	}
-	s := &System{moduli: append([]uint64(nil), moduli...)}
+	s := &System{moduli: append([]uint64(nil), moduli...), li: make([]uint64, len(moduli))}
 
 	// Try the native path first: M = ∏ sᵢ in uint64.
 	m := uint64(1)
@@ -51,7 +51,6 @@ func NewSystem(moduli []uint64) (*System, error) {
 		s.small = true
 		s.m = m
 		s.mi = make([]uint64, len(s.moduli))
-		s.li = make([]uint64, len(s.moduli))
 		for i, id := range s.moduli {
 			mi := m / id
 			li, err := ModInverse(mi%id, id)
@@ -69,7 +68,6 @@ func NewSystem(moduli []uint64) (*System, error) {
 		s.mBig.Mul(s.mBig, new(big.Int).SetUint64(id))
 	}
 	s.miBig = make([]*big.Int, len(s.moduli))
-	s.liBig = make([]uint64, len(s.moduli))
 	rem := new(big.Int)
 	for i, id := range s.moduli {
 		idBig := new(big.Int).SetUint64(id)
@@ -78,7 +76,7 @@ func NewSystem(moduli []uint64) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("basis modulus %d: %w", id, err)
 		}
-		s.miBig[i], s.liBig[i] = mi, li
+		s.miBig[i], s.li[i] = mi, li
 	}
 	return s, nil
 }
@@ -143,7 +141,7 @@ func (s *System) encodeWide(residues []uint64) RouteID {
 		// ((p·Lᵢ) mod sᵢ)·Mᵢ, same overflow-free shape as the native path:
 		// p and Lᵢ are both < sᵢ, so the 128-bit product reduced by sᵢ
 		// never overflows when done via Mul64/Div64.
-		hi, lo := bits.Mul64(p, s.liBig[i])
+		hi, lo := bits.Mul64(p, s.li[i])
 		_, t := bits.Div64(hi, lo, s.moduli[i])
 		term.SetUint64(t)
 		term.Mul(term, s.miBig[i])

@@ -153,7 +153,7 @@ func TestEncodeDecodeRoundTripWide(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	if !sys.M().IsWide() {
+	if _, ok := sys.M().Uint64(); ok {
 		t.Fatal("expected a wide basis (M >= 2^64); test is not exercising the big path")
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -238,7 +238,7 @@ func TestWideMatchesBigIntReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	if !sys.M().IsWide() {
+	if _, ok := sys.M().Uint64(); ok {
 		t.Fatal("basis unexpectedly fits in uint64")
 	}
 	rng := rand.New(rand.NewSource(23))
@@ -252,7 +252,7 @@ func TestWideMatchesBigIntReference(t *testing.T) {
 			t.Fatalf("Encode: %v", err)
 		}
 		// Reference: check residues via big.Int directly.
-		rb := r.Big()
+		rb := new(big.Int).SetBytes(r.Bytes())
 		for j, m := range moduli {
 			want := new(big.Int).Mod(rb, new(big.Int).SetUint64(m)).Uint64()
 			if got := r.Mod(m); got != want {
@@ -262,5 +262,32 @@ func TestWideMatchesBigIntReference(t *testing.T) {
 				t.Fatalf("encoded residue mod %d = %d, want %d", m, want, res[j])
 			}
 		}
+	}
+}
+
+func TestAppendResiduesMatchesResidues(t *testing.T) {
+	sys, err := NewSystem([]uint64{10, 7, 13, 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sys.Encode([]uint64{3, 2, 7, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sys.Residues(r)
+	buf := make([]uint64, 0, 8)
+	got := sys.AppendResidues(buf[:0], r)
+	if len(got) != len(want) {
+		t.Fatalf("AppendResidues returned %d residues, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("residue[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+	// Appending preserves the prefix.
+	pre := sys.AppendResidues([]uint64{99}, r)
+	if pre[0] != 99 || len(pre) != len(want)+1 {
+		t.Error("AppendResidues clobbered the destination prefix")
 	}
 }

@@ -114,6 +114,20 @@ if grep -rnE --include='*.go' '(Append)?ShortestPath\(.*topology\.HopWeight' . |
     exit 1
 fi
 
+echo "==> a route ID is encoded by core.EncodeRoute alone"
+# Every route ID is core.EncodeRoute → rns.NewSystem, with no basis
+# cache in front: core.NewEncoder is a stateless shim bench/ pins, and
+# kar.go's NewRNS and examples/quickstart build a System for display.
+if grep -rnE --include='*.go' '(^|[^.[:alnum:]_])NewEncoder\(|core\.NewEncoder\(' . | grep -v '_test\.go:' |
+    grep -v '^\./bench/' | grep -v '^\./internal/core/encoder\.go:[0-9]*:func NewEncoder()'; then
+    echo "FAIL: core.NewEncoder called outside bench/ (call core.EncodeRoute)" >&2
+    exit 1
+fi
+if grep -rn --include='*.go' 'rns\.NewSystem(' internal | grep -v '_test\.go:' | grep -vE '^internal/(rns|core)/'; then
+    echo "FAIL: rns.NewSystem called under internal/ outside internal/rns and internal/core" >&2
+    exit 1
+fi
+
 echo "==> fuzz the scheduler queue against a sorted reference (10 s)"
 # The committed corpus (internal/simnet/testdata/fuzz) runs with every
 # go test; this explores from it: random programs of post / train append
