@@ -97,7 +97,7 @@ var experiments = []struct {
 	// carries the kar_ctrl_reroutes_{recomputed,skipped}_total counters.
 	{"reaction", true, func(o *options) error {
 		rows, err := experiment.Reaction(experiment.ReactionConfig{
-			Seed: o.seed, Workers: o.workers, Metrics: o.collector, Trace: o.tracer,
+			Seed: o.seed, Metrics: o.collector, Trace: o.tracer,
 		})
 		if err != nil {
 			return err

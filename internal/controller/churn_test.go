@@ -229,43 +229,6 @@ func TestIncrementalRerouteSavings(t *testing.T) {
 		link, recomputed, skipped, float64(recomputed+skipped)/float64(recomputed))
 }
 
-// TestRerouteWorkerInvariance: the worker pool changes wall clock
-// only. The same failure schedule at 1, 4 and 8 workers must produce
-// byte-identical route tables and counter values.
-func TestRerouteWorkerInvariance(t *testing.T) {
-	run := func(workers int) (map[pair][2]string, [3]int64) {
-		reg := telemetry.NewRegistry()
-		g, c := genController(t, "rand:32:48:12:11",
-			WithTelemetry(reg, nil), WithWorkers(workers))
-		links := coreLinks(g)
-		rng := rand.New(rand.NewSource(11))
-		for step := 0; step < 12; step++ {
-			l := links[rng.Intn(len(links))]
-			if c.failed[l] {
-				if err := c.NotifyRepair(l); err != nil {
-					t.Fatalf("workers=%d: NotifyRepair: %v", workers, err)
-				}
-			} else if err := c.NotifyFailure(l); err != nil {
-				t.Fatalf("workers=%d: NotifyFailure: %v", workers, err)
-			}
-		}
-		return snapshot(c), [3]int64{
-			reg.Counter("kar_ctrl_reroutes_recomputed_total").Value(),
-			reg.Counter("kar_ctrl_reroutes_skipped_total").Value(),
-			reg.Counter("kar_ctrl_route_computes_total").Value(),
-		}
-	}
-
-	base, baseCounters := run(1)
-	for _, workers := range []int{4, 8} {
-		table, counters := run(workers)
-		diffSnapshots(t, "worker-count changed the route table", base, table)
-		if counters != baseCounters {
-			t.Errorf("workers=%d counters = %v, want %v", workers, counters, baseCounters)
-		}
-	}
-}
-
 // TestRerouteKeepsOldRouteOnEncodeFailure is the partial-update fix:
 // one route failing to re-encode must not abort the batch or evict
 // that route — the old route stays installed, the failure is counted,

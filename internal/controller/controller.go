@@ -15,7 +15,6 @@
 package controller
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -23,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/rns"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -45,13 +43,12 @@ type routeEntry struct {
 }
 
 // Controller is the routing brain. Its public methods are not safe
-// for concurrent use (each simulated world owns one controller), but
-// reroute recomputation internally fans out across a worker pool.
+// for concurrent use: each simulated world owns one controller, and
+// only re-encode requests may arrive from concurrent lanes (reencMu).
 type Controller struct {
 	g *topology.Graph
 
 	reactToFailures bool
-	workers         int
 	failed          map[*topology.Link]bool
 
 	// autoProtect plans per-destination protection for every route
@@ -118,12 +115,10 @@ func WithAutoProtection(opts core.PlanOptions) Option {
 	}
 }
 
-// WithWorkers bounds the reroute recomputation pool (0 or unset: one
-// worker per CPU). Worker count changes wall clock only: recomputes
-// are keyed by table position and installed in deterministic order,
-// so results and telemetry are identical at any parallelism.
-func WithWorkers(n int) Option {
-	return func(c *Controller) { c.workers = n }
+// WithWorkers is a no-op: reroutes run in the caller. It is kept only
+// because bench/ passes it, and goes with the next benchmark change.
+func WithWorkers(int) Option {
+	return func(*Controller) {}
 }
 
 // WithTelemetry points the controller's counters and control-plane
@@ -185,8 +180,6 @@ func New(g *topology.Graph, opts ...Option) *Controller {
 
 // autoProtection plans the per-destination protection set for path
 // when auto-protection is on and the caller supplied no explicit hops.
-// Safe for concurrent use (the planner locks its tree cache); reroute
-// recomputation calls it from pool workers.
 func (c *Controller) autoProtection(path topology.Path, explicit []core.Hop) ([]core.Hop, error) {
 	if !c.autoProtect || len(explicit) > 0 {
 		return explicit, nil
@@ -196,8 +189,7 @@ func (c *Controller) autoProtection(path topology.Path, explicit []core.Hop) ([]
 
 // encode is every route ID the controller computes: path with the
 // given protection hops, or with the planned set when auto-protection
-// is on and hops is empty. Safe for concurrent use, like
-// autoProtection.
+// is on and hops is empty.
 func (c *Controller) encode(path topology.Path, hops []core.Hop) (*core.Route, error) {
 	hops, err := c.autoProtection(path, hops)
 	if err != nil {
@@ -499,11 +491,9 @@ func sortPairs(ps []pair) {
 	})
 }
 
-// reroute recomputes the given routes under the current failure set.
-// Path searches and encodes fan out across the worker pool (reads
-// only); installs run sequentially in the caller's deterministic
-// order, so the route table and every counter are byte-identical at
-// any worker count.
+// reroute recomputes the given routes under the current failure set,
+// in the caller's deterministic order, so the route table and every
+// counter follow that order.
 //
 // A pair that becomes unreachable keeps its old route and bumps
 // kar_ctrl_reroute_failures_total — a stale route the data plane can
@@ -513,21 +503,14 @@ func sortPairs(ps []pair) {
 func (c *Controller) reroute(affected []pair) error {
 	c.cRerouted.Add(int64(len(affected)))
 	c.cRerouteSkipped.Add(int64(len(c.entries) - len(affected)))
-	if len(affected) == 0 {
-		return nil
-	}
-
-	type result struct {
-		route       *core.Route
-		err         error
-		unreachable bool
-	}
-	results := make([]result, len(affected))
 	weight := c.pathWeight()
-	compute := func(k pair) result {
+	var errs []error
+	for _, k := range affected {
+		c.cComputes.Inc()
 		path, err := topology.ShortestPath(c.g, k.src, k.dst, weight)
 		if err != nil {
-			return result{err: err, unreachable: true}
+			c.rerouteFailed(k, "unreachable")
+			continue // keep the old route
 		}
 		// The new path has a new on-route set: with auto-protection,
 		// encode re-plans from the cached destination tree instead of
@@ -537,41 +520,26 @@ func (c *Controller) reroute(affected []pair) error {
 			hops = filterHops(c.entries[k].protection, path)
 		}
 		route, err := c.encode(path, hops)
-		return result{route: route, err: err}
-	}
-	// A failed recompute is that pair's result, not the pool's error:
-	// the install pass below decides per pair.
-	par.ForEach(context.TODO(), len(affected), c.workers, func(_, i int) error {
-		results[i] = compute(affected[i])
-		return nil
-	})
-
-	var errs []error
-	for i, k := range affected {
-		c.cComputes.Inc()
-		res := results[i]
-		if res.err != nil {
-			c.cRerouteFailures.Inc()
-			outcome := "encode-failed"
-			if res.unreachable {
-				outcome = "unreachable"
-			}
-			c.events.Record(telemetry.EventReroute, k.src,
-				fmt.Sprintf("%s->%s %s", k.src, k.dst, outcome))
-			if !res.unreachable {
-				errs = append(errs, fmt.Errorf("controller: reroute %s->%s: %w", k.src, k.dst, res.err))
-			}
-			continue // keep the old route
+		if err != nil {
+			c.rerouteFailed(k, "encode-failed")
+			errs = append(errs, fmt.Errorf("controller: reroute %s->%s: %w", k.src, k.dst, err))
+			continue
 		}
 		kept := c.entries[k].protection
 		if c.autoProtect {
-			kept = res.route.Protection
+			kept = route.Protection
 		}
-		c.install(k, res.route, kept)
+		c.install(k, route, kept)
 		c.events.Record(telemetry.EventReroute, k.src,
-			fmt.Sprintf("%s->%s ok bits=%d", k.src, k.dst, res.route.BitLength()))
+			fmt.Sprintf("%s->%s ok bits=%d", k.src, k.dst, route.BitLength()))
 	}
 	return errors.Join(errs...)
+}
+
+// rerouteFailed counts and records a recompute that keeps k's old route.
+func (c *Controller) rerouteFailed(k pair, outcome string) {
+	c.cRerouteFailures.Inc()
+	c.events.Record(telemetry.EventReroute, k.src, fmt.Sprintf("%s->%s %s", k.src, k.dst, outcome))
 }
 
 // reinstallAll recomputes every installed route under the current

@@ -235,7 +235,7 @@ func TestWithTelemetryBindsOnce(t *testing.T) {
 	if got := reg.CounterValue("kar_ctrl_route_installs_total"); got != 1 {
 		t.Errorf("kar_ctrl_route_installs_total on the given registry = %d, want 1", got)
 	}
-	if log.Len() == 0 {
+	if len(log.Events()) == 0 {
 		t.Error("the install left no event on the given log")
 	}
 }

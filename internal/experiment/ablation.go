@@ -109,9 +109,6 @@ const controlDelay = 250 * time.Millisecond
 type ReactionConfig struct {
 	// Seed drives the per-switch RNGs.
 	Seed int64
-	// Workers bounds the reactive controller's reroute worker pool
-	// (0: one per CPU). Results are worker-count invariant.
-	Workers int
 	// Metrics, when non-nil, collects each strategy world's registry
 	// and event log under a deterministic run label.
 	Metrics *telemetry.Collector
@@ -154,7 +151,7 @@ func Reaction(cfg ReactionConfig) ([]ReactionRow, error) {
 		}
 		var opts []any
 		if s.reactive {
-			opts = append(opts, controller.WithFailureReaction(), controller.WithWorkers(cfg.Workers))
+			opts = append(opts, controller.WithFailureReaction())
 		}
 		w := NewWorld(g, mustPolicy(s.policy), cfg.Seed, opts...)
 		recorder := cfg.Trace.Attach(w.Net)

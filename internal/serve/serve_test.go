@@ -842,6 +842,31 @@ func TestHostileScenarioBodiesRejected(t *testing.T) {
 	}
 }
 
+// A scenario whose typo only the topology exposes — a bad injector
+// parameter, an unknown link, a flow from a node the topology lacks —
+// is refused at admission with a 400 naming the field, as /v1/verify
+// refuses its typos, not admitted to fail later as a job.
+func TestScenarioTyposRejectedAtAdmission(t *testing.T) {
+	s, ts := startServer(t, Config{})
+	cases := []struct{ old, new, want string }{
+		{`{"kind": "link_cut", "link": ["SW7", "SW13"], "start": "5ms", "duration": "5ms"}`,
+			`{"kind": "flap", "link": ["SW7", "SW13"], "start": "5ms", "window": "10ms", "period": "0s", "duty": 0.5}`,
+			"injection 0: fault: flap SW7-SW13: period 0s must be positive"},
+		{`"link": ["SW7", "SW13"]`, `"link": ["SW7", "SW99"]`, "injection 0: fault: link_cut: no link SW7-SW99"},
+		{`"src": "AS1"`, `"src": "AS9"`, `flow 0: src \"AS9\" is not an edge node of net15`}, // JSON-escaped
+	}
+	for _, c := range cases {
+		body := `{"spec": ` + strings.Replace(tinySpec, c.old, c.new, 1) + `}`
+		resp, data := postJSON(t, ts.URL+"/v1/scenarios", strings.NewReader(body))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), c.want) {
+			t.Errorf("%s: %d %s; want 400 naming %q", c.new, resp.StatusCode, bytes.TrimSpace(data), c.want)
+		}
+	}
+	if n := s.Registry().SumCounter("kar_serve_jobs_total"); n != 0 {
+		t.Errorf("kar_serve_jobs_total = %d after refused requests, want 0", n)
+	}
+}
+
 // settleGoroutines polls until the goroutine count is back near base.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()

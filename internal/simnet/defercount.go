@@ -24,9 +24,9 @@ import (
 // the backing value and every cell's Pending.
 //
 // Cells embed by value in their owner and must not be copied once
-// incremented (the dirty list holds their address). Counters that other
-// goroutines touch (the reactive controller's worker pool) must keep
-// using the atomic telemetry.Counter directly.
+// incremented (the dirty list holds their address). Counters that any
+// lane may touch (the controller's, bumped by re-encode requests) must
+// keep using the atomic telemetry.Counter directly.
 type DeferredCounter struct {
 	c       *telemetry.Counter
 	pending int64
@@ -110,12 +110,12 @@ func (s *Scheduler) foldCells() {
 }
 
 // flushCounters folds every lane's dirty cells. Called at observation
-// boundaries; cheap when nothing is pending. Inside a parallel window
-// it must return before touching any list: workers running lanes reach
-// it through Drop while the other lanes are appending to theirs.
-// Nothing can observe a counter there — observers run on the control
-// plane, between windows — so the fold simply waits for the next
-// boundary.
+// boundaries — before a control-plane callback and when Step or
+// RunUntil returns — and cheap when nothing is pending; a data-plane
+// reader in between uses DeferredCounter.Value. Inside a parallel
+// window it must return before touching any list, since the lanes are
+// appending to theirs: nothing observes a counter there, so the fold
+// waits for the next boundary.
 func (n *Network) flushCounters() {
 	if n.inWindow {
 		return

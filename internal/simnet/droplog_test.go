@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/packet"
+	"repro/internal/telemetry"
 )
 
 // dropLog is a trace sink that keeps only what the flight recorder keeps
@@ -38,6 +39,7 @@ func (*dropLog) PacketTx(*packet.Packet, string, time.Duration, time.Duration) {
 func (*dropLog) PacketDecap(*packet.Packet, string)                            {}
 func (*dropLog) PacketReencode(*packet.Packet, string, int)                    {}
 func (*dropLog) PacketCorrupt(*packet.Packet, string)                          {}
+func (*dropLog) CtrlEvent(telemetry.Event)                                     {}
 
 // dropsBy reads kar_net_drops_total{reason}.
 func dropsBy(n *Network, reason DropReason) int64 {

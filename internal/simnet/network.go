@@ -102,6 +102,9 @@ type TraceSink interface {
 	PacketDrop(d Drop)
 	// PacketCorrupt records a gray-failure route-ID bit flip in transit.
 	PacketCorrupt(pkt *packet.Packet, link string)
+	// CtrlEvent observes every control-plane event the world's event
+	// log records, including those its bounded ring later evicts.
+	CtrlEvent(e telemetry.Event)
 }
 
 // dirState models one direction of a link: a FIFO transmission queue
@@ -531,8 +534,16 @@ func (n *Network) Bind(node *topology.Node, h Handler) {
 }
 
 // SetTraceSink attaches (or, with nil, detaches) the causal flight
-// recorder. Exactly one sink can be attached per world.
-func (n *Network) SetTraceSink(s TraceSink) { n.trace = s }
+// recorder, as the trace sink and as the event log's tap. Exactly one
+// sink can be attached per world.
+func (n *Network) SetTraceSink(s TraceSink) {
+	n.trace = s
+	if s == nil {
+		n.events.SetTap(nil)
+		return
+	}
+	n.events.SetTap(s.CtrlEvent)
+}
 
 // Trace returns the attached flight-recorder sink (nil when none).
 // Switches and edges consult it on their own hot paths.
@@ -540,9 +551,9 @@ func (n *Network) Trace() TraceSink { return n.trace }
 
 // Drop records a packet loss originating at a node (TTL expiry,
 // no-viable-port). Links report their own drops internally. Drop is a
-// lifecycle sink: pool-owned packets are recycled here, into the node's
-// lane cache, after the trace sink has observed them (sinks must copy,
-// never retain).
+// lifecycle sink: the packet is recycled here, into the node's lane
+// cache, after the trace sink has observed it (sinks must copy, never
+// retain). It folds no counters: no drop observer reads a metric.
 func (n *Network) Drop(pkt *packet.Packet, reason DropReason, node *topology.Node) {
 	n.drop(n.laneOf(node), pkt, reason, node.Name())
 }
@@ -550,10 +561,6 @@ func (n *Network) Drop(pkt *packet.Packet, reason DropReason, node *topology.Nod
 // drop is Drop on the lane whose event lost the packet; where names the
 // node or link.
 func (n *Network) drop(lane *Scheduler, pkt *packet.Packet, reason DropReason, where string) {
-	// Surface any deferred increments first, so whatever reads metrics
-	// at a drop observes identical values under every driver and data
-	// plane (a no-op inside a parallel window).
-	n.flushCounters()
 	n.countDrop(reason)
 	if pkt.Sampled && n.trace != nil {
 		n.trace.PacketDrop(Drop{Packet: pkt, Reason: reason, Where: where, At: n.sched.now})

@@ -65,12 +65,11 @@ import (
 // a light lane, or woke after the caller had started, takes up what is
 // left. Which goroutine ran which lane reaches no output byte.
 //
-// Observers that demand the total global order — the flight recorder
-// and the event-log tap — and gray impairments (whose RNG draw order is
-// defined by the global event order) veto windows: while one is
-// attached the driver steps the global (at, key) minimum on one
-// goroutine instead — same lanes, same keys, the identical dispatch
-// sequence, just without the parallelism.
+// The flight recorder, which demands the total global order, and gray
+// impairments (whose RNG draw order is defined by the global event
+// order) veto windows: while one is attached the driver steps the
+// global (at, key) minimum on one goroutine instead — same lanes, same
+// keys, the identical dispatch sequence, just without the parallelism.
 
 // never is the time of an empty inbox's earliest delivery.
 const never = time.Duration(math.MaxInt64)
@@ -358,13 +357,10 @@ func (c *crew) stop() {
 }
 
 // parallelOK reports whether a parallel window may open: a positive
-// lookahead and no observer or impairment that needs the total global
-// event order.
+// lookahead, no flight recorder and no gray impairment, both of which
+// need the total global event order.
 func (n *Network) parallelOK() bool {
-	return n.lookahead > 0 &&
-		n.trace == nil &&
-		n.impaired == 0 &&
-		!n.events.HasTap()
+	return n.lookahead > 0 && n.trace == nil && n.impaired == 0
 }
 
 // peekMin returns the queue holding the globally earliest pending (at,

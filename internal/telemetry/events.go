@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -56,17 +54,15 @@ const (
 const DefaultEventCapacity = 4096
 
 // EventLog is a bounded ring buffer of control-plane events. When full
-// it evicts the oldest record and counts the eviction (optionally into
-// a registry counter). Safe for concurrent use, though a simulated
-// world is single-threaded by construction.
+// it evicts the oldest record, counting the eviction into the registry
+// counter SetEvictedCounter gave it. Safe for concurrent use: inside a
+// sharded world's parallel window, lanes record into it side by side.
 type EventLog struct {
 	mu       sync.Mutex
 	now      func() time.Duration
 	capacity int
 	ring     []Event
 	start    int // oldest element when the ring is full
-	total    int64
-	evicted  int64
 	cEvicted *Counter
 	tap      func(Event)
 }
@@ -90,22 +86,13 @@ func (l *EventLog) SetEvictedCounter(c *Counter) {
 }
 
 // SetTap registers a callback observing every recorded event, fired
-// after the ring update and outside the log's lock — the flight
-// recorder's control-plane attachment point. Unlike the bounded ring,
-// a tap sees events the ring later evicts. Pass nil to disable.
+// after the ring update and outside the log's lock. Unlike the bounded
+// ring, a tap sees events the ring later evicts. Pass nil to disable.
+// simnet.Network.SetTraceSink is its one caller.
 func (l *EventLog) SetTap(fn func(Event)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.tap = fn
-}
-
-// HasTap reports whether a tap is attached. A sharded simulation uses
-// it to decide whether the total global event order must be preserved
-// (taps observe arrival order, which parallel windows do not define).
-func (l *EventLog) HasTap() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.tap != nil
 }
 
 // Record appends an event stamped at the current virtual time.
@@ -127,13 +114,11 @@ func (l *EventLog) Record(kind, where, detail string) {
 func (l *EventLog) RecordAt(at time.Duration, kind, where, detail string) {
 	e := Event{At: at, Kind: kind, Where: where, Detail: detail}
 	l.mu.Lock()
-	l.total++
 	if len(l.ring) < l.capacity {
 		l.ring = append(l.ring, e)
 	} else {
 		l.ring[l.start] = e
 		l.start = (l.start + 1) % l.capacity
-		l.evicted++
 		if l.cEvicted != nil {
 			l.cEvicted.Inc()
 		}
@@ -153,27 +138,6 @@ func (l *EventLog) Events() []Event {
 	out = append(out, l.ring[l.start:]...)
 	out = append(out, l.ring[:l.start]...)
 	return out
-}
-
-// Len returns how many events are currently retained.
-func (l *EventLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ring)
-}
-
-// Total returns how many events were ever recorded.
-func (l *EventLog) Total() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
-
-// Evicted returns how many events the ring displaced.
-func (l *EventLog) Evicted() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.evicted
 }
 
 // SortedEvents returns the retained events in canonical export order:
@@ -205,12 +169,4 @@ func sortEvents(evs []Event) {
 		}
 		return a.Detail < b.Detail
 	})
-}
-
-// WriteJSON dumps the retained events as an indented JSON array in
-// canonical (At, Kind, Where, Detail) order.
-func (l *EventLog) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(l.SortedEvents())
 }

@@ -180,14 +180,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Buckets returns the upper bounds and the per-bucket (non-cumulative)
-// counts; the final count is the +Inf bucket.
-func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]float64(nil), h.bounds...), append([]int64(nil), h.counts...)
-}
-
 // Quantile estimates the q-quantile (0 <= q <= 1) by linear
 // interpolation inside the bucket that contains it, in the manner of
 // Prometheus's histogram_quantile. It returns NaN for an empty

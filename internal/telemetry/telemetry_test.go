@@ -67,7 +67,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	for _, v := range []float64{1, 2, 2.5, 4, 5} {
 		h.Observe(v)
 	}
-	bounds, counts := h.Buckets()
+	bounds, counts := h.bounds, h.counts
 	if len(bounds) != 2 || bounds[0] != 2 || bounds[1] != 4 {
 		t.Fatalf("bounds = %v, want [2 4]", bounds)
 	}
@@ -165,8 +165,7 @@ func TestRebuildHistogram(t *testing.T) {
 	for _, v := range []float64{1, 3, 3, 5} {
 		h.Observe(v)
 	}
-	bounds, counts := h.Buckets()
-	rb := RebuildHistogram(bounds, counts, h.Count(), h.Sum())
+	rb := RebuildHistogram(h.bounds, h.counts, h.Count(), h.Sum())
 	if rb.Count() != 4 || rb.Sum() != 12 {
 		t.Errorf("rebuilt count/sum = %d/%v, want 4/12", rb.Count(), rb.Sum())
 	}
@@ -228,13 +227,13 @@ func TestEventLogRingAndEviction(t *testing.T) {
 		now = time.Duration(i) * time.Millisecond
 		log.Record(k, "SW1", "d")
 	}
-	if log.Len() != 3 || log.Total() != 5 || log.Evicted() != 2 {
-		t.Fatalf("len/total/evicted = %d/%d/%d, want 3/5/2", log.Len(), log.Total(), log.Evicted())
+	evs := log.Events()
+	if len(evs) != 3 {
+		t.Fatalf("retained %d events, want 3", len(evs))
 	}
 	if got := reg.CounterValue("evicted_total"); got != 2 {
 		t.Errorf("evicted counter = %d, want 2", got)
 	}
-	evs := log.Events()
 	// Oldest two evicted; survivors in order with virtual-clock stamps.
 	for i, ev := range evs {
 		wantKind := kinds[i+2]

@@ -128,6 +128,35 @@ if grep -rn --include='*.go' 'rns\.NewSystem(' internal | grep -v '_test\.go:' |
     exit 1
 fi
 
+echo "==> the control plane starts no goroutine"
+# Reroute batches hold a few routes: the controller recomputes them in
+# the caller, and the planner's tree cache, read only from there and
+# under reencMu, needs no lock of its own.
+ctrl_go=$(ls internal/controller/*.go | grep -v _test.go)
+core_go=$(ls internal/core/*.go | grep -v _test.go)
+if grep -nE '^[[:space:]]*go [A-Za-z_(]|"repro/internal/par"' $ctrl_go || grep -n '"sync"' $core_go; then
+    echo "FAIL: a go statement or internal/par in non-test internal/controller, or sync in non-test internal/core" >&2
+    exit 1
+fi
+
+echo "==> the recorder is attached through SetTraceSink alone"
+# Network.SetTraceSink sets the sink and the event log's tap together,
+# and nil detaches both; a second SetTap caller is an observer
+# SetTraceSink(nil) leaves behind.
+if grep -rn --include='*.go' 'SetTap(' . | grep -v '_test\.go:' | grep -vE '^\./internal/(simnet|telemetry)/'; then
+    echo "FAIL: SetTap called outside internal/simnet and internal/telemetry (use Network.SetTraceSink)" >&2
+    exit 1
+fi
+
+echo "==> controller.WithWorkers only in bench/"
+# WithWorkers is a no-op kept for bench/'s frozen callers; it goes with
+# the next benchmark change.
+if grep -rn --include='*.go' 'WithWorkers(' . | grep -v '_test\.go:' | grep -v '^\./bench/' |
+    grep -v '^\./internal/controller/controller\.go:[0-9]*:func WithWorkers('; then
+    echo "FAIL: controller.WithWorkers called outside bench/" >&2
+    exit 1
+fi
+
 echo "==> fuzz the scheduler queue against a sorted reference (10 s)"
 # The committed corpus (internal/simnet/testdata/fuzz) runs with every
 # go test; this explores from it: random programs of post / train append
@@ -143,6 +172,11 @@ echo "==> fuzz xrand's stream against math/rand's (10 s)"
 # Arbitrary (seed, length) from the committed corpus, which pins the
 # stateless/materialised/steady transitions at draws 273 and 607.
 go test -run '^$' -fuzz FuzzStream -fuzztime 10s ./internal/xrand
+
+echo "==> fuzz scenario admission against world setup (10 s)"
+# From the committed corpus (internal/scenario/testdata/fuzz): Parse
+# never panics, and a spec it accepts sets up its world without error.
+go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/scenario
 
 echo "==> gofmt -l"
 unformatted="$(gofmt -l .)"
