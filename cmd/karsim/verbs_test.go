@@ -115,7 +115,8 @@ func TestClientGolden(t *testing.T) {
 		t.Errorf("client -result wrote %d bytes, -verdict-json %d: the documents differ", len(got), len(want))
 	}
 
-	// A job that fails is an error carrying the daemon's reason.
+	// A job the daemon refuses at admission is an error carrying its
+	// reason, and no job status is printed.
 	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"spec": {"name": "bad", "topology": "net15", "policy": "nip", "duration": "5ms",
 		"flows": [{"src": "AS1", "dst": "AS3"}],
@@ -124,8 +125,8 @@ func TestClientGolden(t *testing.T) {
 	}
 	var out bytes.Buffer
 	err = run([]string{"client", "-addr", addr, "-post", "/v1/scenarios", "-body", bad}, &out)
-	if err == nil || !strings.Contains(err.Error(), "ended failed") || !strings.Contains(err.Error(), "NOPE") || out.String() != "job j000001: failed\n" {
-		t.Errorf("failing job: error %v after printing %q", err, &out)
+	if err == nil || !strings.Contains(err.Error(), ": 400: ") || !strings.Contains(err.Error(), "NOPE") || out.String() != "" {
+		t.Errorf("refused job: error %v after printing %q", err, &out)
 	}
 }
 

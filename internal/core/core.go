@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/rns"
@@ -110,36 +111,19 @@ func (r *Route) String() string {
 // egress edge. Enforces the single-residue constraint: a switch may
 // appear at most once across primary and protection hops.
 func EncodeRoute(path topology.Path, protection []Hop) (*Route, error) {
-	primary, err := primaryHops(path)
+	// One array holds the primary hops, then the protection hops.
+	hops, err := primaryHops(make([]Hop, 0, len(path.Nodes)+len(protection)), path)
+	if err == nil {
+		err = checkHops(hops, protection)
+	}
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[*topology.Node]bool, len(primary)+len(protection))
-	for _, h := range primary {
-		if seen[h.Switch] {
-			return nil, fmt.Errorf("switch %s: %w", h.Switch, ErrDuplicateSwitch)
-		}
-		seen[h.Switch] = true
-	}
-	for _, h := range protection {
-		if h.Switch.Kind() != topology.KindCore {
-			return nil, fmt.Errorf("protection hop %s: not a core switch", h)
-		}
-		if seen[h.Switch] {
-			return nil, fmt.Errorf("protection hop %s: %w", h, ErrProtectionOverlap)
-		}
-		seen[h.Switch] = true
-	}
-
-	hops := make([]Hop, 0, len(primary)+len(protection))
-	hops = append(hops, primary...)
+	primary := hops[:len(hops):len(hops)]
 	hops = append(hops, protection...)
 	moduli := make([]uint64, len(hops))
 	residues := make([]uint64, len(hops))
 	for i, h := range hops {
-		if uint64(h.Port) >= h.Switch.ID() {
-			return nil, fmt.Errorf("hop %s with switch ID %d: %w", h, h.Switch.ID(), ErrPortTooLarge)
-		}
 		moduli[i] = h.Switch.ID()
 		residues[i] = uint64(h.Port)
 	}
@@ -160,28 +144,73 @@ func EncodeRoute(path topology.Path, protection []Hop) (*Route, error) {
 	}, nil
 }
 
-// primaryHops derives the encoded hops of an edge-to-edge path.
-func primaryHops(path topology.Path) ([]Hop, error) {
+// CheckRoute reports why EncodeRoute would refuse path with
+// protection, without encoding; nil means the route encodes. It
+// allocates nothing for a valid path of up to 16 switches.
+func CheckRoute(path topology.Path, protection []Hop) error {
+	var buf [16]Hop
+	primary, err := primaryHops(buf[:0], path)
+	if err != nil {
+		return err
+	}
+	return checkHops(primary, protection)
+}
+
+// primaryHops appends the encoded hops of an edge-to-edge path to hops;
+// the ingress edge must be adjacent to the first switch too.
+func primaryHops(hops []Hop, path topology.Path) ([]Hop, error) {
 	nodes := path.Nodes
 	if len(nodes) < 3 {
-		return nil, fmt.Errorf("path %s: %w", path, ErrPathTooShort)
+		return nil, fmt.Errorf("path %s: %w", path.String(), ErrPathTooShort)
 	}
 	if nodes[0].Kind() != topology.KindEdge || nodes[len(nodes)-1].Kind() != topology.KindEdge {
-		return nil, fmt.Errorf("path %s: %w", path, ErrPathEndpoints)
+		return nil, fmt.Errorf("path %s: %w", path.String(), ErrPathEndpoints)
 	}
-	hops := make([]Hop, 0, len(nodes)-2)
-	for i := 1; i+1 < len(nodes); i++ {
+	for i := 0; i+1 < len(nodes); i++ {
 		cur, next := nodes[i], nodes[i+1]
-		if cur.Kind() != topology.KindCore {
-			return nil, fmt.Errorf("path %s: transit node %s is not a core switch: %w", path, cur, ErrPathEndpoints)
+		if i > 0 && cur.Kind() != topology.KindCore {
+			return nil, fmt.Errorf("path %s: transit node %s is not a core switch: %w", path.String(), cur, ErrPathEndpoints)
 		}
 		port, ok := cur.PortToward(next.Name())
 		if !ok {
-			return nil, fmt.Errorf("path %s: %s and %s: %w", path, cur, next, ErrNotAdjacent)
+			return nil, fmt.Errorf("path %s: %s and %s: %w", path.String(), cur, next, ErrNotAdjacent)
 		}
-		hops = append(hops, Hop{Switch: cur, Port: port})
+		if i > 0 {
+			hops = append(hops, Hop{Switch: cur, Port: port})
+		}
 	}
 	return hops, nil
+}
+
+// checkHops enforces the single-residue constraint over a route's
+// primary and protection hops, and that each residue is below its
+// switch's ID.
+func checkHops(primary, protection []Hop) error {
+	for i, h := range primary {
+		if hasSwitch(primary[:i], h.Switch) {
+			return fmt.Errorf("switch %s: %w", h.Switch, ErrDuplicateSwitch)
+		}
+	}
+	for i, h := range protection {
+		if h.Switch.Kind() != topology.KindCore {
+			return fmt.Errorf("protection hop %s: not a core switch", h)
+		}
+		if hasSwitch(primary, h.Switch) || hasSwitch(protection[:i], h.Switch) {
+			return fmt.Errorf("protection hop %s: %w", h, ErrProtectionOverlap)
+		}
+	}
+	for _, hops := range [2][]Hop{primary, protection} {
+		for _, h := range hops {
+			if uint64(h.Port) >= h.Switch.ID() {
+				return fmt.Errorf("hop %s with switch ID %d: %w", h, h.Switch.ID(), ErrPortTooLarge)
+			}
+		}
+	}
+	return nil
+}
+
+func hasSwitch(hops []Hop, sw *topology.Node) bool {
+	return slices.ContainsFunc(hops, func(h Hop) bool { return h.Switch == sw })
 }
 
 // Forward is the entire KAR core data plane (Algorithm 1, line 3):

@@ -43,7 +43,7 @@ func TestFailLinkBetweenComposesWithFlap(t *testing.T) {
 	}
 	flap := &fault.Flap{A: "SW7", B: "SW13", Start: 0,
 		Window: 12 * time.Millisecond, Period: 4 * time.Millisecond, Duty: 0.5}
-	if err := fault.InstallAll(w.Net, []fault.Injector{flap}); err != nil {
+	if err := flap.Install(w.Net); err != nil {
 		t.Fatal(err)
 	}
 

@@ -295,8 +295,10 @@ func TestInjectionTelemetry(t *testing.T) {
 		&Flap{A: "A", B: "B", Start: 5 * time.Millisecond, Window: 4 * time.Millisecond, Period: 2 * time.Millisecond, Duty: 0.25},
 		&Gray{A: "A", B: "B", Start: 10 * time.Millisecond, Window: time.Millisecond, DropProb: 0.5, Seed: 3},
 	}
-	if err := InstallAll(n, injs); err != nil {
-		t.Fatal(err)
+	for _, inj := range injs {
+		if err := inj.Install(n); err != nil {
+			t.Fatal(err)
+		}
 	}
 	n.Scheduler().RunUntil(time.Second)
 	for _, kind := range []string{"link_cut", "flap", "gray"} {
@@ -315,13 +317,12 @@ func TestInjectionTelemetry(t *testing.T) {
 	}
 }
 
-func TestInstallAllStopsOnBadInjector(t *testing.T) {
+// Install checks first: an injector on a nonexistent link is refused,
+// by Check against the topology and by Install on the network.
+func TestInstallChecksLink(t *testing.T) {
 	n, _, _, _ := pairNet(t)
-	err := InstallAll(n, []Injector{
-		&LinkCut{A: "A", B: "B"},
-		&LinkCut{A: "A", B: "Z"},
-	})
-	if err == nil {
-		t.Fatal("InstallAll accepted an injector on a nonexistent link")
+	bad := &LinkCut{A: "A", B: "Z"}
+	if bad.Check(n.Topology()) == nil || bad.Install(n) == nil {
+		t.Fatal("an injector on a nonexistent link was accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -184,12 +183,4 @@ func nanToZero(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// WriteJSON writes the snapshot as indented JSON. encoding/json sorts
-// map keys, keeping the output deterministic.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }
