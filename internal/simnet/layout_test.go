@@ -9,8 +9,9 @@ import (
 // sharded driver relies on: on a cut link the receiving lane reads the
 // Line header and a direction's construction-time fields while the
 // sending lane writes that direction's queue state, counters and train,
-// so the groups must start on 64-byte boundaries (Line's size class
-// keeps the struct itself 64-byte aligned on the heap).
+// so the groups must start on 64-byte boundaries. A world's Lines are
+// one slab, so it is the 768-byte stride, a multiple of 64, that keeps
+// every Line after the first on the first one's alignment.
 func TestLineLayoutSeparatesWriters(t *testing.T) {
 	const line = 64
 	var l Line
@@ -28,6 +29,11 @@ func TestLineLayoutSeparatesWriters(t *testing.T) {
 		if c.off%line != 0 {
 			t.Errorf("%s = %d, not a multiple of %d", c.name, c.off, line)
 		}
+	}
+	// Per-direction state must not grow the world: a fat-tree of
+	// 28-port switches has 11 368 Lines in its slab.
+	if sz := unsafe.Sizeof(l); sz != 768 {
+		t.Errorf("sizeof(Line) = %d, want 768", sz)
 	}
 	// Queue entries move by value between the ring's node slab and the
 	// heaps: two to a cache line, never straddling one.

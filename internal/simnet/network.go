@@ -165,7 +165,7 @@ type dirState struct {
 	// The serialization time of the last packet size sent (enqueue).
 	txSize int
 	txTime time.Duration
-	_      [32]byte // the next direction starts on a cache line of its own
+	_      [24]byte // the next direction starts on a cache line of its own
 }
 
 // nextKey stamps this direction's next tie-break key. A direction takes
@@ -459,14 +459,15 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	sentBytes := n.metrics.CounterVec("kar_link_sent_bytes_total", 2*len(links), dirLabels)
 	queueDrops := n.metrics.CounterVec("kar_link_queue_drops_total", 2*len(links), dirLabels)
 	inFlightDrops := n.metrics.CounterVec("kar_link_inflight_drops_total", 2*len(links), dirLabels)
+	// The slab's fields are stored in place: copying a Line literal in
+	// is a bulk write-barrier copy of 768 bytes whenever a collection is
+	// running, and a fat-tree's slab is megabytes.
 	lineSlab := make([]Line, len(links))
 	for li, l := range links {
 		line := &lineSlab[li]
-		*line = Line{
-			net: n, link: l, seenUp: true,
-			delay: l.Delay(), rate: l.RateMbps(), queueCap: l.QueuePackets(),
-			gaugeUp: &gaugeUp[li],
-		}
+		line.net, line.link, line.seenUp = n, l, true
+		line.delay, line.rate, line.queueCap = l.Delay(), l.RateMbps(), l.QueuePackets()
+		line.gaugeUp = &gaugeUp[li]
 		line.gaugeUp.Set(1)
 		for d := range line.dirs {
 			src, dst := l.A(), l.B()
@@ -474,18 +475,13 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 				src, dst = dst, src
 			}
 			cell := 2*li + d
-			line.dirs[d] = dirState{
-				dst:           dst,
-				dstPort:       l.PortOf(dst),
-				lane:          n.laneOf(src),
-				dstLane:       n.laneOf(dst),
-				ent:           uint32(1 + len(nodes) + cell),
-				sentPackets:   n.DeferCounter(src, &sentPackets[cell]),
-				sentBytes:     n.DeferCounter(src, &sentBytes[cell]),
-				queueDrops:    &queueDrops[cell],
-				inFlightDrops: &inFlightDrops[cell],
-			}
 			ds := &line.dirs[d]
+			ds.dst, ds.dstPort = dst, l.PortOf(dst)
+			ds.lane, ds.dstLane = n.laneOf(src), n.laneOf(dst)
+			ds.ent = uint32(1 + len(nodes) + cell)
+			ds.sentPackets = n.DeferCounter(src, &sentPackets[cell])
+			ds.sentBytes = n.DeferCounter(src, &sentBytes[cell])
+			ds.queueDrops, ds.inFlightDrops = &queueDrops[cell], &inFlightDrops[cell]
 			ds.train.line, ds.train.dir = line, uint8(d)
 			ds.noBatch = cfg.scalar
 			if ds.lane != ds.dstLane {
@@ -671,11 +667,8 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	if ds.noBatch {
 		// Nothing is delivered out of this ring: a released member is
 		// a dead one.
-		if tr.head = tr.deqHead; tr.head == len(tr.members) {
-			tr.reset()
-		}
+		tr.head = tr.deqHead
 	}
-	tr.compact()
 	if tr.pendingQueue() >= line.queueCap {
 		ds.queueDrops.Inc()
 		n.drop(lane, pkt, DropQueueFull, line.link.Name())

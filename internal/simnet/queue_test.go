@@ -48,7 +48,7 @@ func (m *queueModel) extend(i int, at time.Duration) {
 	m.lastAt[i] = at
 	m.key++
 	tr := &m.trs[i]
-	tr.members = append(tr.members, trainMember{at: at, key: m.key})
+	tr.push(at, m.key, 0, 0, nil)
 	m.s.trainGrew(tr)
 	m.want = append(m.want, queueRef{at, m.key})
 }
@@ -80,7 +80,7 @@ func (m *queueModel) pop() bool {
 		e = &m.s.front[0]
 	}
 	if tr, ok := e.what.(*train); ok {
-		mem := tr.members[tr.head]
+		mem := *tr.at(tr.head)
 		m.s.trainNext(tr)
 		if (queueRef{mem.at, mem.key}) != got {
 			m.t.Fatalf("train entry keyed (%v,%d), head member is (%v,%d)", got.at, got.key, mem.at, mem.key)

@@ -8,21 +8,22 @@ import (
 )
 
 // This file is the batched data plane: packet trains. Every link
-// direction keeps one train — an ordered slice with one member per
-// packet it has accepted. The members from deqHead on still hold a
-// transmission-queue slot: that ring is the direction's queue record in
-// both data planes, released lazily (no event) by the next enqueue. On
-// a batched direction the members from head on are also the undelivered
-// transmissions, and an active train has one entry in its lane's queue
-// (sched.go), keyed by its next member's (at, key). The queue always
-// yields the global (at, key) minimum, so a batched run replays the
-// scalar event order exactly; what changes is the cost: the queue holds
-// O(active links) train heads instead of O(in-flight packets) events,
-// a busy train advances by re-keying its entry, and a switch-bound
-// train resolves its members' output ports with one amortized
-// rns.ReduceBatch instead of a per-packet policy call. On a noBatch
-// direction (the scalar plane, and cut links always) the delivery is an
-// delivery entry of its own and the member is only the queue slot.
+// direction keeps one train — a ring with one member per packet it has
+// accepted and not yet both released and delivered. The members from
+// deqHead on still hold a transmission-queue slot: that is the
+// direction's queue record in both data planes, released lazily (no
+// event) by the next enqueue. On a batched direction the members from
+// head on are also the undelivered transmissions, and an active train
+// has one entry in its lane's queue (sched.go), keyed by its next
+// member's (at, key). The queue always yields the global (at, key)
+// minimum, so a batched run replays the scalar event order exactly;
+// what changes is the cost: the queue holds O(active links) train
+// heads instead of O(in-flight packets) events, a busy train advances
+// by re-keying its entry, and a switch-bound train resolves its
+// members' output ports with one amortized rns.ReduceBatch instead of
+// a per-packet policy call. On a noBatch direction (the scalar plane,
+// and cut links always) the delivery is a queue entry of its own and
+// the member is only the queue slot.
 //
 // Exactness is by construction, not by luck:
 //
@@ -74,18 +75,24 @@ type trainMember struct {
 }
 
 // train is one link direction's queue record and pending
-// transmissions. members[deqHead:] still hold their queue slot; on a
-// batched direction members[head:] are undelivered, members[:resLen]
-// have residues, and the owning lane's queue holds an entry for it while
-// active.
+// transmissions: a power-of-two ring whose slots are addressed by
+// free-running member counters (see at). Members [deqHead, tail) still
+// hold their queue slot; on a batched direction [head, tail) are
+// undelivered, those before resLen have residues, and the owning
+// lane's queue holds an entry for the train while active. The releases
+// drain lazily, so deqHead may trail head (delivered, not yet
+// released) or lead it (released, not yet delivered); the live members
+// are [min(head, deqHead), tail), and the ring holds the next power of
+// two ≥ the most that ever were.
 type train struct {
 	line   *Line
 	dir    uint8
 	active bool
 
 	head    int // next member to deliver
-	deqHead int // next queue slot to release (lazy, ≤ delivery order)
+	deqHead int // next queue slot to release (lazy)
 	resLen  int // members with computed residues
+	tail    int // next member to push
 	members []trainMember
 
 	// Cached receiving endpoint (resolved on first use; handlers are
@@ -96,35 +103,35 @@ type train struct {
 	resValid bool
 }
 
+// at returns member i's slot in the ring.
+func (tr *train) at(i int) *trainMember { return &tr.members[i&(len(tr.members)-1)] }
+
 // pendingQueue returns the occupied queue slots (after a drain).
-func (tr *train) pendingQueue() int { return len(tr.members) - tr.deqHead }
+func (tr *train) pendingQueue() int { return tr.tail - tr.deqHead }
 
 // push appends a member. Its fields are stored in place: a member
 // built on the stack and copied in reloads its halves right behind the
 // stores that wrote them, and that forwarding stall was a tenth of a
 // healthy hop.
 func (tr *train) push(at time.Duration, key, deqKey uint64, txStart time.Duration, pkt *packet.Packet) {
-	n := len(tr.members)
-	switch {
-	case tr.members == nil:
-		// Most directions a short run touches carry a packet or two at a
-		// time; a busy one doubles its way up once and keeps the array.
-		tr.members = make([]trainMember, 1, 4)
-	case n == cap(tr.members):
-		tr.members = append(tr.members, trainMember{})
-	default:
-		tr.members = tr.members[:n+1]
+	if tr.tail-min(tr.head, tr.deqHead) == len(tr.members) {
+		tr.grow()
 	}
-	m := &tr.members[n]
+	m := tr.at(tr.tail)
+	tr.tail++
 	m.at, m.key, m.deqKey, m.txStart = at, key, deqKey, txStart
 	m.pkt, m.res, m.resOK = pkt, 0, false
 }
 
-// reset empties a train whose members are all delivered; endpoint
-// caches survive (the topology is static).
-func (tr *train) reset() {
-	tr.members = tr.members[:0]
-	tr.head, tr.deqHead, tr.resLen = 0, 0, 0
+// grow doubles a full ring — most directions a short run touches carry
+// a packet or two at a time, so it starts at 4 — and moves each live
+// member to its slot under the wider mask.
+func (tr *train) grow() {
+	old := tr.members
+	tr.members = make([]trainMember, max(2*len(old), 4))
+	for i := min(tr.head, tr.deqHead); i < tr.tail; i++ {
+		*tr.at(i) = old[i&(len(old)-1)]
+	}
 }
 
 // resolveEndpoint caches the receiving handler and, when it accepts
@@ -154,7 +161,7 @@ func (tr *train) extendResidues(s *Scheduler) {
 	if tr.h == nil {
 		tr.resolveEndpoint()
 	}
-	n := len(tr.members)
+	n := tr.tail
 	if !tr.resValid {
 		tr.resLen = n
 		return
@@ -167,12 +174,12 @@ func (tr *train) extendResidues(s *Scheduler) {
 	}
 	ids, out := s.ids[:need], s.out[:need]
 	for i := 0; i < need; i++ {
-		ids[i] = tr.members[tr.resLen+i].pkt.RouteID
+		ids[i] = tr.at(tr.resLen + i).pkt.RouteID
 	}
 	tr.red.ReduceBatch(ids, out)
 	for i := 0; i < need; i++ {
-		tr.members[tr.resLen+i].res = out[i]
-		tr.members[tr.resLen+i].resOK = true
+		m := tr.at(tr.resLen + i)
+		m.res, m.resOK = out[i], true
 	}
 	tr.resLen = n
 }
@@ -188,7 +195,7 @@ func (s *Scheduler) trainGrew(tr *train) {
 		return
 	}
 	tr.active = true
-	head := &tr.members[tr.head]
+	head := tr.at(tr.head)
 	s.push(entry{at: head.at, key: head.key, what: tr})
 }
 
@@ -198,17 +205,19 @@ func (s *Scheduler) trainGrew(tr *train) {
 // advanced or removed, so trains need no back-pointer into the queue:
 // the active flag says whether one has an entry.
 func (s *Scheduler) trainNext(tr *train) {
-	tr.members[tr.head].pkt = nil // no stale pin until reset/compact
+	tr.at(tr.head).pkt = nil // a delivered slot pins no packet
 	tr.head++
-	if tr.head < len(tr.members) {
-		next := &tr.members[tr.head]
+	if tr.head < tr.tail {
+		next := tr.at(tr.head)
 		s.trainExtra--
 		s.rekey(next.at, next.key)
 		return
 	}
 	s.pop()
 	tr.active = false
-	tr.reset()
+	// Every member is delivered, so every slot is released too. The
+	// ring and the endpoint caches stay (the topology is static).
+	tr.deqHead, tr.resLen = tr.tail, tr.tail
 }
 
 // run delivers the next member of tr, whose entry is the queue's root
@@ -222,7 +231,7 @@ func (tr *train) run(s *Scheduler) {
 	if tr.resLen <= tr.head {
 		tr.extendResidues(s)
 	}
-	m := &tr.members[tr.head]
+	m := tr.at(tr.head)
 	pkt, txStart, res, resOK := m.pkt, m.txStart, m.res, m.resOK
 	s.trainNext(tr)
 	tr.line.deliverMember(tr, pkt, txStart, res, resOK)
@@ -233,8 +242,8 @@ func (tr *train) run(s *Scheduler) {
 // drainDeq releases queue slots whose release — (time, key) — precedes
 // the current dispatch position.
 func (l *Line) drainDeq(tr *train, now time.Duration, cur uint64) {
-	for tr.deqHead < len(tr.members) {
-		m := &tr.members[tr.deqHead]
+	for tr.deqHead < tr.tail {
+		m := tr.at(tr.deqHead)
 		done := m.at - l.delay
 		if done < now || (done == now && m.deqKey < cur) {
 			tr.deqHead++
@@ -242,27 +251,6 @@ func (l *Line) drainDeq(tr *train, now time.Duration, cur uint64) {
 		}
 		break
 	}
-}
-
-// compact reclaims the delivered prefix once it dominates the slice,
-// so a continuously busy train does not grow without bound. Member
-// order is preserved and head re-bases to 0, so the train's queue key
-// (members[head]) is unchanged.
-func (tr *train) compact() {
-	if tr.head < 256 || tr.head*2 < len(tr.members) {
-		return
-	}
-	n := copy(tr.members, tr.members[tr.head:])
-	tr.members = tr.members[:n]
-	tr.deqHead -= tr.head
-	tr.resLen -= tr.head
-	if tr.deqHead < 0 {
-		tr.deqHead = 0
-	}
-	if tr.resLen < 0 {
-		tr.resLen = 0
-	}
-	tr.head = 0
 }
 
 // deliverMember completes one member's transit, then delivers to the

@@ -321,6 +321,224 @@ func TestBatchQueueDrainExactness(t *testing.T) {
 	t.Run("cut-link", testCutLinkQueueDrain)
 }
 
+// TestTrainRingWrapsAndGrows holds a direction's ring to the member
+// order it was pushed in, through the real push, trainNext and
+// drainDeq: the live region wraps past the end of a full 4-slot ring,
+// then a push doubles it while that region straddles the end — once
+// with the lazy releases behind the deliveries, once ahead of them.
+func TestTrainRingWrapsAndGrows(t *testing.T) {
+	const delay = time.Millisecond
+	// Member i is delivered at delay + (i+1) µs and released (i+1) µs.
+	deliverAt := func(i int) time.Duration { return delay + time.Duration(i+1)*time.Microsecond }
+	for _, c := range []struct {
+		name          string
+		prepare       func(push, pop, release func(int)) // leaves a full ring wrapping its end
+		head, deqHead int
+	}{
+		{"deq-behind-head", func(push, pop, release func(int)) {
+			push(4)
+			pop(3)
+			release(3)
+			push(3)
+			pop(2) // delivered, not yet released
+		}, 5, 3},
+		{"deq-ahead-of-head", func(push, pop, release func(int)) {
+			push(4)
+			pop(1)
+			release(1)
+			push(1)
+			release(3) // released, not yet delivered
+		}, 1, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := newQueueModel(t, 1) // queue_test.go
+			tr := &m.trs[0]
+			line := &Line{delay: delay}
+			var keys []uint64 // by member counter
+			push := func(k int) {
+				for range k {
+					m.extend(0, deliverAt(tr.tail))
+					keys = append(keys, m.key)
+				}
+			}
+			pop := func(k int) {
+				for range k {
+					m.pop()
+				}
+			}
+			release := func(upTo int) { line.drainDeq(tr, deliverAt(upTo-1)-delay+1, 0) }
+			live := func(want int) {
+				t.Helper()
+				lo := min(tr.head, tr.deqHead)
+				if n := tr.tail - lo; n != want {
+					t.Fatalf("%d live members, want %d", n, want)
+				}
+				for i := lo; i < tr.tail; i++ {
+					if got := tr.at(i).key; got != keys[i] {
+						t.Fatalf("member %d holds key %d, want %d", i, got, keys[i])
+					}
+				}
+			}
+			c.prepare(push, pop, release)
+			if tr.head != c.head || tr.deqHead != c.deqHead {
+				t.Fatalf("head %d, deqHead %d; want %d, %d", tr.head, tr.deqHead, c.head, c.deqHead)
+			}
+			lo := min(tr.head, tr.deqHead)
+			if len(tr.members) != 4 || tr.tail-lo != 4 || lo&3 <= (tr.tail-1)&3 {
+				t.Fatalf("ring of %d holds [%d, %d): want a full 4-slot ring wrapping its end", len(tr.members), lo, tr.tail)
+			}
+			live(4)
+			push(1)
+			if len(tr.members) != 8 {
+				t.Fatalf("a push onto a full ring left %d slots, want 8", len(tr.members))
+			}
+			live(5)
+			// The moved members release exactly as before the move.
+			release(tr.tail)
+			if tr.deqHead != tr.tail || tr.pendingQueue() != 0 {
+				t.Fatalf("deqHead %d after releasing through %d", tr.deqHead, tr.tail)
+			}
+			m.drain()
+			if tr.active || tr.head != tr.tail {
+				t.Fatalf("drained train active=%v, head %d, tail %d", tr.active, tr.head, tr.tail)
+			}
+		})
+	}
+}
+
+// loopback sends every packet it receives back into its link from the
+// far end, so that direction carries the same packets forever and its
+// train never goes idle.
+type loopback struct {
+	n    *Network
+	from *topology.Node
+	left int
+	got  int
+}
+
+func (l *loopback) HandlePacket(pkt *packet.Packet, _ int) {
+	l.got++
+	if l.left > 0 {
+		l.left--
+		l.n.Send(l.from, 0, pkt)
+	}
+}
+
+// TestTrainRingHoldsOnlyItsWire: a direction that stays busy for more
+// than 10 000 packets with at most 8 on it holds a ring of at most 16
+// slots — what is on its wire, not its busy period — forwards without
+// allocating, and once drained pins no packet in any slot.
+func TestTrainRingHoldsOnlyItsWire(t *testing.T) {
+	for _, scalar := range []bool{false, true} {
+		t.Run(fmt.Sprintf("scalar=%v", scalar), func(t *testing.T) {
+			g := topology.New("pair")
+			if _, err := g.AddEdge("A"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.AddEdge("B"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.Connect("A", "B", topology.WithRateMbps(1000), topology.WithDelay(100*time.Microsecond)); err != nil {
+				t.Fatal(err)
+			}
+			var opts []Option
+			if scalar {
+				opts = append(opts, WithScalarDataPlane())
+			}
+			n := New(g, opts...)
+			a, _ := g.Node("A")
+			b, _ := g.Node("B")
+			lb := &loopback{n: n, from: a, left: 1 << 30}
+			n.Bind(b, lb)
+			for i := 0; i < 8; i++ {
+				n.Send(a, 0, &packet.Packet{Size: 1250, TTL: 8, Seq: uint64(i)})
+			}
+			line, dir := n.LineAt(a, 0)
+			tr := &line.dirs[dir].train
+			n.RunUntil(200 * time.Millisecond)
+			if lb.got < 10_000 {
+				t.Fatalf("%d packets crossed, want ≥ 10 000", lb.got)
+			}
+			t.Logf("%d packets, ring of %d slots", lb.got, len(tr.members))
+			if len(tr.members) > 16 {
+				t.Errorf("ring of %d slots for at most 8 packets on the wire, want ≤ 16", len(tr.members))
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				n.RunUntil(n.Scheduler().Now() + time.Millisecond)
+			}); allocs != 0 {
+				t.Errorf("a millisecond of steady forwarding allocates %v times, want 0", allocs)
+			}
+			lb.left = 0
+			n.RunUntil(n.Scheduler().Now() + time.Second)
+			if p := n.Pending(); p != 0 {
+				t.Fatalf("%d items pending after a drained run", p)
+			}
+			checkRingsUnpinned(t, n)
+		})
+	}
+}
+
+// TestTrainRingOnCutDirections overloads the six-node chain from both
+// ends for 40 ms, so every direction is busy for hundreds of packets
+// (the edge links with their 32-slot queues full), in a world where
+// the C2—C3 directions are cut ones (shards=2) and where they are not.
+// Every ring holds at most 64 slots — queue plus wire, rounded up to a
+// power of two — and none pins a packet once the run has drained.
+func TestTrainRingOnCutDirections(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, scalar := range []bool{false, true} {
+			w := newShardChain(t, shards, scalar)
+			for _, e := range []*topology.Node{w.e0, w.e1} {
+				e, clk := e, w.n.ClockOf(e)
+				var tick func()
+				tick = func() {
+					for i := 0; i < 4; i++ { // 192 Mb/s into 100 Mb/s links
+						p := clk.NewPacket()
+						p.Size, p.TTL = 600, 16
+						w.n.Send(e, 0, p)
+					}
+					if clk.Now() < 40*time.Millisecond {
+						clk.After(100*time.Microsecond, tick)
+					}
+				}
+				clk.At(0, tick)
+			}
+			w.n.RunUntil(100 * time.Millisecond)
+			if p := w.n.Pending(); p != 0 {
+				t.Fatalf("shards=%d scalar=%v: %d items pending after a drained run", shards, scalar, p)
+			}
+			// 40 ms at 100 Mb/s is 833 packets of 600 B a direction.
+			if sent := w.n.LineStats(w.cut).SentPackets; sent < 1600 {
+				t.Fatalf("shards=%d scalar=%v: C2—C3 carried %d packets, want a busy link (≥ 1600)", shards, scalar, sent)
+			}
+			for _, line := range w.n.lines {
+				for d := range line.dirs {
+					if sz := len(line.dirs[d].train.members); sz > 64 {
+						t.Errorf("shards=%d scalar=%v: %s dir %d holds a ring of %d slots, want ≤ 64", shards, scalar, line.link.Name(), d, sz)
+					}
+				}
+			}
+			checkRingsUnpinned(t, w.n)
+		}
+	}
+}
+
+// checkRingsUnpinned fails if any ring slot of n still references a
+// packet: a drained world's packets are delivered or recycled, and a
+// slot holding one would keep it from the collector or alias a reuse.
+func checkRingsUnpinned(t *testing.T, n *Network) {
+	t.Helper()
+	for _, line := range n.lines {
+		for d := range line.dirs {
+			for i, m := range line.dirs[d].train.members {
+				if m.pkt != nil {
+					t.Errorf("%s dir %d: slot %d still holds a packet", line.link.Name(), d, i)
+				}
+			}
+		}
+	}
+}
+
 // testCutLinkQueueDrain saturates the four-slot C2—C3 link of the
 // six-node chain from both sides — bursts handed straight to its two
 // senders, among them one at exactly a release instant (48 µs per

@@ -206,7 +206,7 @@ echo "==> go test -race: sharded driver, failover path"
 # pulling lanes and the inboxes shows only in some interleavings, so the
 # shard tests run five times over.
 go test -race -count=5 -run 'Shard|Window|FlowSet|Train' ./internal/udpsim/
-go test -race -count=5 -run 'Shard|Window' ./internal/simnet
+go test -race -count=5 -run 'Shard|Window|Train' ./internal/simnet
 go test -race ./internal/simnet ./internal/kswitch ./internal/edge ./internal/packet
 go test -race -run 'RunSweep|DeterminismMatrix/(fig4-metrics|fig5-sweep|fig7-sweep|reno-ablation)' ./internal/experiment .
 
