@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -123,34 +123,32 @@ func bitLen(m *big.Int) int {
 // the route switches — a proxy for how likely a deflected packet is to
 // land there. Ties break on node insertion order for determinism.
 func deflectionOrder(g *topology.Graph, primary []Hop, onRoute map[*topology.Node]bool) []*topology.Node {
-	visited := make(map[*topology.Node]bool, len(g.Nodes()))
+	visited := make([]bool, g.NumNodes())
 	frontier := make([]*topology.Node, 0, len(primary))
 	for _, h := range primary {
-		visited[h.Switch] = true
+		visited[h.Switch.Index()] = true
 		frontier = append(frontier, h.Switch)
 	}
 	var order []*topology.Node
 	for len(frontier) > 0 {
-		var next []*topology.Node
 		var layer []*topology.Node
 		for _, n := range frontier {
-			for _, l := range n.Links() {
-				nb := l.Other(n)
-				if visited[nb] || nb.Kind() != topology.KindCore {
+			for p := 0; p < n.PortSpan(); p++ {
+				nb, ok := n.Neighbor(p)
+				if !ok || visited[nb.Index()] || nb.Kind() != topology.KindCore {
 					continue
 				}
-				visited[nb] = true
+				visited[nb.Index()] = true
 				layer = append(layer, nb)
 			}
 		}
-		sort.Slice(layer, func(i, j int) bool { return layer[i].Index() < layer[j].Index() })
+		slices.SortFunc(layer, func(a, b *topology.Node) int { return a.Index() - b.Index() })
 		for _, n := range layer {
 			if !onRoute[n] {
 				order = append(order, n)
 			}
 		}
-		next = append(next, layer...)
-		frontier = next
+		frontier = layer
 	}
 	return order
 }

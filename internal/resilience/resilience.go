@@ -485,7 +485,7 @@ func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 			ends[r][1] = n.Index()
 		}
 	}
-	links, nodes := g.Links(), len(g.Nodes())
+	links, nodes := g.Links(), g.NumNodes()
 
 	// The no-failure verdict of every (route, policy), computed before
 	// the fan-out (on worker 0's scratch) and read by every worker: it

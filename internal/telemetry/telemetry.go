@@ -21,6 +21,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/slab"
 )
 
 // Label is one metric dimension.
@@ -250,8 +252,9 @@ type family struct {
 	// pending holds what has been registered but not yet keyed, in
 	// registration order. materialise moves it into series; nothing
 	// else reads it except the unfiltered SumCounter, which needs no
-	// labels.
+	// labels. It starts in first: a family's first block is inline.
 	pending []block
+	first   [1]block
 }
 
 // lazyMax bounds how many single series an unkeyed family holds, which
@@ -305,11 +308,19 @@ func (b *block) single() any {
 // unkeyed family cannot answer (one on a family holding a block, or
 // its lazyMax+1-th single series). A world that is built, run and read
 // back through unfiltered SumCounter totals never builds them at all.
+// Nor does it allocate per series: family records, single Counter and
+// Gauge cells and their key/value copies are cut from per-registry
+// chunks that double as they fill; a family's first block is inline.
 type Registry struct {
 	mu       sync.Mutex
 	base     []Label // applied to every series
 	families map[string]*family
 	helps    map[string]string // HELP text by family name
+
+	familySlab  []family
+	counterSlab []Counter
+	gaugeSlab   []Gauge
+	kvSlab      []string
 }
 
 // RegistryOption configures a Registry.
@@ -375,7 +386,8 @@ func seriesKey(ls []Label) string {
 func (r *Registry) getFamily(name string, k kind, bounds []float64) *family {
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, kind: k, bounds: bounds}
+		f = &slab.Cut(&r.familySlab, 1)[0]
+		f.name, f.kind, f.bounds, f.pending = name, k, bounds, f.first[:0]
 		r.families[name] = f
 		return f
 	}
@@ -480,12 +492,12 @@ func (r *Registry) single(name string, k kind, bounds []float64, kv []string) an
 		if len(f.pending) < lazyMax {
 			// kv is the caller's variadic slice: copied, it may stay on
 			// the caller's stack and be reused.
-			b := block{kv: append([]string(nil), kv...)}
+			b := block{kv: append(slab.Cut(&r.kvSlab, len(kv))[:0], kv...)}
 			switch k {
 			case kindCounter:
-				b.counters = make([]Counter, 1)
+				b.counters = slab.Cut(&r.counterSlab, 1)
 			case kindGauge:
-				b.gauges = make([]Gauge, 1)
+				b.gauges = slab.Cut(&r.gaugeSlab, 1)
 			default:
 				b.hists = []Histogram{{bounds: f.bounds, counts: make([]int64, len(f.bounds)+1)}}
 			}

@@ -126,10 +126,13 @@ func TestLinkIndexAndCachedName(t *testing.T) {
 }
 
 // Graphs from Shared are read by many jobs at once: naming the links of
-// a graph nobody has named yet from several goroutines is race-free (run
-// under -race) and every caller sees the same string.
+// a graph nobody has named yet, and walking its port tables, from
+// several goroutines is race-free (run under -race) and every caller
+// sees the same strings and endpoints. The links and tables sit in the
+// graph's slabs, so neighbouring links' first names are written side by
+// side.
 func TestLinkNameConcurrent(t *testing.T) {
-	g, err := FromSpec("fattree:4")
+	g, err := Shared("fattree:6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +145,13 @@ func TestLinkNameConcurrent(t *testing.T) {
 			defer wg.Done()
 			for _, l := range links {
 				names[w] = append(names[w], l.Name())
+			}
+			for _, n := range g.Nodes() {
+				for p := 0; p < n.PortSpan(); p++ {
+					if l, ok := n.PortLink(p); !ok || l.PortOf(n) != p || l.Other(l.Other(n)) != n {
+						t.Errorf("goroutine %d: %s port %d holds %v", w, n, p, l)
+					}
+				}
 			}
 		}()
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/coprime"
+	"repro/internal/slab"
 	"repro/internal/xrand"
 )
 
@@ -21,7 +22,8 @@ type wire struct{ a, b int }
 // Cores are inserted first, in index order. Host h is named
 // E<hostBase+h> and inserted just before its first wire, hosts being
 // numbered in that order; every host wire carries HostQueuePackets.
-// Wires are connected in list order, which fixes every port.
+// Wires are connected in list order, which fixes every port. The graph's
+// slabs are sized from the list, and each core's port table at its degree.
 func build(name string, cores int, coreName func(i int, id uint64) string, hostBase int, wires []wire) (*Graph, error) {
 	mins := make([]uint64, cores)
 	hostWires := 0
@@ -41,26 +43,25 @@ func build(name string, cores int, coreName func(i int, id uint64) string, hostB
 		return nil, fmt.Errorf("topology: %s: %w", name, err)
 	}
 
-	g := New(name)
-	nodes := make([]*Node, cores, cores+hostWires)
+	g := newGraph(name, cores+hostWires, len(wires), 2*len(wires))
 	for i, id := range ids {
-		if nodes[i], err = g.AddCore(coreName(i, id), id); err != nil {
+		n, err := g.AddCore(coreName(i, id), id)
+		if err != nil {
 			return nil, err
 		}
+		n.ports = slab.Cut(&g.portSlab, int(mins[i]-1))[:0]
 	}
-	for _, w := range wires {
+	for _, w := range wires { // wire endpoint i is node i: g.order[i]
 		cfg := defaultLink
 		if w.a >= cores {
-			if w.a == len(nodes) {
-				host, err := g.AddEdge("E" + strconv.Itoa(hostBase+w.a-cores))
-				if err != nil {
+			if w.a == len(g.order) {
+				if _, err := g.AddEdge("E" + strconv.Itoa(hostBase+w.a-cores)); err != nil {
 					return nil, err
 				}
-				nodes = append(nodes, host)
 			}
 			cfg.queuePkts = HostQueuePackets
 		}
-		if _, err := g.connect(nodes[w.a], nodes[w.b], cfg); err != nil {
+		if _, err := g.connect(g.order[w.a], g.order[w.b], cfg); err != nil {
 			return nil, err
 		}
 	}

@@ -60,6 +60,36 @@ func TestFatTreeDatacenterScale(t *testing.T) {
 	}
 }
 
+// A generated graph is built per graph, not per element: its nodes,
+// links and port tables come from slabs sized from the wire list, so a
+// fat tree takes fewer allocations than it has links.
+func TestFromSpecAllocatesPerGraph(t *testing.T) {
+	g, err := FromSpec("fattree:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := FromSpec("fattree:8"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations for %d links", allocs, g.NumLinks())
+	if allocs >= float64(g.NumLinks()) {
+		t.Errorf("FromSpec(fattree:8) allocated %.0f times, want fewer than its %d links", allocs, g.NumLinks())
+	}
+}
+
+// BenchmarkFromSpecFatTree28 times the 980-switch generator alone:
+// wiring, coprime ID assignment and validation.
+func BenchmarkFromSpecFatTree28(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromSpec("fattree:28"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestClosShape: every leaf sees every spine plus one host.
 func TestClosShape(t *testing.T) {
 	g, err := FromSpec("clos:6:3")

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/rns"
+	"repro/internal/slab"
 )
 
 // Kind discriminates node roles.
@@ -256,11 +257,20 @@ type Graph struct {
 	nodes map[string]*Node
 	order []*Node
 	links []*Link
+	// Nodes, links and port tables are cut from these (sized by build).
+	nodeSlab []Node
+	linkSlab []Link
+	portSlab []*Link
 }
 
 // New returns an empty graph with a display name.
-func New(name string) *Graph {
-	return &Graph{name: name, nodes: make(map[string]*Node)}
+func New(name string) *Graph { return newGraph(name, 0, 0, 0) }
+
+// newGraph returns an empty graph with slab room for nodes, links and ports.
+func newGraph(name string, nodes, links, ports int) *Graph {
+	return &Graph{name: name, nodes: make(map[string]*Node, nodes),
+		order: make([]*Node, 0, nodes), links: make([]*Link, 0, links), nodeSlab: make([]Node, 0, nodes),
+		linkSlab: make([]Link, 0, links), portSlab: make([]*Link, 0, ports)}
 }
 
 // Name returns the topology's display name.
@@ -283,7 +293,8 @@ func (g *Graph) addNode(name string, kind Kind, id uint64) (*Node, error) {
 	if _, ok := g.nodes[name]; ok {
 		return nil, fmt.Errorf("%q: %w", name, ErrDuplicateNode)
 	}
-	n := &Node{name: name, kind: kind, id: id, idx: len(g.order)}
+	n := &slab.Cut(&g.nodeSlab, 1)[0]
+	*n = Node{name: name, kind: kind, id: id, idx: len(g.order)}
 	g.nodes[name] = n
 	g.order = append(g.order, n)
 	return n, nil
@@ -332,7 +343,8 @@ func (g *Graph) connect(na, nb *Node, cfg linkConfig) (*Link, error) {
 		return nil, err
 	}
 
-	l := &Link{
+	l := &slab.Cut(&g.linkSlab, 1)[0]
+	*l = Link{
 		a: na, b: nb,
 		aPort: cfg.aPort, bPort: cfg.bPort,
 		idx:       len(g.links),
@@ -340,8 +352,8 @@ func (g *Graph) connect(na, nb *Node, cfg linkConfig) (*Link, error) {
 		delay:     cfg.delay,
 		queuePkts: cfg.queuePkts,
 	}
-	attachPort(na, cfg.aPort, l)
-	attachPort(nb, cfg.bPort, l)
+	g.attachPort(na, cfg.aPort, l)
+	g.attachPort(nb, cfg.bPort, l)
 	g.links = append(g.links, l)
 	return l, nil
 }
@@ -365,10 +377,12 @@ func checkPortFree(n *Node, port int) error {
 	return nil
 }
 
-func attachPort(n *Node, port int, l *Link) {
-	for port >= len(n.ports) {
-		n.ports = append(n.ports, nil)
+// attachPort files l at n's port, moving a table too small to a larger cut.
+func (g *Graph) attachPort(n *Node, port int, l *Link) {
+	if port >= cap(n.ports) {
+		n.ports = append(slab.Cut(&g.portSlab, max(port+1, 2*cap(n.ports)))[:0], n.ports...)
 	}
+	n.ports = n.ports[:max(len(n.ports), port+1)]
 	n.ports[port] = l
 }
 
@@ -405,6 +419,9 @@ func (g *Graph) EdgeNodes() []*Node {
 
 // Links returns all links in insertion order (a copy).
 func (g *Graph) Links() []*Link { return append([]*Link(nil), g.links...) }
+
+// NumNodes returns the number of nodes: the bound of Node.Index.
+func (g *Graph) NumNodes() int { return len(g.order) }
 
 // NumLinks returns the number of links: the bound of Link.Index.
 func (g *Graph) NumLinks() int { return len(g.links) }

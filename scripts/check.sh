@@ -189,10 +189,13 @@ fi
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go test -race ./internal/trace/... ./internal/telemetry/..."
+echo "==> go test -race ./internal/trace/... ./internal/telemetry/... ./internal/topology/... ./internal/coprime/..."
 # Fast-fail the observability packages first: the flight recorder and
 # telemetry registry are the pieces every other gate below depends on.
-go test -race ./internal/trace/... ./internal/telemetry/...
+# The graph and its ID allocator follow: every world, and every job on a
+# Shared graph, reads the slab-built links and port tables.
+go test -race ./internal/trace/... ./internal/telemetry/... ./internal/topology/... ./internal/coprime/...
+go test -race -count=10 -run 'LinkNameConcurrent' ./internal/topology
 
 echo "==> go test -race: sharded driver, failover path"
 # Fast-fail the sharded driver next: lane-owned telemetry cells, the
