@@ -36,7 +36,7 @@ bench-compare:
 # Scenario smoke: run every declarative fault scenario in
 # examples/scenarios/ and require each verdict to PASS.
 scenarios:
-	sh scripts/scenarios.sh
+	$(GO) test -run TestScenarioFilesPass -v ./cmd/karsim
 
 # Resilience verification: exhaustively sweep every single-link
 # failure on Net15 under full protection and require 100% delivery
@@ -54,9 +54,9 @@ verify:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Full quality gates: vet + gofmt + build + race tests + telemetry
-# smoke test (fig4 -metrics dump well-formed and byte-identical across
-# same-seed runs) + scenario determinism and smoke. See
+# Quality gates beyond `make test` (which holds the design rules of
+# guards_test.go and every CLI golden): vet + gofmt + build + race tests
+# + 10-s fuzz explorations + serve-daemon and benchmark smokes. See
 # scripts/check.sh.
 check:
 	sh scripts/check.sh

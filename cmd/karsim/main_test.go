@@ -64,6 +64,73 @@ func TestVerifyGolden(t *testing.T) {
 	}
 }
 
+// fullProtection is the exhaustive single-failure sweep over the four
+// SW29-rooted routes that full protection covers.
+const fullProtection = "-verify net15 -verify-protection full -verify-routes AS1:AS2,AS1:AS3,AS2:AS3,AS3:AS2 -verify-policies avp,nip"
+
+// TestVerifyMinGate: -verify-min passes a sweep whose every route
+// survives every single failure — avp and nip under full protection,
+// nip and dtree under per-destination auto protection, the AS1-bound
+// routes the full set leaves exposed included — and fails the
+// unprotected one.
+func TestVerifyMinGate(t *testing.T) {
+	if doc := cliDocument(t, fullProtection+" -verify-min 1.0", "-verify-json"); !bytes.Contains(doc, []byte(`"survive_fraction": 1`)) {
+		t.Errorf("full-protection report carries no perfect survive fraction:\n%s", doc)
+	}
+	if err := run(strings.Fields("-verify net15 -verify-protection auto -verify-policies nip,dtree -verify-pairs 64 -verify-min 1.0"), io.Discard); err != nil {
+		t.Error(err)
+	}
+	if err := run(strings.Fields("-verify net15 -verify-policies none -verify-min 0.99"), io.Discard); err == nil {
+		t.Error("the unprotected sweep passed -verify-min 0.99")
+	}
+}
+
+// TestSeriesCounts: a -metrics dump carries every registered series,
+// zero-valued ones included. Per-link and per-switch series are
+// registered as blocks and get their labels on the dump's first read;
+// the verify counters resolve on first increment. A block that failed
+// to materialise, or a family resolved eagerly, shows as a wrong line
+// count: fattree:4 has 40 links (two directions each) and 20 switches
+// (four deflection causes each), and the full-protection sweep counts
+// cases, survived and disconnected per policy plus the sweep total.
+func TestSeriesCounts(t *testing.T) {
+	scale := cliDocument(t, "-exp scale -topo fattree:4 -flows 20000 -pairs 16 -rate 20 -duration 500ms -fail-links 2 -seed 3", "-metrics")
+	verify := cliDocument(t, fullProtection, "-metrics")
+	for _, c := range []struct {
+		dump []byte
+		want map[string]int // lines per name prefix
+	}{
+		{scale, map[string]int{"kar_link_up": 40, "kar_link_sent_packets_total": 80, "kar_link_sent_bytes_total": 80,
+			"kar_link_queue_drops_total": 80, "kar_link_inflight_drops_total": 80, "kar_switch_deflections_total": 80,
+			"kar_switch_received_total": 20, "kar_switch_forwards_total": 20, "kar_switch_ttl_expired_total": 20,
+			"kar_switch_policy_drops_total": 20}},
+		{verify, map[string]int{"kar_verify_cases_total{": 2, "kar_verify_": 7}},
+	} {
+		for prefix, want := range c.want {
+			if got := strings.Count("\n"+string(c.dump), "\n"+prefix); got != want {
+				t.Errorf("%d %s series, want %d", got, prefix, want)
+			}
+		}
+	}
+}
+
+// TestScenarioFilesPass: every canned scenario in examples/scenarios
+// meets its own expectations.
+func TestScenarioFilesPass(t *testing.T) {
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no scenario files: %v", err)
+	}
+	for _, f := range files {
+		t.Run(filepath.Base(f), func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run([]string{"-scenario", f}, &out); err != nil || !strings.Contains(out.String(), "\nverdict: PASS\n") {
+				t.Errorf("error %v, printed\n%s", err, &out)
+			}
+		})
+	}
+}
+
 // reactionJSONSHA256 pins the JSON twin of reaction_seed1.prom.golden
 // (6 341 lines: the per-run event streams beside the metrics).
 const reactionJSONSHA256 = "ab2413d7c31c448df5fd4af34d403c00ff6ee5f683bd6a422fcf6631455d85e6"

@@ -54,11 +54,16 @@ func TestVerbGoldens(t *testing.T) {
 
 // TestTraceGolden: `trace` prints what kartrace printed for a
 // flap-react-net15 export, as tables and as CSV, and refuses a -flow
-// that is not src:dst instead of printing every flow.
+// that is not src:dst instead of printing every flow. The export's
+// Perfetto twin carries the reaction's control-plane span.
 func TestTraceGolden(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "flap")
 	if err := run([]string{"-scenario", "../../examples/scenarios/flap-react-net15.json", "-trace-export", prefix}, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+	if perfetto, err := os.ReadFile(prefix + ".trace.json"); err != nil ||
+		!bytes.Contains(perfetto, []byte(`"traceEvents"`)) || !bytes.Contains(perfetto, []byte(`"name":"reaction:fail SW7-SW13"`)) {
+		t.Errorf("Perfetto export: %v, or no traceEvents carrying the reaction span", err)
 	}
 	runGolden(t, "trace_flap_journeys.golden", "trace", "-in", prefix+".jsonl", "-journeys", "3")
 	runGolden(t, "trace_flap_journeys_csv.golden", "trace", "-in", prefix+".jsonl", "-journeys", "3", "-csv")

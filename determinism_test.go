@@ -21,8 +21,8 @@ import (
 // Each artefact below is produced in-process in a reference mode and in
 // every other listed mode and byte-compared, so the race detector sees
 // all of it and a new axis value is one more row. (The CLI framing of
-// the same buffers is checked by cmd/karsim's tests, scripts/check.sh
-// and serve_smoke.sh.)
+// the same buffers is checked by cmd/karsim's tests and
+// scripts/serve_smoke.sh.)
 
 // mode is one execution mode: a cell of workers × shards × data plane.
 // A zero field means "the artefact's default".
