@@ -80,11 +80,6 @@ var guards = []rule{{
 	owns: []string{"bench:startDaemon", "bench:drive", "cmd/karsim:runServe", "internal/par:ForEach",
 		"internal/serve:New", "internal/serve:(*Server).Shutdown", "internal/simnet:(*Network).hire"},
 }, {
-	name:  "hop-count searches take one path",
-	why:   "A nil weight runs the bidirectional hop-count search; HopWeight Dijkstra is its oracle.",
-	match: []string{"call repro/internal/topology.*ShortestPath passing repro/internal/topology.HopWeight"},
-	owns:  []string{"internal/topology"},
-}, {
 	name:  "a route ID is encoded by core.EncodeRoute alone",
 	why:   "Every route ID is core.EncodeRoute → rns.NewSystem, with no basis cache.",
 	match: []string{"use repro/internal/core.NewEncoder"}, owns: []string{"bench"},

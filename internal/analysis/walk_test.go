@@ -32,7 +32,7 @@ func allPairsCtrl(t *testing.T, auto bool) (*topology.Graph, *controller.Control
 			if a == b {
 				continue
 			}
-			path, err := topology.ShortestPath(g, a.Name(), b.Name(), topology.HopWeight)
+			path, err := topology.ShortestPath(g, a.Name(), b.Name(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -34,7 +34,8 @@ type pair struct {
 // routeEntry is one installed route plus the bookkeeping incremental
 // rerouting needs: the protection requested at install time, the
 // baseline path (the shortest path under the empty failure set, ""
-// while unknown), and whether the current path deviates from it.
+// while unknown), and whether the current path deviates from it or was
+// kept through a failed link that cut the pair off.
 type routeEntry struct {
 	route      *core.Route
 	protection []core.Hop
@@ -105,7 +106,7 @@ func WithFailureReaction() Option {
 // hand-listed sets — one tree rooted at one destination protects only
 // the routes toward it — by giving every direction its own tree. Trees
 // are cached per destination (core.Planner), so all-pairs installs
-// cost one Dijkstra per destination, not per route. opts bounds the
+// cost one tree search per destination, not per route. opts bounds the
 // per-route encoding budget (zero MaxBits: complete protection —
 // every reachable off-route core switch gets a residue).
 func WithAutoProtection(opts core.PlanOptions) Option {
@@ -170,10 +171,10 @@ func New(g *topology.Graph, opts ...Option) *Controller {
 		c.events = telemetry.NewEventLog(0, nil)
 	}
 	if c.autoProtect {
-		// Protection trees use the hop weight, never the failure-priced
-		// one: like the canned sets, planned protection is static state
-		// the data plane deflects over, not a reactive detour.
-		c.planner = core.NewPlanner(c.g, topology.HopWeight)
+		// Protection trees span every link, failed ones included: like
+		// the canned sets, planned protection is static state the data
+		// plane deflects over, not a reactive detour.
+		c.planner = core.NewPlanner(c.g, nil)
 	}
 	return c
 }
@@ -201,20 +202,14 @@ func (c *Controller) encode(path topology.Path, hops []core.Hop) (*core.Route, e
 // Graph returns the controller's topology.
 func (c *Controller) Graph() *topology.Graph { return c.g }
 
-// pathWeight is nil — the hop-count search — until failure reaction
-// knows of a failed link; then it is the hop weight with failed links
-// priced out of the market, which Dijkstra searches.
-func (c *Controller) pathWeight() topology.WeightFunc {
-	if !c.reactToFailures || len(c.failed) == 0 {
+// pathAvoid is nil — every link usable — until failure reaction knows
+// of a failed link; then it rules the failed links out, so a pair they
+// cut off has no path.
+func (c *Controller) pathAvoid() func(*topology.Link) bool {
+	if len(c.failed) == 0 {
 		return nil
 	}
-	const prohibitive = 1e12
-	return func(l *topology.Link) float64 {
-		if c.failed[l] {
-			return prohibitive
-		}
-		return topology.HopWeight(l)
-	}
+	return func(l *topology.Link) bool { return c.failed[l] }
 }
 
 // index/unindex maintain the link→routes inverted map for one entry's
@@ -272,7 +267,7 @@ func (c *Controller) install(k pair, route *core.Route, protection []core.Hop) {
 // remembers it. Reinstalling a pair overwrites it.
 func (c *Controller) InstallRoute(src, dst string, protection []core.Hop) (*core.Route, error) {
 	c.cComputes.Inc()
-	path, err := topology.ShortestPath(c.g, src, dst, c.pathWeight())
+	path, err := topology.ShortestPath(c.g, src, dst, c.pathAvoid())
 	if err != nil {
 		return nil, fmt.Errorf("controller: route %s->%s: %w", src, dst, err)
 	}
@@ -373,7 +368,7 @@ func (c *Controller) reencode(fromEdge, dstEdge string, at *time.Duration) (rns.
 		return e.route.ID, port, nil
 	}
 	c.cComputes.Inc()
-	path, err := topology.ShortestPath(c.g, fromEdge, dstEdge, c.pathWeight())
+	path, err := topology.ShortestPath(c.g, fromEdge, dstEdge, c.pathAvoid())
 	if err != nil {
 		return rns.RouteID{}, 0, fmt.Errorf("controller: re-encode %s->%s: %w", fromEdge, dstEdge, err)
 	}
@@ -452,9 +447,9 @@ func (c *Controller) NotifyFailure(l *topology.Link) error {
 }
 
 // NotifyRepair clears a failure. With reaction enabled it recomputes
-// only the routes currently detoured off their baseline path — routes
-// already on their pre-failure shortest path cannot improve and are
-// skipped.
+// only the routes currently detoured off their baseline path or cut
+// off — routes on their pre-failure shortest path over live links
+// cannot improve and are skipped.
 func (c *Controller) NotifyRepair(l *topology.Link) error {
 	c.cNotifies.Inc()
 	c.events.Record(telemetry.EventNotify, l.Name(), "repair")
@@ -495,22 +490,26 @@ func sortPairs(ps []pair) {
 // in the caller's deterministic order, so the route table and every
 // counter follow that order.
 //
-// A pair that becomes unreachable keeps its old route and bumps
-// kar_ctrl_reroute_failures_total — a stale route the data plane can
-// still deflect around beats no route. Only genuine encode failures
-// surface in the aggregate error (also keeping the old route, so an
-// error mid-batch can no longer strand the table half-updated).
+// A pair the failures cut off (no path over live links) keeps its old
+// route and bumps kar_ctrl_reroute_failures_total — a stale route the
+// data plane can still deflect around beats no route. Only genuine
+// encode failures surface in the aggregate error (also keeping the old
+// route, so an error mid-batch can no longer strand the table
+// half-updated).
 func (c *Controller) reroute(affected []pair) error {
 	c.cRerouted.Add(int64(len(affected)))
 	c.cRerouteSkipped.Add(int64(len(c.entries) - len(affected)))
-	weight := c.pathWeight()
+	avoid := c.pathAvoid()
 	var errs []error
 	for _, k := range affected {
 		c.cComputes.Inc()
-		path, err := topology.ShortestPath(c.g, k.src, k.dst, weight)
+		path, err := topology.ShortestPath(c.g, k.src, k.dst, avoid)
 		if err != nil {
+			// Keep the old route, through a failed link: any repair may
+			// reconnect the pair, so NotifyRepair must recompute it.
+			c.entries[k].detoured = true
 			c.rerouteFailed(k, "unreachable")
-			continue // keep the old route
+			continue
 		}
 		// The new path has a new on-route set: with auto-protection,
 		// encode re-plans from the cached destination tree instead of

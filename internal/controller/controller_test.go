@@ -177,30 +177,108 @@ func TestNotifyFailureWithReaction(t *testing.T) {
 	}
 }
 
-// TestPathWeightNilUntilFailure: installs take the hop-count search (a
-// nil weight) unless failure reaction knows of a failed link; only then
-// does a search price links, by Dijkstra.
-func TestPathWeightNilUntilFailure(t *testing.T) {
+// TestPathAvoidNilUntilFailure: installs search every link (a nil
+// avoid) unless failure reaction knows of a failed link; only then does
+// a search rule links out.
+func TestPathAvoidNilUntilFailure(t *testing.T) {
 	g := net15(t)
-	if New(g).pathWeight() != nil {
-		t.Error("pathWeight without failure reaction is not nil")
+	link, _ := g.LinkBetween("SW7", "SW13")
+	plain := New(g)
+	if err := plain.NotifyFailure(link); err != nil {
+		t.Fatalf("NotifyFailure: %v", err)
+	}
+	if plain.pathAvoid() != nil {
+		t.Error("pathAvoid without failure reaction is not nil")
 	}
 	c := New(g, WithFailureReaction())
-	if c.pathWeight() != nil {
-		t.Error("pathWeight before any failure is not nil")
+	if c.pathAvoid() != nil {
+		t.Error("pathAvoid before any failure is not nil")
 	}
-	link, _ := g.LinkBetween("SW7", "SW13")
 	if err := c.NotifyFailure(link); err != nil {
 		t.Fatalf("NotifyFailure: %v", err)
 	}
-	if c.pathWeight() == nil {
-		t.Error("pathWeight with a failed link is nil")
+	if avoid := c.pathAvoid(); avoid == nil || !avoid(link) {
+		t.Error("pathAvoid with a failed link does not rule it out")
 	}
 	if err := c.NotifyRepair(link); err != nil {
 		t.Fatalf("NotifyRepair: %v", err)
 	}
-	if c.pathWeight() != nil {
-		t.Error("pathWeight after the repair is not nil")
+	if c.pathAvoid() != nil {
+		t.Error("pathAvoid after the repair is not nil")
+	}
+}
+
+// fig1Reactive is Fig. 1 under a failure-reactive controller with S→D
+// installed on S-SW4-SW7-SW11-D, and a notifier for its links.
+func fig1Reactive(t *testing.T) (c *Controller, reg *telemetry.Registry, log *telemetry.EventLog, notify func(fail bool, a, b string)) {
+	t.Helper()
+	g, err := topology.Fig1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, log = telemetry.NewRegistry(), telemetry.NewEventLog(0, nil)
+	c = New(g, WithFailureReaction(), WithTelemetry(reg, log))
+	if r, err := c.InstallRoute("S", "D", nil); err != nil || r.Path.String() != "S-SW4-SW7-SW11-D" {
+		t.Fatalf("InstallRoute(S, D) = %v, %v; want S-SW4-SW7-SW11-D", r, err)
+	}
+	return c, reg, log, func(fail bool, a, b string) {
+		t.Helper()
+		l, _ := g.LinkBetween(a, b)
+		notify := c.NotifyRepair
+		if fail {
+			notify = c.NotifyFailure
+		}
+		if err := notify(l); err != nil {
+			t.Fatalf("notify %s-%s (fail %t): %v", a, b, fail, err)
+		}
+	}
+}
+
+// TestRerouteCutOffKeepsRoute: a pair the failures cut off keeps its
+// route and counts an unreachable recompute; it is never moved onto a
+// path through a failed link.
+func TestRerouteCutOffKeepsRoute(t *testing.T) {
+	c, reg, log, notify := fig1Reactive(t)
+	notify(true, "SW7", "SW11")
+	detour, _ := c.Route("S", "D")
+	if got := detour.Path.String(); got != "S-SW4-SW7-SW5-SW11-D" {
+		t.Fatalf("after SW7-SW11 fails, S->D = %s, want S-SW4-SW7-SW5-SW11-D", got)
+	}
+	notify(true, "SW5", "SW11")
+	if got, _ := c.Route("S", "D"); got != detour {
+		t.Errorf("cut-off S->D moved to %s, want the route installed after the first failure", got.Path)
+	}
+	if n := reg.Counter("kar_ctrl_reroute_failures_total").Value(); n != 1 {
+		t.Errorf("kar_ctrl_reroute_failures_total = %d, want 1", n)
+	}
+	unreachable := false
+	for _, e := range log.Events() {
+		unreachable = unreachable || e.Kind == telemetry.EventReroute && e.Detail == "S->D unreachable"
+	}
+	if !unreachable {
+		t.Errorf("event log has no \"S->D unreachable\" reroute: %v", log.Events())
+	}
+}
+
+// TestRepairReconnectsCutOffPair: a pair cut off while on its baseline
+// is recomputed by the repair of a link off that baseline that gives it
+// a live path again, as a full reinstall would.
+func TestRepairReconnectsCutOffPair(t *testing.T) {
+	c, _, _, notify := fig1Reactive(t)
+	notify(true, "SW5", "SW11") // off the route: S->D is not recomputed
+	notify(true, "SW7", "SW11") // cut off: S->D keeps its baseline
+	notify(false, "SW5", "SW11")
+	if got, _ := c.Route("S", "D"); got.Path.String() != "S-SW4-SW7-SW5-SW11-D" {
+		t.Errorf("after SW5-SW11 is repaired, S->D = %s, want S-SW4-SW7-SW5-SW11-D", got.Path)
+	}
+	before := snapshot(c)
+	if err := c.reinstallAll(); err != nil {
+		t.Fatalf("reinstallAll: %v", err)
+	}
+	diffSnapshots(t, "incremental table deviates from full reinstall", before, snapshot(c))
+	notify(false, "SW7", "SW11")
+	if got, _ := c.Route("S", "D"); got.Path.String() != "S-SW4-SW7-SW11-D" {
+		t.Errorf("after every repair, S->D = %s, want its baseline S-SW4-SW7-SW11-D", got.Path)
 	}
 }
 

@@ -41,18 +41,17 @@ func PlanProtection(g *topology.Graph, path topology.Path, opts PlanOptions) ([]
 // first use and shared by every route toward that destination. A
 // controller installing all-pairs routes touches each destination many
 // times (one per source); the cache makes per-destination protection
-// cost one Dijkstra per root instead of one per route.
+// cost one tree search per root instead of one per route.
 type Planner struct {
-	g      *topology.Graph
-	weight topology.WeightFunc
-	trees  map[string]map[*topology.Node]*topology.Link
+	g     *topology.Graph
+	avoid func(*topology.Link) bool
+	trees map[string]map[*topology.Node]*topology.Link
 }
 
-// NewPlanner builds a planner over g. The weight scores links when
-// building protection trees (HopWeight when nil) and applies to every
-// cached tree, so a planner is bound to one metric.
-func NewPlanner(g *topology.Graph, weight topology.WeightFunc) *Planner {
-	return &Planner{g: g, weight: weight, trees: make(map[string]map[*topology.Node]*topology.Link)}
+// NewPlanner builds a planner over g. Its protection trees leave out
+// the links avoid rules out (nil: none) — every caller passes nil.
+func NewPlanner(g *topology.Graph, avoid func(*topology.Link) bool) *Planner {
+	return &Planner{g: g, avoid: avoid, trees: make(map[string]map[*topology.Node]*topology.Link)}
 }
 
 // Tree returns the destination-rooted shortest-path tree for root,
@@ -61,7 +60,7 @@ func (p *Planner) Tree(root string) (map[*topology.Node]*topology.Link, error) {
 	if t, ok := p.trees[root]; ok {
 		return t, nil
 	}
-	t, err := topology.ShortestPathTree(p.g, root, p.weight)
+	t, err := topology.ShortestPathTree(p.g, root, p.avoid)
 	if err != nil {
 		return nil, err
 	}

@@ -79,7 +79,7 @@ func Table2Quantitative() (*Table2Row, error) {
 		return nil, err
 	}
 	net := simnet.New(g)
-	switches, err := tablefwd.InstallAll(net, nil)
+	switches, err := tablefwd.InstallAll(net)
 	if err != nil {
 		return nil, err
 	}

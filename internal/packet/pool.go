@@ -59,8 +59,9 @@ func withdraw(dst []*Packet, n int) []*Packet {
 // Get returns a zeroed pool-owned Packet straight from the depot. It and
 // Release remain only for the benchmark's kernels (bench/) and this
 // package's tests; simulation code makes and recycles packets on its
-// lane (simnet.Clock.NewPacket/Recycle), and scripts/check.sh fails on
-// a call anywhere else. The caller must hand the packet to exactly one
+// lane (simnet.Clock.NewPacket/Recycle), and TestDesignGuards' rule
+// "packets are made and recycled on their lane" fails on a call
+// anywhere else. The caller must hand the packet to exactly one
 // sink that calls Release (or call Release itself on error paths).
 func Get() *Packet {
 	var one [1]*Packet

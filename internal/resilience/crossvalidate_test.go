@@ -58,7 +58,7 @@ func xvCases(t *testing.T) []xvCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := topology.ShortestPath(g, "E1", "E2", topology.HopWeight)
+	path, err := topology.ShortestPath(g, "E1", "E2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package tablefwd
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/packet"
 	"repro/internal/simnet"
@@ -63,10 +64,7 @@ func (s *Switch) HandlePacket(pkt *packet.Packet, inPort int) {
 // shortest-path tree toward the destination; the backup is the best
 // link-protecting loop-free alternate (RFC 5286), as fast-failover
 // deployments precompute.
-func InstallAll(net *simnet.Network, weight topology.WeightFunc) (map[string]*Switch, error) {
-	if weight == nil {
-		weight = topology.HopWeight
-	}
+func InstallAll(net *simnet.Network) (map[string]*Switch, error) {
 	g := net.Topology()
 	switches := make(map[string]*Switch, len(g.CoreNodes()))
 	for _, n := range g.CoreNodes() {
@@ -74,14 +72,14 @@ func InstallAll(net *simnet.Network, weight topology.WeightFunc) (map[string]*Sw
 	}
 
 	for _, dst := range g.EdgeNodes() {
-		tree, err := topology.ShortestPathTree(g, dst.Name(), weight)
+		tree, err := topology.ShortestPathTree(g, dst.Name(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("tablefwd: tree toward %s: %w", dst, err)
 		}
-		// Distances toward dst, derived from the tree.
-		dist := make(map[*topology.Node]float64, len(tree))
-		var distTo func(n *topology.Node) float64
-		distTo = func(n *topology.Node) float64 {
+		// Hop distances toward dst, derived from the tree.
+		dist := make(map[*topology.Node]int, len(tree))
+		var distTo func(n *topology.Node) int
+		distTo = func(n *topology.Node) int {
 			if n == dst {
 				return 0
 			}
@@ -90,9 +88,9 @@ func InstallAll(net *simnet.Network, weight topology.WeightFunc) (map[string]*Sw
 			}
 			l, ok := tree[n]
 			if !ok {
-				return 1e18
+				return math.MaxInt
 			}
-			d := weight(l) + distTo(l.Other(n))
+			d := 1 + distTo(l.Other(n))
 			dist[n] = d
 			return d
 		}
@@ -104,7 +102,7 @@ func InstallAll(net *simnet.Network, weight topology.WeightFunc) (map[string]*Sw
 			}
 			primary := l.PortOf(n)
 			backup := -1
-			best := 1e18
+			best := math.MaxInt
 			for _, alt := range n.Links() {
 				if alt == l {
 					continue
@@ -118,7 +116,7 @@ func InstallAll(net *simnet.Network, weight topology.WeightFunc) (map[string]*Sw
 				// neighbour's own shortest path to D avoids S, hence
 				// also the failed S-adjacent link — loop-free under a
 				// single link failure.
-				if d := distTo(nb); d < weight(alt)+distTo(n) && d < best {
+				if d := distTo(nb); d < 1+distTo(n) && d < best {
 					best = d
 					backup = alt.PortOf(n)
 				}

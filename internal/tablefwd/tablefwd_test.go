@@ -22,7 +22,7 @@ func buildTableWorld(t *testing.T) (*simnet.Network, map[string]*tablefwd.Switch
 		t.Fatalf("Net15: %v", err)
 	}
 	net := simnet.New(g)
-	switches, err := tablefwd.InstallAll(net, nil)
+	switches, err := tablefwd.InstallAll(net)
 	if err != nil {
 		t.Fatalf("InstallAll: %v", err)
 	}

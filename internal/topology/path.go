@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -62,29 +63,10 @@ func (p Path) String() string {
 	return strings.Join(names, "-")
 }
 
-// WeightFunc scores a link for shortest-path purposes. It must return
-// a positive cost.
-type WeightFunc func(*Link) float64
-
-// HopWeight counts every link as cost 1 (the paper's shortest-path
-// routing). ShortestPath takes nil for it and runs the bidirectional
-// hop-count search; passing HopWeight runs Dijkstra, which returns the
-// same path and is that search's test oracle.
-func HopWeight(*Link) float64 { return 1 }
-
-// pathSearch is the reusable scratch state of one search: for
-// Dijkstra, dist, prev and done keyed by Node.Index() and a 4-ary
-// min-heap of node indexes; for the hop-count search, a ball grown from
-// each endpoint. An epoch stamp means arrays never need clearing
-// between searches. Steady state allocates nothing.
+// pathSearch is the reusable scratch state of one search: a ball grown
+// from each endpoint. An epoch stamp means the arrays never need
+// clearing between searches. Steady state allocates nothing.
 type pathSearch struct {
-	dist []float64
-	prev []int32 // predecessor node index; -1 at the source
-	// stamp[i] == epoch marks dist/prev[i] valid; doneAt[i] == epoch
-	// marks node i finalised.
-	stamp    []uint32
-	doneAt   []uint32
-	heap     []int32
 	fwd, bwd ball
 	epoch    uint32
 }
@@ -101,122 +83,12 @@ type ball struct {
 
 var searchPool = sync.Pool{New: func() any { return new(pathSearch) }}
 
-// begin sizes the arrays for n nodes and opens a fresh epoch; when the
+// begin sizes the balls for n nodes and opens a fresh epoch; when the
 // epoch wraps, fresh arrays stand in for clearing stale stamps.
 func (s *pathSearch) begin(n int) {
-	s.heap = s.heap[:0]
-	if s.epoch++; cap(s.dist) < n || s.epoch == 0 {
+	if s.epoch++; len(s.fwd.at) < n || s.epoch == 0 {
 		newBall := func() ball { return ball{at: make([]uint32, n), d: make([]int32, n), q: make([]int32, 0, n)} }
-		*s = pathSearch{dist: make([]float64, n), prev: make([]int32, n), stamp: make([]uint32, n),
-			doneAt: make([]uint32, n), fwd: newBall(), bwd: newBall(), epoch: 1}
-	}
-}
-
-// seen reports whether node i has a valid tentative distance.
-func (s *pathSearch) seen(i int32) bool { return s.stamp[i] == s.epoch }
-
-// done reports whether node i is finalised.
-func (s *pathSearch) done(i int32) bool { return s.doneAt[i] == s.epoch }
-
-// relax records a better tentative distance for node i and pushes it.
-// Duplicate heap entries are resolved at pop time via done.
-func (s *pathSearch) relax(i int32, d float64, from int32) {
-	s.dist[i] = d
-	s.prev[i] = from
-	s.stamp[i] = s.epoch
-	s.push(i)
-}
-
-// less orders heap entries by (dist, node index): the node insertion
-// index is the deterministic tie-break the whole repository's
-// same-seed byte-identity rests on.
-func (s *pathSearch) less(a, b int32) bool {
-	if s.dist[a] != s.dist[b] {
-		return s.dist[a] < s.dist[b]
-	}
-	return a < b
-}
-
-// push and pop implement a 4-ary min-heap over node indexes. The
-// shallow tree does ~half the sift-down levels of a binary heap, and
-// a plain []int32 keeps the hot loop free of interface boxing.
-func (s *pathSearch) push(i int32) {
-	s.heap = append(s.heap, i)
-	c := len(s.heap) - 1
-	for c > 0 {
-		p := (c - 1) / 4
-		if !s.less(s.heap[c], s.heap[p]) {
-			break
-		}
-		s.heap[c], s.heap[p] = s.heap[p], s.heap[c]
-		c = p
-	}
-}
-
-func (s *pathSearch) pop() int32 {
-	h := s.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	s.heap = h[:last]
-	h = s.heap
-	p := 0
-	for {
-		first := 4*p + 1
-		if first >= len(h) {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > len(h) {
-			end = len(h)
-		}
-		for c := first + 1; c < end; c++ {
-			if s.less(h[c], h[best]) {
-				best = c
-			}
-		}
-		if !s.less(h[best], h[p]) {
-			break
-		}
-		h[p], h[best] = h[best], h[p]
-		p = best
-	}
-	return top
-}
-
-// run executes Dijkstra from node `from`. Edge nodes other than the
-// source and `to` are neither relaxed into nor expanded (no transit
-// through customer edges, per the paper's core/edge split); when `to`
-// is non-nil the search stops as soon as it is finalised, and when it
-// is nil (ShortestPathTree) no edge forwards toward the root.
-func (s *pathSearch) run(g *Graph, from, to *Node, weight WeightFunc) {
-	s.begin(len(g.order))
-	s.relax(int32(from.idx), 0, -1)
-	for len(s.heap) > 0 {
-		ci := s.pop()
-		if s.done(ci) {
-			continue // stale duplicate
-		}
-		s.doneAt[ci] = s.epoch
-		cur := g.order[ci]
-		if cur == to {
-			return
-		}
-		for _, l := range cur.ports {
-			if l == nil {
-				continue
-			}
-			next := l.Other(cur)
-			if next.kind == KindEdge && next != from && next != to {
-				continue
-			}
-			ni := int32(next.idx)
-			nd := s.dist[ci] + weight(l)
-			if !s.seen(ni) || nd < s.dist[ni] {
-				s.relax(ni, nd, ci)
-			}
-		}
+		*s = pathSearch{fwd: newBall(), bwd: newBall(), epoch: 1}
 	}
 }
 
@@ -226,21 +98,22 @@ func (b *ball) start(i int32, epoch uint32) {
 	b.q, b.lo, b.r = append(b.q[:0], i), 0, 0
 }
 
-// grow adds the ball's next level, skipping edge nodes other than gate
-// (the far endpoint), and reports whether the new level touches other.
-func (b *ball) grow(g *Graph, gate *Node, other *ball, epoch uint32) (touched bool) {
+// grow adds the ball's next level over the links avoid lets through,
+// skipping edge nodes other than gate (the far endpoint), and reports
+// whether the new level touches other (nil for none).
+func (b *ball) grow(g *Graph, gate *Node, other *ball, epoch uint32, avoid func(*Link) bool) (touched bool) {
 	hi := len(b.q)
 	for _, ci := range b.q[b.lo:hi] {
 		cur := g.order[ci]
 		for _, l := range cur.ports {
-			if l == nil {
+			if !usable(l, avoid) {
 				continue
 			}
 			next := l.Other(cur)
 			if ni := int32(next.idx); b.at[ni] != epoch && (next.kind != KindEdge || next == gate) {
 				b.at[ni], b.d[ni] = epoch, b.r+1
 				b.q = append(b.q, ni)
-				touched = touched || other.at[ni] == epoch
+				touched = touched || other != nil && other.at[ni] == epoch
 			}
 		}
 	}
@@ -248,11 +121,28 @@ func (b *ball) grow(g *Graph, gate *Node, other *ball, epoch uint32) (touched bo
 	return touched
 }
 
-// appendHopPath appends the hop-count shortest path from → to (distinct
-// nodes) that Dijkstra's (dist, Node.Index()) pop order picks: each
+// nearer returns v's port link to its lowest-index neighbour that the
+// ball holds d hops out, over the links avoid lets through; nil if
+// there is none.
+func (b *ball) nearer(v *Node, d int32, epoch uint32, avoid func(*Link) bool) (best *Link) {
+	bi := int32(math.MaxInt32)
+	for _, l := range v.ports {
+		if !usable(l, avoid) {
+			continue
+		}
+		if ui := int32(l.Other(v).idx); ui < bi && b.at[ui] == epoch && b.d[ui] == d {
+			bi, best = ui, l
+		}
+	}
+	return best
+}
+
+// appendHopPath appends a hop-count shortest path from → to (distinct
+// nodes) over the links avoid lets through: the one on which each
 // node's predecessor is its lowest-index switch (or from) neighbour one
-// hop nearer from. It reports false when there is no path.
-func (s *pathSearch) appendHopPath(buf []*Node, g *Graph, from, to *Node) ([]*Node, bool) {
+// hop nearer from, as Dijkstra's (dist, Node.Index()) pop order picks.
+// It reports false when there is no path.
+func (s *pathSearch) appendHopPath(buf []*Node, g *Graph, from, to *Node, avoid func(*Link) bool) ([]*Node, bool) {
 	s.begin(len(g.order))
 	f, b, e := &s.fwd, &s.bwd, s.epoch
 	f.start(int32(from.idx), e)
@@ -265,9 +155,9 @@ func (s *pathSearch) appendHopPath(buf []*Node, g *Graph, from, to *Node) ([]*No
 			return buf, false
 		}
 		if len(f.q)-f.lo <= len(b.q)-b.lo {
-			touched = f.grow(g, to, b, e)
+			touched = f.grow(g, to, b, e, avoid)
 		} else {
-			touched = b.grow(g, from, f, e)
+			touched = b.grow(g, from, f, e, avoid)
 		}
 	}
 	// Extend the forward distances, a level at a time inwards, over the
@@ -278,7 +168,10 @@ func (s *pathSearch) appendHopPath(buf []*Node, g *Graph, from, to *Node) ([]*No
 		wi := b.q[k]
 		w := g.order[wi]
 		for _, l := range w.ports {
-			if ui := otherIndex(l, w); ui >= 0 && f.at[ui] == e && f.d[ui] == hops-b.d[wi]-1 {
+			if !usable(l, avoid) {
+				continue
+			}
+			if ui := l.Other(w).idx; f.at[ui] == e && f.d[ui] == hops-b.d[wi]-1 {
 				f.at[wi], f.d[wi] = e, hops-b.d[wi]
 				break
 			}
@@ -290,33 +183,23 @@ func (s *pathSearch) appendHopPath(buf []*Node, g *Graph, from, to *Node) ([]*No
 	buf = slices.Grow(buf, int(hops)+1)[:base+int(hops)+1]
 	buf[base+int(hops)] = to
 	for k, v := hops, to; k > 0; k-- {
-		best := int32(len(g.order))
-		for _, l := range v.ports {
-			if ui := otherIndex(l, v); ui >= 0 && ui < best && f.at[ui] == e && f.d[ui] == k-1 {
-				best = ui
-			}
-		}
-		v = g.order[best]
+		v = f.nearer(v, k-1, e, avoid).Other(v)
 		buf[base+int(k)-1] = v
 	}
 	return buf, true
 }
 
-// otherIndex is the index of the node across port link l from n, or -1
-// for an empty port.
-func otherIndex(l *Link, n *Node) int32 {
-	if l == nil {
-		return -1
-	}
-	return int32(l.Other(n).idx)
+// usable reports whether port link l exists and avoid lets it through.
+func usable(l *Link, avoid func(*Link) bool) bool {
+	return l != nil && (avoid == nil || !avoid(l))
 }
 
-// ShortestPath finds a shortest path from src to dst: by hop count
-// when weight is nil, else by Dijkstra under weight. Edge nodes other
+// ShortestPath finds a hop-count shortest path from src to dst over
+// the links avoid lets through (nil: every link). Edge nodes other
 // than src and dst are never used as transit — the paper's core/edge
 // split means traffic cannot cut through a customer edge.
-func ShortestPath(g *Graph, src, dst string, weight WeightFunc) (Path, error) {
-	nodes, err := AppendShortestPath(nil, g, src, dst, weight)
+func ShortestPath(g *Graph, src, dst string, avoid func(*Link) bool) (Path, error) {
+	nodes, err := AppendShortestPath(nil, g, src, dst, avoid)
 	if err != nil {
 		return Path{}, err
 	}
@@ -328,10 +211,11 @@ func ShortestPath(g *Graph, src, dst string, weight WeightFunc) (Path, error) {
 // allocates nothing. The result aliases buf's storage, so callers
 // that retain paths (route installs) must copy or hand over the slice.
 //
-// A nil weight runs a bidirectional breadth-first search, which visits
-// the two balls that meet rather than the whole graph; it returns the
-// path Dijkstra under HopWeight returns, tie-break included.
-func AppendShortestPath(buf []*Node, g *Graph, src, dst string, weight WeightFunc) ([]*Node, error) {
+// It runs a bidirectional breadth-first search, which visits the two
+// balls that meet rather than the whole graph, and breaks ties as
+// Dijkstra popping by (dist, Node.Index()) would: each node's
+// predecessor is its lowest-index neighbour one hop nearer src.
+func AppendShortestPath(buf []*Node, g *Graph, src, dst string, avoid func(*Link) bool) ([]*Node, error) {
 	from, ok := g.Node(src)
 	if !ok {
 		return buf, fmt.Errorf("source %q: %w", src, ErrUnknownNode)
@@ -345,59 +229,36 @@ func AppendShortestPath(buf []*Node, g *Graph, src, dst string, weight WeightFun
 	}
 	s := searchPool.Get().(*pathSearch)
 	defer searchPool.Put(s)
-	if weight == nil {
-		if buf, ok = s.appendHopPath(buf, g, from, to); !ok {
-			return buf, fmt.Errorf("%s -> %s: %w", src, dst, ErrNoPath)
-		}
-		return buf, nil
-	}
-	s.run(g, from, to, weight)
-	if !s.done(int32(to.idx)) {
+	if buf, ok = s.appendHopPath(buf, g, from, to, avoid); !ok {
 		return buf, fmt.Errorf("%s -> %s: %w", src, dst, ErrNoPath)
 	}
-	base := len(buf)
-	for i := int32(to.idx); i >= 0; i = s.prev[i] {
-		buf = append(buf, g.order[i])
-	}
-	slices.Reverse(buf[base:])
 	return buf, nil
 }
 
-// ShortestPathTree computes, for every node that can reach root, the
-// first link of its shortest path toward root (a next-hop tree rooted
-// at root). This is the structure driven-deflection protection plans
-// are cut from: encoding (switch → tree port) guides any deflected
-// packet to the destination. Edge nodes are not used as transit.
-func ShortestPathTree(g *Graph, root string, weight WeightFunc) (map[*Node]*Link, error) {
-	if weight == nil {
-		weight = HopWeight
-	}
+// ShortestPathTree computes, for every node that can reach root over
+// the links avoid lets through (nil: every link), the first link of its
+// hop-count shortest path toward root: the link to its lowest-index
+// neighbour one hop nearer root. This next-hop tree is the structure
+// driven-deflection protection plans are cut from: encoding (switch →
+// tree port) guides any deflected packet to the destination. Edge
+// nodes are not used as transit and get no entry.
+func ShortestPathTree(g *Graph, root string, avoid func(*Link) bool) (map[*Node]*Link, error) {
 	r, ok := g.Node(root)
 	if !ok {
 		return nil, fmt.Errorf("root %q: %w", root, ErrUnknownNode)
 	}
-
 	s := searchPool.Get().(*pathSearch)
 	defer searchPool.Put(s)
-	s.run(g, r, nil, weight)
-
+	s.begin(len(g.order))
+	b, e := &s.fwd, s.epoch
+	b.start(int32(r.idx), e)
+	for b.lo < len(b.q) {
+		b.grow(g, nil, nil, e, avoid)
+	}
 	next := make(map[*Node]*Link, len(g.order))
-	for i, n := range g.order {
-		if n == r || !s.seen(int32(i)) {
-			continue
-		}
-		pi := s.prev[i]
-		if pi < 0 {
-			continue
-		}
-		// n's first hop toward root is the link to its predecessor.
-		prevNode := g.order[pi]
-		for _, l := range n.ports {
-			if l != nil && l.Other(n) == prevNode {
-				next[n] = l
-				break
-			}
-		}
+	for _, vi := range b.q[1:] {
+		v := g.order[vi]
+		next[v] = b.nearer(v, b.d[vi]-1, e, avoid)
 	}
 	return next, nil
 }

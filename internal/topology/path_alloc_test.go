@@ -9,8 +9,8 @@ import "testing"
 
 // TestAppendShortestPathZeroAlloc: a steady-state search — pooled
 // scratch arrays warm, caller-owned result buffer reused — must not
-// allocate, by the hop-count search (nil weight, the controller's
-// installs) or by Dijkstra (its reroutes after a failure).
+// allocate, with every link usable (the controller's installs) or with
+// links avoided (its reroutes after a failure).
 func TestAppendShortestPathZeroAlloc(t *testing.T) {
 	for _, spec := range []string{"rand:48:72:12:5", "fattree:28"} {
 		g, err := FromSpec(spec)
@@ -19,9 +19,12 @@ func TestAppendShortestPathZeroAlloc(t *testing.T) {
 		}
 		edges := g.EdgeNodes()
 		src, dst := edges[0].Name(), edges[len(edges)-1].Name()
-		for _, weight := range []WeightFunc{nil, HopWeight} {
+		for _, arm := range []struct {
+			name  string
+			avoid func(*Link) bool
+		}{{"nil", nil}, {"avoid", avoidMiddle(t, g, src, dst)}} {
 			// Warm run: sizes the pooled search state and the result buffer.
-			buf, err := AppendShortestPath(nil, g, src, dst, weight)
+			buf, err := AppendShortestPath(nil, g, src, dst, arm.avoid)
 			if err != nil {
 				t.Fatalf("%s: AppendShortestPath: %v", spec, err)
 			}
@@ -29,17 +32,38 @@ func TestAppendShortestPathZeroAlloc(t *testing.T) {
 
 			allocs := testing.AllocsPerRun(200, func() {
 				var err error
-				buf, err = AppendShortestPath(buf[:0], g, src, dst, weight)
+				buf, err = AppendShortestPath(buf[:0], g, src, dst, arm.avoid)
 				if err != nil {
 					t.Fatalf("%s: AppendShortestPath: %v", spec, err)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("%s (weight %p): steady-state AppendShortestPath allocates %.1f objects/op, want 0", spec, weight, allocs)
+				t.Errorf("%s (%s): steady-state AppendShortestPath allocates %.1f objects/op, want 0", spec, arm.name, allocs)
 			}
 			if got := (Path{Nodes: buf}).String(); got != want {
-				t.Errorf("%s (weight %p): reused-buffer path = %s, want %s", spec, weight, got, want)
+				t.Errorf("%s (%s): reused-buffer path = %s, want %s", spec, arm.name, got, want)
 			}
+		}
+	}
+}
+
+// TestShortestPathTreeAllocs: a tree allocates its result map and
+// nothing per node — the pooled search is warm. Auto-protection builds
+// one per destination.
+func TestShortestPathTreeAllocs(t *testing.T) {
+	for _, spec := range []string{"net15", "fattree:4", "fattree:8"} {
+		g, err := ByName(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := g.CoreNodes()[0].Name()
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := ShortestPathTree(g, root, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("%s: ShortestPathTree allocates %.1f objects/op, want <= 4", spec, allocs)
 		}
 	}
 }

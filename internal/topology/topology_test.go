@@ -300,7 +300,7 @@ func TestShortestPathWeighted(t *testing.T) {
 	mustConnect(t, g, "A", "B", WithDelay(10*time.Millisecond))
 	mustConnect(t, g, "B", "C", WithDelay(10*time.Millisecond))
 	mustConnect(t, g, "A", "C", WithDelay(50*time.Millisecond))
-	// By hops: direct A-C. By latency: via B.
+	// By hops: direct A-C. With A-C avoided: via B.
 	p, err := ShortestPath(g, "A", "C", nil)
 	if err != nil {
 		t.Fatalf("ShortestPath: %v", err)
@@ -308,12 +308,13 @@ func TestShortestPathWeighted(t *testing.T) {
 	if p.String() != "A-C" {
 		t.Errorf("hop path = %s, want A-C", p)
 	}
-	p, err = ShortestPath(g, "A", "C", func(l *Link) float64 { return float64(l.Delay()) })
+	ac, _ := g.LinkBetween("A", "C")
+	p, err = ShortestPath(g, "A", "C", func(l *Link) bool { return l == ac })
 	if err != nil {
 		t.Fatalf("ShortestPath: %v", err)
 	}
 	if p.String() != "A-B-C" {
-		t.Errorf("latency path = %s, want A-B-C", p)
+		t.Errorf("path avoiding A-C = %s, want A-B-C", p)
 	}
 	if p.Hops() != 2 {
 		t.Errorf("Hops = %d, want 2", p.Hops())

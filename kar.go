@@ -144,7 +144,8 @@ func PlanProtection(g *Graph, path Path, maxBits int) ([]Hop, error) {
 func PolicyByName(name string) (Policy, bool) { return deflect.ByName(name) }
 
 // ShortestPath finds a hop-count shortest path between two named nodes
-// by bidirectional breadth-first search, with Dijkstra's tie-break.
+// by bidirectional breadth-first search; of equal paths it takes the
+// one whose every node's predecessor has the lowest index.
 func ShortestPath(g *Graph, src, dst string) (Path, error) {
 	return topology.ShortestPath(g, src, dst, nil)
 }

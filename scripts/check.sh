@@ -19,7 +19,9 @@ go test -run '^$' -fuzz FuzzSchedulerOrder -fuzztime 10s ./internal/simnet
 
 echo "==> fuzz the hop-count search against Dijkstra (10 s)"
 # rand: topologies and endpoints from the committed corpus
-# (internal/topology/testdata/fuzz): bidirectional search ≡ HopWeight.
+# (internal/topology/testdata/fuzz): the bidirectional search ≡ the
+# test-only Dijkstra oracle, with every link usable and with a seeded
+# sixth of the links avoided.
 go test -run '^$' -fuzz FuzzHopSearch -fuzztime 10s ./internal/topology
 
 echo "==> fuzz xrand's stream against math/rand's (10 s)"
