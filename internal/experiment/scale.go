@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/deflect"
 	"repro/internal/measure"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
@@ -143,7 +144,48 @@ func Scale(cfg ScaleConfig) (*ScaleResult, error) {
 		cfg.Pairs = maxPairs
 	}
 
+	arrival, err := udpsim.ParseArrival(cfg.Arrival)
+	if err != nil {
+		return nil, err
+	}
+
 	buildStart := time.Now()
+	w, fs, recorder, err := newScaleWorld(g, policy, arrival, cfg)
+	if err != nil {
+		return nil, err
+	}
+	buildWall := time.Since(buildStart)
+
+	fs.Start()
+	runStart := time.Now()
+	w.Run(cfg.Duration + 200*time.Millisecond)
+	runWall := time.Since(runStart)
+
+	res := &ScaleResult{
+		Topology:  g.Name(),
+		Switches:  len(g.CoreNodes()),
+		Hosts:     len(hosts),
+		Links:     len(g.Links()),
+		Shards:    w.Net.Shards(),
+		Lookahead: w.Net.Lookahead(),
+		Pairs:     cfg.Pairs,
+		Stats:     fs.Stats(),
+		BuildWall: buildWall,
+		RunWall:   runWall,
+	}
+	label := fmt.Sprintf("scale/%s/%s/flows=%d/pairs=%d/seed=%d",
+		cfg.Topo, arrival, cfg.Flows, cfg.Pairs, cfg.Seed)
+	cfg.Metrics.Add(label, w.Net.Metrics(), w.Net.Events())
+	cfg.Trace.Commit(label, recorder)
+	return res, nil
+}
+
+// newScaleWorld is Scale's set-up over g, cfg being defaulted and its
+// Pairs no more than g's hosts allow: the world, its trace recorder
+// (nil without cfg.Trace), the seeded pairs and their routes, the
+// optional failures and the flow population, not yet started.
+func newScaleWorld(g *topology.Graph, policy deflect.Policy, arrival udpsim.Arrival, cfg ScaleConfig) (*World, *udpsim.FlowSet, *trace.Recorder, error) {
+	hosts := g.EdgeNodes()
 	// Scale worlds install thousands of routes: the event log's default
 	// capacity would evict, and eviction order is the one thing the
 	// parallel lanes do not keep deterministic.
@@ -167,7 +209,7 @@ func Scale(cfg ScaleConfig) (*ScaleResult, error) {
 		seen[[2]int{a, b}] = true
 		src, dst := hosts[a].Name(), hosts[b].Name()
 		if _, err := w.InstallRoute(src, dst, nil); err != nil {
-			return nil, fmt.Errorf("experiment: scale: route %s->%s: %w", src, dst, err)
+			return nil, nil, nil, fmt.Errorf("experiment: scale: route %s->%s: %w", src, dst, err)
 		}
 		pairs = append(pairs, udpsim.Pair{Src: w.Edges[src], Dst: w.Edges[dst]})
 	}
@@ -188,10 +230,6 @@ func Scale(cfg ScaleConfig) (*ScaleResult, error) {
 		}
 	}
 
-	arrival, err := udpsim.ParseArrival(cfg.Arrival)
-	if err != nil {
-		return nil, err
-	}
 	fs, err := udpsim.NewFlowSet(w.Net, pairs, udpsim.SetConfig{
 		Name:      "scale",
 		Flows:     cfg.Flows,
@@ -203,32 +241,9 @@ func Scale(cfg ScaleConfig) (*ScaleResult, error) {
 		Until:     cfg.Duration,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	buildWall := time.Since(buildStart)
-
-	fs.Start()
-	runStart := time.Now()
-	w.Run(cfg.Duration + 200*time.Millisecond)
-	runWall := time.Since(runStart)
-
-	res := &ScaleResult{
-		Topology:  g.Name(),
-		Switches:  len(g.CoreNodes()),
-		Hosts:     len(hosts),
-		Links:     len(g.Links()),
-		Shards:    w.Net.Shards(),
-		Lookahead: w.Net.Lookahead(),
-		Pairs:     len(pairs),
-		Stats:     fs.Stats(),
-		BuildWall: buildWall,
-		RunWall:   runWall,
-	}
-	label := fmt.Sprintf("scale/%s/%s/flows=%d/pairs=%d/seed=%d",
-		cfg.Topo, arrival, cfg.Flows, cfg.Pairs, cfg.Seed)
-	cfg.Metrics.Add(label, w.Net.Metrics(), w.Net.Events())
-	cfg.Trace.Commit(label, recorder)
-	return res, nil
+	return w, fs, recorder, nil
 }
 
 // ScaleTable renders a scale run. Wall-clock rows vary with the

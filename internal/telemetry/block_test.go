@@ -2,10 +2,13 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // linkLabels names cell i of a per-direction block the way simnet
@@ -80,6 +83,76 @@ func TestBlocksEqualSingles(t *testing.T) {
 	}
 }
 
+// A cell is its value word: labels live in the family's keyed index,
+// so a block of n cells that nobody reads by label costs 8n bytes.
+func TestCellsAreValueWords(t *testing.T) {
+	if sz := unsafe.Sizeof(Counter{}); sz != 8 {
+		t.Errorf("sizeof(Counter) = %d, want 8", sz)
+	}
+	if sz := unsafe.Sizeof(Gauge{}); sz != 8 {
+		t.Errorf("sizeof(Gauge) = %d, want 8", sz)
+	}
+}
+
+// Keying changes no reader's bytes: each reader gives the same output
+// as the first read of never-keyed blocks as it gives once every
+// family has been keyed.
+func TestBlockReadsSameBeforeAndAfterKeying(t *testing.T) {
+	prom := func(r *Registry) string {
+		var b bytes.Buffer
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	readers := []struct {
+		name string
+		read func(*Registry) string
+	}{
+		{"WritePrometheus", prom},
+		{"Snapshot", func(r *Registry) string {
+			j, err := json.Marshal(r.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(j)
+		}},
+		{"SumCounter(dir=rev)", func(r *Registry) string { return fmt.Sprint(r.SumCounter("sent_total", "dir", "rev")) }},
+		{"Merge", func(r *Registry) string {
+			m := NewRegistry()
+			m.Merge(r)
+			return prom(m)
+		}},
+	}
+	fresh := func() *Registry {
+		r := NewRegistry(WithBaseLabels("policy", "nip"))
+		fillBlocks(r)
+		return r
+	}
+	for _, rd := range readers {
+		unkeyed := fresh()
+		for name, f := range unkeyed.families {
+			if len(f.series) != 0 {
+				t.Fatalf("%s keyed before any read", name)
+			}
+		}
+		before := rd.read(unkeyed)
+		keyed := fresh()
+		if err := keyed.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if after := rd.read(keyed); after != before {
+			t.Errorf("%s differs after keying:\nbefore:\n%s\nafter:\n%s", rd.name, before, after)
+		}
+	}
+	if got := readers[2].read(fresh()); got != "30" {
+		t.Errorf("SumCounter(dir=rev) = %s, want 30", got)
+	}
+	if got := strings.Count(readers[3].read(fresh()), "\nsent_total{"); got != 6 {
+		t.Errorf("Merge result carries %d sent_total series, want 6", got)
+	}
+}
+
 func TestBlockLookups(t *testing.T) {
 	r := NewRegistry(WithBaseLabels("policy", "nip"))
 	sent := r.CounterVec("sent_total", 6, linkLabels)
@@ -151,8 +224,8 @@ func TestBlockDuplicateSeriesPanics(t *testing.T) {
 }
 
 // Lanes increment block cells while another goroutine takes the
-// family's first snapshot (run under -race): materialisation writes a
-// cell's labels, increments its value, and the two never meet.
+// family's first snapshot (run under -race): materialisation writes
+// only the family's index, increments only the cells.
 func TestBlockMaterialisesUnderConcurrentInc(t *testing.T) {
 	const lanes, perLane = 4, 2000
 	r := NewRegistry()

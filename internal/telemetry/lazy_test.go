@@ -154,7 +154,7 @@ func TestLazySinglesEqualEager(t *testing.T) {
 
 // Lanes update lazy cells while another goroutine takes the family's
 // first snapshot and a third keeps registering (run under -race):
-// materialisation writes a cell's labels, updates touch its value.
+// materialisation writes only the family's index, updates only the cells.
 func TestLazyMaterialisesUnderConcurrentUse(t *testing.T) {
 	const lanes, perLane = 4, 2000
 	r := NewRegistry()

@@ -54,10 +54,10 @@ func (k kind) String() string {
 }
 
 // Counter is a monotonically increasing integer metric. Safe for
-// concurrent use.
+// concurrent use. It is its value word alone: a series' labels live in
+// its family's keyed index, so an unread block of n counters is 8n bytes.
 type Counter struct {
-	v      atomic.Int64
-	labels []Label
+	v atomic.Int64
 }
 
 // Inc adds one.
@@ -75,9 +75,9 @@ func (c *Counter) Add(n int64) {
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous float metric. Safe for concurrent use.
+// Like Counter, it is its value word alone.
 type Gauge struct {
-	bits   atomic.Uint64
-	labels []Label
+	bits atomic.Uint64
 }
 
 // Set replaces the value.
@@ -108,7 +108,6 @@ type Histogram struct {
 	counts []int64   // len(bounds)+1; last is the +Inf bucket
 	count  int64
 	sum    float64
-	labels []Label
 }
 
 // HopBuckets suits hop-count distributions (path stretch): the
@@ -246,15 +245,23 @@ type family struct {
 	name   string
 	kind   kind
 	bounds []float64 // histograms only
-	// series is the keyed view — label-set key → *Counter, *Gauge or
-	// *Histogram — made on the family's first keyed insert.
-	series map[string]any
+	// series is the keyed view — label-set key → the series' labels
+	// and its *Counter, *Gauge or *Histogram — made on the family's
+	// first keyed insert. It is the only place a series' labels live.
+	series map[string]series
 	// pending holds what has been registered but not yet keyed, in
 	// registration order. materialise moves it into series; nothing
 	// else reads it except the unfiltered SumCounter, which needs no
 	// labels. It starts in first: a family's first block is inline.
 	pending []block
 	first   [1]block
+}
+
+// series is one keyed series: its sorted label set, base labels
+// included, and its cell.
+type series struct {
+	labels []Label
+	cell   any
 }
 
 // lazyMax bounds how many single series an unkeyed family holds, which
@@ -399,14 +406,14 @@ func (r *Registry) getFamily(name string, k kind, bounds []float64) *family {
 
 // newCell makes an unregistered series of the family's kind. A
 // histogram shares the family's bounds, which nothing writes.
-func (f *family) newCell(ls []Label) any {
+func (f *family) newCell() any {
 	switch f.kind {
 	case kindCounter:
-		return &Counter{labels: ls}
+		return new(Counter)
 	case kindGauge:
-		return &Gauge{labels: ls}
+		return new(Gauge)
 	default:
-		return &Histogram{bounds: f.bounds, counts: make([]int64, len(f.bounds)+1), labels: ls}
+		return &Histogram{bounds: f.bounds, counts: make([]int64, len(f.bounds)+1)}
 	}
 }
 
@@ -422,41 +429,47 @@ func (f *family) seriesAt(ls []Label, cell any) any {
 		if cell != nil {
 			panic(fmt.Sprintf("telemetry: metric %q registered twice with labels %v", f.name, ls))
 		}
-		return s
+		return s.cell
 	}
 	if cell == nil {
-		cell = f.newCell(ls)
+		cell = f.newCell()
 	}
-	if f.series == nil {
-		f.series = make(map[string]any)
-	}
-	f.series[key] = cell
+	f.reserve(1)
+	f.series[key] = series{labels: ls, cell: cell}
 	return cell
 }
 
 // materialise builds the label set and key of every pending cell and
-// files it in f.series, after which the family is indistinguishable
+// files both in f.series, after which the family is indistinguishable
 // from one registered eagerly. The caller holds r.mu; lanes may be
-// incrementing the cells meanwhile (they touch only the value words).
+// incrementing the cells meanwhile, and materialising writes nothing
+// in a cell.
 func (r *Registry) materialise(f *family) {
+	n := 0
+	for _, b := range f.pending {
+		n += len(b.counters) + len(b.gauges) + len(b.hists)
+	}
+	f.reserve(n)
 	for _, b := range f.pending {
 		for i := range b.counters {
-			c := &b.counters[i]
-			c.labels = r.labelSet(b.pairs(i))
-			f.seriesAt(c.labels, c)
+			f.seriesAt(r.labelSet(b.pairs(i)), &b.counters[i])
 		}
 		for i := range b.gauges {
-			g := &b.gauges[i]
-			g.labels = r.labelSet(b.pairs(i))
-			f.seriesAt(g.labels, g)
+			f.seriesAt(r.labelSet(b.pairs(i)), &b.gauges[i])
 		}
 		for i := range b.hists {
-			h := &b.hists[i]
-			h.labels = r.labelSet(b.pairs(i))
-			f.seriesAt(h.labels, h)
+			f.seriesAt(r.labelSet(b.pairs(i)), &b.hists[i])
 		}
 	}
 	f.pending = nil
+}
+
+// reserve makes the family's keyed index, sized for n series, if it
+// has none: a family keyed whole is filed without growing its map.
+func (f *family) reserve(n int) {
+	if f.series == nil && n > 0 {
+		f.series = make(map[string]series, n)
+	}
 }
 
 // lookup is the keyed registration path of one series by name and
@@ -604,8 +617,8 @@ func (r *Registry) CounterValue(name string, kv ...string) int64 {
 		return 0
 	}
 	r.materialise(f)
-	if c, ok := f.series[seriesKey(ls)]; ok {
-		return c.(*Counter).Value()
+	if s, ok := f.series[seriesKey(ls)]; ok {
+		return s.cell.(*Counter).Value()
 	}
 	return 0
 }
@@ -631,9 +644,8 @@ func (r *Registry) SumCounter(name string, kv ...string) int64 {
 		}
 	}
 	for _, s := range f.series {
-		c := s.(*Counter)
-		if labelsContain(c.labels, match) {
-			sum += c.Value()
+		if labelsContain(s.labels, match) {
+			sum += s.cell.(*Counter).Value()
 		}
 	}
 	return sum
@@ -679,6 +691,11 @@ func (r *Registry) Merge(o *Registry) {
 	}
 	r.mu.Unlock()
 	for _, fs := range o.snapshotFamilies() {
+		if len(fs.series) > 0 {
+			r.mu.Lock()
+			r.getFamily(fs.name, fs.kind, fs.bounds).reserve(len(fs.series))
+			r.mu.Unlock()
+		}
 		for _, s := range fs.series {
 			switch fs.kind {
 			case kindCounter:
@@ -729,20 +746,21 @@ func (r *Registry) snapshotFamilies() []familySnap {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			switch s := f.series[k].(type) {
+			s := f.series[k]
+			switch c := s.cell.(type) {
 			case *Counter:
-				fs.series = append(fs.series, seriesSnap{labels: s.labels, value: s.Value()})
+				fs.series = append(fs.series, seriesSnap{labels: s.labels, value: c.Value()})
 			case *Gauge:
-				fs.series = append(fs.series, seriesSnap{labels: s.labels, fvalue: s.Value()})
+				fs.series = append(fs.series, seriesSnap{labels: s.labels, fvalue: c.Value()})
 			case *Histogram:
-				s.mu.Lock()
+				c.mu.Lock()
 				fs.series = append(fs.series, seriesSnap{
 					labels: s.labels,
-					value:  s.count,
-					fvalue: s.sum,
-					counts: append([]int64(nil), s.counts...),
+					value:  c.count,
+					fvalue: c.sum,
+					counts: append([]int64(nil), c.counts...),
 				})
-				s.mu.Unlock()
+				c.mu.Unlock()
 			}
 		}
 		out = append(out, fs)

@@ -18,13 +18,14 @@ type wire struct{ a, b int }
 
 // build assembles a generated graph from its wire list. Each core's
 // switch ID is pairwise coprime with the others and above its degree in
-// wires (coprime.Assign over degree+1 minimums), and coreName names it.
-// Cores are inserted first, in index order. Host h is named
+// wires (coprime.Assign over degree+1 minimums), and coreName appends
+// its name. Cores are inserted first, in index order. Host h is named
 // E<hostBase+h> and inserted just before its first wire, hosts being
 // numbered in that order; every host wire carries HostQueuePackets.
 // Wires are connected in list order, which fixes every port. The graph's
-// slabs are sized from the list, and each core's port table at its degree.
-func build(name string, cores int, coreName func(i int, id uint64) string, hostBase int, wires []wire) (*Graph, error) {
+// slabs are sized from the list, each core's port table at its degree,
+// and every node name is a slice of one string.
+func build(name string, cores int, coreName func(b []byte, i int, id uint64) []byte, hostBase int, wires []wire) (*Graph, error) {
 	mins := make([]uint64, cores)
 	hostWires := 0
 	for _, w := range wires {
@@ -43,9 +44,10 @@ func build(name string, cores int, coreName func(i int, id uint64) string, hostB
 		return nil, fmt.Errorf("topology: %s: %w", name, err)
 	}
 
+	names := nodeNames(ids, coreName, hostBase, hostWires)
 	g := newGraph(name, cores+hostWires, len(wires), 2*len(wires))
 	for i, id := range ids {
-		n, err := g.AddCore(coreName(i, id), id)
+		n, err := g.AddCore(names(i), id)
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +57,7 @@ func build(name string, cores int, coreName func(i int, id uint64) string, hostB
 		cfg := defaultLink
 		if w.a >= cores {
 			if w.a == len(g.order) {
-				if _, err := g.AddEdge("E" + strconv.Itoa(hostBase+w.a-cores)); err != nil {
+				if _, err := g.AddEdge(names(w.a)); err != nil {
 					return nil, err
 				}
 			}
@@ -71,8 +73,39 @@ func build(name string, cores int, coreName func(i int, id uint64) string, hostB
 	return g, nil
 }
 
+// nodeNames appends the name of every core, then of every host, into
+// one buffer sized from the node count, converts it to a string once,
+// and returns node i's name as a slice of that string.
+func nodeNames(ids []uint64, coreName func(b []byte, i int, id uint64) []byte, hostBase, hosts int) func(i int) string {
+	n := len(ids) + hosts
+	buf := make([]byte, 0, 8*n)
+	ends := make([]int32, n)
+	for i, id := range ids {
+		buf = coreName(buf, i, id)
+		ends[i] = int32(len(buf))
+	}
+	for h := 0; h < hosts; h++ {
+		buf = strconv.AppendInt(append(buf, 'E'), int64(hostBase+h), 10)
+		ends[len(ids)+h] = int32(len(buf))
+	}
+	all := string(buf)
+	return func(i int) string {
+		start := int32(0)
+		if i > 0 {
+			start = ends[i-1]
+		}
+		return all[start:ends[i]]
+	}
+}
+
 // idName names a core by its switch ID, as the rand and isp generators do.
-func idName(_ int, id uint64) string { return "SW" + strconv.FormatUint(id, 10) }
+func idName(b []byte, _ int, id uint64) []byte { return strconv.AppendUint(append(b, "SW"...), id, 10) }
+
+// appendPair appends the name <prefix><x>_<y>.
+func appendPair(b []byte, prefix byte, x, y int) []byte {
+	b = strconv.AppendInt(append(b, prefix), int64(x), 10)
+	return strconv.AppendInt(append(b, '_'), int64(y), 10)
+}
 
 // generate builds a random connected topology: a random spanning tree
 // over the cores plus extra random chords, and edge hosts on distinct
@@ -155,15 +188,15 @@ func fatTree(k int) (*Graph, error) {
 			wires = append(wires, wire{k*k + c, agg(p, c/half)})
 		}
 	}
-	name := func(i int, _ uint64) string {
+	name := func(b []byte, i int, _ uint64) []byte {
 		if c := i - k*k; c >= 0 {
-			return fmt.Sprintf("C%d_%d", c/half, c%half)
+			return appendPair(b, 'C', c/half, c%half)
 		}
 		p, j := i/k, i%k
 		if j < half {
-			return fmt.Sprintf("A%d_%d", p, j)
+			return appendPair(b, 'A', p, j)
 		}
-		return fmt.Sprintf("T%d_%d", p, j-half)
+		return appendPair(b, 'T', p, j-half)
 	}
 	return build(fmt.Sprintf("fattree-%d", k), cores, name, 0, wires)
 }
@@ -182,11 +215,11 @@ func clos(leaves, spines int) (*Graph, error) {
 			wires = append(wires, wire{i, leaves + s})
 		}
 	}
-	name := func(i int, _ uint64) string {
+	name := func(b []byte, i int, _ uint64) []byte {
 		if i < leaves {
-			return "L" + strconv.Itoa(i)
+			return strconv.AppendInt(append(b, 'L'), int64(i), 10)
 		}
-		return "S" + strconv.Itoa(i-leaves)
+		return strconv.AppendInt(append(b, 'S'), int64(i-leaves), 10)
 	}
 	return build(fmt.Sprintf("clos-%d-%d", leaves, spines), leaves+spines, name, 0, wires)
 }

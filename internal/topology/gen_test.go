@@ -61,8 +61,11 @@ func TestFatTreeDatacenterScale(t *testing.T) {
 }
 
 // A generated graph is built per graph, not per element: its nodes,
-// links and port tables come from slabs sized from the wire list, so a
-// fat tree takes fewer allocations than it has links.
+// links and port tables come from slabs sized from the wire list, and
+// its node names are slices of one string. fattree:8 (112 nodes, 288
+// links) took 139 allocations when each name was its own string; it
+// takes 31 now, and the ceiling leaves room for a few, not for one per
+// node.
 func TestFromSpecAllocatesPerGraph(t *testing.T) {
 	g, err := FromSpec("fattree:8")
 	if err != nil {
@@ -73,9 +76,9 @@ func TestFromSpecAllocatesPerGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("%.0f allocations for %d links", allocs, g.NumLinks())
-	if allocs >= float64(g.NumLinks()) {
-		t.Errorf("FromSpec(fattree:8) allocated %.0f times, want fewer than its %d links", allocs, g.NumLinks())
+	t.Logf("%.0f allocations for %d nodes, %d links", allocs, len(g.Nodes()), g.NumLinks())
+	if allocs > 36 {
+		t.Errorf("FromSpec(fattree:8) allocated %.0f times, budget 36", allocs)
 	}
 }
 
