@@ -158,7 +158,7 @@ func InstallAll(net *simnet.Network, ctrl Reencoder, opts ...Option) map[string]
 func install(net *simnet.Network, nodes []*topology.Node, ctrl Reencoder, opts []Option) []Edge {
 	reg := net.Metrics()
 	reg.Help("kar_flow_stretch_hops", "Per-flow hop counts of decapsulated packets (path stretch).")
-	byName := func(i int) []string { return []string{"edge", nodes[i].Name()} }
+	byName := func(i int, dst []string) []string { return append(dst, "edge", nodes[i].Name()) }
 	encapped := reg.CounterVec("kar_edge_encap_total", len(nodes), byName)
 	delivered := reg.CounterVec("kar_edge_decap_total", len(nodes), byName)
 	misdelivered := reg.CounterVec("kar_edge_misdelivered_total", len(nodes), byName)

@@ -27,6 +27,13 @@ const (
 func net15TCP() tcpsim.Config { return tcpsim.Config{MaxCwnd: net15MaxCwnd} }
 func rnpTCP() tcpsim.Config   { return tcpsim.Config{MaxCwnd: rnpMaxCwnd} }
 
+// shared builds a TCP cell's graph through topology.Shared: graphs are
+// immutable after construction, so every run of a sweep reads one
+// instance instead of building the topology again.
+func shared(name string) func() (*topology.Graph, error) {
+	return func() (*topology.Graph, error) { return topology.Shared(name) }
+}
+
 // net15Protection resolves a protection level to Net15's canned pair
 // set (topology.Protection decides); the figures have no "auto" arm.
 func net15Protection(level string) ([][2]string, error) {
@@ -253,7 +260,7 @@ func Fig4(cfg Fig4Config) ([]Fig4Series, error) {
 	for i, policy := range cfg.Policies {
 		cells[i] = sweepCell{
 			run: TCPRunConfig{
-				Graph: topology.Net15, Policy: policy, Src: "AS1", Dst: "AS3",
+				Graph: shared("net15"), Policy: policy, Src: "AS1", Dst: "AS3",
 				Protection: topology.Net15FullProtection, ReverseBitBudget: reverseBudget("full"),
 				Failures:    []FailureSpec{{A: "SW7", B: "SW13", From: cfg.PreFailure, Duration: cfg.FailureFor}},
 				SampleEvery: cfg.SampleEvery, TCP: net15TCP(), Scalar: cfg.Scalar,
@@ -350,7 +357,7 @@ func Fig5(cfg Fig5Config) ([]Fig5Row, error) {
 			for _, policy := range cfg.Policies {
 				cells = append(cells, sweepCell{
 					run: TCPRunConfig{
-						Graph: topology.Net15, Policy: policy, Src: "AS1", Dst: "AS3",
+						Graph: shared("net15"), Policy: policy, Src: "AS1", Dst: "AS3",
 						Protection: pairs, ReverseBitBudget: reverseBudget(prot), TCP: net15TCP(),
 					},
 					fail:       fail,
@@ -402,7 +409,7 @@ type Fig7Row struct {
 // the Fig. 6 partial-protection segments and NIP deflection.
 func rnpRun() TCPRunConfig {
 	return TCPRunConfig{
-		Graph: topology.RNP28, Policy: "nip", Src: "EDGE-N", Dst: "EDGE-SP",
+		Graph: shared("rnp28"), Policy: "nip", Src: "EDGE-N", Dst: "EDGE-SP",
 		Protection:       topology.RNP28PartialProtection,
 		ReverseBitBudget: 41, // the partial set's own footprint, mirrored
 		TCP:              rnpTCP(),

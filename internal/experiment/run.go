@@ -25,8 +25,9 @@ type FailureSpec struct {
 
 // TCPRunConfig describes one iperf-style measurement run.
 type TCPRunConfig struct {
-	// Graph builds a fresh topology for the run (worlds are never
-	// shared between runs).
+	// Graph returns the run's topology. It may hand every run the same
+	// graph (topology.Shared): a graph is immutable after construction,
+	// and each run builds its own world over it.
 	Graph func() (*topology.Graph, error)
 	// Policy is the deflection policy name (none/hp/avp/nip/dtree).
 	Policy string

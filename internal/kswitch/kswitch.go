@@ -127,13 +127,13 @@ func install(net *simnet.Network, nodes []*topology.Node, policy deflect.Policy,
 	reg := net.Metrics()
 	reg.Help("kar_switch_deflections_total", "Packets deflected off their encoded path, by cause.")
 	reg.Help("kar_switch_forwards_total", "Packets forwarded (encoded or deflected).")
-	byName := func(i int) []string { return []string{"switch", nodes[i].Name()} }
+	byName := func(i int, dst []string) []string { return append(dst, "switch", nodes[i].Name()) }
 	received := reg.CounterVec("kar_switch_received_total", len(nodes), byName)
 	forwarded := reg.CounterVec("kar_switch_forwards_total", len(nodes), byName)
 	ttlDrops := reg.CounterVec("kar_switch_ttl_expired_total", len(nodes), byName)
 	policyDrops := reg.CounterVec("kar_switch_policy_drops_total", len(nodes), byName)
-	deflections := reg.CounterVec("kar_switch_deflections_total", len(nodes)*causeCount, func(i int) []string {
-		return []string{"switch", nodes[i/causeCount].Name(), "cause", causeNames[i%causeCount]}
+	deflections := reg.CounterVec("kar_switch_deflections_total", len(nodes)*causeCount, func(i int, dst []string) []string {
+		return append(dst, "switch", nodes[i/causeCount].Name(), "cause", causeNames[i%causeCount])
 	})
 	sws := make([]Switch, len(nodes))
 	// One slab of per-port line caches for all the switches.

@@ -32,7 +32,7 @@ func freshCase(t *testing.T, g *topology.Graph, ct *caseTable, r, p, f int) case
 		res, err = a.Analyze(rt.Src, rt.Dst)
 	}
 	if err != nil {
-		t.Fatalf("%s->%s policy=%s failure=%s: %v", rt.Src, rt.Dst, pol, fl.name, err)
+		t.Fatalf("%s->%s policy=%s failure=%s: %v", rt.Src, rt.Dst, pol, fl.name(), err)
 	}
 	return classify(res)
 }
@@ -82,7 +82,7 @@ func TestSweepMatchesFreshComputation(t *testing.T) {
 							math.Float64bits(got.pDeliver) != math.Float64bits(want.pDeliver) ||
 							math.Float64bits(got.stretch) != math.Float64bits(want.stretch) {
 							t.Fatalf("workers=%d %s->%s policy=%s failure=%s:\n got %+v\nwant %+v", workers,
-								ct.routes[r].Src, ct.routes[r].Dst, ct.policies[p], ct.failures[f].name, got, want)
+								ct.routes[r].Src, ct.routes[r].Dst, ct.policies[p], ct.failures[f].name(), got, want)
 						}
 					}
 					hits, cases = ct.hits, len(ct.results)
@@ -247,15 +247,15 @@ func TestMemoRecomputesInsideCandidateScan(t *testing.T) {
 		for k := 1; k+2 < len(nodes); k++ {
 			u := nodes[k] // deflects when its link to nodes[k+1] fails
 			l1, _ := g.LinkBetween(u.Name(), nodes[k+1].Name())
-			single := record(rt, failure{links: failSet{l1}, name: l1.Name()})
+			single := record(rt, failure{links: failSet{l1}})
 			for _, l2 := range u.Links() {
 				if o := l2.Other(u); o == nodes[k-1] || o == nodes[k+1] {
 					continue // on the path
 				}
-				pair := failure{links: failSet{l1, l2}, name: l1.Name() + "+" + l2.Name(), pair: true}
+				pair := failure{links: failSet{l1, l2}, pair: true}
 				if base.answers(pair.links) || single.answers(pair.links) {
 					t.Fatalf("%s->%s: a recorded verdict answers %s, whose second link %s the deflecting node scans",
-						rt.Src, rt.Dst, pair.name, l2.Name())
+						rt.Src, rt.Dst, pair.name(), l2.Name())
 				}
 				s.base[r], s.memo[r] = base, []memoEntry{single}
 				s.setFailed(pair.links)
@@ -271,7 +271,7 @@ func TestMemoRecomputesInsideCandidateScan(t *testing.T) {
 				if math.Float64bits(got.pDeliver) != math.Float64bits(want.PDeliver) ||
 					math.Float64bits(got.stretch) != math.Float64bits(want.Stretch()) {
 					t.Fatalf("%s->%s %s: got p=%v stretch=%v, fresh p=%v stretch=%v",
-						rt.Src, rt.Dst, pair.name, got.pDeliver, got.stretch, want.PDeliver, want.Stretch())
+						rt.Src, rt.Dst, pair.name(), got.pDeliver, got.stretch, want.PDeliver, want.Stretch())
 				}
 				pairs++
 				if got != single.res {

@@ -232,8 +232,21 @@ func (f failSet) has(l *topology.Link) bool {
 // failure is one enumerated failure set.
 type failure struct {
 	links failSet
-	name  string
 	pair  bool
+}
+
+// name is the failure's link name, "A-B+C-D" for a pair: built when
+// asked, as the report names single failures only and a pair is named
+// only in an error.
+func (f failure) name() string {
+	name := ""
+	for i, l := range f.links {
+		if i > 0 {
+			name += "+"
+		}
+		name += l.Name()
+	}
+	return name
 }
 
 // caseResult is one case's computed verdict.
@@ -340,16 +353,16 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 		}
 		if res.pDeliver < sc.WorstPDeliver {
 			sc.WorstPDeliver = res.pDeliver
-			sc.WorstPDeliverFailure = fl.name
+			sc.WorstPDeliverFailure = fl.name()
 		}
 		if res.pDeliver > surviveEps && res.stretch > sc.WorstStretch {
 			sc.WorstStretch = res.stretch
-			sc.WorstStretchFailure = fl.name
+			sc.WorstStretchFailure = fl.name()
 		}
 		if res.outcome != Survived {
 			im := impact[f]
 			if im == nil {
-				im = &LinkImpact{Link: fl.name, MinPDeliver: 1}
+				im = &LinkImpact{Link: fl.name(), MinPDeliver: 1}
 				impact[f] = im
 			}
 			im.Affected++
@@ -666,7 +679,7 @@ func enumerateFailures(g *topology.Graph, pairs int, pairSeed int64) ([]failure,
 	want := max(0, min(pairs, len(links)*(len(links)-1)/2))
 	out := make([]failure, 0, len(links)+want)
 	for _, l := range links {
-		out = append(out, failure{links: failSet{l}, name: l.Name()})
+		out = append(out, failure{links: failSet{l}})
 	}
 	if want == 0 {
 		return out, 0
@@ -686,11 +699,7 @@ func enumerateFailures(g *topology.Graph, pairs int, pairSeed int64) ([]failure,
 			continue
 		}
 		seen[[2]int{i, j}] = true
-		out = append(out, failure{
-			links: failSet{links[i], links[j]},
-			name:  links[i].Name() + "+" + links[j].Name(),
-			pair:  true,
-		})
+		out = append(out, failure{links: failSet{links[i], links[j]}, pair: true})
 		drawn++
 	}
 	return out, drawn
@@ -947,7 +956,7 @@ func (s *scratch) compute(rt RouteSpec, p int, fl failure) (caseResult, analysis
 	res, err := s.analyzers[p].Analyze(rt.Src, rt.Dst)
 	if err != nil {
 		return caseResult{err: fmt.Errorf("resilience: %s->%s policy=%s failure=%s: %w",
-			rt.Src, rt.Dst, s.policies[p], fl.name, err)}, nil
+			rt.Src, rt.Dst, s.policies[p], fl.name(), err)}, nil
 	}
 	return classify(res), s.analyzers[p].Consulted()
 }

@@ -439,8 +439,8 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 		lane.delivered = DeferredCounter{c: n.cDelivered, lane: lane}
 		lane.sends = DeferredCounter{c: n.cSends, lane: lane}
 	}
-	drops := n.metrics.CounterVec("kar_net_drops_total", int(dropReasonCount)-1, func(i int) []string {
-		return []string{"reason", DropReason(i + 1).String()}
+	drops := n.metrics.CounterVec("kar_net_drops_total", int(dropReasonCount)-1, func(i int, dst []string) []string {
+		return append(dst, "reason", DropReason(i+1).String())
 	})
 	for i := range drops {
 		n.cDrops[i+1] = &drops[i]
@@ -450,9 +450,9 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	// built only if somebody reads the family by label — a job that runs
 	// and reports totals never pays for 9·links label sets and link-name
 	// concatenations.
-	linkLabels := func(i int) []string { return []string{"link", links[i].Name()} }
-	dirLabels := func(i int) []string {
-		return []string{"link", links[i/2].Name(), "dir", dirNames[i%2]}
+	linkLabels := func(i int, dst []string) []string { return append(dst, "link", links[i].Name()) }
+	dirLabels := func(i int, dst []string) []string {
+		return append(dst, "link", links[i/2].Name(), "dir", dirNames[i%2])
 	}
 	gaugeUp := n.metrics.GaugeVec("kar_link_up", len(links), linkLabels)
 	sentPackets := n.metrics.CounterVec("kar_link_sent_packets_total", 2*len(links), dirLabels)

@@ -13,11 +13,11 @@ import (
 
 // linkLabels names cell i of a per-direction block the way simnet
 // does: two cells per link.
-func linkLabels(i int) []string {
-	return []string{"link", fmt.Sprintf("L%d", i/2), "dir", [2]string{"fwd", "rev"}[i%2]}
+func linkLabels(i int, dst []string) []string {
+	return append(dst, "link", fmt.Sprintf("L%d", i/2), "dir", [2]string{"fwd", "rev"}[i%2])
 }
 
-func upLabels(i int) []string { return []string{"link", fmt.Sprintf("L%d", i)} }
+func upLabels(i int, dst []string) []string { return append(dst, "link", fmt.Sprintf("L%d", i)) }
 
 // fillBlocks and fillSingles register the same series with the same
 // values — some left at zero — one through CounterVec/GaugeVec, the
@@ -36,10 +36,10 @@ func fillBlocks(r *Registry) {
 func fillSingles(r *Registry) {
 	r.Help("sent_total", "Packets sent.")
 	for i := 0; i < 6; i++ {
-		r.Counter("sent_total", linkLabels(i)...).Add(int64(i % 3 * 10))
+		r.Counter("sent_total", linkLabels(i, nil)...).Add(int64(i % 3 * 10))
 	}
 	for i := 0; i < 3; i++ {
-		g := r.Gauge("link_up", upLabels(i)...)
+		g := r.Gauge("link_up", upLabels(i, nil)...)
 		if i == 1 {
 			g.Set(1)
 		}
@@ -189,7 +189,7 @@ func TestBlockLookups(t *testing.T) {
 	if got := fresh.CounterValue("x_total", "link", "L1"); got != 5 {
 		t.Errorf("CounterValue on an unmaterialised block = %d, want 5", got)
 	}
-	fresh.CounterVec("x_total", 1, func(int) []string { return []string{"link", "L9"} })[0].Add(2)
+	fresh.CounterVec("x_total", 1, func(_ int, dst []string) []string { return append(dst, "link", "L9") })[0].Add(2)
 	if got := fresh.CounterValue("x_total", "link", "L9"); got != 2 {
 		t.Errorf("CounterValue on a second block = %d, want 2", got)
 	}
@@ -207,7 +207,7 @@ func TestBlockDuplicateSeriesPanics(t *testing.T) {
 	}
 	mustPanic("two cells, one label set", func() {
 		r := NewRegistry()
-		r.CounterVec("x_total", 2, func(int) []string { return []string{"k", "v"} })
+		r.CounterVec("x_total", 2, func(_ int, dst []string) []string { return append(dst, "k", "v") })
 		r.WritePrometheus(new(bytes.Buffer))
 	})
 	mustPanic("block after singleton", func() {
@@ -215,6 +215,32 @@ func TestBlockDuplicateSeriesPanics(t *testing.T) {
 		r.Counter("x_total", "link", "L0")
 		r.CounterVec("x_total", 1, upLabels)
 		r.CounterValue("x_total", "link", "L0")
+	})
+	// A registry that is only ever merged is never materialised: Merge
+	// finds the pair twice itself.
+	mustPanic("two cells, one label set, merged", func() {
+		r := NewRegistry()
+		r.CounterVec("x_total", 2, func(_ int, dst []string) []string { return append(dst, "k", "v") })
+		NewCollector().Add("run", r, nil)
+	})
+	mustPanic("block after singleton, merged", func() {
+		world := func() *Registry {
+			r := NewRegistry(WithBaseLabels("policy", "nip"))
+			r.Counter("x_total", "link", "L0")
+			return r
+		}
+		c := NewCollector()
+		c.Add("first", world(), nil) // the collector already holds the series
+		r := world()
+		r.CounterVec("x_total", 1, upLabels)
+		c.Add("second", r, nil)
+	})
+	mustPanic("keyed series and block, merged", func() {
+		r := NewRegistry()
+		r.CounterVec("x_total", 1, upLabels)
+		r.CounterValue("x_total", "link", "L0")
+		r.CounterVec("x_total", 1, upLabels)
+		NewCollector().Add("run", r, nil)
 	})
 	mustPanic("gauge block on a counter family", func() {
 		r := NewRegistry()

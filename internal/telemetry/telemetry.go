@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -248,11 +247,11 @@ type family struct {
 	// series is the keyed view — label-set key → the series' labels
 	// and its *Counter, *Gauge or *Histogram — made on the family's
 	// first keyed insert. It is the only place a series' labels live.
-	series map[string]series
+	series map[string]*series
 	// pending holds what has been registered but not yet keyed, in
 	// registration order. materialise moves it into series; nothing
-	// else reads it except the unfiltered SumCounter, which needs no
-	// labels. It starts in first: a family's first block is inline.
+	// else reads it except Merge and the unfiltered SumCounter, which
+	// need no key. It starts in first: a family's first block is inline.
 	pending []block
 	first   [1]block
 }
@@ -262,6 +261,10 @@ type family struct {
 type series struct {
 	labels []Label
 	cell   any
+	// merged is the number of the last Merge that folded a cell into
+	// this series (see Registry.merges): a second fold under the same
+	// number is a label set the merged registry holds twice.
+	merged uint64
 }
 
 // lazyMax bounds how many single series an unkeyed family holds, which
@@ -271,34 +274,37 @@ const lazyMax = 8
 
 // block is one registration whose label sets and keys have not been
 // built: a slab of cells and the labels of each. A CounterVec/GaugeVec
-// block names cell i by labels(i); a Counter/Gauge/Histogram is a
+// block names cell i by labels(i, dst); a Counter/Gauge/Histogram is a
 // block of one, named by kv, the caller's copied pairs. Exactly one of
 // counters, gauges and hists is set.
 type block struct {
-	labels   func(i int) []string
+	labels   func(i int, dst []string) []string
 	kv       []string
 	counters []Counter
 	gauges   []Gauge
 	hists    []Histogram
 }
 
-// pairs returns the key/value pairs of cell i.
-func (b *block) pairs(i int) []string {
+// pairs appends the key/value pairs of cell i to dst.
+func (b *block) pairs(i int, dst []string) []string {
 	if b.labels == nil {
-		return b.kv
+		return append(dst, b.kv...)
 	}
-	return b.labels(i)
+	return b.labels(i, dst)
 }
 
-// single returns the one cell of a single-series block.
-func (b *block) single() any {
+// size returns the number of cells in the block.
+func (b *block) size() int { return len(b.counters) + len(b.gauges) + len(b.hists) }
+
+// cell returns cell i of the block.
+func (b *block) cell(i int) any {
 	switch {
 	case b.counters != nil:
-		return &b.counters[0]
+		return &b.counters[i]
 	case b.gauges != nil:
-		return &b.gauges[0]
+		return &b.gauges[i]
 	default:
-		return &b.hists[0]
+		return &b.hists[i]
 	}
 }
 
@@ -310,24 +316,29 @@ func (b *block) single() any {
 // cell and note the caller's key/value pairs; CounterVec/GaugeVec hand
 // back a contiguous slab of n cells and record only the block. The
 // sorted label sets and keys are built, into one series map per
-// family, on the family's first keyed read: any exposition, Snapshot
-// or Merge; CounterValue; a filtered SumCounter; or a registration the
-// unkeyed family cannot answer (one on a family holding a block, or
-// its lazyMax+1-th single series). A world that is built, run and read
-// back through unfiltered SumCounter totals never builds them at all.
-// Nor does it allocate per series: family records, single Counter and
-// Gauge cells and their key/value copies are cut from per-registry
-// chunks that double as they fill; a family's first block is inline.
+// family, on the family's first keyed read: any exposition or Snapshot;
+// CounterValue; a filtered SumCounter; or a registration the unkeyed
+// family cannot answer (one on a family holding a block, or its
+// lazyMax+1-th single series). Merging a registry into another names
+// its cells into reused buffers and keys only the target, so a world
+// that is built, run, folded into a Collector and read back through
+// unfiltered SumCounter totals never builds them at all. Nor does it
+// allocate per series: family records, single Counter and Gauge cells
+// and their key/value copies are cut from per-registry chunks that
+// double as they fill; a family's first block is inline.
 type Registry struct {
 	mu       sync.Mutex
 	base     []Label // applied to every series
 	families map[string]*family
 	helps    map[string]string // HELP text by family name
+	merges   uint64            // Merges into this registry so far
 
 	familySlab  []family
 	counterSlab []Counter
 	gaugeSlab   []Gauge
 	kvSlab      []string
+	seriesSlab  []series
+	labelSlab   []Label
 }
 
 // RegistryOption configures a Registry.
@@ -359,12 +370,10 @@ func pairs(dst []Label, kv []string) []Label {
 	return dst
 }
 
-// labelSet merges base labels with call labels, sorted by key. Label
-// sets are a handful of entries, so an insertion sort beats the
-// reflective sort.Slice (and is stable, as sort.Slice is at this size).
-func (r *Registry) labelSet(kv []string) []Label {
-	ls := make([]Label, 0, len(r.base)+len(kv)/2)
-	ls = pairs(append(ls, r.base...), kv)
+// sortLabels sorts a label set by key in place. Label sets are a
+// handful of entries, so an insertion sort beats the reflective
+// sort.Slice (and is stable, as sort.Slice is at this size).
+func sortLabels(ls []Label) []Label {
 	for i := 1; i < len(ls); i++ {
 		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
 			ls[j], ls[j-1] = ls[j-1], ls[j]
@@ -373,21 +382,38 @@ func (r *Registry) labelSet(kv []string) []Label {
 	return ls
 }
 
-// seriesKey serialises a sorted label set.
-func seriesKey(ls []Label) string {
-	n := 0
+// labelSet merges base labels with call labels, sorted by key.
+func (r *Registry) labelSet(kv []string) []Label {
+	return sortLabels(pairs(append(make([]Label, 0, len(r.base)+len(kv)/2), r.base...), kv))
+}
+
+// appendKey appends the serialised key of a sorted label set to dst.
+func appendKey(dst []byte, ls []Label) []byte {
 	for _, l := range ls {
-		n += len(l.Key) + len(l.Value) + 2
+		dst = append(dst, l.Key...)
+		dst = append(dst, 0)
+		dst = append(dst, l.Value...)
+		dst = append(dst, 0)
 	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, l := range ls {
-		b.WriteString(l.Key)
-		b.WriteByte('\x00')
-		b.WriteString(l.Value)
-		b.WriteByte('\x00')
-	}
-	return b.String()
+	return dst
+}
+
+// namer builds label sets and keys into buffers it reuses from one
+// series to the next, so naming a block cell allocates nothing once
+// they have grown; what it returns is overwritten by its next call.
+type namer struct {
+	kv  []string
+	ls  []Label
+	key []byte
+}
+
+// name returns the sorted label set of cell i of b, base labels
+// included, and its key.
+func (n *namer) name(base []Label, b *block, i int) ([]Label, []byte) {
+	n.kv = b.pairs(i, n.kv[:0])
+	n.ls = sortLabels(pairs(append(n.ls[:0], base...), n.kv))
+	n.key = appendKey(n.key[:0], n.ls)
+	return n.ls, n.key
 }
 
 func (r *Registry) getFamily(name string, k kind, bounds []float64) *family {
@@ -405,38 +431,43 @@ func (r *Registry) getFamily(name string, k kind, bounds []float64) *family {
 }
 
 // newCell makes an unregistered series of the family's kind. A
-// histogram shares the family's bounds, which nothing writes.
-func (f *family) newCell() any {
+// histogram shares the family's bounds, which nothing writes. The
+// caller holds r.mu.
+func (r *Registry) newCell(f *family) any {
 	switch f.kind {
 	case kindCounter:
-		return new(Counter)
+		return &slab.Cut(&r.counterSlab, 1)[0]
 	case kindGauge:
-		return new(Gauge)
+		return &slab.Cut(&r.gaugeSlab, 1)[0]
 	default:
 		return &Histogram{bounds: f.bounds, counts: make([]int64, len(f.bounds)+1)}
 	}
 }
 
-// seriesAt is the one keyed insert every registration path goes
-// through: it returns the family's series for ls — a sorted label set
-// that already carries its base labels — creating it when absent.
-// A non-nil cell (one being materialised, labelled ls by the caller)
-// takes the slot instead, and finding the slot taken is a duplicate
-// registration. The caller holds r.mu.
-func (f *family) seriesAt(ls []Label, cell any) any {
-	key := seriesKey(ls)
-	if s, ok := f.series[key]; ok {
-		if cell != nil {
-			panic(fmt.Sprintf("telemetry: metric %q registered twice with labels %v", f.name, ls))
-		}
-		return s.cell
-	}
-	if cell == nil {
-		cell = f.newCell()
-	}
+// file is the one keyed insert: it files cell in f under key, labelled
+// with a copy of ls — a sorted label set that already carries its base
+// labels — and returns the new series. The caller holds r.mu and has
+// found key absent; key and ls may be a namer's buffers.
+func (r *Registry) file(f *family, key []byte, ls []Label, cell any) *series {
+	s := &slab.Cut(&r.seriesSlab, 1)[0]
+	s.labels, s.cell = append(slab.Cut(&r.labelSlab, len(ls))[:0], ls...), cell
 	f.reserve(1)
-	f.series[key] = series{labels: ls, cell: cell}
-	return cell
+	f.series[string(key)] = s
+	return s
+}
+
+// seriesAt returns f's series under key, filing one labelled ls with a
+// new cell when f has none. The caller holds r.mu.
+func (r *Registry) seriesAt(f *family, key []byte, ls []Label) *series {
+	if s, ok := f.series[string(key)]; ok {
+		return s
+	}
+	return r.file(f, key, ls, r.newCell(f))
+}
+
+// duplicate is the panic of a (name, labels) pair registered twice.
+func (f *family) duplicate(ls []Label) string {
+	return fmt.Sprintf("telemetry: metric %q registered twice with labels %v", f.name, ls)
 }
 
 // materialise builds the label set and key of every pending cell and
@@ -446,19 +477,19 @@ func (f *family) seriesAt(ls []Label, cell any) any {
 // in a cell.
 func (r *Registry) materialise(f *family) {
 	n := 0
-	for _, b := range f.pending {
-		n += len(b.counters) + len(b.gauges) + len(b.hists)
+	for i := range f.pending {
+		n += f.pending[i].size()
 	}
 	f.reserve(n)
-	for _, b := range f.pending {
-		for i := range b.counters {
-			f.seriesAt(r.labelSet(b.pairs(i)), &b.counters[i])
-		}
-		for i := range b.gauges {
-			f.seriesAt(r.labelSet(b.pairs(i)), &b.gauges[i])
-		}
-		for i := range b.hists {
-			f.seriesAt(r.labelSet(b.pairs(i)), &b.hists[i])
+	var nm namer
+	for bi := range f.pending {
+		b := &f.pending[bi]
+		for i := range b.size() {
+			ls, key := nm.name(r.base, b, i)
+			if _, ok := f.series[string(key)]; ok {
+				panic(f.duplicate(ls))
+			}
+			r.file(f, key, ls, b.cell(i))
 		}
 	}
 	f.pending = nil
@@ -468,19 +499,8 @@ func (r *Registry) materialise(f *family) {
 // has none: a family keyed whole is filed without growing its map.
 func (f *family) reserve(n int) {
 	if f.series == nil && n > 0 {
-		f.series = make(map[string]series, n)
+		f.series = make(map[string]*series, n)
 	}
-}
-
-// lookup is the keyed registration path of one series by name and
-// label set: the family (created if absent) is materialised first, so
-// a cell registered under the same labels is found, not shadowed.
-func (r *Registry) lookup(name string, k kind, bounds []float64, ls []Label) any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, k, bounds)
-	r.materialise(f)
-	return f.seriesAt(ls, nil)
 }
 
 // single is the registration path of Counter, Gauge and Histogram:
@@ -499,7 +519,7 @@ func (r *Registry) single(name string, k kind, bounds []float64, kv []string) an
 	if len(f.series) == 0 && f.singlesOnly() {
 		for i := range f.pending {
 			if b := &f.pending[i]; samePairs(b.kv, kv) {
-				return b.single()
+				return b.cell(0)
 			}
 		}
 		if len(f.pending) < lazyMax {
@@ -515,11 +535,12 @@ func (r *Registry) single(name string, k kind, bounds []float64, kv []string) an
 				b.hists = []Histogram{{bounds: f.bounds, counts: make([]int64, len(f.bounds)+1)}}
 			}
 			f.pending = append(f.pending, b)
-			return b.single()
+			return b.cell(0)
 		}
 	}
 	r.materialise(f)
-	return f.seriesAt(r.labelSet(kv), nil)
+	ls := r.labelSet(kv)
+	return r.seriesAt(f, appendKey(nil, ls), ls).cell
 }
 
 // singlesOnly reports whether every pending block is a single series.
@@ -582,13 +603,15 @@ func (r *Registry) Histogram(name string, bounds []float64, kv ...string) *Histo
 }
 
 // CounterVec registers n counters of one family as a block and returns
-// them as one contiguous slab; labels(i) gives cell i's label
-// key/value pairs and is called only when the family is first read by
-// label (see Registry), so it may be arbitrarily expensive and must
-// stay valid — and keep returning the same labels — for the life of
-// the registry. Registering a (name, labels) pair twice, here or
-// through Counter, panics when the block is materialised.
-func (r *Registry) CounterVec(name string, n int, labels func(i int) []string) []Counter {
+// them as one contiguous slab; labels(i, dst) appends cell i's label
+// key/value pairs to dst and returns it. It is called only when the
+// block is named — its family first read by label, or its registry
+// merged (see Registry) — into a buffer the registry reuses, so it
+// should append without allocating; it must stay valid, and keep
+// giving the same labels, for the life of the registry. Registering a
+// (name, labels) pair twice, here or through Counter, panics when the
+// block is materialised or merged.
+func (r *Registry) CounterVec(name string, n int, labels func(i int, dst []string) []string) []Counter {
 	cells := make([]Counter, n)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -598,7 +621,7 @@ func (r *Registry) CounterVec(name string, n int, labels func(i int) []string) [
 }
 
 // GaugeVec is CounterVec for gauges.
-func (r *Registry) GaugeVec(name string, n int, labels func(i int) []string) []Gauge {
+func (r *Registry) GaugeVec(name string, n int, labels func(i int, dst []string) []string) []Gauge {
 	cells := make([]Gauge, n)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -609,7 +632,7 @@ func (r *Registry) GaugeVec(name string, n int, labels func(i int) []string) []G
 
 // CounterValue reads a counter without creating it (0 when absent).
 func (r *Registry) CounterValue(name string, kv ...string) int64 {
-	ls := r.labelSet(kv)
+	key := appendKey(nil, r.labelSet(kv))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -617,7 +640,7 @@ func (r *Registry) CounterValue(name string, kv ...string) int64 {
 		return 0
 	}
 	r.materialise(f)
-	if s, ok := f.series[seriesKey(ls)]; ok {
+	if s, ok := f.series[string(key)]; ok {
 		return s.cell.(*Counter).Value()
 	}
 	return 0
@@ -670,46 +693,80 @@ func labelsContain(ls, want []Label) bool {
 // Merge folds another registry's current state into r: counters,
 // gauges and histogram buckets add. Addition commutes, so merging
 // per-worker shard registries in any completion order yields the same
-// result. Snapshot label sets are already sorted and carry o's base
-// labels, so they key r's series as they are — r's own base labels
-// must not be re-applied to series that bring theirs.
+// result. o's series carry o's base labels, and those key r's series
+// as they are — r's own base labels are not applied to series that
+// bring theirs.
+//
+// Merge holds o.mu, then r.mu, for the whole fold: the one place two
+// registry locks are held, always source before target, so two
+// registries must never be merged into each other concurrently (a
+// Collector's registry is only ever a target). It walks o's keyed
+// series and pending blocks in place, naming each cell into buffers
+// reused across the merge, and finds r's series without building a
+// key string: merging a registry whose series r already holds
+// allocates nothing per series. o is left unkeyed. A (name, labels)
+// pair that o holds twice panics, as it would when o is materialised.
 func (r *Registry) Merge(o *Registry) {
 	if o == nil || o == r {
 		return
 	}
 	o.mu.Lock()
-	helps := make(map[string]string, len(o.helps))
-	for n, h := range o.helps {
-		helps[n] = h
-	}
-	o.mu.Unlock()
+	defer o.mu.Unlock()
 	r.mu.Lock()
-	for n, h := range helps {
+	defer r.mu.Unlock()
+	for n, h := range o.helps {
 		if _, ok := r.helps[n]; !ok {
 			r.helps[n] = h
 		}
 	}
-	r.mu.Unlock()
-	for _, fs := range o.snapshotFamilies() {
-		if len(fs.series) > 0 {
-			r.mu.Lock()
-			r.getFamily(fs.name, fs.kind, fs.bounds).reserve(len(fs.series))
-			r.mu.Unlock()
+	r.merges++
+	var nm namer
+	for name, of := range o.families {
+		n := len(of.series)
+		for i := range of.pending {
+			n += of.pending[i].size()
 		}
-		for _, s := range fs.series {
-			switch fs.kind {
-			case kindCounter:
-				r.lookup(fs.name, kindCounter, nil, s.labels).(*Counter).Add(s.value)
-			case kindGauge:
-				r.lookup(fs.name, kindGauge, nil, s.labels).(*Gauge).Add(s.fvalue)
-			case kindHistogram:
-				r.lookup(fs.name, kindHistogram, fs.bounds, s.labels).(*Histogram).Merge(s.counts, s.value, s.fvalue)
+		if n == 0 {
+			continue
+		}
+		f := r.getFamily(name, of.kind, of.bounds)
+		f.reserve(n)
+		for _, s := range of.series {
+			nm.key = appendKey(nm.key[:0], s.labels)
+			r.fold(f, nm.key, s.labels, s.cell)
+		}
+		for bi := range of.pending {
+			b := &of.pending[bi]
+			for i := range b.size() {
+				ls, key := nm.name(o.base, b, i)
+				r.fold(f, key, ls, b.cell(i))
 			}
 		}
 	}
 }
 
-// seriesSnap is one frozen series used by Merge and the exposition.
+// fold adds src, a merged registry's cell labelled ls and keyed key,
+// into f's series of that key, filing one with a fresh cell when f has
+// none. The caller holds r.mu and the source registry's mutex.
+func (r *Registry) fold(f *family, key []byte, ls []Label, src any) {
+	s := r.seriesAt(f, key, ls)
+	if s.merged == r.merges {
+		panic(f.duplicate(ls))
+	}
+	s.merged = r.merges
+	switch c := src.(type) {
+	case *Counter:
+		s.cell.(*Counter).Add(c.Value())
+	case *Gauge:
+		s.cell.(*Gauge).Add(c.Value())
+	case *Histogram:
+		c.mu.Lock()
+		s.cell.(*Histogram).Merge(c.counts, c.count, c.sum)
+		c.mu.Unlock()
+	}
+}
+
+// seriesSnap is one frozen series used by the exposition.
 type seriesSnap struct {
 	labels []Label
 	value  int64   // counter value / histogram count
