@@ -150,19 +150,22 @@ func (v *nodeView) EdgePort(i int) bool {
 	return ok && l.Other(v.node).Kind() == topology.KindEdge
 }
 
-// ingress returns the installed route src→dst and the port it enters
-// its first core switch on.
-func (a *Analyzer) ingress(src, dst string) (*core.Route, int, error) {
+// ingress returns the installed route src→dst, the port it enters its
+// first core switch on, and whether the link it enters by is up: the
+// ingress edge sends on that link, and a dead one drops the packet
+// before any switch sees it, under every policy.
+func (a *Analyzer) ingress(src, dst string) (*core.Route, int, bool, error) {
 	route, ok := a.ctrl.Route(src, dst)
 	if !ok {
-		return nil, 0, fmt.Errorf("analysis: no installed route %s->%s", src, dst)
+		return nil, 0, false, fmt.Errorf("analysis: no installed route %s->%s", src, dst)
 	}
 	first := route.Path.Nodes[1]
 	inPort, ok := first.PortToward(route.Path.Nodes[0].Name())
 	if !ok {
-		return nil, 0, fmt.Errorf("analysis: %s has no port toward %s", first, route.Path.Nodes[0])
+		return nil, 0, false, fmt.Errorf("analysis: %s has no port toward %s", first, route.Path.Nodes[0])
 	}
-	return route, inPort, nil
+	l, _ := first.PortLink(inPort)
+	return route, inPort, a.linkUp(l), nil
 }
 
 // state identifies one Markov state.
@@ -226,17 +229,19 @@ func (c *chain) reset() {
 
 // buildChain expands the full reachable state space for the installed
 // route src→dst, returning the chain and the start state (the packet's
-// arrival at the first core switch).
+// arrival at the first core switch; dropped when the ingress link is
+// down).
 func (a *Analyzer) buildChain(src, dst string) (*chain, int, *core.Route, error) {
-	route, inPort, err := a.ingress(src, dst)
+	c := &a.c
+	c.reset()
+	route, inPort, up, err := a.ingress(src, dst)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	c := &a.c
-	c.reset()
 	c.dst = dst
 	// Seed: the packet leaves the ingress edge toward the first core.
 	start := c.intern(state{route: c.internRoute(route.ID), node: route.Path.Nodes[1], inPort: int32(inPort)})
+	c.dropped[start] = !up
 	c.expand()
 	return c, start, route, nil
 }
@@ -399,12 +404,16 @@ func (c *chain) internRoute(id rns.RouteID) int32 {
 }
 
 // expand performs a work-list expansion of the reachable state space.
+// A state dropped before its expansion (a start behind a dead ingress
+// link) has no successors.
 func (c *chain) expand() {
 	for i := 0; i < len(c.states); i++ {
 		c.off = append(c.off, int32(len(c.edges)))
-		if s := c.states[i]; s.node.Kind() == topology.KindEdge {
+		switch s := c.states[i]; {
+		case c.dropped[i]:
+		case s.node.Kind() == topology.KindEdge:
 			c.expandEdge(i, s)
-		} else {
+		default:
 			c.expandCore(i, s)
 		}
 	}

@@ -3,8 +3,9 @@ package analysis
 // The analyzer as it stood before it kept scratch between cases: a
 // string-keyed state map, per-state successor slices, a reverse
 // adjacency for trapped-state detection and two independent dense
-// eliminations. Kept verbatim as the oracle TestLeanChainMatchesReference
-// holds Analyze against, bit for bit.
+// eliminations. Kept as the oracle TestLeanChainMatchesReference holds
+// Analyze against, bit for bit; its one later rule is the simulator's:
+// a dead ingress link drops the packet at the start state.
 
 import (
 	"fmt"
@@ -88,6 +89,12 @@ func (a *refAnalyzer) buildChain(src, dst string) (*refChain, int, *core.Route, 
 	}
 	start := c.intern(refState{routeID: route.ID.String(), node: first, inPort: inPort, deflected: false})
 	c.routes[route.ID.String()] = route.ID
+	// The ingress edge sends on the first link: a dead one drops the
+	// packet before the first core, so the start state is dropped.
+	if l, _ := first.PortLink(inPort); !c.linkUp(l) {
+		c.dropped[start] = true
+		return c, start, route, nil
+	}
 
 	if err := c.expand(); err != nil {
 		return nil, 0, nil, err

@@ -9,15 +9,20 @@ import (
 // route, deciding at every core exactly as the data plane's switch
 // would (the policy's own Decide on the analyzer's view, nil RNG), drop
 // on a dead or invalid port, re-encode at wrong edges with a TTL
-// refresh, deliver at dst. PDeliver is 0 or 1 by construction; a TTL
-// death counts as a loss, exactly like the simulator's ttl_expired drop.
+// refresh, deliver at dst. A dead ingress link is a loss, as in the
+// simulator, whose edge drops a packet sent on a dead link. PDeliver is
+// 0 or 1 by construction; a TTL death counts as a loss, exactly like
+// the simulator's ttl_expired drop.
 func (a *Analyzer) walk(src, dst string) (Result, error) {
 	clear(a.consulted)
-	route, inPort, err := a.ingress(src, dst)
+	route, inPort, up, err := a.ingress(src, dst)
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{BaselineHops: route.Path.Hops(), PDrop: 1}
+	if !up {
+		return res, nil // the ingress edge sends on a dead link
+	}
 	id := route.ID
 	node := route.Path.Nodes[1]
 	deflected := false

@@ -3,6 +3,7 @@ package controller
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // controller with a route installed between every ordered edge pair.
 func genController(t testing.TB, spec string, opts ...Option) (*topology.Graph, *Controller) {
 	t.Helper()
-	g, err := topology.FromSpec(spec)
+	g, err := topology.ByName(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +46,21 @@ func coreLinks(g *topology.Graph) []*topology.Link {
 	}
 	return out
 }
+
+// crossing counts the installed routes whose current path holds l: the
+// routes a failure of l must recompute.
+func crossing(c *Controller, l *topology.Link) int {
+	n := 0
+	for _, e := range c.entries {
+		if slices.Contains(e.route.Path.Links(), l) {
+			n++
+		}
+	}
+	return n
+}
+
+// onBaseline reports whether e's current path is its baseline path.
+func onBaseline(e *routeEntry) bool { return slices.Equal(e.route.Path.Nodes, e.baseline) }
 
 // snapshot captures the route table as (path, route ID) per pair.
 func snapshot(c *Controller) map[pair][2]string {
@@ -120,20 +136,45 @@ func TestChurnMatchesFullReinstall(t *testing.T) {
 			if e.detoured {
 				t.Errorf("seed %d: %s->%s still detoured after all repairs", seed, k.src, k.dst)
 			}
-			if got := e.route.Path.String(); got != e.baseline {
-				t.Errorf("seed %d: %s->%s = %s, want baseline %s", seed, k.src, k.dst, got, e.baseline)
+			if !onBaseline(e) {
+				t.Errorf("seed %d: %s->%s = %s, want baseline %s", seed, k.src, k.dst, e.route.Path, topology.Path{Nodes: e.baseline})
 			}
 		}
 	}
 }
 
 // TestRerouteCountersRecomputedVsSkipped ties the incremental counters
-// to the inverted index: a failure recomputes exactly the routes
-// crossing the link, a repair exactly the detoured ones; everything
-// else is a skip.
+// to their definition: a failure recomputes exactly the routes whose
+// path holds the link, a repair exactly the detoured ones; everything
+// else is a skip. The failure half runs for every core link of the
+// Net15 all-pairs table, each on a fresh controller.
 func TestRerouteCountersRecomputedVsSkipped(t *testing.T) {
-	reg := telemetry.NewRegistry()
 	g := net15(t)
+	crossed := 0 // links some route crosses: the loop must test something
+	for _, link := range coreLinks(g) {
+		reg := telemetry.NewRegistry()
+		_, c := genController(t, "net15", WithTelemetry(reg, nil))
+		// The fresh controller has its own graph: the same link by name.
+		l, _ := c.g.LinkBetween(link.A().Name(), link.B().Name())
+		want := crossing(c, l)
+		if err := c.NotifyFailure(l); err != nil {
+			t.Fatalf("NotifyFailure(%s): %v", l, err)
+		}
+		recomputed := reg.Counter("kar_ctrl_reroutes_recomputed_total").Value()
+		skipped := reg.Counter("kar_ctrl_reroutes_skipped_total").Value()
+		if recomputed != int64(want) || skipped != int64(c.Routes()-want) {
+			t.Errorf("failure of %s: recomputed %d, skipped %d; want the %d of %d routes whose path holds it",
+				l, recomputed, skipped, want, c.Routes())
+		}
+		if want > 0 {
+			crossed++
+		}
+	}
+	if crossed == 0 {
+		t.Fatal("no core link is crossed by an all-pairs route")
+	}
+
+	reg := telemetry.NewRegistry()
 	c := New(g, WithFailureReaction(), WithTelemetry(reg, nil))
 	for _, p := range [][2]string{{"AS1", "AS3"}, {"AS3", "AS1"}, {"AS1", "AS2"}, {"AS2", "AS3"}} {
 		if _, err := c.InstallRoute(p[0], p[1], nil); err != nil {
@@ -141,9 +182,9 @@ func TestRerouteCountersRecomputedVsSkipped(t *testing.T) {
 		}
 	}
 	link, _ := g.LinkBetween("SW7", "SW13")
-	crossing := len(c.byLink[link])
-	if crossing == 0 || crossing == c.Routes() {
-		t.Fatalf("test needs a link crossed by some but not all routes; byLink = %d of %d", crossing, c.Routes())
+	crossed = crossing(c, link)
+	if crossed == 0 || crossed == c.Routes() {
+		t.Fatalf("test needs a link crossed by some but not all routes; %d of %d cross it", crossed, c.Routes())
 	}
 
 	if err := c.NotifyFailure(link); err != nil {
@@ -151,11 +192,11 @@ func TestRerouteCountersRecomputedVsSkipped(t *testing.T) {
 	}
 	recomputed := reg.Counter("kar_ctrl_reroutes_recomputed_total").Value()
 	skipped := reg.Counter("kar_ctrl_reroutes_skipped_total").Value()
-	if recomputed != int64(crossing) {
-		t.Errorf("recomputed = %d, want the %d routes crossing %s", recomputed, crossing, link)
+	if recomputed != int64(crossed) {
+		t.Errorf("recomputed = %d, want the %d routes crossing %s", recomputed, crossed, link)
 	}
-	if skipped != int64(c.Routes()-crossing) {
-		t.Errorf("skipped = %d, want %d", skipped, c.Routes()-crossing)
+	if skipped != int64(c.Routes()-crossed) {
+		t.Errorf("skipped = %d, want %d", skipped, c.Routes()-crossed)
 	}
 
 	detoured := 0
@@ -172,8 +213,8 @@ func TestRerouteCountersRecomputedVsSkipped(t *testing.T) {
 		t.Errorf("repair recomputed %d routes, want the %d detoured ones", recomputed2, detoured)
 	}
 	for k, e := range c.entries {
-		if got := e.route.Path.String(); got != e.baseline {
-			t.Errorf("after repair, %s->%s = %s, want baseline %s", k.src, k.dst, got, e.baseline)
+		if !onBaseline(e) {
+			t.Errorf("after repair, %s->%s = %s, want baseline %s", k.src, k.dst, e.route.Path, topology.Path{Nodes: e.baseline})
 		}
 	}
 	if fails := reg.Counter("kar_ctrl_reroute_failures_total").Value(); fails != 0 {
@@ -201,7 +242,7 @@ func TestIncrementalRerouteSavings(t *testing.T) {
 	}
 	var occs []occ
 	for _, l := range coreLinks(g) {
-		if n := len(c.byLink[l]); n > 0 {
+		if n := crossing(c, l); n > 0 {
 			occs = append(occs, occ{l, n})
 		}
 	}
@@ -253,8 +294,8 @@ func TestRerouteKeepsOldRouteOnEncodeFailure(t *testing.T) {
 	c.entries[pair{src: "AS1", dst: "AS3"}].protection = []core.Hop{{Switch: as2, Port: 0}}
 
 	link, _ := g.LinkBetween("SW7", "SW13")
-	if len(c.byLink[link]) != 2 {
-		t.Fatalf("expected both routes to cross %s, got %d", link, len(c.byLink[link]))
+	if n := crossing(c, link); n != 2 {
+		t.Fatalf("expected both routes to cross %s, got %d", link, n)
 	}
 	err = c.NotifyFailure(link)
 	if err == nil {

@@ -7,16 +7,16 @@
 // data-plane failure notifications by default — resilience must come
 // from deflection alone. Failure-reactive rerouting is available as an
 // opt-in (the "traditional approach" the paper contrasts against).
-// When enabled, reaction is incremental: a link→routes inverted index
-// picks out the routes actually crossing a failed link, and a
-// baseline-path cache picks out the routes actually detoured when a
-// link comes back, so reaction cost scales with affected routes, not
-// installed routes.
+// When enabled, reaction is incremental: a failure recomputes only the
+// routes whose current path crosses the failed link, and a repair only
+// the routes detoured off their baseline path, so the number of
+// recomputed routes scales with affected routes, not installed routes.
 package controller
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -33,13 +33,13 @@ type pair struct {
 
 // routeEntry is one installed route plus the bookkeeping incremental
 // rerouting needs: the protection requested at install time, the
-// baseline path (the shortest path under the empty failure set, ""
-// while unknown), and whether the current path deviates from it or was
-// kept through a failed link that cut the pair off.
+// baseline path's nodes (the shortest path under the empty failure set,
+// nil while unknown), and whether the current path deviates from it or
+// was kept through a failed link that cut the pair off.
 type routeEntry struct {
 	route      *core.Route
 	protection []core.Hop
-	baseline   string
+	baseline   []*topology.Node
 	detoured   bool
 }
 
@@ -61,10 +61,6 @@ type Controller struct {
 	planner     *core.Planner
 
 	entries map[pair]*routeEntry
-	// byLink inverts the route table: for every link, the pairs whose
-	// current primary path crosses it. NotifyFailure consults it to
-	// recompute only crossing routes.
-	byLink map[*topology.Link]map[pair]struct{}
 
 	// reencMu serializes re-encode requests. On a sharded world,
 	// misdelivered packets from different regions can request fresh
@@ -158,7 +154,6 @@ func New(g *topology.Graph, opts ...Option) *Controller {
 		g:       g,
 		failed:  make(map[*topology.Link]bool),
 		entries: make(map[pair]*routeEntry),
-		byLink:  make(map[*topology.Link]map[pair]struct{}),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -212,54 +207,26 @@ func (c *Controller) pathAvoid() func(*topology.Link) bool {
 	return func(l *topology.Link) bool { return c.failed[l] }
 }
 
-// index/unindex maintain the link→routes inverted map for one entry's
-// primary path.
-func (c *Controller) index(k pair, route *core.Route) {
-	for _, l := range route.Path.Links() {
-		m := c.byLink[l]
-		if m == nil {
-			m = make(map[pair]struct{})
-			c.byLink[l] = m
-		}
-		m[k] = struct{}{}
-	}
-}
-
-func (c *Controller) unindex(k pair, route *core.Route) {
-	for _, l := range route.Path.Links() {
-		if m := c.byLink[l]; m != nil {
-			delete(m, k)
-			if len(m) == 0 {
-				delete(c.byLink, l)
-			}
-		}
-	}
-}
-
-// install replaces (or creates) the entry for k, maintaining the
-// inverted index and the baseline/detour bookkeeping: under an empty
-// failure set the installed path IS the baseline; under failures the
-// entry is detoured whenever its path deviates from a known baseline
-// (or the baseline is unknown, which repair reaction treats
-// conservatively as detoured).
+// install replaces (or creates) the entry for k with its
+// baseline/detour bookkeeping: under an empty failure set the installed
+// path IS the baseline (aliased: an encoded route never changes); under
+// failures the entry is detoured whenever its path deviates from a
+// known baseline (or the baseline is unknown, which repair reaction
+// treats conservatively as detoured).
 func (c *Controller) install(k pair, route *core.Route, protection []core.Hop) {
 	old := c.entries[k]
-	if old != nil {
-		c.unindex(k, old.route)
-	}
 	e := &routeEntry{route: route, protection: protection}
-	ps := route.Path.String()
+	nodes := route.Path.Nodes
 	switch {
 	case len(c.failed) == 0:
-		e.baseline = ps
-	case old != nil && old.baseline != "":
+		e.baseline = nodes
+	case old != nil && old.baseline != nil:
 		e.baseline = old.baseline
-		e.detoured = ps != old.baseline
+		e.detoured = !slices.Equal(nodes, old.baseline)
 	default:
 		e.detoured = true
 	}
 	c.entries[k] = e
-	c.index(k, route)
 }
 
 // InstallRoute selects the best path from src to dst (both edge
@@ -434,8 +401,8 @@ func filterHops(hops []core.Hop, path topology.Path) []core.Hop {
 // NotifyFailure receives a data-plane failure report. In the paper's
 // evaluation mode (default) it only counts; with failure reaction
 // enabled it reroutes exactly the installed routes whose current path
-// crosses the link — the inverted index makes every other route a
-// skip, counted in kar_ctrl_reroutes_skipped_total.
+// crosses the link; every other route is a skip, counted in
+// kar_ctrl_reroutes_skipped_total.
 func (c *Controller) NotifyFailure(l *topology.Link) error {
 	c.cNotifies.Inc()
 	c.events.Record(telemetry.EventNotify, l.Name(), "fail")
@@ -443,7 +410,16 @@ func (c *Controller) NotifyFailure(l *topology.Link) error {
 		return nil
 	}
 	c.failed[l] = true
-	return c.reroute(c.sortedPairs(c.byLink[l]))
+	var affected []pair
+	var links []*topology.Link
+	for k, e := range c.entries {
+		links = e.route.Path.AppendLinks(links[:0])
+		if slices.Contains(links, l) {
+			affected = append(affected, k)
+		}
+	}
+	sortPairs(affected)
+	return c.reroute(affected)
 }
 
 // NotifyRepair clears a failure. With reaction enabled it recomputes
@@ -465,16 +441,6 @@ func (c *Controller) NotifyRepair(l *topology.Link) error {
 	}
 	sortPairs(affected)
 	return c.reroute(affected)
-}
-
-// sortedPairs copies a pair set into deterministic (src, dst) order.
-func (c *Controller) sortedPairs(set map[pair]struct{}) []pair {
-	out := make([]pair, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sortPairs(out)
-	return out
 }
 
 func sortPairs(ps []pair) {

@@ -50,6 +50,17 @@ func xvCases(t *testing.T) []xvCase {
 			protection: topology.Net15PartialProtection,
 			fail:       [2]string{"SW7", "SW13"},
 		},
+		{
+			// The ingress link itself: the edge sends every packet onto a
+			// dead link, so the walk must be a loss before any switch.
+			name:       "net15-ingress",
+			graph:      topology.Net15,
+			path:       []string{"AS1", "SW10", "SW7", "SW13", "SW29", "AS3"},
+			src:        "AS1",
+			dst:        "AS3",
+			protection: topology.Net15PartialProtection,
+			fail:       [2]string{"AS1", "SW10"},
+		},
 	}
 	// One generated topology: fail the first on-path core link whose
 	// removal keeps the graph connected.

@@ -11,8 +11,9 @@ import (
 )
 
 // freshCase is the verdict of one case computed the way the sweep did
-// before it remembered anything: reachability by search, the ingress
-// check, then an analyzer made for this case alone.
+// before it remembered anything: reachability by search, a check of the
+// ingress link outside the analyzer, then an analyzer made for this
+// case alone.
 func freshCase(t *testing.T, g *topology.Graph, ct *caseTable, r, p, f int) caseResult {
 	t.Helper()
 	rt, pol, fl := ct.routes[r], ct.policies[p], ct.failures[f]
@@ -20,10 +21,14 @@ func freshCase(t *testing.T, g *topology.Graph, ct *caseTable, r, p, f int) case
 	for _, l := range fl.links {
 		failed[l] = true
 	}
+	route, ok := ct.ctrl.Route(rt.Src, rt.Dst)
+	if !ok {
+		t.Fatalf("%s->%s: not installed", rt.Src, rt.Dst)
+	}
 	switch {
 	case !connected(g, rt.Src, rt.Dst, failed):
 		return caseResult{outcome: Disconnected}
-	case failed[ct.ingress[r]]:
+	case failed[route.Path.Links()[0]]:
 		return caseResult{outcome: Lost}
 	}
 	var res analysis.Result
@@ -38,10 +43,10 @@ func freshCase(t *testing.T, g *topology.Graph, ct *caseTable, r, p, f int) case
 }
 
 // TestSweepMatchesFreshComputation: every case of a sweep — answered
-// from the no-failure verdict, from a worker's memo, or computed — has
-// the outcome, delivery probability and stretch, to the last bit, of a
-// computation that shares nothing with any other case; at one worker
-// and at four, under every protection level the topology has.
+// from a worker's memo or computed — has the outcome, delivery
+// probability and stretch, to the last bit, of a computation that
+// shares nothing with any other case; at one worker and at four, under
+// every protection level the topology has.
 func TestSweepMatchesFreshComputation(t *testing.T) {
 	for _, row := range []struct {
 		topo   string
@@ -226,11 +231,11 @@ func TestMemoRecomputesInsideCandidateScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	routes := allPairRoutes(g)
-	ctrl, _, err := buildController(g, routes, nil, false)
+	ctrl, err := buildController(g, routes, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newScratch(ctrl, []string{"nip"}, make([]memoEntry, len(routes)), len(g.Nodes()))
+	s := newScratch(ctrl, []string{"nip"}, len(routes), len(g.Nodes()))
 	record := func(rt RouteSpec, fl failure) memoEntry {
 		s.setFailed(fl.links)
 		res, consulted := s.compute(rt, 0, fl)
@@ -257,7 +262,7 @@ func TestMemoRecomputesInsideCandidateScan(t *testing.T) {
 					t.Fatalf("%s->%s: a recorded verdict answers %s, whose second link %s the deflecting node scans",
 						rt.Src, rt.Dst, pair.name(), l2.Name())
 				}
-				s.base[r], s.memo[r] = base, []memoEntry{single}
+				s.memo[r] = []memoEntry{base, single}
 				s.setFailed(pair.links)
 				got := s.verdict(r, rt, 0, pair)
 				a, err := analysis.New(ctrl, "nip", pair.links)

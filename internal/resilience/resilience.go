@@ -25,10 +25,9 @@
 // pure function of the route, the policy and the state of the links it
 // consulted; each computed verdict is recorded with that set
 // (memoEntry), and a failure set that agrees with a recorded one on it
-// takes the recorded verdict. The no-failure verdict alone answers
-// every failure set that misses the route's consulted links. A hit
-// returns what a recomputation would, so which worker remembered what
-// never shows in a report.
+// takes the recorded verdict — the ingress link included, which the
+// analyzer reads like any other. A hit returns what a recomputation
+// would, so which worker remembered what never shows in a report.
 package resilience
 
 import (
@@ -437,8 +436,7 @@ type caseTable struct {
 	pairsDrawn int
 	results    []caseResult // case (r, p, f) at (r*len(policies)+p)*len(failures)+f
 	ctrl       *controller.Controller
-	ingress    []*topology.Link // per route
-	hits       int              // cases a recorded verdict answered
+	hits       int // cases a recorded verdict answered
 }
 
 // analyzeCases validates a sweep's inputs, enumerates its cases and
@@ -473,7 +471,7 @@ func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 		}
 	}
 
-	ctrl, ingress, err := buildController(g, routes, cfg.Protection, cfg.AutoProtect)
+	ctrl, err := buildController(g, routes, cfg.Protection, cfg.AutoProtect)
 	if err != nil {
 		return nil, err
 	}
@@ -500,29 +498,13 @@ func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	}
 	links, nodes := g.Links(), g.NumNodes()
 
-	// The no-failure verdict of every (route, policy), computed before
-	// the fan-out (on worker 0's scratch) and read by every worker: it
-	// answers each failure set that misses the links it consulted, most
-	// of them.
-	base := make([]memoEntry, len(routes)*nP)
-
 	// Per-worker scratch, made on the worker's first failure set.
 	scr := make([]*scratch, par.Workers(cfg.Workers, nF))
 	worker := func(w int) *scratch {
 		if scr[w] == nil {
-			scr[w] = newScratch(ctrl, policies, base, nodes)
+			scr[w] = newScratch(ctrl, policies, len(routes), nodes)
 		}
 		return scr[w]
-	}
-	for r, rt := range routes {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		for p := range policies {
-			if res, consulted := worker(0).compute(rt, p, failure{}); res.err == nil {
-				base[r*nP+p] = memoEntry{consulted: slices.Clone(consulted), res: res}
-			}
-		}
 	}
 
 	// analyze computes every (route, policy) case of failure f on s's
@@ -540,16 +522,10 @@ func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 			connected := src >= 0 && dst >= 0 && s.comp[src] == s.comp[dst]
 			for p := range policies {
 				cr := &results[(r*nP+p)*nF+f]
-				switch {
-				case !connected:
-					cr.outcome = Disconnected
-				case fl.links.has(ingress[r]):
-					// The ingress edge's programmed port feeds a dead link:
-					// the packet never reaches the first core, under any
-					// policy.
-					cr.outcome = Lost
-				default:
+				if connected {
 					*cr = s.verdict(r*nP+p, rt, p, fl)
+				} else {
+					cr.outcome = Disconnected
 				}
 			}
 		}
@@ -566,7 +542,7 @@ func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	}
 	ct := &caseTable{
 		routes: routes, policies: policies, failures: failures, pairsDrawn: pairsDrawn,
-		results: results, ctrl: ctrl, ingress: ingress,
+		results: results, ctrl: ctrl,
 	}
 	for _, s := range scr {
 		if s != nil {
@@ -607,26 +583,24 @@ func bindHelp(reg *telemetry.Registry) {
 // protection filtering) on a fresh non-reactive controller and
 // pre-warms the re-encode cache for every ordered edge pair, so the
 // concurrent case analyses only ever hit the controller's read-only
-// cache path. Returns the per-route ingress link alongside. With auto
-// set, the controller plans per-destination protection itself and the
-// pair set must be empty.
-func buildController(g *topology.Graph, routes []RouteSpec, protection [][2]string, auto bool) (*controller.Controller, []*topology.Link, error) {
+// cache path. With auto set, the controller plans per-destination
+// protection itself and the pair set must be empty.
+func buildController(g *topology.Graph, routes []RouteSpec, protection [][2]string, auto bool) (*controller.Controller, error) {
 	hops, err := core.HopsFromPairs(g, protection)
 	if err != nil {
-		return nil, nil, fmt.Errorf("resilience: protection: %w", err)
+		return nil, fmt.Errorf("resilience: protection: %w", err)
 	}
 	var opts []controller.Option
 	if auto {
 		opts = append(opts, controller.WithAutoProtection(core.PlanOptions{}))
 	}
 	ctrl := controller.New(g, opts...)
-	ingress := make([]*topology.Link, len(routes))
-	for i, rt := range routes {
+	for _, rt := range routes {
 		names := rt.Path
 		if len(names) == 0 {
 			path, err := topology.ShortestPath(g, rt.Src, rt.Dst, nil)
 			if err != nil {
-				return nil, nil, fmt.Errorf("resilience: route %s->%s: %w", rt.Src, rt.Dst, err)
+				return nil, fmt.Errorf("resilience: route %s->%s: %w", rt.Src, rt.Dst, err)
 			}
 			names = make([]string, len(path.Nodes))
 			for k, n := range path.Nodes {
@@ -643,16 +617,9 @@ func buildController(g *topology.Graph, routes []RouteSpec, protection [][2]stri
 				filtered = append(filtered, h)
 			}
 		}
-		route, err := ctrl.InstallRouteOnPath(names, filtered)
-		if err != nil {
-			return nil, nil, fmt.Errorf("resilience: route %s->%s: %w", rt.Src, rt.Dst, err)
+		if _, err := ctrl.InstallRouteOnPath(names, filtered); err != nil {
+			return nil, fmt.Errorf("resilience: route %s->%s: %w", rt.Src, rt.Dst, err)
 		}
-		l, ok := g.LinkBetween(names[0], names[1])
-		if !ok {
-			return nil, nil, fmt.Errorf("resilience: route %s->%s: no ingress link %s-%s", rt.Src, rt.Dst, names[0], names[1])
-		}
-		ingress[i] = l
-		_ = route
 	}
 	// Pre-warm: re-encoding ignores failure sets (the controller is
 	// non-reactive), so warming under the empty set caches exactly what
@@ -666,7 +633,7 @@ func buildController(g *topology.Graph, routes []RouteSpec, protection [][2]stri
 			}
 		}
 	}
-	return ctrl, ingress, nil
+	return ctrl, nil
 }
 
 // enumerateFailures lists every single-link failure in topology
@@ -864,7 +831,7 @@ func findRoot(parent []int32, x int32) int32 {
 // verdict computed under failure set fail holds under every failure set
 // that agrees with fail on the consulted links.
 type memoEntry struct {
-	consulted analysis.LinkSet // nil: no verdict recorded
+	consulted analysis.LinkSet
 	fail      failSet
 	res       caseResult
 }
@@ -872,9 +839,6 @@ type memoEntry struct {
 // answers reports whether e's verdict is f's too: f and e.fail have the
 // same members among the consulted links.
 func (e *memoEntry) answers(f failSet) bool {
-	if e.consulted == nil {
-		return false
-	}
 	for _, l := range f {
 		if e.consulted.Has(l) && !e.fail.has(l) {
 			return false
@@ -889,25 +853,22 @@ func (e *memoEntry) answers(f failSet) bool {
 }
 
 // scratch is one worker's working state: the surviving graph's
-// component labels, an analyzer per policy, and the recorded verdicts
-// per (route, policy) — the sweep's no-failure ones, shared and
-// read-only once workers run, and the ones this worker computed.
+// component labels, an analyzer per policy, and the verdicts this
+// worker computed, per (route, policy).
 type scratch struct {
 	policies  []string
 	comp      []int32
 	analyzers []*analysis.Analyzer
-	base      []memoEntry
 	memo      [][]memoEntry
 	hits      int // cases a recorded verdict answered
 }
 
-func newScratch(ctrl *controller.Controller, policies []string, base []memoEntry, nodes int) *scratch {
+func newScratch(ctrl *controller.Controller, policies []string, routes, nodes int) *scratch {
 	s := &scratch{
 		policies:  policies,
 		comp:      make([]int32, nodes),
 		analyzers: make([]*analysis.Analyzer, len(policies)),
-		base:      base,
-		memo:      make([][]memoEntry, len(base)),
+		memo:      make([][]memoEntry, routes*len(policies)),
 	}
 	for p, pol := range policies {
 		// Policies were validated on entry: New cannot fail.
@@ -924,17 +885,12 @@ func (s *scratch) setFailed(failed failSet) {
 	}
 }
 
-// verdict returns the verdict of one connected case whose ingress link
-// survives — route rt under policy p, key its (route, policy) index: a
-// recorded one that answers fl — the no-failure one first, then this
-// worker's own — or a fresh computation, recorded for the failure sets
-// to come. Which of the two it is cannot show in the result, so reports
-// do not depend on how failure sets fall to workers.
+// verdict returns the verdict of one connected case — route rt under
+// policy p, key its (route, policy) index: one this worker recorded that
+// answers fl, or a fresh computation, recorded for the failure sets to
+// come. Which of the two it is cannot show in the result, so reports do
+// not depend on how failure sets fall to workers.
 func (s *scratch) verdict(key int, rt RouteSpec, p int, fl failure) caseResult {
-	if base := &s.base[key]; base.answers(fl.links) {
-		s.hits++
-		return base.res
-	}
 	for i := range s.memo[key] {
 		if e := &s.memo[key][i]; e.answers(fl.links) {
 			s.hits++

@@ -87,7 +87,7 @@ func TestValidateAllocs(t *testing.T) {
 }
 
 // TestAppendLinksZeroAlloc: the reuse-friendly Links form feeding the
-// controller's inverted index must not allocate with a warm buffer.
+// controller's failure scan must not allocate with a warm buffer.
 func TestAppendLinksZeroAlloc(t *testing.T) {
 	g, err := Net15()
 	if err != nil {
