@@ -35,12 +35,22 @@ type rule struct {
 
 var guards = []rule{{
 	name: "a deflection policy is defined in internal/deflect alone",
-	why:  "internal/deflect is the only place a policy is defined: the switch's fast path and the verifier's chain and walk derive from its Shape.",
+	why:  "internal/deflect is the only place a policy is defined: the switch's fast path and the verifier's chain derive from its Shape.",
 	in:   []string{"internal/kswitch", "internal/analysis", "internal/resilience"},
 	match: []string{`string "hp"`, `string "avp"`, `string "nip"`, `string "dtree"`,
 		"use repro/internal/deflect.None", "use repro/internal/deflect.HotPotato", "use repro/internal/deflect.AnyValidPort",
 		"use repro/internal/deflect.NotInputPort", "use repro/internal/deflect.DTree"},
 	owns: []string{"internal/resilience:analyzeCases"}, // the verifier's default policy list
+}, {
+	name:  "one analyzer engine: chain expansion alone runs a policy and re-encodes",
+	why:   "expandCore is internal/analysis's only caller of Decide: every verdict, drawn or not, comes from one chain.",
+	in:    []string{"internal/analysis"},
+	match: []string{"call .Decide"}, owns: []string{"internal/analysis:(*chain).expandCore"},
+}, {
+	name:  "one analyzer engine: chain expansion alone runs a policy and re-encodes",
+	why:   "expandEdge is internal/analysis's only caller of the controller's re-encode: a wrong edge has one model.",
+	in:    []string{"internal/analysis"},
+	match: []string{"call .ReencodeRoute"}, owns: []string{"internal/analysis:(*chain).expandEdge"},
 }, {
 	name:  "a generator is seeded in internal/xrand alone",
 	why:   "xrand.Source replaces every non-test rand.NewSource, which pays the 607-word seeding pass per world.",

@@ -15,9 +15,8 @@
 // 2 per active route).
 //
 // A policy whose shape has no random fallback (deflect.Shape.Random)
-// makes the chain a single trajectory: Analyze follows it — calling the
-// policy's own Decide at every core — instead of expanding and solving
-// a chain whose every state has one successor.
+// makes the chain a single trajectory, every state with one successor:
+// Analyze follows it under the simulator's TTL instead of solving it.
 package analysis
 
 import (
@@ -27,6 +26,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/deflect"
+	"repro/internal/packet"
 	"repro/internal/rns"
 	"repro/internal/topology"
 )
@@ -44,8 +44,6 @@ type Result struct {
 	// PDeliver is the probability the packet reaches its destination
 	// edge (re-encoding at wrong edges included).
 	PDeliver float64
-	// PDrop is the probability it dies (no viable port).
-	PDrop float64
 	// ExpectedHops is E[link traversals | delivered].
 	ExpectedHops float64
 	// BaselineHops is the no-failure path length, for stretch.
@@ -249,34 +247,59 @@ func (a *Analyzer) buildChain(src, dst string) (*chain, int, *core.Route, error)
 // Analyze computes the walk properties for the installed route
 // src→dst under the analyzer's failure set.
 func (a *Analyzer) Analyze(src, dst string) (Result, error) {
-	if !a.shape.Random() {
-		// Exact, and far cheaper than expanding and solving the chain.
-		return a.walk(src, dst)
-	}
-	return a.solveChain(src, dst)
-}
-
-// solveChain is Analyze by absorption, for any policy.
-func (a *Analyzer) solveChain(src, dst string) (Result, error) {
 	c, start, route, err := a.buildChain(src, dst)
 	if err != nil {
 		return Result{}, err
 	}
-	c.markTrapped()
-	if err := c.solve(); err != nil {
+	res := Result{BaselineHops: route.Path.Hops()}
+	if !a.shape.Random() {
+		res.PDeliver, res.ExpectedHops = c.follow(start)
+		return res, nil
+	}
+	if res.PDeliver, res.ExpectedHops, err = c.absorb(start); err != nil {
 		return Result{}, err
 	}
-	pDel := c.pDel[start]
-	res := Result{
-		PDeliver:     pDel,
-		PDrop:        1 - pDel,
-		BaselineHops: route.Path.Hops(),
-	}
-	if pDel > 0 {
-		// +1: the initial edge→first-switch traversal.
-		res.ExpectedHops = c.hops[start]/pDel + 1
-	}
 	return res, nil
+}
+
+// absorb solves the chain from start: the delivery probability and, when
+// it is positive, E[hops | delivered].
+func (c *chain) absorb(start int) (pDel, hops float64, err error) {
+	c.markTrapped()
+	if err := c.solve(); err != nil {
+		return 0, 0, err
+	}
+	if pDel = c.pDel[start]; pDel > 0 {
+		// +1: the initial edge→first-switch traversal.
+		hops = c.hops[start]/pDel + 1
+	}
+	return pDel, hops, nil
+}
+
+// follow reads a chain whose every state has at most one successor (a
+// shape that never draws) by stepping along it under the simulator's
+// TTL: the packet leaves the ingress edge and every re-encoding edge
+// with packet.DefaultTTL, each core spends one and kills it at 0, and a
+// trajectory longer than the chain has states has closed a loop. It
+// returns 1 and the hop count on delivery, 0 and 0 on a loss.
+func (c *chain) follow(start int) (pDel, hops float64) {
+	ttl := packet.DefaultTTL
+	for i, n := start, 1; n <= len(c.states); n++ {
+		switch {
+		case c.deliver[i]:
+			return 1, float64(n) // n counts the ingress traversal too
+		case c.dropped[i]:
+			return 0, 0
+		case c.states[i].node.Kind() == topology.KindEdge:
+			ttl = packet.DefaultTTL // a re-encode restamps the TTL
+		default:
+			if ttl--; ttl == 0 {
+				return 0, 0
+			}
+		}
+		i = c.succ(i)[0].to
+	}
+	return 0, 0 // a loop
 }
 
 // DeliverWithin computes the exact probability that the walk delivers
@@ -284,10 +307,12 @@ func (a *Analyzer) solveChain(src, dst string) (Result, error) {
 // a budget of ttl, every core switch decrements the budget and kills
 // the packet when it hits zero, edges never decrement, and a
 // wrong-edge re-encode refreshes the budget to ttl (edge.Inject and
-// the re-encode path both stamp packet.DefaultTTL). Analyze's PDeliver
-// is the ttl→∞ limit of this quantity; the difference is exactly the
-// trajectory mass the TTL truncates, which is what a tight
-// cross-validation band against the packet simulator needs.
+// the re-encode path both stamp packet.DefaultTTL). For a policy that
+// draws, Analyze's PDeliver is the ttl→∞ limit of this quantity; the
+// difference is exactly the trajectory mass the TTL truncates, which is
+// what a tight cross-validation band against the packet simulator
+// needs. For one that never draws, Analyze follows the chain under
+// this very discipline and equals it at packet.DefaultTTL.
 //
 // The computation is a finite-horizon value iteration over the same
 // chain Analyze solves: d_t(s) = Σ T(s,s')·d_{t-1}(s') for core

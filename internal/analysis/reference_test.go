@@ -120,7 +120,6 @@ func (a *refAnalyzer) Analyze(src, dst string) (Result, error) {
 	}
 	res := Result{
 		PDeliver:     pDel[start],
-		PDrop:        1 - pDel[start],
 		BaselineHops: route.Path.Hops(),
 	}
 	if pDel[start] > 0 {
@@ -438,7 +437,7 @@ func TestLeanChainMatchesReference(t *testing.T) {
 				}
 				var opts []controller.Option
 				if auto {
-					opts = append(opts, controller.WithAutoProtection(core.PlanOptions{}))
+					opts = append(opts, controller.WithAutoProtection())
 				}
 				ctrl := controller.New(g, opts...)
 				var routes [][2]string
@@ -477,26 +476,16 @@ func TestLeanChainMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						// A policy that never draws is analyzed by walking; its
-						// chain, which DeliverWithin still expands, is held to
-						// the reference too.
-						entries := []func(src, dst string) (Result, error){lean.Analyze}
-						if !lean.shape.Random() {
-							entries = append(entries, lean.solveChain)
-						}
 						for _, rt := range routes {
 							want, werr := ref.Analyze(rt[0], rt[1])
-							for _, analyze := range entries {
-								got, gerr := analyze(rt[0], rt[1])
-								if (gerr == nil) != (werr == nil) {
-									t.Fatalf("%s %s->%s failed=%v: err %v, reference %v", pol, rt[0], rt[1], set, gerr, werr)
-								}
-								if math.Float64bits(got.PDeliver) != math.Float64bits(want.PDeliver) ||
-									math.Float64bits(got.PDrop) != math.Float64bits(want.PDrop) ||
-									math.Float64bits(got.ExpectedHops) != math.Float64bits(want.ExpectedHops) ||
-									got.BaselineHops != want.BaselineHops {
-									t.Fatalf("%s %s->%s failed=%v:\n got %+v\nwant %+v", pol, rt[0], rt[1], set, got, want)
-								}
+							got, gerr := lean.Analyze(rt[0], rt[1])
+							if (gerr == nil) != (werr == nil) {
+								t.Fatalf("%s %s->%s failed=%v: err %v, reference %v", pol, rt[0], rt[1], set, gerr, werr)
+							}
+							if math.Float64bits(got.PDeliver) != math.Float64bits(want.PDeliver) ||
+								math.Float64bits(got.ExpectedHops) != math.Float64bits(want.ExpectedHops) ||
+								got.BaselineHops != want.BaselineHops {
+								t.Fatalf("%s %s->%s failed=%v:\n got %+v\nwant %+v", pol, rt[0], rt[1], set, got, want)
 							}
 						}
 					}

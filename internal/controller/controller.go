@@ -57,7 +57,6 @@ type Controller struct {
 	// destination-rooted tree per destination core, so A→B and B→A
 	// both get a tree pointing at their own destination.
 	autoProtect bool
-	autoOpts    core.PlanOptions
 	planner     *core.Planner
 
 	entries map[pair]*routeEntry
@@ -102,14 +101,10 @@ func WithFailureReaction() Option {
 // hand-listed sets — one tree rooted at one destination protects only
 // the routes toward it — by giving every direction its own tree. Trees
 // are cached per destination (core.Planner), so all-pairs installs
-// cost one tree search per destination, not per route. opts bounds the
-// per-route encoding budget (zero MaxBits: complete protection —
-// every reachable off-route core switch gets a residue).
-func WithAutoProtection(opts core.PlanOptions) Option {
-	return func(c *Controller) {
-		c.autoProtect = true
-		c.autoOpts = opts
-	}
+// cost one tree search per destination, not per route. Protection is
+// complete: every reachable off-route core switch gets a residue.
+func WithAutoProtection() Option {
+	return func(c *Controller) { c.autoProtect = true }
 }
 
 // WithWorkers is a no-op: reroutes run in the caller. It is kept only
@@ -180,7 +175,7 @@ func (c *Controller) autoProtection(path topology.Path, explicit []core.Hop) ([]
 	if !c.autoProtect || len(explicit) > 0 {
 		return explicit, nil
 	}
-	return c.planner.Plan(path, c.autoOpts)
+	return c.planner.Plan(path, core.PlanOptions{})
 }
 
 // encode is every route ID the controller computes: path with the

@@ -4,8 +4,9 @@
 // controller-installed route set it enumerates every single-link
 // failure (plus optional seeded samples of two-link failure pairs)
 // and computes, for each (route, policy, failure) case, the exact
-// delivery verdict from internal/analysis (a Markov chain for the
-// policies that deflect at random, a walk for the ones that never draw).
+// delivery verdict from internal/analysis (one Markov chain, solved for
+// the policies that deflect at random and followed under the
+// simulator's TTL for the ones that never draw).
 // The sweep produces per-route resilience scores (fraction of
 // failures survived, worst-case delivery probability and stretch) and
 // a per-link blast-radius ranking of the failures that actually hurt.
@@ -21,8 +22,8 @@
 // controller's reroute pool).
 //
 // A verdict is computed once per distinct question. Static failover
-// decides from local link state, so a chain expansion or a walk is a
-// pure function of the route, the policy and the state of the links it
+// decides from local link state, so a chain expansion is a pure
+// function of the route, the policy and the state of the links it
 // consulted; each computed verdict is recorded with that set
 // (memoEntry), and a failure set that agrees with a recorded one on it
 // takes the recorded verdict — the ingress link included, which the
@@ -592,7 +593,7 @@ func buildController(g *topology.Graph, routes []RouteSpec, protection [][2]stri
 	}
 	var opts []controller.Option
 	if auto {
-		opts = append(opts, controller.WithAutoProtection(core.PlanOptions{}))
+		opts = append(opts, controller.WithAutoProtection())
 	}
 	ctrl := controller.New(g, opts...)
 	for _, rt := range routes {
@@ -826,10 +827,10 @@ func findRoot(parent []int32, x int32) int32 {
 }
 
 // memoEntry is one computed verdict with what it depends on. A chain
-// expansion or a deterministic walk is a pure function of the route,
-// the policy and the answers to the link-state queries it makes, so the
-// verdict computed under failure set fail holds under every failure set
-// that agrees with fail on the consulted links.
+// expansion is a pure function of the route, the policy and the answers
+// to the link-state queries it makes, so the verdict computed under
+// failure set fail holds under every failure set that agrees with fail
+// on the consulted links.
 type memoEntry struct {
 	consulted analysis.LinkSet
 	fail      failSet

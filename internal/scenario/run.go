@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/packet"
 	"repro/internal/par"
@@ -303,7 +302,7 @@ func setup(spec *Spec, idx int, seed int64, opts *RunOptions) (*experiment.World
 		worldOpts = append(worldOpts, simnet.WithScalarDataPlane())
 	}
 	if auto {
-		worldOpts = append(worldOpts, controller.WithAutoProtection(core.PlanOptions{}))
+		worldOpts = append(worldOpts, controller.WithAutoProtection())
 	}
 	w := experiment.NewWorld(g, policy, seed, worldOpts...)
 	// Attach before route installs so the initial ingress programming
