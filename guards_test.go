@@ -40,7 +40,7 @@ var guards = []rule{{
 	match: []string{`string "hp"`, `string "avp"`, `string "nip"`, `string "dtree"`,
 		"use repro/internal/deflect.None", "use repro/internal/deflect.HotPotato", "use repro/internal/deflect.AnyValidPort",
 		"use repro/internal/deflect.NotInputPort", "use repro/internal/deflect.DTree"},
-	owns: []string{"internal/resilience:analyzeCases"}, // the verifier's default policy list
+	owns: []string{"internal/resilience:CheckSweep"}, // the verifier's default policy list
 }, {
 	name:  "one analyzer engine: chain expansion alone runs a policy and re-encodes",
 	why:   "expandCore is internal/analysis's only caller of Decide: every verdict, drawn or not, comes from one chain.",

@@ -91,15 +91,16 @@ func TestSweepProgressReachesTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	routes := []RouteSpec{{Src: "AS1", Dst: "AS3"}, {Src: "AS1", Dst: "AS2"}}
+	const failureSets = 23 + 10 // Net15's links and the pair samples
 	var calls, last int
 	rep, err := Sweep(g, routes, Config{
 		Policies: []string{"none", "nip"},
 		Pairs:    10,
 		Workers:  1, // single worker keeps the callback sequential
 		Progress: func(done, total int) {
-			// One call per completed failure set, each worth every
-			// (route, policy) case of it.
-			if done <= last || done > total || done%(2*2) != 0 {
+			// One call per completed (route, policy) unit, each worth
+			// every failure set of it.
+			if done <= last || done > total || done%failureSets != 0 {
 				t.Errorf("progress %d/%d after %d", done, total, last)
 			}
 			calls++
@@ -112,7 +113,36 @@ func TestSweepProgressReachesTotal(t *testing.T) {
 	if last != rep.Cases {
 		t.Fatalf("progress reached %d, want %d cases", last, rep.Cases)
 	}
-	if want := rep.Links + rep.PairsDrawn; calls != want {
-		t.Fatalf("%d progress callbacks for %d failure sets", calls, want)
+	if want := len(routes) * 2; calls != want {
+		t.Fatalf("%d progress callbacks for %d (route, policy) units", calls, want)
+	}
+}
+
+// A sweep whose context is cancelled before it starts returns
+// context.Canceled from set-up, before it installs the routes: the last
+// route (in install order) names a node the topology lacks, so a sweep
+// that installed the routes first would fail on it instead.
+func TestSweepCancelledBeforeStartInstallsNothing(t *testing.T) {
+	g, err := topology.Shared("fattree:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes, err := AllPairRoutes(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes = append(routes, RouteSpec{Src: "ZZ", Dst: "E0"})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	progressed := false
+	rep, err := SweepContext(ctx, g, routes, Config{
+		Policies: []string{"nip"}, AutoProtect: true,
+		Progress: func(int, int) { progressed = true },
+	})
+	if rep != nil || !errors.Is(err, context.Canceled) || progressed {
+		t.Fatalf("cancelled sweep: report %v, err %v, progressed %v; want context.Canceled and nothing run", rep != nil, err, progressed)
+	}
+	if _, err := buildController(ctx, g, routes, nil, true); !errors.Is(err, context.Canceled) {
+		t.Fatalf("buildController under a cancelled context: %v", err)
 	}
 }

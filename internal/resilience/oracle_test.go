@@ -18,7 +18,7 @@ func freshCase(t *testing.T, g *topology.Graph, ct *caseTable, r, p, f int) case
 	t.Helper()
 	rt, pol, fl := ct.routes[r], ct.policies[p], ct.failures[f]
 	failed := map[*topology.Link]bool{}
-	for _, l := range fl.links {
+	for _, l := range fl {
 		failed[l] = true
 	}
 	route, ok := ct.ctrl.Route(rt.Src, rt.Dst)
@@ -32,7 +32,7 @@ func freshCase(t *testing.T, g *topology.Graph, ct *caseTable, r, p, f int) case
 		return caseResult{outcome: Lost}
 	}
 	var res analysis.Result
-	a, err := analysis.New(ct.ctrl, pol, fl.links)
+	a, err := analysis.New(ct.ctrl, pol, fl)
 	if err == nil {
 		res, err = a.Analyze(rt.Src, rt.Dst)
 	}
@@ -231,41 +231,39 @@ func TestMemoRecomputesInsideCandidateScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	routes := allPairRoutes(g)
-	ctrl, err := buildController(g, routes, nil, false)
+	ctrl, err := buildController(context.Background(), g, routes, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newScratch(ctrl, []string{"nip"}, len(routes), len(g.Nodes()))
-	record := func(rt RouteSpec, fl failure) memoEntry {
-		s.setFailed(fl.links)
+	s := newScratch(ctrl, []string{"nip"})
+	record := func(rt RouteSpec, fl failSet) memoEntry {
 		res, consulted := s.compute(rt, 0, fl)
 		if res.err != nil {
 			t.Fatal(res.err)
 		}
-		return memoEntry{consulted: append(analysis.LinkSet(nil), consulted...), fail: fl.links, res: res}
+		return memoEntry{consulted: append(analysis.LinkSet(nil), consulted...), fail: fl, res: res}
 	}
 	var pairs, wrong int
-	for r, rt := range routes {
-		base := record(rt, failure{})
+	for _, rt := range routes {
+		base := record(rt, nil)
 		route, _ := ctrl.Route(rt.Src, rt.Dst)
 		nodes := route.Path.Nodes
 		for k := 1; k+2 < len(nodes); k++ {
 			u := nodes[k] // deflects when its link to nodes[k+1] fails
 			l1, _ := g.LinkBetween(u.Name(), nodes[k+1].Name())
-			single := record(rt, failure{links: failSet{l1}})
+			single := record(rt, failSet{l1})
 			for _, l2 := range u.Links() {
 				if o := l2.Other(u); o == nodes[k-1] || o == nodes[k+1] {
 					continue // on the path
 				}
-				pair := failure{links: failSet{l1, l2}, pair: true}
-				if base.answers(pair.links) || single.answers(pair.links) {
+				pair := failSet{l1, l2}
+				if base.answers(pair) || single.answers(pair) {
 					t.Fatalf("%s->%s: a recorded verdict answers %s, whose second link %s the deflecting node scans",
 						rt.Src, rt.Dst, pair.name(), l2.Name())
 				}
-				s.memo[r] = []memoEntry{base, single}
-				s.setFailed(pair.links)
-				got := s.verdict(r, rt, 0, pair)
-				a, err := analysis.New(ctrl, "nip", pair.links)
+				s.memo = []memoEntry{base, single}
+				got := s.verdict(0, rt, pair)
+				a, err := analysis.New(ctrl, "nip", pair)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -11,32 +11,26 @@
 // failures survived, worst-case delivery probability and stretch) and
 // a per-link blast-radius ranking of the failures that actually hurt.
 //
-// Cases fan out across a bounded worker pool with deterministic
-// sharding: cases are indexed in a fixed (route, policy, failure)
-// order, workers pull whole failure sets from an atomic counter —
-// reachability in the surviving graph is a property of the failure set
-// alone, so it is computed once per set, not once per case — results
-// land by case index, and all aggregation happens in a sequential
-// merge pass — so the report and every kar_verify_* counter are
-// byte-identical at any worker count (the same discipline as the
-// controller's reroute pool).
-//
-// A verdict is computed once per distinct question. Static failover
-// decides from local link state, so a chain expansion is a pure
-// function of the route, the policy and the state of the links it
-// consulted; each computed verdict is recorded with that set
-// (memoEntry), and a failure set that agrees with a recorded one on it
-// takes the recorded verdict — the ingress link included, which the
-// analyzer reads like any other. A hit returns what a recomputation
-// would, so which worker remembered what never shows in a report.
+// Cases fan out across a bounded worker pool in two passes and land by
+// case index, (route, policy, failure) order, so the report and every
+// kar_verify_* counter are byte-identical at any worker count.
+// Reachability is a property of the failure set alone: the first pass
+// labels each set's components once and marks the cases it
+// disconnects. The second hands out (route, policy) units, each walking
+// the whole failure list on one worker. Static failover decides from
+// local link state, so a verdict is a pure function of the route, the
+// policy and the links the analysis consulted; a unit records each
+// verdict with that set (memoEntry) and reuses it for every later
+// failure set that agrees on it — the ingress link included — so which
+// verdicts are computed depends on the inputs alone.
 package resilience
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -107,12 +101,13 @@ type Config struct {
 	Workers int
 	// Registry receives the kar_verify_* counters (nil: private).
 	Registry *telemetry.Registry
-	// Progress, when set, is called once per completed failure set —
-	// the sweep's unit of work — with the running count of cases done
-	// (advanced by routes × policies each time) and the total. Calls come
-	// from worker goroutines concurrently and in no deterministic order
-	// — it is a liveness channel (the serve daemon streams it), never an
-	// input to the report, which stays byte-identical with or without it.
+	// Progress, when set, is called once per completed (route, policy)
+	// unit — the sweep's unit of work — with the running count of cases
+	// done (advanced by the failure-set count each time) and the total.
+	// Calls come from worker goroutines concurrently and in no
+	// deterministic order — it is a liveness channel (the serve daemon
+	// streams it), never an input to the report, which stays
+	// byte-identical with or without it.
 	Progress func(done, total int)
 }
 
@@ -216,37 +211,19 @@ func (r *Report) Violations(minSurvival, maxStretch *float64) []string {
 	return out
 }
 
-// failSet is the links of one failure set. Sets hold one or two links,
-// so membership is a scan.
+// failSet is the links of one enumerated failure set: one link, or
+// two for a sampled pair, so membership is a scan (slices.Contains).
 type failSet []*topology.Link
 
-func (f failSet) has(l *topology.Link) bool {
-	for _, x := range f {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
-// failure is one enumerated failure set.
-type failure struct {
-	links failSet
-	pair  bool
-}
-
-// name is the failure's link name, "A-B+C-D" for a pair: built when
-// asked, as the report names single failures only and a pair is named
-// only in an error.
-func (f failure) name() string {
+// name is the failure set's link name, "A-B+C-D" for a pair: built
+// when asked, as the report names single failures only and a pair is
+// named only in an error.
+func (f failSet) name() string {
 	name := ""
-	for i, l := range f.links {
-		if i > 0 {
-			name += "+"
-		}
-		name += l.Name()
+	for _, l := range f {
+		name += "+" + l.Name()
 	}
-	return name
+	return strings.TrimPrefix(name, "+")
 }
 
 // caseResult is one case's computed verdict.
@@ -259,14 +236,15 @@ type caseResult struct {
 
 // Sweep runs the exhaustive failure sweep over g for the given routes.
 // It builds its own controller (routes installed in deterministic
-// order, every re-encode pair pre-warmed) so the parallel case
-// analyses only ever read shared state.
+// order, every re-encode toward a route's destination pre-warmed) so
+// the parallel case analyses only ever read shared state.
 func Sweep(g *topology.Graph, routes []RouteSpec, cfg Config) (*Report, error) {
 	return SweepContext(context.Background(), g, routes, cfg)
 }
 
 // SweepContext is Sweep under a cancellation context: when ctx is
-// cancelled, every worker stops at its next route boundary, the pool
+// cancelled, set-up stops at its next route install or warm row and
+// every worker at its next failure set, the pool
 // drains, and ctx.Err() is returned with no partial report — a
 // cancelled sweep leaves no goroutines behind. A nil ctx means
 // context.Background().
@@ -289,14 +267,9 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	bindHelp(reg)
 	reg.Counter("kar_verify_sweeps_total").Inc()
 
-	scores := make([]RouteScore, len(routes)*len(policies))
-	for r := range routes {
-		for p := range policies {
-			scores[r*len(policies)+p] = RouteScore{
-				Src: routes[r].Src, Dst: routes[r].Dst, Policy: policies[p],
-				WorstPDeliver: 1,
-			}
-		}
+	scores := make([]RouteScore, len(routes)*nP)
+	for i := range scores {
+		scores[i] = RouteScore{Src: routes[i/nP].Src, Dst: routes[i/nP].Dst, Policy: policies[i%nP], WorstPDeliver: 1}
 	}
 	// Counter handles resolve on a (family, policy)'s first increment:
 	// one label set per handle instead of two per case, and a family
@@ -319,12 +292,13 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 		}
 		r, p, f := i/(nP*nF), i/nF%nP, i%nF
 		fl := failures[f]
+		pair := len(fl) == 2
 		sc := &scores[r*nP+p]
 		inc(famCases, p)
 		switch res.outcome {
 		case Disconnected:
 			inc(famDisconnected, p)
-			if !fl.pair {
+			if !pair {
 				sc.Disconnected++
 			}
 			continue
@@ -335,7 +309,7 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 		case Lost:
 			inc(famLost, p)
 		}
-		if fl.pair {
+		if pair {
 			sc.PairCases++
 			if res.outcome == Survived {
 				sc.PairSurvived++
@@ -374,25 +348,21 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
-	for i := range scores {
-		sc := &scores[i]
-		if sc.Singles == 0 {
-			sc.SurviveFraction = 1
-		} else {
-			sc.SurviveFraction = float64(sc.Survived) / float64(sc.Singles)
-		}
-	}
 	totals := make([]PolicyTotal, len(policies))
 	for p := range policies {
-		totals[p].Policy = policies[p]
-		for r := range routes {
-			sc := &scores[r*len(policies)+p]
-			totals[p].Singles += sc.Singles
-			totals[p].Survived += sc.Survived
-			totals[p].PairCases += sc.PairCases
-			totals[p].PairSurvived += sc.PairSurvived
-		}
 		t := &totals[p]
+		t.Policy = policies[p]
+		for r := range routes {
+			sc := &scores[r*nP+p]
+			sc.SurviveFraction = 1
+			if sc.Singles > 0 {
+				sc.SurviveFraction = float64(sc.Survived) / float64(sc.Singles)
+			}
+			t.Singles += sc.Singles
+			t.Survived += sc.Survived
+			t.PairCases += sc.PairCases
+			t.PairSurvived += sc.PairSurvived
+		}
 		if t.Singles == 0 {
 			t.SurviveFraction = 1
 		} else {
@@ -406,11 +376,8 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	for _, im := range impact {
 		impacts = append(impacts, *im)
 	}
-	sort.Slice(impacts, func(i, j int) bool {
-		if impacts[i].Affected != impacts[j].Affected {
-			return impacts[i].Affected > impacts[j].Affected
-		}
-		return impacts[i].Link < impacts[j].Link
+	slices.SortFunc(impacts, func(a, b LinkImpact) int {
+		return cmp.Or(cmp.Compare(b.Affected, a.Affected), strings.Compare(a.Link, b.Link))
 	})
 
 	return &Report{
@@ -433,7 +400,7 @@ func SweepContext(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 type caseTable struct {
 	routes     []RouteSpec // sorted by (src, dst)
 	policies   []string
-	failures   []failure
+	failures   []failSet
 	pairsDrawn int
 	results    []caseResult // case (r, p, f) at (r*len(policies)+p)*len(failures)+f
 	ctrl       *controller.Controller
@@ -441,30 +408,23 @@ type caseTable struct {
 }
 
 // analyzeCases validates a sweep's inputs, enumerates its cases and
-// computes every verdict on the worker pool.
+// computes every verdict on the worker pool: connectivity per failure
+// set, then verdicts per (route, policy) unit.
 func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cfg Config) (*caseTable, error) {
 	if len(routes) == 0 {
 		return nil, errors.New("resilience: no routes to verify")
 	}
-	policies := cfg.Policies
-	if len(policies) == 0 {
-		policies = []string{"none", "hp", "avp", "nip"}
-	}
-	for _, p := range policies {
-		if _, ok := deflect.ByName(p); !ok {
-			return nil, fmt.Errorf("resilience: %q: %w", p, analysis.ErrPolicyUnsupported)
-		}
+	policies, err := CheckSweep(g, len(routes), cfg.Policies, cfg.Pairs)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.AutoProtect && len(cfg.Protection) > 0 {
 		return nil, errors.New("resilience: AutoProtect and an explicit Protection set are mutually exclusive")
 	}
 
-	routes = append([]RouteSpec(nil), routes...)
-	sort.Slice(routes, func(i, j int) bool {
-		if routes[i].Src != routes[j].Src {
-			return routes[i].Src < routes[j].Src
-		}
-		return routes[i].Dst < routes[j].Dst
+	routes = slices.Clone(routes)
+	slices.SortFunc(routes, func(a, b RouteSpec) int {
+		return cmp.Or(strings.Compare(a.Src, b.Src), strings.Compare(a.Dst, b.Dst))
 	})
 	for i := 1; i < len(routes); i++ {
 		if routes[i].Src == routes[i-1].Src && routes[i].Dst == routes[i-1].Dst {
@@ -472,7 +432,7 @@ func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 		}
 	}
 
-	ctrl, err := buildController(g, routes, cfg.Protection, cfg.AutoProtect)
+	ctrl, err := buildController(ctx, g, routes, cfg.Protection, cfg.AutoProtect)
 	if err != nil {
 		return nil, err
 	}
@@ -482,60 +442,63 @@ func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	// A case's index is its place in (route, policy, failure) order —
 	// the merge order — whichever worker computes it.
 	nP, nF := len(policies), len(failures)
-	total := len(routes) * nP * nF
-	results := make([]caseResult, total)
+	units := len(routes) * nP
+	results := make([]caseResult, units*nF)
 
 	// Route endpoints as node indices into the component labelling; an
 	// endpoint the graph does not have (-1) is connected to nothing.
 	ends := make([][2]int, len(routes))
 	for r, rt := range routes {
-		ends[r] = [2]int{-1, -1}
-		if n, ok := g.Node(rt.Src); ok {
-			ends[r][0] = n.Index()
-		}
-		if n, ok := g.Node(rt.Dst); ok {
-			ends[r][1] = n.Index()
-		}
-	}
-	links, nodes := g.Links(), g.NumNodes()
-
-	// Per-worker scratch, made on the worker's first failure set.
-	scr := make([]*scratch, par.Workers(cfg.Workers, nF))
-	worker := func(w int) *scratch {
-		if scr[w] == nil {
-			scr[w] = newScratch(ctrl, policies, len(routes), nodes)
-		}
-		return scr[w]
-	}
-
-	// analyze computes every (route, policy) case of failure f on s's
-	// scratch, and reports the failure set done.
-	var done atomic.Int64
-	analyze := func(f int, s *scratch) {
-		fl := failures[f]
-		labelComponents(links, fl.links, s.comp)
-		s.setFailed(fl.links)
-		for r, rt := range routes {
-			if ctx.Err() != nil {
-				return
+		for k, name := range [2]string{rt.Src, rt.Dst} {
+			ends[r][k] = -1
+			if n, ok := g.Node(name); ok {
+				ends[r][k] = n.Index()
 			}
-			src, dst := ends[r][0], ends[r][1]
-			connected := src >= 0 && dst >= 0 && s.comp[src] == s.comp[dst]
-			for p := range policies {
-				cr := &results[(r*nP+p)*nF+f]
-				if connected {
-					*cr = s.verdict(r*nP+p, rt, p, fl)
-				} else {
-					cr.outcome = Disconnected
+		}
+	}
+
+	// Pass 1: label each failure set's components once, on per-worker
+	// scratch, and mark every case the set disconnects.
+	links := g.Links()
+	comps := make([][]int32, par.Workers(cfg.Workers, nF))
+	par.ForEach(ctx, nF, cfg.Workers, func(w, f int) error {
+		if comps[w] == nil {
+			comps[w] = make([]int32, g.NumNodes())
+		}
+		comp := comps[w]
+		labelComponents(links, failures[f], comp)
+		for r, e := range ends {
+			if e[0] < 0 || e[1] < 0 || comp[e[0]] != comp[e[1]] {
+				for p := range policies {
+					results[(r*nP+p)*nF+f].outcome = Disconnected
 				}
 			}
 		}
-		if cfg.Progress != nil {
-			cfg.Progress(int(done.Add(int64(len(routes)*nP))), total)
+		return nil
+	})
+
+	// Pass 2 (none of it once ctx is cancelled): one worker walks a
+	// (route, policy) unit's whole failure list, its memo answering the
+	// failure sets its verdicts cover.
+	scr := make([]*scratch, par.Workers(cfg.Workers, units))
+	var done atomic.Int64
+	par.ForEach(ctx, units, cfg.Workers, func(w, u int) error {
+		if scr[w] == nil {
+			scr[w] = newScratch(ctrl, policies)
 		}
-	}
-	par.ForEach(ctx, nF, cfg.Workers, func(w, f int) error {
-		analyze(f, worker(w))
+		s, rt, p := scr[w], routes[u/nP], u%nP
+		s.memo = s.memo[:0]
+		for f, fl := range failures {
+			if ctx.Err() != nil {
+				return nil
+			}
+			if cr := &results[u*nF+f]; cr.outcome != Disconnected {
+				*cr = s.verdict(p, rt, fl)
+			}
+		}
+		if cfg.Progress != nil {
+			cfg.Progress(int(done.Add(int64(nF))), len(results))
+		}
 		return nil
 	})
 	if err := ctx.Err(); err != nil {
@@ -551,6 +514,41 @@ func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 		}
 	}
 	return ct, nil
+}
+
+// MaxCases bounds a sweep's routes × policies × failure sets: every
+// case holds a result until the merge (~0.5 GB at the bound).
+const MaxCases = 10_000_000
+
+// CheckSweep returns the policies a sweep scores (nil: the default
+// set), rejecting, before anything is sized, an unknown or repeated
+// policy name and a sweep of more than MaxCases cases: routes routes ×
+// policies × g's links plus pairs sampled pairs.
+func CheckSweep(g *topology.Graph, routes int, policies []string, pairs int) ([]string, error) {
+	if len(policies) == 0 {
+		policies = []string{"none", "hp", "avp", "nip"}
+	}
+	for i, p := range policies {
+		if _, ok := deflect.ByName(p); !ok {
+			return nil, fmt.Errorf("resilience: unknown policy %q: %w", p, analysis.ErrPolicyUnsupported)
+		}
+		if slices.Contains(policies[:i], p) {
+			return nil, fmt.Errorf("resilience: policy %q named twice", p)
+		}
+	}
+	failures := g.NumLinks() + pairCount(g.NumLinks(), pairs)
+	if units := routes * len(policies); units > MaxCases/max(1, failures) {
+		return nil, fmt.Errorf("resilience: %d routes x %d policies x %d failure sets exceeds the limit of %d cases",
+			routes, len(policies), failures, MaxCases)
+	}
+	return policies, nil
+}
+
+// pairCount is how many failure pairs a request for pairs samples
+// over links links: no more distinct pairs exist than C(links, 2), and
+// clamping before any allocation keeps a hostile count from sizing it.
+func pairCount(links, pairs int) int {
+	return max(0, min(pairs, links*(links-1)/2))
 }
 
 // The per-policy kar_verify_* counter families, indexed fam*.
@@ -582,11 +580,12 @@ func bindHelp(reg *telemetry.Registry) {
 
 // buildController installs every route (deterministic order, per-route
 // protection filtering) on a fresh non-reactive controller and
-// pre-warms the re-encode cache for every ordered edge pair, so the
-// concurrent case analyses only ever hit the controller's read-only
-// cache path. With auto set, the controller plans per-destination
-// protection itself and the pair set must be empty.
-func buildController(g *topology.Graph, routes []RouteSpec, protection [][2]string, auto bool) (*controller.Controller, error) {
+// pre-warms the re-encode cache from every edge toward each route
+// destination — all an analysis asks for — so the concurrent analyses
+// only hit the controller's read-only cache path. With auto set, the
+// controller plans per-destination protection itself and the pair set
+// must be empty. ctx is checked between installs and warm rows.
+func buildController(ctx context.Context, g *topology.Graph, routes []RouteSpec, protection [][2]string, auto bool) (*controller.Controller, error) {
 	hops, err := core.HopsFromPairs(g, protection)
 	if err != nil {
 		return nil, fmt.Errorf("resilience: protection: %w", err)
@@ -596,7 +595,14 @@ func buildController(g *topology.Graph, routes []RouteSpec, protection [][2]stri
 		opts = append(opts, controller.WithAutoProtection())
 	}
 	ctrl := controller.New(g, opts...)
+	var dsts []string
 	for _, rt := range routes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if !slices.Contains(dsts, rt.Dst) {
+			dsts = append(dsts, rt.Dst)
+		}
 		names := rt.Path
 		if len(names) == 0 {
 			path, err := topology.ShortestPath(g, rt.Src, rt.Dst, nil)
@@ -608,29 +614,24 @@ func buildController(g *topology.Graph, routes []RouteSpec, protection [][2]stri
 				names[k] = n.Name()
 			}
 		}
-		onPath := make(map[string]bool, len(names))
-		for _, n := range names {
-			onPath[n] = true
-		}
-		filtered := make([]core.Hop, 0, len(hops))
-		for _, h := range hops {
-			if !onPath[h.Switch.Name()] {
-				filtered = append(filtered, h)
-			}
-		}
-		if _, err := ctrl.InstallRouteOnPath(names, filtered); err != nil {
+		onPath := func(h core.Hop) bool { return slices.Contains(names, h.Switch.Name()) }
+		if _, err := ctrl.InstallRouteOnPath(names, slices.DeleteFunc(slices.Clone(hops), onPath)); err != nil {
 			return nil, fmt.Errorf("resilience: route %s->%s: %w", rt.Src, rt.Dst, err)
 		}
 	}
 	// Pre-warm: re-encoding ignores failure sets (the controller is
 	// non-reactive), so warming under the empty set caches exactly what
-	// the analyses will look up. Unreachable pairs fail here and keep
-	// failing identically (without installing) during analysis.
+	// the analyses will look up; in edge order, as the canned protection
+	// a re-encode borrows depends on it. Unreachable pairs fail here and
+	// keep failing identically (without installing) during analysis.
 	edges := g.EdgeNodes()
-	for _, a := range edges {
-		for _, b := range edges {
-			if a != b {
-				_, _, _ = ctrl.ReencodeRoute(a.Name(), b.Name())
+	for _, d := range dsts {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for _, a := range edges {
+			if a.Name() != d {
+				_, _, _ = ctrl.ReencodeRoute(a.Name(), d)
 			}
 		}
 	}
@@ -640,14 +641,12 @@ func buildController(g *topology.Graph, routes []RouteSpec, protection [][2]stri
 // enumerateFailures lists every single-link failure in topology
 // insertion order, then draws up to pairs distinct unordered two-link
 // samples from a rand seeded with pairSeed.
-func enumerateFailures(g *topology.Graph, pairs int, pairSeed int64) ([]failure, int) {
+func enumerateFailures(g *topology.Graph, pairs int, pairSeed int64) ([]failSet, int) {
 	links := g.Links()
-	// No more distinct pairs exist than C(links, 2); clamping before the
-	// allocation keeps a hostile pairs count from sizing it.
-	want := max(0, min(pairs, len(links)*(len(links)-1)/2))
-	out := make([]failure, 0, len(links)+want)
+	want := pairCount(len(links), pairs)
+	out := make([]failSet, 0, len(links)+want)
 	for _, l := range links {
-		out = append(out, failure{links: failSet{l}})
+		out = append(out, failSet{l})
 	}
 	if want == 0 {
 		return out, 0
@@ -667,7 +666,7 @@ func enumerateFailures(g *topology.Graph, pairs int, pairSeed int64) ([]failure,
 			continue
 		}
 		seen[[2]int{i, j}] = true
-		out = append(out, failure{links: failSet{links[i], links[j]}, pair: true})
+		out = append(out, failSet{links[i], links[j]})
 		drawn++
 	}
 	return out, drawn
@@ -704,7 +703,8 @@ type Request struct {
 // Resolve assembles the sweep the request names — the one such
 // assembly: the topology through the shared graph cache, the route
 // list (empty: every ordered edge pair), the policy names and the
-// protection level, all rejected here if no sweep could run them. The
+// protection level, all rejected here if no sweep could run them (or
+// the sweep would exceed MaxCases). The
 // Config carries the policies, the protection fields, Pairs and
 // PairSeed; the caller adds workers and sinks.
 func (r *Request) Resolve() (*topology.Graph, []RouteSpec, Config, error) {
@@ -725,10 +725,8 @@ func (r *Request) Resolve() (*topology.Graph, []RouteSpec, Config, error) {
 	if err != nil {
 		return fail(err)
 	}
-	for _, p := range r.Policies {
-		if _, ok := deflect.ByName(p); !ok {
-			return fail(fmt.Errorf("resilience: unknown policy %q", p))
-		}
+	if _, err := CheckSweep(g, len(rs), r.Policies, r.Pairs); err != nil {
+		return fail(err)
 	}
 	cfg, err := Protect(r.Topology, r.Protection)
 	if err != nil {
@@ -803,7 +801,7 @@ func labelComponents(links []*topology.Link, failed failSet, comp []int32) {
 		comp[i] = int32(i)
 	}
 	for _, l := range links {
-		if failed.has(l) {
+		if slices.Contains(failed, l) {
 			continue
 		}
 		a, b := findRoot(comp, int32(l.A().Index())), findRoot(comp, int32(l.B().Index()))
@@ -841,36 +839,29 @@ type memoEntry struct {
 // same members among the consulted links.
 func (e *memoEntry) answers(f failSet) bool {
 	for _, l := range f {
-		if e.consulted.Has(l) && !e.fail.has(l) {
+		if e.consulted.Has(l) && !slices.Contains(e.fail, l) {
 			return false
 		}
 	}
 	for _, l := range e.fail {
-		if e.consulted.Has(l) && !f.has(l) {
+		if e.consulted.Has(l) && !slices.Contains(f, l) {
 			return false
 		}
 	}
 	return true
 }
 
-// scratch is one worker's working state: the surviving graph's
-// component labels, an analyzer per policy, and the verdicts this
-// worker computed, per (route, policy).
+// scratch is one worker's working state: an analyzer per policy, and
+// the verdicts computed for the (route, policy) unit it is walking.
 type scratch struct {
 	policies  []string
-	comp      []int32
 	analyzers []*analysis.Analyzer
-	memo      [][]memoEntry
+	memo      []memoEntry
 	hits      int // cases a recorded verdict answered
 }
 
-func newScratch(ctrl *controller.Controller, policies []string, routes, nodes int) *scratch {
-	s := &scratch{
-		policies:  policies,
-		comp:      make([]int32, nodes),
-		analyzers: make([]*analysis.Analyzer, len(policies)),
-		memo:      make([][]memoEntry, routes*len(policies)),
-	}
+func newScratch(ctrl *controller.Controller, policies []string) *scratch {
+	s := &scratch{policies: policies, analyzers: make([]*analysis.Analyzer, len(policies))}
 	for p, pol := range policies {
 		// Policies were validated on entry: New cannot fail.
 		s.analyzers[p], _ = analysis.New(ctrl, pol, nil)
@@ -878,44 +869,36 @@ func newScratch(ctrl *controller.Controller, policies []string, routes, nodes in
 	return s
 }
 
-// setFailed points the scratch at the failure set the next compute
-// calls run under.
-func (s *scratch) setFailed(failed failSet) {
-	for _, a := range s.analyzers {
-		a.SetFailed(failed)
-	}
-}
-
 // verdict returns the verdict of one connected case — route rt under
-// policy p, key its (route, policy) index: one this worker recorded that
-// answers fl, or a fresh computation, recorded for the failure sets to
-// come. Which of the two it is cannot show in the result, so reports do
-// not depend on how failure sets fall to workers.
-func (s *scratch) verdict(key int, rt RouteSpec, p int, fl failure) caseResult {
-	for i := range s.memo[key] {
-		if e := &s.memo[key][i]; e.answers(fl.links) {
+// policy p and failure set fl: one the unit recorded that answers fl, or
+// a fresh computation, recorded for the failure sets to come. Which of
+// the two it is cannot show in the result.
+func (s *scratch) verdict(p int, rt RouteSpec, fl failSet) caseResult {
+	for i := range s.memo {
+		if e := &s.memo[i]; e.answers(fl) {
 			s.hits++
 			return e.res
 		}
 	}
 	res, consulted := s.compute(rt, p, fl)
 	if res.err == nil {
-		s.memo[key] = append(s.memo[key], memoEntry{consulted: slices.Clone(consulted), fail: fl.links, res: res})
+		s.memo = append(s.memo, memoEntry{consulted: slices.Clone(consulted), fail: fl, res: res})
 	}
 	return res
 }
 
-// compute scores one case under the failure set of the last setFailed
-// (fl, which names it in errors), returning the verdict and the links
-// whose state it depended on; the set is scratch, overwritten by the
-// next call.
-func (s *scratch) compute(rt RouteSpec, p int, fl failure) (caseResult, analysis.LinkSet) {
-	res, err := s.analyzers[p].Analyze(rt.Src, rt.Dst)
+// compute scores one case under failure set fl, returning the verdict
+// and the links whose state it depended on; the set is scratch,
+// overwritten by the next call.
+func (s *scratch) compute(rt RouteSpec, p int, fl failSet) (caseResult, analysis.LinkSet) {
+	a := s.analyzers[p]
+	a.SetFailed(fl)
+	res, err := a.Analyze(rt.Src, rt.Dst)
 	if err != nil {
 		return caseResult{err: fmt.Errorf("resilience: %s->%s policy=%s failure=%s: %w",
 			rt.Src, rt.Dst, s.policies[p], fl.name(), err)}, nil
 	}
-	return classify(res), s.analyzers[p].Consulted()
+	return classify(res), a.Consulted()
 }
 
 // classify turns a walk analysis into a case verdict.

@@ -2,7 +2,10 @@ package resilience
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -368,5 +371,88 @@ func TestSweepInputValidation(t *testing.T) {
 	}
 	if _, err := Sweep(g, nil, Config{}); err == nil {
 		t.Error("empty route set accepted")
+	}
+}
+
+// The verdicts a sweep computes — connected cases less those a recorded
+// verdict answered — are a function of its inputs: each (route, policy)
+// unit walks its failure sets in one order on one worker, so the count
+// is the same at every worker count.
+func TestSweepComputedVerdictsIndependentOfWorkers(t *testing.T) {
+	for _, row := range []struct {
+		topo  string
+		pairs int
+	}{
+		{"net15", 100},
+		{"fattree:8", 200},
+	} {
+		t.Run(row.topo, func(t *testing.T) {
+			g, routes, cfg, err := (&Request{Topology: row.topo, Policies: []string{"nip", "dtree"},
+				Protection: "auto", Pairs: row.pairs}).Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := -1
+			for _, workers := range []int{1, 2, 4} {
+				cfg.Workers = workers
+				ct, err := analyzeCases(context.Background(), g, routes, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				connected := 0
+				for _, res := range ct.results {
+					if res.outcome != Disconnected {
+						connected++
+					}
+				}
+				computed := connected - ct.hits
+				if want < 0 {
+					want = computed
+					t.Logf("%d cases, %d connected, %d verdicts computed", len(ct.results), connected, computed)
+				} else if computed != want {
+					t.Errorf("workers=%d computed %d verdicts, workers=1 computed %d", workers, computed, want)
+				}
+			}
+		})
+	}
+}
+
+// A policy named twice is refused by the sweep and by Resolve, and a
+// sweep past MaxCases is refused before anything is sized from it.
+func TestSweepRefusesRepeatedPolicyAndOversize(t *testing.T) {
+	g, err := topology.Net15()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice := []string{"nip", "dtree", "nip"}
+	if _, err := Sweep(g, []RouteSpec{{Src: "AS1", Dst: "AS3"}}, Config{Policies: twice}); err == nil || !strings.Contains(err.Error(), `"nip" named twice`) {
+		t.Errorf("sweep with a repeated policy: %v", err)
+	}
+	if _, _, _, err := (&Request{Topology: "net15", Policies: twice}).Resolve(); err == nil || !strings.Contains(err.Error(), `"nip" named twice`) {
+		t.Errorf("request with a repeated policy: %v", err)
+	}
+	// fattree:16 has 16 256 ordered edge pairs and 2 176 links: the
+	// default four policies make 141 M cases.
+	big, err := topology.Shared("fattree:16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes, err := AllPairRoutes(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := fmt.Sprintf("exceeds the limit of %d cases", MaxCases)
+	if _, _, _, err := (&Request{Topology: "fattree:16"}).Resolve(); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Errorf("oversize request: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	progressed := false
+	rep, err := SweepContext(ctx, big, routes, Config{Progress: func(int, int) { progressed = true }})
+	if rep != nil || progressed || err == nil || !strings.Contains(err.Error(), limit) {
+		t.Errorf("oversize sweep: report %v, progressed %v, err %v", rep != nil, progressed, err)
+	}
+	if _, err := CheckSweep(big, 1, nil, 0); err != nil {
+		t.Errorf("one route on fattree:16 refused: %v", err)
 	}
 }

@@ -69,8 +69,8 @@ type ProgressEvent struct {
 	// run's virtual timeline (kind "inject").
 	Injection string `json:"injection,omitempty"`
 	// SweepDone/SweepTotal report resilience-sweep case completion
-	// (kind "sweep"): one event per completed failure set, SweepDone
-	// advancing by that set's routes × policies cases.
+	// (kind "sweep"): one event per completed (route, policy) unit,
+	// SweepDone advancing by the unit's failure-set count of cases.
 	SweepDone  int `json:"sweep_done,omitempty"`
 	SweepTotal int `json:"sweep_total,omitempty"`
 }
@@ -232,23 +232,9 @@ func runVerifySweep(ctx context.Context, spec *Spec, opts RunOptions) (*VerifyRe
 	if err != nil {
 		return nil, err
 	}
-	cfg.Policies = spec.Verify.Policies
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = []string{spec.Policy}
-	}
-	seen := make(map[[2]string]bool, len(spec.Flows))
-	routes := make([]resilience.RouteSpec, 0, len(spec.Flows))
-	for _, f := range spec.Flows {
-		key := [2]string{f.Src, f.Dst}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		routes = append(routes, resilience.RouteSpec{Src: f.Src, Dst: f.Dst, Path: f.Path})
-	}
-
+	routes, policies := spec.verifySweep()
 	reg := telemetry.NewRegistry()
-	cfg.Pairs, cfg.PairSeed = spec.Verify.Pairs, spec.Seed
+	cfg.Policies, cfg.Pairs, cfg.PairSeed = policies, spec.Verify.Pairs, spec.Seed
 	cfg.Workers, cfg.Registry = opts.Workers, reg
 	cfg.Progress = func(done, total int) {
 		opts.emit(ProgressEvent{Kind: "sweep", SweepDone: done, SweepTotal: total})
@@ -264,6 +250,25 @@ func runVerifySweep(ctx context.Context, spec *Spec, opts RunOptions) (*VerifyRe
 
 	viols := rep.Violations(spec.Verify.MinSurvival, spec.Verify.MaxStretch)
 	return &VerifyResult{Report: rep, Violations: viols, Pass: len(viols) == 0}, nil
+}
+
+// verifySweep is the verify block's route set — the flow routes,
+// deduplicated by (src, dst), pinned paths respected — and its
+// policies: the scenario's own unless the block names others.
+func (s *Spec) verifySweep() ([]resilience.RouteSpec, []string) {
+	seen := make(map[[2]string]bool, len(s.Flows))
+	routes := make([]resilience.RouteSpec, 0, len(s.Flows))
+	for _, f := range s.Flows {
+		if key := [2]string{f.Src, f.Dst}; !seen[key] {
+			seen[key] = true
+			routes = append(routes, resilience.RouteSpec{Src: f.Src, Dst: f.Dst, Path: f.Path})
+		}
+	}
+	policies := s.Verify.Policies
+	if len(policies) == 0 {
+		policies = []string{s.Policy}
+	}
+	return routes, policies
 }
 
 // setup builds run idx's world as the run uses it — graph, world,

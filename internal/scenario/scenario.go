@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/deflect"
 	"repro/internal/fault"
+	"repro/internal/resilience"
 	"repro/internal/topology"
 )
 
@@ -273,13 +274,12 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if v := s.Verify; v != nil {
-		for _, p := range v.Policies {
-			if _, ok := deflect.ByName(p); !ok {
-				return fmt.Errorf("scenario %s: verify: unknown policy %q", s.Name, p)
-			}
-		}
 		if v.Pairs < 0 {
 			return fmt.Errorf("scenario %s: verify: pairs must be >= 0", s.Name)
+		}
+		routes, policies := s.verifySweep()
+		if _, err := resilience.CheckSweep(g, len(routes), policies, v.Pairs); err != nil {
+			return fmt.Errorf("scenario %s: verify: %w", s.Name, err)
 		}
 		if v.MinSurvival != nil && (*v.MinSurvival < 0 || *v.MinSurvival > 1) {
 			return fmt.Errorf("scenario %s: verify: min_survival must be in [0,1]", s.Name)

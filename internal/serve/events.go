@@ -11,7 +11,7 @@ import (
 // jobEvent is one line of a job's progress stream: either a state
 // transition (kind "state") or a live execution milestone forwarded
 // from the scenario/sweep engine (run_start, phase, inject, run_done,
-// sweep).
+// and sweep, one per finished (route, policy) unit of a sweep).
 type jobEvent struct {
 	Job   string   `json:"job"`
 	State JobState `json:"state,omitempty"`
@@ -56,10 +56,10 @@ func (b *eventBuf) append(ev jobEvent) {
 }
 
 // encodeEvent renders one stream line, byte for byte what json.Marshal
-// gives. Sweep progress — a verify job emits one per failure set, over
-// a hundred on Net15, and they are most of what it streams — is appended
-// field by field; every other kind is a handful of events per job and
-// takes the reflective encoder.
+// gives. Sweep progress — a verify job emits one per (route, policy)
+// unit, 12 on Net15's all-pairs nip,dtree sweep, and they are most of
+// what it streams — is appended field by field; every other kind is a
+// handful of events per job and takes the reflective encoder.
 func encodeEvent(ev jobEvent) ([]byte, error) {
 	sweep := scenario.ProgressEvent{Kind: "sweep", SweepDone: ev.SweepDone, SweepTotal: ev.SweepTotal}
 	if ev.ProgressEvent != sweep || ev.State != "" || !jsonPlain(ev.Job) {

@@ -396,7 +396,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind JobKind, ru
 // anything is sized from it — runs sizes the verdict's result slice,
 // shards the worker crew and the lane set, pairs the sweep's failure
 // list. Constants, not settings: they bound a single job, the queue
-// bounds how many.
+// bounds how many; resilience.MaxCases bounds a sweep's case count.
 const (
 	maxRuns         = 10_000
 	maxShards       = 256

@@ -257,20 +257,25 @@ func TestVerifyDtreeAutoRoundTrip(t *testing.T) {
 	}
 }
 
-// A verify job's event stream is one "sweep" line per failure set — not
-// per case, which held O(routes × policies × failure sets) lines with
-// the job — each counting the cases done so far, the largest equal to
-// the total; the only other lines are the job's state transitions. With
-// one sweep worker the counts arrive strictly increasing (several
-// workers report concurrently, so only the values are pinned there).
-func TestVerifyStreamOneSweepLinePerFailureSet(t *testing.T) {
+// A verify job's event stream is one "sweep" line per (route, policy)
+// unit — not per case, which held O(routes × policies × failure sets)
+// lines with the job — each counting the cases done so far, the largest
+// equal to the total; the only other lines are the job's state
+// transitions. With one sweep worker the counts arrive strictly
+// increasing (several workers report concurrently, so only the values
+// are pinned there).
+func TestVerifyStreamOneSweepLinePerUnit(t *testing.T) {
 	_, ts := startServer(t, Config{})
 	g, err := topology.Net15()
 	if err != nil {
 		t.Fatal(err)
 	}
 	const pairs = 30
-	failureSets := len(g.Links()) + pairs
+	routes, err := resilience.AllPairRoutes(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := len(routes) * 2
 	for _, workers := range []int{1, 4} {
 		body := fmt.Sprintf(`{"topology": "net15", "policies": ["nip", "dtree"], "protection": "auto", "pairs": %d, "seed": 9, "workers": %d}`, pairs, workers)
 		resp, data := postJSON(t, ts.URL+"/v1/verify", bytes.NewReader([]byte(body)))
@@ -312,9 +317,9 @@ func TestVerifyStreamOneSweepLinePerFailureSet(t *testing.T) {
 				t.Errorf("unexpected line in a verify stream: %s", sc.Text())
 			}
 		}
-		if len(seen) != failureSets || most != total || total == 0 {
-			t.Fatalf("workers=%d: %d sweep lines reaching %d of %d, want %d lines (one per failure set) reaching the total",
-				workers, len(seen), most, total, failureSets)
+		if len(seen) != units || most != total || total != units*(len(g.Links())+pairs) {
+			t.Fatalf("workers=%d: %d sweep lines reaching %d of %d, want %d lines (one per unit) reaching the total",
+				workers, len(seen), most, total, units)
 		}
 	}
 }
@@ -789,6 +794,43 @@ func TestAdmissionLimits(t *testing.T) {
 	json.Unmarshal(data, &st)
 	if fin := waitTerminal(t, ts.URL, st.ID); fin.State != StateDone {
 		t.Errorf("pairs at the limit: job %s (%s)", fin.State, fin.Error)
+	}
+}
+
+// A sweep past resilience.MaxCases, or one naming a policy twice, is
+// refused at admission with a 400 naming the limit or the policy, on
+// both front doors, and no job is admitted.
+func TestVerifyOversizeAndRepeatedPolicyRefused(t *testing.T) {
+	s, ts := startServer(t, Config{})
+	limit := fmt.Sprintf("exceeds the limit of %d cases", resilience.MaxCases)
+	twice := `policy \"nip\" named twice` // JSON-escaped
+	// 20 routes under five policies against fattree:16's 2 176 links
+	// and 100 000 sampled pairs: 10.2 M cases.
+	flows := make([]string, 20)
+	for i := range flows {
+		flows[i] = fmt.Sprintf(`{"src": "E0", "dst": "E%d"}`, i+1)
+	}
+	oversize := `{"name": "oversize", "topology": "fattree:16", "policy": "nip", "protection": "auto", "duration": "20ms",
+	  "flows": [` + strings.Join(flows, ", ") + `],
+	  "verify": {"policies": ["none", "hp", "avp", "nip", "dtree"], "pairs": 100000}}`
+	cases := []struct {
+		name, path, body, want string
+	}{
+		// 16 256 routes x 4 policies x 2 176 failure sets.
+		{"verify cases", "/v1/verify", `{"topology": "fattree:16"}`, limit},
+		{"verify cases in the spec", "/v1/scenarios", `{"spec": ` + oversize + `}`, limit},
+		{"policy named twice", "/v1/verify", `{"topology": "net15", "policies": ["nip", "nip"]}`, twice},
+		{"policy named twice in the spec", "/v1/scenarios",
+			`{"spec": ` + strings.Replace(tinySpec, `"runs": 2,`, `"runs": 2, "verify": {"policies": ["nip", "dtree", "nip"]},`, 1) + `}`, twice},
+	}
+	for _, c := range cases {
+		resp, data := postJSON(t, ts.URL+c.path, strings.NewReader(c.body))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), c.want) {
+			t.Errorf("%s: %d %s; want 400 naming %q", c.name, resp.StatusCode, bytes.TrimSpace(data), c.want)
+		}
+	}
+	if n := s.Registry().SumCounter("kar_serve_jobs_total"); n != 0 {
+		t.Errorf("kar_serve_jobs_total = %d after refused requests, want 0", n)
 	}
 }
 
