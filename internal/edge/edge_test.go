@@ -170,7 +170,7 @@ func TestEdgeMisdeliveryWithoutController(t *testing.T) {
 	sw, _ := g.Node("SW7")
 	net.Send(sw, 0, stray)
 	net.Scheduler().RunUntil(time.Second)
-	if drops := net.Dropped(); drops != 1 {
+	if drops := net.Metrics().SumCounter("kar_net_drops_total"); drops != 1 {
 		t.Fatalf("drops = %d, want 1 (no controller to re-encode)", drops)
 	}
 }
@@ -184,7 +184,7 @@ func TestEdgeMisdeliveryReencodeFails(t *testing.T) {
 	sw, _ := g.Node("SW7")
 	net.Send(sw, 0, stray)
 	net.Scheduler().RunUntil(time.Second)
-	if drops := net.Dropped(); drops != 1 {
+	if drops := net.Metrics().SumCounter("kar_net_drops_total"); drops != 1 {
 		t.Fatalf("drops = %d, want 1 (re-encode failed)", drops)
 	}
 	if st := e1.Stats(); st.Reencoded != 0 {
@@ -278,8 +278,8 @@ func TestEdgeReencodeErrorReleases(t *testing.T) {
 		net.Deliver(p, e1n, 0)
 	}
 	net.Scheduler().RunUntil(time.Second)
-	if noPort := net.Metrics().SumCounter("kar_net_drops_total", "reason", simnet.DropNoViablePort.String()); net.Dropped() != 2 || noPort != 2 {
-		t.Fatalf("dropped %d packets, %d of them no-viable-port, want 2 and 2", net.Dropped(), noPort)
+	if noPort := net.Metrics().SumCounter("kar_net_drops_total", "reason", simnet.DropNoViablePort.String()); net.Metrics().SumCounter("kar_net_drops_total") != 2 || noPort != 2 {
+		t.Fatalf("dropped %d packets, %d of them no-viable-port, want 2 and 2", net.Metrics().SumCounter("kar_net_drops_total"), noPort)
 	}
 	for i, p := range pkts {
 		if p.Flow != (packet.FlowID{}) { // recycling zeroes a pool-owned packet

@@ -39,7 +39,7 @@ func TestFlappingLinkAccounting(t *testing.T) {
 	if st.DupSeqs != 0 {
 		t.Errorf("duplicated packets: %d", st.DupSeqs)
 	}
-	drops := int(w.Net.Dropped())
+	drops := int(w.Net.Metrics().SumCounter("kar_net_drops_total"))
 	if st.Received+drops < st.Sent {
 		t.Errorf("conservation violated: sent %d, delivered %d + dropped %d", st.Sent, st.Received, drops)
 	}

@@ -61,16 +61,16 @@ func TestForcedBit63CorruptedRouteID(t *testing.T) {
 				TTL:     packet.DefaultTTL,
 				RouteID: corrupted,
 			}
-			dropsBefore := w.net.Dropped()
+			dropsBefore := w.net.Metrics().SumCounter("kar_net_drops_total")
 			w.net.Deliver(p, sw, inPort)
 			w.run(time.Second)
 
 			// The walk must have terminated: delivered at an edge (a
 			// wrong-edge landing re-encodes toward D) or dropped.
-			terminated := int64(len(w.received)) + (w.net.Dropped() - dropsBefore)
+			terminated := int64(len(w.received)) + (w.net.Metrics().SumCounter("kar_net_drops_total") - dropsBefore)
 			if terminated < 1 {
 				t.Errorf("corrupted packet neither delivered nor dropped (received=%d drops=%d)",
-					len(w.received), w.net.Dropped()-dropsBefore)
+					len(w.received), w.net.Metrics().SumCounter("kar_net_drops_total")-dropsBefore)
 			}
 		})
 	}

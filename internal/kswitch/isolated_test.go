@@ -135,7 +135,7 @@ func TestSwitchCrashMidStream(t *testing.T) {
 				t.Errorf("last delivered seq %d, want 99 (post-crash recovery)", last.Seq)
 			}
 			delivered := w.net.Delivered()
-			dropped := w.net.Dropped()
+			dropped := w.net.Metrics().SumCounter("kar_net_drops_total")
 			if delivered+dropped == 0 {
 				t.Fatal("conservation counters empty")
 			}

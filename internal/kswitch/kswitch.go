@@ -61,15 +61,15 @@ var causeNames = [causeCount]string{
 // world base labels such as the policy); the hot path holds resolved
 // counter cells and never touches the registry.
 type Switch struct {
+	// First cache line: what every forward reads. The policy's shape
+	// over per-port cached lines: an accepted encoded port is forwarded
+	// on with no map, no interface call and no RNG, and a shaped
+	// fallback scans these lines.
 	net    *simnet.Network
+	ports  []port
+	shape  deflect.Shape
 	node   *topology.Node
 	policy deflect.Policy
-	rng    xrand.Source // the policy's draws, made straight from the source
-	red    rns.Reducer  // precomputed constants for node.ID()
-	// clock is the node's lane-local virtual time: event-log records
-	// from the forwarding path must carry it, because the global
-	// control clock lags inside parallel shard windows.
-	clock simnet.Clock
 
 	// One lane-owned deferred cell per series, on every arm of the
 	// pipeline: batched or scalar, the packet is handled by an event of
@@ -79,11 +79,18 @@ type Switch struct {
 	// engine's phase samples — run once RunUntil or Step has returned
 	// or inside a control-plane callback, and both fold first; Stats
 	// reads each cell's Value, its backing count plus what is pending.
+	// The two every forward bumps share the second line.
 	received    simnet.DeferredCounter
 	forwarded   simnet.DeferredCounter
+	rng         xrand.Source // the policy's draws, made straight from the source
+	red         rns.Reducer  // precomputed constants for node.ID()
 	ttlDrops    simnet.DeferredCounter
 	policyDrops simnet.DeferredCounter
 	deflections [causeCount]simnet.DeferredCounter
+	// clock is the node's lane-local virtual time: event-log records
+	// from the forwarding path must carry it, because the global
+	// control clock lags inside parallel shard windows.
+	clock simnet.Clock
 
 	// Event-log dedup: deflections and policy drops are per-packet
 	// (millions per run), so the control-plane log records only the
@@ -92,13 +99,14 @@ type Switch struct {
 	// policy drop.
 	loggedDeflect [causeCount]bool
 	loggedDrop    map[[2]string]bool
+	_             [40]byte // the switches' slab keeps each one's first line whole
+}
 
-	// The policy's shape over per-port cached lines: an accepted
-	// encoded port is forwarded on with no map, no interface call and
-	// no RNG, and a shaped fallback scans these lines.
-	shape     deflect.Shape
-	portLines []*simnet.Line
-	portDirs  []uint8
+// port is one output port's cached line and sending direction
+// (Network.LineAt); line is nil on a port with no link.
+type port struct {
+	line *simnet.Line
+	dir  uint8
 }
 
 // Compile-time interface compliance.
@@ -137,11 +145,11 @@ func install(net *simnet.Network, nodes []*topology.Node, policy deflect.Policy,
 	})
 	sws := make([]Switch, len(nodes))
 	// One slab of per-port line caches for all the switches.
-	ports := 0
+	spans := 0
 	for _, node := range nodes {
-		ports += node.PortSpan()
+		spans += node.PortSpan()
 	}
-	lines, dirs := make([]*simnet.Line, ports), make([]uint8, ports)
+	ports := make([]port, spans)
 	for i, node := range nodes {
 		s := &sws[i]
 		*s = Switch{
@@ -161,10 +169,9 @@ func install(net *simnet.Network, nodes []*topology.Node, policy deflect.Policy,
 			s.deflections[c] = net.DeferCounter(node, &deflections[i*causeCount+c])
 		}
 		span := node.PortSpan()
-		s.portLines, lines = lines[:span:span], lines[span:]
-		s.portDirs, dirs = dirs[:span:span], dirs[span:]
-		for p := range s.portLines {
-			s.portLines[p], s.portDirs[p] = net.LineAt(node, p)
+		s.ports, ports = ports[:span:span], ports[span:]
+		for p := range s.ports {
+			s.ports[p].line, s.ports[p].dir = net.LineAt(node, p)
 		}
 		net.Bind(node, s)
 	}
@@ -188,7 +195,7 @@ func (v view) Forward(r rns.RouteID) int {
 	}
 	return core.ForwardReduced(v.s.red, r)
 }
-func (v view) NumPorts() int     { return len(v.s.portLines) }
+func (v view) NumPorts() int     { return len(v.s.ports) }
 func (v view) PortUp(i int) bool { return v.s.portUp(i) }
 func (v view) EdgePort(i int) bool {
 	l, ok := v.s.node.PortLink(i)
@@ -236,11 +243,11 @@ func (s *Switch) HandleBatchPacket(pkt *packet.Packet, inPort int, residue uint1
 		return
 	}
 	port := int(residue)
-	if port < len(s.portLines) {
+	if port < len(s.ports) {
 		// decide's accepted arm, inlined: forward on the encoded port.
-		if l := s.portLines[port]; l != nil && l.SeenUp() && s.shape.Accepts(port, inPort, pkt.Deflected) {
+		if p := &s.ports[port]; p.line != nil && p.line.SeenUp() && s.shape.Accepts(port, inPort, pkt.Deflected) {
 			s.forwarded.Inc()
-			s.net.SendOnLine(l, s.portDirs[port], pkt)
+			s.net.SendOnLine(p.line, p.dir, pkt)
 			return
 		}
 	}
@@ -283,7 +290,7 @@ func (s *Switch) decide(pkt *packet.Packet, inPort, port int) {
 		// policy random-walked past a usable port (HP once deflected).
 		cause := causeIdxRandomWalk
 		switch {
-		case port >= len(s.portLines):
+		case port >= len(s.ports):
 			cause = causeIdxInvalidPort
 		case !s.portUp(port):
 			cause = causeIdxPortDown
@@ -309,7 +316,7 @@ func (s *Switch) decide(pkt *packet.Packet, inPort, port int) {
 	}
 	s.forwarded.Inc()
 	if l := s.lineAt(d.Port); l != nil {
-		s.net.SendOnLine(l, s.portDirs[d.Port], pkt)
+		s.net.SendOnLine(l, s.ports[d.Port].dir, pkt)
 		return
 	}
 	s.net.Send(s.node, d.Port, pkt) // no link: Send's DropNoPort
@@ -318,10 +325,10 @@ func (s *Switch) decide(pkt *packet.Packet, inPort, port int) {
 // lineAt is the cached Network.LineAt(s.node, i): nil for an
 // out-of-range or unattached port.
 func (s *Switch) lineAt(i int) *simnet.Line {
-	if uint(i) >= uint(len(s.portLines)) {
+	if uint(i) >= uint(len(s.ports)) {
 		return nil
 	}
-	return s.portLines[i]
+	return s.ports[i].line
 }
 
 // portUp is Network.PortUp(s.node, i) over the per-port line cache:

@@ -282,7 +282,7 @@ func TestDecisionOnPortWithoutLink(t *testing.T) {
 		net, sw, _ := gapWorld(t, portPolicy(port))
 		sw.HandlePacket(&packet.Packet{RouteID: rns.RouteIDFromUint64(7), TTL: 8, Size: 100}, 1)
 		net.Scheduler().RunUntil(time.Second)
-		if drops := net.Dropped(); drops != 1 {
+		if drops := net.Metrics().SumCounter("kar_net_drops_total"); drops != 1 {
 			t.Errorf("port %d: %d drops, want one (no-port, read below)", port, drops)
 		}
 		reg := net.Metrics()
@@ -325,8 +325,8 @@ func BenchmarkSwitchDeflect(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if st := sw.Stats(); st.Deflections < int64(b.N) || net.Dropped() != 0 {
-				b.Fatalf("%d deflections and %d drops over %d hops", st.Deflections, net.Dropped(), b.N)
+			if st := sw.Stats(); st.Deflections < int64(b.N) || net.Metrics().SumCounter("kar_net_drops_total") != 0 {
+				b.Fatalf("%d deflections and %d drops over %d hops", st.Deflections, net.Metrics().SumCounter("kar_net_drops_total"), b.N)
 			}
 		})
 	}

@@ -27,13 +27,6 @@ type Header struct {
 // Version1 is the only defined header version.
 const Version1 = 1
 
-// Flag bits.
-const (
-	// FlagDeflected marks a packet that has left its encoded path; a
-	// hot-potato core keeps random-walking such packets.
-	FlagDeflected uint8 = 1 << 0
-)
-
 // Codec errors.
 var (
 	ErrHeaderTooShort = errors.New("packet: header truncated")

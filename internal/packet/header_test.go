@@ -9,6 +9,11 @@ import (
 	"repro/internal/rns"
 )
 
+// FlagDeflected is the one flag bit a test header sets: a packet that
+// has left its encoded path, which a hot-potato core keeps
+// random-walking.
+const FlagDeflected uint8 = 1 << 0
+
 func TestHeaderRoundTrip(t *testing.T) {
 	tests := []struct {
 		name string

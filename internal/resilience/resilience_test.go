@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -230,6 +231,56 @@ func TestDtreeBeatsNIPOnFailurePairs(t *testing.T) {
 			t.Errorf("%s: dtree survives %d/%d pairs, nip %d/%d — want strictly more",
 				mk.name, dtree.PairSurvived, dtree.PairCases, nip.PairSurvived, nip.PairCases)
 		}
+	}
+}
+
+// TestFatTreeSingleFailureCounts states what the verifier reads on
+// fattree:4 under auto protection, so the prose (README, DESIGN §11.1)
+// cannot drift from the tool again: nip survives all 2 128 connected
+// single failures, dtree 2 120 of them. Its 8 losses are the same-pod
+// routes between the pod's two ToRs, each lost when the destination
+// ToR's link to the first aggregation switch fails.
+func TestFatTreeSingleFailureCounts(t *testing.T) {
+	g, err := topology.FromSpec("fattree:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Sweep(g, allPairRoutes(g), Config{
+		Policies:        []string{"nip", "dtree"},
+		AutoProtect:     true,
+		ProtectionLabel: "auto",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []PolicyTotal{
+		{Policy: "nip", Singles: 2128, Survived: 2128},
+		{Policy: "dtree", Singles: 2120 + 8, Survived: 2120},
+	} {
+		got, ok := rep.Total(want.Policy)
+		if !ok {
+			t.Fatalf("no %s totals", want.Policy)
+		}
+		if got.Singles != want.Singles || got.Survived != want.Survived {
+			t.Errorf("%s: k=1 survived %d of %d, want %d of %d",
+				want.Policy, got.Survived, got.Singles, want.Survived, want.Singles)
+		}
+	}
+	var lost []string
+	for _, sc := range rep.Scores {
+		if sc.Survived < sc.Singles {
+			lost = append(lost, fmt.Sprintf("%s %s->%s lost %d under %s",
+				sc.Policy, sc.Src, sc.Dst, sc.Lost, sc.WorstPDeliverFailure))
+		}
+	}
+	want := []string{
+		"dtree E0->E1 lost 1 under T0_1-A0_0", "dtree E1->E0 lost 1 under T0_0-A0_0",
+		"dtree E2->E3 lost 1 under T1_1-A1_0", "dtree E3->E2 lost 1 under T1_0-A1_0",
+		"dtree E4->E5 lost 1 under T2_1-A2_0", "dtree E5->E4 lost 1 under T2_0-A2_0",
+		"dtree E6->E7 lost 1 under T3_1-A3_0", "dtree E7->E6 lost 1 under T3_0-A3_0",
+	}
+	if !reflect.DeepEqual(lost, want) {
+		t.Errorf("routes below 1.0:\n%s\nwant:\n%s", strings.Join(lost, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 // lane's dirty list; the list is folded into the (atomic) backing
 // counter single-threaded at observation boundaries: before any
 // control-plane callback and when Step or RunUntil returns. Every way
-// to observe a counter (metric dumps, LineStats, phase stats,
-// control-plane callbacks) runs at one of those boundaries, and adds
-// commute, so observed values are the same in every driver, data plane
-// and shard count.
+// to observe a counter (metric dumps, phase stats, control-plane
+// callbacks) runs at one of those boundaries, and adds commute, so
+// observed values are the same in every driver, data plane and shard
+// count.
 //
 // A cell is bound at construction to the scheduler lane of the node
 // that increments it, and only that lane's goroutine (or the control
@@ -107,6 +107,13 @@ func (s *Scheduler) foldCells() {
 		s.dirtyH[i] = nil
 	}
 	s.dirtyH = s.dirtyH[:0]
+	for i, ds := range s.dirtySent {
+		ds.cSentPackets.Add(ds.sentPackets)
+		ds.cSentBytes.Add(ds.sentBytes)
+		ds.sentPackets, ds.sentBytes = 0, 0
+		s.dirtySent[i] = nil
+	}
+	s.dirtySent = s.dirtySent[:0]
 }
 
 // flushCounters folds every lane's dirty cells. Called at observation

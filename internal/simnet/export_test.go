@@ -22,3 +22,27 @@ func (n *Network) QueueSpill() (ring, far int) {
 	}
 	return ring, far
 }
+
+// LineStats is a snapshot of one link's counters, summed over both
+// directions.
+type LineStats struct {
+	SentPackets   int64
+	SentBytes     int64
+	QueueDrops    int64
+	InFlightDrops int64
+}
+
+// LineStats returns a link's counters, read back from the registry plus
+// what the sending lanes have not folded yet.
+func (n *Network) LineStats(l *topology.Link) LineStats {
+	line := &n.lines[l.Index()]
+	var s LineStats
+	for d := range line.dirs {
+		ds := &line.dirs[d]
+		s.SentPackets += ds.cSentPackets.Value() + ds.sentPackets
+		s.SentBytes += ds.cSentBytes.Value() + ds.sentBytes
+		s.QueueDrops += ds.queueDrops.Value()
+		s.InFlightDrops += ds.inFlightDrops.Value()
+	}
+	return s
+}

@@ -63,8 +63,8 @@ func TestRepeatedFailureCycles(t *testing.T) {
 	if n.Delivered() != delivered {
 		t.Errorf("Delivered() = %d, sink saw %d", n.Delivered(), delivered)
 	}
-	if n.Delivered()+n.Dropped() != 200 {
-		t.Errorf("conservation: delivered %d + dropped %d != 200", n.Delivered(), n.Dropped())
+	if n.Delivered()+n.Metrics().SumCounter("kar_net_drops_total") != 200 {
+		t.Errorf("conservation: delivered %d + dropped %d != 200", n.Delivered(), n.Metrics().SumCounter("kar_net_drops_total"))
 	}
 }
 

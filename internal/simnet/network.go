@@ -111,61 +111,61 @@ type TraceSink interface {
 // feeding a fixed-rate serializer. Counters live in the network's
 // telemetry registry (labelled link/dir); the handles are cached here
 // to keep the send path off the registry's mutex, and the receiving
-// endpoint is resolved once at construction so per-packet delivery
+// endpoint is resolved at Bind (see endpoint) so per-packet delivery
 // events carry no closures.
 //
-// The fields are grouped by who writes them. The first cache line is
-// fixed at construction: on a cut direction the receiving lane reads
-// it (finishTransit) while the sending lane is busy writing the rest,
-// so the two groups must not share a line (layout_test.go pins the
-// offsets).
+// The fields are grouped by who writes them, one 64-byte cache line per
+// group (layout_test.go pins the offsets). The first line is read-only
+// while lanes run: on a cut direction the receiving lane reads it
+// (delivery.run) while the sending lane writes the other two, so the
+// groups must not share a line. An enqueue writes only the train and
+// sender lines; a train delivery reads only the first and the train
+// line, plus the Line header.
 type dirState struct {
-	// Receiving endpoint of this direction, fixed by the topology.
-	dst     *topology.Node
-	dstPort int
-
-	// Sharded execution (see shard.go). lane is the scheduler of the
-	// shard owning the *sending* node — the only lane that may post
-	// this direction's events; dstLane owns the receiving node. ent is
-	// this direction's tie-break entity. noBatch marks directions whose
-	// deliveries travel as per-packet queue entries, not train members:
-	// every direction of a WithScalarDataPlane world, and cut (cross-
-	// shard) directions always, so a delivery there is a self-contained
-	// message rather than shared train state. In a 1-shard world lane ==
-	// dstLane == the network scheduler.
+	// Fixed at construction. lane is the scheduler of the shard owning
+	// the *sending* node — the only lane that may post this direction's
+	// events; dstLane owns the receiving node, whose endpoint is ep and
+	// whose port is dstPort. ent is this direction's tie-break entity.
+	// noBatch marks directions whose deliveries travel as per-packet
+	// queue entries, not train members: every direction of a
+	// WithScalarDataPlane world, and cut (cross-shard) directions
+	// always, so a delivery there is a self-contained message rather
+	// than shared train state. In a 1-shard world lane == dstLane == the
+	// network scheduler. box is a cut direction's inbox index
+	// (Network.boxes), set before the world's first parallel window.
+	line    *Line
+	ep      *endpoint
 	lane    *Scheduler
 	dstLane *Scheduler
+	dstPort int32
 	ent     uint32
+	box     int32
 	noBatch bool
-
 	// Exception-path counters (atomic registry cells).
 	queueDrops    *telemetry.Counter
 	inFlightDrops *telemetry.Counter
 
-	// box is a cut direction's inbox index (Network.boxes), set before
-	// the world's first parallel window.
-	box int
+	// train is this direction's queue record — one member per packet
+	// still holding a queue slot — and, on batched directions, its
+	// undelivered transmissions (see train.go). Written per packet by
+	// the sending lane, and on a batched direction by the delivering
+	// lane, which is the same one.
+	train train
 
 	// Everything below is written per packet, by the sending lane only.
 	busyUntil time.Duration
 	// keys counts the tie-break keys this direction has stamped: its
 	// one writer is the sender, so no other lane's line holds it.
 	keys uint64
-
-	// Per-packet counters: cells owned by the sending lane, embedded so
-	// a hop writes only lines this direction already owns.
-	sentPackets DeferredCounter
-	sentBytes   DeferredCounter
-
-	// train is this direction's queue record — one member per packet
-	// still holding a queue slot — and, on batched directions, its
-	// undelivered transmissions (see train.go).
-	train train
-
+	// Per-packet counts not yet folded into their registry cells
+	// (cSent*): the sending lane's, folded like a DeferredCounter's
+	// (Scheduler.foldCells), kept here so a hop writes only lines this
+	// direction already owns.
+	sentPackets, sentBytes   int64
+	cSentPackets, cSentBytes *telemetry.Counter
 	// The serialization time of the last packet size sent (enqueue).
 	txSize int
 	txTime time.Duration
-	_      [24]byte // the next direction starts on a cache line of its own
 }
 
 // nextKey stamps this direction's next tie-break key. A direction takes
@@ -214,37 +214,41 @@ type Line struct {
 	rate     float64
 	queueCap int
 
-	// Gray-failure impairment (nil = healthy line) and its counters.
-	imp        *Impairment
-	cGrayDrops *telemetry.Counter
-	cCorrupted *telemetry.Counter
-
-	link    *topology.Link
-	epoch   uint64
-	gaugeUp *telemetry.Gauge
-	_       [24]byte // dirs start on a cache line of their own
+	// Gray-failure impairment (nil = healthy line).
+	imp *Impairment
 
 	dirs [2]dirState // 0: A→B, 1: B→A
+
+	// What no hop reads: names for drops and traces, control-plane state
+	// and the rarely bumped counters.
+	link       *topology.Link
+	epoch      uint64
+	gaugeUp    *telemetry.Gauge
+	cGrayDrops *telemetry.Counter
+	cCorrupted *telemetry.Counter
+	_          [24]byte // the next Line starts on a cache line of its own
 }
 
-// LineStats is a snapshot of one link's counters, summed over both
-// directions.
-type LineStats struct {
-	SentPackets   int64
-	SentBytes     int64
-	QueueDrops    int64
-	InFlightDrops int64
+// endpoint is a node's receiving side, resolved once by Bind: the
+// handler and, when it accepts batched deliveries, the same handler as
+// a BatchHandler with its reducer for train-side residues. Every
+// direction into the node points at it.
+type endpoint struct {
+	h    Handler
+	bh   BatchHandler
+	red  rns.Reducer
+	node *topology.Node
 }
 
 // Network binds a topology to node handlers and simulates packet
 // transport. Create with New, Bind a handler per node, then drive the
 // Scheduler.
 type Network struct {
-	sched    *Scheduler
-	topo     *topology.Graph
-	lines    []*Line   // by topology.Link.Index()
-	handlers []Handler // by topology.Node.Index(); nil = unbound
-	trace    TraceSink
+	sched *Scheduler
+	topo  *topology.Graph
+	lines []Line     // by topology.Link.Index()
+	ends  []endpoint // by topology.Node.Index(); nil h = unbound
+	trace TraceSink
 
 	// Detection-latency model: how long after an actual link-state
 	// transition the adjacent switches' local view (PortUp) follows.
@@ -390,8 +394,7 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	}
 	n := &Network{
 		topo:       topo,
-		lines:      make([]*Line, len(links)),
-		handlers:   make([]Handler, len(nodes)),
+		ends:       make([]endpoint, len(nodes)),
 		metrics:    telemetry.NewRegistry(telemetry.WithBaseLabels(cfg.baseLabels...)),
 		detectDown: cfg.detectDown,
 		detectUp:   cfg.detectUp,
@@ -435,6 +438,9 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	// re-grows it (visible as startup allocs in the Fig5 benchmarks).
 	for _, lane := range n.lanes {
 		lane.Reserve(4*len(links)/lanes + 64)
+		// Room for every direction of an even share of the links to send
+		// between two folds.
+		lane.dirtySent = make([]*dirState, 0, 2*len(links)/lanes+1)
 		lane.flush = flush
 		lane.delivered = DeferredCounter{c: n.cDelivered, lane: lane}
 		lane.sends = DeferredCounter{c: n.cSends, lane: lane}
@@ -459,12 +465,15 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	sentBytes := n.metrics.CounterVec("kar_link_sent_bytes_total", 2*len(links), dirLabels)
 	queueDrops := n.metrics.CounterVec("kar_link_queue_drops_total", 2*len(links), dirLabels)
 	inFlightDrops := n.metrics.CounterVec("kar_link_inflight_drops_total", 2*len(links), dirLabels)
+	for i, node := range nodes {
+		n.ends[i].node = node
+	}
 	// The slab's fields are stored in place: copying a Line literal in
-	// is a bulk write-barrier copy of 768 bytes whenever a collection is
+	// is a bulk write-barrier copy of 512 bytes whenever a collection is
 	// running, and a fat-tree's slab is megabytes.
-	lineSlab := make([]Line, len(links))
+	n.lines = make([]Line, len(links))
 	for li, l := range links {
-		line := &lineSlab[li]
+		line := &n.lines[li]
 		line.net, line.link, line.seenUp = n, l, true
 		line.delay, line.rate, line.queueCap = l.Delay(), l.RateMbps(), l.QueuePackets()
 		line.gaugeUp = &gaugeUp[li]
@@ -476,13 +485,11 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 			}
 			cell := 2*li + d
 			ds := &line.dirs[d]
-			ds.dst, ds.dstPort = dst, l.PortOf(dst)
+			ds.line, ds.ep, ds.dstPort = line, &n.ends[dst.Index()], int32(l.PortOf(dst))
 			ds.lane, ds.dstLane = n.laneOf(src), n.laneOf(dst)
 			ds.ent = uint32(1 + len(nodes) + cell)
-			ds.sentPackets = n.DeferCounter(src, &sentPackets[cell])
-			ds.sentBytes = n.DeferCounter(src, &sentBytes[cell])
+			ds.cSentPackets, ds.cSentBytes = &sentPackets[cell], &sentBytes[cell]
 			ds.queueDrops, ds.inFlightDrops = &queueDrops[cell], &inFlightDrops[cell]
-			ds.train.line, ds.train.dir = line, uint8(d)
 			ds.noBatch = cfg.scalar
 			if ds.lane != ds.dstLane {
 				// Cut direction: deliveries cross shards as scalar
@@ -494,7 +501,6 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 				}
 			}
 		}
-		n.lines[li] = line
 	}
 	return n
 }
@@ -523,10 +529,26 @@ func (n *Network) Metrics() *telemetry.Registry { return n.metrics }
 // virtual clock.
 func (n *Network) Events() *telemetry.EventLog { return n.events }
 
-// Bind attaches the handler for a node. All nodes that can receive
-// packets must be bound before traffic starts.
+// Bind attaches the handler for a node (nil unbinds it), resolving
+// once whether it takes batched deliveries and with which reducer. A
+// delivery reads the node's endpoint when it happens, so packets queued
+// before a late Bind reach the bound handler, and a delivery to a node
+// never bound is a no-port drop. Residues the trains into the node
+// computed under an earlier handler are computed again.
 func (n *Network) Bind(node *topology.Node, h Handler) {
-	n.handlers[node.Index()] = h
+	ep := &n.ends[node.Index()]
+	ep.h, ep.bh = h, nil
+	if bh, ok := h.(BatchHandler); ok {
+		if red, rok := bh.BatchReducer(); rok {
+			ep.bh, ep.red = bh, red
+		}
+	}
+	for i := range node.PortSpan() {
+		if line, dir := n.LineAt(node, i); line != nil {
+			tr := &line.dirs[1-dir].train
+			tr.resLen = min(tr.resLen, tr.head)
+		}
+	}
 }
 
 // SetTraceSink attaches (or, with nil, detaches) the causal flight
@@ -564,7 +586,7 @@ func (n *Network) drop(lane *Scheduler, pkt *packet.Packet, reason DropReason, w
 	lane.pkts.Put(pkt)
 }
 
-// countDrop bumps the per-reason drop counter; Dropped() sums these,
+// countDrop bumps the per-reason drop counter; their sum is the total,
 // so total and by-reason bookkeeping can never disagree.
 func (n *Network) countDrop(reason DropReason) {
 	if reason > 0 && reason < dropReasonCount {
@@ -611,7 +633,7 @@ func (n *Network) LineAt(node *topology.Node, i int) (*Line, uint8) {
 	if !ok {
 		return nil, 0
 	}
-	line := n.lines[l.Index()]
+	line := &n.lines[l.Index()]
 	var dir uint8
 	if l.B() == node {
 		dir = 1
@@ -691,22 +713,25 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	}
 	done := start + txTime
 	ds.busyUntil = done
-	ds.sentPackets.Inc()
-	ds.sentBytes.Add(int64(pkt.Size))
+	if ds.sentPackets == 0 {
+		lane.dirtySent = append(lane.dirtySent, ds)
+	}
+	ds.sentPackets++
+	ds.sentBytes += int64(pkt.Size)
 	if pkt.Sampled && n.trace != nil {
 		n.trace.PacketTx(pkt, line.link.Name(), start-now, txTime)
 	}
 
 	at := done + line.delay
-	deqKey := ds.nextKey()
+	ds.nextKey() // the queue slot's release
 	key := ds.nextKey()
 	if !ds.noBatch {
-		tr.push(at, key, deqKey, start, pkt)
-		lane.trainGrew(tr)
+		tr.push(at, key, pkt)
+		lane.trainGrew(ds)
 		return
 	}
-	tr.push(at, key, deqKey, start, nil)
-	d := delivery{line: line, pkt: pkt, txStart: start, dir: uint8(dir)}
+	tr.push(at, key, nil)
+	d := delivery{ds: ds, pkt: pkt}
 	switch {
 	case ds.dstLane == lane:
 		lane.deliverAt(at, key, d)
@@ -728,13 +753,14 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 }
 
 // transit decides the fate of a packet completing its flight on one
-// direction of l: it dies if the link failed at any point after its
-// transmission began, and otherwise runs the line's gray-failure
-// impairment, if any. alive is false when the packet was dropped (and
-// released); intact is false when its route ID no longer is the one
-// that was sent.
-func (l *Line) transit(ds *dirState, pkt *packet.Packet, txStart time.Duration) (alive, intact bool) {
-	if l.downRefs > 0 || (l.everDown && l.lastDownAt >= txStart) {
+// direction of l at at: it dies if the link failed at any point after
+// its transmission began — at less the propagation delay and the
+// packet's serialization time, as enqueue scheduled it — and otherwise
+// runs the line's gray-failure impairment, if any. alive is false when
+// the packet was dropped (and released); intact is false when its route
+// ID no longer is the one that was sent.
+func (l *Line) transit(ds *dirState, pkt *packet.Packet, at time.Duration) (alive, intact bool) {
+	if l.downRefs > 0 || (l.everDown && l.lastDownAt >= at-l.delay-transmissionTime(pkt.Size, l.rate)) {
 		ds.inFlightDrops.Inc()
 		l.net.drop(ds.dstLane, pkt, DropInFlight, l.link.Name())
 		return false, false
@@ -753,14 +779,12 @@ func (l *Line) transit(ds *dirState, pkt *packet.Packet, txStart time.Duration) 
 	return true, true
 }
 
-// finishTransit completes one delivery entry: transit, then the endpoint
-// precomputed for this direction.
-func (l *Line) finishTransit(pkt *packet.Packet, dir int, txStart time.Duration) {
-	ds := &l.dirs[dir]
-	if alive, _ := l.transit(ds, pkt, txStart); alive {
-		l.net.Deliver(pkt, ds.dst, ds.dstPort)
-	}
-}
+// sick reports whether a delivery over l must run transit: l is or
+// ever was down, or carries a gray impairment. A healthy line's
+// transit is a no-op, so this test is all a healthy hop pays. Both
+// delivery tails read it before fixing their queue, so the header's
+// load overlaps that work.
+func (l *Line) sick() bool { return l.downRefs != 0 || l.everDown || l.imp != nil }
 
 // corrupt flips one random bit of the packet's route ID — the
 // receiving switch will compute a wrong (possibly invalid) output
@@ -793,7 +817,7 @@ func (l *Line) corrupt(ds *dirState, pkt *packet.Packet, rng *rand.Rand) bool {
 // on first installation so un-impaired worlds keep their exact metric
 // surface.
 func (n *Network) SetImpairment(l *topology.Link, imp *Impairment) {
-	line := n.lines[l.Index()]
+	line := &n.lines[l.Index()]
 	if imp != nil && line.cGrayDrops == nil {
 		n.metrics.Help("kar_fault_gray_drops_total", "Packets silently discarded by a gray-failure impairment, by link.")
 		n.metrics.Help("kar_fault_corrupted_total", "Packets whose route ID a gray-failure impairment bit-flipped, by link.")
@@ -812,18 +836,28 @@ func (n *Network) SetImpairment(l *topology.Link, imp *Impairment) {
 	line.imp = imp
 }
 
-// Deliver hands a packet to a node's handler immediately: the endpoint
-// of a noBatch direction's delivery (finishTransit), of a train member
-// whose endpoint is unbound, and of tests injecting a packet.
+// Deliver hands a packet to a node's handler immediately, as a link
+// delivering into inPort would.
 func (n *Network) Deliver(pkt *packet.Packet, dst *topology.Node, inPort int) {
-	h := n.handlers[dst.Index()]
-	if h == nil {
-		n.Drop(pkt, DropNoPort, dst)
+	n.deliver(&n.ends[dst.Index()], n.laneOf(dst), pkt, inPort, 0, false)
+}
+
+// deliver is every delivery's tail: the hop is counted on the receiving
+// lane and the packet handed to ep's handler — the batched fast lane
+// when res is the route ID's residue under its reducer, the plain
+// handler call otherwise. A node never bound drops the packet.
+func (n *Network) deliver(ep *endpoint, lane *Scheduler, pkt *packet.Packet, inPort int, res uint16, resOK bool) {
+	if ep.h == nil {
+		n.drop(lane, pkt, DropNoPort, ep.node.Name())
 		return
 	}
 	pkt.Hops++
-	n.laneOf(dst).delivered.Inc()
-	h.HandlePacket(pkt, inPort)
+	lane.delivered.Inc()
+	if resOK && ep.bh != nil {
+		ep.bh.HandleBatchPacket(pkt, inPort, res)
+		return
+	}
+	ep.h.HandlePacket(pkt, inPort)
 }
 
 // transmissionTime returns size bytes at rate Mb/s as a duration.
@@ -855,12 +889,12 @@ func (n *Network) SetLinkDetectionHook(fn func(l *topology.Link, up bool)) {
 // released, so overlapping failure windows compose instead of the
 // earlier window's repair re-raising a link a later window still
 // claims.
-func (n *Network) AcquireLinkDown(l *topology.Link) { n.acquireDown(n.lines[l.Index()]) }
+func (n *Network) AcquireLinkDown(l *topology.Link) { n.acquireDown(&n.lines[l.Index()]) }
 
 // ReleaseLinkDown releases one down-hold; the link comes back up when
 // the last hold is gone. Releasing with no holds outstanding is a
 // no-op.
-func (n *Network) ReleaseLinkDown(l *topology.Link) { n.releaseDown(n.lines[l.Index()]) }
+func (n *Network) ReleaseLinkDown(l *topology.Link) { n.releaseDown(&n.lines[l.Index()]) }
 
 func (n *Network) acquireDown(line *Line) {
 	line.downRefs++
@@ -946,7 +980,7 @@ func (n *Network) setDetected(line *Line, up bool) {
 // twice needs only one RepairLink, and it composes with holds taken by
 // scheduled windows or fault injectors.
 func (n *Network) FailLink(l *topology.Link) {
-	line := n.lines[l.Index()]
+	line := &n.lines[l.Index()]
 	if line.manualHold {
 		return
 	}
@@ -957,7 +991,7 @@ func (n *Network) FailLink(l *topology.Link) {
 // RepairLink releases FailLink's hold; the link comes back up unless
 // other holds (overlapping failure windows, injectors) remain.
 func (n *Network) RepairLink(l *topology.Link) {
-	line := n.lines[l.Index()]
+	line := &n.lines[l.Index()]
 	if !line.manualHold {
 		return
 	}
@@ -978,19 +1012,6 @@ func (n *Network) ScheduleFailure(l *topology.Link, from, duration time.Duration
 	}
 }
 
-// LineStats returns a link's counters, read back from the registry.
-func (n *Network) LineStats(l *topology.Link) LineStats {
-	line := n.lines[l.Index()]
-	var s LineStats
-	for d := range line.dirs {
-		s.SentPackets += line.dirs[d].sentPackets.Value()
-		s.SentBytes += line.dirs[d].sentBytes.Value()
-		s.QueueDrops += line.dirs[d].queueDrops.Value()
-		s.InFlightDrops += line.dirs[d].inFlightDrops.Value()
-	}
-	return s
-}
-
 // Delivered returns the total packets handed to handlers, including
 // every lane's not yet folded share.
 func (n *Network) Delivered() int64 {
@@ -1000,8 +1021,3 @@ func (n *Network) Delivered() int64 {
 	}
 	return v
 }
-
-// Dropped returns the total packets lost anywhere: the sum of the
-// per-reason drop counters (there is no separate total to fall out of
-// sync with).
-func (n *Network) Dropped() int64 { return n.metrics.SumCounter("kar_net_drops_total") }

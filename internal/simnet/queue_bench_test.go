@@ -16,11 +16,11 @@ func BenchmarkQueue(b *testing.B) {
 			b.Run(fmt.Sprintf("depth=%d/heads=%v", depth, heads), func(b *testing.B) {
 				var s Scheduler
 				rng := rand.New(rand.NewSource(1))
-				tr := &train{}
+				ds := &dirState{}
 				key := uint64(0)
 				for i := 0; i < depth; i++ {
 					key++
-					s.push(entry{at: time.Duration(rng.Intn(300_000)), key: key, what: tr})
+					s.push(entry{at: time.Duration(rng.Intn(300_000)), key: key, what: ds})
 				}
 				ahead := make([]time.Duration, 1024)
 				for i := range ahead {
@@ -35,7 +35,7 @@ func BenchmarkQueue(b *testing.B) {
 						s.rekey(at, key)
 					} else {
 						s.pop()
-						s.push(entry{at: at, key: key, what: tr})
+						s.push(entry{at: at, key: key, what: ds})
 					}
 				}
 			})

@@ -15,7 +15,7 @@ type queueModel struct {
 	t      testing.TB
 	s      Scheduler
 	want   []queueRef
-	trs    []train
+	dirs   []dirState
 	lastAt []time.Duration // per-train FIFO: member times only grow
 	now    time.Duration
 	key    uint64
@@ -29,7 +29,7 @@ type queueRef struct {
 var noop = callback(func() {})
 
 func newQueueModel(t testing.TB, n int) *queueModel {
-	return &queueModel{t: t, trs: make([]train, n), lastAt: make([]time.Duration, n)}
+	return &queueModel{t: t, dirs: make([]dirState, n), lastAt: make([]time.Duration, n)}
 }
 
 // post queues a callback entry at at.
@@ -47,9 +47,8 @@ func (m *queueModel) extend(i int, at time.Duration) {
 	}
 	m.lastAt[i] = at
 	m.key++
-	tr := &m.trs[i]
-	tr.push(at, m.key, 0, 0, nil)
-	m.s.trainGrew(tr)
+	m.dirs[i].train.push(at, m.key, nil)
+	m.s.trainGrew(&m.dirs[i])
 	m.want = append(m.want, queueRef{at, m.key})
 }
 
@@ -79,7 +78,8 @@ func (m *queueModel) pop() bool {
 		m.s.loadFar(bucketOf(e.at))
 		e = &m.s.front[0]
 	}
-	if tr, ok := e.what.(*train); ok {
+	if ds, ok := e.what.(*dirState); ok {
+		tr := &ds.train
 		mem := *tr.at(tr.head)
 		m.s.trainNext(tr)
 		if (queueRef{mem.at, mem.key}) != got {
@@ -191,7 +191,7 @@ func (m *queueModel) run(ops []byte) {
 		case 0, 1:
 			m.post(when())
 		case 2, 3, 4:
-			m.extend(next()%len(m.trs), when())
+			m.extend(next()%len(m.dirs), when())
 		case 5, 6:
 			m.pop()
 		case 7:

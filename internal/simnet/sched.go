@@ -60,23 +60,27 @@ func (fn callback) run(s *Scheduler) {
 }
 
 // delivery is the per-packet event of a noBatch direction (the scalar
-// plane, and cut links always): the in-flight check, then pkt handed
-// over line/dir. Typed fields rather than a closure, and the record is
+// plane, and cut links always): pkt's transit over ds, then its
+// endpoint. Typed fields rather than a closure, and the record is
 // recycled through its lane's free list.
 type delivery struct {
-	line    *Line
-	pkt     *packet.Packet
-	txStart time.Duration // serialization start (in-flight kill check)
-	dir     uint8
-	free    *delivery
+	ds   *dirState
+	pkt  *packet.Packet
+	free *delivery
 }
 
 func (d *delivery) run(s *Scheduler) {
+	ds, pkt := d.ds, d.pkt
+	sick := ds.line.sick()
 	s.pop()
-	line, pkt, dir, txStart := d.line, d.pkt, int(d.dir), d.txStart
 	*d = delivery{free: s.freeDeliv} // no stale packet pin
 	s.freeDeliv = d
-	line.finishTransit(pkt, dir, txStart)
+	if sick {
+		if alive, _ := ds.line.transit(ds, pkt, s.now); !alive {
+			return
+		}
+	}
+	ds.line.net.deliver(ds.ep, ds.dstLane, pkt, int(ds.dstPort), 0, false)
 }
 
 // deliverAt queues v for (at, key) on this lane.
@@ -204,11 +208,13 @@ type Scheduler struct {
 	flush func()
 
 	// Lane-owned deferred telemetry (see defercount.go): the cells with
-	// unfolded increments, and this lane's share of the network-wide
+	// unfolded increments, the link directions this lane sent on since
+	// the last fold, and this lane's share of the network-wide
 	// delivered/sends totals. Written only by the goroutine driving the
 	// lane.
 	dirty     []*DeferredCounter
 	dirtyH    []*DeferredHistogram
+	dirtySent []*dirState
 	delivered DeferredCounter
 	sends     DeferredCounter
 

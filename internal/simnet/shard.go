@@ -233,24 +233,25 @@ func (n *Network) takeAllMail() {
 func (n *Network) openMail() {
 	pairs := make(map[[2]int]int)
 	n.mail = make([][]int, len(n.lanes))
-	for _, line := range n.lines {
+	for i := range n.lines {
+		line := &n.lines[i]
 		for d := range line.dirs {
 			ds := &line.dirs[d]
 			if ds.lane == ds.dstLane {
 				continue
 			}
-			src := line.link.A()
+			src, dst := line.link.A(), line.link.B()
 			if d == 1 {
-				src = line.link.B()
+				src, dst = dst, src
 			}
-			pair := [2]int{n.nodeLane[src.Index()], n.nodeLane[ds.dst.Index()]}
+			pair := [2]int{n.nodeLane[src.Index()], n.nodeLane[dst.Index()]}
 			b, ok := pairs[pair]
 			if !ok {
 				b = len(pairs)
 				pairs[pair] = b
 				n.mail[pair[1]] = append(n.mail[pair[1]], b)
 			}
-			ds.box = b
+			ds.box = int32(b)
 		}
 	}
 	n.boxes[0], n.boxes[1] = make([]inbox, len(pairs)), make([]inbox, len(pairs))

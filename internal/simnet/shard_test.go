@@ -321,7 +321,7 @@ func TestShardSerialMatchesParallel(t *testing.T) {
 	w.burst(w.e0, 2500*time.Microsecond, 600, 4)
 	w.n.RunUntil(10 * time.Millisecond)
 
-	if d := w.n.Dropped(); d != 0 {
+	if d := w.n.Metrics().SumCounter("kar_net_drops_total"); d != 0 {
 		t.Errorf("%d unexpected drops", d)
 	}
 	checkRunsEqual(t, "serial-vs-parallel", parallel, w.result(t))
@@ -493,7 +493,8 @@ func TestShardLookahead(t *testing.T) {
 		// Four regions: all three inter-core links (500, 300, 400µs)
 		// are cut, and the minimum is C2—C3.
 		cut := 0
-		for _, line := range w.n.lines {
+		for i := range w.n.lines {
+			line := &w.n.lines[i]
 			if line.dirs[0].lane != line.dirs[0].dstLane {
 				cut++
 			}

@@ -188,8 +188,8 @@ func TestQueueTailDrop(t *testing.T) {
 	if len(sk.pkts) != 3 {
 		t.Errorf("delivered %d packets, want 3 (queue capacity)", len(sk.pkts))
 	}
-	if n.Dropped() != 2 || dropsBy(n, DropQueueFull) != 2 {
-		t.Fatalf("dropped %d packets, %d of them queue-full, want 2 and 2", n.Dropped(), dropsBy(n, DropQueueFull))
+	if n.Metrics().SumCounter("kar_net_drops_total") != 2 || dropsBy(n, DropQueueFull) != 2 {
+		t.Fatalf("dropped %d packets, %d of them queue-full, want 2 and 2", n.Metrics().SumCounter("kar_net_drops_total"), dropsBy(n, DropQueueFull))
 	}
 	aNode, _ := n.Topology().Node("A")
 	link, _ := aNode.PortLink(0)
@@ -218,8 +218,8 @@ func TestFailLinkDropsAndRepairRestores(t *testing.T) {
 	if len(sk.pkts) != 2 {
 		t.Errorf("delivered %d packets, want 2", len(sk.pkts))
 	}
-	if n.Dropped() != 1 || dropsBy(n, DropLinkDown) != 1 {
-		t.Errorf("dropped %d packets, %d of them link-down, want one link-down drop", n.Dropped(), dropsBy(n, DropLinkDown))
+	if n.Metrics().SumCounter("kar_net_drops_total") != 1 || dropsBy(n, DropLinkDown) != 1 {
+		t.Errorf("dropped %d packets, %d of them link-down, want one link-down drop", n.Metrics().SumCounter("kar_net_drops_total"), dropsBy(n, DropLinkDown))
 	}
 	if !n.PortUp(aNode, 0) {
 		t.Error("port reported down after repair")
@@ -240,8 +240,8 @@ func TestFailLinkKillsInFlight(t *testing.T) {
 	if len(sk.pkts) != 0 {
 		t.Errorf("delivered %d packets, want 0 (in-flight kill)", len(sk.pkts))
 	}
-	if n.Dropped() != 1 || dropsBy(n, DropInFlight) != 1 {
-		t.Fatalf("dropped %d packets, %d of them in flight, want one in-flight drop", n.Dropped(), dropsBy(n, DropInFlight))
+	if n.Metrics().SumCounter("kar_net_drops_total") != 1 || dropsBy(n, DropInFlight) != 1 {
+		t.Fatalf("dropped %d packets, %d of them in flight, want one in-flight drop", n.Metrics().SumCounter("kar_net_drops_total"), dropsBy(n, DropInFlight))
 	}
 	if st := n.LineStats(link); st.InFlightDrops != 1 {
 		t.Errorf("InFlightDrops = %d, want 1", st.InFlightDrops)
@@ -274,8 +274,8 @@ func TestPortUpAndInvalidSends(t *testing.T) {
 		t.Error("port 1 does not exist, PortUp must be false")
 	}
 	n.Send(a, 5, &packet.Packet{Size: 100, TTL: 64})
-	if n.Dropped() != 1 || dropsBy(n, DropNoPort) != 1 {
-		t.Errorf("dropped %d packets, %d of them no-port, want one no-port drop", n.Dropped(), dropsBy(n, DropNoPort))
+	if n.Metrics().SumCounter("kar_net_drops_total") != 1 || dropsBy(n, DropNoPort) != 1 {
+		t.Errorf("dropped %d packets, %d of them no-port, want one no-port drop", n.Metrics().SumCounter("kar_net_drops_total"), dropsBy(n, DropNoPort))
 	}
 }
 
@@ -297,14 +297,14 @@ func TestUnboundNodeDrops(t *testing.T) {
 	if n.Delivered() != 0 {
 		t.Error("packet delivered to an unbound node")
 	}
-	if n.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", n.Dropped())
+	if n.Metrics().SumCounter("kar_net_drops_total") != 1 {
+		t.Errorf("Dropped = %d, want 1", n.Metrics().SumCounter("kar_net_drops_total"))
 	}
 }
 
-// TestBindNilUnbinds: handlers live in a slice over Node.Index() whose
-// nil entries mean "unbound", so binding nil takes a node back to the
-// no-port drop — over the wire (the train's endpoint lookup) and on a
+// TestBindNilUnbinds: endpoints live in a slice over Node.Index() whose
+// nil handlers mean "unbound", so binding nil takes a node back to the
+// no-port drop — over the wire (the direction's endpoint) and on a
 // direct Deliver — instead of calling a nil handler.
 func TestBindNilUnbinds(t *testing.T) {
 	n, a, b, sk := twoNodeNet(t)
@@ -312,8 +312,8 @@ func TestBindNilUnbinds(t *testing.T) {
 	n.Send(a, 0, &packet.Packet{Size: 100, TTL: 64})
 	n.Scheduler().RunUntil(time.Second)
 	n.Deliver(&packet.Packet{Size: 100, TTL: 64}, b, 0)
-	if n.Dropped() != 2 || dropsBy(n, DropNoPort) != 2 {
-		t.Errorf("dropped %d packets, %d of them no-port, want two no-port drops", n.Dropped(), dropsBy(n, DropNoPort))
+	if n.Metrics().SumCounter("kar_net_drops_total") != 2 || dropsBy(n, DropNoPort) != 2 {
+		t.Errorf("dropped %d packets, %d of them no-port, want two no-port drops", n.Metrics().SumCounter("kar_net_drops_total"), dropsBy(n, DropNoPort))
 	}
 	if len(sk.pkts) != 0 || n.Delivered() != 0 {
 		t.Errorf("%d packets reached the unbound handler, Delivered = %d", len(sk.pkts), n.Delivered())

@@ -9,8 +9,9 @@ import (
 )
 
 // TestDropsByReasonSumToTotal exercises every drop path and asserts the
-// per-reason kar_net_drops_total series sum exactly to Dropped() —
-// there is no separate total counter that could drift out of sync.
+// per-reason kar_net_drops_total series sum exactly to the family's
+// total — there is no separate total counter that could drift out of
+// sync.
 func TestDropsByReasonSumToTotal(t *testing.T) {
 	n, a, _, sk := twoNodeNet(t,
 		topology.WithRateMbps(100), topology.WithDelay(time.Millisecond), topology.WithQueuePackets(2))
@@ -56,11 +57,12 @@ func TestDropsByReasonSumToTotal(t *testing.T) {
 			t.Errorf("drops{reason=%s} = %d, want %d", r, got, wantByReason[r])
 		}
 	}
-	if sum != n.Dropped() {
-		t.Errorf("sum over reasons = %d, Dropped() = %d — bookkeeping diverged", sum, n.Dropped())
+	total := n.Metrics().SumCounter("kar_net_drops_total")
+	if sum != total {
+		t.Errorf("sum over reasons = %d, family total = %d — bookkeeping diverged", sum, total)
 	}
-	if n.Dropped() != int64(len(log.drops)) {
-		t.Errorf("Dropped() = %d, the trace sink saw %d", n.Dropped(), len(log.drops))
+	if total != int64(len(log.drops)) {
+		t.Errorf("family total = %d, the trace sink saw %d", total, len(log.drops))
 	}
 
 	// Delivered() must read through the registry too.

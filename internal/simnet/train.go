@@ -60,18 +60,16 @@ type BatchHandler interface {
 	HandleBatchPacket(pkt *packet.Packet, inPort int, residue uint16)
 }
 
-// trainMember is one queued transmission: its delivery key (at, key),
-// the key of its queue release (deqKey; its time is at minus the link
-// delay) and, on a batched direction, the packet, the serialization
-// start for the in-flight kill check, and the precomputed port residue.
+// trainMember is one queued transmission: its delivery key (at, key)
+// and, on a batched direction, the packet and its precomputed port
+// residue. Its queue release is keyed (at minus the link delay, key−1):
+// enqueue takes the two keys in a row. Two members share a cache line.
 type trainMember struct {
-	at      time.Duration
-	key     uint64
-	deqKey  uint64
-	txStart time.Duration
-	pkt     *packet.Packet
-	res     uint16
-	resOK   bool
+	at    time.Duration
+	key   uint64
+	pkt   *packet.Packet
+	res   uint16
+	resOK bool
 }
 
 // train is one link direction's queue record and pending
@@ -79,14 +77,13 @@ type trainMember struct {
 // free-running member counters (see at). Members [deqHead, tail) still
 // hold their queue slot; on a batched direction [head, tail) are
 // undelivered, those before resLen have residues, and the owning
-// lane's queue holds an entry for the train while active. The releases
-// drain lazily, so deqHead may trail head (delivered, not yet
+// lane's queue holds an entry for the direction while active. The
+// releases drain lazily, so deqHead may trail head (delivered, not yet
 // released) or lead it (released, not yet delivered); the live members
 // are [min(head, deqHead), tail), and the ring holds the next power of
-// two ≥ the most that ever were.
+// two ≥ the most that ever were. It fills one cache line of its
+// dirState.
 type train struct {
-	line   *Line
-	dir    uint8
 	active bool
 
 	head    int // next member to deliver
@@ -94,13 +91,6 @@ type train struct {
 	resLen  int // members with computed residues
 	tail    int // next member to push
 	members []trainMember
-
-	// Cached receiving endpoint (resolved on first use; handlers are
-	// bound before traffic starts).
-	h        Handler
-	bh       BatchHandler
-	red      rns.Reducer
-	resValid bool
 }
 
 // at returns member i's slot in the ring.
@@ -113,14 +103,13 @@ func (tr *train) pendingQueue() int { return tr.tail - tr.deqHead }
 // built on the stack and copied in reloads its halves right behind the
 // stores that wrote them, and that forwarding stall was a tenth of a
 // healthy hop.
-func (tr *train) push(at time.Duration, key, deqKey uint64, txStart time.Duration, pkt *packet.Packet) {
+func (tr *train) push(at time.Duration, key uint64, pkt *packet.Packet) {
 	if tr.tail-min(tr.head, tr.deqHead) == len(tr.members) {
 		tr.grow()
 	}
 	m := tr.at(tr.tail)
 	tr.tail++
-	m.at, m.key, m.deqKey, m.txStart = at, key, deqKey, txStart
-	m.pkt, m.res, m.resOK = pkt, 0, false
+	m.at, m.key, m.pkt, m.res, m.resOK = at, key, pkt, 0, false
 }
 
 // grow doubles a full ring — most directions a short run touches carry
@@ -134,35 +123,15 @@ func (tr *train) grow() {
 	}
 }
 
-// resolveEndpoint caches the receiving handler and, when it accepts
-// batched deliveries, its reducer. A nil handler is not latched:
-// delivery falls back to Network.Deliver's fresh lookup (and its
-// no-port drop), matching scalar mode for late-bound handlers.
-func (tr *train) resolveEndpoint() {
-	ds := &tr.line.dirs[tr.dir]
-	h := tr.line.net.handlers[ds.dst.Index()]
-	if h == nil {
-		return
-	}
-	tr.h = h
-	if bh, ok := h.(BatchHandler); ok {
-		if red, rok := bh.BatchReducer(); rok {
-			tr.bh, tr.red, tr.resValid = bh, red, true
-		}
-	}
-}
-
 // extendResidues computes residues for every member past resLen with
 // one ReduceBatch call — the word-parallel amortization: it runs once
 // per train-load, not once per packet, regardless of how deliveries
 // interleave with other links' traffic. The gather and scatter arrays
-// are the running lane's scratch, shared by all its trains.
-func (tr *train) extendResidues(s *Scheduler) {
-	if tr.h == nil {
-		tr.resolveEndpoint()
-	}
+// are the running lane's scratch, shared by all its trains. An endpoint
+// that takes no residues leaves its members without.
+func (tr *train) extendResidues(s *Scheduler, ep *endpoint) {
 	n := tr.tail
-	if !tr.resValid {
+	if ep.bh == nil {
 		tr.resLen = n
 		return
 	}
@@ -176,7 +145,7 @@ func (tr *train) extendResidues(s *Scheduler) {
 	for i := 0; i < need; i++ {
 		ids[i] = tr.at(tr.resLen + i).pkt.RouteID
 	}
-	tr.red.ReduceBatch(ids, out)
+	ep.red.ReduceBatch(ids, out)
 	for i := 0; i < need; i++ {
 		m := tr.at(tr.resLen + i)
 		m.res, m.resOK = out[i], true
@@ -186,17 +155,18 @@ func (tr *train) extendResidues(s *Scheduler) {
 
 // --- Scheduler side -------------------------------------------------------
 
-// trainGrew accounts for a member just appended to tr: an idle train
-// gets its queue entry; an active one's is keyed by its head member,
-// which an append never changes.
-func (s *Scheduler) trainGrew(tr *train) {
+// trainGrew accounts for a member just appended to ds's train: an idle
+// train gets its queue entry; an active one's is keyed by its head
+// member, which an append never changes.
+func (s *Scheduler) trainGrew(ds *dirState) {
+	tr := &ds.train
 	if tr.active {
 		s.trainExtra++
 		return
 	}
 	tr.active = true
 	head := tr.at(tr.head)
-	s.push(entry{at: head.at, key: head.key, what: tr})
+	s.push(entry{at: head.at, key: head.key, what: ds})
 }
 
 // trainNext advances tr past its head member, then re-keys tr's queue
@@ -216,25 +186,36 @@ func (s *Scheduler) trainNext(tr *train) {
 	s.pop()
 	tr.active = false
 	// Every member is delivered, so every slot is released too. The
-	// ring and the endpoint caches stay (the topology is static).
+	// ring stays.
 	tr.deqHead, tr.resLen = tr.tail, tr.tail
 }
 
-// run delivers the next member of tr, whose entry is the queue's root
-// (the clock and curKey are already the member's): take what delivery
-// needs out of the member, fix the queue, then hand the packet to the
-// line — mirroring pop-then-dispatch so handlers may freely enqueue
-// more traffic (including onto this train). The member is read field by
+// run delivers the next member of ds's train, whose entry is the
+// queue's root (the clock and curKey are already the member's): take
+// what delivery needs out of the member, fix the queue, then deliver —
+// mirroring pop-then-dispatch so handlers may freely enqueue more
+// traffic (including onto this train). The member is read field by
 // field, not copied whole: its residue was usually stored a moment ago
 // by extendResidues, and a wide load over narrow fresh stores stalls.
-func (tr *train) run(s *Scheduler) {
+// Only a sick line pays for transit (and draws its RNG in the scalar
+// order).
+func (ds *dirState) run(s *Scheduler) {
+	tr := &ds.train
 	if tr.resLen <= tr.head {
-		tr.extendResidues(s)
+		tr.extendResidues(s, ds.ep)
 	}
 	m := tr.at(tr.head)
-	pkt, txStart, res, resOK := m.pkt, m.txStart, m.res, m.resOK
+	pkt, res, resOK := m.pkt, m.res, m.resOK
+	sick := ds.line.sick()
 	s.trainNext(tr)
-	tr.line.deliverMember(tr, pkt, txStart, res, resOK)
+	if sick {
+		alive, intact := ds.line.transit(ds, pkt, s.now)
+		if !alive {
+			return
+		}
+		resOK = resOK && intact // a corrupted route ID invalidates its residue
+	}
+	ds.line.net.deliver(ds.ep, ds.dstLane, pkt, int(ds.dstPort), res, resOK)
 }
 
 // --- Line-side train operations -------------------------------------------
@@ -245,41 +226,10 @@ func (l *Line) drainDeq(tr *train, now time.Duration, cur uint64) {
 	for tr.deqHead < tr.tail {
 		m := tr.at(tr.deqHead)
 		done := m.at - l.delay
-		if done < now || (done == now && m.deqKey < cur) {
+		if done < now || (done == now && m.key-1 < cur) {
 			tr.deqHead++
 			continue
 		}
 		break
 	}
-}
-
-// deliverMember completes one member's transit, then delivers to the
-// cached endpoint — the batched fast lane when the handler takes
-// residues, the plain handler call otherwise. The healthy-line test is
-// inline: only a line that is or ever was down, or carries a gray
-// impairment, pays for the transit call (and draws its RNG in the
-// scalar order).
-func (l *Line) deliverMember(tr *train, pkt *packet.Packet, txStart time.Duration, res uint16, resOK bool) {
-	ds := &l.dirs[tr.dir]
-	if l.downRefs != 0 || l.everDown || l.imp != nil {
-		alive, intact := l.transit(ds, pkt, txStart)
-		if !alive {
-			return
-		}
-		resOK = resOK && intact // a corrupted route ID invalidates its residue
-	}
-	if tr.h == nil {
-		tr.resolveEndpoint()
-		if tr.h == nil {
-			l.net.Deliver(pkt, ds.dst, ds.dstPort) // unbound: scalar no-port drop
-			return
-		}
-	}
-	pkt.Hops++
-	ds.dstLane.delivered.Inc()
-	if tr.bh != nil && resOK {
-		tr.bh.HandleBatchPacket(pkt, ds.dstPort, res)
-		return
-	}
-	tr.h.HandlePacket(pkt, ds.dstPort)
 }

@@ -198,8 +198,8 @@ func TestTrainSplitOnFailure(t *testing.T) {
 	if len(sk.pkts) != 0 {
 		t.Errorf("delivered %d packets, want 0 (all in flight at failure)", len(sk.pkts))
 	}
-	if n.Dropped() != 5 || dropsBy(n, DropInFlight) != 5 {
-		t.Fatalf("dropped %d packets, %d of them in flight, want 5 and 5", n.Dropped(), dropsBy(n, DropInFlight))
+	if n.Metrics().SumCounter("kar_net_drops_total") != 5 || dropsBy(n, DropInFlight) != 5 {
+		t.Fatalf("dropped %d packets, %d of them in flight, want 5 and 5", n.Metrics().SumCounter("kar_net_drops_total"), dropsBy(n, DropInFlight))
 	}
 	if st := n.LineStats(link); st.InFlightDrops != 5 {
 		t.Errorf("InFlightDrops = %d, want 5", st.InFlightDrops)
@@ -352,7 +352,7 @@ func TestTrainRingWrapsAndGrows(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m := newQueueModel(t, 1) // queue_test.go
-			tr := &m.trs[0]
+			tr := &m.dirs[0].train
 			line := &Line{delay: delay}
 			var keys []uint64 // by member counter
 			push := func(k int) {
@@ -511,7 +511,8 @@ func TestTrainRingOnCutDirections(t *testing.T) {
 			if sent := w.n.LineStats(w.cut).SentPackets; sent < 1600 {
 				t.Fatalf("shards=%d scalar=%v: C2—C3 carried %d packets, want a busy link (≥ 1600)", shards, scalar, sent)
 			}
-			for _, line := range w.n.lines {
+			for i := range w.n.lines {
+				line := &w.n.lines[i]
 				for d := range line.dirs {
 					if sz := len(line.dirs[d].train.members); sz > 64 {
 						t.Errorf("shards=%d scalar=%v: %s dir %d holds a ring of %d slots, want ≤ 64", shards, scalar, line.link.Name(), d, sz)
@@ -528,7 +529,8 @@ func TestTrainRingOnCutDirections(t *testing.T) {
 // slot holding one would keep it from the collector or alias a reuse.
 func checkRingsUnpinned(t *testing.T, n *Network) {
 	t.Helper()
-	for _, line := range n.lines {
+	for i := range n.lines {
+		line := &n.lines[i]
 		for d := range line.dirs {
 			for i, m := range line.dirs[d].train.members {
 				if m.pkt != nil {
@@ -609,15 +611,15 @@ func TestTrainLaneHeapOrder(t *testing.T) {
 		m := newQueueModel(t, 1+rng.Intn(40)) // queue_test.go
 		for op := 0; op < 4000; op++ {
 			if len(m.want) == 0 || rng.Intn(5) < 2 {
-				m.extend(rng.Intn(len(m.trs)), m.now+time.Duration(rng.Intn(50)))
+				m.extend(rng.Intn(len(m.dirs)), m.now+time.Duration(rng.Intn(50)))
 			} else {
 				m.pop()
 			}
 			m.check()
 		}
 		active := 0
-		for i := range m.trs {
-			if m.trs[i].active {
+		for i := range m.dirs {
+			if m.dirs[i].train.active {
 				active++
 			}
 		}

@@ -114,7 +114,7 @@ func (s *SACKSender) nextLost() (uint64, bool) {
 // terminates here, so the sender recycles it.
 func (s *SACKSender) onAck(pkt *packet.Packet) {
 	defer s.sched.Recycle(pkt)
-	s.raiseDupThresh(pkt.ReorderExtent + 1)
+	s.raiseDupThresh(int(pkt.ReorderExtent) + 1)
 	if s.undo(pkt) {
 		// Clear stale loss marks: they were reordering.
 		for seq := range s.lost {

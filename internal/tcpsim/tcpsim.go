@@ -511,9 +511,9 @@ func (s *Sender) onAck(pkt *packet.Packet) {
 	if s.undo(pkt) {
 		s.dupAcks = 0
 	}
-	s.lastReorder = pkt.ReorderExtent
+	s.lastReorder = int(pkt.ReorderExtent)
 	// The receiver observed reordering wider than our threshold: adapt.
-	s.raiseDupThresh(pkt.ReorderExtent + 1)
+	s.raiseDupThresh(s.lastReorder + 1)
 	ack := pkt.Seq
 	switch {
 	case ack > s.highAck:
@@ -664,7 +664,7 @@ func (r *Receiver) sendAck() {
 	ack.Seq = r.expected
 	ack.Size = r.cfg.AckBytes
 	ack.SentAt = r.sched.Now()
-	ack.ReorderExtent = r.reorderExtent
+	ack.ReorderExtent = int32(r.reorderExtent)
 	ack.DSACK = r.dsackPending
 	if r.sackBlock && len(r.buf) > 0 {
 		// Refill the pooled packet's SACK slice in place: its backing

@@ -39,7 +39,7 @@ type wireRecord struct {
 	Cause     string        `json:"cause,omitempty"`
 	QueueWait time.Duration `json:"queue_wait_ns,omitempty"`
 	TxTime    time.Duration `json:"tx_ns,omitempty"`
-	TTL       int           `json:"ttl,omitempty"`
+	TTL       int32         `json:"ttl,omitempty"`
 	Hops      int           `json:"hops,omitempty"`
 	Baseline  int           `json:"baseline,omitempty"`
 	Event     string        `json:"event,omitempty"`

@@ -106,7 +106,7 @@ type Record struct {
 	TxTime    time.Duration
 
 	// Packet bookkeeping at record time.
-	TTL      int
+	TTL      int32
 	Hops     int
 	Baseline int // encoded-path hop count (RecInject only; 0 unknown)
 

@@ -215,7 +215,7 @@ func TestFlowSetWindowDropsRaceFree(t *testing.T) {
 			t.Fatal("sharded world has no cut links: no window ran in parallel")
 		}
 		st := fs.Stats()
-		if dropped := w.Net.Dropped(); st.Sent != st.Received+dropped {
+		if dropped := w.Net.Metrics().SumCounter("kar_net_drops_total"); st.Sent != st.Received+dropped {
 			t.Errorf("shards=%d: sent %d != received %d + dropped %d", shards, st.Sent, st.Received, dropped)
 		}
 		return st, w.Net.Metrics().Counter("kar_net_drops_total", "reason", "queue-full").Value()

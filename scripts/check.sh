@@ -63,12 +63,14 @@ echo "==> go test -race: sharded driver, failover path"
 # the sweep pool, whose workers run different cells' worlds side by
 # side. A race in the hand-off between the caller, the crew's workers
 # pulling lanes and the inboxes shows only in some interleavings, so the
-# shard tests run five times over. The FlowSet pattern takes in
+# shard tests run five times over, with the Bind test: a cut link's
+# receiver reads the endpoint Bind resolved from another lane. The
+# FlowSet pattern takes in
 # TestFlowSetSeqSpillsPast255: two pumps on different lanes, each
 # counting its flows' packets in its own bytes and, past 255, widening
 # them into its own four-byte counts.
 go test -race -count=5 -run 'Shard|Window|FlowSet|Train' ./internal/udpsim/
-go test -race -count=5 -run 'Shard|Window|Train' ./internal/simnet
+go test -race -count=5 -run 'Shard|Window|Train|Bind' ./internal/simnet
 go test -race ./internal/simnet ./internal/kswitch ./internal/edge ./internal/packet
 go test -race -run 'RunSweep|DeterminismMatrix/(fig4-metrics|fig5-sweep|fig7-sweep|reno-ablation)' ./internal/experiment .
 # The verifier's workers share one pre-warmed controller, read-only, and
