@@ -52,6 +52,11 @@ var guards = []rule{{
 	in:    []string{"internal/analysis"},
 	match: []string{"call .ReencodeRoute"}, owns: []string{"internal/analysis:(*chain).expandEdge"},
 }, {
+	name:  "a unit's verdicts live in its search tree",
+	why:   "verdict is internal/resilience's only caller of compute: a (route, policy) unit's search tree is its one verdict store.",
+	in:    []string{"internal/resilience"},
+	match: []string{"call .compute"}, owns: []string{"internal/resilience:(*scratch).verdict"},
+}, {
 	name:  "a generator is seeded in internal/xrand alone",
 	why:   "xrand.Source replaces every non-test rand.NewSource, which pays the 607-word seeding pass per world.",
 	match: []string{"use math/rand.NewSource"}, owns: []string{"internal/xrand", "bench"},

@@ -31,17 +31,18 @@ func (s *Series) Add(t time.Duration, v float64) {
 	s.Points = append(s.Points, Point{T: t, V: v})
 }
 
-// Values returns the sample values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.V
+// Mean returns the mean sample value (0 for an empty series), summed
+// in sample order as Mean sums a slice.
+func (s *Series) Mean() float64 {
+	if len(s.Points) == 0 {
+		return 0
 	}
-	return out
+	sum := 0.0
+	for _, p := range s.Points {
+		sum += p.V
+	}
+	return sum / float64(len(s.Points))
 }
-
-// Mean returns the mean sample value (0 for an empty series).
-func (s *Series) Mean() float64 { return Mean(s.Values()) }
 
 // Window returns the sub-series with from <= T < to.
 func (s *Series) Window(from, to time.Duration) *Series {

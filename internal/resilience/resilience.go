@@ -19,10 +19,12 @@
 // disconnects. The second hands out (route, policy) units, each walking
 // the whole failure list on one worker. Static failover decides from
 // local link state, so a verdict is a pure function of the route, the
-// policy and the links the analysis consulted; a unit records each
-// verdict with that set (memoEntry) and reuses it for every later
-// failure set that agrees on it — the ingress link included — so which
-// verdicts are computed depends on the inputs alone.
+// policy and the links the analysis consulted, the ingress link
+// included. A unit keeps its verdicts as a search tree branched on
+// those links: the root is the no-failure verdict, a child adds one link
+// its parent consulted, and a failure set is answered by the node its
+// descent ends at, grown if missing — so which verdicts are computed
+// depends on the inputs alone.
 package resilience
 
 import (
@@ -179,16 +181,6 @@ type Report struct {
 	Scores  []RouteScore  `json:"scores"`
 	Impacts []LinkImpact  `json:"impacts,omitempty"`
 	Totals  []PolicyTotal `json:"policy_totals"`
-}
-
-// Total returns the aggregate row for policy, if present.
-func (r *Report) Total(policy string) (*PolicyTotal, bool) {
-	for i := range r.Totals {
-		if r.Totals[i].Policy == policy {
-			return &r.Totals[i], true
-		}
-	}
-	return nil, false
 }
 
 // Violations lists every score that breaks a gate: a single-failure
@@ -404,7 +396,7 @@ type caseTable struct {
 	pairsDrawn int
 	results    []caseResult // case (r, p, f) at (r*len(policies)+p)*len(failures)+f
 	ctrl       *controller.Controller
-	hits       int // cases a recorded verdict answered
+	computed   int // search-tree nodes grown
 }
 
 // analyzeCases validates a sweep's inputs, enumerates its cases and
@@ -478,8 +470,8 @@ func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	})
 
 	// Pass 2 (none of it once ctx is cancelled): one worker walks a
-	// (route, policy) unit's whole failure list, its memo answering the
-	// failure sets its verdicts cover.
+	// (route, policy) unit's whole failure list, each case descending
+	// the unit's search tree.
 	scr := make([]*scratch, par.Workers(cfg.Workers, units))
 	var done atomic.Int64
 	par.ForEach(ctx, units, cfg.Workers, func(w, u int) error {
@@ -487,7 +479,7 @@ func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 			scr[w] = newScratch(ctrl, policies)
 		}
 		s, rt, p := scr[w], routes[u/nP], u%nP
-		s.memo = s.memo[:0]
+		s.nodes, s.words = s.nodes[:0], s.words[:0]
 		for f, fl := range failures {
 			if ctx.Err() != nil {
 				return nil
@@ -510,7 +502,7 @@ func analyzeCases(ctx context.Context, g *topology.Graph, routes []RouteSpec, cf
 	}
 	for _, s := range scr {
 		if s != nil {
-			ct.hits += s.hits
+			ct.computed += s.computed
 		}
 	}
 	return ct, nil
@@ -824,40 +816,25 @@ func findRoot(parent []int32, x int32) int32 {
 	return x
 }
 
-// memoEntry is one computed verdict with what it depends on. A chain
-// expansion is a pure function of the route, the policy and the answers
-// to the link-state queries it makes, so the verdict computed under
-// failure set fail holds under every failure set that agrees with fail
-// on the consulted links.
-type memoEntry struct {
-	consulted analysis.LinkSet
-	fail      failSet
-	res       caseResult
-}
-
-// answers reports whether e's verdict is f's too: f and e.fail have the
-// same members among the consulted links.
-func (e *memoEntry) answers(f failSet) bool {
-	for _, l := range f {
-		if e.consulted.Has(l) && !slices.Contains(e.fail, l) {
-			return false
-		}
-	}
-	for _, l := range e.fail {
-		if e.consulted.Has(l) && !slices.Contains(f, l) {
-			return false
-		}
-	}
-	return true
+// node is one vertex of a unit's search tree: the verdict under the
+// failure set on its path from the no-failure root, whose child by link
+// l (a link this node consulted) holds that set plus l. Its consulted
+// set is the words from off in the scratch's slab.
+type node struct {
+	parent, link, off int32 // the root's parent and link are -1
+	res               caseResult
 }
 
 // scratch is one worker's working state: an analyzer per policy, and
-// the verdicts computed for the (route, policy) unit it is walking.
+// the search tree of the (route, policy) unit it is walking, its nodes
+// and their consulted sets back to back in slabs reset per unit.
 type scratch struct {
 	policies  []string
 	analyzers []*analysis.Analyzer
-	memo      []memoEntry
-	hits      int // cases a recorded verdict answered
+	nodes     []node
+	words     []uint64
+	path      failSet
+	computed  int // nodes grown
 }
 
 func newScratch(ctrl *controller.Controller, policies []string) *scratch {
@@ -869,22 +846,46 @@ func newScratch(ctrl *controller.Controller, policies []string) *scratch {
 	return s
 }
 
-// verdict returns the verdict of one connected case — route rt under
-// policy p and failure set fl: one the unit recorded that answers fl, or
-// a fresh computation, recorded for the failure sets to come. Which of
-// the two it is cannot show in the result.
+// verdict returns the verdict of one case — route rt under policy p and
+// failure set fl — by descending the unit's search tree from its root.
+// Each step goes to the child adding the lowest-index link of fl that
+// the node consulted and does not hold, grown if missing; the node with
+// no such link agrees with fl on every link it consulted, so its
+// verdict is fl's. The path is the set each node is analyzed under, a
+// subset of fl, so it is connected when fl is. Which nodes the tree
+// already had cannot show in the result.
 func (s *scratch) verdict(p int, rt RouteSpec, fl failSet) caseResult {
-	for i := range s.memo {
-		if e := &s.memo[i]; e.answers(fl) {
-			s.hits++
-			return e.res
+	path, n, link := s.path[:0], int32(-1), int32(-1)
+	for {
+		c := n + 1
+		for c < int32(len(s.nodes)) && (s.nodes[c].parent != n || s.nodes[c].link != link) {
+			c++
 		}
+		if c == int32(len(s.nodes)) {
+			res, consulted := s.compute(rt, p, path)
+			if res.err != nil {
+				res, _ = s.compute(rt, p, fl) // an error names the case's own set
+				return res
+			}
+			s.nodes = append(s.nodes, node{parent: n, link: link, off: int32(len(s.words)), res: res})
+			s.words = append(s.words, consulted...)
+			s.computed++
+		}
+		// The node's consulted set starts at off; Has reads only the word
+		// holding its link, never the later nodes' words.
+		n, link = c, -1
+		held, next := analysis.LinkSet(s.words[s.nodes[c].off:]), (*topology.Link)(nil)
+		for _, l := range fl {
+			if held.Has(l) && !slices.Contains(path, l) && (next == nil || l.Index() < next.Index()) {
+				next = l
+			}
+		}
+		if next == nil {
+			s.path = path
+			return s.nodes[c].res
+		}
+		path, link = append(path, next), int32(next.Index())
 	}
-	res, consulted := s.compute(rt, p, fl)
-	if res.err == nil {
-		s.memo = append(s.memo, memoEntry{consulted: slices.Clone(consulted), fail: fl, res: res})
-	}
-	return res
 }
 
 // compute scores one case under failure set fl, returning the verdict

@@ -81,17 +81,6 @@ func NewSystem(moduli []uint64) (*System, error) {
 	return s, nil
 }
 
-// Len returns the number of moduli in the basis.
-func (s *System) Len() int { return len(s.moduli) }
-
-// M returns the dynamic range ∏ sᵢ (Eq. 1). Route IDs lie in [0, M).
-func (s *System) M() RouteID {
-	if s.small {
-		return RouteIDFromUint64(s.m)
-	}
-	return RouteIDFromBig(s.mBig)
-}
-
 // BitLength returns the maximum number of bits a route ID of this
 // basis requires: ⌈log₂(M−1)⌉ per Eq. 9, i.e. the bit length of M−1.
 func (s *System) BitLength() int {

@@ -74,13 +74,6 @@ func (c *GraphCache) touch(key string) {
 	}
 }
 
-// Len returns the number of cached graphs.
-func (c *GraphCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // SharedGraphs is the process-wide graph cache used by the scenario
 // engine and the serve daemon. Sized to hold every canned topology
 // plus a healthy working set of generator specs.

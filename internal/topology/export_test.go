@@ -22,3 +22,10 @@ func (g *Graph) Fingerprint() string {
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
+
+// Len returns the number of cached graphs.
+func (c *GraphCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}

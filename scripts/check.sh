@@ -74,9 +74,9 @@ go test -race -count=5 -run 'Shard|Window|Train|Bind' ./internal/simnet
 go test -race ./internal/simnet ./internal/kswitch ./internal/edge ./internal/packet
 go test -race -run 'RunSweep|DeterminismMatrix/(fig4-metrics|fig5-sweep|fig7-sweep|reno-ablation)' ./internal/experiment .
 # The verifier's workers share one pre-warmed controller, read-only, and
-# each learns its own verdicts, the no-failure ones included; the
-# controller's reaction scans its route table.
-go test -race -count=3 -run 'Sweep|Memo|Reencode|Churn|Reroute' ./internal/resilience ./internal/controller
+# each grows its own units' search trees, the no-failure roots included;
+# the controller's reaction scans its route table.
+go test -race -count=3 -run 'Sweep|Descent|Branch|Reencode|Churn|Reroute' ./internal/resilience ./internal/controller
 
 echo "==> go test -race ./..."
 # The experiment package replays whole figure sweeps; under the race
