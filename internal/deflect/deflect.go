@@ -272,8 +272,9 @@ func (p NotInputPort) Decide(view SwitchView, routeID rns.RouteID, inPort int, w
 //
 // No step consumes randomness: the walk is a pure function of
 // (route ID, failure set), making k-resilience a checkable property
-// rather than a probability — internal/resilience scores it with a
-// deterministic walk, and delivery is always 0 or 1.
+// rather than a probability — internal/resilience scores it by
+// following the chain (internal/analysis) under the simulator's TTL,
+// and delivery is always 0 or 1.
 type DTree struct{}
 
 func (DTree) Name() string { return "dtree" }

@@ -48,7 +48,7 @@ func TestFlappingLinkAccounting(t *testing.T) {
 	if lost := st.Sent - st.Received; lost > 100 {
 		t.Errorf("lost %d of %d; deflection should bound flap losses to in-flight packets", lost, st.Sent)
 	}
-	if pending := w.Net.Scheduler().Pending(); pending != 0 {
+	if pending := w.Net.Pending(); pending != 0 {
 		t.Errorf("%d events still pending after drain", pending)
 	}
 }
@@ -90,7 +90,7 @@ func TestTripleFailureLiveness(t *testing.T) {
 	if ratio := st.DeliveryRatio(); ratio > 0.9 {
 		t.Errorf("delivery ratio %.3f; expected the deterministic 13-11-19 cycle to trap a sizeable share", ratio)
 	}
-	if pending := w.Net.Scheduler().Pending(); pending != 0 {
+	if pending := w.Net.Pending(); pending != 0 {
 		t.Errorf("%d events pending; trapped packets must die by TTL", pending)
 	}
 }
@@ -121,7 +121,7 @@ func TestPartitionedDestination(t *testing.T) {
 	if got := recv.Stats(send).Received; got != 0 {
 		t.Errorf("delivered %d packets to a partitioned destination", got)
 	}
-	if pending := w.Net.Scheduler().Pending(); pending != 0 {
+	if pending := w.Net.Pending(); pending != 0 {
 		t.Errorf("%d events pending; partitioned traffic must terminate", pending)
 	}
 }

@@ -263,8 +263,8 @@ func TestFig1HotPotatoEventuallyDelivers(t *testing.T) {
 	w.net.FailLink(link)
 	w.inject(100)
 	w.run(5 * time.Second)
-	if w.net.Scheduler().Pending() != 0 {
-		t.Errorf("%d events still pending; packets must terminate", w.net.Scheduler().Pending())
+	if w.net.Pending() != 0 {
+		t.Errorf("%d events still pending; packets must terminate", w.net.Pending())
 	}
 	delivered := len(w.received)
 	var ttlDrops int64

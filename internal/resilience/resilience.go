@@ -54,7 +54,10 @@ const surviveEps = 1e-9
 type Outcome string
 
 const (
-	// Survived: delivery is certain (PDeliver ≥ 1-ε).
+	// Survived: PDeliver ≥ 1-ε — certain delivery for a policy that
+	// never draws, whose chain is followed under the simulator's TTL.
+	// For one that draws it is the TTL→∞ limit: a walk with a cycle can
+	// lose up to 70 % of its packets within packet.DefaultTTL.
 	Survived Outcome = "survived"
 	// Degraded: delivery is possible but not certain.
 	Degraded Outcome = "degraded"

@@ -44,7 +44,9 @@ type Config struct {
 	JobWorkers int
 	// StoreCap bounds retained terminal jobs (default 1024): beyond
 	// it, the oldest finished job — result, events and status — is
-	// dropped, keeping daemon memory flat under sustained load.
+	// dropped. It does not bound what a collecting job merged into the
+	// daemon's telemetry collector: its job-labelled series and event
+	// streams outlive its eviction.
 	StoreCap int
 	// Version is reported in kar_serve_build_info.
 	Version string

@@ -70,15 +70,15 @@ func TestLineLayoutSeparatesWriters(t *testing.T) {
 		t.Errorf("dirState.txSize at %d, want inside the sender-written group (from busyUntil at %d)",
 			off, unsafe.Offsetof(d.busyUntil))
 	}
-	// A direction's tie-break counter and its unfolded sent counts are
-	// written by its sender on every hop: they belong in the
-	// sender-written group, not in a line of the scheduler's entity
-	// array or the receiver-read group.
+	// A direction's unfolded sent counts are written by its sender on
+	// every hop: they belong in the sender-written group, not in the
+	// receiver-read group. Its tie-break keys are read off the train's
+	// member counter (train.go, Key parity), which the sender writes
+	// anyway.
 	for _, f := range []struct {
 		name string
 		off  uintptr
 	}{
-		{"keys", unsafe.Offsetof(d.keys)},
 		{"sentPackets", unsafe.Offsetof(d.sentPackets)},
 		{"sentBytes", unsafe.Offsetof(d.sentBytes)},
 	} {

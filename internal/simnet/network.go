@@ -154,9 +154,6 @@ type dirState struct {
 
 	// Everything below is written per packet, by the sending lane only.
 	busyUntil time.Duration
-	// keys counts the tie-break keys this direction has stamped: its
-	// one writer is the sender, so no other lane's line holds it.
-	keys uint64
 	// Per-packet counts not yet folded into their registry cells
 	// (cSent*): the sending lane's, folded like a DeferredCounter's
 	// (Scheduler.foldCells), kept here so a hop writes only lines this
@@ -166,15 +163,7 @@ type dirState struct {
 	// The serialization time of the last packet size sent (enqueue).
 	txSize int
 	txTime time.Duration
-}
-
-// nextKey stamps this direction's next tie-break key. A direction takes
-// two per packet — the queue-slot release, then the delivery — whether
-// the delivery is a train member or a queue entry, so tie-break order
-// against every other event is identical in both data planes.
-func (ds *dirState) nextKey() uint64 {
-	ds.keys++
-	return uint64(ds.ent)<<entShift | ds.keys
+	_      [8]byte
 }
 
 // Impairment is a gray-failure model attached to a line: every packet
@@ -406,7 +395,7 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	// direction). All lanes share the control and node counters — each
 	// entity is posted to from exactly one lane — so keys depend only on
 	// per-entity posting order, never on which lane allocated them; a
-	// link direction's counter lives in its dirState.
+	// link direction's count is its train's member counter.
 	ents := make([]uint64, 1+len(nodes))
 	n.sched = &Scheduler{ents: ents}
 	n.nodeLane = topology.PartitionRegions(topo, lanes)
@@ -668,9 +657,9 @@ func (n *Network) SendOnLine(line *Line, dir uint8, pkt *packet.Packet) {
 // holds the queue slot, and the delivery is a queue entry of its own —
 // on a cut link routed to the receiving shard's lane (buffered in an
 // inbox during parallel windows). Both arms bump identical
-// counters in identical order and allocate the same two tie-break keys
-// from the direction's entity (slot release, then delivery), which is
-// what keeps batched and scalar runs byte-identical.
+// counters in identical order and key the member alike (slot release,
+// then delivery, off the direction's entity and member counter), which
+// is what keeps batched and scalar runs byte-identical.
 func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	ds := &line.dirs[dir]
 	lane := ds.lane
@@ -723,8 +712,7 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	}
 
 	at := done + line.delay
-	ds.nextKey() // the queue slot's release
-	key := ds.nextKey()
+	key := uint64(ds.ent)<<entShift | uint64(2*(tr.tail+1)) // train.go: Key parity
 	if !ds.noBatch {
 		tr.push(at, key, pkt)
 		lane.trainGrew(ds)

@@ -40,7 +40,7 @@ func (m *queueModel) post(at time.Duration) {
 }
 
 // extend appends one member to train i the way enqueue does: an idle
-// train gets its queue entry, an active one only grows.
+// train gets its queue entry, a busy one only grows.
 func (m *queueModel) extend(i int, at time.Duration) {
 	if at < m.lastAt[i] {
 		at = m.lastAt[i]
@@ -96,13 +96,21 @@ func (m *queueModel) pop() bool {
 	return true
 }
 
-// check holds Pending and the calendar invariant: front ≤ cur < ring <
-// cur+ringSize, each ring entry in its own bucket's list, cur < far.
+// check holds the count and the calendar invariant: the queue's
+// entries plus the members behind each train's head are what the
+// oracle holds; front ≤ cur < ring < cur+ringSize, each ring entry in
+// its own bucket's list, cur < far.
 func (m *queueModel) check() {
 	m.t.Helper()
 	s := &m.s
-	if s.Pending() != len(m.want) {
-		m.t.Fatalf("Pending() = %d, oracle holds %d", s.Pending(), len(m.want))
+	pending := s.Pending()
+	for i := range m.dirs {
+		if tr := &m.dirs[i].train; tr.head < tr.tail {
+			pending += tr.tail - tr.head - 1
+		}
+	}
+	if pending != len(m.want) {
+		m.t.Fatalf("Pending() = %d plus %d train members, oracle holds %d", s.Pending(), pending-s.Pending(), len(m.want))
 	}
 	for i := range s.front {
 		if b := bucketOf(s.front[i].at); b > s.cur {

@@ -29,10 +29,10 @@ type pending interface{ run(s *Scheduler) }
 type entry struct {
 	at time.Duration
 	// key is the equal-time tie-break: entity<<entShift | per-entity
-	// count (see Scheduler.allocKey, dirState.nextKey). Unlike a global
-	// FIFO sequence, the key an event gets depends only on which entity
-	// posted it and how many that entity posted before — an order that
-	// is identical however the world is sharded, which is what makes
+	// count (Scheduler.allocKey; a link direction's: train.go). Unlike a
+	// global FIFO sequence, the key an event gets depends only on which
+	// entity posted it and how many that entity posted before — an order
+	// that is identical however the world is sharded, which is what makes
 	// N-shard runs replay the 1-shard dispatch order exactly.
 	key  uint64
 	what pending
@@ -173,14 +173,10 @@ type Scheduler struct {
 	ids  []rns.RouteID
 	out  []uint16
 
-	// trainExtra counts the undelivered train members behind their
-	// trains' queued heads (Pending accounting).
-	trainExtra int
-
 	// ents holds the key counters of the control and node entities.
 	// Lanes of one world share a single backing array (each entity is
 	// owned by exactly one lane); a standalone scheduler lazily grows
-	// its own. A link direction counts its keys in its own dirState.
+	// its own. A link direction's keys are read off its train.
 	ents []uint64
 
 	// curKey is the key of the item currently (or most recently)
@@ -559,10 +555,10 @@ func (s *Scheduler) runWindow(end time.Duration) {
 	}
 }
 
-// Pending returns the number of scheduled items — queued events plus
-// undelivered train members (for tests and leak-detection assertions).
+// Pending returns the number of queue entries, one per busy train;
+// Network.Pending adds the members behind each train's head.
 func (s *Scheduler) Pending() int {
-	return len(s.front) + s.ringN + len(s.far) + s.trainExtra
+	return len(s.front) + s.ringN + len(s.far)
 }
 
 // Clock is a per-node scheduling handle: Now/At/After bound to the

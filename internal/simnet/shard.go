@@ -401,12 +401,20 @@ func (n *Network) laneOf(node *topology.Node) *Scheduler {
 }
 
 // Pending returns the number of scheduled items across the control
-// lane and every shard lane.
+// lane and every shard lane, the train members behind each head too.
 func (n *Network) Pending() int {
 	p := n.sched.Pending()
 	for _, lane := range n.lanes {
 		if lane != n.sched {
 			p += lane.Pending()
+		}
+	}
+	for i := range n.lines {
+		for d := range n.lines[i].dirs {
+			ds := &n.lines[i].dirs[d]
+			if tr := &ds.train; !ds.noBatch && tr.head < tr.tail {
+				p += tr.tail - tr.head - 1
+			}
 		}
 	}
 	return p

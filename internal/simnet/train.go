@@ -13,24 +13,25 @@ import (
 // deqHead on still hold a transmission-queue slot: that is the
 // direction's queue record in both data planes, released lazily (no
 // event) by the next enqueue. On a batched direction the members from
-// head on are also the undelivered transmissions, and an active train
-// has one entry in its lane's queue (sched.go), keyed by its next
-// member's (at, key). The queue always yields the global (at, key)
-// minimum, so a batched run replays the scalar event order exactly;
-// what changes is the cost: the queue holds O(active links) train
-// heads instead of O(in-flight packets) events, a busy train advances
-// by re-keying its entry, and a switch-bound train resolves its
-// members' output ports with one amortized rns.ReduceBatch instead of
-// a per-packet policy call. On a noBatch direction (the scalar plane,
-// and cut links always) the delivery is a queue entry of its own and
-// the member is only the queue slot.
+// head on are also the undelivered transmissions, and while there are
+// any (head < tail) the train has one entry in its lane's queue
+// (sched.go), keyed by its next member's (at, key). The queue always
+// yields the global (at, key) minimum, so a batched run replays the
+// scalar event order exactly; what changes is the cost: the queue holds
+// O(busy links) train heads instead of O(in-flight packets) events, a
+// busy train advances by re-keying its entry, and a switch-bound train
+// resolves its members' output ports with one amortized
+// rns.ReduceBatch instead of a per-packet policy call. On a noBatch
+// direction (the scalar plane, and cut links always) the delivery is a
+// queue entry of its own and the member is only the queue slot.
 //
 // Exactness is by construction, not by luck:
 //
-//   - Key parity: enqueue allocates one key for the queue release and
-//     one for the delivery, in that order, whichever way the delivery
-//     travels, so every other event's tie-break key is identical in
-//     both planes.
+//   - Key parity: a direction's keys are read off its ring. Member i
+//     (counting from the first packet the direction ever accepted) is
+//     released under key 2i+1 and delivered under 2i+2 of the
+//     direction's entity, whichever way the delivery travels, so every
+//     other event's tie-break key is identical in both planes.
 //   - Queue occupancy: the only reader of a direction's queue depth is
 //     the tail-drop check in enqueue. The ring drains entries whose
 //     (release time, key) precedes the dispatcher's current (now,
@@ -62,8 +63,8 @@ type BatchHandler interface {
 
 // trainMember is one queued transmission: its delivery key (at, key)
 // and, on a batched direction, the packet and its precomputed port
-// residue. Its queue release is keyed (at minus the link delay, key−1):
-// enqueue takes the two keys in a row. Two members share a cache line.
+// residue. Its queue release is keyed (at minus the link delay, key−1)
+// (see Key parity above). Two members share a cache line.
 type trainMember struct {
 	at    time.Duration
 	key   uint64
@@ -77,20 +78,19 @@ type trainMember struct {
 // free-running member counters (see at). Members [deqHead, tail) still
 // hold their queue slot; on a batched direction [head, tail) are
 // undelivered, those before resLen have residues, and the owning
-// lane's queue holds an entry for the direction while active. The
+// lane's queue holds an entry for the direction while head < tail. The
 // releases drain lazily, so deqHead may trail head (delivered, not yet
 // released) or lead it (released, not yet delivered); the live members
 // are [min(head, deqHead), tail), and the ring holds the next power of
 // two ≥ the most that ever were. It fills one cache line of its
 // dirState.
 type train struct {
-	active bool
-
 	head    int // next member to deliver
 	deqHead int // next queue slot to release (lazy)
 	resLen  int // members with computed residues
 	tail    int // next member to push
 	members []trainMember
+	_       [8]byte
 }
 
 // at returns member i's slot in the ring.
@@ -155,36 +155,32 @@ func (tr *train) extendResidues(s *Scheduler, ep *endpoint) {
 
 // --- Scheduler side -------------------------------------------------------
 
-// trainGrew accounts for a member just appended to ds's train: an idle
-// train gets its queue entry; an active one's is keyed by its head
-// member, which an append never changes.
+// trainGrew accounts for a member just appended to ds's train: a train
+// that was empty gets its queue entry; a busy one's is keyed by its
+// head member, which an append never changes.
 func (s *Scheduler) trainGrew(ds *dirState) {
 	tr := &ds.train
-	if tr.active {
-		s.trainExtra++
+	if tr.tail-tr.head > 1 {
 		return
 	}
-	tr.active = true
 	head := tr.at(tr.head)
 	s.push(entry{at: head.at, key: head.key, what: ds})
 }
 
 // trainNext advances tr past its head member, then re-keys tr's queue
 // entry — the queue's root — to the following member or, when none is
-// left, removes it and deactivates the train. Only the root is ever
-// advanced or removed, so trains need no back-pointer into the queue:
-// the active flag says whether one has an entry.
+// left, removes it. Only the root is ever advanced or removed, so
+// trains need no back-pointer into the queue: head < tail says whether
+// one has an entry.
 func (s *Scheduler) trainNext(tr *train) {
 	tr.at(tr.head).pkt = nil // a delivered slot pins no packet
 	tr.head++
 	if tr.head < tr.tail {
 		next := tr.at(tr.head)
-		s.trainExtra--
 		s.rekey(next.at, next.key)
 		return
 	}
 	s.pop()
-	tr.active = false
 	// Every member is delivered, so every slot is released too. The
 	// ring stays.
 	tr.deqHead, tr.resLen = tr.tail, tr.tail

@@ -159,7 +159,7 @@ func TestBatchScalarByteIdentical(t *testing.T) {
 		t.Errorf("metrics dumps differ between batch and scalar modes:\n--- batch ---\n%s\n--- scalar ---\n%s",
 			bDump.String(), sDump.String())
 	}
-	if p := batch.n.Scheduler().Pending(); p != 0 {
+	if p := batch.n.Pending(); p != 0 {
 		t.Errorf("batch scheduler leaks %d pending items", p)
 	}
 
@@ -399,8 +399,8 @@ func TestTrainRingWrapsAndGrows(t *testing.T) {
 				t.Fatalf("deqHead %d after releasing through %d", tr.deqHead, tr.tail)
 			}
 			m.drain()
-			if tr.active || tr.head != tr.tail {
-				t.Fatalf("drained train active=%v, head %d, tail %d", tr.active, tr.head, tr.tail)
+			if p := m.s.Pending(); p != 0 || tr.head != tr.tail {
+				t.Fatalf("drained train: %d queue entries, head %d, tail %d", p, tr.head, tr.tail)
 			}
 		})
 	}
@@ -602,9 +602,10 @@ func testCutLinkQueueDrain(t *testing.T) {
 // heads only: random appends (activating idle trains, extending active
 // ones) and root advances (re-keying the root, or retiring an exhausted
 // train) against a sorted reference: members must come out in (at, key)
-// order and Pending must count exactly the undelivered ones. Entries
-// hold keys by value and trains carry no back-pointer, so this is the
-// check that only-the-root-moves is really all a train needs.
+// order, and the queue must hold exactly one entry per train with
+// undelivered members (head < tail). Entries hold keys by value and
+// trains carry no back-pointer, so this is the check that
+// only-the-root-moves is really all a train needs.
 func TestTrainLaneHeapOrder(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -617,14 +618,74 @@ func TestTrainLaneHeapOrder(t *testing.T) {
 			}
 			m.check()
 		}
-		active := 0
+		busy := 0
 		for i := range m.dirs {
-			if m.dirs[i].train.active {
-				active++
+			if tr := &m.dirs[i].train; tr.head < tr.tail {
+				busy++
 			}
 		}
-		if queued := m.s.Pending() - m.s.trainExtra; active != queued {
-			t.Fatalf("seed %d: %d active train flags, queue holds %d heads", seed, active, queued)
+		if queued := m.s.Pending(); busy != queued {
+			t.Fatalf("seed %d: %d trains with undelivered members, queue holds %d heads", seed, busy, queued)
+		}
+	}
+}
+
+// TestNetworkPendingCountsInFlight holds Network.Pending against a
+// count it does not share code with: in a healthy world nothing is
+// dropped, so every packet sent and not yet delivered is pending, and
+// so is every control callback the test posted that has not run.
+// Inside a control callback (all lanes parked) the two must agree with
+// bursts in flight, at shards 1 (every direction a train) and 2 (the
+// core links cut, their deliveries queue entries of their own).
+func TestNetworkPendingCountsInFlight(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		w := newShardChain(t, shards, false) // shard_test.go
+		posted, ran := 0, 0
+		at := func(when time.Duration, fn func()) {
+			posted++
+			w.n.Scheduler().At(when, func() { ran++; fn() })
+		}
+		send := func(node *topology.Node, firstSeq uint64, k int) {
+			for i := 0; i < k; i++ {
+				w.n.Send(node, 0, &packet.Packet{
+					Size: 600, TTL: 16, Seq: firstSeq + uint64(i),
+					RouteID: rns.RouteIDFromUint64(0x5AD_0000 + firstSeq + uint64(i)),
+				})
+			}
+		}
+		readings, longest := 0, 0
+		read := func() {
+			m := w.n.Metrics()
+			inFlight := m.SumCounter("kar_net_sends_total") - m.SumCounter("kar_net_delivered_total")
+			if got, want := w.n.Pending(), int(inFlight)+posted-ran; got != want {
+				t.Errorf("shards=%d at %v: Pending() = %d, want %d in flight + %d callbacks",
+					shards, w.n.Scheduler().Now(), got, inFlight, posted-ran)
+			}
+			for i := range w.n.lines {
+				for d := range w.n.lines[i].dirs {
+					if ds := &w.n.lines[i].dirs[d]; !ds.noBatch {
+						longest = max(longest, ds.train.tail-ds.train.head)
+					}
+				}
+			}
+			readings++
+		}
+		at(0, func() { send(w.e0, 100, 8) })
+		at(100*time.Microsecond, func() { send(w.e1, 300, 6) })
+		at(900*time.Microsecond, func() { send(w.e0, 400, 5) })
+		for when := 50 * time.Microsecond; when < 3*time.Millisecond; when += 130 * time.Microsecond {
+			at(when, read)
+		}
+		w.n.RunUntil(10 * time.Millisecond)
+		read()
+		if got := len(w.s0.seqs) + len(w.s1.seqs); got != 19 {
+			t.Fatalf("shards=%d: %d of 19 packets delivered: the world must be healthy", shards, got)
+		}
+		if longest < 4 {
+			t.Fatalf("shards=%d: no reading saw a train of more than %d members: the ring term went untested", shards, longest)
+		}
+		if w.n.Pending() != 0 || readings < 20 {
+			t.Fatalf("shards=%d: %d pending after the run, %d readings", shards, w.n.Pending(), readings)
 		}
 	}
 }

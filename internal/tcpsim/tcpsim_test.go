@@ -197,7 +197,7 @@ func TestStopDrainsCleanly(t *testing.T) {
 	w.run(time.Second)
 	w.send.Stop()
 	w.run(90 * time.Second) // far beyond any RTO chain
-	if pending := w.net.Scheduler().Pending(); pending != 0 {
+	if pending := w.net.Pending(); pending != 0 {
 		t.Errorf("%d events still pending after drain; timers leak", pending)
 	}
 	if w.send.flight() != 0 {

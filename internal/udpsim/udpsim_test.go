@@ -128,8 +128,8 @@ func TestCBRStopAndCountlessConfig(t *testing.T) {
 	if st.Received != st.Sent {
 		t.Errorf("received %d != sent %d on a healthy path", st.Received, st.Sent)
 	}
-	if w.Net.Scheduler().Pending() != 0 {
-		t.Errorf("%d events pending after stop", w.Net.Scheduler().Pending())
+	if w.Net.Pending() != 0 {
+		t.Errorf("%d events pending after stop", w.Net.Pending())
 	}
 }
 

@@ -45,6 +45,19 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+echo "==> results_full.txt regenerates byte for byte (~80 s)"
+# EXPERIMENTS.md's command for the committed full run: a change that
+# moves a figure number must regenerate the file and reconcile
+# EXPERIMENTS.md in the same commit.
+full="$(mktemp)"
+go run ./cmd/karsim -exp all -runs 30 -duration 6s -workers 16 -seed 7 >"$full"
+if ! cmp "$full" results_full.txt; then
+    rm -f "$full"
+    echo "FAIL: results_full.txt does not match a fresh -exp all run" >&2
+    exit 1
+fi
+rm -f "$full"
+
 echo "==> go test -race ./internal/trace/... ./internal/telemetry/... ./internal/topology/... ./internal/coprime/..."
 # Fast-fail the observability packages first: the flight recorder and
 # telemetry registry are the pieces every other gate below depends on.
