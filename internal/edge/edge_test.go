@@ -241,7 +241,7 @@ func TestEdgeReencodesInArrivalOrder(t *testing.T) {
 			at = time.Duration(100+5*i) * time.Millisecond
 		}
 		net.Scheduler().At(at, func() {
-			net.Deliver(&packet.Packet{Flow: a.flow, Seq: a.seq, Size: 100, TTL: 5, Deflected: true}, e1n, 0)
+			e1.HandlePacket(&packet.Packet{Flow: a.flow, Seq: a.seq, Size: 100, TTL: 5, Deflected: true}, 0)
 		})
 	}
 	net.Scheduler().RunUntil(time.Second)
@@ -275,7 +275,7 @@ func TestEdgeReencodeErrorReleases(t *testing.T) {
 	pkts := []*packet.Packet{src.NewPacket(), src.NewPacket()}
 	for _, p := range pkts {
 		p.Flow, p.Size, p.TTL = flow, 100, 5
-		net.Deliver(p, e1n, 0)
+		e1.HandlePacket(p, 0)
 	}
 	net.Scheduler().RunUntil(time.Second)
 	if noPort := net.Metrics().SumCounter("kar_net_drops_total", "reason", simnet.DropNoViablePort.String()); net.Metrics().SumCounter("kar_net_drops_total") != 2 || noPort != 2 {
@@ -306,7 +306,7 @@ func TestEdgeReencodeAllocatesNothing(t *testing.T) {
 	sched := net.Scheduler()
 	misdeliver := func() {
 		pkt.TTL, pkt.Hops = 5, 0
-		net.Deliver(pkt, e1n, 0)
+		e1.HandlePacket(pkt, 0)
 		sched.RunUntil(sched.Now() + 20*time.Millisecond)
 	}
 	misdeliver() // first re-encode of the flow: event-log record, queue records

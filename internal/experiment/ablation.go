@@ -199,6 +199,7 @@ func Reaction(cfg ReactionConfig) ([]ReactionRow, error) {
 		label := fmt.Sprintf("reaction/%s/seed=%d", s.slug, cfg.Seed)
 		cfg.Metrics.Add(label, w.Net.Metrics(), w.Net.Events())
 		cfg.Trace.Commit(label, recorder)
+		w.Close() // before the next strategy's world, which reuses its data plane
 	}
 	return rows, nil
 }

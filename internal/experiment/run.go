@@ -97,6 +97,7 @@ func RunTCP(cfg TCPRunConfig) (*TCPRunResult, error) {
 		return nil, err
 	}
 	w := NewWorld(g, policy, cfg.Seed, scalarPlane(cfg.Scalar)...)
+	defer w.Close()
 	// Attach the flight recorder before any route install, so the
 	// initial ingress programming lands on the control-plane timeline.
 	recorder := cfg.Trace.Attach(w.Net)

@@ -154,6 +154,7 @@ func Scale(cfg ScaleConfig) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer w.Close()
 	buildWall := time.Since(buildStart)
 
 	fs.Start()

@@ -79,6 +79,7 @@ func Table2Quantitative() (*Table2Row, error) {
 		return nil, err
 	}
 	net := simnet.New(g)
+	defer net.Close()
 	switches, err := tablefwd.InstallAll(net)
 	if err != nil {
 		return nil, err
@@ -97,6 +98,7 @@ func Table2Quantitative() (*Table2Row, error) {
 		return nil, err
 	}
 	w := NewWorld(g, mustPolicy("nip"), 17)
+	defer w.Close()
 	if _, err := w.InstallRoute("AS1", "AS3", topology.Net15FullProtection); err != nil {
 		return nil, err
 	}

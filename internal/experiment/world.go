@@ -158,6 +158,13 @@ func (w *World) FailLinkBetween(a, b string, from, duration time.Duration) error
 // directly.
 func (w *World) Run(until time.Duration) { w.Net.RunUntil(until) }
 
+// Close ends the world (simnet.Network.Close): the packets still in
+// flight and every link direction's train ring go back to the
+// process-wide depots, so the next world reuses them instead of
+// allocating its data plane anew. Call it once the world's results are
+// read; its metrics and event log stay readable.
+func (w *World) Close() { w.Net.Close() }
+
 // RunContext drives the world to until in legs, checking ctx between
 // them: the run stops (with ctx.Err()) at the first boundary after
 // cancellation. boundaries are ascending virtual instants — scenario

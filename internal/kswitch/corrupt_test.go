@@ -62,7 +62,7 @@ func TestForcedBit63CorruptedRouteID(t *testing.T) {
 				RouteID: corrupted,
 			}
 			dropsBefore := w.net.Metrics().SumCounter("kar_net_drops_total")
-			w.net.Deliver(p, sw, inPort)
+			w.switches["SW4"].HandlePacket(p, inPort)
 			w.run(time.Second)
 
 			// The walk must have terminated: delivered at an edge (a

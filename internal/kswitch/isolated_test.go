@@ -52,7 +52,7 @@ func TestIsolatedSwitchDropsDeterministically(t *testing.T) {
 				TTL:     16,
 			}
 			net.Scheduler().At(time.Millisecond, func() {
-				net.Deliver(pkt, node, 0)
+				sw7.HandlePacket(pkt, 0)
 			})
 			net.Scheduler().RunUntil(time.Second) // must terminate: no loop
 

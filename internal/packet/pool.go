@@ -1,23 +1,20 @@
 package packet
 
-import "sync"
+import "repro/internal/freelist"
 
 // Packet pooling. Per-packet allocation dominates the simulator's heap
 // churn: every transport segment and ACK used to be a fresh Packet,
-// dying within a few virtual microseconds. Two tiers recycle them: a
-// Cache owned by one simulation lane (a slice pop and push, no locks)
-// in front of one shared depot. A full cache hands half of itself to the
-// depot and an empty one takes a batch back, so packets that travel from
-// one lane to another find their way home, and a run's lanes leave their
-// packets there for the next run. Unlike a sync.Pool, the depot is not
-// emptied by the garbage collector: how many packets a run allocates
-// does not depend on when the collector last ran.
+// dying within a few virtual microseconds. Packets are recycled through
+// freelist's two tiers: a Cache owned by one simulation lane in front of
+// one process-wide depot, which keeps what a finished world hands back
+// for the next one.
 //
 // Ownership rule: a packet obtained from Get (or a Cache) is owned by
 // whoever holds it last — the terminal sink (transport receiver on
-// delivery, or simnet.Network.Drop on loss) recycles it. Recycling a
-// hand-built &Packet{} is a no-op, so code that constructs packets
-// directly (and tests that retain them) never has to opt in.
+// delivery, simnet.Network.Drop on loss, or simnet.Network.Close for
+// the packets still in flight when a world is discarded) recycles it.
+// Recycling a hand-built &Packet{} is a no-op, so code that constructs
+// packets directly (and tests that retain them) never has to opt in.
 
 const (
 	// cacheSize bounds a Cache at several bursts' worth of packets (a
@@ -31,30 +28,10 @@ const (
 
 // depot is process-wide, as the sync.Pool it replaced was: worlds run
 // one after another, or side by side in the daemon, share it.
-var depot struct {
-	sync.Mutex
-	free []*Packet
-}
+var depot = freelist.NewDepot[*Packet](depotSize, cacheSize)
 
-// deposit moves ps into the depot, as many as fit; the rest are left to
-// the collector.
-func deposit(ps []*Packet) {
-	depot.Lock()
-	room := depotSize - len(depot.free)
-	depot.free = append(depot.free, ps[:min(room, len(ps))]...)
-	depot.Unlock()
-}
-
-// withdraw appends up to n packets from the depot to dst.
-func withdraw(dst []*Packet, n int) []*Packet {
-	depot.Lock()
-	rest := len(depot.free) - min(n, len(depot.free))
-	dst = append(dst, depot.free[rest:]...)
-	clear(depot.free[rest:])
-	depot.free = depot.free[:rest]
-	depot.Unlock()
-	return dst
-}
+// DepotLen returns how many packets the depot holds for the next runs.
+func DepotLen() int { return depot.Len() }
 
 // Get returns a zeroed pool-owned Packet straight from the depot. It and
 // Release remain only for the benchmark's kernels (bench/) and this
@@ -65,7 +42,7 @@ func withdraw(dst []*Packet, n int) []*Packet {
 // sink that calls Release (or call Release itself on error paths).
 func Get() *Packet {
 	var one [1]*Packet
-	if got := withdraw(one[:0], 1); len(got) == 1 {
+	if got := depot.Withdraw(one[:0], 1); len(got) == 1 {
 		got[0].pooled = true
 		return got[0]
 	}
@@ -78,7 +55,7 @@ func Get() *Packet {
 // caller must not touch the packet again.
 func (p *Packet) Release() {
 	if p.reset() {
-		deposit([]*Packet{p})
+		depot.Deposit([]*Packet{p})
 	}
 }
 
@@ -94,25 +71,19 @@ func (p *Packet) reset() bool {
 	return true
 }
 
-// Cache is a free list of recycled packets owned by one simulation lane
-// (simnet.Scheduler): only the goroutine driving the lane may use it. A
-// packet may be put into a different lane's cache than the one it came
-// from; the depot evens out the imbalance. The zero Cache is ready to
-// use.
+// Cache is a lane's free list of recycled packets (a freelist.Cache):
+// only the goroutine driving the lane (simnet.Scheduler) may use it. The
+// zero Cache is ready to use.
 type Cache struct {
-	free []*Packet
+	free freelist.Cache[*Packet]
 }
 
 // Get returns a zeroed pool-owned Packet, like the package-level Get.
 func (c *Cache) Get() *Packet {
-	if len(c.free) == 0 {
-		if c.free = withdraw(c.free, cacheSize/2); len(c.free) == 0 {
-			return &Packet{pooled: true}
-		}
+	p, ok := c.free.Get(depot)
+	if !ok {
+		p = &Packet{}
 	}
-	n := len(c.free) - 1
-	p := c.free[n]
-	c.free = c.free[:n]
 	p.pooled = true
 	return p
 }
@@ -120,23 +91,12 @@ func (c *Cache) Get() *Packet {
 // Put recycles a pool-owned packet, like Release; a no-op for packets
 // not obtained from Get or a Cache, and for nil.
 func (c *Cache) Put(p *Packet) {
-	if !p.reset() {
-		return
+	if p.reset() {
+		c.free.Put(depot, p)
 	}
-	if len(c.free) == cacheSize {
-		c.spillFrom(cacheSize / 2)
-	}
-	c.free = append(c.free, p)
 }
 
 // Spill hands every cached packet to the depot. A lane spills whenever
 // its run returns control: its world may be done, and its packets should
 // serve the next world rather than die with this one.
-func (c *Cache) Spill() { c.spillFrom(0) }
-
-// spillFrom moves c.free[i:] to the depot.
-func (c *Cache) spillFrom(i int) {
-	deposit(c.free[i:])
-	clear(c.free[i:])
-	c.free = c.free[:i]
-}
+func (c *Cache) Spill() { c.free.Spill(depot) }

@@ -73,15 +73,15 @@ func TestCacheRecyclesThroughDepot(t *testing.T) {
 		seen[p] = true
 		a.Put(p)
 	}
-	if got, want := len(a.free), cacheSize/2+1; got != want {
+	if got, want := a.free.Len(), cacheSize/2+1; got != want {
 		t.Fatalf("after %d puts a full cache holds %d, want %d", cacheSize+1, got, want)
 	}
 	// b takes the half a spilled, then — once a spills the rest — those.
 	for i := 0; i < cacheSize+1; i++ {
 		if i == cacheSize/2 {
 			a.Spill()
-			if len(a.free) != 0 {
-				t.Fatalf("Spill left %d packets in the cache", len(a.free))
+			if a.free.Len() != 0 {
+				t.Fatalf("Spill left %d packets in the cache", a.free.Len())
 			}
 		}
 		p := b.Get()
@@ -91,8 +91,8 @@ func TestCacheRecyclesThroughDepot(t *testing.T) {
 		if !p.pooled {
 			t.Fatalf("get %d returned a packet not marked pool-owned", i)
 		}
-		if i == 0 && len(b.free) != cacheSize/2-1 {
-			t.Fatalf("an empty cache refilled %d packets, want a batch of %d", len(b.free)+1, cacheSize/2)
+		if i == 0 && b.free.Len() != cacheSize/2-1 {
+			t.Fatalf("an empty cache refilled %d packets, want a batch of %d", b.free.Len()+1, cacheSize/2)
 		}
 	}
 }
@@ -117,8 +117,8 @@ func TestCachePutUnpooledIsNoop(t *testing.T) {
 	p := &Packet{Seq: 42}
 	c.Put(p)
 	c.Put(nil)
-	if p.Seq != 42 || len(c.free) != 0 {
-		t.Errorf("Put took a hand-built packet: seq %d, cache %d", p.Seq, len(c.free))
+	if p.Seq != 42 || c.free.Len() != 0 {
+		t.Errorf("Put took a hand-built packet: seq %d, cache %d", p.Seq, c.free.Len())
 	}
 }
 

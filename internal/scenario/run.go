@@ -356,6 +356,7 @@ func runOne(ctx context.Context, spec *Spec, idx int, opts *RunOptions) (*RunRes
 	if err != nil {
 		return nil, err
 	}
+	defer w.Close()
 	sched := w.Net.Scheduler()
 
 	type liveFlow struct {

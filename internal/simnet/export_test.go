@@ -1,6 +1,9 @@
 package simnet
 
-import "repro/internal/topology"
+import (
+	"repro/internal/packet"
+	"repro/internal/topology"
+)
 
 // LinkUp reports the physical state of a link (no outstanding
 // down-holds), regardless of what the switches have detected.
@@ -45,4 +48,25 @@ func (n *Network) LineStats(l *topology.Link) LineStats {
 		s.InFlightDrops += ds.inFlightDrops.Value()
 	}
 	return s
+}
+
+// emptyDepots empties the packet depot into a throwaway lane's cache and
+// drops every ring the ring depots hold, so that what a Close hands back
+// can be counted.
+func emptyDepots() {
+	var spare Scheduler
+	for packet.DepotLen() > 0 {
+		spare.pkts.Get()
+	}
+	for _, d := range ringDepots {
+		d.Withdraw(nil, d.Len())
+	}
+}
+
+// depotRings takes every ring out of the ring depots.
+func depotRings() (rings [][]trainMember) {
+	for _, d := range ringDepots {
+		rings = d.Withdraw(rings, d.Len())
+	}
+	return rings
 }

@@ -714,11 +714,11 @@ func (n *Network) enqueue(line *Line, dir int, pkt *packet.Packet) {
 	at := done + line.delay
 	key := uint64(ds.ent)<<entShift | uint64(2*(tr.tail+1)) // train.go: Key parity
 	if !ds.noBatch {
-		tr.push(at, key, pkt)
+		tr.push(lane, at, key, pkt)
 		lane.trainGrew(ds)
 		return
 	}
-	tr.push(at, key, nil)
+	tr.push(lane, at, key, nil)
 	d := delivery{ds: ds, pkt: pkt}
 	switch {
 	case ds.dstLane == lane:
@@ -822,12 +822,6 @@ func (n *Network) SetImpairment(l *topology.Link, imp *Impairment) {
 		n.impaired--
 	}
 	line.imp = imp
-}
-
-// Deliver hands a packet to a node's handler immediately, as a link
-// delivering into inPort would.
-func (n *Network) Deliver(pkt *packet.Packet, dst *topology.Node, inPort int) {
-	n.deliver(&n.ends[dst.Index()], n.laneOf(dst), pkt, inPort, 0, false)
 }
 
 // deliver is every delivery's tail: the hop is counted on the receiving

@@ -47,7 +47,7 @@ func (m *queueModel) extend(i int, at time.Duration) {
 	}
 	m.lastAt[i] = at
 	m.key++
-	m.dirs[i].train.push(at, m.key, nil)
+	m.dirs[i].train.push(&m.s, at, m.key, nil)
 	m.s.trainGrew(&m.dirs[i])
 	m.want = append(m.want, queueRef{at, m.key})
 }

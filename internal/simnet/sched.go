@@ -11,6 +11,7 @@ import (
 	"math/bits"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/packet"
 	"repro/internal/rns"
 	"repro/internal/telemetry"
@@ -213,6 +214,10 @@ type Scheduler struct {
 	dirtySent []*dirState
 	delivered DeferredCounter
 	sends     DeferredCounter
+
+	// The free lists of this lane's train rings by size class: what its
+	// trains outgrew (train.grow), kept apart from the fields a hop reads.
+	rings [ringClasses]freelist.Cache[[]trainMember]
 
 	// The ring's buckets: heads[b&ringMask] is bucket b's list, occ has
 	// one bit per non-empty slot. heads (8 KB) is made by the first
@@ -552,6 +557,25 @@ func (s *Scheduler) runWindow(end time.Duration) {
 			return
 		}
 		s.step(e)
+	}
+}
+
+// close ends the lane: the packet of every queued delivery goes to the
+// lane's cache, the queue is emptied, and the lane's packets and rings
+// spill to their depots.
+func (s *Scheduler) close() {
+	for _, q := range [][]entry{s.front, s.nodes, s.far} {
+		for i := range q {
+			if d, ok := q[i].what.(*delivery); ok {
+				s.pkts.Put(d.pkt)
+			}
+		}
+	}
+	s.front, s.far, s.nodes, s.link, s.heads, s.freeDeliv = nil, nil, nil, nil, nil, nil
+	s.ringN, s.free, s.occ = 0, 0, [ringSize / 64]uint64{}
+	s.pkts.Spill()
+	for k := range s.rings {
+		s.rings[k].Spill(ringDepots[k])
 	}
 }
 

@@ -419,3 +419,29 @@ func (n *Network) Pending() int {
 	}
 	return p
 }
+
+// Close ends the world, as the last owner of what is still in flight:
+// every packet a train or a queued delivery holds goes back to the
+// packet depot, and every direction's ring to the ring depots, for the
+// next world to reuse. Afterwards Pending is 0; the metrics and the
+// event log stay readable, but the world must not run again. Call it
+// between runs, never from inside one.
+func (n *Network) Close() {
+	for i := range n.lines {
+		for d := range n.lines[i].dirs {
+			ds := &n.lines[i].dirs[d]
+			tr := &ds.train
+			for j := range tr.members {
+				ds.lane.pkts.Put(tr.members[j].pkt) // nil outside [head, tail)
+			}
+			ds.lane.freeRing(tr.members)
+			*tr = train{}
+		}
+	}
+	if n.sched != n.lanes[0] {
+		n.sched.close()
+	}
+	for _, lane := range n.lanes {
+		lane.close()
+	}
+}

@@ -305,13 +305,13 @@ func TestUnboundNodeDrops(t *testing.T) {
 // TestBindNilUnbinds: endpoints live in a slice over Node.Index() whose
 // nil handlers mean "unbound", so binding nil takes a node back to the
 // no-port drop — over the wire (the direction's endpoint) and on a
-// direct Deliver — instead of calling a nil handler.
+// direct deliver — instead of calling a nil handler.
 func TestBindNilUnbinds(t *testing.T) {
 	n, a, b, sk := twoNodeNet(t)
 	n.Bind(b, nil)
 	n.Send(a, 0, &packet.Packet{Size: 100, TTL: 64})
 	n.Scheduler().RunUntil(time.Second)
-	n.Deliver(&packet.Packet{Size: 100, TTL: 64}, b, 0)
+	n.deliver(&n.ends[b.Index()], n.laneOf(b), &packet.Packet{Size: 100, TTL: 64}, 0, 0, false)
 	if n.Metrics().SumCounter("kar_net_drops_total") != 2 || dropsBy(n, DropNoPort) != 2 {
 		t.Errorf("dropped %d packets, %d of them no-port, want two no-port drops", n.Metrics().SumCounter("kar_net_drops_total"), dropsBy(n, DropNoPort))
 	}

@@ -1,8 +1,10 @@
 package simnet
 
 import (
+	"math/bits"
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/packet"
 	"repro/internal/rns"
 )
@@ -82,8 +84,9 @@ type trainMember struct {
 // releases drain lazily, so deqHead may trail head (delivered, not yet
 // released) or lead it (released, not yet delivered); the live members
 // are [min(head, deqHead), tail), and the ring holds the next power of
-// two ≥ the most that ever were. It fills one cache line of its
-// dirState.
+// two ≥ the most that ever were; the rings it outgrew went back to the
+// sending lane's free lists, and Network.Close gives the last one back.
+// It fills one cache line of its dirState.
 type train struct {
 	head    int // next member to deliver
 	deqHead int // next queue slot to release (lazy)
@@ -99,13 +102,13 @@ func (tr *train) at(i int) *trainMember { return &tr.members[i&(len(tr.members)-
 // pendingQueue returns the occupied queue slots (after a drain).
 func (tr *train) pendingQueue() int { return tr.tail - tr.deqHead }
 
-// push appends a member. Its fields are stored in place: a member
-// built on the stack and copied in reloads its halves right behind the
-// stores that wrote them, and that forwarding stall was a tenth of a
-// healthy hop.
-func (tr *train) push(at time.Duration, key uint64, pkt *packet.Packet) {
+// push appends a member, growing a full ring from s, the sending lane.
+// Its fields are stored in place: a member built on the stack and
+// copied in reloads its halves right behind the stores that wrote them,
+// and that forwarding stall was a tenth of a healthy hop.
+func (tr *train) push(s *Scheduler, at time.Duration, key uint64, pkt *packet.Packet) {
 	if tr.tail-min(tr.head, tr.deqHead) == len(tr.members) {
-		tr.grow()
+		tr.grow(s)
 	}
 	m := tr.at(tr.tail)
 	tr.tail++
@@ -114,12 +117,60 @@ func (tr *train) push(at time.Duration, key uint64, pkt *packet.Packet) {
 
 // grow doubles a full ring — most directions a short run touches carry
 // a packet or two at a time, so it starts at 4 — and moves each live
-// member to its slot under the wider mask.
-func (tr *train) grow() {
+// member to its slot under the wider mask. The new ring comes from the
+// lane's free list and the vacated one goes back to it.
+func (tr *train) grow(s *Scheduler) {
 	old := tr.members
-	tr.members = make([]trainMember, max(2*len(old), 4))
+	tr.members = s.ring(max(2*len(old), 4))
 	for i := min(tr.head, tr.deqHead); i < tr.tail; i++ {
 		*tr.at(i) = old[i&(len(old)-1)]
+	}
+	s.freeRing(old)
+}
+
+// Rings are recycled as packets are (package freelist): each lane keeps
+// a free list per size class, 4<<k slots for class k, in front of one
+// process-wide depot per class. A ring vacated by grow serves the lane's
+// next ring of its size, in the same world, and Network.Close hands every
+// ring of a finished world to the depots for the next one.
+const (
+	// ringClasses bounds the recycled sizes at 512 slots; a longer ring
+	// (a queue of hundreds of packets) is left to the collector.
+	ringClasses = 8
+	// ringCacheSize bounds a lane's free list of one class.
+	ringCacheSize = 64
+	// ringDepotSlots bounds the depots together at 2 MB of members, an
+	// equal share of the slots to each class.
+	ringDepotSlots = 1 << 16
+)
+
+var ringDepots = func() (d [ringClasses]*freelist.Depot[[]trainMember]) {
+	for k := range d {
+		d[k] = freelist.NewDepot[[]trainMember](ringDepotSlots/ringClasses/(4<<k), ringCacheSize)
+	}
+	return d
+}()
+
+// ringClass returns the size class of a ring of n slots, n a power of
+// two ≥ 4.
+func ringClass(n int) int { return bits.Len(uint(n)) - 3 }
+
+// ring returns a zeroed ring of n slots, n a power of two ≥ 4.
+func (s *Scheduler) ring(n int) []trainMember {
+	if k := ringClass(n); k < ringClasses {
+		if r, ok := s.rings[k].Get(ringDepots[k]); ok {
+			return r
+		}
+	}
+	return make([]trainMember, n)
+}
+
+// freeRing clears a vacated ring and keeps it for the lane's next ring
+// of its size. A nil ring is a direction's first and has nothing to give.
+func (s *Scheduler) freeRing(r []trainMember) {
+	if k := ringClass(len(r)); len(r) > 0 && k < ringClasses {
+		clear(r)
+		s.rings[k].Put(ringDepots[k], r)
 	}
 }
 

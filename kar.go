@@ -180,7 +180,9 @@ var (
 
 // NewWorld wires a complete KAR network over g: one switch per core
 // (running the policy with seeded RNGs), one edge node per edge, and
-// a controller in the paper's ignore-failures mode.
+// a controller in the paper's ignore-failures mode. Close the world
+// (World.Close) once its results are read: its in-flight packets and
+// train rings go back to the process-wide depots for the next world.
 func NewWorld(g *Graph, policy Policy, seed int64) *World {
 	return experiment.NewWorld(g, policy, seed)
 }

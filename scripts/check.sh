@@ -74,16 +74,17 @@ echo "==> go test -race: sharded driver, failover path"
 # With them the packet caches and the failover path: the link and
 # handler tables, the switch slow path, the edge's re-encode queue, and
 # the sweep pool, whose workers run different cells' worlds side by
-# side. A race in the hand-off between the caller, the crew's workers
-# pulling lanes and the inboxes shows only in some interleavings, so the
-# shard tests run five times over, with the Bind test: a cut link's
-# receiver reads the endpoint Bind resolved from another lane. The
-# FlowSet pattern takes in
+# side and close them into the shared packet and ring depots. A race
+# in the hand-off between the caller, the crew's workers pulling lanes
+# and the inboxes shows only in some interleavings, so the shard tests
+# run five times over, with the Bind test (a cut link's receiver reads
+# the endpoint Bind resolved from another lane) and the Close test (a
+# sharded world closed mid-flight). The FlowSet pattern takes in
 # TestFlowSetSeqSpillsPast255: two pumps on different lanes, each
 # counting its flows' packets in its own bytes and, past 255, widening
 # them into its own four-byte counts.
 go test -race -count=5 -run 'Shard|Window|FlowSet|Train' ./internal/udpsim/
-go test -race -count=5 -run 'Shard|Window|Train|Bind' ./internal/simnet
+go test -race -count=5 -run 'Shard|Window|Train|Bind|Close' ./internal/simnet
 go test -race ./internal/simnet ./internal/kswitch ./internal/edge ./internal/packet
 go test -race -run 'RunSweep|DeterminismMatrix/(fig4-metrics|fig5-sweep|fig7-sweep|reno-ablation)' ./internal/experiment .
 # The verifier's workers share one pre-warmed controller, read-only, and
