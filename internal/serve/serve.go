@@ -43,10 +43,9 @@ type Config struct {
 	// request does not set one (default 4).
 	JobWorkers int
 	// StoreCap bounds retained terminal jobs (default 1024): beyond
-	// it, the oldest finished job — result, events and status — is
-	// dropped. It does not bound what a collecting job merged into the
-	// daemon's telemetry collector: its job-labelled series and event
-	// streams outlive its eviction.
+	// it, the oldest finished job — result, events and status, and
+	// the job-labelled series and event streams it merged into the
+	// daemon's telemetry collector — is dropped.
 	StoreCap int
 	// Version is reported in kar_serve_build_info.
 	Version string
@@ -220,7 +219,8 @@ func (s *Server) enqueue(kind JobKind, run jobRun) (*Job, error) {
 	return j, nil
 }
 
-// evictLocked retires the oldest terminal jobs beyond StoreCap.
+// evictLocked retires the oldest terminal jobs beyond StoreCap, with
+// what each merged into the collector (a terminal job merges no more).
 // Queued and running jobs are never evicted, so a cap smaller than the
 // in-flight set degrades to retaining exactly the live jobs.
 func (s *Server) evictLocked() {
@@ -246,6 +246,7 @@ func (s *Server) evictLocked() {
 		}
 		j := s.jobs[victim]
 		delete(s.jobs, victim)
+		s.coll.Drop("job", victim)
 		j.mu.Lock()
 		s.metrics.evicted(j.state)
 		j.mu.Unlock()

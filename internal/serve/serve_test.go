@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -666,6 +667,50 @@ func TestStoreCapEvictsOldestTerminalJobs(t *testing.T) {
 	resp, _ = getBody(t, ts.URL+"/v1/jobs/"+ids[len(ids)-1])
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("newest job evicted: %d", resp.StatusCode)
+	}
+}
+
+// TestStoreCapDropsEvictedJobsTelemetry: an evicted job takes what it
+// collected with it. Six collecting scenario jobs at StoreCap 2 leave
+// the last two retained, and the collector's run streams and the
+// /metrics dump name those two jobs and no other.
+func TestStoreCapDropsEvictedJobsTelemetry(t *testing.T) {
+	s, ts := startServer(t, Config{QueueCap: 8, Workers: 1, StoreCap: 2})
+	var ids []string
+	for i := 0; i < 6; i++ {
+		resp, data := postJSON(t, ts.URL+"/v1/scenarios", scenarioBody(t, ""))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d: %s", resp.StatusCode, data)
+		}
+		var st JobStatus
+		json.Unmarshal(data, &st)
+		ids = append(ids, st.ID)
+		if st := waitTerminal(t, ts.URL, st.ID); st.State != StateDone {
+			t.Fatalf("job %s ended %s", st.ID, st.State)
+		}
+	}
+	// Each admission evicts down to StoreCap, the new job included.
+	retained := map[string]bool{ids[4]: true, ids[5]: true}
+
+	seen := make(map[string]bool)
+	for _, run := range s.coll.Runs() {
+		id, _, _ := strings.Cut(strings.TrimPrefix(run, "job="), "/")
+		if !retained[id] {
+			t.Errorf("collector keeps run %q of an evicted job", run)
+		}
+		seen[id] = true
+	}
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	for _, m := range regexp.MustCompile(`job="([^"]*)"`).FindAllStringSubmatch(string(metrics), -1) {
+		if !retained[m[1]] {
+			t.Fatalf("/metrics names evicted job %s: %s", m[1], m[0])
+		}
+		seen["metrics:"+m[1]] = true
+	}
+	for id := range retained {
+		if !seen[id] || !seen["metrics:"+id] {
+			t.Errorf("retained job %s: run streams %v, series %v", id, seen[id], seen["metrics:"+id])
+		}
 	}
 }
 

@@ -397,18 +397,15 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	// per-entity posting order, never on which lane allocated them; a
 	// link direction's count is its train's member counter.
 	ents := make([]uint64, 1+len(nodes))
-	n.sched = &Scheduler{ents: ents}
+	n.sched = newLane(ents)
 	n.nodeLane = topology.PartitionRegions(topo, lanes)
 	n.lanes = make([]*Scheduler, lanes)
 	if lanes == 1 {
 		// Single lane: the data lane is the control scheduler.
 		n.lanes[0] = n.sched
 	} else {
-		// The control lane of a sharded world only ever holds control
-		// events.
-		n.sched.Reserve(64)
 		for i := range n.lanes {
-			n.lanes[i] = &Scheduler{ents: ents}
+			n.lanes[i] = newLane(ents)
 		}
 	}
 	n.events = telemetry.NewEventLog(cfg.eventCap, n.sched.Now)
@@ -422,11 +419,7 @@ func New(topo *topology.Graph, opts ...Option) *Network {
 	n.cSends = n.metrics.Counter("kar_net_sends_total")
 	flush := n.flushCounters
 	n.sched.flush = flush
-	// Pre-size each lane's front heap from the topology: enough for a
-	// few events per link plus headroom, so world start-up never
-	// re-grows it (visible as startup allocs in the Fig5 benchmarks).
 	for _, lane := range n.lanes {
-		lane.Reserve(4*len(links)/lanes + 64)
 		// Room for every direction of an even share of the links to send
 		// between two folds.
 		lane.dirtySent = make([]*dirState, 0, 2*len(links)/lanes+1)

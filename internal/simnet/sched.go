@@ -239,18 +239,6 @@ const idleKey = ^uint64(0)
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Reserve pre-sizes the front heap (topology-derived: worlds size it
-// from their link count so steady-state traffic never re-grows the
-// backing array mid-run).
-func (s *Scheduler) Reserve(n int) {
-	if cap(s.front) >= n {
-		return
-	}
-	q := make(evHeap, len(s.front), n)
-	copy(q, s.front)
-	s.front = q
-}
-
 // allocKey stamps one tie-break key for a control or node entity.
 // Entity counters are single-writer: each entity posts only from its
 // own lane's goroutine.
@@ -300,7 +288,20 @@ const (
 	ringSize    = 2048 // buckets in the ring: a 2.1 ms horizon
 	ringMask    = ringSize - 1
 	smallWorld  = 64 // front entries below which cur follows an insert
+
+	// frontCap is every lane's starting front capacity (4 KB). Past
+	// the small-world rule front holds the current bucket only, so its
+	// depth follows a microsecond of the lane's traffic, not the size
+	// of the topology; past frontCap it grows by append and keeps what
+	// it grew to for the rest of the run.
+	frontCap = 2 * smallWorld
 )
+
+// newLane makes one lane of a world, tie-breaking over the world's
+// shared entity counters.
+func newLane(ents []uint64) *Scheduler {
+	return &Scheduler{ents: ents, front: make(evHeap, 0, frontCap)}
+}
 
 func bucketOf(at time.Duration) int64 { return int64(at) >> bucketShift }
 

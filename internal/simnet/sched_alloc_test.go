@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 )
 
 // TestSchedulerSteadyStateZeroAlloc: once the heap's backing array has
@@ -108,4 +109,27 @@ func TestSchedulerPastEventCounter(t *testing.T) {
 	var bare Scheduler
 	bare.RunUntil(time.Millisecond)
 	bare.At(0, func() {})
+}
+
+// TestLaneFrontCapacityFixed: a lane's front heap starts at one fixed
+// capacity, whatever the topology — front holds about a microsecond of
+// its lane's traffic, and grows by append past that — so a large world
+// reserves nothing per link. fattree:16 (3 072 links) at shards=2 has
+// four data lanes and a control lane.
+func TestLaneFrontCapacityFixed(t *testing.T) {
+	g, err := topology.FromSpec("fattree:16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(g, WithShards(2))
+	defer n.Close()
+	if len(n.lanes) != 4 {
+		t.Fatalf("%d lanes, want 4", len(n.lanes))
+	}
+	for i, s := range append([]*Scheduler{n.sched}, n.lanes...) {
+		if len(s.front) != 0 || cap(s.front) != 2*smallWorld {
+			t.Errorf("scheduler %d (0: control): front len %d cap %d after New, want 0 and %d",
+				i, len(s.front), cap(s.front), 2*smallWorld)
+		}
+	}
 }

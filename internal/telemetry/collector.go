@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -41,6 +42,22 @@ func (c *Collector) Add(run string, reg *Registry, ev *EventLog) {
 	c.reg.Merge(reg)
 	if events != nil {
 		c.runs[run] = events
+	}
+}
+
+// Drop forgets what was collected under the label key=value: every
+// series that carries it and every run whose label starts with
+// "key=value/" (the serve daemon files a job's runs under
+// "job=<id>/…" and labels its series job=<id>).
+func (c *Collector) Drop(key, value string) {
+	prefix := key + "=" + value + "/"
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reg.DropLabel(key, value)
+	for run := range c.runs {
+		if strings.HasPrefix(run, prefix) {
+			delete(c.runs, run)
+		}
 	}
 }
 

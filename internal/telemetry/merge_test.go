@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // sameShape builds a world-like registry: per-link blocks of n links,
@@ -115,5 +116,47 @@ func TestCollectorAddConcurrent(t *testing.T) {
 	wg.Wait()
 	if got, want := expose(concurrent), expose(sequential); got != want {
 		t.Errorf("concurrent Adds differ from sequential ones:\nconcurrent:\n%s\nsequential:\n%s", got[0], want[0])
+	}
+}
+
+// Collector.Drop forgets one label value: the series carrying it, the
+// families it leaves empty and the runs filed under "key=value/", and
+// nothing else. What is left dumps as if the dropped job had never
+// been merged.
+func TestCollectorDropForgetsLabel(t *testing.T) {
+	job := func(id string, extra bool) (*Registry, *EventLog) {
+		r := NewRegistry(WithBaseLabels("job", id))
+		r.Counter("sent_total", "flow", "a").Add(2)
+		if extra {
+			r.Histogram("only_in_b", nil).Observe(3)
+		}
+		ev := NewEventLog(8, func() time.Duration { return 0 })
+		ev.Record("link_fail", "L1", "")
+		return r, ev
+	}
+	dump := func(c *Collector) string {
+		var buf bytes.Buffer
+		if err := c.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := NewCollector()
+	c := NewCollector()
+	for _, id := range []string{"a", "ab", "c"} {
+		r, ev := job(id, false)
+		want.Add("job="+id+"/run", r, ev)
+		r, ev = job(id, false)
+		c.Add("job="+id+"/run", r, ev)
+	}
+	r, ev := job("b", true)
+	c.Add("job=b/run", r, ev)
+	c.Add("job=b/run2", r, ev)
+	c.Drop("job", "b")
+	if got := dump(c); got != dump(want) {
+		t.Errorf("after Drop:\n%s\nwant\n%s", got, dump(want))
+	}
+	if n := c.Registry().DropLabel("job", "b"); n != 0 {
+		t.Errorf("a second drop removed %d series", n)
 	}
 }

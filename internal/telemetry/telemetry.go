@@ -674,6 +674,32 @@ func (r *Registry) SumCounter(name string, kv ...string) int64 {
 	return sum
 }
 
+// DropLabel removes every series whose label set carries key=value,
+// and every family it leaves without a series, and returns the number
+// of series removed.
+func (r *Registry) DropLabel(key, value string) int {
+	want := []Label{{Key: key, Value: value}}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	dropped := 0
+	for name, f := range r.families {
+		r.materialise(f)
+		n := len(f.series)
+		for k, s := range f.series {
+			if labelsContain(s.labels, want) {
+				delete(f.series, k)
+			}
+		}
+		if len(f.series) < n {
+			dropped += n - len(f.series)
+			if len(f.series) == 0 {
+				delete(r.families, name)
+			}
+		}
+	}
+	return dropped
+}
+
 func labelsContain(ls, want []Label) bool {
 	for _, w := range want {
 		found := false

@@ -9,10 +9,10 @@ func (fs *FlowSet) ReceiverOf(dst string) edge.Receiver {
 }
 
 // CounterBytes returns the bytes the set's per-flow counters take:
-// every pump's sent counts, byte-wide or widened, and the delivered
-// flags.
+// every pump's sent counts, byte-wide or widened, and the words of
+// delivered bits.
 func (fs *FlowSet) CounterBytes() int {
-	n := cap(fs.recv)
+	n := 8 * cap(fs.delivered)
 	for _, p := range fs.pumps {
 		n += cap(p.sent) + 4*cap(p.wide)
 	}

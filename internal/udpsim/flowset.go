@@ -3,6 +3,7 @@ package udpsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -105,7 +106,7 @@ func (c SetConfig) defaults() SetConfig {
 // FlowSet drives a declared flow population over a network. Per-flow
 // state is a sent count in the flow's pump (one byte while every flow
 // of the pair has sent fewer than 255 packets, four after) and a
-// delivered flag in one flat array;
+// delivered bit in one flat array of words;
 // per-pair pumps run on their source edge's shard clock, so draws and
 // emissions are deterministic for any shard count; per-destination
 // receivers keep lane-local aggregates that Stats merges in sorted
@@ -117,8 +118,12 @@ type FlowSet struct {
 	cfg     SetConfig
 	pumps   []*pairPump
 	rcvs    map[string]*setReceiver
-	recv    []bool // a packet was delivered, by global flow ID; one byte per flow, so lanes never share a written word
 	stopped bool
+
+	// delivered holds one bit per flow: a packet of it was delivered.
+	// Each pair's flows take a range of whole words (flowSpan.bits), so
+	// receivers on different lanes never write one word.
+	delivered []uint64
 
 	cSent     *telemetry.Counter
 	cReceived *telemetry.Counter
@@ -126,11 +131,11 @@ type FlowSet struct {
 }
 
 // pairPump emits one pair's aggregate arrival process. It never
-// allocates per flow: the pair's flows are the index range
-// [flowBase, flowBase+nFlows) of the set's flat array, and the pump
-// counts their packets in sent, one byte per flow. The first flow to
-// reach 255 widens the pair's counts into wide, four bytes per flow,
-// and frees sent; only the pump touches either, on its source's lane.
+// allocates per flow: the pair's flows are the flow IDs [flowBase,
+// flowBase+nFlows), and the pump counts their packets in sent, one
+// byte per flow. The first flow to reach 255 widens the pair's counts
+// into wide, four bytes per flow, and frees sent; only the pump
+// touches either, on its source's lane.
 type pairPump struct {
 	set       *FlowSet
 	src       *edge.Edge
@@ -147,10 +152,22 @@ type pairPump struct {
 	wide      []uint32 // the same counts once one of them reached 255; nil before
 }
 
+// flowSpan is one pair's flows as its receiver sees them: the flow IDs
+// [base, base+n) and their delivered bits, bit i of the span for flow
+// base+i.
+type flowSpan struct {
+	base, n uint32
+	bits    []uint64
+}
+
 // setReceiver terminates every set flow addressed to one destination
 // edge. Its plain fields are only touched on that edge's shard lane.
 type setReceiver struct {
-	set        *FlowSet
+	set *FlowSet
+	// spans are the pairs the receiver ends, in ascending flow order;
+	// a receiver of one pair, the common case, keeps its span in one.
+	spans      []flowSpan
+	one        [1]flowSpan
 	clock      simnet.Clock
 	received   int64
 	totalHops  int64
@@ -181,10 +198,22 @@ func NewFlowSet(net *simnet.Network, pairs []Pair, cfg SetConfig) (*FlowSet, err
 	reg.Help("kar_flowset_noroute_total", "Flow-set injections refused for want of an installed route.")
 	reg.Help("kar_flowset_latency_us", "One-way delivery latency across a flow population (µs).")
 	reg.Help("kar_flowset_hops", "Hop counts of delivered flow-population packets.")
+	perPair := cfg.Flows / len(pairs)
+	extra := cfg.Flows % len(pairs)
+	flowsOf := func(i int) int {
+		if i < extra {
+			return perPair + 1
+		}
+		return perPair
+	}
+	words := 0
+	for i := range pairs {
+		words += (flowsOf(i) + 63) >> 6
+	}
 	fs := &FlowSet{
 		cfg:       cfg,
 		rcvs:      make(map[string]*setReceiver),
-		recv:      make([]bool, cfg.Flows),
+		delivered: make([]uint64, words),
 		cSent:     reg.Counter("kar_flowset_sent_total", "set", cfg.Name),
 		cReceived: reg.Counter("kar_flowset_received_total", "set", cfg.Name),
 		cNoRoute:  reg.Counter("kar_flowset_noroute_total", "set", cfg.Name),
@@ -192,14 +221,13 @@ func NewFlowSet(net *simnet.Network, pairs []Pair, cfg SetConfig) (*FlowSet, err
 	hLatency := reg.Histogram("kar_flowset_latency_us", telemetry.LatencyBucketsUs, "set", cfg.Name)
 	hHops := reg.Histogram("kar_flowset_hops", telemetry.HopBuckets, "set", cfg.Name)
 
-	perPair := cfg.Flows / len(pairs)
-	extra := cfg.Flows % len(pairs)
 	base := uint32(0)
+	bitsLeft := fs.delivered
 	for i, p := range pairs {
-		n := perPair
-		if i < extra {
-			n++
-		}
+		n := flowsOf(i)
+		w := (n + 63) >> 6
+		span := flowSpan{base: base, n: uint32(n), bits: bitsLeft[:w:w]}
+		bitsLeft = bitsLeft[w:]
 		pump := &pairPump{
 			set:      fs,
 			src:      p.Src,
@@ -225,17 +253,20 @@ func NewFlowSet(net *simnet.Network, pairs []Pair, cfg SetConfig) (*FlowSet, err
 		base += uint32(n)
 
 		dst := p.Dst.Node().Name()
-		if _, ok := fs.rcvs[dst]; !ok {
-			r := &setReceiver{
+		r, ok := fs.rcvs[dst]
+		if !ok {
+			r = &setReceiver{
 				set:       fs,
 				clock:     net.ClockOf(p.Dst.Node()),
 				cReceived: net.DeferCounter(p.Dst.Node(), fs.cReceived),
 				hLatency:  net.DeferHistogram(p.Dst.Node(), hLatency),
 				hHops:     net.DeferHistogram(p.Dst.Node(), hHops),
 			}
+			r.spans = r.one[:0]
 			fs.rcvs[dst] = r
 			p.Dst.AttachDefault(edge.ReceiverFunc(r.onData))
 		}
+		r.spans = append(r.spans, span)
 	}
 	return fs, nil
 }
@@ -323,15 +354,13 @@ func (p *pairPump) activeFlows() int {
 	return active
 }
 
-// onData terminates a set packet: flat-array per-flow accounting plus
+// onData terminates a set packet: the flow's delivered bit plus
 // lane-local aggregates. Duplicate sequence detection is deliberately
-// skipped — a per-flow bitmap would dominate memory at 10^6 flows.
+// skipped — a per-flow sequence bitmap would dominate memory at 10^6
+// flows.
 func (r *setReceiver) onData(pkt *packet.Packet) {
 	defer r.clock.Recycle(pkt)
-	fs := r.set
-	if int(pkt.Flow.ID) < len(fs.recv) {
-		fs.recv[pkt.Flow.ID] = true
-	}
+	r.markDelivered(pkt.Flow.ID)
 	r.received++
 	r.totalHops += int64(pkt.Hops)
 	if r.received == 1 || pkt.Hops < r.minHops {
@@ -349,6 +378,25 @@ func (r *setReceiver) onData(pkt *packet.Packet) {
 		// Whole microseconds keep histogram sums integral and dumps
 		// byte-identical across shard and worker counts.
 		r.hLatency.Observe(float64((r.clock.Now() - pkt.SentAt) / time.Microsecond))
+	}
+}
+
+// markDelivered sets flow id's delivered bit, found among the
+// receiver's own spans by bisection (a flow of no span of its own sets
+// nothing).
+func (r *setReceiver) markDelivered(id uint32) {
+	spans := r.spans
+	lo, hi := 0, len(spans)
+	for hi-lo > 1 {
+		if m := int(uint(lo+hi) >> 1); spans[m].base <= id {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	sp := &spans[lo]
+	if off := id - sp.base; id >= sp.base && off < sp.n {
+		sp.bits[off>>6] |= 1 << (off & 63)
 	}
 }
 
@@ -383,8 +431,8 @@ func (s SetStats) MeanHops() float64 {
 }
 
 // Stats merges every receiver's lane-local aggregates (in sorted
-// destination order) with the flat per-flow arrays. Call it only when
-// the network is quiescent — between RunUntil calls, not from
+// destination order) with the per-flow counts and bits. Call it only
+// when the network is quiescent — between RunUntil calls, not from
 // simulation callbacks.
 func (fs *FlowSet) Stats() SetStats {
 	st := SetStats{
@@ -401,10 +449,8 @@ func (fs *FlowSet) Stats() SetStats {
 	for _, r := range fs.rcvs {
 		st.Received += r.cReceived.Pending()
 	}
-	for _, got := range fs.recv {
-		if got {
-			st.DeliveredFlows++
-		}
+	for _, w := range fs.delivered {
+		st.DeliveredFlows += bits.OnesCount64(w)
 	}
 	dsts := make([]string, 0, len(fs.rcvs))
 	for d := range fs.rcvs {

@@ -230,7 +230,8 @@ func TestFlowSetWindowDropsRaceFree(t *testing.T) {
 }
 
 // TestFlowSetSeqSpillsPast255: a pair's sent counts are one byte per
-// flow until one of them reaches 255, and four bytes per flow after.
+// flow until one of them reaches 255, and four bytes per flow after;
+// its delivered bits stay whole words of its own.
 // Six flows at a high rate on two pairs whose sources sit on different
 // lanes (shards=2) pass 255 on both lanes; every flow's delivered
 // sequence numbers must be exactly 0…n−1 and Stats must equal a plain
@@ -296,9 +297,10 @@ func TestFlowSetSeqSpillsPast255(t *testing.T) {
 			t.Errorf("pair %d: no flow passed 255 packets (counts %v)", half, ids)
 		}
 	}
-	// Both pairs widened: four sent bytes and a delivered byte per flow.
-	if got := fs.CounterBytes(); got != 5*flows {
-		t.Errorf("per-flow counters take %d bytes, want %d", got, 5*flows)
+	// Both pairs widened: four sent bytes per flow, and each pair's
+	// delivered bits in a word of its own.
+	if got, want := fs.CounterBytes(), 4*flows+8*bitWords(flows, len(pairs)); got != want {
+		t.Errorf("per-flow counters take %d bytes, want %d", got, want)
 	}
 	st := fs.Stats()
 	if st.Sent != ref.Sent || st.Received != ref.Sent || st.ActiveFlows != ref.ActiveFlows ||
@@ -309,23 +311,121 @@ func TestFlowSetSeqSpillsPast255(t *testing.T) {
 }
 
 // TestFlowSetCounterBytes: while no flow has sent 255 packets, a flow's
-// counters are two bytes, a sent count and a delivered flag.
+// counters are a one-byte sent count and a delivered bit, each pair's
+// bits rounded up to whole words.
 func TestFlowSetCounterBytes(t *testing.T) {
 	const flows = 10_000
 	w := closWorld(t)
-	fs, err := udpsim.NewFlowSet(w.Net, allPairs(w), udpsim.SetConfig{Flows: flows, Rate: 5, Size: 100, Seed: 3})
+	pairs := allPairs(w)
+	fs, err := udpsim.NewFlowSet(w.Net, pairs, udpsim.SetConfig{Flows: flows, Rate: 5, Size: 100, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fs.CounterBytes(); got != 2*flows {
-		t.Errorf("per-flow counters of a new set take %d bytes, want %d", got, 2*flows)
+	want := flows + 8*bitWords(flows, len(pairs))
+	if got := fs.CounterBytes(); got != want {
+		t.Errorf("per-flow counters of a new set take %d bytes, want %d", got, want)
 	}
 	fs.Start()
 	w.Run(500 * time.Millisecond)
 	if st := fs.Stats(); st.ActiveFlows == 0 || st.DeliveredFlows == 0 {
 		t.Fatalf("no traffic: %+v", st)
 	}
-	if got := fs.CounterBytes(); got != 2*flows {
-		t.Errorf("per-flow counters after the run take %d bytes, want %d", got, 2*flows)
+	if got := fs.CounterBytes(); got != want {
+		t.Errorf("per-flow counters after the run take %d bytes, want %d", got, want)
+	}
+}
+
+// bitWords is the number of delivered-bit words of flows split over
+// pairs as NewFlowSet splits them: one word per started 64 flows of
+// each pair.
+func bitWords(flows, pairs int) int {
+	words := 0
+	for i := range pairs {
+		n := flows / pairs
+		if i < flows%pairs {
+			n++
+		}
+		words += (n + 63) / 64
+	}
+	return words
+}
+
+// TestFlowSetDeliveredBitsAcrossLanes: receivers on different lanes set
+// delivered bits in one array. Ten pairs of 96 or 97 flows — no pair a
+// whole number of words — whose destinations alternate over four
+// lanes (shards=2), so adjacent pairs' bits are written in the same
+// parallel windows by different workers; four receivers end two or
+// three pairs each. Under -race (check.sh), a pair range that did not
+// start on a word of its own shows as a race; everywhere, after the
+// network drains, DeliveredFlows must equal the flows a per-flow model
+// saw delivered, and a short, sparse run leaves some flows without a
+// packet so that the count tells set bits from unset ones.
+func TestFlowSetDeliveredBitsAcrossLanes(t *testing.T) {
+	const shards, flows, nPairs = 2, 965, 10
+	g, err := topology.FromSpec("fattree:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy, _ := deflect.ByName("nip")
+	w := experiment.NewWorld(g, policy, 11, simnet.WithShards(shards))
+	hosts := g.EdgeNodes()
+	lanes := topology.PartitionRegions(g, 2*shards)
+	// One destination per lane, each sent to from the host half the
+	// host list away; the pairs cycle through them.
+	var dsts, srcs []*topology.Node
+	seen := make(map[int]bool)
+	for i, h := range hosts {
+		if l := lanes[h.Index()]; !seen[l] {
+			seen[l] = true
+			dsts, srcs = append(dsts, h), append(srcs, hosts[(i+len(hosts)/2)%len(hosts)])
+		}
+	}
+	if len(dsts) != 2*shards {
+		t.Fatalf("hosts sit on %d lanes, want %d", len(dsts), 2*shards)
+	}
+	for i, dst := range dsts {
+		if _, err := w.InstallRoute(srcs[i].Name(), dst.Name(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var pairs []udpsim.Pair
+	for i := range nPairs {
+		j := i % len(dsts)
+		pairs = append(pairs, udpsim.Pair{Src: w.Edges[srcs[j].Name()], Dst: w.Edges[dsts[j].Name()]})
+	}
+	fs, err := udpsim.NewFlowSet(w.Net, pairs, udpsim.SetConfig{
+		Name: "t", Flows: flows, Rate: 40, Size: 100, Seed: 13, Until: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]bool, flows) // one byte per flow: the model's writes never share a byte
+	for _, dst := range dsts {
+		inner := fs.ReceiverOf(dst.Name())
+		w.Edges[dst.Name()].AttachDefault(edge.ReceiverFunc(func(pkt *packet.Packet) {
+			got[pkt.Flow.ID] = true
+			inner.Deliver(pkt)
+		}))
+	}
+	fs.Start()
+	w.Run(100 * time.Millisecond)
+	if w.Net.Lookahead() <= 0 {
+		t.Fatal("sharded world has no cut links: no window ran in parallel")
+	}
+	want := 0
+	for _, ok := range got {
+		if ok {
+			want++
+		}
+	}
+	st := fs.Stats()
+	if st.Received != st.Sent || st.NoRoute != 0 {
+		t.Fatalf("not drained: %+v", st)
+	}
+	if want == 0 || want == flows {
+		t.Fatalf("model saw %d of %d flows delivered; the run must leave some flows without a packet", want, flows)
+	}
+	if st.DeliveredFlows != want || st.ActiveFlows != want {
+		t.Errorf("DeliveredFlows %d, ActiveFlows %d; the per-flow model saw %d", st.DeliveredFlows, st.ActiveFlows, want)
 	}
 }

@@ -82,7 +82,10 @@ echo "==> go test -race: sharded driver, failover path"
 # sharded world closed mid-flight). The FlowSet pattern takes in
 # TestFlowSetSeqSpillsPast255: two pumps on different lanes, each
 # counting its flows' packets in its own bytes and, past 255, widening
-# them into its own four-byte counts.
+# them into its own four-byte counts; and
+# TestFlowSetDeliveredBitsAcrossLanes: receivers on four lanes setting
+# delivered bits in one array, adjacent pairs on different lanes, where
+# a pair's bits that did not start a word of their own would race.
 go test -race -count=5 -run 'Shard|Window|FlowSet|Train' ./internal/udpsim/
 go test -race -count=5 -run 'Shard|Window|Train|Bind|Close' ./internal/simnet
 go test -race ./internal/simnet ./internal/kswitch ./internal/edge ./internal/packet
@@ -91,6 +94,12 @@ go test -race -run 'RunSweep|DeterminismMatrix/(fig4-metrics|fig5-sweep|fig7-swe
 # each grows its own units' search trees, the no-failure roots included;
 # the controller's reaction scans its route table.
 go test -race -count=3 -run 'Sweep|Descent|Branch|Reencode|Churn|Reroute' ./internal/resilience ./internal/controller
+
+echo "==> heap, allocation and delivered-bit gates"
+# Fast-fail the large world's live heap (fattree:28, 10^6 flows, under
+# its 10.0 MB ceiling), a warm Fig. 5 cell's allocation count and the
+# flow set's delivered bits across lanes before the long race pass.
+go test -run 'LargeWorldHeapBudget|RunTCPAllocationBudget|DeliveredBits' ./internal/experiment ./internal/udpsim
 
 echo "==> go test -race ./..."
 # The experiment package replays whole figure sweeps; under the race
