@@ -3,6 +3,8 @@ package kar
 import (
 	"cmp"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -97,10 +99,6 @@ var guards = []rule{{
 }, {
 	name:  "a route ID is encoded by core.EncodeRoute alone",
 	why:   "Every route ID is core.EncodeRoute → rns.NewSystem, with no basis cache.",
-	match: []string{"use repro/internal/core.NewEncoder"}, owns: []string{"bench"},
-}, {
-	name:  "a route ID is encoded by core.EncodeRoute alone",
-	why:   "Every route ID is core.EncodeRoute → rns.NewSystem, with no basis cache.",
 	in:    []string{"internal"},
 	match: []string{"use repro/internal/rns.NewSystem"}, owns: []string{"internal/rns", "internal/core"},
 }, {
@@ -115,10 +113,6 @@ var guards = []rule{{
 	name:  "the recorder is attached through SetTraceSink alone",
 	why:   "SetTraceSink makes the event log's tap and SetTraceSink(nil) detaches it.",
 	match: []string{"call .SetTap"}, owns: []string{"internal/simnet", "internal/telemetry"},
-}, {
-	name:  "controller.WithWorkers only in bench/",
-	why:   "WithWorkers is a no-op kept for the benchmark's frozen callers.",
-	match: []string{"use repro/internal/controller.WithWorkers"}, owns: []string{"bench"},
 }}
 
 func TestDesignGuards(t *testing.T) {
@@ -254,4 +248,238 @@ func (f *goFile) facts(n ast.Node) []string {
 		return facts
 	}
 	return nil
+}
+
+// exempt is a name the caller rule lets go without a non-test use, with
+// the ROADMAP item that frees it.
+type exempt struct{ name, item string }
+
+// benchFrozen are the names that only bench/ calls. bench/ is a module
+// of its own that changes only with the benchmark, so its callers hold
+// these names until the item rebuilds them.
+var benchFrozen = []exempt{
+	{"controller.WithWorkers", "9 (e)"},
+	{"core.NewEncoder", "9 (e)"},
+	{"core.Encoder.EncodeRoute", "9 (e)"},
+	{"edge.New", "20"},
+	{"edge.WithReencodeDelay", "20"},
+	{"kswitch.Switch.Node", "20"},
+	{"packet.Get", "9 (g)"},
+	{"packet.Packet.Release", "9 (g)"},
+	{"packet.Header.Marshal", "14 (c)"},
+	{"packet.Header.Unmarshal", "14 (c)"},
+	{"rns.System.Residues", "14 (c)"},
+	{"serve.Server.Registry", "20"},
+	{"simnet.Network.Delivered", "20"},
+	{"simnet.Scheduler.Step", "14 (c)"},
+	{"telemetry.Histogram.Count", "20"},
+	{"telemetry.Histogram.Sum", "20"},
+	{"telemetry.Registry.CounterValue", "20"},
+	{"topology.Path.Links", "14 (c)"},
+}
+
+// testOracles are the names another package's test reads as its
+// reference, so they cannot move into test files; the item that frees
+// one is followed by that test.
+var testOracles = []exempt{
+	{"analysis.Analyzer.DeliverWithin", "22 (b); internal/resilience TestClosedFormMatchesSimulation"},
+	{"packet.DepotLen", "4 (c); internal/simnet TestCloseReturnsInFlight"},
+	{"simnet.Network.Pending", "4 (c); internal/experiment TestTripleFailureLiveness"},
+}
+
+// stdlibCalled are the methods the standard library calls by type
+// assertion, so that no interface call in the module shows their use.
+var stdlibCalled = []string{"String", "Error", "Unwrap", "MarshalJSON", "UnmarshalJSON"}
+
+// TestCallerRule type-checks the main module's non-test files and fails
+// on a package-level function, method, variable or constant under
+// internal/ that nothing but tests uses. A use is an identifier or a
+// selection (of a generic method through its origin), or a call through
+// an interface the method's type satisfies; bench/, a module of its own,
+// is type-checked apart, tests included, only to freeze what it calls.
+// An entry of benchFrozen or testOracles fails when its name is gone or
+// gains a non-test caller outside bench/, so the lists only shrink.
+func TestCallerRule(t *testing.T) {
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil)
+	pkgs := map[string]*types.Package{}
+	mainUses, benchUses := map[*ast.Ident]types.Object{}, map[*ast.Ident]types.Object{}
+	var imp importerFunc
+	check := func(ip, dir string, tests bool, uses map[*ast.Ident]types.Object) (*types.Package, error) {
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		names := bp.GoFiles
+		if tests {
+			names = append(names, bp.TestGoFiles...)
+		}
+		var files []*ast.File
+		for _, name := range names {
+			af, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, af)
+		}
+		conf := types.Config{Importer: imp}
+		return conf.Check(ip, fset, files, &types.Info{Uses: uses})
+	}
+	imp = func(ip string) (*types.Package, error) {
+		dir, ok := strings.CutPrefix(ip, "repro")
+		if !ok || dir != "" && dir[0] != '/' {
+			return std.Import(ip)
+		}
+		if p := pkgs[ip]; p != nil {
+			return p, nil
+		}
+		p, err := check(ip, "."+dir, false, mainUses)
+		pkgs[ip] = p
+		return p, err
+	}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || p == "bench") {
+			return filepath.SkipDir
+		}
+		if _, err := build.ImportDir(p, 0); err != nil {
+			return nil // no non-test Go files
+		}
+		_, err = imp(path.Join("repro", filepath.ToSlash(p)))
+		return err
+	})
+	if err != nil || len(pkgs) < 30 {
+		t.Fatalf("type-checked %d packages: %v", len(pkgs), err)
+	}
+	if _, err := check("repro/bench", "bench", true, benchUses); err != nil {
+		t.Fatalf("bench: %v", err)
+	}
+
+	used, benchUsed := usedObjects(mainUses, pkgs), usedObjects(benchUses, nil)
+	declared := map[string]types.Object{}
+	listed := func(list []exempt, name string) bool {
+		return slices.ContainsFunc(list, func(e exempt) bool { return e.name == name })
+	}
+	for ip, p := range pkgs {
+		if !strings.HasPrefix(ip, "repro/internal/") {
+			continue
+		}
+		for _, obj := range declaredObjects(p) {
+			name := qualifiedName(obj)
+			declared[name] = obj
+			switch {
+			case used.has(obj), listed(testOracles, name):
+			case listed(benchFrozen, name):
+				if !benchUsed.has(obj) {
+					t.Errorf("%s is bench-frozen, yet bench/ does not use it: delete it and its entry", name)
+				}
+			default:
+				t.Errorf("%s (%s) has no use in non-test code: delete it, or move it into its package's test files",
+					name, fset.Position(obj.Pos()))
+			}
+		}
+	}
+	for _, e := range append(slices.Clip(benchFrozen), testOracles...) {
+		if obj := declared[e.name]; obj == nil {
+			t.Errorf("exempt %s (item %s) is gone: drop its entry", e.name, e.item)
+		} else if used.has(obj) {
+			t.Errorf("exempt %s (item %s) has a non-test caller: drop its entry", e.name, e.item)
+		}
+	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// declaredObjects lists p's package-level functions, variables and
+// constants and the methods of its named types.
+func declaredObjects(p *types.Package) []types.Object {
+	var objs []types.Object
+	for _, name := range p.Scope().Names() {
+		switch obj := p.Scope().Lookup(name).(type) {
+		case *types.Func, *types.Var, *types.Const:
+			if name != "_" && name != "init" {
+				objs = append(objs, obj)
+			}
+		case *types.TypeName:
+			if n, ok := obj.Type().(*types.Named); ok && !obj.IsAlias() {
+				for i := range n.NumMethods() {
+					objs = append(objs, n.Method(i))
+				}
+			}
+		}
+	}
+	return objs
+}
+
+// qualifiedName is "pkg.Name" or "pkg.Type.Method".
+func qualifiedName(obj types.Object) string {
+	name := obj.Pkg().Name() + "."
+	if recv := receiver(obj); recv != nil {
+		rt := recv.Type()
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
+		}
+		if n, ok := rt.(*types.Named); ok {
+			name += n.Obj().Name() + "."
+		}
+	}
+	return name + obj.Name()
+}
+
+// receiver is obj's receiver when obj is a method, else nil.
+func receiver(obj types.Object) *types.Var {
+	if f, ok := obj.(*types.Func); ok {
+		return f.Type().(*types.Signature).Recv()
+	}
+	return nil
+}
+
+// useSet is the objects one set of files uses.
+type useSet map[types.Object]bool
+
+// usedObjects collects the objects uses refers to, generic methods
+// through their origin, and every method of a named type in pkgs that a
+// used interface method reaches, promoted ones included.
+func usedObjects(uses map[*ast.Ident]types.Object, pkgs map[string]*types.Package) useSet {
+	u := useSet{}
+	ifaces := map[*types.Func]*types.Interface{}
+	for _, obj := range uses {
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin()
+			if recv := receiver(f); recv != nil && types.IsInterface(recv.Type()) {
+				ifaces[f] = recv.Type().Underlying().(*types.Interface)
+			}
+		}
+		u[obj] = true
+	}
+	for _, p := range pkgs {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok || types.IsInterface(n) || n.TypeParams().Len() > 0 {
+				continue
+			}
+			ptr := types.NewPointer(n)
+			for im, iface := range ifaces {
+				if types.Implements(ptr, iface) {
+					m, _, _ := types.LookupFieldOrMethod(ptr, false, im.Pkg(), im.Name())
+					u[m] = true
+				}
+			}
+		}
+	}
+	return u
+}
+
+// has reports whether obj is used, or is a method the standard library
+// calls by type assertion.
+func (u useSet) has(obj types.Object) bool {
+	return u[obj] || receiver(obj) != nil && slices.Contains(stdlibCalled, obj.Name())
 }

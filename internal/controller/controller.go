@@ -284,9 +284,6 @@ func (c *Controller) Route(src, dst string) (*core.Route, bool) {
 	return e.route, true
 }
 
-// Routes returns the number of installed routes.
-func (c *Controller) Routes() int { return len(c.entries) }
-
 // IngressPort returns the port the ingress edge uses to reach the
 // first core switch of an installed route.
 func (c *Controller) IngressPort(route *core.Route) (int, error) {
@@ -500,16 +497,4 @@ func (c *Controller) reroute(affected []pair) error {
 func (c *Controller) rerouteFailed(k pair, outcome string) {
 	c.cRerouteFailures.Inc()
 	c.events.Record(telemetry.EventReroute, k.src, fmt.Sprintf("%s->%s %s", k.src, k.dst, outcome))
-}
-
-// reinstallAll recomputes every installed route under the current
-// failure set — the from-scratch fallback incremental reaction is
-// checked against: after any fail/repair sequence it must be a no-op.
-func (c *Controller) reinstallAll() error {
-	all := make([]pair, 0, len(c.entries))
-	for k := range c.entries {
-		all = append(all, k)
-	}
-	sortPairs(all)
-	return c.reroute(all)
 }

@@ -191,7 +191,6 @@ func probeRun(net *simnet.Network, edges map[string]*edge.Edge, failAt time.Dura
 // tcpSender is the surface shared by the Reno and SACK senders.
 type tcpSender interface {
 	Start()
-	Stop()
 	Stats() tcpsim.SenderStats
 }
 

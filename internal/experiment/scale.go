@@ -40,8 +40,6 @@ type ScaleConfig struct {
 	Size int
 	// Arrival names the arrival process: poisson (default) or onoff.
 	Arrival string
-	// BurstMean is the mean on-off burst length (default 10).
-	BurstMean float64
 	// FailLinks fails that many switch-to-switch links (chosen by
 	// seed) for the middle fifth of the run, exercising deflection
 	// under load.
@@ -232,14 +230,13 @@ func newScaleWorld(g *topology.Graph, policy deflect.Policy, arrival udpsim.Arri
 	}
 
 	fs, err := udpsim.NewFlowSet(w.Net, pairs, udpsim.SetConfig{
-		Name:      "scale",
-		Flows:     cfg.Flows,
-		Rate:      cfg.Rate,
-		Size:      cfg.Size,
-		Arrival:   arrival,
-		BurstMean: cfg.BurstMean,
-		Seed:      cfg.Seed,
-		Until:     cfg.Duration,
+		Name:    "scale",
+		Flows:   cfg.Flows,
+		Rate:    cfg.Rate,
+		Size:    cfg.Size,
+		Arrival: arrival,
+		Seed:    cfg.Seed,
+		Until:   cfg.Duration,
 	})
 	if err != nil {
 		return nil, nil, nil, err

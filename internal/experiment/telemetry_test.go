@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -57,7 +60,12 @@ func TestFig4TelemetryDeterministicAndComplete(t *testing.T) {
 	}
 
 	// One run per policy was collected, with deterministic labels.
-	runs := c.Runs()
+	events := collectedEvents(t, c)
+	runs := make([]string, 0, len(events))
+	for r := range events {
+		runs = append(runs, r)
+	}
+	sort.Strings(runs)
 	if len(runs) != 4 {
 		t.Fatalf("collected %d runs, want 4: %v", len(runs), runs)
 	}
@@ -65,7 +73,7 @@ func TestFig4TelemetryDeterministicAndComplete(t *testing.T) {
 		t.Errorf("unexpected run label %q", runs[len(runs)-1])
 	}
 	for _, r := range runs {
-		evs := c.Events(r)
+		evs := events[r]
 		if len(evs) == 0 {
 			t.Errorf("run %s has no control-plane events", r)
 			continue
@@ -100,4 +108,21 @@ func TestFig4TelemetryDeterministicAndComplete(t *testing.T) {
 	if !sawStretch {
 		t.Error("report is missing kar_flow_stretch_hops")
 	}
+}
+
+// collectedEvents reads a collector's runs and their event streams off
+// its JSON exposition.
+func collectedEvents(t *testing.T, c *telemetry.Collector) map[string][]telemetry.Event {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Events map[string][]telemetry.Event `json:"events"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Events
 }

@@ -60,9 +60,6 @@ type Cache[T any] struct {
 	free []T
 }
 
-// Len returns the number of items the cache holds.
-func (c *Cache[T]) Len() int { return len(c.free) }
-
 // Get pops a free item, refilling an empty cache with half a cache's
 // worth from d first; ok is false when d had none either.
 func (c *Cache[T]) Get(d *Depot[T]) (x T, ok bool) {

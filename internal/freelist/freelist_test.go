@@ -18,12 +18,12 @@ func TestDepotKeepsAtMostLimit(t *testing.T) {
 	}
 	// Puts 5, 7 and 9 found the cache full and spilled two items each,
 	// the last two into a depot with room for one.
-	if c.Len() != 3 || d.Len() != 5 {
-		t.Fatalf("after 9 puts the cache holds %d and the depot %d, want 3 and 5", c.Len(), d.Len())
+	if len(c.free) != 3 || d.Len() != 5 {
+		t.Fatalf("after 9 puts the cache holds %d and the depot %d, want 3 and 5", len(c.free), d.Len())
 	}
 	c.Spill(d)
-	if c.Len() != 0 || d.Len() != 5 {
-		t.Fatalf("after a spill the cache holds %d and the depot %d, want 0 and 5", c.Len(), d.Len())
+	if len(c.free) != 0 || d.Len() != 5 {
+		t.Fatalf("after a spill the cache holds %d and the depot %d, want 0 and 5", len(c.free), d.Len())
 	}
 	for i := 0; i < 5; i++ {
 		if _, ok := c.Get(d); !ok {

@@ -79,8 +79,8 @@ func TestLazySourceUnseededUntilDrawn(t *testing.T) {
 	}
 }
 
-// New registers a block of one per family, and switches built one at
-// a time dump exactly like switches built by InstallAll.
+// install registers a block of one per family, and switches installed
+// one at a time dump exactly like switches built by InstallAll.
 func TestNewMatchesInstallAll(t *testing.T) {
 	dump := func(build func(*simnet.Network)) string {
 		g, err := topology.Fig1()
@@ -98,11 +98,11 @@ func TestNewMatchesInstallAll(t *testing.T) {
 	all := dump(func(net *simnet.Network) { InstallAll(net, deflect.NotInputPort{}, 1) })
 	single := dump(func(net *simnet.Network) {
 		for i, n := range net.Topology().CoreNodes() {
-			New(net, n, deflect.NotInputPort{}, 1+int64(i)*seedStride)
+			install(net, []*topology.Node{n}, deflect.NotInputPort{}, 1+int64(i)*seedStride)
 		}
 	})
 	if all != single {
-		t.Errorf("dumps differ:\nInstallAll:\n%s\nNew:\n%s", all, single)
+		t.Errorf("dumps differ:\nInstallAll:\n%s\none at a time:\n%s", all, single)
 	}
 	if n := strings.Count(all, "\nkar_switch_deflections_total{"); n != 4*causeCount {
 		t.Errorf("%d deflection series for 4 switches, want %d", n, 4*causeCount)

@@ -116,12 +116,6 @@ var (
 	_ deflect.SwitchView  = view{}
 )
 
-// New builds a switch for node using the given deflection policy and
-// a dedicated, seeded RNG. It binds itself to the network.
-func New(net *simnet.Network, node *topology.Node, policy deflect.Policy, seed int64) *Switch {
-	return &install(net, []*topology.Node{node}, policy, seed)[0]
-}
-
 // seedStride spaces the per-switch RNG seeds InstallAll derives from
 // its base seed.
 const seedStride = 7919
@@ -336,30 +330,6 @@ func (s *Switch) lineAt(i int) *simnet.Line {
 func (s *Switch) portUp(i int) bool {
 	l := s.lineAt(i)
 	return l != nil && l.SeenUp()
-}
-
-// Stats is a snapshot of switch counters.
-type Stats struct {
-	Received    int64
-	Forwarded   int64
-	Deflections int64
-	TTLDrops    int64
-	PolicyDrops int64
-}
-
-// Stats reads the counters: each cell's backing count plus its pending
-// increments, exact whenever the control plane asks.
-func (s *Switch) Stats() Stats {
-	st := Stats{
-		Received:    s.received.Value(),
-		Forwarded:   s.forwarded.Value(),
-		TTLDrops:    s.ttlDrops.Value(),
-		PolicyDrops: s.policyDrops.Value(),
-	}
-	for i := range s.deflections {
-		st.Deflections += s.deflections[i].Value()
-	}
-	return st
 }
 
 // Node returns the bound topology node.

@@ -43,7 +43,7 @@ func gapWorld(t testing.TB, policy deflect.Policy, opts ...simnet.Option) (*simn
 		net.Bind(n, sinkHandler{})
 	}
 	node, _ := g.Node("SW7")
-	return net, New(net, node, policy, 1), g
+	return net, &install(net, []*topology.Node{node}, policy, 1)[0], g
 }
 
 // TestViewPortUpMatchesNetwork: the switch answers "is port i up?" from
@@ -58,8 +58,8 @@ func TestViewPortUpMatchesNetwork(t *testing.T) {
 	}
 	link, _ := g.LinkBetween("SW7", "SW11")
 	sched := net.Scheduler()
-	sched.At(10*time.Millisecond, func() { net.FailLink(link) })
-	sched.At(30*time.Millisecond, func() { net.RepairLink(link) })
+	sched.At(10*time.Millisecond, func() { net.AcquireLinkDown(link) })
+	sched.At(30*time.Millisecond, func() { net.ReleaseLinkDown(link) })
 	for _, phase := range []struct {
 		name    string
 		at      time.Duration

@@ -68,20 +68,25 @@ func TestDoubleReleaseIsNoop(t *testing.T) {
 func TestCacheRecyclesThroughDepot(t *testing.T) {
 	var a, b Cache
 	seen := map[*Packet]bool{}
-	for i := 0; i < cacheSize+1; i++ {
-		p := Get()
-		seen[p] = true
+	made := make([]*Packet, cacheSize+1)
+	for i := range made {
+		made[i] = Get()
+		seen[made[i]] = true
+	}
+	base := DepotLen()
+	for _, p := range made {
 		a.Put(p)
 	}
-	if got, want := a.free.Len(), cacheSize/2+1; got != want {
-		t.Fatalf("after %d puts a full cache holds %d, want %d", cacheSize+1, got, want)
+	if got, want := DepotLen()-base, cacheSize/2; got != want {
+		t.Fatalf("after %d puts a full cache handed %d to the depot, want %d", cacheSize+1, got, want)
 	}
 	// b takes the half a spilled, then — once a spills the rest — those.
 	for i := 0; i < cacheSize+1; i++ {
 		if i == cacheSize/2 {
+			before := DepotLen()
 			a.Spill()
-			if a.free.Len() != 0 {
-				t.Fatalf("Spill left %d packets in the cache", a.free.Len())
+			if got, want := DepotLen()-before, cacheSize/2+1; got != want {
+				t.Fatalf("Spill handed %d packets to the depot, want the cache's %d", got, want)
 			}
 		}
 		p := b.Get()
@@ -91,8 +96,8 @@ func TestCacheRecyclesThroughDepot(t *testing.T) {
 		if !p.pooled {
 			t.Fatalf("get %d returned a packet not marked pool-owned", i)
 		}
-		if i == 0 && b.free.Len() != cacheSize/2-1 {
-			t.Fatalf("an empty cache refilled %d packets, want a batch of %d", b.free.Len()+1, cacheSize/2)
+		if i == 0 && DepotLen() != base {
+			t.Fatalf("an empty cache refilled %d packets, want a batch of %d", base+cacheSize/2-DepotLen(), cacheSize/2)
 		}
 	}
 }
@@ -115,10 +120,12 @@ func TestDepotSurvivesCollection(t *testing.T) {
 func TestCachePutUnpooledIsNoop(t *testing.T) {
 	var c Cache
 	p := &Packet{Seq: 42}
+	base := DepotLen()
 	c.Put(p)
 	c.Put(nil)
-	if p.Seq != 42 || c.free.Len() != 0 {
-		t.Errorf("Put took a hand-built packet: seq %d, cache %d", p.Seq, c.free.Len())
+	c.Spill()
+	if p.Seq != 42 || DepotLen() != base {
+		t.Errorf("Put took a hand-built packet: seq %d, %d spilled", p.Seq, DepotLen()-base)
 	}
 }
 

@@ -49,21 +49,6 @@ func (r RouteID) Uint64() (uint64, bool) {
 	return r.small, true
 }
 
-// Bytes returns the minimal big-endian encoding (empty for zero),
-// matching RouteIDFromBytes.
-func (r RouteID) Bytes() []byte {
-	if r.wide != nil {
-		return r.wide.Bytes()
-	}
-	if r.small == 0 {
-		return nil
-	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], r.small)
-	// bits.Len64 names the minimal encoding directly: ⌈bitlen/8⌉ bytes.
-	return buf[8-(bits.Len64(r.small)+7)/8:]
-}
-
 // ByteLen returns the length of the minimal big-endian encoding
 // (0 for zero) without materialising it.
 func (r RouteID) ByteLen() int {

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"strings"
@@ -156,7 +158,20 @@ func TestRunMetricPrefixAndExtraLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := coll.Runs()
+	var js bytes.Buffer
+	if err := coll.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Events map[string]json.RawMessage `json:"events"`
+	}
+	if err := json.Unmarshal(js.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for run := range doc.Events {
+		labels = append(labels, run)
+	}
 	if len(labels) != 1 {
 		t.Fatalf("collector holds %d runs, want 1: %v", len(labels), labels)
 	}

@@ -524,8 +524,9 @@ func TestDrainFinishesInFlightAndCancelsQueued(t *testing.T) {
 	s := New(Config{QueueCap: 4, Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	release := make(chan struct{})
+	release, started := make(chan struct{}), make(chan struct{}, 2)
 	s.execHook = func(ctx context.Context, j *Job) ([]byte, error) {
+		started <- struct{}{}
 		select {
 		case <-release:
 			return []byte("{}\n"), nil
@@ -544,26 +545,30 @@ func TestDrainFinishesInFlightAndCancelsQueued(t *testing.T) {
 	}
 	inflight := submit()
 	queued := submit()
+	// A job the worker takes off the queue after drain begins is
+	// cancelled, so drain begins only once the first job runs.
+	<-started
 
-	// Release the in-flight job once drain begins, then shut down.
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		close(release)
-	}()
 	done := make(chan error)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		done <- s.Shutdown(ctx)
 	}()
+	for deadline := time.Now().Add(5 * time.Second); !s.isDraining(); {
+		if time.Now().After(deadline) {
+			t.Fatal("drain never began")
+		}
+		runtime.Gosched()
+	}
 	// While draining: readyz 503, submissions 503.
-	time.Sleep(10 * time.Millisecond)
 	if resp, _ := getBody(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("readyz while draining: %d", resp.StatusCode)
 	}
 	if resp, _ := postJSON(t, ts.URL+"/v1/scenarios", scenarioBody(t, "")); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("submit while draining: %d", resp.StatusCode)
 	}
+	close(release)
 	if err := <-done; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
@@ -692,8 +697,18 @@ func TestStoreCapDropsEvictedJobsTelemetry(t *testing.T) {
 	// Each admission evicts down to StoreCap, the new job included.
 	retained := map[string]bool{ids[4]: true, ids[5]: true}
 
+	var js bytes.Buffer
+	if err := s.coll.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Events map[string]json.RawMessage `json:"events"`
+	}
+	if err := json.Unmarshal(js.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
 	seen := make(map[string]bool)
-	for _, run := range s.coll.Runs() {
+	for run := range doc.Events {
 		id, _, _ := strings.Cut(strings.TrimPrefix(run, "job="), "/")
 		if !retained[id] {
 			t.Errorf("collector keeps run %q of an evicted job", run)

@@ -14,6 +14,17 @@ func (n *Network) LinkUp(l *topology.Link) bool { return n.lines[l.Index()].down
 // detection-latency model.
 func (n *Network) LinkSeenUp(l *topology.Link) bool { return n.lines[l.Index()].seenUp }
 
+// RepairLink releases FailLink's hold; the link comes back up unless
+// other holds (overlapping failure windows, injectors) remain.
+func (n *Network) RepairLink(l *topology.Link) {
+	line := &n.lines[l.Index()]
+	if !line.manualHold {
+		return
+	}
+	line.manualHold = false
+	n.releaseDown(line)
+}
+
 // QueueSpill reports, summed over the control scheduler and every
 // lane, how many ring nodes and far-heap slots the world's queues came
 // to need: the slab and the far heap only grow when an entry is

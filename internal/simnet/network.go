@@ -193,7 +193,7 @@ type Line struct {
 	// read-only.
 	net        *Network
 	downRefs   int  // outstanding down-holds; up ⇔ downRefs == 0
-	manualHold bool // FailLink/RepairLink's dedicated (idempotent) hold
+	manualHold bool // FailLink's dedicated (idempotent) hold
 	seenUp     bool // the adjacent switches' *detected* view of the link
 	everDown   bool
 	lastDownAt time.Duration // most recent failure instant (for in-flight kills)
@@ -851,7 +851,7 @@ func transmissionTime(size int, rateMbps float64) time.Duration {
 // transition (and any batch it was part of, e.g. a switch crash
 // taking every port down at once), so the hook may freely call back
 // into the Network — PortUp, AcquireLinkDown/ReleaseLinkDown,
-// FailLink/RepairLink, or a controller reroute — without observing
+// FailLink, or a controller reroute — without observing
 // half-applied state or recursing into the dispatch path. Hooks run
 // on the simulation goroutine in detection order; virtual timestamps
 // are unchanged by the deferral.
@@ -950,10 +950,10 @@ func (n *Network) setDetected(line *Line, up bool) {
 	}
 }
 
-// FailLink takes a link down; queued and in-flight packets die. It is
-// idempotent: it owns a single dedicated down-hold, so calling it
-// twice needs only one RepairLink, and it composes with holds taken by
-// scheduled windows or fault injectors.
+// FailLink takes a link down for the rest of the run; queued and
+// in-flight packets die. It is idempotent: it owns a single dedicated
+// down-hold, and it composes with holds taken by scheduled windows or
+// fault injectors.
 func (n *Network) FailLink(l *topology.Link) {
 	line := &n.lines[l.Index()]
 	if line.manualHold {
@@ -961,17 +961,6 @@ func (n *Network) FailLink(l *topology.Link) {
 	}
 	line.manualHold = true
 	n.acquireDown(line)
-}
-
-// RepairLink releases FailLink's hold; the link comes back up unless
-// other holds (overlapping failure windows, injectors) remain.
-func (n *Network) RepairLink(l *topology.Link) {
-	line := &n.lines[l.Index()]
-	if !line.manualHold {
-		return
-	}
-	line.manualHold = false
-	n.releaseDown(line)
 }
 
 // ScheduleFailure fails the link during [from, from+duration). Each

@@ -125,7 +125,7 @@ func TestBackupIsLoopFree(t *testing.T) {
 		if l.A().Kind() != topology.KindCore || l.B().Kind() != topology.KindCore {
 			continue
 		}
-		net.FailLink(l)
+		net.AcquireLinkDown(l)
 		send, recv := startCBR(t, net, edges, 20)
 		send.Start()
 		net.Scheduler().RunUntil(10 * time.Second)
@@ -133,6 +133,6 @@ func TestBackupIsLoopFree(t *testing.T) {
 		if st.MaxHops > 12 {
 			t.Errorf("failure %s: max hops %d suggests a forwarding loop", l.Name(), st.MaxHops)
 		}
-		net.RepairLink(l)
+		net.ReleaseLinkDown(l)
 	}
 }

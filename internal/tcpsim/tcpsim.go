@@ -220,10 +220,6 @@ func newSenderCore(net *simnet.Network, srcEdge *edge.Edge, flow packet.FlowID, 
 	}
 }
 
-// Stop ceases new data transmission (retransmissions of outstanding
-// data continue until acknowledged).
-func (s *senderCore) Stop() { s.stopped = true }
-
 // Stats reads the counters back from the registry and snapshots the
 // live congestion state.
 func (s *senderCore) Stats() SenderStats {

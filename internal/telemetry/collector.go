@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -66,25 +65,6 @@ func (c *Collector) Registry() *Registry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.reg
-}
-
-// Runs returns the collected run labels, sorted.
-func (c *Collector) Runs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.runs))
-	for r := range c.runs {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Events returns one run's retained events.
-func (c *Collector) Events(run string) []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs[run]
 }
 
 // WritePrometheus renders the merged registry in Prometheus text

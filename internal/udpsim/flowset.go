@@ -83,7 +83,7 @@ type SetConfig struct {
 	// Seed drives the per-pair RNGs. Pair i uses Seed + i*9973, so
 	// draw sequences are stable regardless of shard or worker count.
 	Seed int64
-	// Until stops injection at this virtual time (0: run until Stop).
+	// Until stops injection at this virtual time (0: never).
 	Until time.Duration
 }
 
@@ -115,10 +115,9 @@ func (c SetConfig) defaults() SetConfig {
 // cell per pump, one received/hops/latency set per receiver — and the
 // set itself holds only the backing counters, for Stats.
 type FlowSet struct {
-	cfg     SetConfig
-	pumps   []*pairPump
-	rcvs    map[string]*setReceiver
-	stopped bool
+	cfg   SetConfig
+	pumps []*pairPump
+	rcvs  map[string]*setReceiver
 
 	// delivered holds one bit per flow: a packet of it was delivered.
 	// Each pair's flows take a range of whole words (flowSpan.bits), so
@@ -279,9 +278,6 @@ func (fs *FlowSet) Start() {
 	}
 }
 
-// Stop halts emission at the current virtual time.
-func (fs *FlowSet) Stop() { fs.stopped = true }
-
 func (p *pairPump) nextGap() time.Duration {
 	d := time.Duration(p.rng.ExpFloat64() * p.meanGapNs)
 	if d < time.Nanosecond {
@@ -292,9 +288,6 @@ func (p *pairPump) nextGap() time.Duration {
 
 func (p *pairPump) tick() {
 	fs := p.set
-	if fs.stopped {
-		return
-	}
 	if fs.cfg.Until > 0 && p.clock.Now() >= fs.cfg.Until {
 		return
 	}

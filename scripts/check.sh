@@ -2,8 +2,8 @@
 # Repository quality gates beyond Tier-1 (go build ./... && go test ./...,
 # which holds the design rules of guards_test.go and every CLI golden):
 # vet, gofmt, build, race-enabled tests (the determinism matrix among
-# them), fuzz exploration from the committed corpora, and the daemon and
-# benchmark smokes.
+# them), fuzz exploration from the committed corpora, the benchmark
+# module's vet and tests, and the daemon and benchmark smokes.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -100,6 +100,12 @@ echo "==> heap, allocation and delivered-bit gates"
 # its 10.0 MB ceiling), a warm Fig. 5 cell's allocation count and the
 # flow set's delivered bits across lanes before the long race pass.
 go test -run 'LargeWorldHeapBudget|RunTCPAllocationBudget|DeliveredBits' ./internal/experiment ./internal/udpsim
+
+echo "==> benchmark module: go vet and go test in bench/ (~20 s)"
+# bench/ is a module of its own, so go build ./... never compiles it: a
+# main-module change that breaks the frozen benchmark fails here, with
+# the commands of make bench-test, rather than in a benchmark run.
+(cd bench && go vet ./... && go test ./...)
 
 echo "==> go test -race ./..."
 # The experiment package replays whole figure sweeps; under the race
