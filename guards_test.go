@@ -2,6 +2,7 @@ package kar
 
 import (
 	"cmp"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -14,6 +15,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -98,16 +100,22 @@ var guards = []rule{{
 		"internal/serve:New", "internal/serve:(*Server).Shutdown", "internal/simnet:(*Network).hire"},
 }, {
 	name:  "a route ID is encoded by core.EncodeRoute alone",
-	why:   "Every route ID is core.EncodeRoute → rns.NewSystem, with no basis cache.",
+	why:   "Every route ID is core.EncodeRoute → rns.NewSystem, once per graph: controllers reuse it through the graph's route book.",
 	in:    []string{"internal"},
 	match: []string{"use repro/internal/rns.NewSystem"}, owns: []string{"internal/rns", "internal/core"},
+}, {
+	name: "a route ID is encoded by core.EncodeRoute alone",
+	why:  "The controller's encode, which consults the graph's route book first, is its one caller in the control plane; Table 1 encodes the paper's routes as listed.",
+	in:   []string{"internal"}, match: []string{"use repro/internal/core.EncodeRoute"},
+	owns: []string{"internal/controller:(*Controller).encode", "internal/experiment:Table1",
+		"internal/core:(*Encoder).EncodeRoute"}, // the bench-frozen shim, item 9 (e)
 }, {
 	name: "the control plane starts no goroutine",
 	why:  "A failure or repair recomputes its affected routes one by one on the caller.",
 	in:   []string{"internal/controller"}, match: []string{`import "repro/internal/par"`},
 }, {
 	name: "the control plane starts no goroutine",
-	why:  "The planner's tree cache is read only from the caller, under the controller's lock, and needs none of its own.",
+	why:  "internal/core holds no lock: the planner's tree cache is read only from the caller, and the route book lives with the graph.",
 	in:   []string{"internal/core"}, match: []string{`import "sync"`},
 }, {
 	name:  "the recorder is attached through SetTraceSink alone",
@@ -291,21 +299,23 @@ var testOracles = []exempt{
 // assertion, so that no interface call in the module shows their use.
 var stdlibCalled = []string{"String", "Error", "Unwrap", "MarshalJSON", "UnmarshalJSON"}
 
-// TestCallerRule type-checks the main module's non-test files and fails
-// on a package-level function, method, variable or constant under
-// internal/ that nothing but tests uses. A use is an identifier or a
-// selection (of a generic method through its origin), or a call through
-// an interface the method's type satisfies; bench/, a module of its own,
-// is type-checked apart, tests included, only to freeze what it calls.
-// An entry of benchFrozen or testOracles fails when its name is gone or
-// gains a non-test caller outside bench/, so the lists only shrink.
-func TestCallerRule(t *testing.T) {
-	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
-	pkgs := map[string]*types.Package{}
-	mainUses, benchUses := map[*ast.Ident]types.Object{}, map[*ast.Ident]types.Object{}
+// module is the main module's non-test files type-checked, its own
+// packages in import order and the standard library from source
+// (offline), with bench/, a module of its own, checked apart, its
+// tests included. TestCallerRule and TestRoutesAreImmutable share one
+// check.
+type module struct {
+	fset        *token.FileSet
+	pkgs        map[string]*types.Package
+	files       []*ast.File // the main module's non-test files
+	info, bench *types.Info
+}
+
+var loadModule = sync.OnceValues(func() (*module, error) {
+	m := &module{fset: token.NewFileSet(), pkgs: map[string]*types.Package{}, info: newInfo(), bench: newInfo()}
+	std := importer.ForCompiler(m.fset, "source", nil)
 	var imp importerFunc
-	check := func(ip, dir string, tests bool, uses map[*ast.Ident]types.Object) (*types.Package, error) {
+	check := func(ip, dir string, tests bool, info *types.Info) (*types.Package, error) {
 		bp, err := build.ImportDir(dir, 0)
 		if err != nil {
 			return nil, err
@@ -316,25 +326,28 @@ func TestCallerRule(t *testing.T) {
 		}
 		var files []*ast.File
 		for _, name := range names {
-			af, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			af, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
 				return nil, err
 			}
 			files = append(files, af)
 		}
+		if info == m.info {
+			m.files = append(m.files, files...)
+		}
 		conf := types.Config{Importer: imp}
-		return conf.Check(ip, fset, files, &types.Info{Uses: uses})
+		return conf.Check(ip, m.fset, files, info)
 	}
 	imp = func(ip string) (*types.Package, error) {
 		dir, ok := strings.CutPrefix(ip, "repro")
 		if !ok || dir != "" && dir[0] != '/' {
 			return std.Import(ip)
 		}
-		if p := pkgs[ip]; p != nil {
+		if p := m.pkgs[ip]; p != nil {
 			return p, nil
 		}
-		p, err := check(ip, "."+dir, false, mainUses)
-		pkgs[ip] = p
+		p, err := check(ip, "."+dir, false, m.info)
+		m.pkgs[ip] = p
 		return p, err
 	}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -350,13 +363,35 @@ func TestCallerRule(t *testing.T) {
 		_, err = imp(path.Join("repro", filepath.ToSlash(p)))
 		return err
 	})
-	if err != nil || len(pkgs) < 30 {
-		t.Fatalf("type-checked %d packages: %v", len(pkgs), err)
+	if err != nil || len(m.pkgs) < 30 {
+		return nil, fmt.Errorf("type-checked %d packages: %v", len(m.pkgs), err)
 	}
-	if _, err := check("repro/bench", "bench", true, benchUses); err != nil {
-		t.Fatalf("bench: %v", err)
+	if _, err := check("repro/bench", "bench", true, m.bench); err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
 	}
+	return m, nil
+})
 
+func newInfo() *types.Info {
+	return &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+}
+
+// TestCallerRule fails on a package-level function, method, variable or
+// constant under internal/ that nothing but the tests of the
+// type-checked module uses. A use is an identifier or a selection (of a
+// generic method through its origin), or a call through an interface
+// the method's type satisfies; bench/ counts only to freeze what it
+// calls. An entry of benchFrozen or testOracles fails when its name is
+// gone or gains a non-test caller outside bench/, so the lists only
+// shrink.
+func TestCallerRule(t *testing.T) {
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset, pkgs := m.fset, m.pkgs
+	mainUses, benchUses := m.info.Uses, m.bench.Uses
 	used, benchUsed := usedObjects(mainUses, pkgs), usedObjects(benchUses, nil)
 	declared := map[string]types.Object{}
 	listed := func(list []exempt, name string) bool {
@@ -482,4 +517,212 @@ func usedObjects(uses map[*ast.Ident]types.Object, pkgs map[string]*types.Packag
 // calls by type assertion.
 func (u useSet) has(obj types.Object) bool {
 	return u[obj] || receiver(obj) != nil && slices.Contains(stdlibCalled, obj.Name())
+}
+
+// routeMutators are the library functions that write through their
+// first argument.
+var routeMutators = []string{"slices.Sort", "slices.SortFunc", "slices.SortStableFunc", "slices.Reverse",
+	"slices.Delete", "slices.DeleteFunc", "slices.Insert", "slices.Compact", "slices.CompactFunc",
+	"slices.Replace", "sort.Slice", "sort.SliceStable", "sort.Sort", "sort.Stable"}
+
+// TestRoutesAreImmutable audits the main module's non-test code for a
+// write into a core.Route after EncodeRoute built it: controllers on
+// one graph share each route through the graph's route book, so one
+// such write would change another world's route. Route storage is a
+// field of a Route, what indexes or slices it, and every variable,
+// field, parameter or function result that the code assigns, passes or
+// returns it to (a flow-insensitive closure); a write is an assignment
+// or increment into it, append, copy or clear of it, its address taken,
+// or one of routeMutators called on it.
+func TestRoutesAreImmutable(t *testing.T) {
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	route := m.pkgs["repro/internal/core"].Scope().Lookup("Route").Type()
+	isRoute := func(t types.Type) bool {
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		return types.Identical(t, route)
+	}
+	// carries reports whether a value of type t shares storage with
+	// what it was copied from.
+	var carries func(t types.Type) bool
+	carries = func(t types.Type) bool {
+		switch u := t.Underlying().(type) {
+		case *types.Slice:
+			return true
+		case *types.Pointer:
+			return isRoute(u)
+		case *types.Struct:
+			for i := range u.NumFields() {
+				if carries(u.Field(i).Type()) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	objectOf := func(e ast.Expr) types.Object {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			if obj := m.info.Defs[e]; obj != nil {
+				return obj
+			}
+			return m.info.Uses[e]
+		case *ast.SelectorExpr:
+			if sel := m.info.Selections[e]; sel != nil {
+				return sel.Obj()
+			}
+			return m.info.Uses[e.Sel]
+		}
+		return nil
+	}
+	held := map[types.Object]bool{} // variables, fields and functions holding route storage
+	var owned func(e ast.Expr) bool
+	owned = func(e ast.Expr) bool {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return held[objectOf(e)]
+		case *ast.SelectorExpr:
+			sel := m.info.Selections[e]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return false
+			}
+			return isRoute(m.info.Types[e.X].Type) || owned(e.X) || held[sel.Obj()]
+		case *ast.IndexExpr:
+			return owned(e.X)
+		case *ast.SliceExpr:
+			return owned(e.X)
+		case *ast.StarExpr:
+			return owned(e.X)
+		case *ast.CallExpr:
+			return held[objectOf(e.Fun)]
+		}
+		return false
+	}
+	flows := func(dst types.Object, src ast.Expr) bool {
+		if dst == nil || held[dst] || !carries(dst.Type()) || !owned(src) {
+			return false
+		}
+		held[dst] = true
+		return true
+	}
+	// The closure: repeat until no assignment, call or return adds a holder.
+	for grew := true; grew; {
+		grew = false
+		for _, f := range m.files {
+			var fn []types.Object // enclosing functions, innermost last; nil for a literal
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					fn = append(fn, m.info.Defs[n.Name])
+					if n.Body != nil {
+						ast.Inspect(n.Body, visit)
+					}
+					fn = fn[:len(fn)-1]
+					return false
+				case *ast.FuncLit:
+					fn = append(fn, nil)
+					ast.Inspect(n.Body, visit)
+					fn = fn[:len(fn)-1]
+					return false
+				case *ast.AssignStmt:
+					if len(n.Lhs) == len(n.Rhs) {
+						for i, lhs := range n.Lhs {
+							grew = flows(objectOf(lhs), n.Rhs[i]) || grew
+						}
+					}
+				case *ast.ValueSpec:
+					if len(n.Names) == len(n.Values) {
+						for i, name := range n.Names {
+							grew = flows(m.info.Defs[name], n.Values[i]) || grew
+						}
+					}
+				case *ast.KeyValueExpr:
+					if k, ok := n.Key.(*ast.Ident); ok {
+						grew = flows(m.info.Uses[k], n.Value) || grew
+					}
+				case *ast.CallExpr:
+					f, ok := objectOf(n.Fun).(*types.Func)
+					if !ok {
+						break
+					}
+					params := f.Type().(*types.Signature).Params()
+					for i, arg := range n.Args {
+						if params.Len() > 0 {
+							grew = flows(params.At(min(i, params.Len()-1)), arg) || grew
+						}
+					}
+				case *ast.ReturnStmt:
+					if len(fn) > 0 && fn[len(fn)-1] != nil {
+						for _, r := range n.Results {
+							if f := fn[len(fn)-1]; !held[f] && owned(r) {
+								held[f], grew = true, true
+							}
+						}
+					}
+				}
+				return true
+			}
+			ast.Inspect(f, visit)
+		}
+	}
+	// inside reports whether e is a location in route storage.
+	inside := func(e ast.Expr) bool {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			return isRoute(m.info.Types[e.X].Type) || owned(e.X)
+		case *ast.IndexExpr:
+			return owned(e.X)
+		case *ast.StarExpr:
+			return owned(e.X)
+		}
+		return false
+	}
+	for _, f := range m.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			var target ast.Expr
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if inside(lhs) {
+						target = lhs
+					}
+				}
+			case *ast.IncDecStmt:
+				if inside(n.X) {
+					target = n.X
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND && inside(n.X) {
+					target = n.X
+				}
+			case *ast.CallExpr:
+				if len(n.Args) == 0 || !owned(n.Args[0]) {
+					break
+				}
+				switch fn := objectOf(n.Fun).(type) {
+				case *types.Builtin:
+					if slices.Contains([]string{"append", "copy", "clear"}, fn.Name()) {
+						target = n.Args[0]
+					}
+				case *types.Func:
+					if fn.Pkg() != nil && slices.Contains(routeMutators, fn.Pkg().Path()+"."+fn.Name()) {
+						target = n.Args[0]
+					}
+				}
+			}
+			if target != nil {
+				t.Errorf("%s: %s writes into a core.Route", m.fset.Position(n.Pos()), types.ExprString(target))
+			}
+			return true
+		})
+	}
+	if len(held) < 5 {
+		t.Errorf("route storage reaches only %d holders: the audit is not following it", len(held))
+	}
+	t.Logf("route storage reaches %d holders", len(held))
 }

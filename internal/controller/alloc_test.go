@@ -15,8 +15,10 @@ import (
 
 // TestInstallRouteAllocs bounds what one InstallRoute allocates, path
 // search, encode and route-table bookkeeping together: fresh pairs on
-// fattree:28 (the benchmark's flows world, where no RNS basis recurs)
-// and recurring pairs on Net15.
+// fattree:28 (the benchmark's flows world, where no RNS basis recurs:
+// a route-book miss, which allocates nothing beyond the encode but the
+// book's rare growth) and recurring pairs on Net15 (a book hit, which
+// encodes nothing).
 func TestInstallRouteAllocs(t *testing.T) {
 	ft, err := topology.FromSpec("fattree:28")
 	if err != nil {
@@ -56,8 +58,8 @@ func TestInstallRouteAllocs(t *testing.T) {
 			t.Fatalf("InstallRoute(%s, %s): %v", p[0], p[1], err)
 		}
 	})
-	if recurring > 15 {
-		t.Errorf("Net15 InstallRoute on a recurring pair allocates %.1f objects/op, want <= 15", recurring)
+	if recurring > 7 {
+		t.Errorf("Net15 InstallRoute on a recurring pair allocates %.1f objects/op, want <= 7", recurring)
 	}
 	t.Logf("InstallRoute allocations/op: fattree:28 fresh %.1f, Net15 recurring %.1f", fresh, recurring)
 }

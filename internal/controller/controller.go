@@ -169,24 +169,60 @@ func New(g *topology.Graph, opts ...Option) *Controller {
 	return c
 }
 
-// autoProtection plans the per-destination protection set for path
-// when auto-protection is on and the caller supplied no explicit hops.
-func (c *Controller) autoProtection(path topology.Path, explicit []core.Hop) ([]core.Hop, error) {
-	if !c.autoProtect || len(explicit) > 0 {
-		return explicit, nil
-	}
-	return c.planner.Plan(path, core.PlanOptions{})
-}
+// maxBookedSwitches keeps long bases out of the graph's route book: a
+// wide basis holds one CRT constant per switch, each as long as the
+// route ID, so 1 024 booked routes of at most 64 switches stay within
+// ~15 MB even at 20-bit switch IDs.
+const maxBookedSwitches = 64
 
 // encode is every route ID the controller computes: path with the
 // given protection hops, or with the planned set when auto-protection
-// is on and hops is empty.
+// is on and hops is empty. A route is a pure function of the graph and
+// (path, hops, planned or not), so it is looked up in the graph's
+// route book first, where any controller on the graph may have put
+// it; a hit is compared in full and allocates nothing.
 func (c *Controller) encode(path topology.Path, hops []core.Hop) (*core.Route, error) {
-	hops, err := c.autoProtection(path, hops)
-	if err != nil {
-		return nil, err
+	planned := c.autoProtect && len(hops) == 0
+	key := bookKey(path.Nodes, hops, planned)
+	book := c.g.RouteBook()
+	if v, ok := book.Get(key); ok {
+		r := v.(*core.Route)
+		if slices.Equal(r.Path.Nodes, path.Nodes) && (planned || slices.Equal(r.Protection, hops)) {
+			return r, nil
+		}
 	}
-	return core.EncodeRoute(path, hops)
+	if planned {
+		var err error
+		if hops, err = c.planner.Plan(path, core.PlanOptions{}); err != nil {
+			return nil, err
+		}
+	}
+	route, err := core.EncodeRoute(path, hops)
+	if err == nil && route.SwitchCount() <= maxBookedSwitches {
+		book.Put(key, route)
+	}
+	return route, err
+}
+
+// bookKey hashes encode's inputs (FNV-1a over node indexes and hop
+// ports), with planned in the low bit: a route found under a key was
+// booked with the same bit, so a planned hit needs only its path
+// compared.
+func bookKey(nodes []*topology.Node, hops []core.Hop, planned bool) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, n := range nodes {
+		h = (h ^ uint64(n.Index())) * prime
+	}
+	h = (h ^ uint64(len(nodes))) * prime
+	for _, hop := range hops {
+		h = (h ^ uint64(hop.Switch.Index())) * prime
+		h = (h ^ uint64(hop.Port)) * prime
+	}
+	if planned {
+		return h<<1 | 1
+	}
+	return h << 1
 }
 
 // Graph returns the controller's topology.

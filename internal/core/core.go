@@ -70,6 +70,9 @@ func HopsFromPairs(g *topology.Graph, pairs [][2]string) ([]Hop, error) {
 
 // Route is a fully encoded KAR route: the primary path, the protection
 // hops sharing its route ID, the RNS basis, and the route ID itself.
+// It is immutable once EncodeRoute returns: the controllers on one
+// graph share it through the graph's route book, so nothing writes
+// into it or its slices (TestRoutesAreImmutable audits the module).
 type Route struct {
 	// Path is the edge-to-edge primary path.
 	Path topology.Path

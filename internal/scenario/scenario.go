@@ -12,7 +12,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/deflect"
@@ -28,13 +30,19 @@ type Duration time.Duration
 // D returns the native duration.
 func (d Duration) D() time.Duration { return time.Duration(d) }
 
+// MarshalJSON quotes String(), which has nothing JSON escapes, so the
+// bytes are json.Marshal's.
 func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
+	s := time.Duration(d).String()
+	return append(append(append(make([]byte, 0, len(s)+2), '"'), s...), '"'), nil
 }
 
+// UnmarshalJSON reads a quoted literal with nothing to unescape in
+// place; anything else takes encoding/json, and both give the same
+// value and error text.
 func (d *Duration) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
+	s, err := jsonString(b)
+	if err != nil {
 		return fmt.Errorf("scenario: durations are strings like \"150ms\": %w", err)
 	}
 	v, err := time.ParseDuration(s)
@@ -43,6 +51,21 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	}
 	*d = Duration(v)
 	return nil
+}
+
+// jsonString decodes a JSON string literal: in place when it decodes
+// to itself (valid UTF-8 with no quote, backslash or control byte),
+// else through encoding/json.
+func jsonString(b []byte) (string, error) {
+	if len(b) >= 2 && b[0] == '"' && b[len(b)-1] == '"' {
+		lit := b[1 : len(b)-1]
+		if !slices.ContainsFunc(lit, func(c byte) bool { return c < 0x20 || c == '"' || c == '\\' }) && utf8.Valid(lit) {
+			return string(lit), nil
+		}
+	}
+	var s string
+	err := json.Unmarshal(b, &s)
+	return s, err
 }
 
 // Spec is one declarative scenario file.

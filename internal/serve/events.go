@@ -56,19 +56,23 @@ func (b *eventBuf) append(ev jobEvent) {
 }
 
 // encodeEvent renders one stream line, byte for byte what json.Marshal
-// gives. Sweep progress — a verify job emits one per (route, policy)
-// unit, 12 on Net15's all-pairs nip,dtree sweep, and they are most of
-// what it streams — is appended field by field; every other kind is a
-// handful of events per job and takes the reflective encoder.
+// gives. An event that carries nothing but its kind, a state and sweep
+// counts is appended field by field: state changes (three per job)
+// and sweep progress (a verify job emits one per (route, policy) unit,
+// 12 on Net15's all-pairs nip,dtree sweep) are most of what a job
+// streams. The few others take the reflective encoder.
 func encodeEvent(ev jobEvent) ([]byte, error) {
-	sweep := scenario.ProgressEvent{Kind: "sweep", SweepDone: ev.SweepDone, SweepTotal: ev.SweepTotal}
-	if ev.ProgressEvent != sweep || ev.State != "" || !jsonPlain(ev.Job) {
+	bare := scenario.ProgressEvent{Kind: ev.Kind, SweepDone: ev.SweepDone, SweepTotal: ev.SweepTotal}
+	if ev.ProgressEvent != bare || !jsonPlain(ev.Job) || !jsonPlain(string(ev.State)) || !jsonPlain(ev.Kind) {
 		return json.Marshal(ev)
 	}
 	var buf [96]byte // the line of a 7-character job ID is under 80 bytes
-	b := append(buf[:0], `{"job":"`...)
-	b = append(b, ev.Job...)
-	b = append(b, `","kind":"sweep","run":0`...)
+	b := append(append(buf[:0], `{"job":"`...), ev.Job...)
+	if ev.State != "" {
+		b = append(append(b, `","state":"`...), ev.State...)
+	}
+	b = append(append(b, `","kind":"`...), ev.Kind...)
+	b = append(b, `","run":0`...)
 	if ev.SweepDone != 0 {
 		b = strconv.AppendInt(append(b, `,"sweep_done":`...), int64(ev.SweepDone), 10)
 	}

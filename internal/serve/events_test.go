@@ -9,9 +9,9 @@ import (
 )
 
 // Every line of the stream must be json.Marshal's rendering of its
-// event, whichever encoder produced it: one event of each kind, plus
-// the sweep shapes that must not take (or must survive) the appended
-// path.
+// event, whichever encoder produced it: one event of each kind, the
+// state event of every job state, plus the sweep and state shapes
+// that must not take (or must survive) the appended path.
 func TestEncodeEventMatchesJSONMarshal(t *testing.T) {
 	pe := func(ev scenario.ProgressEvent) jobEvent { return jobEvent{Job: "j000007", ProgressEvent: ev} }
 	events := map[string]jobEvent{
@@ -28,6 +28,14 @@ func TestEncodeEventMatchesJSONMarshal(t *testing.T) {
 		"sweep, with state":    {Job: "j1", State: StateDone, ProgressEvent: scenario.ProgressEvent{Kind: "sweep", SweepDone: 1, SweepTotal: 2}},
 		"sweep, escaped job":   {Job: "a\"b<c>\u2028é", ProgressEvent: scenario.ProgressEvent{Kind: "sweep", SweepDone: 1, SweepTotal: 2}},
 		"sweep, control chars": {Job: "a\tb\x7f", ProgressEvent: scenario.ProgressEvent{Kind: "sweep", SweepDone: 1, SweepTotal: 2}},
+
+		"state, escaped state": {Job: "j1", State: "a<b", ProgressEvent: scenario.ProgressEvent{Kind: "state"}},
+		"state, escaped kind":  {Job: "j1", State: StateDone, ProgressEvent: scenario.ProgressEvent{Kind: "st\"ate"}},
+		"state, with seed":     {Job: "j1", State: StateDone, ProgressEvent: scenario.ProgressEvent{Kind: "state", Seed: 3}},
+		"no state, no kind":    {Job: "j1"},
+	}
+	for _, st := range jobStates {
+		events["state "+string(st)] = jobEvent{Job: "j000007", State: st, ProgressEvent: scenario.ProgressEvent{Kind: "state"}}
 	}
 	for name, ev := range events {
 		want, err := json.Marshal(ev)

@@ -9,7 +9,8 @@ import "sync"
 // *Graph is safe to share across many concurrent worlds. The daemon
 // leans on this: every job on "fattree:28" reuses one construction
 // (and therefore one blocked-coprime ID allocation) instead of paying
-// it per job.
+// it per job, and every job's controller reuses the routes earlier
+// ones encoded (the graph's RouteBook, a memo behind its own lock).
 //
 // Eviction is least-recently-used at a fixed capacity; the cache is
 // a pure wall-clock optimization and never changes results, because a

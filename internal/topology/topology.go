@@ -261,6 +261,8 @@ type Graph struct {
 	nodeSlab []Node
 	linkSlab []Link
 	portSlab []*Link
+	// book memoizes the routes encoded over the graph (RouteBook).
+	book RouteBook
 }
 
 // New returns an empty graph with a display name.

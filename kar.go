@@ -67,7 +67,8 @@ type (
 	RouteID = rns.RouteID
 	// RNS is a fixed basis of pairwise-coprime switch IDs.
 	RNS = rns.System
-	// Route is an encoded route: path + protection + route ID.
+	// Route is an encoded route: path + protection + route ID. It is
+	// immutable: the worlds on one graph share their routes.
 	Route = core.Route
 	// Hop is one encoded (switch, output port) pair.
 	Hop = core.Hop
